@@ -44,6 +44,7 @@ from .tilt import (
 )
 from .univ import canonical_dump
 from .witt import (
+    GhostVec,
     WittVec,
     frobenius,
     ghost,
@@ -159,7 +160,7 @@ def _cmd_compute(args) -> int:
         payload = {"op": op, "result": [ring.elt_to_json(e) for e in entries]}
     elif op == "unghost":
         gv = vectors[0]
-        x = unghost(ring, gv.components)
+        x = unghost(GhostVec(ring, gv.components))
         text = _format_vec(x)
         payload = {"op": op, "result": witt_to_json(x)}
     elif op == "wnorm":
@@ -431,9 +432,11 @@ def _cmd_kernel(args) -> int:
             elif hasattr(ring, "uniformizer"):
                 t = ring.pow_(ring.uniformizer(), rng.randint(0, 2 * ring.e))
             else:
-                t = Fraction(rng.choice([u for u in range(1, 10) if u % ring.p])) * (
-                    Fraction(ring.p) ** k
-                )
+                t = ring.from_int(rng.choice([u for u in range(1, 10) if u % ring.p]))
+                for _ in range(k):
+                    t = ring.mul(t, ring.from_int(ring.p))
+                for _ in range(-k):
+                    t = ring.exact_divide_by_p(t)
             elements.append(t)
     results = [verify_kernel_norm(ring, t, args.j, assert_equality=False) for t in elements]
     failures = sum(1 for r in results if not r["passed"])

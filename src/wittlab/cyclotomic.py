@@ -6,6 +6,14 @@ e = phi(p**k), and the valuation is normalized by v(p) = 1, so v takes values
 in (1/e)Z.  Elements are coefficient tuples over the power basis
 1, zeta, ..., zeta**(e-1), with Fraction entries.
 
+``mul``, ``pow_`` and ``inv`` compute fraction-free: they clear denominators
+once, giving an integer numerator vector over one common denominator, work on
+integers with a single convolution kernel, and build the Fraction tuple at
+the end.  ``inv`` multiplies by conjugates down the tower
+Q(zeta_{p**k}) > Q(zeta_{p**(k-1)}) > ... > Q: each step's relative norm lies
+in the next subfield, the last one is the rational norm N, and
+1/a = cofactor / N.
+
 Valuations are computed without factoring norms: strip powers of p
 coefficientwise, then read off the order in t = 1 - zeta of the mod-p residue
 through the triangular change of basis between the power basis and the t-power
@@ -52,6 +60,68 @@ def _reduce_tail(coeffs: list, e: int, p: int, step: int) -> list:
                 coeffs[base + j * step] -= c
     del coeffs[e:]
     return coeffs
+
+
+def _conv(a: Sequence[int], b: Sequence[int], e: int, p: int, step: int) -> list:
+    """Product of two integer vectors in Z[x] / Phi_{p**k}(x)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                if y:
+                    out[j] += x * y
+    return _reduce_tail(out, e, p, step)
+
+
+def _clear(a: CVec) -> Tuple[List[int], int]:
+    """Integer numerators over one common denominator d, so a = nums / d."""
+    d = math.lcm(*(x.denominator for x in a))
+    if d == 1:
+        return [x.numerator for x in a], 1
+    return [x.numerator * (d // x.denominator) for x in a], d
+
+
+def _fractions(nums: Sequence[int], d: int) -> CVec:
+    if d == 1:
+        return tuple(Fraction(c) for c in nums)
+    return tuple(Fraction(c, d) for c in nums)
+
+
+def _conjugate(v: Sequence[int], m: int, p: int, k: int) -> list:
+    """The image of v under zeta -> zeta**m, for m prime to p."""
+    n = p**k
+    out = [0] * n
+    for i, c in enumerate(v):
+        if c:
+            out[i * m % n] = c
+    return _reduce_tail(out, len(v), p, p ** (k - 1))
+
+
+def _norm_cofactor(v: List[int], p: int, k: int) -> Tuple[List[int], int]:
+    """(c, N) with v * c = N in Z[zeta_{p**k}], N the norm of v to Q.
+
+    The product of the conjugates of v under zeta -> zeta**(1 + j*p**(k-1)),
+    0 <= j < p, is its relative norm to Q(zeta**p), whose power-basis support
+    lies on multiples of p; recurse on that subfield.  At k = 1 the
+    conjugates are zeta -> zeta**j, 1 <= j < p, and the norm lies in Q.
+    """
+    step = p ** (k - 1)
+    e = len(v)
+    exps = range(2, p) if k == 1 else [1 + j * step for j in range(1, p)]
+    cof = [1] + [0] * (e - 1)
+    for m in exps:
+        cof = _conv(cof, _conjugate(v, m, p, k), e, p, step)
+    norm = _conv(v, cof, e, p, step)
+    if k == 1:
+        if any(norm[1:]):
+            raise IntegralityViolation("norm to Q has an irrational part")
+        return cof, norm[0]
+    if any(c for i, c in enumerate(norm) if i % p):
+        raise IntegralityViolation(f"relative norm to Q(zeta_{p}^{k - 1}) left the subfield")
+    sub_cof, total = _norm_cofactor(norm[::p], p, k - 1)
+    up = [0] * e
+    up[::p] = sub_cof
+    return _conv(cof, up, e, p, step), total
 
 
 @lru_cache(maxsize=None)
@@ -112,14 +182,23 @@ class CyclotomicField(Ring):
         return tuple(-x for x in a)
 
     def mul(self, a: CVec, b: CVec) -> CVec:
-        out = [Fraction(0)] * (2 * self.e - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] += x * y
-        _reduce_tail(out, self.e, self.p, self.step)
-        return tuple(out)
+        x, dx = _clear(a)
+        y, dy = _clear(b)
+        return _fractions(_conv(x, y, self.e, self.p, self.step), dx * dy)
+
+    def pow_(self, a: CVec, n: int) -> CVec:
+        if n < 0:
+            raise CapabilityMissing(f"{self.kind}: negative powers not supported")
+        base, d = _clear(a)
+        result = [1] + [0] * (self.e - 1)
+        m = n
+        while m:
+            if m & 1:
+                result = _conv(result, base, self.e, self.p, self.step)
+            m >>= 1
+            if m:
+                base = _conv(base, base, self.e, self.p, self.step)
+        return _fractions(result, d**n)
 
     def scalar_mul(self, q, a: CVec) -> CVec:
         q = Fraction(q)
@@ -135,29 +214,13 @@ class CyclotomicField(Ring):
         return self.scalar_mul(Fraction(1, self.p), a)
 
     def inv(self, a: CVec) -> CVec:
-        """Multiplicative inverse, by solving a * y = 1 exactly."""
+        """Multiplicative inverse: 1/a = d * c / N for a = x / d and x * c = N
+        the norm of x to Q (see ``_norm_cofactor``)."""
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of 0")
-        e = self.e
-        # columns of the matrix are a * zeta**j over the power basis
-        cols = []
-        col = a
-        for _ in range(e):
-            cols.append(col)
-            col = self.mul(col, self.zeta())
-        mat = [[cols[j][i] for j in range(e)] + [Fraction(1 if i == 0 else 0)] for i in range(e)]
-        for c in range(e):
-            piv = next((r for r in range(c, e) if mat[r][c]), None)
-            if piv is None:
-                raise ZeroDivisionError("singular multiplication matrix")
-            mat[c], mat[piv] = mat[piv], mat[c]
-            lead = mat[c][c]
-            mat[c] = [v / lead for v in mat[c]]
-            for r in range(e):
-                if r != c and mat[r][c]:
-                    factor = mat[r][c]
-                    mat[r] = [v - factor * w for v, w in zip(mat[r], mat[c])]
-        return tuple(mat[i][e] for i in range(e))
+        x, d = _clear(a)
+        cof, norm = _norm_cofactor(x, self.p, self.k)
+        return tuple(Fraction(d * c, norm) for c in cof)
 
     def div(self, a: CVec, b: CVec) -> CVec:
         return self.mul(a, self.inv(b))
@@ -202,14 +265,7 @@ class CyclotomicField(Ring):
             rows = [[1] + [0] * (self.e - 1)]
             t = [1, p - 1] + [0] * (self.e - 2)  # 1 - zeta
             for _ in range(1, self.e):
-                prev = rows[-1]
-                nxt = [0] * (2 * self.e - 1)
-                for i, x in enumerate(prev):
-                    if x:
-                        for j, y in enumerate(t):
-                            if y:
-                                nxt[i + j] += x * y
-                _reduce_tail(nxt, self.e, p, self.step)
+                nxt = _conv(rows[-1], t, self.e, p, self.step)
                 rows.append([c % p for c in nxt])
             self._t_matrix = rows
         return self._t_matrix
@@ -255,9 +311,8 @@ class CyclotomicField(Ring):
         """v(a) in (1/e)Z, normalized with v(p) = 1; None for a = 0."""
         if self.is_zero(a):
             return None
-        d = math.lcm(*(x.denominator for x in a))
+        y, d = _clear(a)
         shift = -vp_int(d, self.p) if d % self.p == 0 else 0
-        y = [int(x * d) for x in a]
         whole = 0
         while all(c % self.p == 0 for c in y):
             y = [c // self.p for c in y]
@@ -400,13 +455,7 @@ class CycloModPM(Ring):
 
     def mul(self, a: TruncVec, b: TruncVec) -> TruncVec:
         k = min(a.prec, b.prec)
-        out = [0] * (2 * self.e - 1)
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        out[i + j] += x * y
-        return self.make(out, k)
+        return self.make(_conv(a.coeffs, b.coeffs, self.e, self.p, self.field.step), k)
 
     def pow_p_tower(self, a: TruncVec, l: int) -> TruncVec:
         """a ** (p**l), gaining l digits (capped at M)."""

@@ -21,7 +21,9 @@ coeff = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 
 @st.composite
 def field_and_pair(draw):
-    p, k = draw(st.sampled_from([(2, 2), (2, 3), (3, 2)]))
+    p, k = draw(
+        st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2), (5, 2), (2, 4), (2, 5)])
+    )
     field = cyclotomic_field(p, k)
     a = tuple(draw(coeff) for _ in range(field.e))
     b = tuple(draw(coeff) for _ in range(field.e))
@@ -54,8 +56,29 @@ def test_field_valuation_matches_determinant_oracle(data):
 def test_field_inverse(data):
     field, a, b = data
     if not field.is_zero(a):
-        assert field.eq(field.mul(a, field.inv(a)), field.one())
+        product = oracles.conv_reduce(a, field.inv(a), field.p, field.k)
+        assert tuple(product) == field.one()
     assert field.eq(field.sub(field.add(a, b), b), a)
+
+
+@given(field_and_pair(), st.integers(0, 12))
+@settings(max_examples=40)
+def test_field_power_matches_repeated_convolution(data, n):
+    field, a, _ = data
+    want = [Fraction(1)] + [Fraction(0)] * (field.e - 1)
+    for _ in range(n):
+        want = oracles.conv_reduce(want, a, field.p, field.k)
+    assert field.pow_(a, n) == tuple(want)
+
+
+def test_inverse_in_q_zeta_128():
+    field = cyclotomic_field(2, 7)
+    assert field.e == 64
+    a = field.from_coeffs([Fraction(1, 2), 3, 0, -1] + [0] * 59 + [Fraction(2, 3)])
+    inv = field.inv(a)
+    assert tuple(oracles.conv_reduce(a, inv, 2, 7)) == field.one()
+    # (1 - zeta)(1 + zeta + ... + zeta**63) = 1 - zeta**64 = 2
+    assert field.inv(field.uniformizer()) == (Fraction(1, 2),) * 64
 
 
 def test_uniformizer_valuation_is_one_over_e():

@@ -25,7 +25,7 @@ from .errors import (
     WittError,
 )
 from .norms import NormValue, norm_max, norm_min
-from .rings import Integers, Rationals, Ring, TruncInt, ZModPM
+from .rings import Integers, Rationals, Ring, TruncInt, TruncatedRing, ZModPM
 from .cyclotomic import (
     CycloModPM,
     CyclotomicField,

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from .cyclotomic import CycloModPM
 from .errors import (
     BOutOfRange,
     CapabilityMissing,
@@ -40,7 +39,7 @@ from .errors import (
     LengthMismatch,
 )
 from .norms import NormValue, norm_max
-from .rings import Ring, ZModPM
+from .rings import Ring
 from .witt import (
     WittVec,
     frobenius,
@@ -127,9 +126,7 @@ def make_arrow(
 def _integral_tail_bound(ring: Ring) -> Optional[NormValue]:
     """Over truncated integral bases every coherent family has level norms
     <= 1, so the unit tail bound is always a valid certificate."""
-    if isinstance(ring, (ZModPM, CycloModPM)):
-        return NormValue.one()
-    return None
+    return NormValue.one() if ring.truncated else None
 
 
 def _combine_tail(a: ArrowElt, b: ArrowElt, how: str) -> Optional[NormValue]:
@@ -267,7 +264,7 @@ class ArrowNorm:
 
     def to_dict(self) -> dict:
         return {
-            "exponent": None if self.value.is_zero else str(-self.value.v),
+            "exponent": self.value.exponent_json(),
             "status": self.status,
             "attained_at": self.attained_at,
             "b": str(self.b),
@@ -337,9 +334,9 @@ def inverse_frobenius_sandwich(a: ArrowElt, b) -> dict:
     upper = norm_max([head, powered])
     return {
         "b": str(b),
-        "value_exponent": None if full.value.is_zero else str(-full.value.v),
-        "lower_exponent": None if lower.is_zero else str(-lower.v),
-        "upper_exponent": None if upper.is_zero else str(-upper.v),
+        "value_exponent": full.value.exponent_json(),
+        "lower_exponent": lower.exponent_json(),
+        "upper_exponent": upper.exponent_json(),
         "lower_holds": lower <= full.value,
         "upper_holds": full.value <= upper,
         "value_status": full.status,
@@ -348,26 +345,17 @@ def inverse_frobenius_sandwich(a: ArrowElt, b) -> dict:
     }
 
 
-def _reinterpret(ring: Ring, target: Ring, c: Any) -> Any:
-    """Value-preserving lift of a truncated element into a ring with one more
-    digit; the lifted element is a *chosen* representative, hence exact."""
-    if isinstance(ring, ZModPM) and isinstance(target, ZModPM):
-        return target.make(c.value)
-    if isinstance(ring, CycloModPM) and isinstance(target, CycloModPM):
-        return target.make(c.coeffs)
-    raise CapabilityMissing(f"no digit lift from {ring.kind} to {target.kind}")
-
-
 def lift_arrow_precision(a: ArrowElt, N: int, check: bool = True) -> ArrowElt:
     """Rebuild levels 0..N at one more digit of base precision.
 
     Requires depth >= N + m + 2 where p**m is the base modulus: level n of the
     result is F**(m+1) applied to the digit-lift of stored level n + m + 2,
     restricted to length n+1.  Coherence of the result is exact, because the
-    lift ambiguity p**m * delta is killed by a single extra Frobenius.
+    lift ambiguity p**m * delta is killed by a single extra Frobenius.  The
+    digit-lift keeps the stored digits: a *chosen* representative, hence exact.
     """
     ring = a.ring
-    if not isinstance(ring, (ZModPM, CycloModPM)):
+    if not ring.truncated:
         raise CapabilityMissing("precision lifting needs a truncated base ring")
     m = ring.M
     if a.depth < N + m + 2:
@@ -379,7 +367,7 @@ def lift_arrow_precision(a: ArrowElt, N: int, check: bool = True) -> ArrowElt:
     new_levels = []
     for n in range(N + 1):
         src = a.levels[n + m + 2]
-        lifted = WittVec(target, tuple(_reinterpret(ring, target, c) for c in src.components))
+        lifted = WittVec(target, tuple(target.from_digits(ring.digits(c)) for c in src.components))
         pushed = frobenius_iter(lifted, m + 1)
         new_levels.append(restrict(pushed, n))
     result = make_arrow(target, new_levels, tail_bound=_integral_tail_bound(target))
@@ -388,7 +376,7 @@ def lift_arrow_precision(a: ArrowElt, N: int, check: bool = True) -> ArrowElt:
             back = WittVec(
                 ring,
                 tuple(
-                    _reinterpret(target, ring, target.truncate(c, m))
+                    ring.from_digits(target.digits(target.truncate(c, m)))
                     for c in result.levels[n].components
                 ),
             )
@@ -436,7 +424,5 @@ def arrow_to_json(a: ArrowElt) -> dict:
     return {
         "ring": a.ring.to_config(),
         "levels": [witt_to_json(z)["components"] for z in a.levels],
-        "tail_bound_exponent": None
-        if a.tail_bound is None or a.tail_bound.is_zero
-        else str(a.tail_bound.v),
+        "tail_bound_exponent": None if a.tail_bound is None else a.tail_bound.exponent_json(),
     }

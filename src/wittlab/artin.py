@@ -55,7 +55,7 @@ def ghost_constant_profile(ring: Ring, f: Any, N: int) -> dict:
         "N": N,
         "f": ring.format_elt(f),
         "components": [ring.format_elt(c) for c in x.components],
-        "profile_exponents": [None if v.is_zero else str(-v.v) for v in profile],
+        "profile_exponents": [v.exponent_json() for v in profile],
         "bounded": first_unbounded is None,
         "first_unbounded_index": first_unbounded,
     }

@@ -14,7 +14,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence
 
 from .arrow import (
     arrow_from_integer,
@@ -26,10 +26,9 @@ from .arrow import (
 )
 from .artin import invariant_classify, teichmuller_phi_invariance
 from .config import ring_from_spec
-from .cyclotomic import CycloModPM, GaussianField
+from .cyclotomic import GaussianField
 from .errors import MalformedConfig, NoRoot, WittError
 from .kernelnorm import verify_kernel_norm
-from .norms import NormValue
 from .perfect import solve_frobenius, witt_perfect_test
 from .rings import Integers, Ring, ZModPM
 from .suites import SUITE_NAMES, run_suite
@@ -46,8 +45,10 @@ from .univ import canonical_dump
 from .witt import (
     GhostVec,
     WittVec,
+    format_witt,
     frobenius,
     ghost,
+    parse_witt,
     unghost,
     verschiebung,
     witt_add,
@@ -59,10 +60,6 @@ from .witt import (
 )
 
 __all__ = ["main", "build_parser"]
-
-
-def _norm_text(v: NormValue) -> str:
-    return "0" if v.is_zero else f"p^{-v.v}"
 
 
 def _fraction(text: str) -> Fraction:
@@ -84,56 +81,26 @@ _UNARY = {"ghost", "unghost", "neg", "frob", "versch", "wnorm"}
 _BINARY = {"add", "sub", "mul"}
 
 
-def _split_commas(body: str) -> List[str]:
-    """Split on top-level commas, respecting square brackets."""
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(body):
-        if ch == "[":
+def _operands(ring: Ring, expr: str, pos: int) -> List[WittVec]:
+    """The top-level '(...)' groups of expr[pos:], each parsed as a vector."""
+    groups, depth, start = [], 0, pos
+    for i in range(pos, len(expr)):
+        ch = expr[i]
+        if depth == 0 and ch != "(":
+            if ch.isspace():
+                continue
+            raise MalformedConfig(f"expected '(' at position {i} in {expr!r}")
+        if ch == "(":
+            if depth == 0:
+                start = i
             depth += 1
-        elif ch == "]":
+        elif ch == ")":
             depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(body[start:i])
-            start = i + 1
-    parts.append(body[start:])
-    return parts
-
-
-def _parse_vectors(expr: str, pos: int, ring: Ring) -> List[WittVec]:
-    vectors = []
-    n = len(expr)
-    while pos < n:
-        while pos < n and expr[pos].isspace():
-            pos += 1
-        if pos >= n:
-            break
-        if expr[pos] != "(":
-            raise MalformedConfig(f"expected '(' at position {pos} in {expr!r}")
-        close = depth = 0
-        for i in range(pos, n):
-            if expr[i] == "(":
-                depth += 1
-            elif expr[i] == ")":
-                depth -= 1
-                if depth == 0:
-                    close = i
-                    break
-        else:
-            raise MalformedConfig(f"unclosed '(' at position {pos} in {expr!r}")
-        body = expr[pos + 1 : close]
-        if not body.strip():
-            raise MalformedConfig(f"empty vector at position {pos} in {expr!r}")
-        try:
-            comps = tuple(ring.parse_elt(tok) for tok in _split_commas(body))
-        except WittError as exc:
-            raise MalformedConfig(f"bad component at position {pos}: {exc}") from exc
-        vectors.append(WittVec(ring, comps))
-        pos = close + 1
-    return vectors
-
-
-def _format_vec(x: WittVec) -> str:
-    return "(" + ", ".join(x.ring.format_elt(c) for c in x.components) + ")"
+            if depth == 0:
+                groups.append(expr[start : i + 1])
+    if depth:
+        raise MalformedConfig(f"unclosed '(' at position {start} in {expr!r}")
+    return [parse_witt(ring, g) for g in groups]
 
 
 def _cmd_compute(args) -> int:
@@ -148,7 +115,7 @@ def _cmd_compute(args) -> int:
             f"unknown operation {op!r} at position 0; supported: "
             + ", ".join(sorted(_UNARY | _BINARY))
         )
-    vectors = _parse_vectors(expr, m.end(), ring)
+    vectors = _operands(ring, expr, m.end())
     want = 1 if op in _UNARY else 2
     if len(vectors) != want:
         raise MalformedConfig(
@@ -161,11 +128,10 @@ def _cmd_compute(args) -> int:
     elif op == "unghost":
         gv = vectors[0]
         x = unghost(GhostVec(ring, gv.components))
-        text = _format_vec(x)
+        text = format_witt(x)
         payload = {"op": op, "result": witt_to_json(x)}
     elif op == "wnorm":
-        v = witt_norm(vectors[0])
-        text = _norm_text(v)
+        text = witt_norm(vectors[0]).text()
         payload = {"op": op, "result": text}
     else:
         fn = {
@@ -177,7 +143,7 @@ def _cmd_compute(args) -> int:
             "versch": verschiebung,
         }[op]
         out = fn(*vectors)
-        text = _format_vec(out)
+        text = format_witt(out)
         payload = {"op": op, "result": witt_to_json(out)}
     if args.json:
         _print_json(payload)
@@ -236,7 +202,7 @@ def _cmd_arrow(args) -> int:
         else:
             where = "" if result.attained_at is None else f", attained at level {result.attained_at}"
             print(
-                f"|{args.c}|_(W,{args.b}) = {_norm_text(result.value)} "
+                f"|{args.c}|_(W,{args.b}) = {result.value.text()} "
                 f"({result.status}{where})"
             )
         return 0
@@ -288,7 +254,7 @@ _INSTANCES = ("Z", "Zmod", "Qi", "zeta-ring", "tower")
 
 def _cmd_perfect(args) -> int:
     if args.action == "test":
-        spec = args.ring
+        spec = args.x or args.ring
         if spec.strip().startswith("{"):
             try:
                 config = json.loads(spec)
@@ -321,11 +287,7 @@ def _cmd_perfect(args) -> int:
                 print(f"  note: {note}")
         return 0
     if args.action == "solve-frob":
-        ring = ZModPM(args.p, args.precision)
-        vectors = _parse_vectors(args.x, 0, ring)
-        if len(vectors) != 1:
-            raise MalformedConfig("solve-frob takes exactly one vector")
-        x = vectors[0]
+        x = parse_witt(ZModPM(args.p, args.precision), args.x)
         try:
             y, rep = solve_frobenius(x)
         except NoRoot as exc:
@@ -339,7 +301,7 @@ def _cmd_perfect(args) -> int:
         if args.json:
             _print_json(payload)
         else:
-            print(f"y = {_format_vec(y)}")
+            print(f"y = {format_witt(y)}")
             print(f"verified at precision {rep['verified_at_precision']}")
         return 0
     raise MalformedConfig(f"unknown perfect action {args.action!r}; try test, solve-frob")
@@ -352,7 +314,7 @@ def _cmd_perfect(args) -> int:
 
 def _tilt_base(args) -> Ring:
     ring = ring_from_spec(args.ring, p=args.p, precision=args.precision, depth=args.depth)
-    if not isinstance(ring, (ZModPM, CycloModPM)):
+    if not ring.truncated:
         raise MalformedConfig(
             f"tilting needs a truncated base ring (Zmod or ZzetaMod), got {ring.kind}"
         )
@@ -376,11 +338,11 @@ def _cmd_tilt(args) -> int:
     if len(chains) != 1:
         raise MalformedConfig(f"tilt {args.action} takes one top element")
     if args.action == "norm":
-        v = tilt_norm(chains[0])
+        text = tilt_norm(chains[0]).text()
         if args.json:
-            _print_json({"op": "norm", "result": _norm_text(v)})
+            _print_json({"op": "norm", "result": text})
         else:
-            print(_norm_text(v))
+            print(text)
         return 0
     if args.action == "untilt":
         tring = TiltRing(base, depth)
@@ -457,34 +419,6 @@ def _cmd_kernel(args) -> int:
 # artin classify
 # ---------------------------------------------------------------------------
 
-_GAUSS_RE = re.compile(
-    r"^\s*(?P<re>[+-]?\d+(?:/\d+)?)?\s*"
-    r"(?P<im>(?:[+-]\s*)?(?:\d+(?:/\d+)?\s*\*?\s*)?i)?\s*$"
-)
-
-
-def _parse_gaussian(field: GaussianField, text: str):
-    m = _GAUSS_RE.match(text)
-    if not m or (m.group("re") is None and m.group("im") is None):
-        raise MalformedConfig(
-            f"cannot parse {text!r}; use forms like '2', '1/2', 'i', '-i', "
-            "'3i', '1/2+3i'"
-        )
-    re_part = Fraction(m.group("re")) if m.group("re") else Fraction(0)
-    im_txt = m.group("im")
-    if im_txt is None:
-        im_part = Fraction(0)
-    else:
-        im_txt = im_txt.replace(" ", "").replace("*", "")[:-1]  # strip the i
-        if im_txt in ("", "+"):
-            im_part = Fraction(1)
-        elif im_txt == "-":
-            im_part = Fraction(-1)
-        else:
-            im_part = Fraction(im_txt)
-    return field.from_pair(re_part, im_part)
-
-
 def _cmd_artin(args) -> int:
     if args.action != "classify":
         raise MalformedConfig(f"unknown artin action {args.action!r}; try 'classify'")
@@ -493,7 +427,7 @@ def _cmd_artin(args) -> int:
             f"classification is implemented over the Gaussian field only, got {args.field!r}"
         )
     field = GaussianField(args.p)
-    f = _parse_gaussian(field, args.f)
+    f = field.parse_elt(args.f)
     report = invariant_classify(field, f, args.depth)
     report["teichmuller_phi_invariant"] = teichmuller_phi_invariance(field, f)
     if args.json:

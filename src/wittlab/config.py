@@ -79,16 +79,22 @@ def ring_from_spec(
             except json.JSONDecodeError as exc:
                 raise MalformedConfig(f"bad ring JSON in {text}: {exc}") from exc
     head, _, arg = text.partition(":")
+    n = None
+    if arg:
+        try:
+            n = int(arg)
+        except ValueError as exc:
+            raise MalformedConfig(f"{head}:{arg}: the ':' argument must be an integer") from exc
     config: dict = {"kind": head, "p": p}
     if head in ("Qzeta", "ZzetaMod"):
-        if arg:
-            config["k"] = int(arg)
+        if n is not None:
+            config["k"] = n
         if head == "ZzetaMod":
             config["M"] = precision
     elif head == "Zmod":
-        config["M"] = int(arg) if arg else precision
+        config["M"] = precision if n is None else n
     elif head == "PerfPoly":
-        config["nvars"] = int(arg) if arg else 1
+        config["nvars"] = 1 if n is None else n
         config["depth"] = depth
     elif arg:
         raise MalformedConfig(f"ring kind {head!r} takes no ':' argument")

@@ -43,7 +43,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .norms import NormValue
-from .rings import Ring, check_prime, vp_fraction, vp_int
+from .rings import Ring, TruncatedRing, check_prime, vp_fraction, vp_int
 
 CVec = Tuple[Fraction, ...]
 
@@ -403,19 +403,17 @@ class TruncVec:
     prec: int
 
 
-class CycloModPM(Ring):
-    """Z[zeta_{p**k}] / p**M with per-element digit budgets."""
+class CycloModPM(TruncatedRing):
+    """Z[zeta_{p**k}] / p**M with per-element digit budgets; the digits are
+    the coefficients on 1, zeta, ..., zeta**(e-1)."""
 
     kind = "ZzetaMod"
-    p_torsion_free = False
-    truncated = True
+    scalar = False
+    json_key = "coeffs"
 
     def __init__(self, p: int, k: int, M: int):
-        self.p = check_prime(p)
-        if not isinstance(M, int) or M < 1:
-            raise MalformedConfig(f"modulus exponent M must be a positive integer, got {M!r}")
+        super().__init__(p, M)
         self.k = k
-        self.M = M
         self.field = cyclotomic_field(p, k)
         self.e = self.field.e
 
@@ -439,6 +437,12 @@ class CycloModPM(Ring):
             lst = [c % q for c in lst]
         lst += [0] * (self.e - len(lst))
         return TruncVec(tuple(lst), prec)
+
+    def digits(self, a: TruncVec) -> Tuple[int, ...]:
+        return a.coeffs
+
+    def from_digits(self, seq: Sequence[int], prec: Optional[int] = None) -> TruncVec:
+        return self.make(seq, prec)
 
     def from_int(self, n: int) -> TruncVec:
         return self.make([n])
@@ -500,42 +504,6 @@ class CycloModPM(Ring):
 
     def reduce_from_cover(self, a: CVec, prec: Optional[int] = None) -> TruncVec:
         return self.make(self.field.integral_coeffs(a), self.M if prec is None else prec)
-
-    def precision_of(self, a: TruncVec) -> int:
-        return a.prec
-
-    def truncate(self, a: TruncVec, k: int) -> TruncVec:
-        if k >= a.prec:
-            return a
-        return self.make(a.coeffs, k)
-
-    def format_elt(self, a: TruncVec) -> str:
-        body = "[" + ", ".join(str(c) for c in a.coeffs) + "]"
-        return body if a.prec == self.M else f"{body}~{a.prec}"
-
-    def parse_elt(self, text: str) -> TruncVec:
-        text = text.strip()
-        prec = self.M
-        if "~" in text:
-            text, ptxt = text.rsplit("~", 1)
-            prec = int(ptxt)
-        if text.startswith("[") and text.endswith("]"):
-            text = text[1:-1]
-        try:
-            coeffs = [int(s.strip()) for s in text.split(",")] if text.strip() else []
-        except ValueError as exc:
-            raise MalformedConfig(f"not an integer coefficient vector: {text!r}") from exc
-        return self.make(coeffs, prec)
-
-    def elt_to_json(self, a: TruncVec) -> Any:
-        if a.prec == self.M:
-            return list(a.coeffs)
-        return {"coeffs": list(a.coeffs), "prec": a.prec}
-
-    def elt_from_json(self, value: Any) -> TruncVec:
-        if isinstance(value, dict):
-            return self.make(value["coeffs"], int(value["prec"]))
-        return self.make(value)
 
 
 GVec = Tuple[Fraction, Fraction]
@@ -660,7 +628,8 @@ class GaussianField(Ring):
         return f"{re_}+{itxt}" if im > 0 else f"{re_}{itxt}"
 
     def parse_elt(self, text: str) -> GVec:
-        s = text.strip().replace(" ", "")
+        """Forms like '2', '1/2', 'i', '-i', '3i' (= 3*i), '2/3i', '1/2+3i'."""
+        s = re.sub(r"(?<=\d)\*i$", "i", text.strip().replace(" ", ""))
         if not s:
             raise MalformedConfig("empty Gaussian number")
         try:

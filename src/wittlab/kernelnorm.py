@@ -88,9 +88,9 @@ def verify_kernel_norm(
         "t": ring.format_elt(t),
         "components": [ring.format_elt(c) for c in x.components],
         "kernel_ok": kernel_ok,
-        "w1_exponent": None if lhs.is_zero else str(-lhs.v),
-        "sup_exponent": None if sup.is_zero else str(-sup.v),
-        "scaled_sup_exponent": None if rhs.is_zero else str(-rhs.v),
+        "w1_exponent": lhs.exponent_json(),
+        "sup_exponent": sup.exponent_json(),
+        "scaled_sup_exponent": rhs.exponent_json(),
         "constant_exponent": str(-kernel_exponent(ring.p, j)),
         "equal": equal,
         "bound_holds": bound_holds,

@@ -73,6 +73,16 @@ class NormValue:
             return self
         return NormValue(self.v + Fraction(c))
 
+    # -- text and JSON forms ------------------------------------------------
+
+    def text(self) -> str:
+        """'0', or 'p^e' for the value p**e (e rational)."""
+        return "0" if self.v is None else f"p^{-self.v}"
+
+    def exponent_json(self) -> Optional[str]:
+        """The e of the value p**e as a string, None for the value 0."""
+        return None if self.v is None else str(-self.v)
+
     # -- order (as norms: 0 is the minimum) --------------------------------
 
     def __lt__(self, other: "NormValue") -> bool:

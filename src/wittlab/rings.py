@@ -11,13 +11,17 @@ Capability flags drive dispatch:
   * `char_p`            -- p = 0 in the ring (componentwise Frobenius etc.)
   * `q_algebra`         -- division by p is exact and total
   * `p_torsion_free`    -- multiplication by p is injective
-  * `truncated`         -- elements carry a finite digit budget
+  * `truncated`         -- elements carry a finite digit budget; true exactly
+                           for the subclasses of `TruncatedRing`
 
 Truncated rings use per-element precision: an element "known mod p**k" records
 k, binary operations take the minimum of the budgets, exact division by p
 costs one digit, and p-power maps a -> a**(p**l) gain l digits (a value known
 mod p**k determines its p**l-th power mod p**(k+l)).  Operations raise
 `PrecisionExhausted` rather than produce an element with no digits at all.
+`TruncatedRing` owns the digit layout of Z/p**M (here) and Z[zeta]/p**M (in
+`cyclotomic`): the budget, the text and JSON forms, and the digit view that
+generic code reads instead of element payloads.
 """
 
 from __future__ import annotations
@@ -25,13 +29,15 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Optional, Tuple
+from itertools import product
+from typing import Any, List, Optional, Sequence, Tuple
 
 from .errors import (
     CapabilityMissing,
     IntegralityViolation,
     MalformedConfig,
     NotDivisible,
+    NotEnumerable,
     PrecisionExhausted,
     RingMismatch,
 )
@@ -297,6 +303,89 @@ class Rationals(Ring):
             raise MalformedConfig(f"not a rational number: {text!r}") from exc
 
 
+class TruncatedRing(Ring):
+    """A quotient O / p**M of a p-torsion-free order O of rank e over Z.
+
+    An element is e integer digits known modulo p**prec, 1 <= prec <= M, and
+    carries its budget as `prec`.  This base owns the digit budget and the
+    digit layout: the `~prec` text suffix, the JSON form
+    `{<json_key>: ..., "prec": k}` (the bare payload at full precision), and
+    the digit view `digits`, `from_digits`, `residue` and `elements` that
+    generic code uses in place of element payloads.  A scalar ring (Z/p**M)
+    prints its one digit bare, any other ring `[d_0, ..., d_(e-1)]`, even
+    when e = 1.  Subclasses define `make`, `digits`, `from_digits` and the
+    arithmetic directly, without a call layer.
+    """
+
+    p_torsion_free = False
+    truncated = True
+    e = 1  # the rank of O over Z
+    scalar: bool = True
+    json_key: str = "value"
+
+    def __init__(self, p: int, M: int):
+        self.p = check_prime(p)
+        if not isinstance(M, int) or M < 1:
+            raise MalformedConfig(f"modulus exponent M must be a positive integer, got {M!r}")
+        self.M = M
+
+    @abstractmethod
+    def digits(self, a: Any) -> Tuple[int, ...]:
+        """The e digits of the canonical representative of a."""
+
+    @abstractmethod
+    def from_digits(self, seq: Sequence[int], prec: Optional[int] = None) -> Any:
+        """The element with these digits, known mod p**prec (default M)."""
+
+    def residue(self, a: Any) -> Any:
+        """The class of a mod p: an int for a scalar ring, else a tuple."""
+        r = tuple(d % self.p for d in self.digits(a))
+        return r[0] if self.scalar else r
+
+    def elements(self, limit: int) -> List[Any]:
+        """Every element at full precision, in lexicographic digit order."""
+        count = self.p ** (self.M * self.e)
+        if count > limit:
+            raise NotEnumerable(f"{count} elements exceed the enumeration limit {limit}")
+        span = range(self.p ** self.M)
+        return [self.from_digits(seq) for seq in product(span, repeat=self.e)]
+
+    def precision_of(self, a: Any) -> int:
+        return a.prec
+
+    def truncate(self, a: Any, k: int) -> Any:
+        if k >= a.prec:
+            return a
+        return self.from_digits(self.digits(a), k)
+
+    def format_elt(self, a: Any) -> str:
+        ds = self.digits(a)
+        body = str(ds[0]) if self.scalar else "[" + ", ".join(map(str, ds)) + "]"
+        return body if a.prec == self.M else f"{body}~{a.prec}"
+
+    def parse_elt(self, text: str) -> Any:
+        body, tilde, prec = text.strip().partition("~")
+        body = body.strip()
+        if not self.scalar and body.startswith("[") and body.endswith("]"):
+            body = body[1:-1]
+        try:
+            seq = [int(s) for s in body.split(",")] if body.strip() else []
+            return self.from_digits(seq, int(prec) if tilde else None)
+        except (ValueError, PrecisionExhausted) as exc:
+            raise MalformedConfig(f"not an element of {self!r}: {text!r}") from exc
+
+    def elt_to_json(self, a: Any) -> Any:
+        ds = self.digits(a)
+        payload = ds[0] if self.scalar else list(ds)
+        return payload if a.prec == self.M else {self.json_key: payload, "prec": a.prec}
+
+    def elt_from_json(self, value: Any) -> Any:
+        prec = None
+        if isinstance(value, dict):
+            value, prec = value[self.json_key], int(value["prec"])
+        return self.from_digits([value] if self.scalar else value, prec)
+
+
 @dataclass(frozen=True)
 class TruncInt:
     """A residue known modulo p**prec, stored canonically in [0, p**prec)."""
@@ -305,7 +394,7 @@ class TruncInt:
     prec: int
 
 
-class ZModPM(Ring):
+class ZModPM(TruncatedRing):
     """The quotient Z / p**M with per-element precision tracking.
 
     Fresh elements carry the full budget M.  The seminorm is the quotient
@@ -315,14 +404,6 @@ class ZModPM(Ring):
     """
 
     kind = "Zmod"
-    p_torsion_free = False
-    truncated = True
-
-    def __init__(self, p: int, M: int):
-        self.p = check_prime(p)
-        if not isinstance(M, int) or M < 1:
-            raise MalformedConfig(f"modulus exponent M must be a positive integer, got {M!r}")
-        self.M = M
 
     def to_config(self) -> dict:
         return {"kind": self.kind, "p": self.p, "M": self.M}
@@ -338,6 +419,13 @@ class ZModPM(Ring):
         if prec > self.M:
             raise MalformedConfig(f"precision {prec} exceeds ring modulus exponent {self.M}")
         return TruncInt(value % self.p ** prec, prec)
+
+    def digits(self, a: TruncInt) -> Tuple[int]:
+        return (a.value,)
+
+    def from_digits(self, seq: Sequence[int], prec: Optional[int] = None) -> TruncInt:
+        (value,) = seq
+        return self.make(int(value), prec)
 
     def from_int(self, n: int) -> TruncInt:
         return self.make(n, self.M)
@@ -406,36 +494,3 @@ class ZModPM(Ring):
         if a.denominator != 1:
             raise IntegralityViolation(f"expected an integer, got {a}")
         return self.make(int(a), self.M if prec is None else prec)
-
-    def precision_of(self, a: TruncInt) -> int:
-        return a.prec
-
-    def truncate(self, a: TruncInt, k: int) -> TruncInt:
-        if k >= a.prec:
-            return a
-        return self.make(a.value, k)
-
-    def format_elt(self, a: TruncInt) -> str:
-        if a.prec == self.M:
-            return str(a.value)
-        return f"{a.value}~{a.prec}"
-
-    def parse_elt(self, text: str) -> TruncInt:
-        text = text.strip()
-        try:
-            if "~" in text:
-                value, prec = text.split("~", 1)
-                return self.make(int(value), int(prec))
-            return self.make(int(text))
-        except (ValueError, PrecisionExhausted) as exc:
-            raise MalformedConfig(f"not a truncated residue: {text!r}") from exc
-
-    def elt_to_json(self, a: TruncInt) -> Any:
-        if a.prec == self.M:
-            return a.value
-        return {"value": a.value, "prec": a.prec}
-
-    def elt_from_json(self, value: Any) -> TruncInt:
-        if isinstance(value, dict):
-            return self.make(int(value["value"]), int(value["prec"]))
-        return self.make(int(value))

@@ -61,7 +61,7 @@ from .perfect import (
     witt_perfect_test,
 )
 from .perfpoly import PerfPolyRing
-from .rings import Integers, Rationals, Ring, ZModPM
+from .rings import Integers, Rationals, Ring, ZModPM, check_prime
 from .tilt import (
     TiltElt,
     TiltRing,
@@ -182,11 +182,6 @@ class SuiteReport:
 
 def _case(name: str, passed: bool, detail: str = "", inconclusive: bool = False) -> CaseResult:
     return CaseResult(name=name, passed=bool(passed), detail=detail, inconclusive=inconclusive)
-
-
-def _exp(v: NormValue) -> str:
-    """A norm value as p^e text with a rational e (or 0)."""
-    return "0" if v.is_zero else f"p^{-v.v}"
 
 
 # ---------------------------------------------------------------------------
@@ -480,29 +475,30 @@ def check_norm_laws(
             if not witt_norm(witt_add(x, y)) <= norm_max([nx, ny]):
                 counts["ultrametric"] += 1
                 witness["ultrametric"] = (
-                    f"|x+y|={_exp(witt_norm(witt_add(x, y)))} > max({_exp(nx)},{_exp(ny)})"
+                    f"|x+y|={witt_norm(witt_add(x, y)).text()} > max({nx.text()},{ny.text()})"
                 )
             if not witt_norm(witt_mul(x, y)) <= nx.mul(ny):
                 counts["submultiplicative"] += 1
                 witness["submultiplicative"] = (
-                    f"|xy|={_exp(witt_norm(witt_mul(x, y)))} > {_exp(nx.mul(ny))}"
+                    f"|xy|={witt_norm(witt_mul(x, y)).text()} > {nx.mul(ny).text()}"
                 )
             if not witt_norm(frobenius(x)) <= nx.pow(q):
                 counts["frobenius_contraction"] += 1
                 witness["frobenius_contraction"] = (
-                    f"|F(x)|={_exp(witt_norm(frobenius(x)))} > {_exp(nx.pow(q))}"
+                    f"|F(x)|={witt_norm(frobenius(x)).text()} > {nx.pow(q).text()}"
                 )
             if not witt_norm(verschiebung(x)) == nx.pow(Fraction(1, q)):
                 counts["verschiebung_exact"] += 1
                 witness["verschiebung_exact"] = (
-                    f"|V(x)|={_exp(witt_norm(verschiebung(x)))} != {_exp(nx.pow(Fraction(1, q)))}"
+                    f"|V(x)|={witt_norm(verschiebung(x)).text()} "
+                    f"!= {nx.pow(Fraction(1, q)).text()}"
                 )
             if ring.power_multiplicative_norm:
                 padded = WittVec(ring, x.components + tuple(ring.zero() for _ in range(x.top_index)))
                 if not witt_norm(witt_mul(padded, padded)) >= nx.pow(2):
                     counts["power_lower_bound"] += 1
                     witness["power_lower_bound"] = (
-                        f"|x^2|={_exp(witt_norm(witt_mul(padded, padded)))} < {_exp(nx.pow(2))}"
+                        f"|x^2|={witt_norm(witt_mul(padded, padded)).text()} < {nx.pow(2).text()}"
                     )
     names = ", ".join(f"{r.kind}(p={r.p})" for r in instances)
     return [
@@ -541,8 +537,8 @@ def check_mul_by_p_norm(rng: random.Random, p: Optional[int] = None) -> List[Cas
                     and r.attained_at <= m + 1
                 ):
                     bad.append(
-                        f"m={m},b={b}: got {_exp(r.value)} ({r.status}, at {r.attained_at}), "
-                        f"want {_exp(expect)}"
+                        f"m={m},b={b}: got {r.value.text()} ({r.status}, at {r.attained_at}), "
+                        f"want {expect.text()}"
                     )
         golden = arrow_norm(arrow_from_integer(ring, q, 2), Fraction(1, 2))
         cases.append(
@@ -550,7 +546,7 @@ def check_mul_by_p_norm(rng: random.Random, p: Optional[int] = None) -> List[Cas
                 f"mul_by_p_norm_p{q}",
                 not bad and golden.value == NormValue.from_exponent(Fraction(1, 2)),
                 f"m<=3, b in (1/4,1/2,1,2), all exact; "
-                f"|{q}|_(W,1/2) = {_exp(golden.value)} (expect p^-1/2)"
+                f"|{q}|_(W,1/2) = {golden.value.text()} (expect p^-1/2)"
                 + ("; " + "; ".join(bad) if bad else ""),
             )
         )
@@ -592,6 +588,12 @@ def _machine_chain(ring: Ring, top_vals: Sequence[int]) -> ArrowElt:
     return make_arrow(ring, levels, tail_bound=NormValue.one(), validate=False)
 
 
+def _induced(a: ArrowElt) -> Tuple[int, int, int]:
+    """The depth-1 data (z_0[0], z_1[0], z_1[1]) of a family over Z/p^M."""
+    (z00,), (z10, z11) = a.levels[0].components, a.levels[1].components
+    return tuple(a.ring.digits(c)[0] for c in (z00, z10, z11))
+
+
 def check_depth_lifting(rng: random.Random, p: Optional[int] = None) -> List[CaseResult]:
     """Exhaustive reduction/lift analysis between depth-4 families mod 4 and
     depth-1 families mod 2: the induced depth-1 data mod 4 depends only on
@@ -619,22 +621,10 @@ def check_depth_lifting(rng: random.Random, p: Optional[int] = None) -> List[Cas
     cross_ok = True
     for cls, vals in fibers.items():
         a2 = _machine_chain(r2, cls)
-        lifted = lift_arrow_precision(a2, 1, check=True)
-        got = (
-            lifted.levels[0].components[0].value,
-            lifted.levels[1].components[0].value,
-            lifted.levels[1].components[1].value,
-        )
-        if got != next(iter(vals)):
+        if _induced(lift_arrow_precision(a2, 1, check=True)) != next(iter(vals)):
             lift_ok = False
         # tie the fast integer path to the Witt machinery on the class rep
-        a4 = _machine_chain(r4, cls)
-        mach = (
-            a4.levels[0].components[0].value,
-            a4.levels[1].components[0].value,
-            a4.levels[1].components[1].value,
-        )
-        if mach not in fibers[cls]:
+        if _induced(_machine_chain(r4, cls)) not in fibers[cls]:
             cross_ok = False
 
     int_ok = True
@@ -642,7 +632,11 @@ def check_depth_lifting(rng: random.Random, p: Optional[int] = None) -> List[Cas
         a4 = arrow_from_integer(r4, k, 4)
         a2 = arrow_from_integer(r2, k, 4)
         reduced = map_components(
-            a4, r2, lambda c: r2.from_int(c.value), tail_bound=NormValue.one(), validate=False
+            a4,
+            r2,
+            lambda c: r2.from_digits(r4.digits(c)),
+            tail_bound=NormValue.one(),
+            validate=False,
         )
         if not arrow_eq(reduced, a2):
             int_ok = False
@@ -1492,12 +1486,9 @@ def check_inverse_frobenius_sandwich(
     for s in range(samples):
         ring = rings[s % len(rings)]
         depth = rng.randint(2, 4)
-        if isinstance(ring, ZModPM):
-            draw = lambda: ring.from_int(rng.randrange(ring.p ** ring.M))
-        else:
-            draw = lambda: ring.make(
-                [rng.randrange(ring.p ** ring.M) for _ in range(ring.e)]
-            )
+        draw = lambda: ring.from_digits(
+            [rng.randrange(ring.p ** ring.M) for _ in range(ring.e)]
+        )
         a = sample_coherent(ring, depth, draw)
         rep = inverse_frobenius_sandwich(a, bs[(s // len(rings)) % len(bs)])
         if not rep["passed"]:
@@ -1647,8 +1638,8 @@ def run_suite(name: str, seed: int = 0, p: Optional[int] = None) -> SuiteReport:
         raise UnknownSuite(
             f"unknown suite {name!r}; available: {', '.join(SUITE_NAMES)}"
         )
-    if p is not None and (not isinstance(p, int) or p < 2):
-        raise MalformedConfig(f"p must be a prime integer, got {p!r}")
+    if p is not None:
+        check_prime(p)
     started = time.monotonic()
     report = SuiteReport(suite=name, seed=seed)
     if name == "all":

@@ -39,11 +39,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Any, List, Optional, Sequence, Tuple
 
 from .arrow import ArrowElt, arrow_add, arrow_from_integer, arrow_mul, arrow_norm, arrow_teichmuller, make_arrow
-from .cyclotomic import CycloModPM
 from .errors import (
     BOutOfRange,
     CapabilityMissing,
@@ -56,7 +54,7 @@ from .errors import (
 )
 from .norms import NormValue, norm_max
 from .perfpoly import PerfPolyRing
-from .rings import Ring, ZModPM
+from .rings import Ring
 from .witt import WittVec, frobenius, witt_norm
 
 __all__ = [
@@ -92,7 +90,7 @@ __all__ = [
 
 
 def _truncated_modulus(ring: Ring) -> int:
-    if isinstance(ring, (ZModPM, CycloModPM)):
+    if ring.truncated:
         return ring.M
     raise CapabilityMissing(
         f"tilting needs a truncated base with a digit budget; got {ring.kind}"
@@ -245,36 +243,15 @@ def tilt_norm(x: TiltElt) -> NormValue:
 def tilt_residue(x: TiltElt):
     """The mod-p class of the head, which determines the chain up to the
     stable precision profile."""
-    base = x.base
-    head = x.entries[0]
-    if isinstance(base, ZModPM):
-        return head.value % base.p
-    if isinstance(base, CycloModPM):
-        return tuple(c % base.p for c in head.coeffs)
-    raise CapabilityMissing(f"no residue extraction for base {base.kind}")
+    return x.base.residue(x.entries[0])
 
 
 def enumerate_tilts(base: Ring, depth: int, limit: int = 100000) -> List[TiltElt]:
     """Every coherent chain of the given depth: one per choice of deepest
     entry, since the rest of the chain is determined by powering down."""
-    if isinstance(base, ZModPM):
-        tops = [base.make(v) for v in range(base.p ** base.M)]
-    elif isinstance(base, CycloModPM):
-        count = base.p ** (base.M * base.field.e)
-        if count > limit:
-            raise NotEnumerable(
-                f"{count} chain tops exceed the enumeration limit {limit}"
-            )
-        span = base.p ** base.M
-        tops = [
-            base.make(list(vec))
-            for vec in product(range(span), repeat=base.field.e)
-        ]
-    else:
+    if not base.truncated:
         raise NotEnumerable(f"base {base.kind} is not a finite truncated ring")
-    if len(tops) > limit:
-        raise NotEnumerable(f"{len(tops)} chain tops exceed the enumeration limit {limit}")
-    return [tilt_from_top(base, top, depth) for top in tops]
+    return [tilt_from_top(base, top, depth) for top in base.elements(limit)]
 
 
 def format_tilt(x: TiltElt) -> str:
@@ -459,8 +436,8 @@ def charp_limit_norm(x: WittVec, b, depth: Optional[int] = None) -> dict:
     limit_value = norm_max(terms)
     formula = charp_overconv_norm(x, b)
     return {
-        "limit_exponent": None if limit_value.is_zero else str(-limit_value.v),
-        "formula_exponent": None if formula.is_zero else str(-formula.v),
+        "limit_exponent": limit_value.exponent_json(),
+        "formula_exponent": formula.exponent_json(),
         "agree": limit_value == formula,
         "depth": realization.depth,
         "b": str(b),
@@ -514,7 +491,7 @@ def growth_profile_report(x: WittVec, b, C: int, D: int) -> dict:
         "b": str(b),
         "C": C,
         "D": D,
-        "sup_exponent": None if value.is_zero else str(-value.v),
+        "sup_exponent": value.exponent_json(),
         "sup_at_head": bool(profile) and profile[0] == value,
         "nonincreasing": nonincreasing,
         "strictly_increasing": increasing,
@@ -568,8 +545,8 @@ def untilt_isometry(x: WittVec, N: int, b) -> dict:
     rhs = charp_overconv_norm(x, b)
     return {
         "b": str(b),
-        "family_exponent": None if lhs.value.is_zero else str(-lhs.value.v),
+        "family_exponent": lhs.value.exponent_json(),
         "family_status": lhs.status,
-        "charp_exponent": None if rhs.is_zero else str(-rhs.v),
+        "charp_exponent": rhs.exponent_json(),
         "isometric": lhs.value == rhs,
     }

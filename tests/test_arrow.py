@@ -26,6 +26,7 @@ from wittlab.arrow import (
     theta,
     theta_series,
 )
+from wittlab.cyclotomic import CycloModPM
 from wittlab.errors import DepthExceeded, IntegralityViolation, LengthMismatch
 from wittlab.norms import NormValue
 from wittlab.rings import Integers, ZModPM
@@ -188,3 +189,13 @@ def test_json_export_reconstructs_the_family():
     )
     back = make_arrow(ring, levels, validate=True)
     assert arrow_eq(back, a)
+
+
+def test_precision_lift_over_a_cyclotomic_base():
+    ring = CycloModPM(2, 2, 1)
+    tops = iter([[1, 1], [0, 1], [1, 0], [1, 1], [0, 1]])
+    a = sample_coherent(ring, 4, lambda: ring.make(next(tops)))
+    lifted = lift_arrow_precision(a, 1, check=True)
+    assert lifted.ring.to_config() == CycloModPM(2, 2, 2).to_config()
+    assert lifted.depth == 1
+    assert arrow_to_json(lifted)["levels"] == [[[2, 0]], [[2, 0], [1, 0]]]

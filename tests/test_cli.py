@@ -39,3 +39,61 @@ def test_kernel_verify_over_a_gaussian_ring(capsys):
     assert payload["failures"] == 0
     assert len(payload["results"]) == 10
     assert all(r["passed"] for r in payload["results"])
+
+
+def test_artin_classify_reads_gaussian_constants(capsys):
+    cases = (("3i", "3i"), ("-3i", "-3i"), ("2/3i", "2/3i"), ("3*i", "3i"), ("1/2+3i", "1/2+3i"))
+    for text, shown in cases:
+        code, out, _ = run(capsys, "artin", "classify", f"--f={text}", "--json")
+        assert code == 0
+        assert json.loads(out)["f"] == shown
+
+
+def test_artin_classify_rejects_a_zero_denominator(capsys):
+    code, out, err = run(capsys, "artin", "classify", "--f", "1/0")
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
+def test_compute_over_truncated_rings_keeps_the_digit_budget(capsys):
+    code, out, _ = run(capsys, "compute", "--ring", "Zmod", "--precision", "3", "neg (5~2)")
+    assert code == 0 and out.strip() == "(3~2)"
+    code, out, _ = run(
+        capsys, "compute", "--ring", "ZzetaMod:2", "--precision", "3", "neg ([1,2]~2)"
+    )
+    assert code == 0 and out.strip() == "([3, 2]~2)"
+    code, out, _ = run(capsys, "compute", "add (1, 2)(3, 4)")
+    assert code == 0 and out.strip() == "(4, 3)"
+
+
+def test_compute_rejects_malformed_operands(capsys):
+    for expr in ("neg 1, 2", "neg (1, 2", "neg ()", "add (1) x (2)", "neg ([1,0]~x)"):
+        code, out, err = run(capsys, "compute", "--ring", "ZzetaMod:2", expr)
+        assert code == 2, expr
+        assert out == "" and err.startswith("error: ")
+
+
+def test_solve_frob_parses_its_target(capsys):
+    code, out, _ = run(capsys, "perfect", "solve-frob", "(4, 0)")
+    assert code == 0
+    assert out.splitlines()[0] == "y = (0, 2~5, 2~4)"
+    code, out, _ = run(capsys, "perfect", "solve-frob", "(4, 0)", "--json")
+    assert code == 0
+    assert set(json.loads(out)) == {"report", "solved", "y"}
+
+
+def test_perfect_test_uses_its_positional_instance(capsys):
+    code, out, _ = run(capsys, "perfect", "test", "Zmod", "--json")
+    assert code == 0
+    assert json.loads(out)["instance"] == "Z/2^6"
+
+
+def test_bad_primes_and_ring_arguments_are_usage_errors(capsys):
+    for argv in (
+        ("verify", "kernel", "--p", "4"),
+        ("compute", "--ring", "Zmod:x", "neg (1)"),
+        ("compute", "--ring", "ZzetaMod:x", "neg ([1])"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and err.startswith("error: ")

@@ -1,13 +1,23 @@
 """Base coefficient rings: exact arithmetic, precision tracking, seminorms."""
 
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from wittlab.errors import MalformedConfig, NotDivisible, PrecisionExhausted
+from wittlab.cyclotomic import CycloModPM
+from wittlab.errors import MalformedConfig, NotDivisible, PrecisionExhausted, WittError
 from wittlab.norms import NormValue
-from wittlab.rings import Integers, Rationals, ZModPM, check_prime, vp_fraction, vp_int
+from wittlab.rings import (
+    Integers,
+    Rationals,
+    TruncatedRing,
+    ZModPM,
+    check_prime,
+    vp_fraction,
+    vp_int,
+)
 
 import oracles
 
@@ -147,3 +157,88 @@ def test_truncated_seminorm_reads_the_canonical_lift():
     assert ring.seminorm(ring.from_int(12)) == NormValue.from_exponent(2)
     assert ring.seminorm(ring.from_int(16)).is_zero
     assert ring.seminorm(ring.from_int(0)).is_zero
+
+
+# -- the truncated-ring digit layout, shared by Z/p^M and Z[zeta]/p^M ----------
+
+TRUNCATED = [
+    # ring, full-precision text, a text at precision 2, its canonical form,
+    # and the JSON forms of both
+    (ZModPM(2, 3), "5", "13~2", "1~2", 5, {"value": 1, "prec": 2}),
+    (
+        CycloModPM(2, 2, 3),
+        "[5, 6]",
+        "[13, -2]~2",
+        "[1, 2]~2",
+        [5, 6],
+        {"coeffs": [1, 2], "prec": 2},
+    ),
+]
+truncated_cases = pytest.mark.parametrize(
+    "ring, full, partial, canonical, full_json, partial_json",
+    TRUNCATED,
+    ids=["Zmod", "ZzetaMod"],
+)
+
+
+@truncated_cases
+def test_truncated_text_round_trip(ring, full, partial, canonical, full_json, partial_json):
+    a = ring.parse_elt(full)
+    assert ring.precision_of(a) == 3
+    assert ring.format_elt(a) == full
+    b = ring.parse_elt(partial)
+    assert ring.precision_of(b) == 2
+    assert ring.format_elt(b) == canonical
+    back = ring.parse_elt(ring.format_elt(b))
+    assert ring.eq(back, b) and ring.precision_of(back) == 2
+
+
+@truncated_cases
+def test_truncated_json_round_trip(ring, full, partial, canonical, full_json, partial_json):
+    a, b = ring.parse_elt(full), ring.parse_elt(partial)
+    assert ring.elt_to_json(a) == full_json
+    assert ring.elt_to_json(b) == partial_json
+    for x, data in ((a, full_json), (b, partial_json)):
+        y = ring.elt_from_json(json.loads(json.dumps(data)))
+        assert ring.format_elt(y) == ring.format_elt(x)
+        assert ring.precision_of(y) == ring.precision_of(x)
+
+
+@truncated_cases
+def test_truncate_keeps_the_low_digits(ring, full, partial, canonical, full_json, partial_json):
+    a = ring.parse_elt(full)
+    assert ring.format_elt(ring.truncate(a, 2)) == canonical
+    assert ring.truncate(a, 3) is a
+    b = ring.parse_elt(partial)
+    assert ring.truncate(b, 3) is b
+
+
+@truncated_cases
+def test_digits_round_trip(ring, full, partial, canonical, full_json, partial_json):
+    assert ring.truncated
+    a, b = ring.parse_elt(full), ring.parse_elt(partial)
+    assert len(ring.digits(a)) == ring.e
+    assert ring.digits(a) == tuple(full_json if ring.e > 1 else [full_json])
+    assert ring.format_elt(ring.from_digits(ring.digits(a))) == full
+    c = ring.from_digits(ring.digits(b), 2)
+    assert ring.eq(c, b) and ring.precision_of(c) == 2
+    assert ring.residue(a) == (1 if ring.e == 1 else (1, 0))
+    assert len(ring.elements(64 ** ring.e)) == 8 ** ring.e
+
+
+@truncated_cases
+def test_bad_truncated_text_is_a_config_error(
+    ring, full, partial, canonical, full_json, partial_json
+):
+    for text in (full + "~x", full + "~0", full + "~4", "x"):
+        with pytest.raises(WittError):
+            ring.parse_elt(text)
+    with pytest.raises(MalformedConfig):
+        ring.parse_elt(full + "~x")
+
+
+def test_the_truncated_flag_marks_exactly_the_truncated_rings():
+    for ring in (Integers(2), Rationals(2), CycloModPM(2, 2, 3).field):
+        assert not ring.truncated and not isinstance(ring, TruncatedRing)
+    for ring, *_ in TRUNCATED:
+        assert ring.truncated and isinstance(ring, TruncatedRing)

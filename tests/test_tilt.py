@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from wittlab.errors import DepthExceeded, LengthMismatch
+from wittlab.cyclotomic import CycloModPM
+from wittlab.errors import DepthExceeded, LengthMismatch, NotEnumerable
 from wittlab.norms import NormValue
 from wittlab.perfpoly import PerfPolyRing
 from wittlab.rings import ZModPM
@@ -184,3 +185,15 @@ def test_untilt_isometry_on_certified_inputs():
         for b in (Fraction(1, 4), Fraction(1, 2), 1):
             rep = untilt_isometry(x, 2, b)
             assert rep["isometric"], rep
+
+
+def test_enumeration_over_a_cyclotomic_base():
+    base = CycloModPM(2, 2, 1)
+    chains = enumerate_tilts(base, 2)
+    assert len(chains) == 4
+    assert [tilt_residue(c) for c in chains] == [(0, 0), (1, 0), (1, 0), (0, 0)]
+
+
+def test_enumeration_refuses_past_its_limit():
+    with pytest.raises(NotEnumerable, match="^64 .*exceed the enumeration limit 10$"):
+        enumerate_tilts(CycloModPM(2, 2, 3), 2, limit=10)

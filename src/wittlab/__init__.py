@@ -63,7 +63,6 @@ from .witt import (
     witt_mul,
     witt_neg,
     witt_norm,
-    witt_norm_attained,
     witt_norm_profile,
     witt_one,
     witt_sub,

@@ -26,7 +26,7 @@ precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
@@ -53,7 +53,6 @@ from .witt import (
     witt_neg,
     witt_norm,
     witt_to_json,
-    witt_zero,
 )
 
 __all__ = [

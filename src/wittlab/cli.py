@@ -27,7 +27,7 @@ from .arrow import (
 from .artin import invariant_classify, teichmuller_phi_invariance
 from .config import ring_from_spec
 from .cyclotomic import GaussianField
-from .errors import MalformedConfig, NoRoot, WittError
+from .errors import CapabilityMissing, MalformedConfig, NoRoot, WittError
 from .kernelnorm import verify_kernel_norm
 from .perfect import solve_frobenius, witt_perfect_test
 from .rings import Integers, Ring, ZModPM
@@ -193,8 +193,10 @@ def _cmd_universal(args) -> int:
 
 
 def _cmd_arrow(args) -> int:
+    # norm works over any ring; lift and theta need a truncated base
+    spec = args.ring or ("Z" if args.action == "norm" else "Zmod")
+    ring = ring_from_spec(spec, p=args.p, precision=args.precision)
     if args.action == "norm":
-        ring = ring_from_spec(args.ring, p=args.p, precision=args.precision)
         a = arrow_from_integer(ring, args.c, args.depth)
         result = arrow_norm(a, _fraction(args.b))
         if args.json:
@@ -207,24 +209,24 @@ def _cmd_arrow(args) -> int:
             )
         return 0
     if args.action == "lift":
-        ring = ZModPM(args.p, args.precision)
-        depth = args.depth + args.precision + 2
-        a = arrow_from_integer(ring, args.c, depth)
+        if not ring.truncated:
+            raise CapabilityMissing(f"arrow lift needs a truncated base ring, got {ring.kind}")
+        a = arrow_from_integer(ring, args.c, args.depth + ring.M + 2)
         lifted = lift_arrow_precision(a, args.depth, check=True)
         payload = {"c": args.c, "lifted": arrow_to_json(lifted)}
         if args.json:
             _print_json(payload)
         else:
+            base = "Z" if ring.scalar else f"Z[zeta_{ring.p}^{ring.k}]"
             print(
-                f"lift of {args.c} from Z/{args.p}^{args.precision} to "
-                f"Z/{args.p}^{args.precision + 1} at depth {args.depth}:"
+                f"lift of {args.c} from {base}/{ring.p}^{ring.M} to "
+                f"{base}/{ring.p}^{ring.M + 1} at depth {args.depth}:"
             )
             for n, lvl in enumerate(lifted.levels):
                 comps = ", ".join(lifted.ring.format_elt(c) for c in lvl.components)
                 print(f"  level {n}: ({comps})")
         return 0
     if args.action == "theta":
-        ring = ZModPM(args.p, args.precision)
         a = arrow_from_integer(ring, args.c, args.depth)
         value = theta(a)
         series_value, terms = theta_series(a)
@@ -497,7 +499,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("action", choices=["norm", "lift", "theta"])
     sp.add_argument("c", type=int, help="the integer whose coherent family to build")
     sp.add_argument("--b", default="1", help="overconvergence weight (rational)")
-    _add_common(sp, ring_default="Z", precision=2, depth=3)
+    sp.add_argument(
+        "--ring",
+        default=None,
+        help="ring config, as for compute (default Z for norm, Zmod for lift and theta)",
+    )
+    _add_common(sp, precision=2, depth=3)
     sp.set_defaults(fn=_cmd_arrow)
 
     sp = sub.add_parser("perfect", help="Witt-perfectness tests and Frobenius solving")

@@ -135,7 +135,6 @@ class CyclotomicField(Ring):
     kind = "Qzeta"
     q_algebra = True
     p_torsion_free = True
-    multiplicative_norm = True
     power_multiplicative_norm = True
 
     def __init__(self, p: int, k: int):
@@ -235,10 +234,6 @@ class CyclotomicField(Ring):
         if not self.is_integral(a):
             raise IntegralityViolation(f"element is not in Z[zeta]: {self.format_elt(a)}")
         return tuple(int(x) for x in a)
-
-    def is_p_integral(self, a: CVec) -> bool:
-        """Denominators prime to p are allowed (localization at the prime)."""
-        return all(x.denominator % self.p != 0 for x in a)
 
     def residue_coeffs_mod_p(self, a: CVec) -> Tuple[int, ...]:
         """Canonical power-basis coefficients of a mod p, for p-integral a."""
@@ -349,11 +344,6 @@ class CyclotomicField(Ring):
             raise IntegralityViolation("constructed mod-p root failed verification")
         return root
 
-    def frobenius_kernel_indices(self) -> List[int]:
-        """t-exponents i with p*i >= e: the mod-p classes killed by x -> x**p
-        are exactly the spans of these t-powers."""
-        return [i for i in range(self.e) if self.p * i >= self.e]
-
     # -- embeddings ------------------------------------------------------------------
 
     def embed(self, a: CVec, target: "CyclotomicField") -> CVec:
@@ -446,9 +436,6 @@ class CycloModPM(TruncatedRing):
 
     def from_int(self, n: int) -> TruncVec:
         return self.make([n])
-
-    def from_field(self, a: CVec, prec: Optional[int] = None) -> TruncVec:
-        return self.make(self.field.integral_coeffs(a), prec)
 
     def add(self, a: TruncVec, b: TruncVec) -> TruncVec:
         k = min(a.prec, b.prec)
@@ -543,7 +530,6 @@ class GaussianField(Ring):
     def __init__(self, p: int):
         self.p = check_prime(p)
         self.split = p % 4 == 1
-        self.multiplicative_norm = not self.split
         if self.split:
             u, w = _two_square_decomposition(p)
             self.pi = (u, w)

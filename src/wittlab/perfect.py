@@ -25,7 +25,9 @@ nonzero residues mod 3 cubes to 3 mod 9.
 ``solve_frobenius`` inverts the Frobenius on vectors over Z/p**M greedily
 (the mod-p root is unique there, so failures are certified refutations);
 ``solve_frobenius_normed`` does the same over a tower field after rescaling
-into a norm window, and returns a preimage with |y| ** p <= |x|.
+into a norm window, and returns a preimage with |y| ** p <= |x|.  Both run the
+one digit recursion ``_digit_solve`` and differ only in how they pick the
+head root.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .errors import (
     IntegralityViolation,
     MalformedConfig,
     NoRoot,
-    NotDivisible,
     NotEnumerable,
     PrecisionExhausted,
     RescaleInfeasible,
@@ -474,6 +475,28 @@ def power_ideal_check(
 # ---------------------------------------------------------------------------
 
 
+def _digit_solve(W, comps, p, head):
+    """Greedy digit recursion for F(y) = comps over the ring W (Z/p**M or a
+    tower field), starting from the head root ``head`` of comps[0] mod p.
+
+    Each digit equation determines the next component by an exact division
+    by p; the only freedom is the head root.  Returns (ys, None) on success
+    or (partial, (index, rhs)) when a digit equation is not divisible by p.
+    """
+    p_elt = W.from_int(p)
+    divisible = NormValue.from_exponent(1)
+    ys = [head]
+    for i in range(len(comps)):
+        rhs = W.sub(comps[i], W.pow_(ys[i], p))
+        if i:
+            carry = structure_poly(p, i, "frob_f").evaluate(W, ys[: i + 1])
+            rhs = W.sub(rhs, W.mul(p_elt, carry))
+        if not W.seminorm(rhs) <= divisible:
+            return ys, (i, rhs)
+        ys.append(W.exact_divide_by_p(rhs))
+    return ys, None
+
+
 def solve_frobenius(x: WittVec) -> Tuple[WittVec, dict]:
     """Solve F(y) = x over Z/p**M by the greedy digit algorithm.
 
@@ -493,20 +516,12 @@ def solve_frobenius(x: WittVec) -> Tuple[WittVec, dict]:
         raise PrecisionExhausted(
             f"solving for a length-{L} vector needs modulus exponent >= {L + 1}, got {ring.M}"
         )
-    p_elt = ring.from_int(p)
-    ys: List[Any] = [ring.pth_root_mod_p(x.components[0])]
-    for i in range(L):
-        rhs = ring.sub(x.components[i], ring.pow_(ys[i], p))
-        if i:
-            carry = structure_poly(p, i, "frob_f").evaluate(ring, ys[: i + 1])
-            rhs = ring.sub(rhs, ring.mul(p_elt, carry))
-        try:
-            ys.append(ring.exact_divide_by_p(rhs))
-        except NotDivisible as exc:
-            raise NoRoot(
-                f"no Frobenius preimage: digit equation {i} is not divisible by {p} "
-                f"(certified: the mod-p root in step 0 is unique)"
-            ) from exc
+    ys, failure = _digit_solve(ring, x.components, p, ring.pth_root_mod_p(x.components[0]))
+    if failure is not None:
+        raise NoRoot(
+            f"no Frobenius preimage: digit equation {failure[0]} is not divisible by {p} "
+            f"(certified: the mod-p root in step 0 is unique)"
+        )
     y = WittVec(ring, tuple(ys))
     check = witt_eq(frobenius(y), x)
     if not check:
@@ -537,27 +552,6 @@ def _window_parameters(
         f"no scaling window of width {width} below level {max_level}; "
         "extend the root sequence"
     )
-
-
-def _digit_solve(W, comps, p, seed=None):
-    """Greedy digit recursion for F(y) = comps over the field W.
-
-    Each digit equation determines the next component by an exact division
-    by p; the only freedom is the head root.  Returns (ys, None) on success
-    or (partial, (index, rhs)) when a digit equation is not divisible by p.
-    """
-    p_elt = W.from_int(p)
-    ys = [W.mod_p_root(comps[0]) if seed is None else seed]
-    for i in range(len(comps)):
-        rhs = W.sub(comps[i], W.pow_(ys[i], p))
-        if i:
-            carry = structure_poly(p, i, "frob_f").evaluate(W, ys[: i + 1])
-            rhs = W.sub(rhs, W.mul(p_elt, carry))
-        v = W.valuation(rhs)
-        if not (v is None or v >= 1):
-            return ys, (i, rhs)
-        ys.append(W.exact_divide_by_p(rhs))
-    return ys, None
 
 
 def solve_frobenius_normed(
@@ -637,7 +631,7 @@ def solve_frobenius_normed(
         head = W.add(tower.embed_up(Lw - 1, Lw, head_low), W.mul(x1_l, w0))
         refined = True
 
-    ys, failure = _digit_solve(W, x_prime.components, p, seed=head)
+    ys, failure = _digit_solve(W, x_prime.components, p, head)
     fixed = False
     if failure is not None:
         i, rhs = failure
@@ -654,7 +648,7 @@ def solve_frobenius_normed(
         w_shift = W.mod_p_root(up1.embed(root1, W))
         x1_l = tower.embed_up(1, Lw, seq.value(1))
         seed = W.add(tower.embed_up(Lw - 2, Lw, head_low), W.mul(x1_l, w_shift))
-        ys, failure = _digit_solve(W, x_prime.components, p, seed=seed)
+        ys, failure = _digit_solve(W, x_prime.components, p, seed)
         if failure is not None:
             raise NoRoot(
                 f"digit equation {failure[0]} still fails after the branch repair"

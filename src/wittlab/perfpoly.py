@@ -38,7 +38,6 @@ class PerfPolyRing(Ring):
     q_algebra = False
     p_torsion_free = False
     truncated = False
-    multiplicative_norm = True
     power_multiplicative_norm = True
 
     def __init__(self, p: int, nvars: int, depth: int):

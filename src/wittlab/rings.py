@@ -81,7 +81,6 @@ class Ring(ABC):
     q_algebra: bool = False
     p_torsion_free: bool = True
     truncated: bool = False
-    multiplicative_norm: bool = False
     power_multiplicative_norm: bool = False
 
     # -- element constructors ---------------------------------------------
@@ -117,8 +116,9 @@ class Ring(ABC):
         while n:
             if n & 1:
                 result = self.mul(result, base)
-            base = self.mul(base, base)
             n >>= 1
+            if n:
+                base = self.mul(base, base)
         return result
 
     def pow_p_tower(self, a: Any, l: int) -> Any:
@@ -203,7 +203,6 @@ class Integers(Ring):
 
     kind = "Z"
     p_torsion_free = True
-    multiplicative_norm = True
     power_multiplicative_norm = True
 
     def __init__(self, p: int):
@@ -265,7 +264,6 @@ class Rationals(Ring):
     kind = "Q"
     q_algebra = True
     p_torsion_free = True
-    multiplicative_norm = True
     power_multiplicative_norm = True
 
     def __init__(self, p: int):

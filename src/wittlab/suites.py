@@ -79,16 +79,14 @@ from .tilt import (
     tilt_pth_root,
     untilt_isometry,
 )
-from .univ import UPoly, ghost_poly, structure_cap, structure_poly
+from .univ import UPoly, _pair_lift, _tail_lift, ghost_poly, structure_cap, structure_poly
 from .witt import (
     WittVec,
     frobenius,
     ghost,
-    teichmuller,
     verschiebung,
     witt_add,
     witt_eq,
-    witt_from_integer,
     witt_mul,
     witt_neg,
     witt_norm,
@@ -216,29 +214,19 @@ def _draw_vec(rng: random.Random, ring: Ring, length: int) -> WittVec:
 
 
 def _filter_grid(grid: Sequence, p: Optional[int], key=lambda item: item) -> List:
+    """The cases of ``grid`` at the prime p (all of them when p is None)."""
     if p is None:
         return list(grid)
     kept = [item for item in grid if key(item) == p]
-    return kept or list(grid)
+    if not kept:
+        covered = ", ".join(str(q) for q in sorted({key(item) for item in grid}))
+        raise MalformedConfig(f"--p {p}: this check covers p in {{{covered}}} only")
+    return kept
 
 
 # ---------------------------------------------------------------------------
 # structure polynomials (suite: universal)
 # ---------------------------------------------------------------------------
-
-
-def _pair_lift(s: UPoly, i: int, m: int) -> UPoly:
-    """Reinterpret an index-i two-block polynomial over the index-m split."""
-    nv = 2 * (m + 1)
-    remap = {}
-    for exps, c in s.terms.items():
-        xs, ys = exps[: i + 1], exps[i + 1 :]
-        remap[xs + (0,) * (m - i) + ys + (0,) * (m - i)] = c
-    return UPoly(nv, remap)
-
-
-def _tail_lift(s: UPoly, nv: int) -> UPoly:
-    return UPoly(nv, {e + (0,) * (nv - s.nvars): c for e, c in s.terms.items()})
 
 
 def _ghost_compose(polys: Sequence[UPoly], p: int) -> UPoly:
@@ -557,17 +545,12 @@ def check_mul_by_p_norm(rng: random.Random, p: Optional[int] = None) -> List[Cas
 # depth lifting (suite: arrow)
 # ---------------------------------------------------------------------------
 
-_FROB_F2 = None
-
-
 def _int_frobenius_p2(vals: Tuple[int, ...], mod: int) -> Tuple[int, ...]:
     """Frobenius on integer component tuples at p=2, reduced mod ``mod``."""
-    global _FROB_F2
-    if _FROB_F2 is None:
-        _FROB_F2 = [structure_poly(2, i, "frob_f").compiled() for i in range(4)]
+    ints = Integers(2)
     out = []
     for i in range(len(vals) - 1):
-        carry = _FROB_F2[i](vals[: i + 1]) if i else 0
+        carry = structure_poly(2, i, "frob_f").evaluate(ints, vals[: i + 1]) if i else 0
         out.append((vals[i] ** 2 + 2 * vals[i + 1] + 2 * carry) % mod)
     return tuple(out)
 
@@ -907,9 +890,7 @@ def check_kernel_norm(
         (3, Rationals(3), "Q"),
         (3, cyclotomic_field(3, 2), "Q(zeta9)"),
     ]
-    if p is not None:
-        grid = [g for g in grid if g[0] == p] or grid
-    for q, ring, label in grid:
+    for q, ring, label in _filter_grid(grid, p, key=lambda g: g[0]):
         steps = 1 if isinstance(ring, Rationals) else ring.e
         bad = 0
         detail = ""
@@ -1110,9 +1091,7 @@ def check_frobenius_solving(
     """Greedy digit solving round-trips over Z/p^M and the normed tower
     solver's exact contract |y|^p <= |x|."""
     cases = []
-    for q, M in [(2, 6), (3, 5)]:
-        if p is not None and q != p:
-            continue
+    for q, M in _filter_grid([(2, 6), (3, 5)], p, key=lambda t: t[0]):
         ring = ZModPM(q, M)
         cap_len = min(structure_cap(q) + 1, M - 1)
         bad = 0
@@ -1477,9 +1456,9 @@ def check_inverse_frobenius_sandwich(
     rng: random.Random, p: Optional[int] = None, samples: int = 100
 ) -> List[CaseResult]:
     """Both displayed inequalities tying |x|_{W,b} to the shifted family."""
-    rings: List[Ring] = [ZModPM(2, 6), ZModPM(3, 4), CycloModPM(2, 3, 4)]
-    if p is not None:
-        rings = [r for r in rings if r.p == p] or rings
+    rings: List[Ring] = _filter_grid(
+        [ZModPM(2, 6), ZModPM(3, 4), CycloModPM(2, 3, 4)], p, key=lambda r: r.p
+    )
     bs = (Fraction(1), Fraction(2), Fraction(4))
     bad = 0
     first = ""

@@ -55,7 +55,7 @@ from .errors import (
 from .norms import NormValue, norm_max
 from .perfpoly import PerfPolyRing
 from .rings import Ring
-from .witt import WittVec, frobenius, witt_norm
+from .witt import WittVec, witt_norm
 
 __all__ = [
     "TiltElt",
@@ -300,7 +300,6 @@ class TiltRing(Ring):
         self.base = base
         self.depth = depth
         self.p = base.p
-        self.multiplicative_norm = base.multiplicative_norm
         self.power_multiplicative_norm = base.power_multiplicative_norm
 
     def to_config(self) -> dict:

@@ -20,6 +20,12 @@ is deliberately small (index <= 3 for p = 2, index <= 2 otherwise); vectors
 longer than the cached range are handled by ghost transport in the callers,
 not here.
 
+``UPoly.evaluate`` is the one evaluator, over any ``Ring`` (``Integers(p)``
+for plain integer inputs).  It checks the coefficients and sorts the terms
+once per polynomial, computes each power x_i ** e once per call, and adds the
+terms to ``ring.zero()`` in sorted order, so a ring whose addition tracks
+precision sees the same operation sequence on every call.
+
 Kinds:
   * ``sum``, ``prod``  -- binary, in x-variables then y-variables;
   * ``neg``            -- unary (needed for p = 2; odd p negates componentwise);
@@ -33,7 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import CapabilityMissing, IntegralityViolation, MalformedConfig
 
@@ -54,12 +60,12 @@ class UPoly:
     tuples to nonzero coefficients (int or Fraction).
     """
 
-    __slots__ = ("nvars", "terms", "_compiled")
+    __slots__ = ("nvars", "terms", "_sorted")
 
     def __init__(self, nvars: int, terms: Dict[Exps, object] | None = None):
         self.nvars = nvars
         self.terms: Dict[Exps, object] = {}
-        self._compiled = None
+        self._sorted = None
         if terms:
             for exps, c in terms.items():
                 if c:
@@ -152,43 +158,36 @@ class UPoly:
 
     # -- evaluation ---------------------------------------------------------------
 
+    def _sorted_terms(self) -> tuple:
+        """The terms in sorted exponent order as (coefficient, ((i, e), ...)),
+        the coefficient None where it is a 1 that multiplies something."""
+        if self._sorted is None:
+            terms = []
+            for exps, c in sorted(self.terms.items()):
+                if int(c) != c:
+                    raise IntegralityViolation(
+                        f"cannot evaluate non-integer coefficient {c} in a ring"
+                    )
+                factors = tuple((i, e) for i, e in enumerate(exps) if e)
+                terms.append((None if c == 1 and factors else int(c), factors))
+            self._sorted = tuple(terms)
+        return self._sorted
+
     def evaluate(self, ring, values: Sequence) -> object:
         """Evaluate with ring arithmetic (coefficients through ring.from_int)."""
         if len(values) != self.nvars:
             raise MalformedConfig(f"expected {self.nvars} values, got {len(values)}")
+        powers: Dict[Tuple[int, int], object] = {}
         acc = ring.zero()
-        for exps, c in sorted(self.terms.items()):
-            if int(c) != c:
-                raise IntegralityViolation(
-                    f"cannot evaluate non-integer coefficient {c} in a ring"
-                )
-            term = ring.from_int(int(c))
-            for v, e in zip(values, exps):
-                if e:
-                    term = ring.mul(term, ring.pow_(v, e))
+        for c, factors in self._sorted_terms():
+            term = None if c is None else ring.from_int(c)
+            for key in factors:
+                power = powers.get(key)
+                if power is None:
+                    power = powers[key] = ring.pow_(values[key[0]], key[1])
+                term = power if term is None else ring.mul(term, power)
             acc = ring.add(acc, term)
         return acc
-
-    def compiled(self) -> Callable[[Sequence], object]:
-        """A fast evaluator for numeric (int / Fraction) inputs."""
-        if self._compiled is None:
-            if not self.terms:
-                self._compiled = lambda v: 0
-            else:
-                parts = []
-                for exps, c in sorted(self.terms.items()):
-                    factors = [str(int(c))]
-                    for i, e in enumerate(exps):
-                        if e == 1:
-                            factors.append(f"v[{i}]")
-                        elif e > 1:
-                            factors.append(f"v[{i}]**{e}")
-                    parts.append("*".join(factors))
-                src = "def _eval(v):\n    return " + " + ".join(parts) + "\n"
-                ns: dict = {}
-                exec(src, ns)  # noqa: S102 - source is generated from trusted terms
-                self._compiled = ns["_eval"]
-        return self._compiled
 
     # -- formatting -----------------------------------------------------------------
 
@@ -218,6 +217,21 @@ def ghost_poly(p: int, m: int, nvars: int, offset: int = 0) -> UPoly:
     return acc
 
 
+def _pair_lift(s: UPoly, i: int, m: int) -> UPoly:
+    """Reinterpret an index-i two-block polynomial over the index-m split."""
+    nv = 2 * (m + 1)
+    remap = {}
+    for exps, c in s.terms.items():
+        xs, ys = exps[: i + 1], exps[i + 1 :]
+        remap[xs + (0,) * (m - i) + ys + (0,) * (m - i)] = c
+    return UPoly(nv, remap)
+
+
+def _tail_lift(s: UPoly, nv: int) -> UPoly:
+    """s over nv variables, the added ones last and unused."""
+    return UPoly(nv, {e + (0,) * (nv - s.nvars): c for e, c in s.terms.items()})
+
+
 def _unghost_step(p: int, m: int, phi_m: UPoly, lower: Sequence[UPoly]) -> UPoly:
     """Solve w_{p**m}(s) = phi_m for s_m given s_0..s_{m-1}; asserts integrality."""
     acc = phi_m
@@ -239,35 +253,18 @@ def structure_poly(p: int, index: int, kind: str) -> UPoly:
         )
     if kind in ("sum", "prod"):
         nv = 2 * (index + 1)
-        lower = [structure_poly(p, i, kind) for i in range(index)]
-        # reinterpret the lower polynomials over the wider variable split
-        lifted = []
-        for i, s in enumerate(lower):
-            remap = {}
-            for exps, c in s.terms.items():
-                xs, ys = exps[: i + 1], exps[i + 1 :]
-                key = xs + (0,) * (index - i) + ys + (0,) * (index - i)
-                remap[key] = c
-            lifted.append(UPoly(nv, remap))
+        lifted = [_pair_lift(structure_poly(p, i, kind), i, index) for i in range(index)]
         wx = ghost_poly(p, index, nv, offset=0)
         wy = ghost_poly(p, index, nv, offset=index + 1)
         phi = wx.add(wy) if kind == "sum" else wx.mul(wy)
         return _unghost_step(p, index, phi, lifted)
-    if kind == "neg":
-        nv = index + 1
-        lower = []
-        for i in range(index):
-            s = structure_poly(p, i, kind)
-            lower.append(UPoly(nv, {e + (0,) * (index - i): c for e, c in s.terms.items()}))
-        phi = ghost_poly(p, index, nv).scale(-1)
-        return _unghost_step(p, index, phi, lower)
-    if kind == "frob":
-        nv = index + 2
-        lower = []
-        for i in range(index):
-            s = structure_poly(p, i, kind)
-            lower.append(UPoly(nv, {e + (0,) * (index - i): c for e, c in s.terms.items()}))
-        phi = ghost_poly(p, index + 1, nv)
+    if kind in ("neg", "frob"):
+        # neg_m transports -w_m; frob_m transports w_{m+1}, one variable more
+        if kind == "neg":
+            phi = ghost_poly(p, index, index + 1).scale(-1)
+        else:
+            phi = ghost_poly(p, index + 1, index + 2)
+        lower = [_tail_lift(structure_poly(p, i, kind), phi.nvars) for i in range(index)]
         return _unghost_step(p, index, phi, lower)
     # kind == "frob_f": strip the exact part off the Frobenius component
     full = structure_poly(p, index, "frob")

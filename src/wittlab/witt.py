@@ -4,8 +4,10 @@ A vector of length n+1 over a coefficient ring R is written
 (x_1, x_p, ..., x_{p**n}).  Operations are defined through ghost coordinates
 and dispatch on the ring's capabilities:
 
-  * characteristic p     -- cached structure polynomials (componentwise
-                            Frobenius, etc.); lengths beyond the cached range
+  * characteristic p     -- one dispatcher, `_char_p_op`, evaluates the cached
+                            sum/prod/neg structure polynomials (negation is
+                            componentwise for odd p, the Frobenius is
+                            componentwise); lengths beyond the cached range
                             are refused rather than approximated;
   * Q-algebras           -- ghost transport, any length;
   * everything else      -- lift to the ring's p-torsion-free cover, transport
@@ -57,7 +59,6 @@ __all__ = [
     "witt_from_integer",
     "mul_by_int",
     "witt_norm",
-    "witt_norm_attained",
     "witt_to_json",
     "witt_from_json",
     "format_witt",
@@ -186,28 +187,30 @@ def _same_shape(x: WittVec, y: WittVec) -> None:
         raise LengthMismatch(f"vector lengths differ: {x.length} vs {y.length}")
 
 
-def _binary_char_p(x: WittVec, y: WittVec, kind: str) -> WittVec:
-    ring = x.ring
-    n = x.top_index
-    if n > structure_cap(ring.p):
+def _char_p_op(kind: str, x: WittVec, *others: WittVec) -> WittVec:
+    """Evaluate the cached ``kind`` structure polynomials; component i reads
+    the first i+1 components of x and then of each other operand."""
+    ring, p = x.ring, x.ring.p
+    if x.top_index > structure_cap(p):
         raise CapabilityMissing(
-            f"characteristic-p {kind} is cached up to length {structure_cap(ring.p) + 1} "
-            f"at p={ring.p}; got length {x.length}"
+            f"characteristic-p {kind} is cached up to length {structure_cap(p) + 1} "
+            f"at p={p}; got length {x.length}"
         )
-    comps = []
-    for i in range(x.length):
-        poly = structure_poly(ring.p, i, kind)
-        values = list(x.components[: i + 1]) + list(y.components[: i + 1])
-        comps.append(poly.evaluate(ring, values))
-    return WittVec(ring, tuple(comps))
+    vecs = (x,) + others
+    comps = tuple(
+        structure_poly(p, i, kind).evaluate(
+            ring, [c for v in vecs for c in v.components[: i + 1]]
+        )
+        for i in range(x.length)
+    )
+    return WittVec(ring, comps)
 
 
 def _binary_op(x: WittVec, y: WittVec, kind: str) -> WittVec:
     _same_shape(x, y)
     ring = x.ring
     if ring.char_p:
-        return _binary_char_p(x, y, kind)
-    cover = ring.cover_ring()
+        return _char_p_op(kind, x, y)
     gx, gy = _cover_lift(x), _cover_lift(y)
     gz = gx.add(gy) if kind == "sum" else gx.mul(gy)
     z = unghost(gz)
@@ -227,16 +230,7 @@ def witt_neg(x: WittVec) -> WittVec:
     if ring.char_p:
         if ring.p != 2:
             return WittVec(ring, tuple(ring.neg(c) for c in x.components))
-        n = x.top_index
-        if n > structure_cap(2):
-            raise CapabilityMissing(
-                f"characteristic-2 negation is cached up to length {structure_cap(2) + 1}"
-            )
-        comps = [
-            structure_poly(2, i, "neg").evaluate(ring, list(x.components[: i + 1]))
-            for i in range(x.length)
-        ]
-        return WittVec(ring, tuple(comps))
+        return _char_p_op("neg", x)
     gx = _cover_lift(x)
     z = unghost(gx.neg())
     return _reduce_back(ring, z, _min_precision(ring, (x,)))
@@ -356,17 +350,6 @@ def witt_norm_profile(x: WittVec) -> List[NormValue]:
 
 def witt_norm(x: WittVec) -> NormValue:
     return norm_max(witt_norm_profile(x))
-
-
-def witt_norm_attained(x: WittVec) -> Tuple[NormValue, Optional[int]]:
-    profile = witt_norm_profile(x)
-    value = norm_max(profile)
-    if value.is_zero:
-        return value, None
-    for i, term in enumerate(profile):
-        if term == value:
-            return value, i
-    return value, None
 
 
 # -- serialization ----------------------------------------------------------------------

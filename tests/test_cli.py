@@ -97,3 +97,30 @@ def test_bad_primes_and_ring_arguments_are_usage_errors(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert out == "" and err.startswith("error: ")
+
+
+def test_arrow_lift_and_theta_read_the_ring_option(capsys):
+    code, out, _ = run(capsys, "arrow", "lift", "3", "--ring", "ZzetaMod:2", "--json")
+    assert code == 0
+    ring = json.loads(out)["lifted"]["ring"]
+    assert ring["kind"] == "ZzetaMod" and ring["M"] == 3
+    code, out, err = run(capsys, "arrow", "theta", "3", "--ring", "Z")
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
+def test_arrow_lift_defaults_to_the_integers_mod_p_power(capsys):
+    code, out, _ = run(capsys, "arrow", "lift", "3", "--depth", "1")
+    assert code == 0
+    assert out.splitlines() == [
+        "lift of 3 from Z/2^2 to Z/2^3 at depth 1:",
+        "  level 0: (3)",
+        "  level 1: (3, 5)",
+    ]
+
+
+def test_suite_prime_filter_that_matches_nothing_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "kernel", "--p", "5")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: --p 5: this check covers p in {2, 3} only"

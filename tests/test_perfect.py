@@ -123,6 +123,27 @@ def test_solve_frobenius_certifies_no_preimage():
         solve_frobenius(WittVec(ring, (ring.from_int(3), ring.from_int(0))))
 
 
+def _zmod_vec(ring, values):
+    return WittVec(ring, tuple(ring.from_int(v) for v in values))
+
+
+def test_solve_frobenius_no_root_messages_are_pinned():
+    # digit equation 0 always divides (the head root r has r^p = x_0 mod p),
+    # so the earliest failure is at digit 1
+    ring = ZModPM(2, 6)
+    for v in range(64):
+        x = _zmod_vec(ring, (v,))
+        y, _ = solve_frobenius(x)
+        assert witt_eq(frobenius(y), x)
+    for values, digit in (((0, 1), 1), ((0, 0, 3), 2)):
+        with pytest.raises(NoRoot) as exc:
+            solve_frobenius(_zmod_vec(ring, values))
+        assert str(exc.value) == (
+            f"no Frobenius preimage: digit equation {digit} is not divisible by 2 "
+            "(certified: the mod-p root in step 0 is unique)"
+        )
+
+
 def test_solve_frobenius_needs_a_truncated_base():
     with pytest.raises(CapabilityMissing):
         solve_frobenius(WittVec(Integers(2), (2, 0)))

@@ -11,7 +11,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wittlab.rings import Rationals
+from wittlab.errors import IntegralityViolation, MalformedConfig
+from wittlab.rings import Integers, Rationals
 from wittlab.univ import (
     UPoly,
     canonical_dump,
@@ -26,8 +27,8 @@ import oracles
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
-def _eval(poly, values):
-    return poly.compiled()(list(values))
+def _eval(p, poly, values):
+    return poly.evaluate(Integers(p), list(values))
 
 
 @st.composite
@@ -43,8 +44,8 @@ def witt_inputs(draw):
 @settings(max_examples=80, deadline=None)
 def test_sum_and_prod_reproduce_ghost_arithmetic(data):
     p, i, xs, ys = data
-    sums = [_eval(structure_poly(p, j, "sum"), xs[: j + 1] + ys[: j + 1]) for j in range(i + 1)]
-    prods = [_eval(structure_poly(p, j, "prod"), xs[: j + 1] + ys[: j + 1]) for j in range(i + 1)]
+    sums = [_eval(p, structure_poly(p, j, "sum"), xs[: j + 1] + ys[: j + 1]) for j in range(i + 1)]
+    prods = [_eval(p, structure_poly(p, j, "prod"), xs[: j + 1] + ys[: j + 1]) for j in range(i + 1)]
     wx = oracles.naive_ghost(p, xs)
     wy = oracles.naive_ghost(p, ys)
     assert oracles.naive_ghost(p, sums) == tuple(a + b for a, b in zip(wx, wy))
@@ -55,7 +56,7 @@ def test_sum_and_prod_reproduce_ghost_arithmetic(data):
 @settings(max_examples=80, deadline=None)
 def test_neg_reproduces_ghost_negation(data):
     p, i, xs, _ = data
-    negs = [_eval(structure_poly(p, j, "neg"), xs[: j + 1]) for j in range(i + 1)]
+    negs = [_eval(p, structure_poly(p, j, "neg"), xs[: j + 1]) for j in range(i + 1)]
     wx = oracles.naive_ghost(p, xs)
     assert oracles.naive_ghost(p, negs) == tuple(-a for a in wx)
 
@@ -64,7 +65,7 @@ def test_neg_reproduces_ghost_negation(data):
 @settings(max_examples=80, deadline=None)
 def test_frob_shifts_ghost_components(data):
     p, i, xs, _ = data
-    frobs = [_eval(structure_poly(p, j, "frob"), xs[: j + 2]) for j in range(i)]
+    frobs = [_eval(p, structure_poly(p, j, "frob"), xs[: j + 2]) for j in range(i)]
     wx = oracles.naive_ghost(p, xs)
     assert oracles.naive_ghost(p, frobs) == wx[1 : i + 1]
 
@@ -75,8 +76,8 @@ def test_frob_carry_decomposition(data):
     # frob_i(x) = x_i^p + p*x_{i+1} + p*f_i(x_0..x_i) with integral f_i
     p, i, xs, _ = data
     for j in range(i):
-        whole = _eval(structure_poly(p, j, "frob"), xs[: j + 2])
-        carry = _eval(structure_poly(p, j, "frob_f"), xs[: j + 1])
+        whole = _eval(p, structure_poly(p, j, "frob"), xs[: j + 2])
+        carry = _eval(p, structure_poly(p, j, "frob_f"), xs[: j + 1])
         assert whole == xs[j] ** p + p * xs[j + 1] + p * carry
 
 
@@ -102,14 +103,22 @@ def test_ghost_poly_matches_direct_power_sum():
         for m in range(3):
             poly = ghost_poly(p, m, m + 1)
             xs = [3, -2, 5][: m + 1]
-            assert _eval(poly, xs) == oracles.naive_ghost(p, xs)[m]
+            assert _eval(p, poly, xs) == oracles.naive_ghost(p, xs)[m]
 
 
-def test_compiled_agrees_with_ring_evaluate():
-    ring = Rationals(2)
-    poly = structure_poly(2, 2, "sum")
-    values = [Fraction(1, 2), 3, Fraction(-2, 3), 1, 0, Fraction(5, 4)]
-    assert poly.compiled()(values) == poly.evaluate(ring, values)
+def test_evaluate_over_the_rationals_is_pinned():
+    # sum[p=2,i=1] = x2 + y2 - x1*y1 at (x1, x2, y1, y2) = (1/2, 3, -2/3, 1)
+    poly = structure_poly(2, 1, "sum")
+    values = [Fraction(1, 2), 3, Fraction(-2, 3), 1]
+    assert poly.evaluate(Rationals(2), values) == Fraction(13, 3)
+
+
+def test_evaluate_rejects_bad_coefficients_and_arities():
+    half = UPoly(1, {(1,): Fraction(1, 2)})
+    with pytest.raises(IntegralityViolation):
+        half.evaluate(Rationals(2), [Fraction(4)])
+    with pytest.raises(MalformedConfig):
+        structure_poly(2, 1, "sum").evaluate(Rationals(2), [1, 2, 3])
 
 
 def test_upoly_algebra():

@@ -1,6 +1,7 @@
 """Witt vector arithmetic: ghost transport, operators, norms, serialization."""
 
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from wittlab.cyclotomic import GaussianField, cyclotomic_field
 from wittlab.errors import (
+    CapabilityMissing,
     IntegralityViolation,
     LengthMismatch,
     MalformedConfig,
@@ -16,6 +18,8 @@ from wittlab.errors import (
 from wittlab.norms import NormValue
 from wittlab.perfpoly import PerfPolyRing
 from wittlab.rings import Integers, Rationals, ZModPM
+from wittlab.tilt import TiltRing, tilt_from_top
+from wittlab.univ import structure_cap
 from wittlab.witt import (
     WittVec,
     format_witt,
@@ -253,3 +257,64 @@ def test_gaussian_vectors_restrict_consistently():
     x = WittVec(field, (field.from_pair(1, 2), field.from_pair(0, 1), field.one()))
     assert restrict(x, 1).components == x.components[:2]
     assert witt_eq(witt_add(restrict(x, 1), witt_zero(field, 2)), restrict(x, 1))
+
+
+# -- characteristic p: cached structure polynomials ---------------------------
+
+
+def test_char_two_teichmuller_doubling_carries_a_square():
+    # sum[p=2,i=1] = x2 + y2 - x1*y1, so [x] + [x] = (0, -x^2) = (0, x^2)
+    ring = PerfPolyRing(2, 1, 3)
+    x = ring.monomial([1])
+    total = witt_add(teichmuller(ring, x, 2), teichmuller(ring, x, 2))
+    assert witt_eq(total, WittVec(ring, (ring.zero(), ring.monomial([2]))))
+
+
+def _char_p_draw(rng, ring):
+    if isinstance(ring, TiltRing):
+        return tilt_from_top(ring.base, ring.base.from_int(rng.randrange(8)), ring.depth)
+    acc = ring.zero()
+    for _ in range(rng.randint(1, 2)):
+        exponent = Fraction(rng.randrange(2 * ring.unit), ring.unit)
+        acc = ring.add(acc, ring.monomial([exponent], rng.randrange(1, ring.p)))
+    return acc
+
+
+_CHAR_P_CASES = (
+    [(PerfPolyRing(2, 1, 3), n) for n in range(1, 5)]
+    + [(PerfPolyRing(3, 1, 2), n) for n in range(1, 4)]
+    + [(TiltRing(ZModPM(2, 3), 3), n) for n in (1, 2)]
+)
+
+
+@pytest.mark.parametrize(
+    "ring, length", _CHAR_P_CASES, ids=[f"{r.kind}-p{r.p}-len{n}" for r, n in _CHAR_P_CASES]
+)
+def test_char_p_negation_and_distributivity(ring, length):
+    rng = random.Random(f"{ring.kind}|{ring.p}|{length}")
+    for _ in range(3):
+        x, y, z = (
+            WittVec(ring, tuple(_char_p_draw(rng, ring) for _ in range(length)))
+            for _ in range(3)
+        )
+        assert witt_eq(witt_add(x, witt_neg(x)), witt_zero(ring, length))
+        assert witt_eq(
+            witt_mul(x, witt_add(y, z)), witt_add(witt_mul(x, y), witt_mul(x, z))
+        )
+
+
+@pytest.mark.parametrize(
+    "ring", [PerfPolyRing(2, 1, 3), PerfPolyRing(3, 1, 2), TiltRing(ZModPM(2, 3), 3)],
+    ids=["PerfPoly-p2", "PerfPoly-p3", "tilt-p2"],
+)
+def test_char_p_ops_refuse_one_length_past_the_cap(ring):
+    x = witt_one(ring, structure_cap(ring.p) + 2)
+    with pytest.raises(CapabilityMissing):
+        witt_add(x, x)
+    with pytest.raises(CapabilityMissing):
+        witt_mul(x, x)
+    if ring.p == 2:
+        with pytest.raises(CapabilityMissing):
+            witt_neg(x)
+    else:
+        assert witt_eq(witt_neg(x), WittVec(ring, tuple(ring.neg(c) for c in x.components)))

@@ -30,7 +30,7 @@ from .cyclotomic import GaussianField
 from .errors import CapabilityMissing, MalformedConfig, NoRoot, WittError
 from .kernelnorm import verify_kernel_norm
 from .perfect import solve_frobenius, witt_perfect_test
-from .rings import Integers, Ring, ZModPM
+from .rings import Ring, ZModPM
 from .suites import SUITE_NAMES, run_suite
 from .tilt import (
     TiltRing,
@@ -388,12 +388,16 @@ def _cmd_kernel(args) -> int:
     else:
         import random
 
+        # the sampled t may carry negative powers of p; a file may hold t over any ring
+        if not ring.q_algebra:
+            raise MalformedConfig(
+                f"kernel verify with a sample count needs a Q-algebra (it divides by p), "
+                f"got {ring.kind}; use --ring Q, Qi or Qzeta:k, or give --samples a file"
+            )
         rng = random.Random(args.seed)
         for i in range(count):
             k = rng.randint(-2, 2)
-            if isinstance(ring, Integers):
-                t = ring.from_int(rng.choice([u for u in range(1, 10) if u % ring.p]))
-            elif hasattr(ring, "uniformizer"):
+            if hasattr(ring, "uniformizer"):
                 t = ring.pow_(ring.uniformizer(), rng.randint(0, 2 * ring.e))
             else:
                 t = ring.from_int(rng.choice([u for u in range(1, 10) if u % ring.p]))

@@ -7,11 +7,29 @@ are pure functions of their configuration), and the JSON form of a report is
 byte-stable: cases are keyed and sorted on emission and the wall-clock field
 is nulled out there.  Failing cases always carry the exact rational-exponent
 values of both sides in their detail string.
+
+Every sampled or iterated case is tallied by one `_Law`: it counts the
+failures and keeps the witness of the first one, which a failing case appends
+to its detail as ``; first: <witness>``.  A witness names the sample index
+(or the iterated parameters), the ring as its config form, e.g.
+``Zmod(p=3, M=4)``, and the inputs, so that ``wittlab verify <suite> --seed
+<seed>`` reproduces it.  Single verdicts are plain `_case` calls.
+
+Random ring elements come from one draw per ring kind, `_draw_elt` (one
+``randrange(p**M)`` per digit over a truncated ring), and random units
+1 + p*(...) of a cyclotomic field from `_draw_unit`.
+
+A check that covers several primes keeps the grid entries at ``--p`` and
+refuses a prime it does not cover; a check that exists at p = 2 only runs when
+``--p`` is unset or 2, and is left out of the report otherwise.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
+import operator
 import random
 import time
 from dataclasses import dataclass, field
@@ -61,12 +79,13 @@ from .perfect import (
     witt_perfect_test,
 )
 from .perfpoly import PerfPolyRing
-from .rings import Integers, Rationals, Ring, ZModPM, check_prime
+from .rings import Integers, Rationals, Ring, TruncatedRing, ZModPM, check_prime
 from .tilt import (
     TiltElt,
     TiltRing,
     charp_limit_norm,
     enumerate_tilts,
+    format_tilt,
     growth_family,
     growth_profile_report,
     tilt_add,
@@ -82,6 +101,7 @@ from .tilt import (
 from .univ import UPoly, _pair_lift, _tail_lift, ghost_poly, structure_cap, structure_poly
 from .witt import (
     WittVec,
+    format_witt,
     frobenius,
     ghost,
     verschiebung,
@@ -182,6 +202,36 @@ def _case(name: str, passed: bool, detail: str = "", inconclusive: bool = False)
     return CaseResult(name=name, passed=bool(passed), detail=detail, inconclusive=inconclusive)
 
 
+class _Law:
+    """The tally of one sampled or iterated case: the number of failures and
+    the witness of the first one."""
+
+    def __init__(self, name: str):
+        self.name, self.bad, self.first = name, 0, ""
+
+    def check(self, ok: bool, witness: Callable[[], str]) -> None:
+        """Count a failure; ``witness()`` is called on the first one only."""
+        if not ok:
+            if not self.bad:
+                self.first = witness()
+            self.bad += 1
+
+    def case(self, detail: str, inconclusive: bool = False) -> CaseResult:
+        if self.bad:
+            detail += f"; first: {self.first}"
+        return _case(self.name, not self.bad, detail, inconclusive)
+
+
+def _show(**vecs: WittVec) -> str:
+    return ", ".join(f"{name}={format_witt(v)}" for name, v in vecs.items())
+
+
+def _trunc_label(ring: TruncatedRing) -> str:
+    """Z/p^M or Z[zeta_(p^k)]/p^M."""
+    base = "Z" if ring.scalar else f"Z[zeta_{ring.p ** ring.k}]"
+    return f"{base}/{ring.p}^{ring.M}"
+
+
 # ---------------------------------------------------------------------------
 # random element draws
 # ---------------------------------------------------------------------------
@@ -190,6 +240,8 @@ _DENOMS = (1, 1, 2, 3, 4)
 
 
 def _draw_elt(rng: random.Random, ring: Ring) -> Any:
+    if ring.truncated:
+        return ring.from_digits([rng.randrange(ring.p ** ring.M) for _ in range(ring.e)])
     if isinstance(ring, Integers):
         return ring.from_int(rng.randint(-9, 9))
     if isinstance(ring, Rationals):
@@ -206,11 +258,26 @@ def _draw_elt(rng: random.Random, ring: Ring) -> Any:
                 for _ in range(ring.e)
             ]
         )
+    if isinstance(ring, PerfPolyRing):
+        # zero, a monomial of degree < 7, or a two-term sum
+        roll = rng.random()
+        if roll < 0.15:
+            return ring.zero()
+        low = ring.monomial([rng.randint(0, 6) for _ in range(ring.nvars)])
+        if roll < 0.75:
+            return low
+        return ring.add(low, ring.monomial([rng.randint(7, 9) for _ in range(ring.nvars)]))
     raise MalformedConfig(f"no draw strategy for ring kind {ring.kind!r}")
 
 
 def _draw_vec(rng: random.Random, ring: Ring, length: int) -> WittVec:
     return WittVec(ring, tuple(_draw_elt(rng, ring) for _ in range(length)))
+
+
+def _draw_unit(rng: random.Random, fld: CyclotomicField) -> Any:
+    """A unit 1 + p*(c_0 + ... + c_(e-1) zeta^(e-1)) with digits c_i in [0, p)."""
+    coeffs = fld.from_coeffs([rng.randint(0, fld.p - 1) for _ in range(fld.e)])
+    return fld.add(fld.one(), fld.scalar_mul(fld.p, coeffs))
 
 
 def _filter_grid(grid: Sequence, p: Optional[int], key=lambda item: item) -> List:
@@ -245,66 +312,52 @@ def check_structure_polynomials(rng: random.Random, p: Optional[int] = None) -> 
     cases: List[CaseResult] = []
     for q in _filter_grid((2, 3, 5), p):
         cap = structure_cap(q)
-        ghost_ok: List[str] = []
-        homog_ok = True
-        carry_ok = True
+        ghosts = _Law(f"ghost_identities_p{q}")
+        carry = _Law(f"carry_decomposition_p{q}")
+        homog = _Law(f"weighted_homogeneity_p{q}")
         for m in range(cap + 1):
             nv = 2 * (m + 1)
             sums = [_pair_lift(structure_poly(q, i, "sum"), i, m) for i in range(m + 1)]
             prods = [_pair_lift(structure_poly(q, i, "prod"), i, m) for i in range(m + 1)]
             wx = ghost_poly(q, m, nv, offset=0)
             wy = ghost_poly(q, m, nv, offset=m + 1)
-            if _ghost_compose(sums, q) != wx.add(wy):
-                ghost_ok.append(f"sum index {m}")
-            if _ghost_compose(prods, q) != wx.mul(wy):
-                ghost_ok.append(f"prod index {m}")
+            ghosts.check(_ghost_compose(sums, q) == wx.add(wy), lambda: f"sum index {m}")
+            ghosts.check(_ghost_compose(prods, q) == wx.mul(wy), lambda: f"prod index {m}")
             frobs = [_tail_lift(structure_poly(q, i, "frob"), m + 2) for i in range(m + 1)]
-            if _ghost_compose(frobs, q) != ghost_poly(q, m + 1, m + 2):
-                ghost_ok.append(f"frob index {m}")
+            ghosts.check(
+                _ghost_compose(frobs, q) == ghost_poly(q, m + 1, m + 2),
+                lambda: f"frob index {m}",
+            )
             # frob_m = x_m^p + p*x_{m+1} + p*f_m with f_m the carry part
             recomposed = (
                 UPoly.variable(m + 2, m, q)
                 .add(UPoly.variable(m + 2, m + 1).scale(q))
                 .add(_tail_lift(structure_poly(q, m, "frob_f"), m + 2).scale(q))
             )
-            if recomposed != structure_poly(q, m, "frob"):
-                carry_ok = False
+            carry.check(recomposed == structure_poly(q, m, "frob"), lambda: f"index {m}")
             pair_w = [q ** j for j in range(m + 1)] * 2
             single_w = [q ** j for j in range(m + 2)]
-            homog_ok = (
-                homog_ok
-                and set(sums[m].weighted_degrees(pair_w)) <= {q ** m}
+            homog.check(
+                set(sums[m].weighted_degrees(pair_w)) <= {q ** m}
                 and set(prods[m].weighted_degrees(pair_w)) <= {2 * q ** m}
                 and set(structure_poly(q, m, "frob").weighted_degrees(single_w)) <= {q ** (m + 1)}
                 and set(
                     structure_poly(q, m, "frob_f").weighted_degrees(single_w[: m + 1])
                 )
-                <= {q ** (m + 1)}
+                <= {q ** (m + 1)},
+                lambda: f"index {m}",
             )
-        cases.append(
-            _case(
-                f"ghost_identities_p{q}",
-                not ghost_ok,
+        cases += [
+            ghosts.case(
                 f"indices 0..{cap}: w(sum)=w(x)+w(y), w(prod)=w(x)w(y), "
                 f"w(frob)=shifted ghost, all as exact polynomial identities"
-                + (f"; FAILED at {ghost_ok}" if ghost_ok else ""),
-            )
-        )
-        cases.append(
-            _case(
-                f"carry_decomposition_p{q}",
-                carry_ok,
-                f"frob_i = x_i^{q} + {q}*x_(i+1) + {q}*f_i for i <= {cap}",
-            )
-        )
-        cases.append(
-            _case(
-                f"weighted_homogeneity_p{q}",
-                homog_ok,
+            ),
+            carry.case(f"frob_i = x_i^{q} + {q}*x_(i+1) + {q}*f_i for i <= {cap}"),
+            homog.case(
                 f"deg s_i = {q}^i, deg m_i = 2*{q}^i, deg frob_i = deg f_i = {q}^(i+1) "
-                f"under weights {q}^j, i <= {cap}",
-            )
-        )
+                f"under weights {q}^j, i <= {cap}"
+            ),
+        ]
     return cases
 
 
@@ -329,6 +382,49 @@ def _law_rings(p: Optional[int]) -> List[Ring]:
     ]
 
 
+def _ghost_matches(z: WittVec, expected) -> bool:
+    return all(z.ring.eq(a, b) for a, b in zip(ghost(z).entries, expected.entries))
+
+
+# name -> (number of vectors drawn, the identity they must satisfy)
+_RING_LAWS: Dict[str, Tuple[int, Callable[..., bool]]] = {
+    "ghost_additive": (
+        2,
+        lambda x, y: _ghost_matches(witt_add(x, y), ghost(x).add(ghost(y))),
+    ),
+    "ghost_multiplicative": (
+        2,
+        lambda x, y: _ghost_matches(witt_mul(x, y), ghost(x).mul(ghost(y))),
+    ),
+    "ghost_negation": (1, lambda x: _ghost_matches(witt_neg(x), ghost(x).neg())),
+    "add_commutative": (2, lambda x, y: witt_eq(witt_add(x, y), witt_add(y, x))),
+    "add_associative": (
+        3,
+        lambda x, y, z: witt_eq(witt_add(witt_add(x, y), z), witt_add(x, witt_add(y, z))),
+    ),
+    "mul_commutative": (2, lambda x, y: witt_eq(witt_mul(x, y), witt_mul(y, x))),
+    "mul_associative": (
+        3,
+        lambda x, y, z: witt_eq(witt_mul(witt_mul(x, y), z), witt_mul(x, witt_mul(y, z))),
+    ),
+    "distributive": (
+        3,
+        lambda x, y, z: witt_eq(
+            witt_mul(x, witt_add(y, z)), witt_add(witt_mul(x, y), witt_mul(x, z))
+        ),
+    ),
+    "additive_inverse": (
+        1,
+        lambda x: witt_eq(witt_add(x, witt_neg(x)), witt_zero(x.ring, x.length)),
+    ),
+    "identities": (
+        1,
+        lambda x: witt_eq(witt_add(x, witt_zero(x.ring, x.length)), x)
+        and witt_eq(witt_mul(x, witt_one(x.ring, x.length)), x),
+    ),
+}
+
+
 def check_witt_ring_laws(
     rng: random.Random, p: Optional[int] = None, per_law: int = 500
 ) -> List[CaseResult]:
@@ -337,103 +433,26 @@ def check_witt_ring_laws(
     right notion of truth on all of them."""
     rings = _law_rings(p)
     names = ", ".join(r.kind for r in rings)
-
-    def vec(ring: Ring, length: int) -> WittVec:
-        return _draw_vec(rng, ring, length)
-
-    def ghost_matches(z: WittVec, expected) -> bool:
-        got = ghost(z)
-        return all(z.ring.eq(a, b) for a, b in zip(got.entries, expected.entries))
-
-    laws: Dict[str, Callable[[Ring], bool]] = {}
-
-    def law(name: str):
-        def bind(fn):
-            laws[name] = fn
-            return fn
-
-        return bind
-
-    @law("ghost_additive")
-    def _(r: Ring) -> bool:
-        L = rng.randint(1, 3)
-        x, y = vec(r, L), vec(r, L)
-        return ghost_matches(witt_add(x, y), ghost(x).add(ghost(y)))
-
-    @law("ghost_multiplicative")
-    def _(r: Ring) -> bool:
-        L = rng.randint(1, 3)
-        x, y = vec(r, L), vec(r, L)
-        return ghost_matches(witt_mul(x, y), ghost(x).mul(ghost(y)))
-
-    @law("ghost_negation")
-    def _(r: Ring) -> bool:
-        x = vec(r, rng.randint(1, 3))
-        return ghost_matches(witt_neg(x), ghost(x).neg())
-
-    @law("add_commutative")
-    def _(r: Ring) -> bool:
-        L = rng.randint(1, 3)
-        x, y = vec(r, L), vec(r, L)
-        return witt_eq(witt_add(x, y), witt_add(y, x))
-
-    @law("add_associative")
-    def _(r: Ring) -> bool:
-        L = rng.randint(1, 3)
-        x, y, z = vec(r, L), vec(r, L), vec(r, L)
-        return witt_eq(witt_add(witt_add(x, y), z), witt_add(x, witt_add(y, z)))
-
-    @law("mul_commutative")
-    def _(r: Ring) -> bool:
-        L = rng.randint(1, 3)
-        x, y = vec(r, L), vec(r, L)
-        return witt_eq(witt_mul(x, y), witt_mul(y, x))
-
-    @law("mul_associative")
-    def _(r: Ring) -> bool:
-        L = rng.randint(1, 3)
-        x, y, z = vec(r, L), vec(r, L), vec(r, L)
-        return witt_eq(witt_mul(witt_mul(x, y), z), witt_mul(x, witt_mul(y, z)))
-
-    @law("distributive")
-    def _(r: Ring) -> bool:
-        L = rng.randint(1, 3)
-        x, y, z = vec(r, L), vec(r, L), vec(r, L)
-        return witt_eq(
-            witt_mul(x, witt_add(y, z)), witt_add(witt_mul(x, y), witt_mul(x, z))
-        )
-
-    @law("additive_inverse")
-    def _(r: Ring) -> bool:
-        x = vec(r, rng.randint(1, 3))
-        return witt_eq(witt_add(x, witt_neg(x)), witt_zero(r, x.length))
-
-    @law("identities")
-    def _(r: Ring) -> bool:
-        x = vec(r, rng.randint(1, 3))
-        return witt_eq(witt_add(x, witt_zero(r, x.length)), x) and witt_eq(
-            witt_mul(x, witt_one(r, x.length)), x
-        )
-
     cases = []
-    for name, fn in laws.items():
-        bad = 0
+    for name, (arity, identity) in _RING_LAWS.items():
+        law = _Law(f"law_{name}")
         for i in range(per_law):
-            if not fn(rings[i % len(rings)]):
-                bad += 1
-        cases.append(
-            _case(
-                f"law_{name}",
-                bad == 0,
-                f"{per_law} randomized cases over {names}; {bad} failures",
+            ring = rings[i % len(rings)]
+            L = rng.randint(1, 3)
+            vecs = dict(zip("xyz", (_draw_vec(rng, ring, L) for _ in range(arity))))
+            law.check(
+                identity(*vecs.values()), lambda: f"sample {i} over {ring!r}: {_show(**vecs)}"
             )
-        )
+        cases.append(law.case(f"{per_law} randomized cases over {names}; {law.bad} failures"))
     return cases
 
 
 # ---------------------------------------------------------------------------
 # norm laws (suite: norms)
 # ---------------------------------------------------------------------------
+
+
+_RELATIONS = {"<=": operator.le, "==": operator.eq, ">=": operator.ge}
 
 
 def check_norm_laws(
@@ -446,57 +465,40 @@ def check_norm_laws(
         p,
         key=lambda r: r.p,
     )
-    counts = {
-        "ultrametric": 0,
-        "submultiplicative": 0,
-        "frobenius_contraction": 0,
-        "verschiebung_exact": 0,
-        "power_lower_bound": 0,
-    }
-    witness = {k: "" for k in counts}
+    laws = [
+        _Law("norm_ultrametric"),
+        _Law("norm_submultiplicative"),
+        _Law("norm_frobenius_contraction"),
+        _Law("norm_verschiebung_exact"),
+        _Law("norm_power_lower_bound"),
+    ]
+    ultra, submult, frob, versch, power = laws
     for ring in instances:
         q = ring.p
-        for _ in range(samples):
+        for s in range(samples):
             L = rng.randint(2, 3)
             x, y = _draw_vec(rng, ring, L), _draw_vec(rng, ring, L)
             nx, ny = witt_norm(x), witt_norm(y)
-            if not witt_norm(witt_add(x, y)) <= norm_max([nx, ny]):
-                counts["ultrametric"] += 1
-                witness["ultrametric"] = (
-                    f"|x+y|={witt_norm(witt_add(x, y)).text()} > max({nx.text()},{ny.text()})"
-                )
-            if not witt_norm(witt_mul(x, y)) <= nx.mul(ny):
-                counts["submultiplicative"] += 1
-                witness["submultiplicative"] = (
-                    f"|xy|={witt_norm(witt_mul(x, y)).text()} > {nx.mul(ny).text()}"
-                )
-            if not witt_norm(frobenius(x)) <= nx.pow(q):
-                counts["frobenius_contraction"] += 1
-                witness["frobenius_contraction"] = (
-                    f"|F(x)|={witt_norm(frobenius(x)).text()} > {nx.pow(q).text()}"
-                )
-            if not witt_norm(verschiebung(x)) == nx.pow(Fraction(1, q)):
-                counts["verschiebung_exact"] += 1
-                witness["verschiebung_exact"] = (
-                    f"|V(x)|={witt_norm(verschiebung(x)).text()} "
-                    f"!= {nx.pow(Fraction(1, q)).text()}"
-                )
+            bounds = [  # (law, what is measured, its norm, relation, bound)
+                (ultra, "|x+y|", witt_norm(witt_add(x, y)), "<=", norm_max([nx, ny])),
+                (submult, "|xy|", witt_norm(witt_mul(x, y)), "<=", nx.mul(ny)),
+                (frob, "|F(x)|", witt_norm(frobenius(x)), "<=", nx.pow(q)),
+                (versch, "|V(x)|", witt_norm(verschiebung(x)), "==", nx.pow(Fraction(1, q))),
+            ]
             if ring.power_multiplicative_norm:
                 padded = WittVec(ring, x.components + tuple(ring.zero() for _ in range(x.top_index)))
-                if not witt_norm(witt_mul(padded, padded)) >= nx.pow(2):
-                    counts["power_lower_bound"] += 1
-                    witness["power_lower_bound"] = (
-                        f"|x^2|={witt_norm(witt_mul(padded, padded)).text()} < {nx.pow(2).text()}"
-                    )
+                square = witt_norm(witt_mul(padded, padded))
+                bounds.append((power, "|x^2|", square, ">=", nx.pow(2)))
+            for law, label, got, rel, bound in bounds:
+                law.check(
+                    _RELATIONS[rel](got, bound),
+                    lambda: f"sample {s} over {ring!r}, {_show(x=x, y=y)}: "
+                    f"{label}={got.text()} is not {rel} {bound.text()}",
+                )
     names = ", ".join(f"{r.kind}(p={r.p})" for r in instances)
     return [
-        _case(
-            f"norm_{law}",
-            bad == 0,
-            f"{samples} samples per instance over {names}; {bad} failures"
-            + (f"; first: {witness[law]}" if bad else ""),
-        )
-        for law, bad in counts.items()
+        law.case(f"{samples} samples per instance over {names}; {law.bad} failures")
+        for law in laws
     ]
 
 
@@ -512,30 +514,26 @@ def check_mul_by_p_norm(rng: random.Random, p: Optional[int] = None) -> List[Cas
     cases = []
     for q in _filter_grid((2, 3), p):
         ring = Integers(q)
-        bad: List[str] = []
+        law = _Law(f"mul_by_p_norm_p{q}")
         for m in range(4):
             a = arrow_from_integer(ring, q ** m, m + 1)
             for b in bs:
                 r = arrow_norm(a, b)
                 expect = NormValue.from_exponent(min(b, Fraction(1)) * m)
-                if not (
+                law.check(
                     r.value == expect
                     and r.status == "exact"
                     and r.attained_at is not None
-                    and r.attained_at <= m + 1
-                ):
-                    bad.append(
-                        f"m={m},b={b}: got {r.value.text()} ({r.status}, at {r.attained_at}), "
-                        f"want {expect.text()}"
-                    )
+                    and r.attained_at <= m + 1,
+                    lambda: f"over {ring!r}, m={m}, b={b}: got {r.value.text()} "
+                    f"({r.status}, at {r.attained_at}), want {expect.text()}",
+                )
+        # the loop's m=1, b=1/2 case checks this value; the detail prints it
         golden = arrow_norm(arrow_from_integer(ring, q, 2), Fraction(1, 2))
         cases.append(
-            _case(
-                f"mul_by_p_norm_p{q}",
-                not bad and golden.value == NormValue.from_exponent(Fraction(1, 2)),
+            law.case(
                 f"m<=3, b in (1/4,1/2,1,2), all exact; "
                 f"|{q}|_(W,1/2) = {golden.value.text()} (expect p^-1/2)"
-                + ("; " + "; ".join(bad) if bad else ""),
             )
         )
     return cases
@@ -582,7 +580,9 @@ def check_depth_lifting(rng: random.Random, p: Optional[int] = None) -> List[Cas
     depth-1 families mod 2: the induced depth-1 data mod 4 depends only on
     the mod-2 reduction (uniqueness), every mod-2 family is hit (existence),
     and the precision-lifting construction reproduces the same values."""
-    del p  # the exhaustive instance is p=2 by design
+    del rng
+    if p not in (None, 2):
+        return []  # the exhaustive instance is p=2 by design
     r4, r2 = ZModPM(2, 2), ZModPM(2, 1)
     fibers: Dict[Tuple[int, ...], set] = {}
     hit: set = set()
@@ -592,25 +592,25 @@ def check_depth_lifting(rng: random.Random, p: Optional[int] = None) -> List[Cas
         cls = tuple(v % 2 for v in top)
         fibers.setdefault(cls, set()).add(induced)
         hit.add(tuple(v % 2 for v in induced))
-    unique_ok = all(len(vals) == 1 for vals in fibers.values())
     targets = set()
     for t1 in itertools.product(range(2), repeat=2):
         levels = _int_chain_p2(t1, 2)
         targets.add((levels[0][0], levels[1][0], levels[1][1]))
-    exist_ok = targets == hit
 
-    # the library's precision lift must reproduce the washed values
-    lift_ok = True
-    cross_ok = True
+    # the library's precision lift must reproduce the washed values, and the
+    # generic Witt Frobenius must agree with the integer one on each class rep
+    unique = _Law("lift_washing_unique")
+    lift = _Law("lift_precision_construction")
+    cross = _Law("lift_machinery_crosscheck")
     for cls, vals in fibers.items():
+        unique.check(len(vals) == 1, lambda: f"class {cls} induces {sorted(vals)}")
         a2 = _machine_chain(r2, cls)
-        if _induced(lift_arrow_precision(a2, 1, check=True)) != next(iter(vals)):
-            lift_ok = False
-        # tie the fast integer path to the Witt machinery on the class rep
-        if _induced(_machine_chain(r4, cls)) not in fibers[cls]:
-            cross_ok = False
+        lifted = _induced(lift_arrow_precision(a2, 1, check=True))
+        lift.check(lifted == next(iter(vals)), lambda: f"class {cls}: lifted {lifted}")
+        machine = _induced(_machine_chain(r4, cls))
+        cross.check(machine in vals, lambda: f"class {cls}: generic {machine}")
 
-    int_ok = True
+    consistent = _Law("lift_integer_consistency")
     for k in range(-8, 9):
         a4 = arrow_from_integer(r4, k, 4)
         a2 = arrow_from_integer(r2, k, 4)
@@ -621,38 +621,32 @@ def check_depth_lifting(rng: random.Random, p: Optional[int] = None) -> List[Cas
             tail_bound=NormValue.one(),
             validate=False,
         )
-        if not arrow_eq(reduced, a2):
-            int_ok = False
-        if not arrow_eq(lift_arrow_precision(a2, 1, check=True), arrow_from_integer(r4, k, 1)):
-            int_ok = False
+        consistent.check(arrow_eq(reduced, a2), lambda: f"k={k}: reduction mod 2")
+        consistent.check(
+            arrow_eq(lift_arrow_precision(a2, 1, check=True), arrow_from_integer(r4, k, 1)),
+            lambda: f"k={k}: precision lift",
+        )
 
     return [
-        _case(
-            "lift_washing_unique",
-            unique_ok,
+        unique.case(
             "1024 depth-4 families mod 4 in 32 mod-2 classes; every class induces "
-            "exactly one depth-1 family mod 4",
+            "exactly one depth-1 family mod 4"
         ),
         _case(
             "lift_existence",
-            exist_ok,
+            targets == hit,
             f"all {len(targets)} coherent depth-1 families mod 2 are hit by reduction",
         ),
-        _case(
-            "lift_precision_construction",
-            lift_ok,
-            "lift_arrow_precision on all 32 mod-2 classes reproduces the washed depth-1 values",
+        lift.case(
+            "lift_arrow_precision on all 32 mod-2 classes reproduces the washed depth-1 values"
         ),
-        _case(
-            "lift_machinery_crosscheck",
-            cross_ok,
-            "compiled integer Frobenius and the generic Witt Frobenius agree on all class reps",
+        cross.case(
+            "the integer structure-polynomial Frobenius (UPoly.evaluate over Z) and the "
+            "generic Witt Frobenius agree on all class reps"
         ),
-        _case(
-            "lift_integer_consistency",
-            int_ok,
+        consistent.case(
             "from_integer(k) for k in [-8,8]: reduction mod 2 and the precision lift "
-            "agree with the directly built families",
+            "agree with the directly built families"
         ),
     ]
 
@@ -671,76 +665,86 @@ def check_theta_map(
     M = 6
     for q in _filter_grid((2, 3), p):
         ring = ZModPM(q, M)
+        draw = functools.partial(_draw_elt, rng, ring)
+        fmt = ring.format_elt
 
-        def draw():
-            return ring.from_int(rng.randrange(q ** M))
-
-        agree = stability = 0
-        for _ in range(samples):
+        agree = _Law(f"theta_projection_equals_series_p{q}")
+        stability = _Law(f"theta_lift_stability_p{q}")
+        for s in range(samples):
             N = rng.randint(1, 3)
             a = sample_coherent(ring, N, draw)
+            at = lambda: f"sample {s} over {ring!r}, N={N}, top {format_witt(a.levels[-1])}: "
             tv = theta(a)
             sv, _terms = theta_series(a)
-            if not ring.eq(tv, sv):
-                agree += 1
+            agree.check(ring.eq(tv, sv), lambda: at() + f"theta {fmt(tv)} != series {fmt(sv)}")
             pert = [
                 ring.from_int(q ** (M - N) * rng.randrange(q ** N)) for _ in range(N + 1)
             ]
             sv2, _terms = theta_series(a, lift_perturbation=lambda i: pert[i])
-            if not ring.seminorm(ring.sub(sv2, tv)) <= NormValue.from_exponent(M - N):
-                stability += 1
-        hom = 0
-        for _ in range(pairs):
+            moved = ring.seminorm(ring.sub(sv2, tv))
+            stability.check(
+                moved <= NormValue.from_exponent(M - N),
+                lambda: at() + f"perturbed by {[fmt(c) for c in pert]}, moved by {moved.text()}",
+            )
+        hom = _Law(f"theta_ring_hom_p{q}")
+        for s in range(pairs):
             N = rng.randint(1, 3)
             a = sample_coherent(ring, N, draw)
             b = sample_coherent(ring, N, draw)
-            if not ring.eq(theta(arrow_add(a, b)), ring.add(theta(a), theta(b))):
-                hom += 1
-            if not ring.eq(theta(arrow_mul(a, b)), ring.mul(theta(a), theta(b))):
-                hom += 1
-        golden = all(
-            ring.eq(theta(arrow_from_integer(ring, k, 2)), ring.from_int(k))
-            for k in range(-3, 4)
-        ) and ring.eq(
-            theta(arrow_teichmuller(ring, [ring.one()] * 3)), ring.one()
+            at = lambda: (
+                f"pair {s} over {ring!r}, N={N}, tops {format_witt(a.levels[-1])}, "
+                f"{format_witt(b.levels[-1])}: "
+            )
+            hom.check(
+                ring.eq(theta(arrow_add(a, b)), ring.add(theta(a), theta(b))),
+                lambda: at() + "theta(a+b) != theta(a)+theta(b)",
+            )
+            hom.check(
+                ring.eq(theta(arrow_mul(a, b)), ring.mul(theta(a), theta(b))),
+                lambda: at() + "theta(ab) != theta(a)theta(b)",
+            )
+        golden = _Law(f"theta_integer_golden_p{q}")
+        for k in range(-3, 4):
+            golden.check(
+                ring.eq(theta(arrow_from_integer(ring, k, 2)), ring.from_int(k)),
+                lambda: f"over {ring!r}: theta(from_integer({k})) != {k}",
+            )
+        golden.check(
+            ring.eq(theta(arrow_teichmuller(ring, [ring.one()] * 3)), ring.one()),
+            lambda: f"over {ring!r}: theta([1]) != 1",
         )
-        cases.append(
-            _case(
-                f"theta_projection_equals_series_p{q}",
-                agree == 0,
+        cases += [
+            agree.case(
                 f"{samples} coherent samples over Z/{q}^{M}, N<=3; projection == "
-                f"telescoped partial series exactly; {agree} failures",
-            )
-        )
-        cases.append(
-            _case(
-                f"theta_lift_stability_p{q}",
-                stability == 0,
+                f"telescoped partial series exactly; {agree.bad} failures"
+            ),
+            stability.case(
                 f"perturbing level-N lifts by multiples of {q}^(M-N) moves the series "
-                f"by at most {q}^-(M-N); {stability} failures",
-            )
-        )
-        cases.append(
-            _case(
-                f"theta_ring_hom_p{q}",
-                hom == 0,
+                f"by at most {q}^-(M-N); {stability.bad} failures"
+            ),
+            hom.case(
                 f"{pairs} sampled pairs: theta(a+b)=theta(a)+theta(b), "
-                f"theta(ab)=theta(a)theta(b), exactly; {hom} failures",
-            )
-        )
-        cases.append(
-            _case(
-                f"theta_integer_golden_p{q}",
-                golden,
-                "theta(from_integer(k)) = k for |k|<=3 and theta([1]) = 1",
-            )
-        )
+                f"theta(ab)=theta(a)theta(b), exactly; {hom.bad} failures"
+            ),
+            golden.case("theta(from_integer(k)) = k for |k|<=3 and theta([1]) = 1"),
+        ]
     return cases
 
 
 # ---------------------------------------------------------------------------
 # integer rigidity (suite: arrow)
 # ---------------------------------------------------------------------------
+
+
+def _ghost_p2(x: Sequence[int]) -> List[int]:
+    """The ghost coordinates w_0..w_3 of an integer vector of length 4 at p=2."""
+    x0, x1, x2, x3 = x
+    return [
+        x0,
+        x0 ** 2 + 2 * x1,
+        x0 ** 4 + 2 * x1 ** 2 + 4 * x2,
+        x0 ** 8 + 2 * x1 ** 4 + 4 * x2 ** 2 + 8 * x3,
+    ]
 
 
 def check_integer_rigidity(
@@ -757,79 +761,60 @@ def check_integer_rigidity(
     w_m = w_(m-1) mod 2^m over all tops is exactly the family statement;
     the sampled cross-check below re-derives it through the arrow machinery.
     """
-    del p
+    if p not in (None, 2):
+        return []  # the ghost polynomials below are written out at p=2
     N = 3
-    rng_local = rng
-    span = range(-bound, bound + 1)
-    bad = 0
-    for x0 in span:
-        for x1 in span:
-            w1 = x0 * x0 + 2 * x1
-            if (w1 - x0) % 2:
-                bad += 1
-                continue
-            for x2 in span:
-                w2 = x0 ** 4 + 2 * x1 * x1 + 4 * x2
-                if (w2 - w1) % 4:
-                    bad += 1
-                    continue
-                for x3 in span:
-                    w3 = x0 ** 8 + 2 * x1 ** 4 + 4 * x2 * x2 + 8 * x3
-                    if (w3 - w2) % 8:
-                        bad += 1
+    exhaustive = _Law("rigidity_exhaustive")
+    for top in itertools.product(range(-bound, bound + 1), repeat=N + 1):
+        w = _ghost_p2(top)
+        for m in range(1, N + 1):
+            exhaustive.check((w[m] - w[m - 1]) % 2 ** m == 0, lambda: f"top {top}: m={m}")
     total = (2 * bound + 1) ** 4
 
     ring = Integers(2)
-    cross_bad = 0
-    for _ in range(cross):
-        top = tuple(rng_local.randint(-bound, bound) for _ in range(N + 1))
+    machinery = _Law("rigidity_machinery_crosscheck")
+    for s in range(cross):
+        top = tuple(rng.randint(-bound, bound) for _ in range(N + 1))
         a = _machine_chain(ring, top)
         profile = rigidity_profile(a)
-        w = [
-            top[0],
-            top[0] ** 2 + 2 * top[1],
-            top[0] ** 4 + 2 * top[1] ** 2 + 4 * top[2],
-            top[0] ** 8 + 2 * top[1] ** 4 + 4 * top[2] ** 2 + 8 * top[3],
-        ]
+        w = _ghost_p2(top)
         heads = [a.levels[i].components[0] for i in range(N + 1)]
-        if not all(profile) or any(heads[i] != w[N - i] for i in range(N + 1)):
-            cross_bad += 1
+        machinery.check(
+            all(profile) and all(heads[i] == w[N - i] for i in range(N + 1)),
+            lambda: f"sample {s} over {ring!r}: top {top}, profile {profile}, heads {heads}",
+        )
 
-    fail_to_fail = 0
-    for _ in range(perturbations):
-        top = tuple(rng_local.randint(-bound, bound) for _ in range(N + 1))
+    slipped = _Law("rigidity_perturbations_fail")
+    for s in range(perturbations):
+        top = tuple(rng.randint(-bound, bound) for _ in range(N + 1))
         a = _machine_chain(ring, top)
-        lvl = rng_local.randint(0, N - 1)
-        pos = rng_local.randint(0, lvl)
-        delta = rng_local.choice([-2, -1, 1, 2, 3])
+        lvl = rng.randint(0, N - 1)
+        pos = rng.randint(0, lvl)
+        delta = rng.choice([-2, -1, 1, 2, 3])
         mutated = list(a.levels)
         comps = list(mutated[lvl].components)
         comps[pos] += delta
         mutated[lvl] = WittVec(ring, tuple(comps))
         try:
             make_arrow(ring, mutated, validate=True)
-            fail_to_fail += 1
         except IntegralityViolation:
-            pass
+            continue
+        slipped.check(
+            False, lambda: f"sample {s} over {ring!r}: top {top}, z_{lvl}[{pos}] += {delta}"
+        )
 
     return [
-        _case(
-            "rigidity_exhaustive",
-            bad == 0,
+        exhaustive.case(
             f"all {total} integer tops with components in [-{bound},{bound}]: "
-            f"w_m = w_(m-1) mod 2^m for m=1..3; {bad} failures",
+            f"w_m = w_(m-1) mod 2^m for m=1..3; {exhaustive.bad} failures"
         ),
-        _case(
-            "rigidity_machinery_crosscheck",
-            cross_bad == 0,
+        machinery.case(
             f"{cross} random tops: arrow rigidity profile true and chain heads equal "
-            f"the ghost coordinates; {cross_bad} failures",
+            f"the ghost coordinates; {machinery.bad} failures"
         ),
-        _case(
-            "rigidity_perturbations_fail",
-            fail_to_fail == 0,
+        slipped.case(
             f"{perturbations} random single-component perturbations of non-top levels "
-            f"all violate coherence; {fail_to_fail} slipped through",
+            f"all violate coherence; {slipped.bad} slipped through"
         ),
     ]
 
@@ -846,12 +831,7 @@ def _unit_times_power(rng: random.Random, ring: Ring, val_steps: int) -> Any:
         units = [u for u in (1, -1, 3, 5, 7, -5, 11) if u % ring.p]
         t = Fraction(rng.choice(units), rng.choice([u for u in (1, 3, 5, 7) if u % ring.p]))
         return t * Fraction(ring.p) ** val_steps
-    unit = ring.add(
-        ring.one(),
-        ring.scalar_mul(
-            ring.p, ring.from_coeffs([rng.randint(0, ring.p - 1) for _ in range(ring.e)])
-        ),
-    )
+    unit = _draw_unit(rng, ring)
     t_pow = ring.pow_(ring.uniformizer(), abs(val_steps))
     if val_steps >= 0:
         return ring.mul(unit, t_pow)
@@ -862,28 +842,22 @@ def check_kernel_norm(
     rng: random.Random, p: Optional[int] = None, samples: int = 50
 ) -> List[CaseResult]:
     """|w_1(x)| = p^(-1/p-...-1/p^j) |x|_W for the Frobenius-kernel family."""
-    cases = []
-    closed_ok = True
+    closed = _Law("kernel_closed_form")
     for q in (2, 3):
         for j in (1, 2):
-            if not symbolic_kernel_identity(q, j)["identity_holds"]:
-                closed_ok = False
-    cases.append(
-        _case(
-            "kernel_closed_form",
-            closed_ok,
-            "generic-valuation identity holds with unique leading terms, p in {2,3}, j <= 2",
-        )
-    )
+            closed.check(symbolic_kernel_identity(q, j)["identity_holds"], lambda: f"p={q}, j={j}")
     golden = kernel_element_from_w1(Rationals(2), Fraction(4), 2)
-    cases.append(
+    cases = [
+        closed.case(
+            "generic-valuation identity holds with unique leading terms, p in {2,3}, j <= 2"
+        ),
         _case(
             "kernel_golden_components",
             tuple(golden.components) == (Fraction(4), Fraction(-8), Fraction(-96)),
             f"unghost of (4,0,0) at p=2: {tuple(str(c) for c in golden.components)} "
             "(expect (4, -8, -96))",
-        )
-    )
+        ),
+    ]
     grid: List[Tuple[int, Ring, str]] = [
         (2, Rationals(2), "Q"),
         (2, cyclotomic_field(2, 3), "Q(zeta8)"),
@@ -892,26 +866,21 @@ def check_kernel_norm(
     ]
     for q, ring, label in _filter_grid(grid, p, key=lambda g: g[0]):
         steps = 1 if isinstance(ring, Rationals) else ring.e
-        bad = 0
-        detail = ""
+        law = _Law(f"kernel_norm_{label.replace('(', '_').replace(')', '')}_p{q}")
         for j in (1, 2):
             for s in range(samples):
                 v = (s % (4 * steps + 1)) - 2 * steps
                 t = ring.zero() if s == samples - 1 else _unit_times_power(rng, ring, v)
                 rep = verify_kernel_norm(ring, t, j, assert_equality=False)
-                if not (rep["kernel_ok"] and rep["equal"]):
-                    bad += 1
-                    detail = (
-                        f"j={j}, |w1|=p^{rep['w1_exponent']}, "
-                        f"c|x|=p^{rep['scaled_sup_exponent']}"
-                    )
+                law.check(
+                    rep["kernel_ok"] and rep["equal"],
+                    lambda: f"sample {s} over {ring!r}, j={j}, t={ring.format_elt(t)}: "
+                    f"|w1|=p^{rep['w1_exponent']}, c|x|=p^{rep['scaled_sup_exponent']}",
+                )
         cases.append(
-            _case(
-                f"kernel_norm_{label.replace('(', '_').replace(')', '')}_p{q}",
-                bad == 0,
+            law.case(
                 f"{samples} samples per j in {{1,2}} spanning valuations [-2,2] over {label}; "
-                f"F(x)=0 and exact equality; {bad} failures"
-                + (f"; first: {detail}" if bad else ""),
+                f"F(x)=0 and exact equality; {law.bad} failures"
             )
         )
     return cases
@@ -964,7 +933,7 @@ def check_perfect_verdicts(rng: random.Random, p: Optional[int] = None) -> List[
     del p
     cases = []
 
-    z_ok = True
+    integers = _Law("integers_not_perfect")
     z_detail = []
     for q in (2, 3, 5):
         rep = witt_perfect_test({"instance": "Z", "p": q})
@@ -972,31 +941,26 @@ def check_perfect_verdicts(rng: random.Random, p: Optional[int] = None) -> List[
         indep = a is not None and all(
             pow(b, q, q * q) != (q * a) % (q * q) for b in range(q * q)
         )
-        z_ok = z_ok and rep.verdict == "no" and indep
+        integers.check(rep.verdict == "no" and indep, lambda: f"p={q}: verdict {rep.verdict}, a={a}")
         z_detail.append(f"p={q}: a={a}")
     cases.append(
-        _case(
-            "integers_not_perfect",
-            z_ok,
+        integers.case(
             "no b has b^p = p*a mod p^2; witnesses re-verified by direct powering: "
-            + ", ".join(z_detail),
+            + ", ".join(z_detail)
         )
     )
 
     rep = witt_perfect_test({"instance": "Qi", "p": 5})
     wa = rep.condition_b["witness_a"]
-    indep = False
-    if wa is not None:
+    indep = wa is not None
+    if indep:
         aa, bb = int(wa.split("+")[0]), int(wa.split("+")[1][:-1])
         target = ((5 * aa) % 25, (5 * bb) % 25)
-        indep = True
-        for c in range(25):
-            for d in range(25):
-                re_, im = 1, 0
-                for _ in range(5):
-                    re_, im = (re_ * c - im * d) % 25, (re_ * d + im * c) % 25
-                if (re_, im) == target:
-                    indep = False
+        for c, d in itertools.product(range(25), repeat=2):
+            re_, im = 1, 0
+            for _ in range(5):
+                re_, im = (re_ * c - im * d) % 25, (re_ * d + im * c) % 25
+            indep = indep and (re_, im) != target
     cases.append(
         _case(
             "gaussian_not_perfect",
@@ -1059,16 +1023,8 @@ def check_perfect_verdicts(rng: random.Random, p: Optional[int] = None) -> List[
 
     seq = build_root_sequence(3, 2)
     f1 = seq.tower.field(1)
-    x1 = seq.value(1)
-    cube = _conv_reduce_cyclotomic(
-        f1.integral_coeffs(x1),
-        _conv_reduce_cyclotomic(
-            f1.integral_coeffs(x1), f1.integral_coeffs(x1), 3, 3, 27
-        ),
-        3,
-        3,
-        27,
-    )
+    c = f1.integral_coeffs(seq.value(1))
+    cube = _conv_reduce_cyclotomic(c, _conv_reduce_cyclotomic(c, c, 3, 3, 27), 3, 3, 27)
     cases.append(
         _case(
             "tower_p3_seed_independent",
@@ -1085,6 +1041,21 @@ def check_perfect_verdicts(rng: random.Random, p: Optional[int] = None) -> List[
 # ---------------------------------------------------------------------------
 
 
+def _normed_contract(seq, lvl: int, head: Any) -> bool:
+    """Whether the normed tower solve of x = (head) at level lvl is exact,
+    keeps |y|^p <= |x| and satisfies F(y) = x at its working level."""
+    tower = seq.tower
+    try:
+        y, rep = solve_frobenius_normed(seq, lvl, WittVec(tower.field(lvl), (head,)))
+        if not (rep["exact"] and rep["norm_contract"]):
+            return False
+        work = rep["working_level"]
+        x = WittVec(tower.field(work), (tower.embed_up(lvl, work, head),))
+        return witt_eq(frobenius(y), x)
+    except WittError:
+        return False
+
+
 def check_frobenius_solving(
     rng: random.Random, p: Optional[int] = None, fuzz: int = 100
 ) -> List[CaseResult]:
@@ -1094,123 +1065,93 @@ def check_frobenius_solving(
     for q, M in _filter_grid([(2, 6), (3, 5)], p, key=lambda t: t[0]):
         ring = ZModPM(q, M)
         cap_len = min(structure_cap(q) + 1, M - 1)
-        bad = 0
-        for _ in range(fuzz):
+        roundtrip = _Law(f"solve_roundtrip_p{q}")
+        for s in range(fuzz):
             L = rng.randint(1, cap_len)
-            y = WittVec(ring, tuple(ring.from_int(rng.randrange(q ** M)) for _ in range(L + 1)))
+            y = _draw_vec(rng, ring, L + 1)
             x = frobenius(y)
             y2, _rep = solve_frobenius(x)
-            if not witt_eq(frobenius(y2), x):
-                bad += 1
+            roundtrip.check(
+                witt_eq(frobenius(y2), x),
+                lambda: f"sample {s} over {ring!r}: {_show(y=y, solved=y2)}",
+            )
         cases.append(
-            _case(
-                f"solve_roundtrip_p{q}",
-                bad == 0,
+            roundtrip.case(
                 f"{fuzz} fuzzed images x = F(y) over Z/{q}^{M}: solver output satisfies "
-                f"F(y') = x at the tracked precision; {bad} failures",
+                f"F(y') = x at the tracked precision; {roundtrip.bad} failures"
             )
         )
 
-    wrong = 0
-    solved = refused = 0
-    ring = ZModPM(2, 6)
-    for _ in range(40):
-        L = rng.randint(1, 3)
-        x = WittVec(ring, tuple(ring.from_int(rng.randrange(2 ** 6)) for _ in range(L)))
-        try:
-            y2, _rep = solve_frobenius(x)
-            solved += 1
-            if not witt_eq(frobenius(y2), x):
-                wrong += 1
-        except NoRoot:
-            refused += 1
-    cases.append(
-        _case(
-            "solve_total_correctness",
-            wrong == 0,
-            f"40 direct draws over Z/2^6: {solved} solved and verified, {refused} "
-            f"certified no-preimage, {wrong} wrong answers",
-        )
-    )
-
     if p in (None, 2):
+        ring = ZModPM(2, 6)
+        wrong = _Law("solve_total_correctness")
+        solved = refused = 0
+        for s in range(40):
+            x = _draw_vec(rng, ring, rng.randint(1, 3))
+            try:
+                y2, _rep = solve_frobenius(x)
+            except NoRoot:
+                refused += 1
+                continue
+            solved += 1
+            wrong.check(
+                witt_eq(frobenius(y2), x),
+                lambda: f"sample {s} over {ring!r}: {_show(x=x, solved=y2)}",
+            )
+        cases.append(
+            wrong.case(
+                f"40 direct draws over Z/2^6: {solved} solved and verified, {refused} "
+                f"certified no-preimage, {wrong.bad} wrong answers"
+            )
+        )
+
         seq2 = build_root_sequence(2, 6)
         t2 = seq2.tower
-        bad2 = 0
-        golden_detail = ""
-        shapes: List[Tuple[int, Any]] = []
         f1, f2 = t2.field(1), t2.field(2)
-        for c in (2, 3, 6, 10):
-            shapes.append((1, f1.from_int(c)))
+        shapes: List[Tuple[int, Any]] = [(1, f1.from_int(c)) for c in (2, 3, 6, 10)]
         for _ in range(28):
             lvl = rng.choice((1, 2))
             fld = t2.field(lvl)
             j = rng.randint(1, 2 * fld.e - 1)
-            u = fld.add(
-                fld.one(),
-                fld.scalar_mul(2, fld.from_coeffs([rng.randint(0, 1) for _ in range(fld.e)])),
-            )
-            shapes.append((lvl, fld.mul(u, fld.pow_(fld.uniformizer(), j))))
+            shapes.append((lvl, fld.mul(_draw_unit(rng, fld), fld.pow_(fld.uniformizer(), j))))
         for _ in range(8):
             j = rng.randint(1, f2.e - 1)
             shapes.append((2, f2.scalar_mul(Fraction(1, 2), f2.pow_(f2.uniformizer(), j))))
-        for lvl, head in shapes:
+        contract = _Law("solve_normed_contract_p2")
+        for s, (lvl, head) in enumerate(shapes):
             fld = t2.field(lvl)
-            x = WittVec(fld, (head,))
-            try:
-                y, rep = solve_frobenius_normed(seq2, lvl, x)
-                okc = rep["exact"] and rep["norm_contract"]
-                W = t2.field(rep["working_level"])
-                X = WittVec(W, (t2.embed_up(lvl, rep["working_level"], head),))
-                okc = okc and witt_eq(frobenius(y), X)
-            except WittError:
-                okc = False
-            if not okc:
-                bad2 += 1
-        xg = WittVec(f1, (f1.from_int(2),))
-        yg, repg = solve_frobenius_normed(seq2, 1, xg)
-        golden_detail = (
-            f"x=(2): window n={repg['n']}, m={repg['m']}, working level "
-            f"{repg['working_level']}, |y|^2<=|x| exact"
-        )
+            contract.check(
+                _normed_contract(seq2, lvl, head),
+                lambda: f"input {s} over {fld!r}: x=({fld.format_elt(head)})",
+            )
+        # x=(2) is the first input; its solve window is reported as the golden
+        _y, repg = solve_frobenius_normed(seq2, 1, WittVec(f1, (f1.from_int(2),)))
         cases.append(
-            _case(
-                "solve_normed_contract_p2",
-                bad2 == 0 and repg["exact"] and repg["norm_contract"],
+            contract.case(
                 f"{len(shapes)} single-component tower inputs at levels 1-2 "
                 f"(integers, uniformizer powers, halves): F(y)=x and |y|^2<=|x| exact; "
-                f"{bad2} failures; {golden_detail}",
+                f"{contract.bad} failures; x=(2): window n={repg['n']}, m={repg['m']}, "
+                f"working level {repg['working_level']}, |y|^2<=|x| exact"
             )
         )
 
     if p in (None, 3):
         seq3 = build_root_sequence(3, 3)
-        t3 = seq3.tower
-        f1 = t3.field(1)
-        bad3 = 0
-        for _ in range(10):
+        f1 = seq3.tower.field(1)
+        contract = _Law("solve_normed_contract_p3")
+        for s in range(10):
             # exponents below e/3 keep the rescale window at its first level,
             # so the solver works inside conductor 3^5 instead of 3^6 and up
             j = rng.randint(1, 5)
-            u = f1.add(
-                f1.one(),
-                f1.scalar_mul(3, f1.from_coeffs([rng.randint(0, 2) for _ in range(f1.e)])),
+            head = f1.mul(_draw_unit(rng, f1), f1.pow_(f1.uniformizer(), j))
+            contract.check(
+                _normed_contract(seq3, 1, head),
+                lambda: f"input {s} over {f1!r}: x=({f1.format_elt(head)})",
             )
-            head = f1.mul(u, f1.pow_(f1.uniformizer(), j))
-            x = WittVec(f1, (head,))
-            try:
-                y, rep = solve_frobenius_normed(seq3, 1, x)
-                okc = rep["exact"] and rep["norm_contract"]
-            except WittError:
-                okc = False
-            if not okc:
-                bad3 += 1
         cases.append(
-            _case(
-                "solve_normed_contract_p3",
-                bad3 == 0,
+            contract.case(
                 "10 single-component inputs over the level-1 field of the p=3 tower "
-                f"(unit times uniformizer power): exact contract; {bad3} failures",
+                f"(unit times uniformizer power): exact contract; {contract.bad} failures"
             )
         )
     return cases
@@ -1231,84 +1172,78 @@ def check_tilt_ring_laws(rng: random.Random, p: Optional[int] = None) -> List[Ca
         base = ZModPM(q, M)
         D = 3
         chains = enumerate_tilts(base, D)
-        n = len(chains)
 
-        add_ok = mul_ok = char_ok = frob_ok = True
+        def at(law: str, *xs: TiltElt) -> Callable[[], str]:
+            return lambda: f"{law} over {base!r} at " + ", ".join(
+                f"{v}={format_tilt(x)}" for v, x in zip("xyz", xs)
+            )
+
+        add, mul, char, frob = (
+            _Law(f"tilt_{name}_p{q}")
+            for name in ("add_laws", "mul_laws", "char_p", "frobenius_bijective")
+        )
         for x, y in itertools.product(chains, repeat=2):
-            if not tilt_eq(tilt_add(x, y), tilt_add(y, x)):
-                add_ok = False
-            if not tilt_eq(tilt_mul(x, y), tilt_mul(y, x)):
-                mul_ok = False
+            add.check(tilt_eq(tilt_add(x, y), tilt_add(y, x)), at("x+y = y+x", x, y))
+            mul.check(tilt_eq(tilt_mul(x, y), tilt_mul(y, x)), at("xy = yx", x, y))
         for x, y, z in itertools.product(chains, repeat=3):
-            if not tilt_eq(tilt_add(tilt_add(x, y), z), tilt_add(x, tilt_add(y, z))):
-                add_ok = False
-            if not tilt_eq(tilt_mul(tilt_mul(x, y), z), tilt_mul(x, tilt_mul(y, z))):
-                mul_ok = False
-            if not tilt_eq(
-                tilt_mul(x, tilt_add(y, z)), tilt_add(tilt_mul(x, y), tilt_mul(x, z))
-            ):
-                mul_ok = False
+            add.check(
+                tilt_eq(tilt_add(tilt_add(x, y), z), tilt_add(x, tilt_add(y, z))),
+                at("(x+y)+z = x+(y+z)", x, y, z),
+            )
+            mul.check(
+                tilt_eq(tilt_mul(tilt_mul(x, y), z), tilt_mul(x, tilt_mul(y, z))),
+                at("(xy)z = x(yz)", x, y, z),
+            )
+            mul.check(
+                tilt_eq(tilt_mul(x, tilt_add(y, z)), tilt_add(tilt_mul(x, y), tilt_mul(x, z))),
+                at("x(y+z) = xy+xz", x, y, z),
+            )
         for x in chains:
-            if not tilt_is_zero(tilt_add(x, tilt_neg(x))):
-                add_ok = False
+            add.check(tilt_is_zero(tilt_add(x, tilt_neg(x))), at("x+(-x) = 0", x))
             acc = x
             for _ in range(q - 1):
                 acc = tilt_add(acc, x)
-            if not tilt_is_zero(acc):
-                char_ok = False
+            char.check(tilt_is_zero(acc), at(f"{q}x = 0", x))
 
             trunc = TiltElt(base, x.entries[:-1])
-            if not tilt_eq(tilt_pth_root(tilt_frobenius(x)), trunc):
-                frob_ok = False
-            if not tilt_eq(tilt_frobenius(tilt_pth_root(x)), trunc):
-                frob_ok = False
+            frob.check(
+                tilt_eq(tilt_pth_root(tilt_frobenius(x)), trunc), at("root(F(x)) = trunc(x)", x)
+            )
+            frob.check(
+                tilt_eq(tilt_frobenius(tilt_pth_root(x)), trunc), at("F(root(x)) = trunc(x)", x)
+            )
         # injectivity at matched precision (one level down); surjectivity is
         # the exact shift preimage F(root(y)) = trunc(y) verified above, and
         # distinct images biject with distinct truncations
         for x, y in itertools.combinations(chains, 2):
-            if tilt_eq(tilt_frobenius(x), tilt_frobenius(y)) and not tilt_eq(
-                TiltElt(base, x.entries[:-1]), TiltElt(base, y.entries[:-1])
-            ):
-                frob_ok = False
+            frob.check(
+                not tilt_eq(tilt_frobenius(x), tilt_frobenius(y))
+                or tilt_eq(TiltElt(base, x.entries[:-1]), TiltElt(base, y.entries[:-1])),
+                at("F(x) = F(y) implies trunc(x) = trunc(y)", x, y),
+            )
         trunc_keys = {tuple(base.format_elt(c) for c in x.entries[:-1]) for x in chains}
         image_keys = {
             tuple(base.format_elt(c) for c in tilt_frobenius(x).entries) for x in chains
         }
-        if len(trunc_keys) != len(image_keys):
-            frob_ok = False
+        frob.check(
+            len(trunc_keys) == len(image_keys),
+            lambda: f"over {base!r}: {len(trunc_keys)} truncations, {len(image_keys)} images",
+        )
 
-        label = f"Z/{q}^{M}"
-        cases.append(
-            _case(
-                f"tilt_add_laws_p{q}",
-                add_ok,
-                f"all {n} coherent depth-{D} chains over {label}: commutativity, "
-                "associativity, additive inverse at certified precision",
-            )
-        )
-        cases.append(
-            _case(
-                f"tilt_mul_laws_p{q}",
-                mul_ok,
-                f"multiplicative commutativity/associativity/distributivity over {label}",
-            )
-        )
-        cases.append(
-            _case(
-                f"tilt_char_p_p{q}",
-                char_ok,
-                f"{q}*x = 0 for every chain (characteristic {q})",
-            )
-        )
-        cases.append(
-            _case(
-                f"tilt_frobenius_bijective_p{q}",
-                frob_ok,
+        label = _trunc_label(base)
+        cases += [
+            add.case(
+                f"all {len(chains)} coherent depth-{D} chains over {label}: commutativity, "
+                "associativity, additive inverse at certified precision"
+            ),
+            mul.case(f"multiplicative commutativity/associativity/distributivity over {label}"),
+            char.case(f"{q}*x = 0 for every chain (characteristic {q})"),
+            frob.case(
                 "p-th root undoes Frobenius exactly and the shifted chain is the exact "
                 "Frobenius preimage one level down; injective at matched precision, "
-                "with distinct images in bijection with distinct truncations",
-            )
-        )
+                "with distinct images in bijection with distinct truncations"
+            ),
+        ]
     return cases
 
 
@@ -1322,39 +1257,24 @@ def check_charp_overconvergence(
 ) -> List[CaseResult]:
     """Inverse-limit norm equals the closed sup formula over a perfected
     polynomial ring, and the degree-growth dichotomy is two-sided."""
-    del p
+    if p not in (None, 2):
+        return []  # the perfected polynomial ring is F_2[x^(1/2^oo)]
     ring = PerfPolyRing(2, 1, 8)
     bs = (Fraction(1, 2), Fraction(1), Fraction(2))
-    bad = 0
+    limit = _Law("charp_limit_vs_formula")
     for s in range(samples):
-        comps = []
-        for _ in range(5):
-            roll = rng.random()
-            if roll < 0.15:
-                comps.append(ring.zero())
-            elif roll < 0.75:
-                comps.append(ring.monomial([rng.randint(0, 6)]))
-            else:
-                comps.append(
-                    ring.add(
-                        ring.monomial([rng.randint(0, 6)]),
-                        ring.monomial([rng.randint(7, 9)]),
-                    )
-                )
-        x = WittVec(ring, tuple(comps))
-        rep = charp_limit_norm(x, bs[s % 3], depth=4)
-        if not rep["agree"]:
-            bad += 1
+        x = _draw_vec(rng, ring, 5)
+        b = bs[s % 3]
+        rep = charp_limit_norm(x, b, depth=4)
+        limit.check(rep["agree"], lambda: f"sample {s} over {ring!r}, b={b}: {_show(x=x)}")
     cases = [
-        _case(
-            "charp_limit_vs_formula",
-            bad == 0,
+        limit.case(
             f"{samples} vectors over F_2[x^(1/2^oo)] at depth 4, b in (1/2,1,2): "
-            f"coherent-family norm == sup formula exactly; {bad} failures",
+            f"coherent-family norm == sup formula exactly; {limit.bad} failures"
         )
     ]
 
-    growth_bad: List[str] = []
+    growth = _Law("charp_growth_dichotomy")
     for C in (0, 1, 2):
         for D in (0, 1, 2):
             x = growth_family(ring, C, D, 5)
@@ -1370,16 +1290,12 @@ def check_charp_overconvergence(
                     )
                 else:
                     ok = ok and rep["strictly_increasing"]
-                if not ok:
-                    growth_bad.append(f"(C,D,b)=({C},{D},{b})")
+                growth.check(ok, lambda: f"(C,D,b)=({C},{D},{b})")
     cases.append(
-        _case(
-            "charp_growth_dichotomy",
-            not growth_bad,
+        growth.case(
             "families with degree profile (C*j+D)*2^j for (C,D) in {0,1,2}^2: "
             "b >= C gives a nonincreasing profile with sup 2^D at the head, "
             "b < C a strictly increasing profile"
-            + ("; failed " + ", ".join(growth_bad) if growth_bad else ""),
         )
     )
     return cases
@@ -1393,7 +1309,9 @@ def check_charp_overconvergence(
 def check_untilt_isometry(rng: random.Random, p: Optional[int] = None) -> List[CaseResult]:
     """arrow_norm(untilt(x), b) == charp norm of x for b <= 1 on certified
     chain vectors over the conductor-32 truncated cyclotomic base."""
-    del p
+    del rng
+    if p not in (None, 2):
+        return []  # the conductor-32 base is a p=2 instance
     base = CycloModPM(2, 5, 4)
     D = 4
     tring = TiltRing(base, D)
@@ -1416,33 +1334,25 @@ def check_untilt_isometry(rng: random.Random, p: Optional[int] = None) -> List[C
     ]
     chains = [tilt_from_top(base, top, D) for top in tops]
     zero_chain = tilt_from_top(base, base.zero(), D)
-    inputs: List[WittVec] = []
-    for c in chains:
-        inputs.append(WittVec(tring, (c,)))
-    for i in range(8):
-        inputs.append(WittVec(tring, (chains[i], chains[(i + 3) % 10])))
-    for i in range(8):
-        inputs.append(
-            WittVec(tring, (chains[i], zero_chain, chains[(i + 5) % 10]))
-        )
-    for i in range(4):
-        inputs.append(WittVec(tring, (zero_chain, chains[i])))
-    bad: List[str] = []
+    inputs = (
+        [WittVec(tring, (c,)) for c in chains]
+        + [WittVec(tring, (chains[i], chains[(i + 3) % 10])) for i in range(8)]
+        + [WittVec(tring, (chains[i], zero_chain, chains[(i + 5) % 10])) for i in range(8)]
+        + [WittVec(tring, (zero_chain, chains[i])) for i in range(4)]
+    )
+    law = _Law("untilt_isometry")
     for idx, x in enumerate(inputs):
         for b in (Fraction(1, 4), Fraction(1, 2), Fraction(1)):
             rep = untilt_isometry(x, 2, b)
-            if not rep["isometric"]:
-                bad.append(
-                    f"input {idx}, b={b}: family p^{rep['family_exponent']} vs "
-                    f"charp p^{rep['charp_exponent']}"
-                )
+            law.check(
+                rep["isometric"],
+                lambda: f"input {idx} over {tring!r}, b={b}: family p^{rep['family_exponent']} "
+                f"vs charp p^{rep['charp_exponent']}",
+            )
     return [
-        _case(
-            "untilt_isometry",
-            not bad,
+        law.case(
             f"{len(inputs)} certified chain vectors (uniformizer powers, sums, "
             "shifted components) x b in (1/4,1/2,1): exact norm agreement"
-            + ("; failed " + "; ".join(bad[:3]) if bad else ""),
         )
     ]
 
@@ -1456,34 +1366,28 @@ def check_inverse_frobenius_sandwich(
     rng: random.Random, p: Optional[int] = None, samples: int = 100
 ) -> List[CaseResult]:
     """Both displayed inequalities tying |x|_{W,b} to the shifted family."""
-    rings: List[Ring] = _filter_grid(
+    rings: List[TruncatedRing] = _filter_grid(
         [ZModPM(2, 6), ZModPM(3, 4), CycloModPM(2, 3, 4)], p, key=lambda r: r.p
     )
     bs = (Fraction(1), Fraction(2), Fraction(4))
-    bad = 0
-    first = ""
+    law = _Law("inverse_frobenius_sandwich")
     for s in range(samples):
         ring = rings[s % len(rings)]
         depth = rng.randint(2, 4)
-        draw = lambda: ring.from_digits(
-            [rng.randrange(ring.p ** ring.M) for _ in range(ring.e)]
-        )
-        a = sample_coherent(ring, depth, draw)
+        a = sample_coherent(ring, depth, functools.partial(_draw_elt, rng, ring))
         rep = inverse_frobenius_sandwich(a, bs[(s // len(rings)) % len(bs)])
-        if not rep["passed"]:
-            bad += 1
-            if not first:
-                first = (
-                    f"b={rep['b']}: lower p^{rep['lower_exponent']} <= "
-                    f"value p^{rep['value_exponent']} <= upper p^{rep['upper_exponent']}"
-                )
+        law.check(
+            rep["passed"],
+            lambda: f"sample {s} over {ring!r}, depth {depth}, b={rep['b']}: "
+            f"lower p^{rep['lower_exponent']} <= value p^{rep['value_exponent']} <= "
+            f"upper p^{rep['upper_exponent']}; levels "
+            + ", ".join(format_witt(z) for z in a.levels),
+        )
+    names = ", ".join(_trunc_label(r) for r in rings)
     return [
-        _case(
-            "inverse_frobenius_sandwich",
-            bad == 0,
-            f"{samples} certified coherent samples over Z/2^6, Z/3^4, "
-            f"Z[zeta_8]/2^4 with b in (1,2,4); {bad} failures"
-            + (f"; first: {first}" if bad else ""),
+        law.case(
+            f"{samples} certified coherent samples over {names} with b in (1,2,4); "
+            f"{law.bad} failures"
         )
     ]
 
@@ -1500,29 +1404,24 @@ def check_invariant_profiles(rng: random.Random, p: Optional[int] = None) -> Lis
     f5, f3 = GaussianField(5), GaussianField(3)
     cases = []
 
-    grid_bad = 0
+    grid = _Law("invariant_grid_split_p5")
     n_grid = 0
-    for a_num in range(-3, 4):
-        for b_num in range(-3, 4):
-            for da in (1, 2, 3):
-                for db in (1, 2, 3):
-                    f = f5.from_pair(Fraction(a_num, da), Fraction(b_num, db))
-                    rep = invariant_classify(f5, f, 2)
-                    n_grid += 1
-                    if not rep["match"]:
-                        grid_bad += 1
+    for a_num, b_num, da, db in itertools.product(
+        range(-3, 4), range(-3, 4), (1, 2, 3), (1, 2, 3)
+    ):
+        f = f5.from_pair(Fraction(a_num, da), Fraction(b_num, db))
+        n_grid += 1
+        grid.check(invariant_classify(f5, f, 2)["match"], lambda: f"f={f5.format_elt(f)}")
     cases.append(
-        _case(
-            "invariant_grid_split_p5",
-            grid_bad == 0,
+        grid.case(
             f"{n_grid} samples a+bi with |a|,|b|<=3 and denominators in {{1,2,3}} "
             f"over Q(i) at p=5: observed boundedness matches the two-place "
-            f"valuation prediction; {grid_bad} mismatches",
+            f"valuation prediction; {grid.bad} mismatches",
             inconclusive=True,
         )
     )
 
-    named_ok = True
+    named = _Law("invariant_named_cases")
     details = []
     i5, i3 = f5.imag_unit(), f3.imag_unit()
     for fld, f, want_bounded, label in [
@@ -1535,44 +1434,42 @@ def check_invariant_profiles(rng: random.Random, p: Optional[int] = None) -> Lis
         (f3, f3.from_pair(Fraction(1, 3), Fraction(0)), False, "1/3 at p=3"),
     ]:
         rep = invariant_classify(fld, f, 3)
-        ok = rep["bounded"] == want_bounded and rep["match"]
-        named_ok = named_ok and ok
+        named.check(rep["bounded"] == want_bounded and rep["match"], lambda: label)
         details.append(f"{label}: {'bounded' if rep['bounded'] else 'unbounded'}")
-    cases.append(
-        _case(
-            "invariant_named_cases",
-            named_ok,
-            "; ".join(details),
-        )
-    )
+    cases.append(named.case("; ".join(details)))
 
-    stable_ok = True
+    stable = _Law("profile_stability")
     for fld, f in [(f3, i3), (f5, f5.from_pair(Fraction(1, 5), Fraction(0)))]:
         r2 = ghost_constant_profile(fld, f, 2)
         r3 = ghost_constant_profile(fld, f, 3)
-        stable_ok = stable_ok and not r2["bounded"] and not r3["bounded"]
-        stable_ok = stable_ok and r2["first_unbounded_index"] == r3["first_unbounded_index"]
+        stable.check(
+            not r2["bounded"]
+            and not r3["bounded"]
+            and r2["first_unbounded_index"] == r3["first_unbounded_index"],
+            lambda: f"f={fld.format_elt(f)} over {fld!r}",
+        )
     cases.append(
-        _case(
-            "profile_stability",
-            stable_ok,
+        stable.case(
             "once a profile goes unbounded it stays unbounded as the depth grows "
-            "(first unbounded index stable from N=2 to N=3)",
+            "(first unbounded index stable from N=2 to N=3)"
         )
     )
 
-    teich_ok = (
-        teichmuller_phi_invariance(f5, i5)
-        and not teichmuller_phi_invariance(f3, i3)
-        and teichmuller_phi_invariance(f5, f5.one())
-        and teichmuller_phi_invariance(Rationals(7), Fraction(1))
-    )
+    teich = _Law("teichmuller_fixed_points")
+    for fld, f, fixed in [
+        (f5, i5, True),
+        (f3, i3, False),
+        (f5, f5.one(), True),
+        (Rationals(7), Fraction(1), True),
+    ]:
+        teich.check(
+            teichmuller_phi_invariance(fld, f) == fixed,
+            lambda: f"r={fld.format_elt(f)} over {fld!r}: r^p = r is {not fixed}",
+        )
     cases.append(
-        _case(
-            "teichmuller_fixed_points",
-            teich_ok,
+        teich.case(
             "i^5 = i makes [i] shift-invariant at p=5; i^3 = -i breaks it at p=3; "
-            "1 is invariant at every p",
+            "1 is invariant at every p"
         )
     )
     return cases
@@ -1623,16 +1520,10 @@ def run_suite(name: str, seed: int = 0, p: Optional[int] = None) -> SuiteReport:
     report = SuiteReport(suite=name, seed=seed)
     if name == "all":
         for sub in _SUITES:
-            sub_report = run_suite(sub, seed=seed, p=p)
-            for case in sub_report.cases:
-                report.cases.append(
-                    CaseResult(
-                        name=f"{sub}.{case.name}",
-                        passed=case.passed,
-                        detail=case.detail,
-                        inconclusive=case.inconclusive,
-                    )
-                )
+            report.cases.extend(
+                dataclasses.replace(case, name=f"{sub}.{case.name}")
+                for case in run_suite(sub, seed=seed, p=p).cases
+            )
     else:
         for check_name, fn in _SUITES[name]:
             rng = random.Random(f"{seed}|{name}|{check_name}")

@@ -124,3 +124,73 @@ def test_suite_prime_filter_that_matches_nothing_is_a_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert err.strip() == "error: --p 5: this check covers p in {2, 3} only"
+
+
+def test_prime_filter_drops_the_cases_of_other_primes(capsys):
+    # perfect_verdicts mixes primes by design and keeps its p=2 cases
+    expected = {
+        "arrow": (
+            1,  # ROADMAP C3: the sandwich still fails at p=3
+            [
+                "inverse_frobenius_sandwich",
+                "mul_by_p_norm_p3",
+                "theta_integer_golden_p3",
+                "theta_lift_stability_p3",
+                "theta_projection_equals_series_p3",
+                "theta_ring_hom_p3",
+            ],
+        ),
+        "tilt": (
+            0,
+            [
+                "tilt_add_laws_p3",
+                "tilt_char_p_p3",
+                "tilt_frobenius_bijective_p3",
+                "tilt_mul_laws_p3",
+            ],
+        ),
+        "perfect": (
+            0,
+            [
+                "gaussian_not_perfect",
+                "integers_not_perfect",
+                "solve_normed_contract_p3",
+                "solve_roundtrip_p3",
+                "tower_p2_level2",
+                "tower_p3_level2",
+                "tower_p3_seed_independent",
+                "zeta3_ring_not_perfect",
+                "zeta8_square_root_of_two",
+            ],
+        ),
+    }
+    for suite, (want_code, names) in expected.items():
+        code, out, _ = run(capsys, "verify", suite, "--p", "3", "--json")
+        assert code == want_code, suite
+        assert [c["name"] for c in json.loads(out)["cases"]] == names
+
+
+def test_sandwich_names_the_rings_the_prime_filter_kept(capsys):
+    code, out, _ = run(capsys, "verify", "arrow", "--p", "3", "--json")
+    (case,) = [c for c in json.loads(out)["cases"] if c["name"] == "inverse_frobenius_sandwich"]
+    assert case["detail"].startswith("100 certified coherent samples over Z/3^4 with b in")
+
+
+def test_kernel_verify_refuses_a_sample_count_over_rings_without_division_by_p(capsys):
+    for spec in ("Z", "Zmod", "ZzetaMod:2", "PerfPoly:1"):
+        code, out, err = run(capsys, "kernel", "verify", "--ring", spec)
+        assert code == 2, spec
+        assert out == ""
+        assert "needs a Q-algebra" in err and "Q, Qi or Qzeta:k" in err
+
+
+def test_kernel_verify_reads_samples_over_the_integers_from_a_file(capsys, tmp_path):
+    samples = tmp_path / "t.txt"
+    samples.write_text("4\n")
+    code, out, _ = run(
+        capsys, "kernel", "verify", "--ring", "Z", "--samples", str(samples), "--json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["failures"] == 0
+    assert [r["t"] for r in payload["results"]] == ["4"]

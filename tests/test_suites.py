@@ -1,0 +1,55 @@
+"""The verification suites at seed 0, pinned byte for byte, and the law tally."""
+
+import hashlib
+import json
+
+import pytest
+
+from wittlab.suites import _Law, run_suite
+
+# sha256 of json.dumps(report.to_dict(), sort_keys=True, indent=2), which is
+# exactly what `wittlab verify <suite> --seed 0 --json` prints
+DIGESTS = {
+    "universal": "6fecc43d3474c73580bce775d41f79e5372d79c4d9c2012168a0cb29733c41be",
+    "ghost": "e1be7bd60af5e35f536574749f848fa7aa2a847167c0cd2cd80e337e6ae09112",
+    "norms": "0fee92cc05f8b357df934c4cc2cea40788dce9ae3f0fd0de8320ccecdd5e6d3f",
+    "arrow": "19bb3e5070d1bd7583bea3655bdee87465d6106dbe618b8d5db0fd3fdf4fb3eb",
+    "perfect": "15ceb9271288c23a71ace14daa912e8935ff6bc0c8b53fc48ac11677b0e67840",
+    "tilt": "bcaed066cc109301ec49e9bbb92d6b534e98af60d7468aa8cf9c837490cb7563",
+    "kernel": "9119eaddacca32badfb874f64432c580dcbd1b127cddcec13650f57909d92806",
+    "artin": "75f836016700bc5ad8ee420a09ac1a0dfa5549fdd172032965d2d3b1c5ef7e26",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(DIGESTS))
+def test_suite_report_at_seed_0(suite):
+    report = run_suite(suite, seed=0)
+    text = json.dumps(report.to_dict(), sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[suite]
+    failing = [c for c in report.cases if not c.passed]
+    if suite != "arrow":
+        assert report.passed, [(c.name, c.detail) for c in failing]
+        return
+    # ROADMAP C3: the sandwich reads a residue that is zero mod p^M as norm 0;
+    # its fix must turn this case into a pass and this assertion with it
+    assert [c.name for c in failing] == ["inverse_frobenius_sandwich"]
+    assert "; first: sample 4 over Zmod(p=3, M=4), depth 3, b=2: " in failing[0].detail
+
+
+def test_law_keeps_the_first_witness_and_counts_every_failure():
+    law = _Law("demo")
+    calls = []
+    for i, ok in enumerate([True, False, True, False, False]):
+        law.check(ok, lambda: calls.append(i) or f"sample {i}")
+    assert (law.bad, law.first, calls) == (3, "sample 1", [1])
+    case = law.case("5 samples; 3 failures")
+    assert not case.passed
+    assert case.detail == "5 samples; 3 failures; first: sample 1"
+
+
+def test_law_adds_no_suffix_on_a_pass():
+    law = _Law("demo")
+    for _ in range(3):
+        law.check(True, lambda: pytest.fail("a witness is built only on a failure"))
+    case = law.case("3 samples", inconclusive=True)
+    assert (case.passed, case.status, case.detail) == (True, "inconclusive", "3 samples")

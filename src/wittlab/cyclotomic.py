@@ -21,7 +21,8 @@ basis of O/p = F_p[t]/(t**e).  The same basis gives constructive p-th roots
 mod p: an element is a p-th power mod p exactly when its t-support consists of
 multiples of p, and dividing the exponents by p produces a root.
 
-``CycloModPM`` is the truncation O/p**M with per-element digit budgets, and
+``CycloModPM`` is the truncation O/p**M with per-element digit budgets; its
+``pow_``, ``pow_p_tower`` and ``seminorm`` read the integer digits directly.
 ``GaussianField`` is Q(i) with the places above a chosen p made explicit.
 """
 
@@ -71,6 +72,28 @@ def _conv(a: Sequence[int], b: Sequence[int], e: int, p: int, step: int) -> list
                 if y:
                     out[j] += x * y
     return _reduce_tail(out, e, p, step)
+
+
+def _pow_int(v: Sequence[int], n: int, e: int, p: int, step: int, q: Optional[int] = None) -> list:
+    """v ** n in Z[x] / Phi_{p**k}(x) for n >= 1, each product reduced mod q
+    when q is given; square-and-multiply from the lowest set bit."""
+
+    def mul(a: Sequence[int], b: Sequence[int]) -> list:
+        out = _conv(a, b, e, p, step)
+        return [c % q for c in out] if q else out
+
+    base = list(v)
+    while not n & 1:
+        base = mul(base, base)
+        n >>= 1
+    result = base
+    n >>= 1
+    while n:
+        base = mul(base, base)
+        if n & 1:
+            result = mul(result, base)
+        n >>= 1
+    return result
 
 
 def _clear(a: CVec) -> Tuple[List[int], int]:
@@ -188,16 +211,10 @@ class CyclotomicField(Ring):
     def pow_(self, a: CVec, n: int) -> CVec:
         if n < 0:
             raise CapabilityMissing(f"{self.kind}: negative powers not supported")
+        if n == 0:
+            return self.one()
         base, d = _clear(a)
-        result = [1] + [0] * (self.e - 1)
-        m = n
-        while m:
-            if m & 1:
-                result = _conv(result, base, self.e, self.p, self.step)
-            m >>= 1
-            if m:
-                base = _conv(base, base, self.e, self.p, self.step)
-        return _fractions(result, d**n)
+        return _fractions(_pow_int(base, n, self.e, self.p, self.step), d**n)
 
     def scalar_mul(self, q, a: CVec) -> CVec:
         q = Fraction(q)
@@ -308,12 +325,15 @@ class CyclotomicField(Ring):
             return None
         y, d = _clear(a)
         shift = -vp_int(d, self.p) if d % self.p == 0 else 0
+        return self.integer_valuation(y) + shift
+
+    def integer_valuation(self, y: Sequence[int]) -> Fraction:
+        """v of the nonzero element of Z[zeta] with power-basis digits y."""
         whole = 0
         while all(c % self.p == 0 for c in y):
             y = [c // self.p for c in y]
             whole += 1
-        o = self.t_order(y)
-        return Fraction(whole) + Fraction(o, self.e) + shift
+        return Fraction(whole) + Fraction(self.t_order(y), self.e)
 
     def seminorm(self, a: CVec) -> NormValue:
         v = self.valuation(a)
@@ -448,15 +468,23 @@ class CycloModPM(TruncatedRing):
         k = min(a.prec, b.prec)
         return self.make(_conv(a.coeffs, b.coeffs, self.e, self.p, self.field.step), k)
 
+    def pow_(self, a: TruncVec, n: int) -> TruncVec:
+        if n < 0:
+            raise CapabilityMissing("ZzetaMod: negative powers not supported")
+        if n == 0:
+            return self.one()
+        return self._pow_at(a, n, a.prec)
+
     def pow_p_tower(self, a: TruncVec, l: int) -> TruncVec:
         """a ** (p**l), gaining l digits (capped at M)."""
         if l < 0:
             raise CapabilityMissing("ZzetaMod: negative Frobenius powers not supported")
-        k = min(a.prec + l, self.M)
-        result = self.make(a.coeffs, k)
-        for _ in range(l):
-            result = self.pow_(result, self.p)
-        return result
+        return self._pow_at(a, self.p ** l, min(a.prec + l, self.M))
+
+    def _pow_at(self, a: TruncVec, n: int, prec: int) -> TruncVec:
+        """a ** n known mod p**prec, on integer digits; one TruncVec at the end."""
+        coeffs = _pow_int(a.coeffs, n, self.e, self.p, self.field.step, self.p ** prec)
+        return TruncVec(tuple(coeffs), prec)
 
     def eq(self, a: TruncVec, b: TruncVec) -> bool:
         k = min(a.prec, b.prec)
@@ -469,8 +497,7 @@ class CycloModPM(TruncatedRing):
     def seminorm(self, a: TruncVec) -> NormValue:
         if self.is_zero(a):
             return NormValue.zero()
-        v = self.field.valuation(self.field.from_coeffs(a.coeffs))
-        return NormValue.from_exponent(v)
+        return NormValue.from_exponent(self.field.integer_valuation(a.coeffs))
 
     def exact_divide_by_p(self, a: TruncVec) -> TruncVec:
         if any(c % self.p for c in a.coeffs):

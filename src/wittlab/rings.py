@@ -111,14 +111,20 @@ class Ring(ABC):
     def pow_(self, a: Any, n: int) -> Any:
         if n < 0:
             raise CapabilityMissing(f"{self.kind}: negative powers not supported")
-        result = self.one()
-        base = a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
+        if n == 0:
+            return self.one()
+        # square-and-multiply from the lowest set bit, so one() is never
+        # multiplied in
+        while not n & 1:
+            a = self.mul(a, a)
             n >>= 1
-            if n:
-                base = self.mul(base, base)
+        result = a
+        n >>= 1
+        while n:
+            a = self.mul(a, a)
+            if n & 1:
+                result = self.mul(result, a)
+            n >>= 1
         return result
 
     def pow_p_tower(self, a: Any, l: int) -> Any:

@@ -929,13 +929,14 @@ def _independent_pth_power_set(p: int, k: int, q: int) -> Dict[Tuple[int, ...], 
 def check_perfect_verdicts(rng: random.Random, p: Optional[int] = None) -> List[CaseResult]:
     """Witt-perfectness yes/no verdicts with independently re-verified
     witnesses: plain residue rings fail, the small cyclotomic rings behave as
-    recorded, and the towers pass up to level 2."""
-    del p
+    recorded, and the towers pass up to level 2.  Each case runs at its own
+    prime; ``p`` keeps those at p."""
+    primes = _filter_grid((2, 3, 5), p)
     cases = []
 
     integers = _Law("integers_not_perfect")
     z_detail = []
-    for q in (2, 3, 5):
+    for q in primes:
         rep = witt_perfect_test({"instance": "Z", "p": q})
         a = rep.condition_b["witness_a"]
         indep = a is not None and all(
@@ -950,61 +951,66 @@ def check_perfect_verdicts(rng: random.Random, p: Optional[int] = None) -> List[
         )
     )
 
-    rep = witt_perfect_test({"instance": "Qi", "p": 5})
-    wa = rep.condition_b["witness_a"]
-    indep = wa is not None
-    if indep:
-        aa, bb = int(wa.split("+")[0]), int(wa.split("+")[1][:-1])
-        target = ((5 * aa) % 25, (5 * bb) % 25)
-        for c, d in itertools.product(range(25), repeat=2):
-            re_, im = 1, 0
-            for _ in range(5):
-                re_, im = (re_ * c - im * d) % 25, (re_ * d + im * c) % 25
-            indep = indep and (re_, im) != target
-    cases.append(
-        _case(
-            "gaussian_not_perfect",
-            rep.verdict == "no" and indep,
-            f"Z[i] at p=5: verdict {rep.verdict}; witness a={wa} re-verified over all "
-            "625 candidates mod 25",
+    if 5 in primes:
+        rep = witt_perfect_test({"instance": "Qi", "p": 5})
+        wa = rep.condition_b["witness_a"]
+        indep = wa is not None
+        if indep:
+            aa, bb = int(wa.split("+")[0]), int(wa.split("+")[1][:-1])
+            target = ((5 * aa) % 25, (5 * bb) % 25)
+            for c, d in itertools.product(range(25), repeat=2):
+                re_, im = 1, 0
+                for _ in range(5):
+                    re_, im = (re_ * c - im * d) % 25, (re_ * d + im * c) % 25
+                indep = indep and (re_, im) != target
+        cases.append(
+            _case(
+                "gaussian_not_perfect",
+                rep.verdict == "no" and indep,
+                f"Z[i] at p=5: verdict {rep.verdict}; witness a={wa} re-verified over all "
+                "625 candidates mod 25",
+            )
         )
-    )
 
-    rep8 = witt_perfect_test({"instance": "zeta-ring", "p": 2, "k": 3})
-    root = rep8.condition_b.get("root_of_p")
-    root_ok = False
-    if root is not None:
-        sq = _conv_reduce_cyclotomic(root, root, 2, 3, 4)
-        root_ok = sq[0] % 4 == 2 and all(c % 4 == 0 for c in sq[1:])
-    cases.append(
-        _case(
-            "zeta8_square_root_of_two",
-            root is not None and root_ok,
-            f"Z[zeta_8] contains b={root} with b^2 = 2 mod 4, re-verified by "
-            "standalone convolution arithmetic",
+    if 2 in primes:
+        rep8 = witt_perfect_test({"instance": "zeta-ring", "p": 2, "k": 3})
+        root = rep8.condition_b.get("root_of_p")
+        root_ok = False
+        if root is not None:
+            sq = _conv_reduce_cyclotomic(root, root, 2, 3, 4)
+            root_ok = sq[0] % 4 == 2 and all(c % 4 == 0 for c in sq[1:])
+        cases.append(
+            _case(
+                "zeta8_square_root_of_two",
+                root is not None and root_ok,
+                f"Z[zeta_8] contains b={root} with b^2 = 2 mod 4, re-verified by "
+                "standalone convolution arithmetic",
+            )
         )
-    )
 
-    rep3 = witt_perfect_test({"instance": "zeta-ring", "p": 3, "k": 1})
-    indep3 = False
-    if rep3.condition_b["witness_a"] is not None:
-        text = rep3.condition_b["witness_a"].strip("[]")
-        coeffs = [int(s) for s in text.split(",")]
-        target3 = tuple((3 * c) % 9 for c in coeffs)
-        cubes = _independent_pth_power_set(3, 1, 9)
-        indep3 = target3 not in cubes
-    elif rep3.condition_a.get("witness") is not None:
-        indep3 = True  # condition (a) failure alone already decides the verdict
-    cases.append(
-        _case(
-            "zeta3_ring_not_perfect",
-            rep3.verdict == "no" and indep3,
-            f"Z[zeta_3] at p=3: verdict {rep3.verdict}; witness a={rep3.condition_b['witness_a']} "
-            "has no cube root among all 729 residues mod 9 (independent enumeration)",
+    if 3 in primes:
+        rep3 = witt_perfect_test({"instance": "zeta-ring", "p": 3, "k": 1})
+        indep3 = False
+        if rep3.condition_b["witness_a"] is not None:
+            text = rep3.condition_b["witness_a"].strip("[]")
+            coeffs = [int(s) for s in text.split(",")]
+            target3 = tuple((3 * c) % 9 for c in coeffs)
+            cubes = _independent_pth_power_set(3, 1, 9)
+            indep3 = target3 not in cubes
+        elif rep3.condition_a.get("witness") is not None:
+            indep3 = True  # condition (a) failure alone already decides the verdict
+        cases.append(
+            _case(
+                "zeta3_ring_not_perfect",
+                rep3.verdict == "no" and indep3,
+                f"Z[zeta_3] at p=3: verdict {rep3.verdict}; witness a={rep3.condition_b['witness_a']} "
+                "has no cube root among all 729 residues mod 9 (independent enumeration)",
+            )
         )
-    )
 
     for q, samples in ((2, None), (3, 20)):
+        if q not in primes:
+            continue
         config = {"instance": "tower", "p": q, "levels": 2}
         if samples:
             config["samples"] = samples
@@ -1021,18 +1027,19 @@ def check_perfect_verdicts(rng: random.Random, p: Optional[int] = None) -> List[
             )
         )
 
-    seq = build_root_sequence(3, 2)
-    f1 = seq.tower.field(1)
-    c = f1.integral_coeffs(seq.value(1))
-    cube = _conv_reduce_cyclotomic(c, _conv_reduce_cyclotomic(c, c, 3, 3, 27), 3, 3, 27)
-    cases.append(
-        _case(
-            "tower_p3_seed_independent",
-            cube[0] % 9 == 3 and all(c % 9 == 0 for c in cube[1:]),
-            "the constructed x_1 in Z[zeta_27] satisfies x_1^3 = 3 mod 9 under "
-            "standalone convolution arithmetic",
+    if 3 in primes:
+        seq = build_root_sequence(3, 2)
+        f1 = seq.tower.field(1)
+        c = f1.integral_coeffs(seq.value(1))
+        cube = _conv_reduce_cyclotomic(c, _conv_reduce_cyclotomic(c, c, 3, 3, 27), 3, 3, 27)
+        cases.append(
+            _case(
+                "tower_p3_seed_independent",
+                cube[0] % 9 == 3 and all(c % 9 == 0 for c in cube[1:]),
+                "the constructed x_1 in Z[zeta_27] satisfies x_1^3 = 3 mod 9 under "
+                "standalone convolution arithmetic",
+            )
         )
-    )
     return cases
 
 
@@ -1399,32 +1406,37 @@ def check_inverse_frobenius_sandwich(
 
 def check_invariant_profiles(rng: random.Random, p: Optional[int] = None) -> List[CaseResult]:
     """Bounded/unbounded constant-ghost profiles over Q(i) against the
-    localized-subring prediction, plus the Teichmueller fixed-point test."""
-    del rng, p
+    localized-subring prediction, plus the Teichmueller fixed-point test.
+    Each sample runs at its own prime; ``p`` keeps those at p, and a case
+    left with no sample is dropped."""
+    del rng
+    primes = _filter_grid((3, 5, 7), p)
     f5, f3 = GaussianField(5), GaussianField(3)
     cases = []
 
-    grid = _Law("invariant_grid_split_p5")
-    n_grid = 0
-    for a_num, b_num, da, db in itertools.product(
-        range(-3, 4), range(-3, 4), (1, 2, 3), (1, 2, 3)
-    ):
-        f = f5.from_pair(Fraction(a_num, da), Fraction(b_num, db))
-        n_grid += 1
-        grid.check(invariant_classify(f5, f, 2)["match"], lambda: f"f={f5.format_elt(f)}")
-    cases.append(
-        grid.case(
-            f"{n_grid} samples a+bi with |a|,|b|<=3 and denominators in {{1,2,3}} "
-            f"over Q(i) at p=5: observed boundedness matches the two-place "
-            f"valuation prediction; {grid.bad} mismatches",
-            inconclusive=True,
+    if 5 in primes:
+        grid = _Law("invariant_grid_split_p5")
+        n_grid = 0
+        for a_num, b_num, da, db in itertools.product(
+            range(-3, 4), range(-3, 4), (1, 2, 3), (1, 2, 3)
+        ):
+            f = f5.from_pair(Fraction(a_num, da), Fraction(b_num, db))
+            n_grid += 1
+            grid.check(invariant_classify(f5, f, 2)["match"], lambda: f"f={f5.format_elt(f)}")
+        cases.append(
+            grid.case(
+                f"{n_grid} samples a+bi with |a|,|b|<=3 and denominators in {{1,2,3}} "
+                f"over Q(i) at p=5: observed boundedness matches the two-place "
+                f"valuation prediction; {grid.bad} mismatches",
+                inconclusive=True,
+            )
         )
-    )
 
-    named = _Law("invariant_named_cases")
-    details = []
+    def at_primes(samples):
+        return [s for s in samples if s[0].p in primes]
+
     i5, i3 = f5.imag_unit(), f3.imag_unit()
-    for fld, f, want_bounded, label in [
+    named_samples = at_primes([
         (f5, i5, True, "i at p=5 (split)"),
         (f5, f5.from_pair(Fraction(0), Fraction(1, 5)), False, "i/5 at p=5"),
         (f5, f5.from_pair(Fraction(1, 5), Fraction(0)), False, "1/5 at p=5"),
@@ -1432,46 +1444,55 @@ def check_invariant_profiles(rng: random.Random, p: Optional[int] = None) -> Lis
         (f3, f3.from_int(2), True, "2 at p=3"),
         (f3, f3.from_pair(Fraction(1, 2), Fraction(0)), True, "1/2 at p=3"),
         (f3, f3.from_pair(Fraction(1, 3), Fraction(0)), False, "1/3 at p=3"),
-    ]:
-        rep = invariant_classify(fld, f, 3)
-        named.check(rep["bounded"] == want_bounded and rep["match"], lambda: label)
-        details.append(f"{label}: {'bounded' if rep['bounded'] else 'unbounded'}")
-    cases.append(named.case("; ".join(details)))
+    ])
+    if named_samples:
+        named = _Law("invariant_named_cases")
+        details = []
+        for fld, f, want_bounded, label in named_samples:
+            rep = invariant_classify(fld, f, 3)
+            named.check(rep["bounded"] == want_bounded and rep["match"], lambda: label)
+            details.append(f"{label}: {'bounded' if rep['bounded'] else 'unbounded'}")
+        cases.append(named.case("; ".join(details)))
 
-    stable = _Law("profile_stability")
-    for fld, f in [(f3, i3), (f5, f5.from_pair(Fraction(1, 5), Fraction(0)))]:
-        r2 = ghost_constant_profile(fld, f, 2)
-        r3 = ghost_constant_profile(fld, f, 3)
-        stable.check(
-            not r2["bounded"]
-            and not r3["bounded"]
-            and r2["first_unbounded_index"] == r3["first_unbounded_index"],
-            lambda: f"f={fld.format_elt(f)} over {fld!r}",
+    stable_samples = at_primes([(f3, i3), (f5, f5.from_pair(Fraction(1, 5), Fraction(0)))])
+    if stable_samples:
+        stable = _Law("profile_stability")
+        for fld, f in stable_samples:
+            r2 = ghost_constant_profile(fld, f, 2)
+            r3 = ghost_constant_profile(fld, f, 3)
+            stable.check(
+                not r2["bounded"]
+                and not r3["bounded"]
+                and r2["first_unbounded_index"] == r3["first_unbounded_index"],
+                lambda: f"f={fld.format_elt(f)} over {fld!r}",
+            )
+        cases.append(
+            stable.case(
+                "once a profile goes unbounded it stays unbounded as the depth grows "
+                "(first unbounded index stable from N=2 to N=3)"
+            )
         )
-    cases.append(
-        stable.case(
-            "once a profile goes unbounded it stays unbounded as the depth grows "
-            "(first unbounded index stable from N=2 to N=3)"
-        )
-    )
 
     teich = _Law("teichmuller_fixed_points")
-    for fld, f, fixed in [
-        (f5, i5, True),
-        (f3, i3, False),
-        (f5, f5.one(), True),
-        (Rationals(7), Fraction(1), True),
-    ]:
+    teich_samples = at_primes([
+        (f5, i5, True, "i^5 = i makes [i] shift-invariant at p=5"),
+        (f3, i3, False, "i^3 = -i breaks the shift-invariance of [i] at p=3"),
+        (f5, f5.one(), True, "1 is invariant at p=5"),
+        (Rationals(7), Fraction(1), True, "1 is invariant at p=7"),
+    ])
+    for fld, f, fixed, _ in teich_samples:
         teich.check(
             teichmuller_phi_invariance(fld, f) == fixed,
             lambda: f"r={fld.format_elt(f)} over {fld!r}: r^p = r is {not fixed}",
         )
-    cases.append(
-        teich.case(
+    if p is None:
+        teich_detail = (
             "i^5 = i makes [i] shift-invariant at p=5; i^3 = -i breaks it at p=3; "
             "1 is invariant at every p"
         )
-    )
+    else:
+        teich_detail = "; ".join(label for *_, label in teich_samples)
+    cases.append(teich.case(teich_detail))
     return cases
 
 

@@ -15,6 +15,12 @@ form a ring of characteristic p:
   min(D - m + 1, M) is stable under repeated addition (the p**l-th power
   regains every digit the inputs lost).
 
+  The same dependence on a mod p alone makes the sum cheap: every slot
+  m >= D - M reads the one top sum x_D + y_D, so ``tilt_add`` takes it mod p
+  and walks one ladder of p-th powers down from slot D, each step gaining
+  the one digit its slot certifies.  Only when D > M do the slots
+  m < D - M raise their own sum at slot m + M to the p**M-th power.
+
 The same mod-p dependence shows the whole ring structure is the perfection of
 A/p presented at finite depth; over Z/p**M every chain collapses to the
 Teichmueller chain of its residue, so that tilt is F_p.
@@ -165,7 +171,12 @@ def tilt_add(
 ) -> TiltElt:
     """Chain sum, each component as a fixed p**l-th power of a deeper sum.
 
-    Component m is certified to min(D - m + 1, M) digits.  Passing
+    Component m is (x_{m+l} + y_{m+l}) ** (p**l) with l = min(M, D - m),
+    certified to min(D - m + 1, M) digits.  For m >= D - M that is the top
+    sum: it is taken mod p (the power reads nothing more) and one ladder of
+    p-th powers, one digit per step, yields slots D, D - 1, ..., max(D - M,
+    0).  When D > M, each slot m < D - M raises its own sum at slot m + M to
+    the p**M-th power.  Slots past ``out_depth`` are not returned.  Passing
     ``min_prec`` asks that every returned component carry at least
     min(min_prec, M) digits, which needs stored depth D >= out_depth +
     min_prec - 1; ``InsufficientDepth`` reports the shortfall.
@@ -187,11 +198,17 @@ def tilt_add(
                 f"deepest requested component is certified to {have} digits; "
                 f"{need} need stored depth >= {out_depth + need - 1}"
             )
-    entries = []
-    for m in range(out_depth + 1):
-        l = min(M, D - m)
-        s = base.add(x.entries[m + l], y.entries[m + l])
-        entries.append(base.truncate(base.pow_p_tower(s, l), l + 1))
+    low = max(D - M, 0)
+    entries = [
+        base.pow_p_tower(base.add(x.entries[m + M], y.entries[m + M]), M)
+        for m in range(min(out_depth + 1, low))
+    ]
+    if out_depth >= low:
+        # ladder[j] is slot D - j, known to min(j + 1, M) digits
+        ladder = [base.truncate(base.add(x.entries[D], y.entries[D]), 1)]
+        for _ in range(D - low):
+            ladder.append(base.pow_p_tower(ladder[-1], 1))
+        entries.extend(reversed(ladder[D - out_depth :]))
     return make_tilt(base, entries, validate=False)
 
 

@@ -15,10 +15,12 @@ integer coefficients.  We compute them exactly over Q and *assert* the
 integrality, so a bug in the recursion cannot slip through as a silently
 wrong denominator.
 
-Polynomials are built once per (p, index, kind) and cached.  The cached range
-is deliberately small (index <= 3 for p = 2, index <= 2 otherwise); vectors
-longer than the cached range are handled by ghost transport in the callers,
-not here.
+Polynomials are built once per (p, index, kind) and cached, and so, lazily,
+are their reductions mod p (``structure_poly_mod_p``), which
+characteristic-p rings evaluate; ``canonical_dump`` and every other caller
+read the integer ones.  The cached range is deliberately small (index <= 3
+for p = 2, index <= 2 otherwise); vectors longer than the cached range are
+handled by ghost transport in the callers, not here.
 
 ``UPoly.evaluate`` is the one evaluator, over any ``Ring`` (``Integers(p)``
 for plain integer inputs).  It checks the coefficients and sorts the terms
@@ -279,6 +281,15 @@ def structure_poly(p: int, index: int, kind: str) -> UPoly:
         )
     # drop the unused last variable
     return UPoly(index + 1, {e[: index + 1]: c for e, c in f.terms.items()})
+
+
+@lru_cache(maxsize=None)
+def structure_poly_mod_p(p: int, index: int, kind: str) -> UPoly:
+    """``structure_poly`` with its coefficients reduced to 0..p-1, the form a
+    characteristic-p ring evaluates: terms divisible by p drop out and a
+    coefficient 1 mod p needs no multiplication."""
+    poly = structure_poly(p, index, kind)
+    return UPoly(poly.nvars, {exps: c % p for exps, c in poly.terms.items()})
 
 
 def component_labels(p: int, count: int, prefix: str = "x") -> List[str]:

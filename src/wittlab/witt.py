@@ -5,10 +5,12 @@ A vector of length n+1 over a coefficient ring R is written
 and dispatch on the ring's capabilities:
 
   * characteristic p     -- one dispatcher, `_char_p_op`, evaluates the cached
-                            sum/prod/neg structure polynomials (negation is
-                            componentwise for odd p, the Frobenius is
-                            componentwise); lengths beyond the cached range
-                            are refused rather than approximated;
+                            sum/prod/neg structure polynomials with their
+                            coefficients reduced mod p, since p = 0 in the
+                            ring (negation is componentwise for odd p, the
+                            Frobenius is componentwise); lengths beyond the
+                            cached range are refused rather than
+                            approximated;
   * Q-algebras           -- ghost transport, any length;
   * everything else      -- lift to the ring's p-torsion-free cover, transport
                             there, reduce back; the reduction asserts
@@ -36,7 +38,7 @@ from .errors import (
 )
 from .norms import NormValue, norm_max
 from .rings import Rationals, Ring
-from .univ import structure_cap, structure_poly
+from .univ import structure_cap, structure_poly, structure_poly_mod_p
 
 __all__ = [
     "WittVec",
@@ -188,8 +190,9 @@ def _same_shape(x: WittVec, y: WittVec) -> None:
 
 
 def _char_p_op(kind: str, x: WittVec, *others: WittVec) -> WittVec:
-    """Evaluate the cached ``kind`` structure polynomials; component i reads
-    the first i+1 components of x and then of each other operand."""
+    """Evaluate the cached ``kind`` structure polynomials reduced mod p;
+    component i reads the first i+1 components of x and then of each other
+    operand."""
     ring, p = x.ring, x.ring.p
     if x.top_index > structure_cap(p):
         raise CapabilityMissing(
@@ -198,7 +201,7 @@ def _char_p_op(kind: str, x: WittVec, *others: WittVec) -> WittVec:
         )
     vecs = (x,) + others
     comps = tuple(
-        structure_poly(p, i, kind).evaluate(
+        structure_poly_mod_p(p, i, kind).evaluate(
             ring, [c for v in vecs for c in v.components[: i + 1]]
         )
         for i in range(x.length)

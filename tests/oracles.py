@@ -120,3 +120,49 @@ def cyclotomic_valuation(coeffs: Sequence, p: int, k: int) -> Fraction:
     if norm == 0:
         raise ValueError("valuation of zero is infinite")
     return Fraction(vp_fraction(norm, p), e)
+
+
+def cyclo_pow_int(a: Sequence[int], n: int, p: int, k: int, q: int) -> List[int]:
+    """a ** n in Z[zeta_{p^k}] / q by n plain multiplications starting from 1."""
+    e = p ** (k - 1) * (p - 1)
+    out = [1 % q] + [0] * (e - 1)
+    for _ in range(n):
+        out = conv_reduce_int(out, a, p, k, q)
+    return out
+
+
+def chain_sum(p: int, k, M: int, xs: Sequence, ys: Sequence, out_depth: int) -> List[Tuple]:
+    """The tilt sum slot by slot, z_m = (x_{m+l} + y_{m+l}) ** (p^l) mod
+    p^min(l+1, M) with l = min(M, D - m), for slots m <= out_depth.
+
+    Chains are lists of (digits, prec) from slot 0 to slot D; k is None for
+    Z/p^M (one digit), else the conductor exponent of Z[zeta_{p^k}]/p^M.
+    Returns (digits, prec) per slot.
+    """
+    D = len(xs) - 1
+    out = []
+    for m in range(out_depth + 1):
+        l = min(M, D - m)
+        prec = min(l + 1, M)
+        q = p**prec
+        s = [a + b for a, b in zip(xs[m + l][0], ys[m + l][0])]
+        if k is None:
+            digits = (pow(s[0], p**l, q),)
+        else:
+            digits = tuple(cyclo_pow_int(s, p**l, p, k, q))
+        out.append((digits, prec))
+    return out
+
+
+def eval_poly(ring, terms: dict, values: Sequence):
+    """sum c * prod values[i]^e over the terms, with ring.from_int(c) for every
+    coefficient and powers as repeated products, added from ring.zero() in
+    sorted exponent order."""
+    acc = ring.zero()
+    for exps, c in sorted(terms.items()):
+        term = ring.from_int(c)
+        for v, e in zip(values, exps):
+            for _ in range(e):
+                term = ring.mul(term, v)
+        acc = ring.add(acc, term)
+    return acc

@@ -1,8 +1,11 @@
 """The command-line front end, driven through ``main``: exit codes and JSON keys."""
 
 import json
+import os
 
 from wittlab.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def run(capsys, *argv):
@@ -127,7 +130,6 @@ def test_suite_prime_filter_that_matches_nothing_is_a_usage_error(capsys):
 
 
 def test_prime_filter_drops_the_cases_of_other_primes(capsys):
-    # perfect_verdicts mixes primes by design and keeps its p=2 cases
     expected = {
         "arrow": (
             1,  # ROADMAP C3: the sandwich still fails at p=3
@@ -152,22 +154,44 @@ def test_prime_filter_drops_the_cases_of_other_primes(capsys):
         "perfect": (
             0,
             [
-                "gaussian_not_perfect",
                 "integers_not_perfect",
                 "solve_normed_contract_p3",
                 "solve_roundtrip_p3",
-                "tower_p2_level2",
                 "tower_p3_level2",
                 "tower_p3_seed_independent",
                 "zeta3_ring_not_perfect",
-                "zeta8_square_root_of_two",
             ],
         ),
+        "artin": (
+            0,
+            ["invariant_named_cases", "profile_stability", "teichmuller_fixed_points"],
+        ),
     }
+    details = {}
     for suite, (want_code, names) in expected.items():
         code, out, _ = run(capsys, "verify", suite, "--p", "3", "--json")
         assert code == want_code, suite
-        assert [c["name"] for c in json.loads(out)["cases"]] == names
+        cases = json.loads(out)["cases"]
+        assert [c["name"] for c in cases] == names
+        details.update((c["name"], c["detail"]) for c in cases)
+    # the cases that mix primes keep only their p=3 samples
+    assert details["integers_not_perfect"].endswith("direct powering: p=3: a=1")
+    assert "p=5" not in details["invariant_named_cases"]
+    assert details["teichmuller_fixed_points"] == (
+        "i^3 = -i breaks the shift-invariance of [i] at p=3"
+    )
+
+
+def test_prime_filter_keeps_the_other_primes_of_mixed_checks(capsys):
+    code, out, _ = run(capsys, "verify", "artin", "--p", "7", "--json")
+    assert code == 0
+    (case,) = json.loads(out)["cases"]
+    assert case["name"] == "teichmuller_fixed_points"
+    assert case["detail"] == "1 is invariant at p=7"
+    code, out, err = run(capsys, "verify", "artin", "--p", "2")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: --p 2: this check covers p in {3, 5, 7} only"
 
 
 def test_sandwich_names_the_rings_the_prime_filter_kept(capsys):
@@ -194,3 +218,115 @@ def test_kernel_verify_reads_samples_over_the_integers_from_a_file(capsys, tmp_p
     payload = json.loads(out)
     assert payload["failures"] == 0
     assert [r["t"] for r in payload["results"]] == ["4"]
+
+
+# -- tilt and universal -------------------------------------------------------------
+
+# JSON that `tilt add` printed before its ladder rewrite, per argv
+TILT_ADD_PINS = [
+    (
+        ("5", "7", "--p", "3", "--precision", "3", "--depth", "4"),
+        {
+            "base": {"M": 3, "kind": "Zmod", "p": 3},
+            "entries": [0, 0, 0, {"prec": 2, "value": 0}, {"prec": 1, "value": 0}],
+        },
+    ),
+    (
+        ("5", "5", "--p", "3", "--precision", "3", "--depth", "4"),
+        {
+            "base": {"M": 3, "kind": "Zmod", "p": 3},
+            "entries": [1, 1, 1, {"prec": 2, "value": 1}, {"prec": 1, "value": 1}],
+        },
+    ),
+    (
+        ("[1,1]", "[0,1]", "--ring", "ZzetaMod:2", "--precision", "4", "--depth", "2"),
+        {
+            "base": {"M": 4, "k": 2, "kind": "ZzetaMod", "p": 2},
+            "entries": [
+                {"coeffs": [1, 0], "prec": 3},
+                {"coeffs": [1, 0], "prec": 2},
+                {"coeffs": [1, 0], "prec": 1},
+            ],
+        },
+    ),
+    (
+        ("[1,1]", "[1,0]", "--ring", "ZzetaMod:2", "--precision", "2", "--depth", "4"),
+        {
+            "base": {"M": 2, "k": 2, "kind": "ZzetaMod", "p": 2},
+            "entries": [[1, 0], [1, 0], [1, 0], [3, 0], {"coeffs": [0, 1], "prec": 1}],
+        },
+    ),
+]
+
+
+def test_tilt_add_json_is_pinned(capsys):
+    for argv, result in TILT_ADD_PINS:
+        code, out, _ = run(capsys, "tilt", "add", *argv, "--json")
+        assert code == 0, argv
+        assert json.loads(out) == {"op": "add", "result": result}, argv
+
+
+def test_tilt_mul_norm_and_untilt_print_their_json_keys(capsys):
+    code, out, _ = run(capsys, "tilt", "mul", "5", "4", "--p", "3", "--depth", "4", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert set(payload) == {"op", "result"} and payload["op"] == "mul"
+    assert payload["result"]["entries"] == [26, 26, 26, 8, 20]
+    code, out, _ = run(capsys, "tilt", "norm", "[0,1]", "--ring", "ZzetaMod:2", "--depth", "2", "--json")
+    assert code == 0
+    assert json.loads(out) == {"op": "norm", "result": "p^0"}
+    code, out, _ = run(
+        capsys, "tilt", "untilt", "5", "--p", "3", "--depth", "3", "--n", "2", "--json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert set(payload) == {"op", "result"} and payload["op"] == "untilt"
+    assert set(payload["result"]) == {"levels", "ring", "tail_bound_exponent"}
+    assert payload["result"]["levels"] == [[26], [26, 0], [17, 0, 0]]
+    code, out, _ = run(capsys, "tilt", "add", "5", "5", "--p", "3", "--depth", "2")
+    assert code == 0
+    assert out.splitlines() == ["  slot 0: 1", "  slot 1: 1~2", "  slot 2: 1~1"]
+
+
+def test_tilt_usage_errors_exit_two(capsys):
+    for argv in (
+        ("tilt", "add", "5"),
+        ("tilt", "norm", "5", "7"),
+        ("tilt", "untilt", "5", "7"),
+        ("tilt", "add", "5", "7", "--ring", "Q"),
+        ("tilt", "add", "5", "x"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and err.startswith("error: "), argv
+
+
+def test_universal_dump_prints_the_integer_polynomials(capsys):
+    code, out, _ = run(capsys, "universal", "dump", "--p", "2")
+    assert code == 0
+    with open(os.path.join(GOLDEN, "structure_polys_p2.txt")) as fh:
+        assert out == fh.read()
+    # coefficients divisible by p stay: the dump is not the mod-p reduction
+    assert "prod[p=2,i=1] = 2*x2*y2 + 1*x2*y1^2 + 1*x1^2*y2" in out.splitlines()
+    code, out, _ = run(capsys, "universal", "dump", "--p", "2", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert set(payload) == {"p", "polynomials"} and payload["p"] == 2
+    assert "sum[p=2,i=2] = " + " + ".join(
+        ["1*y4", "1*x4", "-1*x2*y2", "1*x1*y1*y2", "-1*x1*y1^3", "1*x1*x2*y1", "-2*x1^2*y1^2", "-1*x1^3*y1"]
+    ) in payload["polynomials"]
+    code, out, err = run(capsys, "universal", "dump", "--p", "4")
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
+def test_arrow_norm_prints_its_json_keys(capsys):
+    code, out, _ = run(capsys, "arrow", "norm", "4", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert set(payload) == {"c", "norm"} and payload["c"] == 4
+    assert set(payload["norm"]) == {"attained_at", "b", "exponent", "status", "tail", "terms"}
+    assert payload["norm"]["exponent"] == "-2" and payload["norm"]["status"] == "exact"
+    code, out, err = run(capsys, "arrow", "norm", "4", "--b", "x")
+    assert code == 2
+    assert out == "" and err.strip() == "error: not a rational number: 'x'"

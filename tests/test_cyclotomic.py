@@ -167,3 +167,26 @@ def test_gaussian_power_multiplicativity(a, b, p):
     if g.is_zero(x):
         return
     assert g.seminorm(g.mul(x, x)) == g.seminorm(x).pow(2)
+
+
+@pytest.mark.parametrize("p, k, M", [(2, 2, 4), (2, 3, 3), (3, 1, 3), (3, 2, 2)])
+def test_truncated_cyclotomic_powers_match_repeated_products(p, k, M):
+    """pow_ and pow_p_tower on integer digits against n plain oracle products,
+    from elements below full precision."""
+    ring = CycloModPM(p, k, M)
+    for prec in range(1, M):
+        q = p**prec
+        for a in ([1] + [0] * (ring.e - 1), list(range(1, ring.e + 1)), [p] + [q - 1] * (ring.e - 1)):
+            x = ring.from_digits(a, prec)
+            for n in range(13):
+                got = ring.pow_(x, n)
+                if n == 0:
+                    assert got == ring.one()
+                    continue
+                assert got.prec == prec
+                assert list(got.coeffs) == oracles.cyclo_pow_int(x.coeffs, n, p, k, q), (prec, n)
+            for l in range(4):
+                got = ring.pow_p_tower(x, l)
+                k_out = min(prec + l, M)
+                assert got.prec == k_out
+                assert list(got.coeffs) == oracles.cyclo_pow_int(x.coeffs, p**l, p, k, p**k_out)

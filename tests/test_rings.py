@@ -157,6 +157,59 @@ def test_truncated_seminorm_reads_the_canonical_lift():
     assert ring.seminorm(ring.from_int(12)) == NormValue.from_exponent(2)
     assert ring.seminorm(ring.from_int(16)).is_zero
     assert ring.seminorm(ring.from_int(0)).is_zero
+    # Z[zeta_4]/2^4 and Z[zeta_9]/3^2: the valuation of the canonical lift,
+    # from the oracle's field norm; the zero residue has seminorm 0
+    for p, k, M, digits, prec in (
+        (2, 2, 4, [16, 0], None),  # zero residue
+        (2, 2, 4, [0, 0], 2),
+        (2, 2, 4, [1, 0], None),  # unit
+        (2, 2, 4, [3, 1], None),  # (1 + i)(2 - i)
+        (2, 2, 4, [2, 2], None),
+        (2, 2, 4, [0, 4], 3),
+        (3, 2, 2, [1, 2, 0, 0, 0, 5], None),  # unit
+        (3, 2, 2, [1, 8, 0, 0, 0, 0], None),  # 1 - zeta, up to a unit
+        (3, 2, 2, [3, 0, 0, 6, 0, 0], 2),
+    ):
+        ring = CycloModPM(p, k, M)
+        a = ring.from_digits(digits, prec)
+        got = ring.seminorm(a)
+        if not any(ring.digits(a)):
+            assert got.is_zero
+            continue
+        v = oracles.cyclotomic_valuation(ring.digits(a), p, k)
+        assert got == NormValue.from_exponent(v), (p, k, digits)
+    unit = CycloModPM(2, 2, 4).from_digits([1, 0])
+    assert CycloModPM(2, 2, 4).seminorm(unit) == NormValue.one()
+
+
+class _CountingIntegers(Integers):
+    """Integers that count their multiplications."""
+
+    def __init__(self, p):
+        super().__init__(p)
+        self.muls = 0
+
+    def mul(self, a, b):
+        self.muls += 1
+        return a * b
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 100])
+def test_generic_pow_squares_and_multiplies_from_the_lowest_set_bit(n):
+    """a^n with bit_length(n) - 1 squarings and popcount(n) - 1 products:
+    one() is never multiplied in."""
+    ring = _CountingIntegers(3)
+    assert ring.pow_(-3, n) == (-3) ** n
+    want = 0 if n == 0 else n.bit_length() - 1 + bin(n).count("1") - 1
+    assert ring.muls == want
+    assert Rationals(3).pow_(Fraction(-2, 3), n) == Fraction(-2, 3) ** n
+
+
+def test_generic_pow_refuses_negative_exponents():
+    with pytest.raises(WittError):
+        Rationals(2).pow_(Fraction(1, 2), -1)
+    with pytest.raises(WittError):
+        CycloModPM(2, 2, 3).pow_(CycloModPM(2, 2, 3).one(), -2)
 
 
 # -- the truncated-ring digit layout, shared by Z/p^M and Z[zeta]/p^M ----------

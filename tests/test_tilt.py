@@ -1,13 +1,14 @@
 """Tilts over truncated bases and overconvergence in characteristic p."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from wittlab.cyclotomic import CycloModPM
-from wittlab.errors import DepthExceeded, LengthMismatch, NotEnumerable
+from wittlab.errors import DepthExceeded, InsufficientDepth, LengthMismatch, NotEnumerable
 from wittlab.norms import NormValue
 from wittlab.perfpoly import PerfPolyRing
 from wittlab.rings import ZModPM
@@ -41,6 +42,8 @@ from wittlab.tilt import (
 )
 from wittlab.witt import WittVec
 from wittlab.arrow import arrow_norm
+
+import oracles
 
 
 def test_chains_are_pth_power_coherent():
@@ -197,3 +200,62 @@ def test_enumeration_over_a_cyclotomic_base():
 def test_enumeration_refuses_past_its_limit():
     with pytest.raises(NotEnumerable, match="^64 .*exceed the enumeration limit 10$"):
         enumerate_tilts(CycloModPM(2, 2, 3), 2, limit=10)
+
+
+# -- tilt_add against the per-slot formula ----------------------------------------
+
+_SUM_BASES = [
+    (ZModPM(3, 3), 4),  # D > M
+    (CycloModPM(2, 2, 2), 4),  # D > M over a ramified base
+    (CycloModPM(2, 5, 4), 4),  # D = M
+    (CycloModPM(2, 2, 4), 2),  # D < M
+    (ZModPM(2, 5), 3),  # D < M
+]
+
+
+def _oracle_sum_json(base, xs, ys, out_depth):
+    k = getattr(base, "k", None)
+    entries = []
+    for digits, prec in oracles.chain_sum(base.p, k, base.M, xs, ys, out_depth):
+        payload = digits[0] if k is None else list(digits)
+        key = "value" if k is None else "coeffs"
+        entries.append(payload if prec == base.M else {key: payload, "prec": prec})
+    return {"base": base.to_config(), "entries": entries}
+
+
+@pytest.mark.parametrize(
+    "base, depth",
+    _SUM_BASES,
+    ids=["Zmod-3-3-D4", "ZzetaMod-2-2-2-D4", "ZzetaMod-2-5-4-D4", "ZzetaMod-2-2-4-D2", "Zmod-2-5-D3"],
+)
+def test_tilt_add_matches_the_per_slot_formula(base, depth):
+    """z_m = (x_{m+l} + y_{m+l})^(p^l) mod p^min(l+1, M), l = min(M, D - m),
+    byte for byte, for every out_depth and min_prec, from chains whose slots
+    carry mixed precisions.  The last four draws leave the chains incoherent,
+    so that the slots m < D - M must read their own sums."""
+
+    def draw():
+        return base.from_digits(
+            [rng.randrange(base.p ** base.M) for _ in range(base.e)], rng.randint(1, base.M)
+        )
+
+    rng = random.Random(f"{base!r}|{depth}")
+    for sample in range(8):
+        chains = []
+        for _ in range(2):
+            if sample >= 4:
+                chains.append(make_tilt(base, [draw() for _ in range(depth + 1)], validate=False))
+                continue
+            entries = tilt_from_top(base, draw(), depth).entries
+            chains.append(make_tilt(base, [base.truncate(e, rng.randint(1, base.M)) for e in entries]))
+        x, y = chains
+        xs, ys = ([(base.digits(e), e.prec) for e in c.entries] for c in chains)
+        for out_depth in range(depth + 1):
+            want = json.dumps(_oracle_sum_json(base, xs, ys, out_depth), sort_keys=True)
+            for min_prec in (None, 1, 2, base.M):
+                if min_prec is not None and min(depth - out_depth + 1, base.M) < min(min_prec, base.M):
+                    with pytest.raises(InsufficientDepth):
+                        tilt_add(x, y, out_depth=out_depth, min_prec=min_prec)
+                    continue
+                got = tilt_add(x, y, out_depth=out_depth, min_prec=min_prec)
+                assert json.dumps(tilt_to_json(got), sort_keys=True) == want

@@ -20,6 +20,7 @@ from wittlab.univ import (
     ghost_poly,
     structure_cap,
     structure_poly,
+    structure_poly_mod_p,
 )
 
 import oracles
@@ -144,3 +145,23 @@ def test_dump_covers_every_kind_up_to_the_cap():
             assert f"{kind}[p=2,i={i}]" in heads
     labels = component_labels(2, 4)
     assert labels == ["x1", "x2", "x4", "x8"]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_mod_p_polynomials_keep_exactly_the_terms_prime_to_p(p):
+    for kind in ("sum", "prod", "neg"):
+        for i in range(structure_cap(p) + 1):
+            full = structure_poly(p, i, kind).terms
+            reduced = structure_poly_mod_p(p, i, kind).terms
+            assert reduced == {e: c % p for e, c in full.items() if c % p}
+            assert all(1 <= c < p for c in reduced.values())
+
+
+def test_mod_p_polynomials_at_two_are_bare_monomials():
+    sizes = {
+        kind: [len(structure_poly_mod_p(2, i, kind).terms) for i in range(4)]
+        for kind in ("sum", "prod")
+    }
+    assert sizes == {"sum": [2, 3, 7, 29], "prod": [1, 2, 4, 12]}
+    assert [len(structure_poly(2, 3, kind).terms) for kind in ("sum", "prod")] == [40, 51]
+    assert set(structure_poly_mod_p(2, 3, "sum").terms.values()) == {1}

@@ -18,8 +18,9 @@ from wittlab.errors import (
 from wittlab.norms import NormValue
 from wittlab.perfpoly import PerfPolyRing
 from wittlab.rings import Integers, Rationals, ZModPM
-from wittlab.tilt import TiltRing, tilt_from_top
-from wittlab.univ import structure_cap
+from wittlab.cyclotomic import CycloModPM
+from wittlab.tilt import TiltRing, make_tilt, tilt_from_top
+from wittlab.univ import structure_cap, structure_poly
 from wittlab.witt import (
     WittVec,
     format_witt,
@@ -318,3 +319,67 @@ def test_char_p_ops_refuse_one_length_past_the_cap(ring):
             witt_neg(x)
     else:
         assert witt_eq(witt_neg(x), WittVec(ring, tuple(ring.neg(c) for c in x.components)))
+
+
+# -- char-p operations against the full integer structure polynomials -----------
+
+_FULL_POLY_RINGS = [
+    PerfPolyRing(2, 1, 3),
+    PerfPolyRing(3, 1, 2),
+    TiltRing(ZModPM(2, 3), 3),
+    TiltRing(CycloModPM(2, 2, 3), 3),
+    TiltRing(CycloModPM(3, 1, 2), 4),
+]
+
+
+def _mixed_chain_draw(rng, ring):
+    """A coherent chain whose top carries a random precision and whose slots
+    are then cut to random precisions (coherence only needs the minimum)."""
+    base = ring.base
+    top = base.from_digits(
+        [rng.randrange(base.p ** base.M) for _ in range(base.e)], rng.randint(1, base.M)
+    )
+    chain = tilt_from_top(base, top, ring.depth)
+    entries = [base.truncate(e, rng.randint(1, base.M)) for e in chain.entries]
+    return make_tilt(base, entries)
+
+
+def _full_poly_image(ring, kind, vecs):
+    """The vector whose component i is the integer ``kind`` polynomial,
+    evaluated naively on the first i+1 components of each operand."""
+    return WittVec(ring, tuple(
+        oracles.eval_poly(
+            ring,
+            structure_poly(ring.p, i, kind).terms,
+            [c for v in vecs for c in v.components[: i + 1]],
+        )
+        for i in range(vecs[0].length)
+    ))
+
+
+@pytest.mark.parametrize(
+    "ring",
+    _FULL_POLY_RINGS,
+    ids=["PerfPoly-p2", "PerfPoly-p3", "tilt-Zmod-p2", "tilt-ZzetaMod-p2", "tilt-ZzetaMod-p3"],
+)
+def test_char_p_ops_match_the_full_integer_polynomials(ring):
+    """Evaluating the polynomials reduced mod p gives the bytes the integer
+    polynomials give, at every cached length; the oracle evaluates the
+    integer ones naively, each coefficient through from_int."""
+    rng = random.Random(repr(ring))
+    draw = _mixed_chain_draw if isinstance(ring, TiltRing) else _char_p_draw
+    for length in range(1, structure_cap(ring.p) + 2):
+        for _ in range(2):
+            x, y = (
+                WittVec(ring, tuple(draw(rng, ring) for _ in range(length)))
+                for _ in range(2)
+            )
+            for kind, op in (("sum", witt_add), ("prod", witt_mul)):
+                want = _full_poly_image(ring, kind, (x, y))
+                assert witt_to_json(op(x, y)) == witt_to_json(want), (kind, length)
+            want = _full_poly_image(ring, "neg", (x,))
+            if ring.p == 2:
+                assert witt_to_json(witt_neg(x)) == witt_to_json(want), ("neg", length)
+            else:
+                # odd p negates componentwise, keeping each slot's precision
+                assert witt_eq(witt_neg(x), want)

@@ -70,14 +70,15 @@ def predicted_invariant_member(field: GaussianField, f: Any) -> bool:
     if field.split:
         vals = field.place_valuations(f)
         return all(v is None or v >= 0 for v in vals.values())
-    if f[1] != 0:
+    if f.nums[1]:
         return False
     v = field.valuation(f)
     return v is None or v >= 0
 
 
 def invariant_classify(field: GaussianField, f: Any, N: int) -> dict:
-    """Observed bounded/unbounded profile versus the predicted membership."""
+    """Observed bounded/unbounded profile versus the predicted membership;
+    ``passed`` (also kept as ``match``) says whether the two agree."""
     if not isinstance(field, GaussianField):
         raise CapabilityMissing("classification is implemented over Q(i) only")
     if field.p == 2:
@@ -92,6 +93,7 @@ def invariant_classify(field: GaussianField, f: Any, N: int) -> dict:
             "splitting": "split" if field.split else "inert",
             "predicted_bounded": predicted,
             "match": predicted == report["bounded"],
+            "passed": predicted == report["bounded"],
         }
     )
     return report

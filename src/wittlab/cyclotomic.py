@@ -3,16 +3,20 @@
 ``CyclotomicField(p, k)`` models Q(zeta) for zeta a primitive p**k-th root of
 unity.  There is a unique prime above p, totally ramified of index
 e = phi(p**k), and the valuation is normalized by v(p) = 1, so v takes values
-in (1/e)Z.  Elements are coefficient tuples over the power basis
-1, zeta, ..., zeta**(e-1), with Fraction entries.
+in (1/e)Z.  ``GaussianField(p)`` is Q(i) = Q(zeta_4) with the places above an
+arbitrary prime p made explicit.
 
-``mul``, ``pow_`` and ``inv`` compute fraction-free: they clear denominators
-once, giving an integer numerator vector over one common denominator, work on
-integers with a single convolution kernel, and build the Fraction tuple at
-the end.  ``inv`` multiplies by conjugates down the tower
+Both store an element as one ``CVec(nums, den)``: e integer numerators on the
+power basis 1, zeta, ..., zeta**(e-1) over one positive denominator, with
+gcd(den, *nums) = 1, so zero is ((0,) * e, 1) and ``==`` and hashing are
+structural.  ``PowerBasisField`` holds the one integer kernel they share: every
+operation runs on the numerators with ``_conv``, ``_pow_int`` and
+``_norm_cofactor`` and normalises once at the end.  The kernel reads its own
+conductor (``root_p``, ``root_k``), which for Q(i) is 2**2 whatever the
+valuation prime p is.  ``inv`` multiplies by conjugates down the tower
 Q(zeta_{p**k}) > Q(zeta_{p**(k-1)}) > ... > Q: each step's relative norm lies
 in the next subfield, the last one is the rational norm N, and
-1/a = cofactor / N.
+1/a = den * cofactor / N.  Coefficients print as ``str(Fraction(n, den))``.
 
 Valuations are computed without factoring norms: strip powers of p
 coefficientwise, then read off the order in t = 1 - zeta of the mod-p residue
@@ -22,8 +26,8 @@ mod p: an element is a p-th power mod p exactly when its t-support consists of
 multiples of p, and dividing the exponents by p produces a root.
 
 ``CycloModPM`` is the truncation O/p**M with per-element digit budgets; its
-``pow_``, ``pow_p_tower`` and ``seminorm`` read the integer digits directly.
-``GaussianField`` is Q(i) with the places above a chosen p made explicit.
+``pow_``, ``pow_p_tower`` and ``seminorm`` read the integer digits directly,
+and its cover is the field, reached by the digits over denominator 1.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     CapabilityMissing,
@@ -44,9 +48,45 @@ from .errors import (
     PrecisionExhausted,
 )
 from .norms import NormValue
-from .rings import Ring, TruncatedRing, check_prime, vp_fraction, vp_int
+from .rings import Ring, TruncatedRing, check_prime, vp_int
 
-CVec = Tuple[Fraction, ...]
+
+class CVec(NamedTuple):
+    """The field element nums / den on the power basis, in canonical form:
+    den > 0 and gcd(den, *nums) = 1."""
+
+    nums: Tuple[int, ...]
+    den: int
+
+
+def _canon(nums: Sequence[int], den: int) -> CVec:
+    """The canonical form of nums / den, for any nonzero integer den."""
+    if den == 1:
+        return CVec(tuple(nums), 1)
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return CVec(tuple(nums), den)
+    return CVec(tuple(c // g for c in nums), den // g)
+
+
+def _add(a: CVec, b: CVec, sign: int) -> CVec:
+    """a + sign * b, for sign = 1 or -1."""
+    (x, dx), (y, dy) = a, b
+    if dx == dy:
+        return _canon([s + sign * t for s, t in zip(x, y)], dx)
+    g = math.gcd(dx, dy)
+    mx, my = dy // g, sign * dx // g
+    return _canon([s * mx + t * my for s, t in zip(x, y)], dx * mx)
+
+
+def _coeff_text(n: int, den: int) -> str:
+    """str(Fraction(n, den)), without building the Fraction."""
+    if den == 1:
+        return str(n)
+    g = math.gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
 def _reduce_tail(coeffs: list, e: int, p: int, step: int) -> list:
@@ -96,20 +136,6 @@ def _pow_int(v: Sequence[int], n: int, e: int, p: int, step: int, q: Optional[in
     return result
 
 
-def _clear(a: CVec) -> Tuple[List[int], int]:
-    """Integer numerators over one common denominator d, so a = nums / d."""
-    d = math.lcm(*(x.denominator for x in a))
-    if d == 1:
-        return [x.numerator for x in a], 1
-    return [x.numerator * (d // x.denominator) for x in a], d
-
-
-def _fractions(nums: Sequence[int], d: int) -> CVec:
-    if d == 1:
-        return tuple(Fraction(c) for c in nums)
-    return tuple(Fraction(c, d) for c in nums)
-
-
 def _conjugate(v: Sequence[int], m: int, p: int, k: int) -> list:
     """The image of v under zeta -> zeta**m, for m prime to p."""
     n = p**k
@@ -152,37 +178,118 @@ def cyclotomic_field(p: int, k: int) -> "CyclotomicField":
     return CyclotomicField(p, k)
 
 
-class CyclotomicField(Ring):
-    """Q(zeta_{p**k}) with the valuation at the unique prime above p."""
+class PowerBasisField(Ring):
+    """Q(zeta) for zeta a primitive root_p**root_k-th root of unity, on the
+    power basis, with elements ``CVec`` and the shared integer kernel.
 
-    kind = "Qzeta"
+    Subclasses fix the valuation prime ``p`` (which need not be ``root_p``),
+    the valuation and the text form.
+    """
+
     q_algebra = True
     p_torsion_free = True
     power_multiplicative_norm = True
+
+    def __init__(self, root_p: int, root_k: int):
+        self.root_p, self.root_k = root_p, root_k
+        self.step = root_p ** (root_k - 1)
+        self.e = self.step * (root_p - 1)  # the field degree
+
+    # -- construction -------------------------------------------------------
+
+    def from_coeffs(self, coeffs: Sequence) -> CVec:
+        """The element with these power-basis coefficients (ints, Fractions or
+        their text); a longer list is reduced by the minimal polynomial."""
+        nums, den = list(coeffs), 1
+        if not all(type(c) is int for c in nums):
+            fracs = [Fraction(c) for c in nums]
+            den = math.lcm(*(x.denominator for x in fracs))
+            nums = [x.numerator * (den // x.denominator) for x in fracs]
+        if len(nums) > self.e:
+            _reduce_tail(nums, self.e, self.root_p, self.step)
+        nums += [0] * (self.e - len(nums))
+        return _canon(nums, den)
+
+    def from_int(self, n: int) -> CVec:
+        return CVec((int(n),) + (0,) * (self.e - 1), 1)
+
+    def coeffs(self, a: CVec) -> Tuple[Fraction, ...]:
+        """The power-basis coefficients of a as Fractions."""
+        return tuple(Fraction(n, a.den) for n in a.nums)
+
+    # -- arithmetic ----------------------------------------------------------
+
+    def add(self, a: CVec, b: CVec) -> CVec:
+        return _add(a, b, 1)
+
+    def sub(self, a: CVec, b: CVec) -> CVec:
+        return _add(a, b, -1)
+
+    def neg(self, a: CVec) -> CVec:
+        return CVec(tuple(-s for s in a.nums), a.den)
+
+    def mul(self, a: CVec, b: CVec) -> CVec:
+        return _canon(_conv(a.nums, b.nums, self.e, self.root_p, self.step), a.den * b.den)
+
+    def pow_(self, a: CVec, n: int) -> CVec:
+        if n < 0:
+            raise CapabilityMissing(f"{self.kind}: negative powers not supported")
+        if n == 0:
+            return self.one()
+        return _canon(_pow_int(a.nums, n, self.e, self.root_p, self.step), a.den**n)
+
+    def scalar_mul(self, q, a: CVec) -> CVec:
+        q = Fraction(q)
+        return _canon([q.numerator * s for s in a.nums], q.denominator * a.den)
+
+    def eq(self, a: CVec, b: CVec) -> bool:
+        return a == b
+
+    def is_zero(self, a: CVec) -> bool:
+        return not any(a.nums)
+
+    def exact_divide_by_p(self, a: CVec) -> CVec:
+        return _canon(a.nums, a.den * self.p)
+
+    def inv(self, a: CVec) -> CVec:
+        """Multiplicative inverse: 1/a = den * c / N for a = nums / den and
+        nums * c = N the norm of nums to Q (see ``_norm_cofactor``)."""
+        if self.is_zero(a):
+            raise ZeroDivisionError("inverse of 0")
+        cof, norm = _norm_cofactor(list(a.nums), self.root_p, self.root_k)
+        return _canon([a.den * c for c in cof], norm)
+
+    def div(self, a: CVec, b: CVec) -> CVec:
+        return self.mul(a, self.inv(b))
+
+    # -- JSON ------------------------------------------------------------------
+
+    def elt_to_json(self, a: CVec) -> Any:
+        return [_coeff_text(n, a.den) for n in a.nums]
+
+    def elt_from_json(self, value: Any) -> CVec:
+        if isinstance(value, str):
+            return self.parse_elt(value)
+        return self.from_coeffs(value)
+
+
+class CyclotomicField(PowerBasisField):
+    """Q(zeta_{p**k}) with the valuation at the unique prime above p."""
+
+    kind = "Qzeta"
 
     def __init__(self, p: int, k: int):
         self.p = check_prime(p)
         if not isinstance(k, int) or k < 1:
             raise MalformedConfig(f"conductor exponent k must be a positive integer, got {k!r}")
         self.k = k
-        self.step = p ** (k - 1)
-        self.e = self.step * (p - 1)  # ramification index = field degree
+        super().__init__(p, k)
         self._t_matrix: Optional[List[List[int]]] = None
 
     def to_config(self) -> dict:
         return {"kind": self.kind, "p": self.p, "k": self.k}
 
     # -- construction -------------------------------------------------------
-
-    def from_coeffs(self, coeffs: Sequence) -> CVec:
-        lst = [Fraction(c) for c in coeffs]
-        if len(lst) > self.e:
-            _reduce_tail(lst, self.e, self.p, self.step)
-        lst += [Fraction(0)] * (self.e - len(lst))
-        return tuple(lst)
-
-    def from_int(self, n: int) -> CVec:
-        return self.from_coeffs([n])
 
     def zeta_power(self, j: int) -> CVec:
         j %= self.p ** self.k
@@ -195,74 +302,24 @@ class CyclotomicField(Ring):
         """t = 1 - zeta, with v(t) = 1/e."""
         return self.sub(self.one(), self.zeta())
 
-    # -- arithmetic ----------------------------------------------------------
-
-    def add(self, a: CVec, b: CVec) -> CVec:
-        return tuple(x + y for x, y in zip(a, b))
-
-    def neg(self, a: CVec) -> CVec:
-        return tuple(-x for x in a)
-
-    def mul(self, a: CVec, b: CVec) -> CVec:
-        x, dx = _clear(a)
-        y, dy = _clear(b)
-        return _fractions(_conv(x, y, self.e, self.p, self.step), dx * dy)
-
-    def pow_(self, a: CVec, n: int) -> CVec:
-        if n < 0:
-            raise CapabilityMissing(f"{self.kind}: negative powers not supported")
-        if n == 0:
-            return self.one()
-        base, d = _clear(a)
-        return _fractions(_pow_int(base, n, self.e, self.p, self.step), d**n)
-
-    def scalar_mul(self, q, a: CVec) -> CVec:
-        q = Fraction(q)
-        return tuple(q * x for x in a)
-
-    def eq(self, a: CVec, b: CVec) -> bool:
-        return a == b
-
-    def is_zero(self, a: CVec) -> bool:
-        return all(x == 0 for x in a)
-
-    def exact_divide_by_p(self, a: CVec) -> CVec:
-        return self.scalar_mul(Fraction(1, self.p), a)
-
-    def inv(self, a: CVec) -> CVec:
-        """Multiplicative inverse: 1/a = d * c / N for a = x / d and x * c = N
-        the norm of x to Q (see ``_norm_cofactor``)."""
-        if self.is_zero(a):
-            raise ZeroDivisionError("inverse of 0")
-        x, d = _clear(a)
-        cof, norm = _norm_cofactor(x, self.p, self.k)
-        return tuple(Fraction(d * c, norm) for c in cof)
-
-    def div(self, a: CVec, b: CVec) -> CVec:
-        return self.mul(a, self.inv(b))
-
     # -- integrality ----------------------------------------------------------
 
     def is_integral(self, a: CVec) -> bool:
         """Membership in Z[zeta] (denominator-free over the power basis)."""
-        return all(x.denominator == 1 for x in a)
+        return a.den == 1
 
     def integral_coeffs(self, a: CVec) -> Tuple[int, ...]:
-        if not self.is_integral(a):
+        if a.den != 1:
             raise IntegralityViolation(f"element is not in Z[zeta]: {self.format_elt(a)}")
-        return tuple(int(x) for x in a)
+        return a.nums
 
     def residue_coeffs_mod_p(self, a: CVec) -> Tuple[int, ...]:
         """Canonical power-basis coefficients of a mod p, for p-integral a."""
         p = self.p
-        out = []
-        for x in a:
-            if x.denominator % p == 0:
-                raise IntegralityViolation(
-                    f"element has p in a denominator: {self.format_elt(a)}"
-                )
-            out.append(x.numerator * pow(x.denominator, -1, p) % p)
-        return tuple(out)
+        if a.den % p == 0:
+            raise IntegralityViolation(f"element has p in a denominator: {self.format_elt(a)}")
+        inv = pow(a.den, -1, p)
+        return tuple(n * inv % p for n in a.nums)
 
     # -- valuation -------------------------------------------------------------
 
@@ -323,9 +380,7 @@ class CyclotomicField(Ring):
         """v(a) in (1/e)Z, normalized with v(p) = 1; None for a = 0."""
         if self.is_zero(a):
             return None
-        y, d = _clear(a)
-        shift = -vp_int(d, self.p) if d % self.p == 0 else 0
-        return self.integer_valuation(y) + shift
+        return self.integer_valuation(a.nums) - vp_int(a.den, self.p)
 
     def integer_valuation(self, y: Sequence[int]) -> Fraction:
         """v of the nonzero element of Z[zeta] with power-basis digits y."""
@@ -360,7 +415,9 @@ class CyclotomicField(Ring):
                 root_t[i // self.p] = c
         root = self.from_coeffs(self.from_t_basis(root_t))
         diff = self.sub(self.pow_(root, self.p), a)
-        if not all(vp_fraction(c, self.p) is None or vp_fraction(c, self.p) >= 1 for c in diff):
+        # every coefficient lies in pZ_(p): p divides each numerator (and then,
+        # the form being canonical, not the denominator)
+        if any(c % self.p for c in diff.nums):
             raise IntegralityViolation("constructed mod-p root failed verification")
         return root
 
@@ -372,15 +429,14 @@ class CyclotomicField(Ring):
                 f"no embedding of conductor {self.p}^{self.k} into {target.p}^{target.k}"
             )
         stretch = self.p ** (target.k - self.k)
-        out = [Fraction(0)] * ((self.e - 1) * stretch + 1)
-        for i, x in enumerate(a):
-            out[i * stretch] = x
-        return target.from_coeffs(out)
+        out = [0] * target.e  # (e - 1) * stretch < target.e: no reduction
+        out[::stretch] = a.nums
+        return CVec(tuple(out), a.den)
 
     # -- formatting ----------------------------------------------------------------------
 
     def format_elt(self, a: CVec) -> str:
-        return "[" + ", ".join(str(x) for x in a) + "]"
+        return "[" + ", ".join(self.elt_to_json(a)) + "]"
 
     def parse_elt(self, text: str) -> CVec:
         text = text.strip()
@@ -395,14 +451,6 @@ class CyclotomicField(Ring):
                 f"coefficient vector longer than field degree {self.e}: {text!r}"
             )
         return self.from_coeffs(parts)
-
-    def elt_to_json(self, a: CVec) -> Any:
-        return [str(x) for x in a]
-
-    def elt_from_json(self, value: Any) -> CVec:
-        if isinstance(value, str):
-            return self.parse_elt(value)
-        return self.from_coeffs([Fraction(s) for s in value])
 
 
 @dataclass(frozen=True)
@@ -507,20 +555,18 @@ class CycloModPM(TruncatedRing):
         return TruncVec(tuple(c // self.p for c in a.coeffs), a.prec - 1)
 
     def pth_root_mod_p(self, a: TruncVec) -> TruncVec:
-        root = self.field.mod_p_root(self.field.from_coeffs(a.coeffs))
+        root = self.field.mod_p_root(self.lift_to_cover(a))
         return self.make(self.field.integral_coeffs(root), self.M)
 
     def cover_ring(self) -> Ring:
         return self.field
 
     def lift_to_cover(self, a: TruncVec) -> CVec:
-        return self.field.from_coeffs(a.coeffs)
+        return CVec(a.coeffs, 1)
 
     def reduce_from_cover(self, a: CVec, prec: Optional[int] = None) -> TruncVec:
         return self.make(self.field.integral_coeffs(a), self.M if prec is None else prec)
 
-
-GVec = Tuple[Fraction, Fraction]
 
 _SQUARE_SUM = {}
 
@@ -540,51 +586,33 @@ def _two_square_decomposition(p: int) -> Tuple[int, int]:
     return _SQUARE_SUM[p]
 
 
-class GaussianField(Ring):
+class GaussianField(PowerBasisField):
     """Q(i) with the sup-seminorm over the places above p.
 
-    For p = 2 (ramified) and p = 3 mod 4 (inert) there is one place and the
-    seminorm is multiplicative.  For p = 1 mod 4 the prime splits as
-    p = pi * conj(pi); the seminorm is the maximum over the two places, which
-    is power-multiplicative but not multiplicative.
+    Elements are ``CVec`` over the basis 1, i, and the arithmetic is the
+    kernel of Q(zeta_4), where i**2 reduces to -1, whatever p is.  For p = 2
+    (ramified) and p = 3 mod 4 (inert) there is one place and the seminorm is
+    multiplicative.  For p = 1 mod 4 the prime splits as p = pi * conj(pi);
+    the seminorm is the maximum over the two places, which is
+    power-multiplicative but not multiplicative.
     """
 
     kind = "Qi"
-    q_algebra = True
-    p_torsion_free = True
-    power_multiplicative_norm = True
 
     def __init__(self, p: int):
         self.p = check_prime(p)
+        super().__init__(2, 2)
         self.split = p % 4 == 1
         if self.split:
             u, w = _two_square_decomposition(p)
             self.pi = (u, w)
             self.pibar = (u, -w)
 
-    def from_int(self, n: int) -> GVec:
-        return (Fraction(n), Fraction(0))
+    def from_pair(self, a, b) -> CVec:
+        return self.from_coeffs((a, b))
 
-    def from_pair(self, a, b) -> GVec:
-        return (Fraction(a), Fraction(b))
-
-    def imag_unit(self) -> GVec:
-        return (Fraction(0), Fraction(1))
-
-    def add(self, a: GVec, b: GVec) -> GVec:
-        return (a[0] + b[0], a[1] + b[1])
-
-    def neg(self, a: GVec) -> GVec:
-        return (-a[0], -a[1])
-
-    def mul(self, a: GVec, b: GVec) -> GVec:
-        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-    def eq(self, a: GVec, b: GVec) -> bool:
-        return a == b
-
-    def exact_divide_by_p(self, a: GVec) -> GVec:
-        return (a[0] / self.p, a[1] / self.p)
+    def imag_unit(self) -> CVec:
+        return CVec((0, 1), 1)
 
     @staticmethod
     def _divide_out(z: Tuple[int, int], piv: Tuple[int, int], p: int) -> int:
@@ -599,35 +627,34 @@ class GaussianField(Ring):
             count += 1
         return count
 
-    def place_valuations(self, a: GVec) -> dict:
+    def place_valuations(self, a: CVec) -> dict:
         """Exact valuations at the places above p, None meaning +infinity."""
-        if a == (0, 0) or (a[0] == 0 and a[1] == 0):
+        if self.is_zero(a):
             if self.split:
                 return {"pi": None, "pibar": None}
             return {"p": None}
+        (x, y), d = a
+        shift = vp_int(d, self.p)
         if not self.split:
-            norm = a[0] * a[0] + a[1] * a[1]
-            return {"p": Fraction(vp_fraction(norm, self.p), 2)}
-        d = math.lcm(a[0].denominator, a[1].denominator)
-        z = (int(a[0] * d), int(a[1] * d))
-        shift = vp_int(d, self.p) if d % self.p == 0 else 0
+            # v(x + yi) = v_p(x**2 + y**2) / 2
+            return {"p": Fraction(vp_int(x * x + y * y, self.p) - 2 * shift, 2)}
         return {
-            "pi": Fraction(self._divide_out(z, self.pi, self.p) - shift),
-            "pibar": Fraction(self._divide_out(z, self.pibar, self.p) - shift),
+            "pi": Fraction(self._divide_out((x, y), self.pi, self.p) - shift),
+            "pibar": Fraction(self._divide_out((x, y), self.pibar, self.p) - shift),
         }
 
-    def valuation(self, a: GVec) -> Optional[Fraction]:
+    def valuation(self, a: CVec) -> Optional[Fraction]:
         vals = [v for v in self.place_valuations(a).values()]
         if any(v is None for v in vals):
             return None
         return min(vals)
 
-    def seminorm(self, a: GVec) -> NormValue:
+    def seminorm(self, a: CVec) -> NormValue:
         v = self.valuation(a)
         return NormValue.zero() if v is None else NormValue.from_exponent(v)
 
-    def format_elt(self, a: GVec) -> str:
-        re_, im = a
+    def format_elt(self, a: CVec) -> str:
+        re_, im = self.coeffs(a)
         if im == 0:
             return str(re_)
         if im == 1:
@@ -640,14 +667,14 @@ class GaussianField(Ring):
             return itxt
         return f"{re_}+{itxt}" if im > 0 else f"{re_}{itxt}"
 
-    def parse_elt(self, text: str) -> GVec:
+    def parse_elt(self, text: str) -> CVec:
         """Forms like '2', '1/2', 'i', '-i', '3i' (= 3*i), '2/3i', '1/2+3i'."""
         s = re.sub(r"(?<=\d)\*i$", "i", text.strip().replace(" ", ""))
         if not s:
             raise MalformedConfig("empty Gaussian number")
         try:
             if "i" not in s:
-                return (Fraction(s), Fraction(0))
+                return self.from_pair(Fraction(s), 0)
             s = s[:-1] if s.endswith("i") else s
             if "i" in s:
                 raise MalformedConfig(f"not a Gaussian number: {text!r}")
@@ -658,21 +685,13 @@ class GaussianField(Ring):
                     break
             if split_at is None:
                 imag = s if s not in ("", "+", "-") else s + "1"
-                return (Fraction(0), Fraction(imag))
+                return self.from_pair(0, Fraction(imag))
             re_txt, im_txt = s[:split_at], s[split_at:]
             if im_txt in ("+", "-"):
                 im_txt += "1"
-            return (Fraction(re_txt), Fraction(im_txt))
+            return self.from_pair(Fraction(re_txt), Fraction(im_txt))
         except (ValueError, ZeroDivisionError) as exc:
             raise MalformedConfig(f"not a Gaussian number: {text!r}") from exc
-
-    def elt_to_json(self, a: GVec) -> Any:
-        return [str(a[0]), str(a[1])]
-
-    def elt_from_json(self, value: Any) -> GVec:
-        if isinstance(value, str):
-            return self.parse_elt(value)
-        return (Fraction(value[0]), Fraction(value[1]))
 
 
 class CyclotomicTower:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Tuple
 
-from .cyclotomic import CVec, CyclotomicField, CyclotomicTower
+from .cyclotomic import CVec, CyclotomicField, CyclotomicTower, GaussianField
 from .errors import (
     CapabilityMissing,
     IntegralityViolation,
@@ -49,7 +49,7 @@ from .errors import (
     RescaleInfeasible,
 )
 from .norms import NormValue
-from .rings import ZModPM, vp_fraction
+from .rings import ZModPM
 from .univ import structure_cap, structure_poly
 from .witt import (
     WittVec,
@@ -222,25 +222,14 @@ def _check_residue_ring(p: int, modulus_exp: Optional[int]) -> PerfectReport:
     return PerfectReport(name, verdict, cond_a, cond_b)
 
 
-def _gauss_pow(z: Tuple[int, int], n: int, q: int) -> Tuple[int, int]:
-    result, base = (1, 0), z
-    while n:
-        if n & 1:
-            result = (
-                (result[0] * base[0] - result[1] * base[1]) % q,
-                (result[0] * base[1] + result[1] * base[0]) % q,
-            )
-        base = (
-            (base[0] * base[0] - base[1] * base[1]) % q,
-            (2 * base[0] * base[1]) % q,
-        )
-        n >>= 1
-    return result
-
-
 def _check_gaussian(p: int) -> PerfectReport:
     """Z[i] at p, residues enumerated as integer pairs."""
-    image_a = {_gauss_pow((a, b), p, p) for a in range(p) for b in range(p)}
+    field = GaussianField(p)
+
+    def pth_power(a: int, b: int, q: int) -> Tuple[int, ...]:
+        return tuple(c % q for c in field.pow_(field.from_pair(a, b), p).nums)
+
+    image_a = {pth_power(a, b, p) for a in range(p) for b in range(p)}
     full = {(a, b) for a in range(p) for b in range(p)}
     missing_a = sorted(full - image_a)
     cond_a = {
@@ -249,7 +238,7 @@ def _check_gaussian(p: int) -> PerfectReport:
         "witness": None if not missing_a else f"{missing_a[0][0]}+{missing_a[0][1]}i",
     }
     q = p * p
-    image_b = {_gauss_pow((a, b), p, q) for a in range(p) for b in range(p)}
+    image_b = {pth_power(a, b, q) for a in range(p) for b in range(p)}
     witness = None
     for a in range(p):
         for b in range(p):
@@ -436,10 +425,10 @@ def power_ideal_check(
     X = seq.tower.embed_up(x_level, L, x) if x_level < L else x
     xn = seq.tower.embed_up(n, L, seq.value(n)) if n < L else seq.value(n)
 
+    # every coefficient of x**(p**n) lies in p**m Z_(p): p**m divides each
+    # numerator (and then, m >= 1 and the form canonical, p not the denominator)
     xpn = F.pow_(X, p ** n)
-    in_pm = all(
-        vp_fraction(c, p) is None or vp_fraction(c, p) >= m for c in xpn
-    )
+    in_pm = all(c % p**m == 0 for c in xpn.nums)
 
     v = F.valuation(X)
     threshold = Fraction(m, p ** n)

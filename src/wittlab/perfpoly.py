@@ -105,6 +105,21 @@ class PerfPolyRing(Ring):
                 terms[key] = terms.get(key, 0) + ca * cb
         return self._canon(terms)
 
+    def pow_(self, a: PPoly, n: int) -> PPoly:
+        """a ** n for n = p**s * r with p not dividing r: the r-th power by
+        the generic ladder, then s Frobenius maps, which multiply exponents
+        by p and fix the F_p coefficients."""
+        if n <= 0:
+            return super().pow_(a, n)
+        s = 0
+        while n % self.p == 0:
+            n //= self.p
+            s += 1
+        result = super().pow_(a, n)
+        for _ in range(s):
+            result = self.frobenius_elt(result)
+        return result
+
     def eq(self, a: PPoly, b: PPoly) -> bool:
         return a == b
 

@@ -484,6 +484,8 @@ def growth_profile_report(x: WittVec, b, C: int, D: int) -> dict:
     With equality degrees the j-th term is p**((C - b)*j + D): for b >= C the
     profile is non-increasing and the supremum p**D sits at j = 0; for b < C
     it is strictly increasing, which certifies divergence as the length grows.
+    ``passed`` says the degree bound holds and the profile has the predicted
+    shape.
     """
     ring = x.ring
     if not isinstance(ring, PerfPolyRing):
@@ -502,16 +504,22 @@ def growth_profile_report(x: WittVec, b, C: int, D: int) -> dict:
     increasing = all(
         profile[j] < profile[j + 1] for j in range(len(profile) - 1)
     )
+    sup_at_head = bool(profile) and profile[0] == value
+    if b >= C:
+        shape_ok = nonincreasing and sup_at_head and value == NormValue.p_power(D)
+    else:
+        shape_ok = increasing
     return {
         "degree_bound_holds": degree_ok,
         "b": str(b),
         "C": C,
         "D": D,
         "sup_exponent": value.exponent_json(),
-        "sup_at_head": bool(profile) and profile[0] == value,
+        "sup_at_head": sup_at_head,
         "nonincreasing": nonincreasing,
         "strictly_increasing": increasing,
         "bounded_predicted": b >= C,
+        "passed": degree_ok and shape_ok,
     }
 
 

@@ -166,3 +166,19 @@ def eval_poly(ring, terms: dict, values: Sequence):
                 term = ring.mul(term, v)
         acc = ring.add(acc, term)
     return acc
+
+
+def gauss_place_valuation(coeffs: Sequence, p: int, pi: Tuple[int, int]) -> Fraction:
+    """v_pi(a + b*i) at the place pi = u + w*i above a split prime p, for
+    a + b*i nonzero with small entries: Z[i] / pi^K = Z / p^K with i sent to
+    the root r of r^2 = -1 that has u + w*r = 0 mod p, lifted by Newton steps."""
+    a, b = (Fraction(c) for c in coeffs)
+    d = a.denominator * b.denominator
+    x, y = int(a * d), int(b * d)
+    u, w = pi
+    K = 64
+    q = p**K
+    r = -u * pow(w, -1, p) % p
+    for _ in range(6):  # precision 1, 2, 4, ..., 64
+        r = (r - (r * r + 1) * pow(2 * r, -1, q)) % q
+    return Fraction(vp_int((x + y * r) % q, p) - vp_int(d, p))

@@ -178,6 +178,37 @@ def test_sandwich_on_integer_families():
         assert rep["passed"], rep
 
 
+def test_sandwich_reads_a_zero_head_as_an_interval():
+    """Seed 0, sample 4 of the arrow suite: z_(0,0) = 0 mod 3^4 has norm in
+    [0, 3^-4], not 0, and the value 3^-5 is carried by z_(1,1) = 54, so
+    neither inequality is certain and neither is violated at every point."""
+    ring = ZModPM(3, 4)
+    rows = [(0,), (54, 54), (9, 45, 72), (45, 57, 6, 33)]
+    levels = [WittVec(ring, tuple(ring.from_int(c) for c in row)) for row in rows]
+    a = make_arrow(ring, levels, tail_bound=NormValue.one())
+    rep = inverse_frobenius_sandwich(a, 2)
+    assert rep["status"] == "inconclusive" and not rep["passed"]
+    assert rep["zero_components"] == ["z_(0,0) = 0 mod 3^4"]
+    # reading the zero head as 0 gave upper p^-7 < value p^-5, a false failure
+    assert rep["value_exponents"] == ["-5", "-4"]
+    assert rep["upper_exponents"] == ["-7", "-4"]
+    assert rep["lower_exponents"] == ["-9", "-4"]
+
+
+@pytest.mark.parametrize("p, M", [(5, 3), (2, 10)])
+def test_sandwich_has_no_definite_failure_on_deep_rings(p, M):
+    ring = ZModPM(p, M)
+    rng = random.Random(f"sandwich|{p}|{M}")
+    statuses = set()
+    for _ in range(40):
+        a = sample_coherent(ring, 4, _draw(ring, rng))
+        for b in (1, Fraction(3, 2), 2, 4):
+            rep = inverse_frobenius_sandwich(a, b)
+            assert rep["status"] != "fail", rep
+            statuses.add(rep["status"])
+    assert "pass" in statuses
+
+
 def test_json_export_reconstructs_the_family():
     ring = ZModPM(2, 4)
     a = arrow_from_integer(ring, 5, 2)

@@ -1,8 +1,12 @@
 """The command-line front end, driven through ``main``: exit codes and JSON keys."""
 
+import functools
 import json
 import os
 
+import pytest
+
+from wittlab import suites
 from wittlab.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -132,7 +136,7 @@ def test_suite_prime_filter_that_matches_nothing_is_a_usage_error(capsys):
 def test_prime_filter_drops_the_cases_of_other_primes(capsys):
     expected = {
         "arrow": (
-            1,  # ROADMAP C3: the sandwich still fails at p=3
+            0,
             [
                 "inverse_frobenius_sandwich",
                 "mul_by_p_norm_p3",
@@ -330,3 +334,88 @@ def test_arrow_norm_prints_its_json_keys(capsys):
     code, out, err = run(capsys, "arrow", "norm", "4", "--b", "x")
     assert code == 2
     assert out == "" and err.strip() == "error: not a rational number: 'x'"
+
+
+@pytest.fixture
+def short_ghost_suite(monkeypatch):
+    """The ghost ring laws at 20 draws per law: they cover every prime, and at
+    p = 7 the default 500 draws over Q(zeta_49) take ~20 s."""
+    short = functools.partial(suites.check_witt_ring_laws, per_law=20)
+    monkeypatch.setitem(suites._SUITES, "ghost", [("witt_ring_laws", short)])
+
+
+def _verify_all(capsys, p):
+    code, out, _ = run(capsys, "verify", "all", "--p", str(p), "--json")
+    report = json.loads(out)
+    skipped = {
+        c["name"]: c["detail"] for c in report["cases"] if c["detail"].startswith("skipped: ")
+    }
+    assert all(c["status"] == "inconclusive" for c in report["cases"] if c["name"] in skipped)
+    return code, report, skipped
+
+
+def test_verify_all_at_p2_skips_the_checks_without_a_p2_case(capsys, short_ghost_suite):
+    code, report, skipped = _verify_all(capsys, 2)
+    assert code == 0 and report["schema"] == 1
+    assert skipped == {
+        "artin.invariant_profiles": "skipped: --p 2: this check covers p in {3, 5, 7} only"
+    }
+
+
+def test_verify_all_at_p5_runs_what_covers_5(capsys, short_ghost_suite):
+    code, report, skipped = _verify_all(capsys, 5)
+    assert code == 0
+    two_three = "this check covers p in {2, 3} only"
+    assert skipped == {
+        name: f"skipped: --p 5: {two_three}"
+        for name in (
+            "arrow.mul_by_p_norm",
+            "arrow.theta_map",
+            "arrow.inverse_frobenius_sandwich",
+            "perfect.frobenius_solving",
+            "tilt.tilt_ring_laws",
+            "kernel.kernel_norm",
+        )
+    }
+    ran = {c["name"].split(".")[0] for c in report["cases"] if c["name"] not in skipped}
+    assert ran == {"universal", "ghost", "norms", "perfect", "artin"}
+
+
+def test_verify_all_at_p7_runs_what_covers_7(capsys, short_ghost_suite):
+    code, report, skipped = _verify_all(capsys, 7)
+    assert code == 0
+    assert set(skipped) == {
+        "universal.structure_polynomials",
+        "norms.norm_laws",
+        "arrow.mul_by_p_norm",
+        "arrow.theta_map",
+        "arrow.inverse_frobenius_sandwich",
+        "perfect.perfect_verdicts",
+        "perfect.frobenius_solving",
+        "tilt.tilt_ring_laws",
+        "kernel.kernel_norm",
+    }
+    assert skipped["perfect.perfect_verdicts"] == (
+        "skipped: --p 7: this check covers p in {2, 3, 5} only"
+    )
+    ran = {c["name"].split(".")[0] for c in report["cases"] if c["name"] not in skipped}
+    assert ran == {"ghost", "artin"}
+    code, out, _ = run(capsys, "verify", "all", "--p", "7")
+    assert code == 0
+    assert (
+        "  [inconclusive] kernel.kernel_norm: skipped: --p 7: this check covers p in {2, 3} only"
+        in out.splitlines()
+    )
+
+
+def test_verify_all_refuses_a_prime_no_check_covers(capsys, monkeypatch):
+    # every real prime is covered by the ghost ring laws, so keep two grid checks
+    monkeypatch.setattr(
+        suites,
+        "_SUITES",
+        {"kernel": suites._SUITES["kernel"], "artin": suites._SUITES["artin"]},
+    )
+    code, out, err = run(capsys, "verify", "all", "--p", "11")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: --p 11: no check of any suite covers this prime"

@@ -34,31 +34,33 @@ def field_and_pair(draw):
 @settings(max_examples=60)
 def test_field_multiplication_matches_convolution_oracle(data):
     field, a, b = data
-    got = field.mul(a, b)
+    got = field.mul(field.from_coeffs(a), field.from_coeffs(b))
     want = tuple(oracles.conv_reduce(a, b, field.p, field.k))
-    assert got == want
+    assert field.coeffs(got) == want
 
 
 @given(field_and_pair())
 @settings(max_examples=40)
 def test_field_valuation_matches_determinant_oracle(data):
     field, a, _ = data
+    x = field.from_coeffs(a)
     if all(c == 0 for c in a):
-        assert field.seminorm(a).is_zero
+        assert field.seminorm(x).is_zero
         return
     v = oracles.cyclotomic_valuation(a, field.p, field.k)
-    assert field.valuation(a) == v
-    assert field.seminorm(a) == NormValue.from_exponent(v)
+    assert field.valuation(x) == v
+    assert field.seminorm(x) == NormValue.from_exponent(v)
 
 
 @given(field_and_pair())
 @settings(max_examples=40)
 def test_field_inverse(data):
     field, a, b = data
-    if not field.is_zero(a):
-        product = oracles.conv_reduce(a, field.inv(a), field.p, field.k)
-        assert tuple(product) == field.one()
-    assert field.eq(field.sub(field.add(a, b), b), a)
+    x, y = field.from_coeffs(a), field.from_coeffs(b)
+    if not field.is_zero(x):
+        product = oracles.conv_reduce(a, field.coeffs(field.inv(x)), field.p, field.k)
+        assert tuple(product) == field.coeffs(field.one())
+    assert field.eq(field.sub(field.add(x, y), y), x)
 
 
 @given(field_and_pair(), st.integers(0, 12))
@@ -68,7 +70,7 @@ def test_field_power_matches_repeated_convolution(data, n):
     want = [Fraction(1)] + [Fraction(0)] * (field.e - 1)
     for _ in range(n):
         want = oracles.conv_reduce(want, a, field.p, field.k)
-    assert field.pow_(a, n) == tuple(want)
+    assert field.coeffs(field.pow_(field.from_coeffs(a), n)) == tuple(want)
 
 
 def test_inverse_in_q_zeta_128():
@@ -76,9 +78,10 @@ def test_inverse_in_q_zeta_128():
     assert field.e == 64
     a = field.from_coeffs([Fraction(1, 2), 3, 0, -1] + [0] * 59 + [Fraction(2, 3)])
     inv = field.inv(a)
-    assert tuple(oracles.conv_reduce(a, inv, 2, 7)) == field.one()
+    product = oracles.conv_reduce(field.coeffs(a), field.coeffs(inv), 2, 7)
+    assert tuple(product) == field.coeffs(field.one())
     # (1 - zeta)(1 + zeta + ... + zeta**63) = 1 - zeta**64 = 2
-    assert field.inv(field.uniformizer()) == (Fraction(1, 2),) * 64
+    assert field.coeffs(field.inv(field.uniformizer())) == (Fraction(1, 2),) * 64
 
 
 def test_uniformizer_valuation_is_one_over_e():
@@ -141,7 +144,7 @@ def test_gaussian_multiplication_matches_oracle():
     g = GaussianField(5)
     a = g.from_pair(Fraction(1, 2), 3)
     b = g.from_pair(2, Fraction(-1, 5))
-    assert g.mul(a, b) == oracles.gauss_mul(a, b)
+    assert g.coeffs(g.mul(a, b)) == oracles.gauss_mul(g.coeffs(a), g.coeffs(b))
     assert g.eq(g.mul(g.from_pair(0, 1), g.from_pair(0, 1)), g.from_int(-1))
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from wittlab.errors import CapabilityMissing, NoRoot
 from wittlab.norms import NormValue
 from wittlab.perfpoly import PerfPolyRing
+from wittlab.rings import Ring
 
 
 @st.composite
@@ -76,3 +77,19 @@ def test_parse_format_roundtrip():
     a = ring.add(ring.monomial([Fraction(5, 8)]), ring.one())
     text = ring.format_elt(a)
     assert ring.eq(ring.parse_elt(text), a)
+
+
+@pytest.mark.parametrize("p, depth", [(2, 8), (3, 4)])
+def test_pow_by_frobenius_shift_matches_the_generic_ladder(p, depth):
+    ring = PerfPolyRing(p, 1, depth)
+    x = ring.monomial([Fraction(1, p**depth)])
+    samples = [
+        ring.zero(),
+        ring.one(),
+        x,
+        ring.add(x, ring.one()),
+        ring.add(ring.monomial([Fraction(3, p**depth)], p - 1), ring.monomial([1])),
+    ]
+    for a in samples:
+        for n in range(41):
+            assert ring.pow_(a, n) == Ring.pow_(ring, a, n), (ring.format_elt(a), n)

@@ -153,8 +153,19 @@ def test_growth_dichotomy(C, D):
         rep = growth_profile_report(x, b, C, D)
         assert rep["degree_bound_holds"]
         assert rep["bounded_predicted"] == (b >= C)
+        assert rep["passed"]
         if b >= C:
             assert rep["sup_exponent"] == str(Fraction(D))
+
+
+def test_growth_report_fails_a_family_over_its_declared_bound():
+    ring = PerfPolyRing(2, 1, 4)
+    x = growth_family(ring, 2, 1, 4)
+    rep = growth_profile_report(x, 3, 1, 1)
+    assert not rep["degree_bound_holds"] and not rep["passed"]
+    # a looser D keeps the degree bound but predicts the supremum p^2, not p^1
+    rep = growth_profile_report(x, 2, 2, 2)
+    assert rep["degree_bound_holds"] and not rep["passed"]
 
 
 def test_untilt_of_a_teichmuller_chain_is_coherent():

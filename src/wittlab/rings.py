@@ -131,6 +131,10 @@ class Ring(ABC):
         """a ** (p ** l); truncated rings override this to gain l digits."""
         return self.pow_(a, self.p ** l)
 
+    def evaluate_poly(self, poly: Any, values: Sequence[Any]) -> Any:
+        """A ``univ.UPoly`` at values in this ring; the tilt overrides it."""
+        return poly.evaluate(self, values)
+
     @abstractmethod
     def eq(self, a: Any, b: Any) -> bool: ...
 

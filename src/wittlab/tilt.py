@@ -25,6 +25,14 @@ The same mod-p dependence shows the whole ring structure is the perfection of
 A/p presented at finite depth; over Z/p**M every chain collapses to the
 Teichmueller chain of its residue, so that tilt is F_p.
 
+Char-p Witt ops over the tilt are computed in A/p.  Each component is a
+structure polynomial image, which the generic evaluator would finish with a
+chain sum; that sum reads only its slot sums mod p, and x -> x_s mod p is a
+ring map to A/p.  So ``TiltRing.evaluate_poly`` evaluates the polynomial over
+the base at precision 1 on the operands' slot-s entries, at each slot the
+ladder reads (slot D, and slots M..D-1 when D > M), and walks the one ladder
+``tilt_add`` walks: no chain product or chain sum is formed.
+
 ``charp_overconv_norm`` and ``charp_limit_norm`` compute the b-weighted norm
 of a finite vector over a char-p perfect ring two ways: by the closed formula
 
@@ -45,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from .arrow import ArrowElt, arrow_add, arrow_from_integer, arrow_mul, arrow_norm, arrow_teichmuller, make_arrow
 from .errors import (
@@ -61,6 +69,7 @@ from .errors import (
 from .norms import NormValue, norm_max
 from .perfpoly import PerfPolyRing
 from .rings import Ring
+from .univ import UPoly
 from .witt import WittVec, witt_norm
 
 __all__ = [
@@ -198,18 +207,27 @@ def tilt_add(
                 f"deepest requested component is certified to {have} digits; "
                 f"{need} need stored depth >= {out_depth + need - 1}"
             )
+    return _ladder_chain(base, D, out_depth, lambda s: base.add(x.entries[s], y.entries[s]))
+
+
+def _ladder_chain(
+    base: Ring, D: int, out_depth: int, slot_sum: Callable[[int], Any]
+) -> TiltElt:
+    """The chain ``tilt_add`` returns, given the sum at slot s as slot_sum(s).
+
+    Only the sums mod p are read, and only at slot D and, when D > M, at the
+    slots M, ..., D - 1 (slot m + M feeds component m < D - M).
+    """
+    M = base.M
     low = max(D - M, 0)
-    entries = [
-        base.pow_p_tower(base.add(x.entries[m + M], y.entries[m + M]), M)
-        for m in range(min(out_depth + 1, low))
-    ]
+    entries = [base.pow_p_tower(slot_sum(m + M), M) for m in range(min(out_depth + 1, low))]
     if out_depth >= low:
         # ladder[j] is slot D - j, known to min(j + 1, M) digits
-        ladder = [base.truncate(base.add(x.entries[D], y.entries[D]), 1)]
+        ladder = [base.truncate(slot_sum(D), 1)]
         for _ in range(D - low):
             ladder.append(base.pow_p_tower(ladder[-1], 1))
         entries.extend(reversed(ladder[D - out_depth :]))
-    return make_tilt(base, entries, validate=False)
+    return TiltElt(base, tuple(entries))
 
 
 def tilt_mul(x: TiltElt, y: TiltElt) -> TiltElt:
@@ -348,6 +366,28 @@ class TiltRing(Ring):
 
     def is_zero(self, a: TiltElt) -> bool:
         return tilt_is_zero(self._own(a))
+
+    def evaluate_poly(self, poly: UPoly, values: Sequence[TiltElt]) -> TiltElt:
+        """The generic evaluator's value, computed in A/p at the slots its last
+        chain sum reads.
+
+        ``UPoly.evaluate`` adds every term to ``zero()``, so a nonempty
+        polynomial ends in ``tilt_add``, which reads its slot sums only mod p.
+        Each slot map x -> x_s mod p is a ring map (products are slotwise and
+        a chain sum is x_s + y_s mod p), so the slot-s sum is the polynomial
+        evaluated over the base on the operands' slot-s entries cut to one
+        digit.
+        """
+        chains = [self._own(v) for v in values]
+        if poly.is_zero():
+            return poly.evaluate(self, chains)
+        base = self.base
+        return _ladder_chain(
+            base,
+            self.depth,
+            self.depth,
+            lambda s: poly.evaluate(base, [base.truncate(c.entries[s], 1) for c in chains]),
+        )
 
     def pow_p_tower(self, a: TiltElt, l: int) -> TiltElt:
         out = self._own(a)

@@ -7,9 +7,12 @@ and dispatch on the ring's capabilities:
   * characteristic p     -- one dispatcher, `_char_p_op`, evaluates the cached
                             sum/prod/neg structure polynomials with their
                             coefficients reduced mod p, since p = 0 in the
-                            ring (negation is componentwise for odd p, the
-                            Frobenius is componentwise); lengths beyond the
-                            cached range are refused rather than
+                            ring, through `ring.evaluate_poly`: the generic
+                            evaluator, except over a tilt, which evaluates
+                            over its base mod p at the slots its chain-sum
+                            ladder reads (negation is componentwise for odd
+                            p, the Frobenius is componentwise); lengths beyond
+                            the cached range are refused rather than
                             approximated;
   * Q-algebras           -- ghost transport, any length;
   * everything else      -- lift to the ring's p-torsion-free cover, transport
@@ -201,8 +204,8 @@ def _char_p_op(kind: str, x: WittVec, *others: WittVec) -> WittVec:
         )
     vecs = (x,) + others
     comps = tuple(
-        structure_poly_mod_p(p, i, kind).evaluate(
-            ring, [c for v in vecs for c in v.components[: i + 1]]
+        ring.evaluate_poly(
+            structure_poly_mod_p(p, i, kind), [c for v in vecs for c in v.components[: i + 1]]
         )
         for i in range(x.length)
     )

@@ -1,4 +1,4 @@
-"""The verification suites at seed 0, pinned byte for byte, and the law tally."""
+"""The verification suites at seeds 0 and 1, pinned byte for byte, and the law tally."""
 
 import hashlib
 import json
@@ -8,7 +8,7 @@ import pytest
 from wittlab.suites import _Law, run_suite
 
 # sha256 of json.dumps(report.to_dict(), sort_keys=True, indent=2), which is
-# exactly what `wittlab verify <suite> --seed 0 --json` prints
+# exactly what `wittlab verify <suite> --seed S --json` prints
 DIGESTS = {
     "universal": "6fecc43d3474c73580bce775d41f79e5372d79c4d9c2012168a0cb29733c41be",
     "ghost": "e1be7bd60af5e35f536574749f848fa7aa2a847167c0cd2cd80e337e6ae09112",
@@ -19,22 +19,51 @@ DIGESTS = {
     "kernel": "9119eaddacca32badfb874f64432c580dcbd1b127cddcec13650f57909d92806",
     "artin": "75f836016700bc5ad8ee420a09ac1a0dfa5549fdd172032965d2d3b1c5ef7e26",
 }
+DIGESTS_SEED_1 = {
+    "universal": "ee1851d2ba34eccf1b2c47703648e64dada42a1812c0a21fd42ddfd40cbcb4a2",
+    "ghost": "5aab4a986b80be98d041174d2e1759707b6de8ac7a567de6c6b7a1c1cbe9ad7d",
+    "norms": "08662b5cb2860456c41674af50b12b345bd08ab1fd13295738b9f7d23cf5b770",
+    "arrow": "2025a8ef75050349c30e7bb36180cdf6f9554acef28b3097659e11b3541e26ba",
+    "perfect": "9f3283b1b337ef4945ff7ef9280429ab1f9db09bed3324efb71187e13414fff7",
+    "tilt": "d4b8a0a691216498005a34cff127528a9d0b17189331fce982dd05b6e6d93622",
+    "kernel": "fa1aed0cca7a7140517fe85933668c58a2978631919f33b5fb7e0e1c3b719b77",
+    "artin": "cac0eaea946bb825515538709c348f1983325245f58a8f8900a27517cf2f051e",
+}
+
+
+def _pinned_report(suite, seed, digests):
+    report = run_suite(suite, seed=seed)
+    text = json.dumps(report.to_dict(), sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == digests[suite]
+    failing = [c for c in report.cases if not c.passed]
+    assert report.passed, [(c.name, c.detail) for c in failing]
+    return report
+
+
+def _sandwich(report):
+    (case,) = [c for c in report.cases if c.name == "inverse_frobenius_sandwich"]
+    assert case.status == "inconclusive"
+    return case
 
 
 @pytest.mark.parametrize("suite", sorted(DIGESTS))
 def test_suite_report_at_seed_0(suite):
-    report = run_suite(suite, seed=0)
-    text = json.dumps(report.to_dict(), sort_keys=True, indent=2)
-    assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[suite]
-    failing = [c for c in report.cases if not c.passed]
-    assert report.passed, [(c.name, c.detail) for c in failing]
+    report = _pinned_report(suite, 0, DIGESTS)
     if suite == "arrow":
         # a residue that is zero mod p^M has norm in [0, p^-M], not 0: the
         # sample that read as a failure is inconclusive, and nothing fails
-        (case,) = [c for c in report.cases if c.name == "inverse_frobenius_sandwich"]
-        assert case.status == "inconclusive"
+        case = _sandwich(report)
         assert "0 failures, 2 inconclusive" in case.detail
         assert "; first inconclusive: sample 4 over Zmod(p=3, M=4), depth 3, b=2: " in case.detail
+
+
+@pytest.mark.parametrize("suite", sorted(DIGESTS_SEED_1))
+def test_suite_report_at_seed_1(suite):
+    report = _pinned_report(suite, 1, DIGESTS_SEED_1)
+    if suite == "arrow":
+        case = _sandwich(report)
+        assert "0 failures, 1 inconclusive" in case.detail
+        assert "; first inconclusive: sample 36 over Zmod(p=2, M=6), depth 4, b=1: " in case.detail
 
 
 def test_law_keeps_the_first_witness_and_counts_every_failure():

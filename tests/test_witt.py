@@ -14,6 +14,7 @@ from wittlab.errors import (
     LengthMismatch,
     MalformedConfig,
     NotDivisible,
+    RingMismatch,
 )
 from wittlab.norms import NormValue
 from wittlab.perfpoly import PerfPolyRing
@@ -329,6 +330,12 @@ _FULL_POLY_RINGS = [
     TiltRing(ZModPM(2, 3), 3),
     TiltRing(CycloModPM(2, 2, 3), 3),
     TiltRing(CycloModPM(3, 1, 2), 4),
+    TiltRing(ZModPM(3, 3), 4),
+    TiltRing(CycloModPM(2, 5, 4), 4),
+    TiltRing(CycloModPM(2, 2, 4), 2),
+    # D > M with p**M < e: the p**M-th power does not flatten A/p, so the
+    # slots M..D-1 that the sum reads are told apart from slot D
+    TiltRing(CycloModPM(2, 4, 2), 4),
 ]
 
 
@@ -360,20 +367,31 @@ def _full_poly_image(ring, kind, vecs):
 @pytest.mark.parametrize(
     "ring",
     _FULL_POLY_RINGS,
-    ids=["PerfPoly-p2", "PerfPoly-p3", "tilt-Zmod-p2", "tilt-ZzetaMod-p2", "tilt-ZzetaMod-p3"],
+    ids=[
+        "PerfPoly-p2",
+        "PerfPoly-p3",
+        "tilt-Zmod-p2",
+        "tilt-ZzetaMod-p2",
+        "tilt-ZzetaMod-p3",
+        "tilt-Zmod-p3-D4M3",
+        "tilt-Zzeta32-p2-D4M4",
+        "tilt-ZzetaMod-p2-D2M4",
+        "tilt-Zzeta16-p2-D4M2",
+    ],
 )
 def test_char_p_ops_match_the_full_integer_polynomials(ring):
     """Evaluating the polynomials reduced mod p gives the bytes the integer
-    polynomials give, at every cached length; the oracle evaluates the
-    integer ones naively, each coefficient through from_int."""
+    polynomials give, at every cached length, on drawn vectors and on the
+    zero and one vectors; the oracle evaluates the integer ones naively, each
+    coefficient through from_int."""
     rng = random.Random(repr(ring))
     draw = _mixed_chain_draw if isinstance(ring, TiltRing) else _char_p_draw
     for length in range(1, structure_cap(ring.p) + 2):
-        for _ in range(2):
-            x, y = (
-                WittVec(ring, tuple(draw(rng, ring) for _ in range(length)))
-                for _ in range(2)
-            )
+        a, b, c, d = (
+            WittVec(ring, tuple(draw(rng, ring) for _ in range(length))) for _ in range(4)
+        )
+        zero, one = witt_zero(ring, length), witt_one(ring, length)
+        for x, y in ((a, b), (c, d), (zero, a), (b, one), (one, one)):
             for kind, op in (("sum", witt_add), ("prod", witt_mul)):
                 want = _full_poly_image(ring, kind, (x, y))
                 assert witt_to_json(op(x, y)) == witt_to_json(want), (kind, length)
@@ -383,3 +401,61 @@ def test_char_p_ops_match_the_full_integer_polynomials(ring):
             else:
                 # odd p negates componentwise, keeping each slot's precision
                 assert witt_eq(witt_neg(x), want)
+
+
+class _CountingCycloModPM(CycloModPM):
+    """Z[zeta]/p^M that records the precisions it multiplies at and the
+    exponents of its p-power ladder steps."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.mul_precs, self.towers = set(), []
+
+    def mul(self, a, b):
+        self.mul_precs.update((a.prec, b.prec))
+        return super().mul(a, b)
+
+    def pow_(self, a, n):
+        self.mul_precs.add(a.prec)
+        return super().pow_(a, n)
+
+    def pow_p_tower(self, a, l):
+        self.towers.append(l)
+        return super().pow_p_tower(a, l)
+
+
+def test_char_p_tilt_sum_runs_in_a_mod_p_with_one_ladder_per_component():
+    """Char-p witt_add over a tilt multiplies base elements at precision 1
+    only, and each component walks one ladder of D single p-power steps."""
+    base = _CountingCycloModPM(2, 5, 4)
+    ring = TiltRing(base, 4)
+    rng = random.Random(9)
+    x, y = (
+        WittVec(ring, tuple(
+            tilt_from_top(base, base.from_digits([rng.randrange(16) for _ in range(16)]), 4)
+            for _ in range(4)
+        ))
+        for _ in range(2)
+    )
+    base.mul_precs.clear()
+    base.towers.clear()
+    witt_add(x, y)
+    assert base.mul_precs == {1}
+    assert base.towers == [1] * (4 * ring.depth)
+
+
+def test_char_p_tilt_ops_check_every_operand_chain():
+    ring = TiltRing(CycloModPM(2, 2, 3), 3)
+    x = WittVec(ring, tuple(ring.one() for _ in range(3)))
+    strangers = [
+        (TiltRing(CycloModPM(2, 2, 2), 3).one(), RingMismatch),
+        (TiltRing(ZModPM(2, 3), 3).one(), RingMismatch),
+        (TiltRing(CycloModPM(2, 2, 3), 2).one(), LengthMismatch),
+    ]
+    for chain, error in strangers:
+        y = WittVec(ring, (ring.one(), chain, ring.zero()))
+        for op in (witt_add, witt_mul):
+            with pytest.raises(error):
+                op(x, y)
+            with pytest.raises(error):
+                op(y, x)

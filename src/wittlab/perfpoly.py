@@ -12,11 +12,20 @@ silently extending the depth.  The seminorm is p**(deg f) with deg the total
 degree, which is multiplicative and takes negative exponent values; it models
 a Gauss norm with radius > 1, so this ring is the stock example of unbounded
 growth for overconvergence checks.
+
+Char-p Witt ops evaluate structure polynomials through the
+``Ring.evaluate_poly`` hook, which this ring overrides: it takes each power
+x_i**e once per call (a p-power is an exponent shift), forms the term
+products and their sum on plain dicts of monomials with unreduced integer
+coefficients, and reduces mod p and sorts once per component, where the
+generic evaluator does so after every ``add`` and ``mul``.  Reduction mod p
+is a ring map and elements are canonical, so both give the same element.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add as _plus
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from .errors import (
@@ -30,6 +39,17 @@ from .rings import Ring, check_prime
 
 Monomial = Tuple[int, ...]
 PPoly = Tuple[Tuple[Monomial, int], ...]
+
+
+def _conv(a, b) -> Dict[Monomial, int]:
+    """The product of two sequences of (monomial, coefficient) pairs, as a
+    dict with unreduced coefficients."""
+    terms: Dict[Monomial, int] = {}
+    for ma, ca in a:
+        for mb, cb in b:
+            key = tuple(map(_plus, ma, mb))
+            terms[key] = terms.get(key, 0) + ca * cb
+    return terms
 
 
 class PerfPolyRing(Ring):
@@ -98,12 +118,7 @@ class PerfPolyRing(Ring):
         return tuple((mono, self.p - c) for mono, c in a)
 
     def mul(self, a: PPoly, b: PPoly) -> PPoly:
-        terms: Dict[Monomial, int] = {}
-        for ma, ca in a:
-            for mb, cb in b:
-                key = tuple(x + y for x, y in zip(ma, mb))
-                terms[key] = terms.get(key, 0) + ca * cb
-        return self._canon(terms)
+        return self._canon(_conv(a, b))
 
     def pow_(self, a: PPoly, n: int) -> PPoly:
         """a ** n for n = p**s * r with p not dividing r: the r-th power by
@@ -119,6 +134,23 @@ class PerfPolyRing(Ring):
         for _ in range(s):
             result = self.frobenius_elt(result)
         return result
+
+    def evaluate_poly(self, poly: Any, values: Sequence[PPoly]) -> PPoly:
+        """``poly.evaluate(self, values)`` with one canonicalisation, as the
+        module docstring describes."""
+        unit_mono = (0,) * self.nvars
+        powers: Dict[Tuple[int, int], PPoly] = {}
+        acc: Dict[Monomial, int] = {}
+        for c, factors in poly.terms_for(values):
+            term: Any = None if c is None else ((unit_mono, c),)
+            for key in factors:
+                power = powers.get(key)
+                if power is None:
+                    power = powers[key] = self.pow_(values[key[0]], key[1])
+                term = power if term is None else _conv(term, power).items()
+            for mono, v in term:
+                acc[mono] = acc.get(mono, 0) + v
+        return self._canon(acc)
 
     def eq(self, a: PPoly, b: PPoly) -> bool:
         return a == b

@@ -132,7 +132,8 @@ class Ring(ABC):
         return self.pow_(a, self.p ** l)
 
     def evaluate_poly(self, poly: Any, values: Sequence[Any]) -> Any:
-        """A ``univ.UPoly`` at values in this ring; the tilt overrides it."""
+        """A ``univ.UPoly`` at values in this ring; the tilt and the
+        perfected polynomial ring override it."""
         return poly.evaluate(self, values)
 
     @abstractmethod
@@ -230,6 +231,11 @@ class Integers(Ring):
     def mul(self, a: int, b: int) -> int:
         return a * b
 
+    def pow_(self, a: int, n: int) -> int:
+        if n < 0:
+            raise CapabilityMissing(f"{self.kind}: negative powers not supported")
+        return a**n
+
     def eq(self, a: int, b: int) -> bool:
         return a == b
 
@@ -290,6 +296,13 @@ class Rationals(Ring):
 
     def mul(self, a: Fraction, b: Fraction) -> Fraction:
         return a * b
+
+    def pow_(self, a: Fraction, n: int) -> Fraction:
+        # Fraction ** n powers numerator and denominator, which stay coprime;
+        # a negative n would invert silently, so it is refused as elsewhere
+        if n < 0:
+            raise CapabilityMissing(f"{self.kind}: negative powers not supported")
+        return a**n
 
     def eq(self, a: Fraction, b: Fraction) -> bool:
         return a == b

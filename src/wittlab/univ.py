@@ -29,7 +29,10 @@ terms to ``ring.zero()`` in sorted order, so a ring whose addition tracks
 precision sees the same operation sequence on every call.  Rings call it
 through ``Ring.evaluate_poly``; over a tilt it runs over the base at
 precision 1, once per chain slot the final sum reads, and the tilt builds the
-chain from those residues (``tilt.TiltRing.evaluate_poly``).
+chain from those residues (``tilt.TiltRing.evaluate_poly``).  A perfected
+polynomial ring reads the same sorted terms (``UPoly.terms_for``) and
+multiplies on dicts, canonicalising once
+(``perfpoly.PerfPolyRing.evaluate_poly``).
 
 Kinds:
   * ``sum``, ``prod``  -- binary, in x-variables then y-variables;
@@ -163,9 +166,12 @@ class UPoly:
 
     # -- evaluation ---------------------------------------------------------------
 
-    def _sorted_terms(self) -> tuple:
-        """The terms in sorted exponent order as (coefficient, ((i, e), ...)),
-        the coefficient None where it is a 1 that multiplies something."""
+    def terms_for(self, values: Sequence) -> tuple:
+        """Check that there is one value per variable, then return the terms
+        in sorted exponent order as (coefficient, ((i, e), ...)), the
+        coefficient None where it is a 1 that multiplies something."""
+        if len(values) != self.nvars:
+            raise MalformedConfig(f"expected {self.nvars} values, got {len(values)}")
         if self._sorted is None:
             terms = []
             for exps, c in sorted(self.terms.items()):
@@ -180,11 +186,9 @@ class UPoly:
 
     def evaluate(self, ring, values: Sequence) -> object:
         """Evaluate with ring arithmetic (coefficients through ring.from_int)."""
-        if len(values) != self.nvars:
-            raise MalformedConfig(f"expected {self.nvars} values, got {len(values)}")
         powers: Dict[Tuple[int, int], object] = {}
         acc = ring.zero()
-        for c, factors in self._sorted_terms():
+        for c, factors in self.terms_for(values):
             term = None if c is None else ring.from_int(c)
             for key in factors:
                 power = powers.get(key)

@@ -10,8 +10,11 @@ and dispatch on the ring's capabilities:
                             ring, through `ring.evaluate_poly`: the generic
                             evaluator, except over a tilt, which evaluates
                             over its base mod p at the slots its chain-sum
-                            ladder reads (negation is componentwise for odd
-                            p, the Frobenius is componentwise); lengths beyond
+                            ladder reads, and over a perfected polynomial
+                            ring, which multiplies on dicts and canonicalises
+                            once per component (negation is componentwise
+                            for odd p, the Frobenius is componentwise);
+                            lengths beyond
                             the cached range are refused rather than
                             approximated;
   * Q-algebras           -- ghost transport, any length;
@@ -23,6 +26,15 @@ and dispatch on the ring's capabilities:
 Ghost coordinates are injective over p-torsion-free rings, which is what makes
 the transport well-defined; the integrality assertions turn that theorem into
 a runtime check.
+
+`ghost` and `unghost` walk one power ladder per component: component i enters
+as x_i and each later level raises its running power once, by
+``ring.pow_(., p)``, so a length-n vector costs n(n-1)/2 p-th powers rather
+than a fresh x_i**(p**(m-i)) at every level m, and the constants p**i are
+built once per call.  `teich_mul` raises r the same way.  Every power is
+exact, so the ladder gives the same elements, bytes included, as the
+powers taken directly; additions keep their order, which a tilt's chain sum can
+see.
 """
 
 from __future__ import annotations
@@ -130,14 +142,19 @@ def witt_one(ring: Ring, length: int) -> WittVec:
 
 
 def ghost(x: WittVec) -> GhostVec:
+    """w_m = sum_{i <= m} p**i * x_i**(p**(m-i)); the powers x_i**(p**(m-i))
+    form one ladder per component, raised by one ``pow_(., p)`` per step."""
     ring, p = x.ring, x.ring.p
+    consts = [ring.from_int(p ** i) for i in range(x.length)]
+    powers: List[Any] = []
     entries = []
-    for m in range(x.length):
+    for m, c in enumerate(x.components):
+        powers = [ring.pow_(a, p) for a in powers]
+        powers.append(c)
         acc = ring.zero()
-        for i in range(m + 1):
-            term = ring.pow_(x.components[i], p ** (m - i))
+        for i, term in enumerate(powers):
             if i:
-                term = ring.mul(ring.from_int(p ** i), term)
+                term = ring.mul(consts[i], term)
             acc = ring.add(acc, term)
         entries.append(acc)
     return GhostVec(ring, tuple(entries))
@@ -145,24 +162,29 @@ def ghost(x: WittVec) -> GhostVec:
 
 def unghost(g: GhostVec) -> WittVec:
     """Invert the ghost map; exact divisions must succeed (NotDivisible
-    otherwise), which over a p-torsion-free ring certifies the preimage."""
+    otherwise), which over a p-torsion-free ring certifies the preimage.
+    The powers of the components found so far form the same ladder as in
+    ``ghost``."""
     ring, p = g.ring, g.ring.p
     if not (ring.q_algebra or ring.p_torsion_free):
         raise CapabilityMissing(
             f"{ring.kind}: ghost coordinates are not injective over rings with "
             "p-torsion; transport through the cover instead"
         )
+    consts = [ring.from_int(p ** i) for i in range(len(g.entries))]
     comps: List[Any] = []
+    powers: List[Any] = []
     for m, w in enumerate(g.entries):
+        powers = [ring.pow_(a, p) for a in powers]
         acc = w
-        for i in range(m):
-            term = ring.pow_(comps[i], p ** (m - i))
+        for i, term in enumerate(powers):
             if i:
-                term = ring.mul(ring.from_int(p ** i), term)
+                term = ring.mul(consts[i], term)
             acc = ring.sub(acc, term)
         for _ in range(m):
             acc = ring.exact_divide_by_p(acc)
         comps.append(acc)
+        powers.append(acc)
     return WittVec(ring, tuple(comps))
 
 
@@ -295,11 +317,14 @@ def teichmuller(ring: Ring, r, length: int) -> WittVec:
 
 
 def teich_mul(r, x: WittVec) -> WittVec:
-    """[r] * x = (r*x_1, r**p * x_p, ...), exact in any ring."""
+    """[r] * x = (r*x_1, r**p * x_p, ...), exact in any ring; each power of
+    r is the previous one raised to the p-th power."""
     ring = x.ring
     comps = []
     for i, c in enumerate(x.components):
-        comps.append(ring.mul(ring.pow_(r, ring.p ** i), c))
+        if i:
+            r = ring.pow_(r, ring.p)
+        comps.append(ring.mul(r, c))
     return WittVec(ring, tuple(comps))
 
 

@@ -32,6 +32,46 @@ def naive_unghost(p: int, ws: Sequence) -> Tuple[Fraction, ...]:
     return tuple(xs)
 
 
+def naive_ring_ghost(ring, components: Sequence) -> Tuple:
+    """Ghost coordinates over any ring, every power x_i^(p^(m-i)) taken
+    directly by one ring.pow_: the loop ``witt.ghost`` ran before its
+    ladder."""
+    p = ring.p
+    entries = []
+    for m in range(len(components)):
+        acc = ring.zero()
+        for i in range(m + 1):
+            term = ring.pow_(components[i], p ** (m - i))
+            if i:
+                term = ring.mul(ring.from_int(p**i), term)
+            acc = ring.add(acc, term)
+        entries.append(acc)
+    return tuple(entries)
+
+
+def naive_ring_unghost(ring, entries: Sequence) -> Tuple:
+    """The inverse of ``naive_ring_ghost`` over a p-torsion-free ring, with
+    the same direct powers and one exact division by p at a time."""
+    p = ring.p
+    comps: List = []
+    for m, w in enumerate(entries):
+        acc = w
+        for i in range(m):
+            term = ring.pow_(comps[i], p ** (m - i))
+            if i:
+                term = ring.mul(ring.from_int(p**i), term)
+            acc = ring.sub(acc, term)
+        for _ in range(m):
+            acc = ring.exact_divide_by_p(acc)
+        comps.append(acc)
+    return tuple(comps)
+
+
+def naive_teich_mul(ring, r, components: Sequence) -> Tuple:
+    """[r] * x = (r*x_1, r^p * x_p, ...), each r^(p^i) taken directly."""
+    return tuple(ring.mul(ring.pow_(r, ring.p**i), c) for i, c in enumerate(components))
+
+
 def vp_int(n: int, p: int) -> int:
     if n == 0:
         raise ValueError("valuation of zero is infinite")

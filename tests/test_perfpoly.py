@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wittlab.errors import CapabilityMissing, NoRoot
+from wittlab.errors import CapabilityMissing, IntegralityViolation, MalformedConfig, NoRoot
 from wittlab.norms import NormValue
 from wittlab.perfpoly import PerfPolyRing
 from wittlab.rings import Ring
+from wittlab.univ import UPoly, structure_cap, structure_poly_mod_p
 
 
 @st.composite
@@ -93,3 +94,45 @@ def test_pow_by_frobenius_shift_matches_the_generic_ladder(p, depth):
     for a in samples:
         for n in range(41):
             assert ring.pow_(a, n) == Ring.pow_(ring, a, n), (ring.format_elt(a), n)
+
+
+def _samples(ring):
+    """Zero, one, a constant, monomials in each variable and two sums."""
+    xs = []
+    for i in range(ring.nvars):
+        exps = [0] * ring.nvars
+        exps[i] = Fraction(1 + 2 * i, ring.unit)
+        xs.append(ring.monomial(exps, ring.p - 1))
+    mixed = ring.add(ring.one(), xs[-1])
+    for x in xs:
+        mixed = ring.add(mixed, ring.mul(x, mixed))
+    return [ring.zero(), ring.one(), ring.from_int(ring.p - 1), *xs, mixed, ring.add(xs[0], mixed)]
+
+
+@pytest.mark.parametrize("p, nvars", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_evaluate_poly_matches_the_generic_evaluator(p, nvars):
+    """One canonicalisation per component gives the element the generic
+    UPoly.evaluate builds add by add, for every cached mod-p structure
+    polynomial, on sample vectors that include zero, one and constants."""
+    ring = PerfPolyRing(p, nvars, 2)
+    samples = _samples(ring)
+    for kind in ("sum", "prod", "neg"):
+        for index in range(structure_cap(p) + 1):
+            poly = structure_poly_mod_p(p, index, kind)
+            for shift in range(len(samples)):
+                values = [samples[(shift + j) % len(samples)] for j in range(poly.nvars)]
+                got = ring.evaluate_poly(poly, values)
+                assert got == poly.evaluate(ring, values), (kind, index, shift)
+
+
+def test_evaluate_poly_keeps_the_generic_refusals():
+    ring = PerfPolyRing(2, 1, 3)
+    x = ring.monomial([Fraction(1, 8)])
+    with pytest.raises(MalformedConfig):
+        ring.evaluate_poly(structure_poly_mod_p(2, 1, "sum"), [x, x, x])
+    with pytest.raises(IntegralityViolation):
+        ring.evaluate_poly(UPoly(1, {(1,): Fraction(1, 2)}), [x])
+    assert ring.evaluate_poly(UPoly(2), [x, x]) == ring.zero()
+    # integer coefficients outside 0..p-1 reduce as through from_int
+    poly = UPoly(2, {(2, 0): 3, (1, 1): -1, (0, 0): 5})
+    assert ring.evaluate_poly(poly, [x, ring.one()]) == poly.evaluate(ring, [x, ring.one()])

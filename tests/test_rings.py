@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wittlab.cyclotomic import CycloModPM
-from wittlab.errors import MalformedConfig, NotDivisible, PrecisionExhausted, WittError
+from wittlab.errors import CapabilityMissing, MalformedConfig, NotDivisible, PrecisionExhausted, WittError
 from wittlab.norms import NormValue
 from wittlab.rings import (
     Integers,
     Rationals,
+    Ring,
     TruncatedRing,
     ZModPM,
     check_prime,
@@ -183,7 +184,10 @@ def test_truncated_seminorm_reads_the_canonical_lift():
 
 
 class _CountingIntegers(Integers):
-    """Integers that count their multiplications."""
+    """Integers that count their multiplications, powering through the
+    generic ``Ring.pow_`` ladder in place of the native int power."""
+
+    pow_ = Ring.pow_
 
     def __init__(self, p):
         super().__init__(p)
@@ -203,6 +207,26 @@ def test_generic_pow_squares_and_multiplies_from_the_lowest_set_bit(n):
     want = 0 if n == 0 else n.bit_length() - 1 + bin(n).count("1") - 1
     assert ring.muls == want
     assert Rationals(3).pow_(Fraction(-2, 3), n) == Fraction(-2, 3) ** n
+
+
+@pytest.mark.parametrize(
+    "ring, samples",
+    [
+        (Integers(3), [0, 1, -1, 2, -3, 7, 12]),
+        (Rationals(2), [Fraction(0), Fraction(1), Fraction(-1), Fraction(3, 4), Fraction(-5, 6)]),
+    ],
+    ids=["Z", "Q"],
+)
+def test_native_pow_matches_the_generic_ladder(ring, samples):
+    for a in samples:
+        for n in range(41):
+            got = ring.pow_(a, n)
+            want = Ring.pow_(ring, a, n)
+            assert got == want and type(got) is type(want), (a, n)
+        # a ** -n would invert silently: refused like every other ring
+        for n in (-1, -2):
+            with pytest.raises(CapabilityMissing):
+                ring.pow_(a, n)
 
 
 def test_generic_pow_refuses_negative_exponents():

@@ -20,10 +20,14 @@ in the next subfield, the last one is the rational norm N, and
 
 Valuations are computed without factoring norms: strip powers of p
 coefficientwise, then read off the order in t = 1 - zeta of the mod-p residue
-through the triangular change of basis between the power basis and the t-power
-basis of O/p = F_p[t]/(t**e).  The same basis gives constructive p-th roots
-mod p: an element is a p-th power mod p exactly when its t-support consists of
-multiples of p, and dividing the exponents by p produces a root.
+in O/p = F_p[t]/(t**e).  The change of basis from the power basis to the
+t-power basis is a cached lower-triangular matrix whose row i is
+(1 - zeta)**i mod p; each row is the one before minus its shift by one place
+(Pascal's rule), so the matrix costs O(e**2), and ``to_t_basis`` solves
+against it from the top row down.  p-th roots mod p need no change of basis:
+mod p the Frobenius sends zeta**j to zeta**(p*j) and fixes F_p, so a class is a
+p-th power exactly when its power-basis residue is supported on multiples of
+p, and its root reads every p-th coefficient (``mod_p_root``).
 
 ``CycloModPM`` is the truncation O/p**M with per-element digit budgets; its
 ``pow_``, ``pow_p_tower`` and ``seminorm`` read the integer digits directly,
@@ -327,15 +331,17 @@ class CyclotomicField(PowerBasisField):
         """Row i holds the power-basis coefficients of (1 - zeta)**i mod p.
 
         The matrix is lower triangular with invertible diagonal (-1)**i, since
-        (1 - zeta)**i has top power-basis degree exactly i for i < e.
+        (1 - zeta)**i has top power-basis degree exactly i for i < e.  So row
+        i + 1 is row i minus row i shifted up one place (Pascal's rule mod p),
+        and no power of zeta reaches e.
         """
         if self._t_matrix is None:
             p = self.p
-            rows = [[1] + [0] * (self.e - 1)]
-            t = [1, p - 1] + [0] * (self.e - 2)  # 1 - zeta
+            row = [1] + [0] * (self.e - 1)
+            rows = [row]
             for _ in range(1, self.e):
-                nxt = _conv(rows[-1], t, self.e, p, self.step)
-                rows.append([c % p for c in nxt])
+                row = [1] + [(c - b) % p for c, b in zip(row[1:], row)]
+                rows.append(row)
             self._t_matrix = rows
         return self._t_matrix
 
@@ -356,17 +362,6 @@ class CyclotomicField(PowerBasisField):
         if any(a):
             raise IntegralityViolation("t-basis conversion failed to terminate")
         return out
-
-    def from_t_basis(self, tcoeffs: Sequence[int]) -> Tuple[int, ...]:
-        p = self.p
-        rows = self._t_basis_matrix()
-        out = [0] * self.e
-        for i, c in enumerate(tcoeffs):
-            if c % p:
-                row = rows[i]
-                for j in range(self.e):
-                    out[j] = (out[j] + c * row[j]) % p
-        return tuple(out)
 
     def t_order(self, residue: Sequence[int]) -> Optional[int]:
         """Order in t of a nonzero mod-p class; None for the zero class."""
@@ -397,27 +392,31 @@ class CyclotomicField(PowerBasisField):
     # -- roots mod p --------------------------------------------------------------
 
     def mod_p_root(self, a: CVec) -> CVec:
-        """A p-th root of a mod p, when one exists in this field.
+        """The p-th root of a mod p of power-basis degree below e/p; raises
+        NoRoot when a is not a p-th power mod p.
 
-        The class of a is a p-th power in O/p = F_p[t]/(t**e) exactly when its
-        t-support lies in pZ; the root divides every exponent by p (the
-        coefficient field F_p is fixed by x -> x**p).  Raises NoRoot otherwise.
+        Mod p, Phi_{p**k} = (x - 1)**e and c(zeta)**p = c(zeta**p) for c over
+        F_p, so the p-th powers in O/p are spanned by the zeta**(p*j) with
+        p*j < e.  a has a root exactly when its power-basis residue is
+        supported on multiples of p, and the root reads every p-th coefficient
+        (the Frobenius index map).  A class without a root is named by its
+        first t-index off pZ, from ``to_t_basis``.  The root is checked
+        exactly: root**p = a mod p.
         """
-        tco = self.to_t_basis(self.residue_coeffs_mod_p(a))
-        root_t = [0] * self.e
-        for i, c in enumerate(tco):
-            if c:
-                if i % self.p:
-                    raise NoRoot(
-                        f"t-support index {i} is not a multiple of {self.p}; "
-                        "the class is not a p-th power mod p"
-                    )
-                root_t[i // self.p] = c
-        root = self.from_coeffs(self.from_t_basis(root_t))
-        diff = self.sub(self.pow_(root, self.p), a)
+        p = self.p
+        res = self.residue_coeffs_mod_p(a)
+        if any(c for i, c in enumerate(res) if i % p):
+            tco = self.to_t_basis(res)
+            i = next(i for i, c in enumerate(tco) if c and i % p)
+            raise NoRoot(
+                f"t-support index {i} is not a multiple of {p}; "
+                "the class is not a p-th power mod p"
+            )
+        root = self.from_coeffs(res[::p])
+        diff = self.sub(self.pow_(root, p), a)
         # every coefficient lies in pZ_(p): p divides each numerator (and then,
         # the form being canonical, not the denominator)
-        if any(c % self.p for c in diff.nums):
+        if any(c % p for c in diff.nums):
             raise IntegralityViolation("constructed mod-p root failed verification")
         return root
 

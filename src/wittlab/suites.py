@@ -374,18 +374,25 @@ def check_structure_polynomials(rng: random.Random, p: Optional[int] = None) -> 
 
 
 def _law_rings(p: Optional[int]) -> List[Ring]:
+    """The exact rings and the truncated ones: the ghost map is a ring map
+    over any ring, so the laws hold over Z/p^M and Z[zeta]/p^M too."""
     if p is None:
         return [
             Integers(2),
             Rationals(3),
             GaussianField(5),
             cyclotomic_field(2, 3),
+            ZModPM(2, 6),
+            ZModPM(3, 4),
+            CycloModPM(2, 3, 4),
         ]
     return [
         Integers(p),
         Rationals(p),
         GaussianField(p),
         cyclotomic_field(p, 3 if p == 2 else 2),
+        ZModPM(p, 3),
+        CycloModPM(p, 3 if p == 2 else 1, 2),
     ]
 
 
@@ -436,16 +443,17 @@ def check_witt_ring_laws(
     rng: random.Random, p: Optional[int] = None, per_law: int = 500
 ) -> List[CaseResult]:
     """Commutative-ring axioms and ghost-homomorphism identities, randomized
-    over exact base rings; ghost injectivity makes componentwise equality the
-    right notion of truth on all of them."""
+    over exact base rings at lengths 1-3, where ghost injectivity makes
+    componentwise equality the right notion of truth, and over truncated
+    rings at lengths 1-5, where equality is up to the common precision."""
     rings = _law_rings(p)
-    names = ", ".join(r.kind for r in rings)
+    names = ", ".join(_trunc_label(r) if r.truncated else r.kind for r in rings)
     cases = []
     for name, (arity, identity) in _RING_LAWS.items():
         law = _Law(f"law_{name}")
         for i in range(per_law):
             ring = rings[i % len(rings)]
-            L = rng.randint(1, 3)
+            L = rng.randint(1, 5 if ring.truncated else 3)
             vecs = dict(zip("xyz", (_draw_vec(rng, ring, L) for _ in range(arity))))
             law.check(
                 identity(*vecs.values()), lambda: f"sample {i} over {ring!r}: {_show(**vecs)}"

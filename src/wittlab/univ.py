@@ -45,6 +45,7 @@ Kinds:
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
@@ -117,17 +118,28 @@ class UPoly:
         terms: Dict[Exps, object] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
+                key = tuple(map(operator.add, ea, eb))
                 terms[key] = terms.get(key, 0) + ca * cb
         return UPoly(self.nvars, terms)
 
     def pow(self, n: int) -> "UPoly":
-        result = UPoly.constant(self.nvars, 1)
+        """self ** n by square-and-multiply from the lowest set bit, as
+        ``Ring.pow_``: the base is never squared past the top bit and the
+        constant 1 is never multiplied in."""
+        if n < 0:
+            raise CapabilityMissing("UPoly: negative powers not supported")
+        if n == 0:
+            return UPoly.constant(self.nvars, 1)
         base = self
+        while not n & 1:
+            base = base.mul(base)
+            n >>= 1
+        result = base
+        n >>= 1
         while n:
+            base = base.mul(base)
             if n & 1:
                 result = result.mul(base)
-            base = base.mul(base)
             n >>= 1
         return result
 

@@ -6,8 +6,10 @@ division, convolution, determinants) so the package never checks itself.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from functools import lru_cache
+from typing import List, Optional, Sequence, Tuple
 
 
 def naive_ghost(p: int, components: Sequence) -> Tuple:
@@ -111,6 +113,49 @@ def conv_reduce(a: Sequence, b: Sequence, p: int, k: int) -> List:
 
 def conv_reduce_int(a: Sequence[int], b: Sequence[int], p: int, k: int, q: int) -> List[int]:
     return [int(c) % q for c in conv_reduce(a, b, p, k)]
+
+
+def t_power_row(p: int, i: int, e: int) -> List[int]:
+    """The power-basis coefficients of (1 - zeta)**i mod p for i < e, by the
+    binomial theorem: (-1)**j * C(i, j) at zeta**j, with no power of zeta
+    reaching e."""
+    return [(-1) ** j * math.comb(i, j) % p for j in range(e)]
+
+
+@lru_cache(maxsize=None)
+def _t_power_rows(p: int, e: int) -> Tuple[Tuple[int, ...], ...]:
+    return tuple(tuple(t_power_row(p, i, e)) for i in range(e))
+
+
+def t_basis_mod_p_root(
+    p: int, k: int, residue: Sequence[int]
+) -> Tuple[Optional[Tuple[int, ...]], Optional[int]]:
+    """A p-th root mod p in Z[zeta_{p^k}] of the class with these power-basis
+    residues, found on the t-basis (t = 1 - zeta) of F_p[t]/(t^e): solve for
+    the t-coordinates against the binomial rows from the top down, divide
+    every t-exponent by p and change back.
+
+    Returns (root residues, None), or (None, i) for the first t-index i with
+    a nonzero coordinate that p does not divide: then there is no root.
+    """
+    e = p ** (k - 1) * (p - 1)
+    rows = _t_power_rows(p, e)
+    a = [c % p for c in residue]
+    tco = [0] * e
+    for i in range(e - 1, -1, -1):
+        c = a[i] * pow(rows[i][i], -1, p) % p
+        tco[i] = c
+        for j in range(i + 1):
+            a[j] = (a[j] - c * rows[i][j]) % p
+    for i, c in enumerate(tco):
+        if c and i % p:
+            return None, i
+    root = [0] * e
+    for i, c in enumerate(tco):
+        if c:
+            for j, r in enumerate(rows[i // p]):
+                root[j] = (root[j] + c * r) % p
+    return tuple(root), None
 
 
 def gauss_mul(a: Tuple[Fraction, Fraction], b: Tuple[Fraction, Fraction]):

@@ -1,17 +1,20 @@
 """Cyclotomic fields, their truncations, the tower, and the Gaussian field."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wittlab.cyclotomic import (
+    CVec,
     CycloModPM,
     CyclotomicTower,
     GaussianField,
     cyclotomic_field,
 )
-from wittlab.errors import IntegralityViolation
+from wittlab.errors import IntegralityViolation, NoRoot
 from wittlab.norms import NormValue
 
 import oracles
@@ -193,3 +196,63 @@ def test_truncated_cyclotomic_powers_match_repeated_products(p, k, M):
                 k_out = min(prec + l, M)
                 assert got.prec == k_out
                 assert list(got.coeffs) == oracles.cyclo_pow_int(x.coeffs, p**l, p, k, p**k_out)
+
+
+@pytest.mark.parametrize(
+    "p, k",
+    [(2, k) for k in range(1, 10)] + [(3, k) for k in range(1, 7)] + [(5, 1), (5, 2), (7, 1), (7, 2)],
+)
+def test_t_basis_rows_are_signed_binomials_mod_p(p, k):
+    """Row i of the t-basis matrix is (1 - zeta)**i mod p, whose coefficient
+    at zeta**j is (-1)**j * C(i, j)."""
+    field = cyclotomic_field(p, k)
+    rows = field._t_basis_matrix()
+    assert len(rows) == field.e
+    for i, row in enumerate(rows):
+        assert row == oracles.t_power_row(p, i, field.e), i
+
+
+def _check_mod_p_root(field, a, residue):
+    """mod_p_root of a against the t-basis oracle on the residue of a: the
+    same root CVec, or a NoRoot naming the same t-index."""
+    p = field.p
+    want, index = oracles.t_basis_mod_p_root(p, field.k, residue)
+    if want is None:
+        with pytest.raises(NoRoot) as exc:
+            field.mod_p_root(a)
+        assert str(exc.value) == (
+            f"t-support index {index} is not a multiple of {p}; "
+            "the class is not a p-th power mod p"
+        )
+        return False
+    got = field.mod_p_root(a)
+    assert repr(got) == repr(CVec(want, 1)), residue
+    return True
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 4)])
+def test_mod_p_root_matches_the_t_basis_root_on_every_residue(p, k):
+    field = cyclotomic_field(p, k)
+    roots = 0
+    for residue in itertools.product(range(p), repeat=field.e):
+        roots += _check_mod_p_root(field, field.from_coeffs(residue), residue)
+    # the p-th powers mod p are the classes of the F_p-span of zeta**(p*j), p*j < e
+    assert roots == p ** len(range(0, field.e, p))
+
+
+@pytest.mark.parametrize("p, k", [(3, 3), (2, 5)])
+def test_mod_p_root_matches_the_t_basis_root_on_drawn_lifts(p, k):
+    """Residues drawn at random and drawn on multiples of p (so that half
+    have a root), lifted to (c + p*u) / d with d prime to p."""
+    field = cyclotomic_field(p, k)
+    rng = random.Random(p * 100 + k)
+    roots = 0
+    for n in range(200):
+        c = [rng.randrange(p) if n % 2 or j % p == 0 else 0 for j in range(field.e)]
+        u = [rng.randint(-9, 9) for _ in range(field.e)]
+        d = rng.choice([1, 1, 2, 3, 4, 5, 7])
+        d = d if d % p else d + 1
+        a = field.from_coeffs([Fraction(x + p * y, d) for x, y in zip(c, u)])
+        inv = pow(d, -1, p)
+        roots += _check_mod_p_root(field, a, [x * inv % p for x in c])
+    assert roots >= 100

@@ -25,8 +25,10 @@ import oracles
 
 
 def test_root_sequence_p2_certificates():
-    seq = build_root_sequence(2, 3)
-    assert all(seq.verify().values())
+    seq = build_root_sequence(2, 8)
+    checks = seq.verify()
+    # x_1^2 = 2 mod 4, the valuation at every level and coherence between them
+    assert len(checks) == 1 + 8 + 7 and all(checks.values())
     f1 = seq.tower.field(1)
     x1 = seq.value(1)
     assert f1.valuation(x1) == Fraction(1, 2)
@@ -38,8 +40,9 @@ def test_root_sequence_p2_certificates():
 
 
 def test_root_sequence_p3_certificates():
-    seq = build_root_sequence(3, 1)
-    assert all(seq.verify().values())
+    seq = build_root_sequence(3, 4)
+    checks = seq.verify()
+    assert len(checks) == 1 + 4 + 3 and all(checks.values())
     f1 = seq.tower.field(1)
     coeffs = list(f1.integral_coeffs(seq.value(1)))
     cube = oracles.conv_reduce_int(

@@ -11,7 +11,7 @@ from wittlab.suites import _Law, run_suite
 # exactly what `wittlab verify <suite> --seed S --json` prints
 DIGESTS = {
     "universal": "6fecc43d3474c73580bce775d41f79e5372d79c4d9c2012168a0cb29733c41be",
-    "ghost": "e1be7bd60af5e35f536574749f848fa7aa2a847167c0cd2cd80e337e6ae09112",
+    "ghost": "e02b442a1c33998834cb771e50d4b674e60b8171c8a9b846684a552e7caba82d",
     "norms": "0fee92cc05f8b357df934c4cc2cea40788dce9ae3f0fd0de8320ccecdd5e6d3f",
     "arrow": "65759894aa4352bc4994d00121b69aa6b08d2554d1f4cf86b40a7f14cdae3c90",
     "perfect": "15ceb9271288c23a71ace14daa912e8935ff6bc0c8b53fc48ac11677b0e67840",
@@ -21,7 +21,7 @@ DIGESTS = {
 }
 DIGESTS_SEED_1 = {
     "universal": "ee1851d2ba34eccf1b2c47703648e64dada42a1812c0a21fd42ddfd40cbcb4a2",
-    "ghost": "5aab4a986b80be98d041174d2e1759707b6de8ac7a567de6c6b7a1c1cbe9ad7d",
+    "ghost": "b6b75a12d994c64f761c5888c88ec892025609d6522d9f19e24431af03ae5307",
     "norms": "08662b5cb2860456c41674af50b12b345bd08ab1fd13295738b9f7d23cf5b770",
     "arrow": "2025a8ef75050349c30e7bb36180cdf6f9554acef28b3097659e11b3541e26ba",
     "perfect": "9f3283b1b337ef4945ff7ef9280429ab1f9db09bed3324efb71187e13414fff7",

@@ -5,13 +5,14 @@ reproduces plain arithmetic on ghost coordinates; the oracle side is computed
 with direct power sums, never with the package's own ghost helpers.
 """
 
+import math
 import os
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wittlab.errors import IntegralityViolation, MalformedConfig
+from wittlab.errors import CapabilityMissing, IntegralityViolation, MalformedConfig
 from wittlab.rings import Integers, Rationals
 from wittlab.univ import (
     UPoly,
@@ -129,6 +130,28 @@ def test_upoly_algebra():
     right = x.mul(x).sub(y.mul(y))
     assert left == right
     assert x.pow(3).weighted_degrees([1, 1]) == [3]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7, 8, 9, 16, 27, 32, 100])
+def test_upoly_pow_squares_and_multiplies_from_the_lowest_set_bit(n, monkeypatch):
+    """(x + y)**n with bit_length(n) - 1 squarings and popcount(n) - 1
+    products, as Ring.pow_: the base is never squared past the top bit."""
+    squares, products, mul = [], [], UPoly.mul
+
+    def counting_mul(a, b):
+        (squares if a is b else products).append(1)
+        return mul(a, b)
+
+    x_plus_y = UPoly.variable(2, 0).add(UPoly.variable(2, 1))
+    monkeypatch.setattr(UPoly, "mul", counting_mul)
+    got = x_plus_y.pow(n)
+    monkeypatch.undo()
+    want_squares = max(n.bit_length() - 1, 0)
+    want_products = max(bin(n).count("1") - 1, 0)
+    assert (len(squares), len(products)) == (want_squares, want_products)
+    assert got == UPoly(2, {(n - j, j): math.comb(n, j) for j in range(n + 1)})
+    with pytest.raises(CapabilityMissing):
+        x_plus_y.pow(-1)
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -252,8 +252,8 @@ class PowerBasisField(Ring):
     def is_zero(self, a: CVec) -> bool:
         return not any(a.nums)
 
-    def exact_divide_by_p(self, a: CVec) -> CVec:
-        return _canon(a.nums, a.den * self.p)
+    def exact_divide_by_p(self, a: CVec, k: int = 1) -> CVec:
+        return _canon(a.nums, a.den * self.p**k)
 
     def inv(self, a: CVec) -> CVec:
         """Multiplicative inverse: 1/a = den * c / N for a = nums / den and
@@ -546,12 +546,16 @@ class CycloModPM(TruncatedRing):
             return NormValue.zero()
         return NormValue.from_exponent(self.field.integer_valuation(a.coeffs))
 
-    def exact_divide_by_p(self, a: TruncVec) -> TruncVec:
-        if any(c % self.p for c in a.coeffs):
-            raise NotDivisible("coefficient vector is not divisible by p")
-        if a.prec - 1 < 1:
-            raise PrecisionExhausted("dividing by p would leave no significant digits")
-        return TruncVec(tuple(c // self.p for c in a.coeffs), a.prec - 1)
+    def exact_divide_by_p(self, a: TruncVec, k: int = 1) -> TruncVec:
+        """a / p**k, one digit less per division by p."""
+        coeffs, prec = a.coeffs, a.prec
+        for _ in range(k):
+            if any(c % self.p for c in coeffs):
+                raise NotDivisible("coefficient vector is not divisible by p")
+            if prec - 1 < 1:
+                raise PrecisionExhausted("dividing by p would leave no significant digits")
+            coeffs, prec = tuple(c // self.p for c in coeffs), prec - 1
+        return TruncVec(coeffs, prec)
 
     def pth_root_mod_p(self, a: TruncVec) -> TruncVec:
         root = self.field.mod_p_root(self.lift_to_cover(a))

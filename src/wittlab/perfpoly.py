@@ -194,7 +194,7 @@ class PerfPolyRing(Ring):
         d = self.degree(a)
         return NormValue.zero() if d is None else NormValue.p_power(d)
 
-    def exact_divide_by_p(self, a: PPoly) -> PPoly:
+    def exact_divide_by_p(self, a: PPoly, k: int = 1) -> PPoly:
         raise CapabilityMissing("PerfPoly has characteristic p; division by p is undefined")
 
     # -- formatting --------------------------------------------------------------------

@@ -10,9 +10,17 @@ Capability flags drive dispatch:
 
   * `char_p`            -- p = 0 in the ring (componentwise Frobenius etc.)
   * `q_algebra`         -- division by p is exact and total
-  * `p_torsion_free`    -- multiplication by p is injective
+  * `p_torsion_free`    -- multiplication by p is injective, so the ghost map
+                           is too: the ring is its own cover and Witt
+                           operations transport through ghost coordinates in
+                           place (Z on ints, Q and the number fields on their
+                           own elements)
   * `truncated`         -- elements carry a finite digit budget; true exactly
-                           for the subclasses of `TruncatedRing`
+                           for the subclasses of `TruncatedRing`, which lift
+                           to an integral cover (Z/p**M to Z, Z[zeta]/p**M to
+                           integral elements of Q(zeta)) and reduce back
+
+No transport runs over Q unless its ring is Q.
 
 Truncated rings use per-element precision: an element "known mod p**k" records
 k, binary operations take the minimum of the budgets, exact division by p
@@ -34,7 +42,6 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from .errors import (
     CapabilityMissing,
-    IntegralityViolation,
     MalformedConfig,
     NotDivisible,
     NotEnumerable,
@@ -147,26 +154,29 @@ class Ring(ABC):
     @abstractmethod
     def seminorm(self, a: Any) -> NormValue: ...
 
-    def exact_divide_by_p(self, a: Any) -> Any:
+    def exact_divide_by_p(self, a: Any, k: int = 1) -> Any:
+        """a / p**k, refused (``NotDivisible``) unless it lies in the ring."""
         raise CapabilityMissing(f"{self.kind}: exact division by p not supported")
 
     def pth_root_mod_p(self, a: Any) -> Any:
         raise CapabilityMissing(f"{self.kind}: p-th roots mod p not supported")
 
     # -- torsion-free cover (for ghost transport) ----------------------------
+    # A p-torsion-free ring is its own cover; a ring with p-torsion overrides
+    # all three, or has no cover.
 
     def cover_ring(self) -> "Ring":
-        if self.q_algebra:
+        if self.p_torsion_free:
             return self
         raise CapabilityMissing(f"{self.kind}: no p-torsion-free cover available")
 
     def lift_to_cover(self, a: Any) -> Any:
-        if self.q_algebra:
+        if self.p_torsion_free:
             return a
         raise CapabilityMissing(f"{self.kind}: no p-torsion-free cover available")
 
     def reduce_from_cover(self, a: Any, prec: Optional[int] = None) -> Any:
-        if self.q_algebra:
+        if self.p_torsion_free:
             return a
         raise CapabilityMissing(f"{self.kind}: no p-torsion-free cover available")
 
@@ -243,26 +253,19 @@ class Integers(Ring):
         v = vp_int(a, self.p)
         return NormValue.zero() if v is None else NormValue.from_exponent(v)
 
-    def exact_divide_by_p(self, a: int) -> int:
-        if a % self.p:
+    def exact_divide_by_p(self, a: int, k: int = 1) -> int:
+        q, r = divmod(a, self.p**k)
+        if r:
+            # name the quotient at the first division by p that fails
+            while a % self.p == 0:
+                a //= self.p
             raise NotDivisible(f"{a} is not divisible by {self.p}")
-        return a // self.p
+        return q
 
     def pth_root_mod_p(self, a: int) -> int:
         # Fermat: a itself is a p-th root of a modulo p; pick the canonical
         # residue as the returned representative.
         return a % self.p
-
-    def cover_ring(self) -> "Ring":
-        return Rationals(self.p)
-
-    def lift_to_cover(self, a: int) -> Fraction:
-        return Fraction(a)
-
-    def reduce_from_cover(self, a: Fraction, prec: Optional[int] = None) -> int:
-        if a.denominator != 1:
-            raise IntegralityViolation(f"expected an integer, got {a}")
-        return int(a)
 
     def format_elt(self, a: int) -> str:
         return str(a)
@@ -311,8 +314,8 @@ class Rationals(Ring):
         v = vp_fraction(a, self.p)
         return NormValue.zero() if v is None else NormValue.from_exponent(v)
 
-    def exact_divide_by_p(self, a: Fraction) -> Fraction:
-        return a / self.p
+    def exact_divide_by_p(self, a: Fraction, k: int = 1) -> Fraction:
+        return a / self.p**k
 
     def format_elt(self, a: Fraction) -> str:
         return str(a)
@@ -420,8 +423,9 @@ class ZModPM(TruncatedRing):
 
     Fresh elements carry the full budget M.  The seminorm is the quotient
     seminorm p**(-v) of the canonical lift; the class of 0 has seminorm 0.
-    This ring has p-torsion, so Witt operations over it transport through the
-    rational cover and reduce back at the minimum input precision.
+    This ring has p-torsion, so Witt operations over it lift the canonical
+    residues to Z (``cover_ring`` is ``Integers(p)``), transport there on
+    ints and reduce back at the minimum input precision.
     """
 
     kind = "Zmod"
@@ -490,28 +494,31 @@ class ZModPM(TruncatedRing):
         v = vp_int(a.value, self.p)
         return NormValue.zero() if v is None else NormValue.from_exponent(v)
 
-    def exact_divide_by_p(self, a: TruncInt) -> TruncInt:
-        if a.value % self.p:
-            raise NotDivisible(
-                f"{a.value} is not divisible by {self.p} (mod {self.p}^{a.prec})"
-            )
-        if a.prec - 1 < 1:
-            raise PrecisionExhausted(
-                "dividing by p would leave no significant digits"
-            )
-        return TruncInt(a.value // self.p, a.prec - 1)
+    def exact_divide_by_p(self, a: TruncInt, k: int = 1) -> TruncInt:
+        """a / p**k, one digit less per division by p; the first division
+        that fails names its quotient and precision, as k single ones would."""
+        value, prec = a.value, a.prec
+        for _ in range(k):
+            if value % self.p:
+                raise NotDivisible(
+                    f"{value} is not divisible by {self.p} (mod {self.p}^{prec})"
+                )
+            if prec - 1 < 1:
+                raise PrecisionExhausted(
+                    "dividing by p would leave no significant digits"
+                )
+            value, prec = value // self.p, prec - 1
+        return TruncInt(value, prec)
 
     def pth_root_mod_p(self, a: TruncInt) -> TruncInt:
         # The canonical residue of a mod p is itself a p-th root of a mod p.
         return self.make(a.value % self.p, self.M)
 
     def cover_ring(self) -> Ring:
-        return Rationals(self.p)
+        return Integers(self.p)
 
-    def lift_to_cover(self, a: TruncInt) -> Fraction:
-        return Fraction(a.value)
+    def lift_to_cover(self, a: TruncInt) -> int:
+        return a.value
 
-    def reduce_from_cover(self, a: Fraction, prec: Optional[int] = None) -> TruncInt:
-        if a.denominator != 1:
-            raise IntegralityViolation(f"expected an integer, got {a}")
-        return self.make(int(a), self.M if prec is None else prec)
+    def reduce_from_cover(self, a: int, prec: Optional[int] = None) -> TruncInt:
+        return self.make(a, self.M if prec is None else prec)

@@ -51,6 +51,7 @@ from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import CapabilityMissing, IntegralityViolation, MalformedConfig
+from .rings import check_prime
 
 Exps = Tuple[int, ...]
 
@@ -263,7 +264,9 @@ def _unghost_step(p: int, m: int, phi_m: UPoly, lower: Sequence[UPoly]) -> UPoly
 
 @lru_cache(maxsize=None)
 def structure_poly(p: int, index: int, kind: str) -> UPoly:
-    """The index-th component polynomial of the requested operation at p."""
+    """The index-th component polynomial of the requested operation at the
+    prime p; a p that is not prime is refused before any recursion."""
+    check_prime(p)
     if kind not in KINDS:
         raise MalformedConfig(f"unknown structure polynomial kind {kind!r}")
     cap = structure_cap(p)

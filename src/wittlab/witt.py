@@ -4,6 +4,11 @@ A vector of length n+1 over a coefficient ring R is written
 (x_1, x_p, ..., x_{p**n}).  Operations are defined through ghost coordinates
 and dispatch on the ring's capabilities:
 
+  * odd p, negation      -- componentwise on every ring: [-1] = -1, and
+                            w_m(-x) = -w_m(x) because every p**(m-i) is odd;
+                            over a truncated ring the result is cut to the
+                            minimum precision of the input, as a transport
+                            would leave it;
   * characteristic p     -- one dispatcher, `_char_p_op`, evaluates the cached
                             sum/prod/neg structure polynomials with their
                             coefficients reduced mod p, since p = 0 in the
@@ -12,20 +17,20 @@ and dispatch on the ring's capabilities:
                             over its base mod p at the slots its chain-sum
                             ladder reads, and over a perfected polynomial
                             ring, which multiplies on dicts and canonicalises
-                            once per component (negation is componentwise
-                            for odd p, the Frobenius is componentwise);
-                            lengths beyond
-                            the cached range are refused rather than
-                            approximated;
-  * Q-algebras           -- ghost transport, any length;
-  * everything else      -- lift to the ring's p-torsion-free cover, transport
-                            there, reduce back; the reduction asserts
-                            integrality, and over truncated rings the result
+                            once per component (the Frobenius is
+                            componentwise); lengths beyond the cached range
+                            are refused rather than approximated;
+  * p-torsion-free rings -- ghost transport in place, any length: Z on ints,
+                            Q and the number fields on their own elements;
+  * truncated rings      -- lift to the integral cover (Z/p**M to Z,
+                            Z[zeta]/p**M to integral elements of Q(zeta)),
+                            transport there and reduce back; the result
                             carries the minimum precision of the inputs.
 
 Ghost coordinates are injective over p-torsion-free rings, which is what makes
-the transport well-defined; the integrality assertions turn that theorem into
-a runtime check.
+the transport well-defined; the exact divisions of `unghost` (and, over
+Q(zeta), the integrality check of the reduction) turn that theorem into a
+runtime check.
 
 `ghost` and `unghost` walk one power ladder per component: component i enters
 as x_i and each later level raises its running power once, by
@@ -45,14 +50,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from .errors import (
-    CapabilityMissing,
-    IntegralityViolation,
-    LengthMismatch,
-    MalformedConfig,
-)
+from .errors import CapabilityMissing, LengthMismatch, MalformedConfig
 from .norms import NormValue, norm_max
-from .rings import Rationals, Ring
+from .rings import Integers, Ring
 from .univ import structure_cap, structure_poly, structure_poly_mod_p
 
 __all__ = [
@@ -161,12 +161,12 @@ def ghost(x: WittVec) -> GhostVec:
 
 
 def unghost(g: GhostVec) -> WittVec:
-    """Invert the ghost map; exact divisions must succeed (NotDivisible
-    otherwise), which over a p-torsion-free ring certifies the preimage.
-    The powers of the components found so far form the same ladder as in
-    ``ghost``."""
+    """Invert the ghost map; level m makes one exact division by p**m, which
+    must succeed (NotDivisible otherwise) and over a p-torsion-free ring
+    certifies the preimage.  The powers of the components found so far form
+    the same ladder as in ``ghost``."""
     ring, p = g.ring, g.ring.p
-    if not (ring.q_algebra or ring.p_torsion_free):
+    if not ring.p_torsion_free:
         raise CapabilityMissing(
             f"{ring.kind}: ghost coordinates are not injective over rings with "
             "p-torsion; transport through the cover instead"
@@ -181,8 +181,8 @@ def unghost(g: GhostVec) -> WittVec:
             if i:
                 term = ring.mul(consts[i], term)
             acc = ring.sub(acc, term)
-        for _ in range(m):
-            acc = ring.exact_divide_by_p(acc)
+        if m:
+            acc = ring.exact_divide_by_p(acc, m)
         comps.append(acc)
         powers.append(acc)
     return WittVec(ring, tuple(comps))
@@ -255,9 +255,11 @@ def witt_mul(x: WittVec, y: WittVec) -> WittVec:
 
 def witt_neg(x: WittVec) -> WittVec:
     ring = x.ring
+    if ring.p != 2:
+        # componentwise; truncate is the identity unless the ring is truncated
+        prec = _min_precision(ring, (x,))
+        return WittVec(ring, tuple(ring.truncate(ring.neg(c), prec) for c in x.components))
     if ring.char_p:
-        if ring.p != 2:
-            return WittVec(ring, tuple(ring.neg(c) for c in x.components))
         return _char_p_op("neg", x)
     gx = _cover_lift(x)
     z = unghost(gx.neg())
@@ -344,19 +346,10 @@ def integer_witt_components(p: int, c: int, length: int) -> Tuple[int, ...]:
     """Components of the vector with all ghost coordinates equal to c.
 
     These are integers for every integer c (a classical divisibility fact);
-    the computation runs over Q and the conversion asserts it.
+    the computation runs over Z, where the exact divisions of `unghost`
+    certify it.
     """
-    ring = Rationals(p)
-    g = GhostVec(ring, tuple(Fraction(c) for _ in range(length)))
-    x = unghost(g)
-    out = []
-    for q in x.components:
-        if q.denominator != 1:
-            raise IntegralityViolation(
-                f"constant ghost vector {c} failed integrality at p={p}"
-            )
-        out.append(int(q))
-    return tuple(out)
+    return unghost(GhostVec(Integers(p), (c,) * length)).components
 
 
 def witt_from_integer(ring: Ring, c: int, length: int) -> WittVec:

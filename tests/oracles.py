@@ -69,6 +69,81 @@ def naive_ring_unghost(ring, entries: Sequence) -> Tuple:
     return tuple(comps)
 
 
+class RationalsOracle:
+    """Q at the prime p, on Fractions, through the part of the ring interface
+    that ``naive_ring_ghost`` and ``naive_ring_unghost`` read."""
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def zero(self) -> Fraction:
+        return Fraction(0)
+
+    def from_int(self, n: int) -> Fraction:
+        return Fraction(n)
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def neg(self, a):
+        return -a
+
+    def mul(self, a, b):
+        return a * b
+
+    def pow_(self, a, n: int):
+        return a**n
+
+    def exact_divide_by_p(self, a):
+        return a / self.p
+
+
+def ghost_transport(cover, kind: str, *vecs: Sequence) -> Tuple:
+    """The components of ``kind`` (sum, prod, neg or frob) of these component
+    lists over a p-torsion-free ring: ghost each with direct powers, combine
+    the ghost entries (frob drops the first) and unghost one division by p
+    at a time."""
+    ws = [naive_ring_ghost(cover, v) for v in vecs]
+    if kind == "sum":
+        g = [cover.add(a, b) for a, b in zip(*ws)]
+    elif kind == "prod":
+        g = [cover.mul(a, b) for a, b in zip(*ws)]
+    elif kind == "neg":
+        g = [cover.neg(a) for a in ws[0]]
+    else:
+        g = ws[0][1:]
+    return naive_ring_unghost(cover, g)
+
+
+def cover_transport(ring, kind: str, *vecs: Sequence) -> Tuple:
+    """``kind`` over Z, Z/p^M, Z[zeta]/p^M or a Q-algebra as a transport
+    through a cover computes it.  Z and Z/p^M lift each component's integer
+    (the canonical residue for Z/p^M) to a Fraction and transport over Q;
+    Z[zeta]/p^M lifts its digits to an integral element of ``ring.field``; a
+    Q-algebra is its own cover.  The results must be integral, and over a
+    truncated ring every one is reduced at the minimum input precision."""
+    if ring.kind in ("Z", "Zmod"):
+        cover = RationalsOracle(ring.p)
+        lifted = [[Fraction(ring.digits(c)[0] if ring.truncated else c) for c in v] for v in vecs]
+    elif ring.kind == "ZzetaMod":
+        cover = ring.field
+        lifted = [[cover.from_coeffs(list(c.coeffs)) for c in v] for v in vecs]
+    else:
+        return ghost_transport(ring, kind, *vecs)
+    out = ghost_transport(cover, kind, *lifted)
+    if ring.kind == "Z":
+        assert all(q.denominator == 1 for q in out), out
+        return tuple(q.numerator for q in out)
+    prec = min(c.prec for v in vecs for c in v)
+    if ring.kind == "Zmod":
+        assert all(q.denominator == 1 for q in out), out
+        return tuple(ring.from_digits([q.numerator], prec) for q in out)
+    return tuple(ring.from_digits(cover.integral_coeffs(c), prec) for c in out)
+
+
 def naive_teich_mul(ring, r, components: Sequence) -> Tuple:
     """[r] * x = (r*x_1, r^p * x_p, ...), each r^(p^i) taken directly."""
     return tuple(ring.mul(ring.pow_(r, ring.p**i), c) for i, c in enumerate(components))

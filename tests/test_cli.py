@@ -3,6 +3,8 @@
 import functools
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -32,6 +34,14 @@ def test_compute_unghost_over_the_rationals(capsys):
 
 def test_compute_unghost_over_the_integers_is_a_usage_error(capsys):
     code, out, err = run(capsys, "compute", "unghost (1,2)")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: 1 is not divisible by 2"
+
+
+def test_compute_unghost_names_the_quotient_at_the_level_that_fails(capsys):
+    # level 2 divides 4 - (0 + 2*1**2) = 2 by 2**2: the first p goes, the second fails
+    code, out, err = run(capsys, "compute", "unghost (0,2,4)", "--ring", "Z")
     assert code == 2
     assert out == ""
     assert err.strip() == "error: 1 is not divisible by 2"
@@ -322,6 +332,35 @@ def test_universal_dump_prints_the_integer_polynomials(capsys):
     code, out, err = run(capsys, "universal", "dump", "--p", "4")
     assert code == 2
     assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "p, text",
+    [
+        ("0", "p must be an integer >= 2, got 0"),
+        ("1", "p must be an integer >= 2, got 1"),
+        ("4", "p must be prime, got 4 = 2*2"),
+        ("-2", "p must be an integer >= 2, got -2"),
+    ],
+)
+def test_universal_dump_refuses_a_p_that_is_not_prime(capsys, p, text):
+    code, out, err = run(capsys, "universal", "dump", "--p", p)
+    assert code == 2
+    assert out == ""
+    assert err.strip() == f"error: {text}"
+
+
+def test_python_dash_m_wittlab_runs_the_cli(capsys):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wittlab", "universal", "dump", "--p", "2"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = run(capsys, "universal", "dump", "--p", "2")
+    assert code == 0
+    assert proc.stdout == out
 
 
 def test_arrow_norm_prints_its_json_keys(capsys):

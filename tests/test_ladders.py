@@ -1,5 +1,6 @@
 """The power ladders of ``ghost``, ``unghost`` and ``teich_mul`` against the
-direct-power loops they replaced, byte for byte, and the ladder's op count."""
+direct-power loops they replaced, byte for byte, and the ladder's op count;
+odd-p ``witt_neg``, which skips the ladders, against transported negation."""
 
 import json
 import random
@@ -12,7 +13,18 @@ from wittlab.errors import CapabilityMissing
 from wittlab.perfpoly import PerfPolyRing
 from wittlab.rings import Integers, Rationals, TruncatedRing, ZModPM
 from wittlab.tilt import TiltRing, make_tilt, tilt_from_top
-from wittlab.witt import GhostVec, WittVec, ghost, teich_mul, unghost
+from wittlab.univ import structure_poly_mod_p
+from wittlab.witt import (
+    GhostVec,
+    WittVec,
+    ghost,
+    teich_mul,
+    unghost,
+    witt_add,
+    witt_eq,
+    witt_neg,
+    witt_zero,
+)
 
 import oracles
 
@@ -112,29 +124,74 @@ def test_unghost_ladder_matches_the_direct_power_loop(name):
 
 
 class _CountingRationals(Rationals):
-    """Q that records the exponent of every power it takes."""
+    """Q that records the exponent of every power it takes and of every
+    exact division by a power of p."""
 
     def __init__(self, p):
         super().__init__(p)
         self.exponents = []
+        self.divisions = []
 
     def pow_(self, a, n):
         self.exponents.append(n)
         return super().pow_(a, n)
+
+    def exact_divide_by_p(self, a, k=1):
+        self.divisions.append(k)
+        return super().exact_divide_by_p(a, k)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_the_ladders_take_only_p_th_powers(p, n):
     """ghost and unghost of length n take n(n-1)/2 powers, teich_mul n-1,
-    and every one of them is a single p-th power."""
+    and every one of them is a single p-th power; unghost divides once per
+    level m >= 1, by p**m, so n-1 times where one p at a time took
+    n(n-1)/2."""
     ring = _CountingRationals(p)
     x = WittVec(ring, tuple(Fraction(i + 2, i + 1) for i in range(n)))
     w = ghost(x)
     assert ring.exponents == [p] * (n * (n - 1) // 2)
+    assert ring.divisions == []
     ring.exponents.clear()
     assert unghost(w).components == x.components
     assert ring.exponents == [p] * (n * (n - 1) // 2)
+    assert ring.divisions == list(range(1, n))
     ring.exponents.clear()
     teich_mul(Fraction(3, 2), x)
     assert ring.exponents == [p] * (n - 1)
+
+
+_NEG_RINGS = {
+    "Z": Integers(3),
+    "Q": Rationals(3),
+    "Qi": GaussianField(5),
+    "Qzeta9": cyclotomic_field(3, 2),
+    "Z/3^4": ZModPM(3, 4),
+    "Zzeta9/3^2": CycloModPM(3, 2, 2),
+    "PerfPoly(3,1,4)": PerfPolyRing(3, 1, 4),
+    "tilt(Z/3^3,4)": TiltRing(ZModPM(3, 3), 4),
+}
+
+
+@pytest.mark.parametrize("name", list(_NEG_RINGS))
+def test_odd_p_negation_is_the_transported_one_and_an_additive_inverse(name):
+    """Componentwise negation equals the transport through the cover (the
+    mod-p neg structure polynomials in characteristic p), precision and
+    bytes included, and x + (-x) = 0."""
+    ring = _NEG_RINGS[name]
+    # char-p sums are cached up to length structure_cap(p) + 1 = 3 at p = 3
+    for length in range(1, 4) if ring.char_p else _LENGTHS:
+        for comps in _vectors(name, ring, length):
+            x = WittVec(ring, comps)
+            got = witt_neg(x).components
+            if ring.char_p:
+                want = tuple(
+                    ring.evaluate_poly(structure_poly_mod_p(ring.p, i, "neg"), comps[: i + 1])
+                    for i in range(length)
+                )
+                assert all(ring.eq(a, b) for a, b in zip(got, want)), comps
+            else:
+                want = oracles.cover_transport(ring, "neg", comps)
+                assert got == want and _bytes(ring, got) == _bytes(ring, want), comps
+            assert witt_eq(witt_add(x, witt_neg(x)), witt_zero(ring, length)), comps

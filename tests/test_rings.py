@@ -131,6 +131,41 @@ def test_truncated_division_spends_a_digit():
         ring.exact_divide_by_p(last)
 
 
+def _divide_one_p_at_a_time(ring, a, k):
+    """a / p**k by k single divisions: the value, or the error type and text."""
+    try:
+        for _ in range(k):
+            a = ring.exact_divide_by_p(a)
+    except WittError as exc:
+        return type(exc), str(exc)
+    return a
+
+
+def test_division_by_p_to_the_k_is_k_single_divisions():
+    """Same quotient, and on failure the same error naming the same
+    quotient and precision, on every override."""
+    field = CycloModPM(3, 2, 4).field
+    cases = [
+        (Integers(3), [0, 7, 63, -135, 162, 243, -729]),
+        (Rationals(3), [Fraction(0), Fraction(7, 2), Fraction(-162, 5)]),
+        (ZModPM(3, 5), [ZModPM(3, 5).make(v, prec) for v in (0, 7, 63, 162, 81) for prec in (1, 3, 5)]),
+        (CycloModPM(3, 2, 4), [CycloModPM(3, 2, 4).make(c, prec) for c in ([0] * 6, [9, 18, 0, 27, 0, 0], [3, 1]) for prec in (2, 4)]),
+        (field, [field.from_coeffs([9, 2, 0, Fraction(1, 2)])]),
+    ]
+    for ring, elts in cases:
+        for a in elts:
+            for k in range(1, 5):
+                want = _divide_one_p_at_a_time(ring, a, k)
+                try:
+                    got = ring.exact_divide_by_p(a, k)
+                except WittError as exc:
+                    got = type(exc), str(exc)
+                assert got == want, (ring, a, k)
+    assert Integers(3).exact_divide_by_p(162, 4) == 2
+    with pytest.raises(NotDivisible, match="^5 is not divisible by 3$"):
+        Integers(3).exact_divide_by_p(135, 4)
+
+
 def test_truncated_parse_format_roundtrip():
     ring = ZModPM(2, 4)
     a = ring.parse_elt("5~2")

@@ -30,7 +30,7 @@ from .cyclotomic import GaussianField
 from .errors import CapabilityMissing, MalformedConfig, NoRoot, WittError
 from .kernelnorm import verify_kernel_norm
 from .perfect import solve_frobenius, witt_perfect_test
-from .rings import Ring, ZModPM
+from .rings import Ring
 from .suites import SUITE_NAMES, run_suite
 from .tilt import (
     TiltRing,
@@ -256,7 +256,7 @@ _INSTANCES = ("Z", "Zmod", "Qi", "zeta-ring", "tower")
 
 def _cmd_perfect(args) -> int:
     if args.action == "test":
-        spec = args.x or args.ring
+        spec = args.x or args.ring or "Z"
         if spec.strip().startswith("{"):
             try:
                 config = json.loads(spec)
@@ -289,7 +289,8 @@ def _cmd_perfect(args) -> int:
                 print(f"  note: {note}")
         return 0
     if args.action == "solve-frob":
-        x = parse_witt(ZModPM(args.p, args.precision), args.x)
+        ring = ring_from_spec(args.ring or "Zmod", p=args.p, precision=args.precision)
+        x = parse_witt(ring, args.x)
         try:
             y, rep = solve_frobenius(x)
         except NoRoot as exc:
@@ -519,7 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="",
         help="for solve-frob: the target vector, e.g. \"(4, 0)\"",
     )
-    _add_common(sp, ring_default="Z", precision=6, depth=2)
+    sp.add_argument("--ring", help="ring config (default Z for test, Zmod for solve-frob)")
+    _add_common(sp, precision=6, depth=2)
     sp.set_defaults(fn=_cmd_perfect)
 
     sp = sub.add_parser("tilt", help="chain (tilt) arithmetic over a truncated base")

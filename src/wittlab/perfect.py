@@ -27,7 +27,9 @@ nonzero residues mod 3 cubes to 3 mod 9.
 ``solve_frobenius_normed`` does the same over a tower field after rescaling
 into a norm window, and returns a preimage with |y| ** p <= |x|.  Both run the
 one digit recursion ``_digit_solve`` and differ only in how they pick the
-head root.
+head root.  The recursion reads each digit equation off ``witt.frobenius``
+itself, so neither solver has a length cap: Z/p**M needs only M >= L + 1 for
+a length-L target.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from .errors import (
 )
 from .norms import NormValue
 from .rings import ZModPM
-from .univ import structure_cap, structure_poly
 from .witt import (
     WittVec,
     frobenius,
@@ -468,18 +469,20 @@ def _digit_solve(W, comps, p, head):
     """Greedy digit recursion for F(y) = comps over the ring W (Z/p**M or a
     tower field), starting from the head root ``head`` of comps[0] mod p.
 
-    Each digit equation determines the next component by an exact division
-    by p; the only freedom is the head root.  Returns (ys, None) on success
-    or (partial, (index, rhs)) when a digit equation is not divisible by p.
+    Digit equation i reads y_i**p + p*f_i(y) off F(y_0, ..., y_i, 0)_i (the
+    head equation off ``pow_``); comps[i] minus it is p * y_{i+1}, found by
+    an exact division by p, and the only freedom is the head root.  Returns
+    (ys, None) on success or (partial, (index, rhs)) when a digit equation
+    is not divisible by p.
     """
-    p_elt = W.from_int(p)
     divisible = NormValue.from_exponent(1)
     ys = [head]
     for i in range(len(comps)):
-        rhs = W.sub(comps[i], W.pow_(ys[i], p))
         if i:
-            carry = structure_poly(p, i, "frob_f").evaluate(W, ys[: i + 1])
-            rhs = W.sub(rhs, W.mul(p_elt, carry))
+            image = frobenius(WittVec(W, (*ys, W.zero()))).components[i]
+        else:
+            image = W.pow_(head, p)
+        rhs = W.sub(comps[i], image)
         if not W.seminorm(rhs) <= divisible:
             return ys, (i, rhs)
         ys.append(W.exact_divide_by_p(rhs))
@@ -487,20 +490,18 @@ def _digit_solve(W, comps, p, head):
 
 
 def solve_frobenius(x: WittVec) -> Tuple[WittVec, dict]:
-    """Solve F(y) = x over Z/p**M by the greedy digit algorithm.
+    """Solve F(y) = x over Z/p**M, any length L <= M - 1, by the greedy digit
+    algorithm.
 
     The mod-p root in the first step is unique (x -> x**p is a bijection on
     Z/p), so later divisibility failures certify that no preimage exists.
     Each division by p costs one digit: the result's components have
-    precision M, M-1, ..., M-L, and F(y) reproduces x at precision M-L."""
+    precision M, M-1, ..., M-L, and F(y) = x is checked exactly at their
+    minimum M-L, the report's ``verified_at_precision``."""
     ring = x.ring
     if not isinstance(ring, ZModPM):
         raise CapabilityMissing("greedy Frobenius solving works over Z/p^M bases")
     p, L = ring.p, x.length
-    if L - 1 > structure_cap(p):
-        raise CapabilityMissing(
-            f"carry polynomials cached up to index {structure_cap(p)}; length {L} too long"
-        )
     if ring.M < L + 1:
         raise PrecisionExhausted(
             f"solving for a length-{L} vector needs modulus exponent >= {L + 1}, got {ring.M}"
@@ -515,10 +516,11 @@ def solve_frobenius(x: WittVec) -> Tuple[WittVec, dict]:
     check = witt_eq(frobenius(y), x)
     if not check:
         raise IntegralityViolation("greedy preimage failed verification")
+    precisions = [ring.precision_of(c) for c in ys]
     return y, {
         "solved": True,
-        "output_precisions": [ring.precision_of(c) for c in ys],
-        "verified_at_precision": min(ring.precision_of(c) for c in ys) - 1,
+        "output_precisions": precisions,
+        "verified_at_precision": min(precisions),
     }
 
 
@@ -598,10 +600,6 @@ def solve_frobenius_normed(
             f"scaled norm {cp!r} escaped the window ({window_lo!r}, 1)"
         )
     nu = cp.v  # window norm is p**(-nu) with 0 < nu < 1/p**(s+1)
-    if L - 1 > structure_cap(p):
-        raise CapabilityMissing(
-            f"carry polynomials cached up to index {structure_cap(p)}; length {L} too long"
-        )
 
     # Head root, refined once when the forced digit (x'_0 - r**p)/p would be
     # too large for the contract: r += x_1 * w with w a root of that digit one

@@ -40,7 +40,10 @@ Kinds:
   * ``frob``           -- component m of the Frobenius, in x_1..x_{p**(m+1)};
   * ``frob_f``         -- the carry term f_{p**m} in the decomposition
                           F_m = x_{p**m}**p + p*x_{p**(m+1)} + p*f_{p**m},
-                          which involves only x_1..x_{p**m}.
+                          which involves only x_1..x_{p**m}.  Read by
+                          ``universal dump``, the ``universal`` suite and the
+                          ``arrow`` suite's oracle ``_int_frobenius_p2``;
+                          `witt` and `perfect` never evaluate it.
 """
 
 from __future__ import annotations

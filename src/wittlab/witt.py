@@ -20,12 +20,12 @@ and dispatch on the ring's capabilities:
                             once per component (the Frobenius is
                             componentwise); lengths beyond the cached range
                             are refused rather than approximated;
-  * p-torsion-free rings -- ghost transport in place, any length: Z on ints,
-                            Q and the number fields on their own elements;
-  * truncated rings      -- lift to the integral cover (Z/p**M to Z,
-                            Z[zeta]/p**M to integral elements of Q(zeta)),
-                            transport there and reduce back; the result
-                            carries the minimum precision of the inputs.
+  * every other ring     -- one ghost transport, `_transport`, any length:
+                            lift to the cover (Z/p**M to Z, Z[zeta]/p**M to
+                            integral elements of Q(zeta); Z, Q and the number
+                            fields are their own), ghost, combine (the
+                            Frobenius drops the first ghost entry), unghost,
+                            and reduce back at the minimum input precision.
 
 Ghost coordinates are injective over p-torsion-free rings, which is what makes
 the transport well-defined; the exact divisions of `unghost` (and, over
@@ -53,7 +53,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 from .errors import CapabilityMissing, LengthMismatch, MalformedConfig
 from .norms import NormValue, norm_max
 from .rings import Integers, Ring
-from .univ import structure_cap, structure_poly, structure_poly_mod_p
+from .univ import structure_cap, structure_poly_mod_p
 
 __all__ = [
     "WittVec",
@@ -197,14 +197,17 @@ def _min_precision(ring: Ring, vecs: Sequence[WittVec]) -> Optional[int]:
     return min(ring.precision_of(c) for v in vecs for c in v.components)
 
 
-def _cover_lift(x: WittVec) -> GhostVec:
-    ring = x.ring
+def _transport(combine: Callable[..., GhostVec], *vecs: WittVec) -> WittVec:
+    """Lift each vector to the cover, ghost it, ``combine`` the ghost
+    vectors, unghost, and reduce back at the minimum input precision."""
+    ring = vecs[0].ring
     cover = ring.cover_ring()
-    lifted = WittVec(cover, tuple(ring.lift_to_cover(c) for c in x.components))
-    return ghost(lifted)
-
-
-def _reduce_back(ring: Ring, z: WittVec, prec: Optional[int]) -> WittVec:
+    ghosts = [
+        ghost(WittVec(cover, tuple(ring.lift_to_cover(c) for c in v.components)))
+        for v in vecs
+    ]
+    z = unghost(combine(*ghosts))
+    prec = _min_precision(ring, vecs)
     return WittVec(ring, tuple(ring.reduce_from_cover(c, prec) for c in z.components))
 
 
@@ -236,13 +239,9 @@ def _char_p_op(kind: str, x: WittVec, *others: WittVec) -> WittVec:
 
 def _binary_op(x: WittVec, y: WittVec, kind: str) -> WittVec:
     _same_shape(x, y)
-    ring = x.ring
-    if ring.char_p:
+    if x.ring.char_p:
         return _char_p_op(kind, x, y)
-    gx, gy = _cover_lift(x), _cover_lift(y)
-    gz = gx.add(gy) if kind == "sum" else gx.mul(gy)
-    z = unghost(gz)
-    return _reduce_back(ring, z, _min_precision(ring, (x, y)))
+    return _transport(GhostVec.add if kind == "sum" else GhostVec.mul, x, y)
 
 
 def witt_add(x: WittVec, y: WittVec) -> WittVec:
@@ -261,9 +260,7 @@ def witt_neg(x: WittVec) -> WittVec:
         return WittVec(ring, tuple(ring.truncate(ring.neg(c), prec) for c in x.components))
     if ring.char_p:
         return _char_p_op("neg", x)
-    gx = _cover_lift(x)
-    z = unghost(gx.neg())
-    return _reduce_back(ring, z, _min_precision(ring, (x,)))
+    return _transport(GhostVec.neg, x)
 
 
 def witt_sub(x: WittVec, y: WittVec) -> WittVec:
@@ -285,23 +282,7 @@ def frobenius(x: WittVec) -> WittVec:
         raise LengthMismatch("frobenius shortens a vector; need at least 2 components")
     if ring.char_p:
         return WittVec(ring, tuple(ring.pow_(c, ring.p) for c in x.components[:-1]))
-    p = ring.p
-    if x.length - 2 <= structure_cap(p):
-        p_elt = ring.from_int(p)
-        comps = []
-        for i in range(x.length - 1):
-            acc = ring.pow_(x.components[i], p)
-            acc = ring.add(acc, ring.mul(p_elt, x.components[i + 1]))
-            if i:
-                carry = structure_poly(p, i, "frob_f").evaluate(
-                    ring, list(x.components[: i + 1])
-                )
-                acc = ring.add(acc, ring.mul(p_elt, carry))
-            comps.append(acc)
-        return WittVec(ring, tuple(comps))
-    gx = _cover_lift(x)
-    z = unghost(GhostVec(gx.ring, gx.entries[1:]))
-    return _reduce_back(ring, z, _min_precision(ring, (x,)))
+    return _transport(lambda g: GhostVec(g.ring, g.entries[1:]), x)
 
 
 def frobenius_iter(x: WittVec, k: int) -> WittVec:

@@ -93,16 +93,46 @@ def test_compute_rejects_malformed_operands(capsys):
 def test_solve_frob_parses_its_target(capsys):
     code, out, _ = run(capsys, "perfect", "solve-frob", "(4, 0)")
     assert code == 0
-    assert out.splitlines()[0] == "y = (0, 2~5, 2~4)"
+    assert out == "y = (0, 2~5, 2~4)\nverified at precision 4\n"
     code, out, _ = run(capsys, "perfect", "solve-frob", "(4, 0)", "--json")
     assert code == 0
     assert set(json.loads(out)) == {"report", "solved", "y"}
+
+
+def test_solve_frob_reads_the_ring_option(capsys):
+    """Without --ring the target lives in Z/p^M at --precision; --ring picks
+    the ring, and one that is not Z/p^M is a usage error."""
+    out = run(capsys, "perfect", "solve-frob", "(4, 0)")[1]
+    assert run(capsys, "perfect", "solve-frob", "(4, 0)", "--ring", "Zmod")[1] == out
+    code, out, _ = run(
+        capsys, "perfect", "solve-frob", "(4, 0)", "--ring", "Zmod", "--precision", "4"
+    )
+    assert code == 0 and out.splitlines()[0] == "y = (0, 2~3, 2~2)"
+    for spec in ("Q", "Z", "ZzetaMod:2"):
+        code, out, err = run(capsys, "perfect", "solve-frob", "(1)", "--ring", spec)
+        assert code == 2, spec
+        assert out == "" and err.strip() == "error: greedy Frobenius solving works over Z/p^M bases"
+
+
+def test_solve_frob_has_no_length_cap(capsys):
+    code, out, _ = run(capsys, "perfect", "solve-frob", "(1, 2, 3, 4, 5)", "--precision", "8")
+    assert code == 0
+    assert out.startswith("no preimage (certified): ")
+    code, out, _ = run(
+        capsys, "perfect", "solve-frob", "(1, 2, 3, 4)", "--precision", "5", "--json"
+    )
+    assert code == 0
+    assert json.loads(out)["report"]["verified_at_precision"] == 1
 
 
 def test_perfect_test_uses_its_positional_instance(capsys):
     code, out, _ = run(capsys, "perfect", "test", "Zmod", "--json")
     assert code == 0
     assert json.loads(out)["instance"] == "Z/2^6"
+    code, out, _ = run(capsys, "perfect", "test", "--ring", "Zmod", "--json")
+    assert code == 0 and json.loads(out)["instance"] == "Z/2^6"
+    code, out, _ = run(capsys, "perfect", "test", "--json")
+    assert code == 0 and json.loads(out)["instance"] == "Z"
 
 
 def test_bad_primes_and_ring_arguments_are_usage_errors(capsys):

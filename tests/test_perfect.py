@@ -147,6 +147,42 @@ def test_solve_frobenius_no_root_messages_are_pinned():
         )
 
 
+@pytest.mark.parametrize(
+    "p, M, lengths", [(2, 9, (5, 6, 7)), (3, 7, (4, 5)), (5, 6, (4, 5))]
+)
+def test_solve_frobenius_round_trips_past_the_cached_carry_range(p, M, lengths):
+    """Lengths the carry polynomials never reached: x = F(y) by the oracle's
+    rational transport, then the solved y' has ghost(y')_{m+1} =
+    ghost(x)_m mod p^(k+m), k the reported precision, on plain integers."""
+    ring = ZModPM(p, M)
+    rng = random.Random(f"{p}^{M}")
+    for L in lengths:
+        for _ in range(3):
+            y = tuple(ring.from_int(rng.randrange(p**M)) for _ in range(L + 1))
+            x = WittVec(ring, oracles.cover_transport(ring, "frob", y))
+            y2, rep = solve_frobenius(x)
+            k = rep["verified_at_precision"]
+            assert rep["output_precisions"] == list(range(M, M - L - 1, -1))
+            assert k == M - L
+            wy = oracles.naive_ghost(p, [c.value for c in y2.components])
+            wx = oracles.naive_ghost(p, [c.value for c in x.components])
+            for m in range(L):
+                assert (wy[m + 1] - wx[m]) % p ** (k + m) == 0, (L, m)
+
+
+def test_solve_frobenius_reports_the_precision_it_checks():
+    """The report names the precision at which F(y) = x was checked: the
+    minimum output precision, which is 1 when M = L + 1."""
+    ring = ZModPM(2, 6)
+    _, rep = solve_frobenius(_zmod_vec(ring, (4, 0)))
+    assert rep["output_precisions"] == [6, 5, 4]
+    assert rep["verified_at_precision"] == 4
+    ring = ZModPM(2, 5)
+    y, rep = solve_frobenius(_zmod_vec(ring, (1, 2, 3, 4)))
+    assert rep["verified_at_precision"] == 1
+    assert witt_eq(frobenius(y), _zmod_vec(ring, (1, 2, 3, 4)))
+
+
 def test_solve_frobenius_needs_a_truncated_base():
     with pytest.raises(CapabilityMissing):
         solve_frobenius(WittVec(Integers(2), (2, 0)))

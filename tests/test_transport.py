@@ -1,11 +1,14 @@
 """Ghost transport over Z and Z/p^M on ints against the rational-cover
-transport (``oracles.cover_transport``), byte for byte."""
+transport (``oracles.cover_transport``), byte for byte, the Frobenius
+included at every length; the carry formula checks its values."""
 
 import json
 import random
 
 import pytest
 
+from wittlab import univ, witt
+from wittlab.cyclotomic import cyclotomic_field
 from wittlab.rings import Integers, ZModPM
 from wittlab.univ import structure_cap, structure_poly
 from wittlab.witt import WittVec, frobenius, witt_add, witt_mul, witt_neg
@@ -20,12 +23,10 @@ def _bytes(ring, elts):
 
 
 def _carry_frobenius(ring, comps):
-    """F(x) as the cover dispatch computes it: up to the cached range, the
-    carry formula F_i = x_i^p + p*x_{i+1} + p*f_i(x_1..x_i) in the ring;
-    past it, the transport through the cover."""
+    """F(x) by the carry formula F_i = x_i^p + p*x_{i+1} + p*f_i(x_1..x_i)
+    in the ring, at lengths up to structure_cap(p) + 2, where frob_f is
+    cached; each component keeps the precision its own inputs give it."""
     p = ring.p
-    if len(comps) - 2 > structure_cap(p):
-        return oracles.cover_transport(ring, "frob", comps)
     p_elt = ring.from_int(p)
     out = []
     for i in range(len(comps) - 1):
@@ -72,12 +73,15 @@ def test_zmod_transport_on_ints_matches_the_rational_cover(p, M):
             if length < 2:
                 continue
             got = frobenius(X).components
-            want = _carry_frobenius(ring, x)
+            want = oracles.cover_transport(ring, "frob", x)
             assert got == want and _bytes(ring, got) == _bytes(ring, want), ("frob", x)
-            # below the cap the carry formula keeps more digits than the cover
-            # transport, and agrees with it on the digits both know
-            for a, b in zip(got, oracles.cover_transport(ring, "frob", x)):
-                assert a.prec >= b.prec and ring.eq(a, b), ("frob", x)
+            if length - 2 > structure_cap(p):
+                continue
+            # every component carries the minimum input precision, and the
+            # carry formula agrees with it mod p to that power
+            prec = min(c.prec for c in x)
+            for a, b in zip(got, _carry_frobenius(ring, x)):
+                assert a.prec == prec and ring.eq(a, b), ("frob", x)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -94,3 +98,39 @@ def test_z_transports_in_place_like_the_rational_cover(p):
             assert witt_neg(X).components == oracles.cover_transport(ring, "neg", x)
             if length > 1:
                 assert frobenius(X).components == oracles.cover_transport(ring, "frob", x)
+
+
+_FROB_RINGS = {"Z/3^4": ZModPM(3, 4), "Z": Integers(2), "Qzeta9": cyclotomic_field(3, 2)}
+
+
+def _counting(monkeypatch, module, name, calls):
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("name", list(_FROB_RINGS))
+def test_one_frobenius_is_one_ghost_shift(name, monkeypatch):
+    """At every length, below the cached carry range and past it, one
+    Frobenius ghosts once, unghosts once and evaluates no polynomial."""
+    ring = _FROB_RINGS[name]
+    rng = random.Random(name)
+    if ring.kind == "Zmod":
+        draw = lambda: ring.from_int(rng.randrange(ring.p**ring.M))
+    elif ring.kind == "Z":
+        draw = lambda: rng.randint(-9, 9)
+    else:
+        draw = lambda: ring.from_coeffs([rng.randint(-1, 1) for _ in range(ring.e)])
+    calls = []
+    for fn in ("ghost", "unghost"):
+        _counting(monkeypatch, witt, fn, calls)
+    _counting(monkeypatch, univ.UPoly, "evaluate", calls)
+    for length in range(2, 8):
+        x = WittVec(ring, tuple(draw() for _ in range(length)))
+        calls.clear()
+        frobenius(x)
+        assert calls == ["ghost", "unghost"], (length, calls)

@@ -58,6 +58,7 @@ from .witt import (
     unghost,
     verschiebung,
     witt_add,
+    witt_combination,
     witt_eq,
     witt_from_integer,
     witt_mul,

@@ -20,14 +20,15 @@ in the next subfield, the last one is the rational norm N, and
 
 Valuations are computed without factoring norms: strip powers of p
 coefficientwise, then read off the order in t = 1 - zeta of the mod-p residue
-in O/p = F_p[t]/(t**e).  The change of basis from the power basis to the
-t-power basis is a cached lower-triangular matrix whose row i is
-(1 - zeta)**i mod p; each row is the one before minus its shift by one place
-(Pascal's rule), so the matrix costs O(e**2), and ``to_t_basis`` solves
-against it from the top row down.  p-th roots mod p need no change of basis:
-mod p the Frobenius sends zeta**j to zeta**(p*j) and fixes F_p, so a class is a
-p-th power exactly when its power-basis residue is supported on multiples of
-p, and its root reads every p-th coefficient (``mod_p_root``).
+in O/p = F_p[t]/(t**e).  The order is the multiplicity of x = 1 as a root of
+the residue r(x), and mod p (x - 1)**(p**a) = x**(p**a) - 1, so ``t_order``
+reads it digit by digit in base p with divisions by x**(p**a) - 1, each a
+pass of suffix sums along the exponent classes mod p**a: O(e * p * log_p e)
+work, one coefficient sum for a unit, and no change-of-basis matrix.  p-th
+roots mod p need no change of basis either: mod p the Frobenius sends zeta**j
+to zeta**(p*j) and fixes F_p, so a class is a p-th power exactly when its
+power-basis residue is supported on multiples of p, and its root reads every
+p-th coefficient (``mod_p_root``).
 
 ``CycloModPM`` is the truncation O/p**M with per-element digit budgets; its
 ``pow_``, ``pow_p_tower`` and ``seminorm`` read the integer digits directly,
@@ -105,6 +106,22 @@ def _reduce_tail(coeffs: list, e: int, p: int, step: int) -> list:
                 coeffs[base + j * step] -= c
     del coeffs[e:]
     return coeffs
+
+
+def _over_x_power_minus_one(r: List[int], q: int, p: int) -> Optional[List[int]]:
+    """s with r = (x**q - 1) * s mod p, or None when x**q - 1 does not divide
+    r; r is reduced mod p.
+
+    Coefficient i of s is r_(i+q) + r_(i+2q) + ..., a suffix sum along the
+    exponents congruent to i mod q, and the remainder at x**i, i < q, is
+    r_i + s_i.
+    """
+    s = r[q:]
+    for i in range(len(s) - q - 1, -1, -1):
+        s[i] += s[i + q]
+    if any(r[len(s) : q]) or any((a + b) % p for a, b in zip(r[:q], s)):
+        return None
+    return [v % p for v in s]
 
 
 def _conv(a: Sequence[int], b: Sequence[int], e: int, p: int, step: int) -> list:
@@ -288,7 +305,6 @@ class CyclotomicField(PowerBasisField):
             raise MalformedConfig(f"conductor exponent k must be a positive integer, got {k!r}")
         self.k = k
         super().__init__(p, k)
-        self._t_matrix: Optional[List[List[int]]] = None
 
     def to_config(self) -> dict:
         return {"kind": self.kind, "p": self.p, "k": self.k}
@@ -327,49 +343,31 @@ class CyclotomicField(PowerBasisField):
 
     # -- valuation -------------------------------------------------------------
 
-    def _t_basis_matrix(self) -> List[List[int]]:
-        """Row i holds the power-basis coefficients of (1 - zeta)**i mod p.
-
-        The matrix is lower triangular with invertible diagonal (-1)**i, since
-        (1 - zeta)**i has top power-basis degree exactly i for i < e.  So row
-        i + 1 is row i minus row i shifted up one place (Pascal's rule mod p),
-        and no power of zeta reaches e.
-        """
-        if self._t_matrix is None:
-            p = self.p
-            row = [1] + [0] * (self.e - 1)
-            rows = [row]
-            for _ in range(1, self.e):
-                row = [1] + [(c - b) % p for c, b in zip(row[1:], row)]
-                rows.append(row)
-            self._t_matrix = rows
-        return self._t_matrix
-
-    def to_t_basis(self, residue: Sequence[int]) -> List[int]:
-        """Coordinates of a mod-p class over 1, t, ..., t**(e-1)."""
-        p = self.p
-        rows = self._t_basis_matrix()
-        a = [c % p for c in residue]
-        out = [0] * self.e
-        for i in range(self.e - 1, -1, -1):
-            lead = rows[i][i]
-            coef = a[i] * pow(lead, -1, p) % p
-            out[i] = coef
-            if coef:
-                row = rows[i]
-                for j in range(i + 1):
-                    a[j] = (a[j] - coef * row[j]) % p
-        if any(a):
-            raise IntegralityViolation("t-basis conversion failed to terminate")
-        return out
-
     def t_order(self, residue: Sequence[int]) -> Optional[int]:
-        """Order in t of a nonzero mod-p class; None for the zero class."""
-        tco = self.to_t_basis(residue)
-        for i, c in enumerate(tco):
-            if c:
-                return i
-        return None
+        """Order in t of a nonzero mod-p class; None for the zero class.
+
+        The order is the multiplicity of x = 1 as a root of the residue r(x),
+        of degree below e, and mod p (x - 1)**q = x**q - 1 for q a power of p.
+        So r is divided by x**q - 1 while it can be, with q falling from the
+        largest power of p below e: at most p - 1 divisions per q, the
+        base-p digits of the order, each one pass over r.
+        """
+        p = self.p
+        r = [c % p for c in residue]
+        if not any(r):
+            return None
+        if sum(r) % p:
+            return 0  # r(1) is not 0: a unit
+        q, order = 1, 0
+        while q * p < len(r):
+            q *= p
+        while q:
+            s = _over_x_power_minus_one(r, q, p)
+            if s is None:
+                q //= p
+            else:
+                r, order = s, order + q
+        return order
 
     def valuation(self, a: CVec) -> Optional[Fraction]:
         """v(a) in (1/e)Z, normalized with v(p) = 1; None for a = 0."""
@@ -400,14 +398,15 @@ class CyclotomicField(PowerBasisField):
         p*j < e.  a has a root exactly when its power-basis residue is
         supported on multiples of p, and the root reads every p-th coefficient
         (the Frobenius index map).  A class without a root is named by its
-        first t-index off pZ, from ``to_t_basis``.  The root is checked
-        exactly: root**p = a mod p.
+        first t-index off pZ, one more than the t-order of its derivative in
+        zeta.  The root is checked exactly: root**p = a mod p.
         """
         p = self.p
         res = self.residue_coeffs_mod_p(a)
         if any(c for i, c in enumerate(res) if i % p):
-            tco = self.to_t_basis(res)
-            i = next(i for i, c in enumerate(tco) if c and i % p)
+            # d/dx sends c_i * t**i to -i * c_i * t**(i-1), so the order of
+            # the derivative is one less than the first t-index off pZ
+            i = self.t_order([j * c for j, c in enumerate(res)][1:]) + 1
             raise NoRoot(
                 f"t-support index {i} is not a multiple of {p}; "
                 "the class is not a p-th power mod p"

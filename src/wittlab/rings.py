@@ -139,9 +139,17 @@ class Ring(ABC):
         return self.pow_(a, self.p ** l)
 
     def evaluate_poly(self, poly: Any, values: Sequence[Any]) -> Any:
-        """A ``univ.UPoly`` at values in this ring; the tilt and the
-        perfected polynomial ring override it."""
+        """A ``univ.UPoly`` at values in this ring; the perfected polynomial
+        ring overrides it."""
         return poly.evaluate(self, values)
+
+    def char_p_witt_op(self, kind: str, vecs: Sequence[Any]) -> Optional[Tuple[Any, ...]]:
+        """The components of the characteristic-p Witt op ``kind`` (``sum``,
+        ``prod`` or ``neg``) on the vectors ``vecs``, for a ring that computes
+        them as a whole; None, the default, has ``witt`` evaluate the
+        structure polynomials through ``evaluate_poly``.  The tilt overrides
+        it."""
+        return None
 
     @abstractmethod
     def eq(self, a: Any, b: Any) -> bool: ...

@@ -25,13 +25,17 @@ The same mod-p dependence shows the whole ring structure is the perfection of
 A/p presented at finite depth; over Z/p**M every chain collapses to the
 Teichmueller chain of its residue, so that tilt is F_p.
 
-Char-p Witt ops over the tilt are computed in A/p.  Each component is a
-structure polynomial image, which the generic evaluator would finish with a
-chain sum; that sum reads only its slot sums mod p, and x -> x_s mod p is a
-ring map to A/p.  So ``TiltRing.evaluate_poly`` evaluates the polynomial over
-the base at precision 1 on the operands' slot-s entries, at each slot the
-ladder reads (slot D, and slots M..D-1 when D > M), and walks the one ladder
-``tilt_add`` walks: no chain product or chain sum is formed.
+Char-p Witt ops over the tilt are computed by the base's ghost transport.
+Each component is a structure polynomial image, which the generic evaluator
+would finish with a chain sum; that sum reads only its slot sums mod p, at
+slot D and, when D > M, at slots M..D-1.  The slot map x -> x_s mod p is a
+ring map to A/p, and so is W(A) -> W(A/p).  So ``TiltRing.char_p_witt_op``
+cuts the operands' slot-s entries to one digit and runs the base ring's
+``witt_add``, ``witt_mul`` or (p = 2) ``witt_neg`` on the whole vectors, once
+per slot the ladder reads; component i of that one transport is component
+i's slot-s sum.  Each component then walks the one ladder ``tilt_add``
+walks: no structure polynomial is evaluated and no chain product or chain
+sum is formed.
 
 ``charp_overconv_norm`` and ``charp_limit_norm`` compute the b-weighted norm
 of a finite vector over a char-p perfect ring two ways: by the closed formula
@@ -45,7 +49,11 @@ finite supremum is the true one and the two computations agree exactly.
 
 ``untilt`` sends a vector over the tilt back to a coherent family over A,
 component p^j contributing p**j times the Teichmueller family of its chain
-shifted by j.  The comparison is isometric for weights 0 < b <= 1 only; the
+shifted by j.  Level n of the family is sum_j p**j * [r_{j,n}] in W_{n+1}(A),
+r_{j,n} the entry j + n of chain j, computed as one ghost transport over A
+(``witt_combination``, whose combine is the weighted ghost sum) and cut to
+the minimum input precision, as a chain of arrow products and sums would
+leave it.  The comparison is isometric for weights 0 < b <= 1 only; the
 checker refuses larger b.
 """
 
@@ -55,7 +63,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from .arrow import ArrowElt, arrow_add, arrow_from_integer, arrow_mul, arrow_norm, arrow_teichmuller, make_arrow
+from .arrow import ArrowElt, arrow_norm, arrow_teichmuller, make_arrow
 from .errors import (
     BOutOfRange,
     CapabilityMissing,
@@ -69,8 +77,7 @@ from .errors import (
 from .norms import NormValue, norm_max
 from .perfpoly import PerfPolyRing
 from .rings import Ring
-from .univ import UPoly
-from .witt import WittVec, witt_norm
+from .witt import WittVec, witt_add, witt_combination, witt_mul, witt_neg, witt_norm
 
 __all__ = [
     "TiltElt",
@@ -318,6 +325,9 @@ def tilt_from_json(base: Ring, data: dict) -> TiltElt:
     return make_tilt(base, [base.elt_from_json(v) for v in data["entries"]])
 
 
+_BASE_OPS = {"sum": witt_add, "prod": witt_mul, "neg": witt_neg}
+
+
 class TiltRing(Ring):
     """The tilt of a truncated base, as a ring of coherent chains at a fixed
     depth.  Characteristic p; the norm of a chain is the norm of its head."""
@@ -367,26 +377,26 @@ class TiltRing(Ring):
     def is_zero(self, a: TiltElt) -> bool:
         return tilt_is_zero(self._own(a))
 
-    def evaluate_poly(self, poly: UPoly, values: Sequence[TiltElt]) -> TiltElt:
-        """The generic evaluator's value, computed in A/p at the slots its last
-        chain sum reads.
+    def char_p_witt_op(self, kind: str, vecs: Sequence[WittVec]) -> Tuple[TiltElt, ...]:
+        """The components of the char-p Witt op ``kind``, from one base-ring
+        Witt op per chain slot the ladder reads.
 
-        ``UPoly.evaluate`` adds every term to ``zero()``, so a nonempty
-        polynomial ends in ``tilt_add``, which reads its slot sums only mod p.
-        Each slot map x -> x_s mod p is a ring map (products are slotwise and
-        a chain sum is x_s + y_s mod p), so the slot-s sum is the polynomial
-        evaluated over the base on the operands' slot-s entries cut to one
-        digit.
+        The generic evaluator ends each component in ``tilt_add``, which reads
+        its slot sums only mod p.  x -> x_s mod p is a ring map, and so is
+        W(A) -> W(A/p), so the slot-s sums of every component are the base
+        ring's op on the operands' slot-s vectors cut to one digit.
         """
-        chains = [self._own(v) for v in values]
-        if poly.is_zero():
-            return poly.evaluate(self, chains)
-        base = self.base
-        return _ladder_chain(
-            base,
-            self.depth,
-            self.depth,
-            lambda s: poly.evaluate(base, [base.truncate(c.entries[s], 1) for c in chains]),
+        chains = [[self._own(c) for c in v.components] for v in vecs]
+        base, D = self.base, self.depth
+
+        def slot_vec(cs: List[TiltElt], s: int) -> WittVec:
+            return WittVec(base, tuple(base.truncate(c.entries[s], 1) for c in cs))
+
+        op = _BASE_OPS[kind]
+        slots = [D, *range(self.M, D)]
+        sums = {s: op(*(slot_vec(cs, s) for cs in chains)).components for s in slots}
+        return tuple(
+            _ladder_chain(base, D, D, lambda s: sums[s][i]) for i in range(len(chains[0]))
         )
 
     def pow_p_tower(self, a: TiltElt, l: int) -> TiltElt:
@@ -571,7 +581,9 @@ def untilt(x: WittVec, N: int) -> ArrowElt:
 
     Component p^j contributes p**j times the Teichmueller family of its
     chain shifted j slots down (the shift supplies the p**j-th roots the
-    j-th summand needs), so the stored chains must reach depth N + j.
+    j-th summand needs), so the stored chains must reach depth N + j.  Each
+    family is checked for root and Frobenius coherence; level n of the sum
+    is one ghost transport over the base (``witt_combination``).
     """
     ring = x.ring
     if not isinstance(ring, TiltRing):
@@ -583,14 +595,18 @@ def untilt(x: WittVec, N: int) -> ArrowElt:
             f"component p^{x.top_index} at family depth {N} reads chain slot "
             f"{need}; stored chains have depth {ring.depth}"
         )
-    total = arrow_from_integer(base, 0, N)
-    for j, chain in enumerate(x.components):
-        roots = [chain.entries[j + n] for n in range(N + 1)]
-        term = arrow_teichmuller(base, roots)
-        if j:
-            term = arrow_mul(term, arrow_from_integer(base, base.p ** j, N))
-        total = arrow_add(total, term)
-    return total
+    families = [
+        arrow_teichmuller(base, [chain.entries[j + n] for n in range(N + 1)])
+        for j, chain in enumerate(x.components)
+    ]
+    weights = [base.p ** j for j in range(len(families))]
+    levels = tuple(
+        witt_combination(weights, [f.levels[n] for f in families]) for n in range(N + 1)
+    )
+    # the tail bound a sum of products with the integer families carries
+    bounds = [f.tail_bound for f in families]
+    tail = None if any(b is None for b in bounds) else norm_max([NormValue.one(), *bounds])
+    return ArrowElt(base, levels, tail)
 
 
 def untilt_isometry(x: WittVec, N: int, b) -> dict:

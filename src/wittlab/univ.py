@@ -27,12 +27,11 @@ for plain integer inputs).  It checks the coefficients and sorts the terms
 once per polynomial, computes each power x_i ** e once per call, and adds the
 terms to ``ring.zero()`` in sorted order, so a ring whose addition tracks
 precision sees the same operation sequence on every call.  Rings call it
-through ``Ring.evaluate_poly``; over a tilt it runs over the base at
-precision 1, once per chain slot the final sum reads, and the tilt builds the
-chain from those residues (``tilt.TiltRing.evaluate_poly``).  A perfected
-polynomial ring reads the same sorted terms (``UPoly.terms_for``) and
-multiplies on dicts, canonicalising once
-(``perfpoly.PerfPolyRing.evaluate_poly``).
+through ``Ring.evaluate_poly``.  A tilt evaluates none: its char-p Witt ops
+run the base ring's Witt ops on one-digit slot vectors
+(``tilt.TiltRing.char_p_witt_op``).  A perfected polynomial ring reads the
+same sorted terms (``UPoly.terms_for``) and multiplies on dicts,
+canonicalising once (``perfpoly.PerfPolyRing.evaluate_poly``).
 
 Kinds:
   * ``sum``, ``prod``  -- binary, in x-variables then y-variables;

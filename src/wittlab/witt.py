@@ -9,23 +9,28 @@ and dispatch on the ring's capabilities:
                             over a truncated ring the result is cut to the
                             minimum precision of the input, as a transport
                             would leave it;
-  * characteristic p     -- one dispatcher, `_char_p_op`, evaluates the cached
-                            sum/prod/neg structure polynomials with their
-                            coefficients reduced mod p, since p = 0 in the
-                            ring, through `ring.evaluate_poly`: the generic
-                            evaluator, except over a tilt, which evaluates
-                            over its base mod p at the slots its chain-sum
-                            ladder reads, and over a perfected polynomial
-                            ring, which multiplies on dicts and canonicalises
-                            once per component (the Frobenius is
-                            componentwise); lengths beyond the cached range
-                            are refused rather than approximated;
+  * characteristic p     -- one dispatcher, `_char_p_op`, refuses lengths
+                            beyond the cached range of structure polynomials
+                            rather than approximate them, then asks the ring
+                            for the whole vector (`ring.char_p_witt_op`).  A
+                            tilt answers with one Witt op over its base per
+                            chain slot its ladder reads (x -> x_s mod p is a
+                            ring map).  Other rings answer None, and the
+                            cached sum/prod/neg structure polynomials, their
+                            coefficients reduced mod p since p = 0 in the
+                            ring, go through `ring.evaluate_poly`: the
+                            generic evaluator, or the perfected polynomial
+                            ring's, which multiplies on dicts and
+                            canonicalises once per component.  The Frobenius
+                            is componentwise;
   * every other ring     -- one ghost transport, `_transport`, any length:
                             lift to the cover (Z/p**M to Z, Z[zeta]/p**M to
                             integral elements of Q(zeta); Z, Q and the number
                             fields are their own), ghost, combine (the
                             Frobenius drops the first ghost entry), unghost,
                             and reduce back at the minimum input precision.
+                            `witt_combination` runs an integer combination
+                            sum_j c_j * v_j as one such transport.
 
 Ghost coordinates are injective over p-torsion-free rings, which is what makes
 the transport well-defined; the exact divisions of `unghost` (and, over
@@ -67,6 +72,7 @@ __all__ = [
     "witt_sub",
     "witt_neg",
     "witt_mul",
+    "witt_combination",
     "frobenius",
     "verschiebung",
     "teichmuller",
@@ -218,9 +224,9 @@ def _same_shape(x: WittVec, y: WittVec) -> None:
 
 
 def _char_p_op(kind: str, x: WittVec, *others: WittVec) -> WittVec:
-    """Evaluate the cached ``kind`` structure polynomials reduced mod p;
-    component i reads the first i+1 components of x and then of each other
-    operand."""
+    """The ring's own answer (``Ring.char_p_witt_op``), or else the cached
+    ``kind`` structure polynomials reduced mod p; component i reads the
+    first i+1 components of x and then of each other operand."""
     ring, p = x.ring, x.ring.p
     if x.top_index > structure_cap(p):
         raise CapabilityMissing(
@@ -228,12 +234,14 @@ def _char_p_op(kind: str, x: WittVec, *others: WittVec) -> WittVec:
             f"at p={p}; got length {x.length}"
         )
     vecs = (x,) + others
-    comps = tuple(
-        ring.evaluate_poly(
-            structure_poly_mod_p(p, i, kind), [c for v in vecs for c in v.components[: i + 1]]
+    comps = ring.char_p_witt_op(kind, vecs)
+    if comps is None:
+        comps = tuple(
+            ring.evaluate_poly(
+                structure_poly_mod_p(p, i, kind), [c for v in vecs for c in v.components[: i + 1]]
+            )
+            for i in range(x.length)
         )
-        for i in range(x.length)
-    )
     return WittVec(ring, comps)
 
 
@@ -261,6 +269,39 @@ def witt_neg(x: WittVec) -> WittVec:
     if ring.char_p:
         return _char_p_op("neg", x)
     return _transport(GhostVec.neg, x)
+
+
+def witt_combination(coeffs: Sequence[int], vecs: Sequence[WittVec]) -> WittVec:
+    """sum_j c_j * v_j for integers c_j, in one ghost transport.
+
+    The integer c is the vector whose ghost coordinates all equal c, so the
+    combine is the weighted ghost sum sum_j c_j * g_j.  Over a truncated ring
+    the result is cut to the minimum input precision, as a chain of
+    ``witt_mul`` by ``witt_from_integer`` and ``witt_add`` leaves it.  Rings
+    of characteristic p have no transport and are refused.
+    """
+    if not vecs or len(coeffs) != len(vecs):
+        raise LengthMismatch(
+            f"{len(coeffs)} coefficients for {len(vecs)} vectors; need one each, at least one"
+        )
+    ring = vecs[0].ring
+    if ring.char_p:
+        raise CapabilityMissing(f"{ring.kind}: a characteristic-p ring has no ghost transport")
+    for v in vecs[1:]:
+        _same_shape(vecs[0], v)
+
+    def weighted(*ghosts: GhostVec) -> GhostVec:
+        cover = ghosts[0].ring
+        consts = [cover.from_int(c) for c in coeffs]
+        entries = []
+        for m in range(vecs[0].length):
+            acc = cover.zero()
+            for c, g in zip(consts, ghosts):
+                acc = cover.add(acc, cover.mul(c, g.entries[m]))
+            entries.append(acc)
+        return GhostVec(cover, tuple(entries))
+
+    return _transport(weighted, *vecs)
 
 
 def witt_sub(x: WittVec, y: WittVec) -> WittVec:

@@ -198,8 +198,48 @@ def t_power_row(p: int, i: int, e: int) -> List[int]:
 
 
 @lru_cache(maxsize=None)
-def _t_power_rows(p: int, e: int) -> Tuple[Tuple[int, ...], ...]:
-    return tuple(tuple(t_power_row(p, i, e)) for i in range(e))
+def t_basis_rows(p: int, e: int) -> Tuple[Tuple[int, ...], ...]:
+    """Row i holds the power-basis coefficients of (1 - zeta)**i mod p, i < e:
+    row i + 1 is row i minus row i shifted up one place (Pascal's rule), and
+    no power of zeta reaches e.  The rows form a lower-triangular matrix with
+    diagonal (-1)**i."""
+    row = [1] + [0] * (e - 1)
+    rows = [tuple(row)]
+    for _ in range(1, e):
+        row = [1] + [(c - b) % p for c, b in zip(row[1:], row)]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def to_t_basis(p: int, e: int, residue: Sequence[int]) -> List[int]:
+    """The coordinates of a mod-p class of Z[zeta] (e = phi(p^k)) over 1, t,
+    ..., t^(e-1), t = 1 - zeta: solve against ``t_basis_rows`` from the top
+    row down.
+
+    Each vector is packed into one integer, digit j in bits [w*j, w*(j+1)),
+    so a row operation a - c*row is one big-integer product and sum.  It is
+    done as a + (p - c)*row, which keeps every digit nonnegative, and w
+    leaves room for e such steps, so no digit carries into the next; the
+    digits are reduced mod p only where they are read.
+    """
+    w = (e * p * p).bit_length() + 1
+    mask = (1 << w) - 1
+    packed = _packed_t_rows(p, e, w)
+    a = sum((c % p) << (w * j) for j, c in enumerate(residue))
+    tco = [0] * e
+    for i in range(e - 1, -1, -1):
+        # the diagonal (-1)**i is its own inverse
+        c = ((a >> (w * i)) & mask) * (-1) ** i % p
+        tco[i] = c
+        if c:
+            a += (p - c) * packed[i]
+    assert all(((a >> (w * j)) & mask) % p == 0 for j in range(e)), "the solve left a remainder"
+    return tco
+
+
+@lru_cache(maxsize=None)
+def _packed_t_rows(p: int, e: int, w: int) -> Tuple[int, ...]:
+    return tuple(sum(r << (w * j) for j, r in enumerate(row)) for row in t_basis_rows(p, e))
 
 
 def t_basis_mod_p_root(
@@ -207,21 +247,15 @@ def t_basis_mod_p_root(
 ) -> Tuple[Optional[Tuple[int, ...]], Optional[int]]:
     """A p-th root mod p in Z[zeta_{p^k}] of the class with these power-basis
     residues, found on the t-basis (t = 1 - zeta) of F_p[t]/(t^e): solve for
-    the t-coordinates against the binomial rows from the top down, divide
-    every t-exponent by p and change back.
+    the t-coordinates (``to_t_basis``), divide every t-exponent by p and
+    change back.
 
     Returns (root residues, None), or (None, i) for the first t-index i with
     a nonzero coordinate that p does not divide: then there is no root.
     """
     e = p ** (k - 1) * (p - 1)
-    rows = _t_power_rows(p, e)
-    a = [c % p for c in residue]
-    tco = [0] * e
-    for i in range(e - 1, -1, -1):
-        c = a[i] * pow(rows[i][i], -1, p) % p
-        tco[i] = c
-        for j in range(i + 1):
-            a[j] = (a[j] - c * rows[i][j]) % p
+    rows = t_basis_rows(p, e)
+    tco = to_t_basis(p, e, residue)
     for i, c in enumerate(tco):
         if c and i % p:
             return None, i
@@ -342,3 +376,20 @@ def gauss_place_valuation(coeffs: Sequence, p: int, pi: Tuple[int, int]) -> Frac
     for _ in range(6):  # precision 1, 2, 4, ..., 64
         r = (r - (r * r + 1) * pow(2 * r, -1, q)) % q
     return Fraction(vp_int((x + y * r) % q, p) - vp_int(d, p))
+
+
+def untilt_by_arrow_ops(x, N: int):
+    """``tilt.untilt`` as a chain of arrow operations: the zero family plus,
+    for each component p^j, the Teichmueller family of its chain shifted j
+    slots down times the integer family of p**j, each product and sum one
+    levelwise Witt op over the base."""
+    from wittlab.arrow import arrow_add, arrow_from_integer, arrow_mul, arrow_teichmuller
+
+    base = x.ring.base
+    total = arrow_from_integer(base, 0, N)
+    for j, chain in enumerate(x.components):
+        term = arrow_teichmuller(base, [chain.entries[j + n] for n in range(N + 1)])
+        if j:
+            term = arrow_mul(term, arrow_from_integer(base, base.p**j, N))
+        total = arrow_add(total, term)
+    return total

@@ -393,6 +393,28 @@ def test_python_dash_m_wittlab_runs_the_cli(capsys):
     assert proc.stdout == out
 
 
+def test_a_reader_that_closes_the_pipe_early_is_not_an_error():
+    """`wittlab perfect test --json | head -3`: stdout is a pipe whose read
+    end is closed, so the first write fails, from print when stdout is
+    unbuffered and from the last flush when it is buffered; either way the
+    CLI exits 0, quietly."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for unbuffered in ("1", ""):
+        env["PYTHONUNBUFFERED"] = unbuffered
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "wittlab", "perfect", "test", "--json"],
+                env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0, (unbuffered, proc.stderr)
+        assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr, unbuffered
+
+
 def test_arrow_norm_prints_its_json_keys(capsys):
     code, out, _ = run(capsys, "arrow", "norm", "4", "--json")
     assert code == 0

@@ -203,13 +203,74 @@ def test_truncated_cyclotomic_powers_match_repeated_products(p, k, M):
     [(2, k) for k in range(1, 10)] + [(3, k) for k in range(1, 7)] + [(5, 1), (5, 2), (7, 1), (7, 2)],
 )
 def test_t_basis_rows_are_signed_binomials_mod_p(p, k):
-    """Row i of the t-basis matrix is (1 - zeta)**i mod p, whose coefficient
-    at zeta**j is (-1)**j * C(i, j)."""
+    """Row i of the t-basis matrix the oracle solves against, built by
+    Pascal's rule, is (1 - zeta)**i mod p, whose coefficient at zeta**j is
+    (-1)**j * C(i, j)."""
     field = cyclotomic_field(p, k)
-    rows = field._t_basis_matrix()
+    rows = oracles.t_basis_rows(p, field.e)
     assert len(rows) == field.e
     for i, row in enumerate(rows):
-        assert row == oracles.t_power_row(p, i, field.e), i
+        assert list(row) == oracles.t_power_row(p, i, field.e), i
+
+
+def _check_t_order(field, residue):
+    """The order, the valuation of the lift and the t-index a missing p-th
+    root is named by, against the oracle's top-down solve."""
+    p = field.p
+    want = oracles.to_t_basis(p, field.e, residue)
+    order = next((i for i, c in enumerate(want) if c), None)
+    assert field.t_order(residue) == order, residue
+    if order is not None:
+        assert field.integer_valuation(residue) == Fraction(order, field.e)
+    off = next((i for i, c in enumerate(want) if c and i % p), None)
+    if off is not None:
+        with pytest.raises(NoRoot, match=f"^t-support index {off} is not a multiple of {p};"):
+            field.mod_p_root(field.from_coeffs(residue))
+    return order
+
+
+@pytest.mark.parametrize("p, k", [(2, 2), (2, 3), (3, 2), (2, 4)])
+def test_t_order_matches_the_t_basis_solve_on_every_residue(p, k):
+    field = cyclotomic_field(p, k)
+    residues = itertools.product(range(p), repeat=field.e)
+    orders = {_check_t_order(field, residue) for residue in residues}
+    assert orders == {None, *range(field.e)}
+
+
+def _times_t_power(field, residue, j):
+    """residue * (1 - zeta)**j mod p.  Mod p, (1 - zeta)**(p**a) is
+    1 - zeta**(p**a), so j splits into one such factor per unit of its
+    base-p digits; each product is reduced from the top down with
+    zeta**e = -(1 + zeta**s + ... + zeta**((p-2)*s)), s = p**(k-1)."""
+    p, e, s = field.p, field.e, field.p ** (field.k - 1)
+    r = list(residue)
+    shift = 1
+    while j:
+        j, digit = divmod(j, p)
+        for _ in range(digit):
+            out = r + [0] * shift
+            for i, c in enumerate(r):
+                out[i + shift] -= c
+            for d in range(len(out) - 1, e - 1, -1):
+                c, out[d] = out[d], 0
+                for i in range(p - 1):
+                    out[d - e + i * s] -= c
+            r = [c % p for c in out[:e]]
+        shift *= p
+    return r
+
+
+@pytest.mark.parametrize("p, k", [(2, 5), (3, 3), (5, 2), (7, 2), (2, 7), (3, 5), (3, 6)])
+def test_t_order_matches_the_t_basis_solve_on_drawn_residues(p, k):
+    """300 residues per field up to e = 486, half of them multiplied by t**j
+    so that high orders are drawn too."""
+    field = cyclotomic_field(p, k)
+    rng = random.Random(p * 1000 + k)
+    for n in range(300):
+        residue = [rng.randrange(p) for _ in range(field.e)]
+        j = rng.randrange(field.e) if n % 2 else 0
+        order = _check_t_order(field, _times_t_power(field, residue, j))
+        assert order is None or order >= j
 
 
 def _check_mod_p_root(field, a, residue):

@@ -24,7 +24,7 @@ DIGESTS_SEED_1 = {
     "ghost": "b6b75a12d994c64f761c5888c88ec892025609d6522d9f19e24431af03ae5307",
     "norms": "08662b5cb2860456c41674af50b12b345bd08ab1fd13295738b9f7d23cf5b770",
     "arrow": "2025a8ef75050349c30e7bb36180cdf6f9554acef28b3097659e11b3541e26ba",
-    "perfect": "9f3283b1b337ef4945ff7ef9280429ab1f9db09bed3324efb71187e13414fff7",
+    "perfect": "2008cfab90bc1ca665540a7f577277f3f410d7e029abcf4bfac7d31ba9bbc4af",
     "tilt": "d4b8a0a691216498005a34cff127528a9d0b17189331fce982dd05b6e6d93622",
     "kernel": "fa1aed0cca7a7140517fe85933668c58a2978631919f33b5fb7e0e1c3b719b77",
     "artin": "cac0eaea946bb825515538709c348f1983325245f58a8f8900a27517cf2f051e",

@@ -183,6 +183,54 @@ def test_untilt_of_a_teichmuller_chain_is_coherent():
             assert base.is_zero(c)
 
 
+def _top_chain(rng, base, depth):
+    top = base.from_digits([rng.randrange(base.p ** base.M) for _ in range(base.e)])
+    return tilt_from_top(base, top, depth)
+
+
+def _short_chain(rng, base, depth):
+    """A coherent chain with a random top, cut at every slot to a random
+    precision (coherence only needs the minimum)."""
+    chain = _top_chain(rng, base, depth)
+    return make_tilt(base, [base.truncate(e, rng.randint(1, base.M)) for e in chain.entries])
+
+
+@pytest.mark.parametrize(
+    "base",
+    [ZModPM(3, 3), CycloModPM(3, 2, 2), CycloModPM(2, 5, 4)],
+    ids=["Z/3^3", "Zzeta9/3^2", "Zzeta32/2^4"],
+)
+def test_untilt_matches_the_chain_of_arrow_ops(base, monkeypatch):
+    """One transport per family level gives the bytes of the zero family
+    plus p^j times each Teichmueller family, tail bound included, on full
+    chains, chain sums (whose deep slots are short) and chains cut to random
+    precisions."""
+    from wittlab import witt as witt_module
+    from wittlab.arrow import arrow_to_json
+
+    unghosts = []
+    real_unghost = witt_module.unghost
+    monkeypatch.setattr(witt_module, "unghost", lambda g: unghosts.append(g) or real_unghost(g))
+    rng = random.Random(base.e * 10 + base.M)
+    for N in range(4):
+        for length in (1, 2, 3):
+            depth = N + length - 1 + rng.randint(0, 1)
+            ring = TiltRing(base, depth)
+            draws = [
+                lambda: _top_chain(rng, base, depth),
+                lambda: tilt_add(_top_chain(rng, base, depth), _top_chain(rng, base, depth)),
+                lambda: _short_chain(rng, base, depth),
+            ]
+            for draw in draws:
+                x = WittVec(ring, tuple(draw() for _ in range(length)))
+                unghosts.clear()
+                got = untilt(x, N)
+                # each Teichmueller family's Frobenius check, then one per level
+                assert len(unghosts) == length * N + N + 1
+                want = oracles.untilt_by_arrow_ops(x, N)
+                assert json.dumps(arrow_to_json(got)) == json.dumps(arrow_to_json(want)), (N, length)
+
+
 def test_untilt_isometry_on_certified_inputs():
     from wittlab.cyclotomic import CycloModPM
 

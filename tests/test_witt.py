@@ -21,6 +21,7 @@ from wittlab.perfpoly import PerfPolyRing
 from wittlab.rings import Integers, Rationals, ZModPM
 from wittlab.cyclotomic import CycloModPM
 from wittlab.tilt import TiltRing, make_tilt, tilt_from_top
+from wittlab import witt as witt_module
 from wittlab.univ import structure_cap, structure_poly
 from wittlab.witt import (
     WittVec,
@@ -36,6 +37,7 @@ from wittlab.witt import (
     unghost,
     verschiebung,
     witt_add,
+    witt_combination,
     witt_eq,
     witt_from_integer,
     witt_from_json,
@@ -424,24 +426,35 @@ class _CountingCycloModPM(CycloModPM):
         return super().pow_p_tower(a, l)
 
 
-def test_char_p_tilt_sum_runs_in_a_mod_p_with_one_ladder_per_component():
-    """Char-p witt_add over a tilt multiplies base elements at precision 1
-    only, and each component walks one ladder of D single p-power steps."""
-    base = _CountingCycloModPM(2, 5, 4)
-    ring = TiltRing(base, 4)
-    rng = random.Random(9)
-    x, y = (
-        WittVec(ring, tuple(
-            tilt_from_top(base, base.from_digits([rng.randrange(16) for _ in range(16)]), 4)
-            for _ in range(4)
-        ))
-        for _ in range(2)
-    )
-    base.mul_precs.clear()
-    base.towers.clear()
-    witt_add(x, y)
-    assert base.mul_precs == {1}
-    assert base.towers == [1] * (4 * ring.depth)
+def test_char_p_tilt_sum_runs_in_a_mod_p_with_one_ladder_per_component(monkeypatch):
+    """A char-p sum or product over a tilt is one base transport per chain
+    slot the ladder reads (slot D, and slots M..D-1 when D > M), multiplies
+    no base element above precision 1, and each component walks one ladder
+    of single p-power steps (D of them when D <= M)."""
+    unghosts = []
+    real_unghost = witt_module.unghost
+    monkeypatch.setattr(witt_module, "unghost", lambda g: unghosts.append(g) or real_unghost(g))
+    for k, M in ((5, 4), (2, 2)):
+        base = _CountingCycloModPM(2, k, M)
+        ring = TiltRing(base, 4)
+        rng = random.Random(9)
+        x, y = (
+            WittVec(ring, tuple(
+                tilt_from_top(base, base.from_digits([rng.randrange(2**M) for _ in range(base.e)]), 4)
+                for _ in range(4)
+            ))
+            for _ in range(2)
+        )
+        for op in (witt_add, witt_mul):
+            base.mul_precs.clear()
+            base.towers.clear()
+            unghosts.clear()
+            op(x, y)
+            assert len(unghosts) == 1 + max(ring.depth - M, 0), (k, M, op)
+            assert base.mul_precs <= {1}, (k, M, op)
+            # slots m < D - M raise their own slot sum by p**M, the rest ladder down
+            D = ring.depth
+            assert base.towers == ([M] * max(D - M, 0) + [1] * min(D, M)) * 4, (k, M, op)
 
 
 def test_char_p_tilt_ops_check_every_operand_chain():
@@ -459,3 +472,43 @@ def test_char_p_tilt_ops_check_every_operand_chain():
                 op(x, y)
             with pytest.raises(error):
                 op(y, x)
+
+
+@pytest.mark.parametrize("ring", [Integers(3), ZModPM(3, 4), CycloModPM(2, 2, 3)], ids=repr)
+def test_witt_combination_is_the_chain_of_products_and_sums(ring):
+    """sum_j c_j * v_j in one transport has the bytes of witt_mul by the
+    integer vectors and witt_add, precision included, for negative and zero
+    coefficients too."""
+    rng = random.Random(31)
+
+    def draw():
+        if not ring.truncated:
+            return rng.randint(-40, 40)
+        digits = [rng.randrange(ring.p ** ring.M) for _ in range(ring.e)]
+        return ring.from_digits(digits, rng.randint(1, ring.M))
+
+    for length in (1, 2, 3, 4):
+        for count in (1, 2, 3):
+            vecs = [WittVec(ring, tuple(draw() for _ in range(length))) for _ in range(count)]
+            coeffs = [rng.choice([0, 1, -1, 2, 3, 9, -4]) for _ in range(count)]
+            want = witt_mul(witt_from_integer(ring, coeffs[0], length), vecs[0])
+            for c, v in zip(coeffs[1:], vecs[1:]):
+                want = witt_add(want, witt_mul(witt_from_integer(ring, c, length), v))
+            got = witt_combination(coeffs, vecs)
+            assert witt_to_json(got) == witt_to_json(want), (length, coeffs)
+
+
+def test_witt_combination_refuses_what_it_cannot_transport():
+    ring = ZModPM(2, 3)
+    x = WittVec(ring, (ring.one(), ring.zero()))
+    with pytest.raises(LengthMismatch):
+        witt_combination([1, 2], [x])
+    with pytest.raises(LengthMismatch):
+        witt_combination([], [])
+    with pytest.raises(LengthMismatch):
+        witt_combination([1, 1], [x, WittVec(ring, (ring.one(),))])
+    with pytest.raises(RingMismatch):
+        witt_combination([1, 1], [x, WittVec(ZModPM(2, 4), (ring.one(), ring.zero()))])
+    tilt = TiltRing(ring, 2)
+    with pytest.raises(CapabilityMissing):
+        witt_combination([1], [WittVec(tilt, (tilt.one(),))])

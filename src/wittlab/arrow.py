@@ -179,21 +179,22 @@ def arrow_from_integer(ring: Ring, c: int, depth: int) -> ArrowElt:
     return make_arrow(ring, levels, tail_bound=NormValue.one())
 
 
-def arrow_teichmuller(ring: Ring, roots: Sequence, validate: bool = True) -> ArrowElt:
+def arrow_teichmuller(ring: Ring, roots: Sequence) -> ArrowElt:
     """Arrow element ([r_n])_n from a sequence with r_{n+1}**p = r_n.
 
+    The roots are checked; that check is the family's Frobenius coherence,
+    since F([r]) = [r**p] in every ring, so the levels are not checked again.
     Level norms are |r_0| ** (1/p**n), whose supremum over all n is at most
     max(1, |r_0|); for |r_0| <= 1 the unit tail bound applies.
     """
-    if validate:
-        for n in range(len(roots) - 1):
-            if not ring.eq(ring.pow_(roots[n + 1], ring.p), roots[n]):
-                raise IntegralityViolation(f"roots {n}/{n + 1} are not p-power coherent")
+    for n in range(len(roots) - 1):
+        if not ring.eq(ring.pow_(roots[n + 1], ring.p), roots[n]):
+            raise IntegralityViolation(f"roots {n}/{n + 1} are not p-power coherent")
     levels = tuple(teichmuller(ring, r, n + 1) for n, r in enumerate(roots))
     bound = None
     if not NormValue.one() < ring.seminorm(roots[0]):
         bound = NormValue.one()
-    return make_arrow(ring, levels, tail_bound=bound, validate=validate)
+    return make_arrow(ring, levels, tail_bound=bound, validate=False)
 
 
 def project(a: ArrowElt, n: int) -> WittVec:
@@ -386,7 +387,7 @@ def inverse_frobenius_sandwich(a: ArrowElt, b) -> dict:
     }
 
 
-def lift_arrow_precision(a: ArrowElt, N: int, check: bool = True) -> ArrowElt:
+def lift_arrow_precision(a: ArrowElt, N: int) -> ArrowElt:
     """Rebuild levels 0..N at one more digit of base precision.
 
     Requires depth >= N + m + 2 where p**m is the base modulus: level n of the
@@ -394,6 +395,8 @@ def lift_arrow_precision(a: ArrowElt, N: int, check: bool = True) -> ArrowElt:
     restricted to length n+1.  Coherence of the result is exact, because the
     lift ambiguity p**m * delta is killed by a single extra Frobenius.  The
     digit-lift keeps the stored digits: a *chosen* representative, hence exact.
+    Each level of the result is checked to reduce to the stored level n
+    (``IntegralityViolation`` otherwise).
     """
     ring = a.ring
     if not ring.truncated:
@@ -412,19 +415,18 @@ def lift_arrow_precision(a: ArrowElt, N: int, check: bool = True) -> ArrowElt:
         pushed = frobenius_iter(lifted, m + 1)
         new_levels.append(restrict(pushed, n))
     result = make_arrow(target, new_levels, tail_bound=_integral_tail_bound(target))
-    if check:
-        for n in range(N + 1):
-            back = WittVec(
-                ring,
-                tuple(
-                    ring.from_digits(target.digits(target.truncate(c, m)))
-                    for c in result.levels[n].components
-                ),
+    for n in range(N + 1):
+        back = WittVec(
+            ring,
+            tuple(
+                ring.from_digits(target.digits(target.truncate(c, m)))
+                for c in result.levels[n].components
+            ),
+        )
+        if not witt_eq(back, a.levels[n]):
+            raise IntegralityViolation(
+                f"precision lift does not reduce to the original at level {n}"
             )
-            if not witt_eq(back, a.levels[n]):
-                raise IntegralityViolation(
-                    f"precision lift does not reduce to the original at level {n}"
-                )
     return result
 
 

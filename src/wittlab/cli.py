@@ -30,7 +30,7 @@ from .config import ring_from_spec
 from .cyclotomic import GaussianField
 from .errors import CapabilityMissing, MalformedConfig, NoRoot, WittError
 from .kernelnorm import verify_kernel_norm
-from .perfect import solve_frobenius, witt_perfect_test
+from .perfect import INSTANCES, solve_frobenius, witt_perfect_test
 from .rings import Ring
 from .suites import SUITE_NAMES, run_suite
 from .tilt import (
@@ -213,7 +213,7 @@ def _cmd_arrow(args) -> int:
         if not ring.truncated:
             raise CapabilityMissing(f"arrow lift needs a truncated base ring, got {ring.kind}")
         a = arrow_from_integer(ring, args.c, args.depth + ring.M + 2)
-        lifted = lift_arrow_precision(a, args.depth, check=True)
+        lifted = lift_arrow_precision(a, args.depth)
         payload = {"c": args.c, "lifted": arrow_to_json(lifted)}
         if args.json:
             _print_json(payload)
@@ -252,9 +252,6 @@ def _cmd_arrow(args) -> int:
 # perfect test | solve-frob
 # ---------------------------------------------------------------------------
 
-_INSTANCES = ("Z", "Zmod", "Qi", "zeta-ring", "tower")
-
-
 def _cmd_perfect(args) -> int:
     if args.action == "test":
         spec = args.x or args.ring or "Z"
@@ -263,7 +260,7 @@ def _cmd_perfect(args) -> int:
                 config = json.loads(spec)
             except json.JSONDecodeError as exc:
                 raise MalformedConfig(f"bad instance config: {exc}") from exc
-        elif spec in _INSTANCES:
+        elif spec in INSTANCES:
             config = {"instance": spec, "p": args.p}
             if spec == "Zmod":
                 config["M"] = args.precision
@@ -274,7 +271,7 @@ def _cmd_perfect(args) -> int:
         else:
             raise MalformedConfig(
                 f"unknown perfectness instance {spec!r}; use one of "
-                + ", ".join(_INSTANCES)
+                + ", ".join(INSTANCES)
                 + " or an inline JSON config"
             )
         import random
@@ -408,7 +405,7 @@ def _cmd_kernel(args) -> int:
                 for _ in range(-k):
                     t = ring.exact_divide_by_p(t)
             elements.append(t)
-    results = [verify_kernel_norm(ring, t, args.j, assert_equality=False) for t in elements]
+    results = [verify_kernel_norm(ring, t, args.j) for t in elements]
     failures = sum(1 for r in results if not r["passed"])
     if args.json:
         _print_json({"j": args.j, "failures": failures, "results": results})
@@ -570,6 +567,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # device so that the interpreter's final flush does not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    except OSError as exc:
+        # e.g. stdout on a full device; after BrokenPipeError, its subclass
+        print(f"error: {exc}", file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     return code
 
 

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Tuple
 
+from .config import _need
 from .cyclotomic import CVec, CyclotomicField, CyclotomicTower, GaussianField
 from .errors import (
     CapabilityMissing,
@@ -51,7 +52,7 @@ from .errors import (
     RescaleInfeasible,
 )
 from .norms import NormValue
-from .rings import ZModPM
+from .rings import ZModPM, check_prime
 from .witt import (
     WittVec,
     frobenius,
@@ -65,6 +66,7 @@ __all__ = [
     "RootSequence",
     "build_root_sequence",
     "PerfectReport",
+    "INSTANCES",
     "witt_perfect_test",
     "power_ideal_check",
     "solve_frobenius",
@@ -373,31 +375,35 @@ def _check_tower(
     return PerfectReport(f"zeta-tower at p={p}", verdict, cond_a, cond_b, tuple(notes))
 
 
+INSTANCES = ("Z", "Zmod", "Qi", "zeta-ring", "tower")
+
+
 def witt_perfect_test(config: dict, rng=None) -> PerfectReport:
+    """The perfectness report of ``config["instance"]`` at the prime
+    ``config["p"]``; its integer keys are checked as a ring config's are."""
     if "instance" not in config:
         raise MalformedConfig("perfectness config needs an 'instance' key")
     inst = config["instance"]
-    p = config.get("p")
+    if inst not in INSTANCES:
+        raise MalformedConfig(f"unknown perfectness instance {inst!r}")
+    p = check_prime(config.get("p"))
     if inst == "Z":
         return _check_residue_ring(p, None)
     if inst == "Zmod":
-        return _check_residue_ring(p, int(config["M"]))
+        # the ring's constructor refuses M < 1
+        return _check_residue_ring(p, ZModPM(p, _need(config, "M", inst)).M)
     if inst == "Qi":
         return _check_gaussian(p)
     if inst == "zeta-ring":
-        return _check_cyclotomic_ring(p, int(config["k"]))
-    if inst == "tower":
-        if rng is None:
-            import random
+        return _check_cyclotomic_ring(p, _need(config, "k", inst))
+    if rng is None:
+        import random
 
-            rng = random.Random(0)
-        return _check_tower(
-            p,
-            int(config.get("levels", 1)),
-            rng,
-            samples=int(config.get("samples", 48)),
-        )
-    raise MalformedConfig(f"unknown perfectness instance {inst!r}")
+        rng = random.Random(0)
+    tower = {"levels": 1, "samples": 48, **config}
+    return _check_tower(
+        p, _need(tower, "levels", inst), rng, samples=_need(tower, "samples", inst)
+    )
 
 
 # ---------------------------------------------------------------------------

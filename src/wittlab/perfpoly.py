@@ -13,13 +13,14 @@ degree, which is multiplicative and takes negative exponent values; it models
 a Gauss norm with radius > 1, so this ring is the stock example of unbounded
 growth for overconvergence checks.
 
-Char-p Witt ops evaluate structure polynomials through the
-``Ring.evaluate_poly`` hook, which this ring overrides: it takes each power
-x_i**e once per call (a p-power is an exponent shift), forms the term
-products and their sum on plain dicts of monomials with unreduced integer
-coefficients, and reduces mod p and sorts once per component, where the
-generic evaluator does so after every ``add`` and ``mul``.  Reduction mod p
-is a ring map and elements are canonical, so both give the same element.
+Char-p Witt ops reach this ring through its override of
+``Ring.char_p_witt_op``, which evaluates the cached mod-p structure
+polynomial of each component: it takes each power x_i**e once per component
+(a p-power is an exponent shift), forms the term products and their sum on
+plain dicts of monomials with unreduced integer coefficients, and reduces mod
+p and sorts once per component, where the generic ``UPoly.evaluate`` does so
+after every ``add`` and ``mul``.  Reduction mod p is a ring map and elements
+are canonical, so both give the same element.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .errors import (
 )
 from .norms import NormValue
 from .rings import Ring, check_prime
+from .univ import structure_poly_mod_p
 
 Monomial = Tuple[int, ...]
 PPoly = Tuple[Tuple[Monomial, int], ...]
@@ -135,22 +137,27 @@ class PerfPolyRing(Ring):
             result = self.frobenius_elt(result)
         return result
 
-    def evaluate_poly(self, poly: Any, values: Sequence[PPoly]) -> PPoly:
-        """``poly.evaluate(self, values)`` with one canonicalisation, as the
-        module docstring describes."""
+    def char_p_witt_op(self, kind: str, vecs: Sequence[Any]) -> Tuple[PPoly, ...]:
+        """Component i is the mod-p structure polynomial ``kind`` at the
+        first i+1 components of each vector, evaluated with one
+        canonicalisation, as the module docstring describes."""
         unit_mono = (0,) * self.nvars
-        powers: Dict[Tuple[int, int], PPoly] = {}
-        acc: Dict[Monomial, int] = {}
-        for c, factors in poly.terms_for(values):
-            term: Any = None if c is None else ((unit_mono, c),)
-            for key in factors:
-                power = powers.get(key)
-                if power is None:
-                    power = powers[key] = self.pow_(values[key[0]], key[1])
-                term = power if term is None else _conv(term, power).items()
-            for mono, v in term:
-                acc[mono] = acc.get(mono, 0) + v
-        return self._canon(acc)
+        comps = []
+        for i in range(vecs[0].length):
+            values = [c for v in vecs for c in v.components[: i + 1]]
+            powers: Dict[Tuple[int, int], PPoly] = {}
+            acc: Dict[Monomial, int] = {}
+            for c, factors in structure_poly_mod_p(self.p, i, kind).terms_for(values):
+                term: Any = None if c is None else ((unit_mono, c),)
+                for key in factors:
+                    power = powers.get(key)
+                    if power is None:
+                        power = powers[key] = self.pow_(values[key[0]], key[1])
+                    term = power if term is None else _conv(term, power).items()
+                for mono, v in term:
+                    acc[mono] = acc.get(mono, 0) + v
+            comps.append(self._canon(acc))
+        return tuple(comps)
 
     def eq(self, a: PPoly, b: PPoly) -> bool:
         return a == b
@@ -178,12 +185,6 @@ class PerfPolyRing(Ring):
 
     def pth_root_mod_p(self, a: PPoly) -> PPoly:
         return self.pth_root(a)
-
-    def pow_p_tower(self, a: PPoly, l: int) -> PPoly:
-        result = a
-        for _ in range(l):
-            result = self.frobenius_elt(result)
-        return result
 
     def degree(self, a: PPoly) -> Optional[Fraction]:
         if not a:

@@ -138,18 +138,14 @@ class Ring(ABC):
         """a ** (p ** l); truncated rings override this to gain l digits."""
         return self.pow_(a, self.p ** l)
 
-    def evaluate_poly(self, poly: Any, values: Sequence[Any]) -> Any:
-        """A ``univ.UPoly`` at values in this ring; the perfected polynomial
-        ring overrides it."""
-        return poly.evaluate(self, values)
-
-    def char_p_witt_op(self, kind: str, vecs: Sequence[Any]) -> Optional[Tuple[Any, ...]]:
+    def char_p_witt_op(self, kind: str, vecs: Sequence[Any]) -> Tuple[Any, ...]:
         """The components of the characteristic-p Witt op ``kind`` (``sum``,
-        ``prod`` or ``neg``) on the vectors ``vecs``, for a ring that computes
-        them as a whole; None, the default, has ``witt`` evaluate the
-        structure polynomials through ``evaluate_poly``.  The tilt overrides
-        it."""
-        return None
+        ``prod`` or ``neg``) on the equal-length vectors ``vecs``, within the
+        length ``witt`` has checked against ``structure_cap``.  Every ring of
+        characteristic p overrides it: the tilt by one base-ring Witt op per
+        chain slot, the perfected polynomial ring by evaluating the cached
+        mod-p structure polynomials."""
+        raise CapabilityMissing(f"{self.kind}: no characteristic-p Witt arithmetic")
 
     @abstractmethod
     def eq(self, a: Any, b: Any) -> bool: ...

@@ -620,7 +620,7 @@ def check_depth_lifting(rng: random.Random, p: Optional[int] = None) -> List[Cas
     for cls, vals in fibers.items():
         unique.check(len(vals) == 1, lambda: f"class {cls} induces {sorted(vals)}")
         a2 = _machine_chain(r2, cls)
-        lifted = _induced(lift_arrow_precision(a2, 1, check=True))
+        lifted = _induced(lift_arrow_precision(a2, 1))
         lift.check(lifted == next(iter(vals)), lambda: f"class {cls}: lifted {lifted}")
         machine = _induced(_machine_chain(r4, cls))
         cross.check(machine in vals, lambda: f"class {cls}: generic {machine}")
@@ -638,7 +638,7 @@ def check_depth_lifting(rng: random.Random, p: Optional[int] = None) -> List[Cas
         )
         consistent.check(arrow_eq(reduced, a2), lambda: f"k={k}: reduction mod 2")
         consistent.check(
-            arrow_eq(lift_arrow_precision(a2, 1, check=True), arrow_from_integer(r4, k, 1)),
+            arrow_eq(lift_arrow_precision(a2, 1), arrow_from_integer(r4, k, 1)),
             lambda: f"k={k}: precision lift",
         )
 
@@ -886,7 +886,7 @@ def check_kernel_norm(
             for s in range(samples):
                 v = (s % (4 * steps + 1)) - 2 * steps
                 t = ring.zero() if s == samples - 1 else _unit_times_power(rng, ring, v)
-                rep = verify_kernel_norm(ring, t, j, assert_equality=False)
+                rep = verify_kernel_norm(ring, t, j)
                 law.check(
                     rep["kernel_ok"] and rep["equal"],
                     lambda: f"sample {s} over {ring!r}, j={j}, t={ring.format_elt(t)}: "

@@ -151,8 +151,15 @@ def make_tilt(base: Ring, entries: Sequence[Any], validate: bool = True) -> Tilt
     return TiltElt(base, tuple(entries))
 
 
+def _check_depth(depth: int) -> int:
+    if not isinstance(depth, int) or depth < 0:
+        raise MalformedConfig(f"tilt depth must be a non-negative integer, got {depth!r}")
+    return depth
+
+
 def tilt_from_top(base: Ring, top: Any, depth: int) -> TiltElt:
     """The chain determined by its deepest entry: x_m = top ** (p**(D-m))."""
+    _check_depth(depth)
     entries = [top]
     for _ in range(depth):
         entries.append(base.pow_p_tower(entries[-1], 1))
@@ -168,6 +175,7 @@ def tilt_constant(base: Ring, c: int, depth: int) -> TiltElt:
     coherent at full precision.
     """
     M = _truncated_modulus(base)
+    _check_depth(depth)
     omega = base.pow_p_tower(base.from_int(c), M)
     return TiltElt(base, tuple(omega for _ in range(depth + 1)))
 
@@ -179,12 +187,7 @@ def _check_pair(x: TiltElt, y: TiltElt) -> Ring:
     return x.base
 
 
-def tilt_add(
-    x: TiltElt,
-    y: TiltElt,
-    out_depth: Optional[int] = None,
-    min_prec: Optional[int] = None,
-) -> TiltElt:
+def tilt_add(x: TiltElt, y: TiltElt) -> TiltElt:
     """Chain sum, each component as a fixed p**l-th power of a deeper sum.
 
     Component m is (x_{m+l} + y_{m+l}) ** (p**l) with l = min(M, D - m),
@@ -192,34 +195,14 @@ def tilt_add(
     sum: it is taken mod p (the power reads nothing more) and one ladder of
     p-th powers, one digit per step, yields slots D, D - 1, ..., max(D - M,
     0).  When D > M, each slot m < D - M raises its own sum at slot m + M to
-    the p**M-th power.  Slots past ``out_depth`` are not returned.  Passing
-    ``min_prec`` asks that every returned component carry at least
-    min(min_prec, M) digits, which needs stored depth D >= out_depth +
-    min_prec - 1; ``InsufficientDepth`` reports the shortfall.
+    the p**M-th power.
     """
     base = _check_pair(x, y)
-    M = _truncated_modulus(base)
-    D = x.depth
-    if out_depth is None:
-        out_depth = D
-    if out_depth < 0 or out_depth > D:
-        raise InsufficientDepth(
-            f"cannot emit depth {out_depth} from stored depth {D}"
-        )
-    if min_prec is not None:
-        need = min(min_prec, M)
-        have = min(D - out_depth + 1, M)
-        if have < need:
-            raise InsufficientDepth(
-                f"deepest requested component is certified to {have} digits; "
-                f"{need} need stored depth >= {out_depth + need - 1}"
-            )
-    return _ladder_chain(base, D, out_depth, lambda s: base.add(x.entries[s], y.entries[s]))
+    _truncated_modulus(base)
+    return _ladder_chain(base, x.depth, lambda s: base.add(x.entries[s], y.entries[s]))
 
 
-def _ladder_chain(
-    base: Ring, D: int, out_depth: int, slot_sum: Callable[[int], Any]
-) -> TiltElt:
+def _ladder_chain(base: Ring, D: int, slot_sum: Callable[[int], Any]) -> TiltElt:
     """The chain ``tilt_add`` returns, given the sum at slot s as slot_sum(s).
 
     Only the sums mod p are read, and only at slot D and, when D > M, at the
@@ -227,13 +210,12 @@ def _ladder_chain(
     """
     M = base.M
     low = max(D - M, 0)
-    entries = [base.pow_p_tower(slot_sum(m + M), M) for m in range(min(out_depth + 1, low))]
-    if out_depth >= low:
-        # ladder[j] is slot D - j, known to min(j + 1, M) digits
-        ladder = [base.truncate(slot_sum(D), 1)]
-        for _ in range(D - low):
-            ladder.append(base.pow_p_tower(ladder[-1], 1))
-        entries.extend(reversed(ladder[D - out_depth :]))
+    entries = [base.pow_p_tower(slot_sum(m + M), M) for m in range(low)]
+    # ladder[j] is slot D - j, known to min(j + 1, M) digits
+    ladder = [base.truncate(slot_sum(D), 1)]
+    for _ in range(D - low):
+        ladder.append(base.pow_p_tower(ladder[-1], 1))
+    entries.extend(reversed(ladder))
     return TiltElt(base, tuple(entries))
 
 
@@ -340,10 +322,8 @@ class TiltRing(Ring):
 
     def __init__(self, base: Ring, depth: int):
         self.M = _truncated_modulus(base)
-        if not isinstance(depth, int) or depth < 0:
-            raise MalformedConfig(f"tilt depth must be a non-negative integer, got {depth!r}")
         self.base = base
-        self.depth = depth
+        self.depth = _check_depth(depth)
         self.p = base.p
         self.power_multiplicative_norm = base.power_multiplicative_norm
 
@@ -396,7 +376,7 @@ class TiltRing(Ring):
         slots = [D, *range(self.M, D)]
         sums = {s: op(*(slot_vec(cs, s) for cs in chains)).components for s in slots}
         return tuple(
-            _ladder_chain(base, D, D, lambda s: sums[s][i]) for i in range(len(chains[0]))
+            _ladder_chain(base, D, lambda s: sums[s][i]) for i in range(len(chains[0]))
         )
 
     def pow_p_tower(self, a: TiltElt, l: int) -> TiltElt:
@@ -582,12 +562,15 @@ def untilt(x: WittVec, N: int) -> ArrowElt:
     Component p^j contributes p**j times the Teichmueller family of its
     chain shifted j slots down (the shift supplies the p**j-th roots the
     j-th summand needs), so the stored chains must reach depth N + j.  Each
-    family is checked for root and Frobenius coherence; level n of the sum
-    is one ghost transport over the base (``witt_combination``).
+    family's roots are checked for p-power coherence, which is its Frobenius
+    coherence (``arrow_teichmuller``); level n of the sum is one ghost
+    transport over the base (``witt_combination``), N + 1 in all.
     """
     ring = x.ring
     if not isinstance(ring, TiltRing):
         raise CapabilityMissing("untilt expects a vector over a tilt ring")
+    if N < 0:
+        raise MalformedConfig(f"the untilt family depth must be >= 0, got {N}")
     base = ring.base
     need = N + x.top_index
     if ring.depth < need:

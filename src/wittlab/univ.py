@@ -22,16 +22,18 @@ read the integer ones.  The cached range is deliberately small (index <= 3
 for p = 2, index <= 2 otherwise); vectors longer than the cached range are
 handled by ghost transport in the callers, not here.
 
-``UPoly.evaluate`` is the one evaluator, over any ``Ring`` (``Integers(p)``
-for plain integer inputs).  It checks the coefficients and sorts the terms
-once per polynomial, computes each power x_i ** e once per call, and adds the
-terms to ``ring.zero()`` in sorted order, so a ring whose addition tracks
-precision sees the same operation sequence on every call.  Rings call it
-through ``Ring.evaluate_poly``.  A tilt evaluates none: its char-p Witt ops
-run the base ring's Witt ops on one-digit slot vectors
+``UPoly.evaluate`` is the generic evaluator, over any ``Ring``
+(``Integers(p)`` for plain integer inputs).  It checks the coefficients and
+sorts the terms once per polynomial, computes each power x_i ** e once per
+call, and adds the terms to ``ring.zero()`` in sorted order, so a ring whose
+addition tracks precision sees the same operation sequence on every call.
+The char-p Witt ops call no evaluator here: each ring of characteristic p
+answers them through ``Ring.char_p_witt_op``.  A tilt evaluates nothing: it
+runs the base ring's Witt ops on one-digit slot vectors
 (``tilt.TiltRing.char_p_witt_op``).  A perfected polynomial ring reads the
-same sorted terms (``UPoly.terms_for``) and multiplies on dicts,
-canonicalising once (``perfpoly.PerfPolyRing.evaluate_poly``).
+same sorted terms (``UPoly.terms_for``) of the mod-p polynomials and
+multiplies on dicts, canonicalising once per component
+(``perfpoly.PerfPolyRing.char_p_witt_op``).
 
 Kinds:
   * ``sum``, ``prod``  -- binary, in x-variables then y-variables;

@@ -15,13 +15,11 @@ and dispatch on the ring's capabilities:
                             for the whole vector (`ring.char_p_witt_op`).  A
                             tilt answers with one Witt op over its base per
                             chain slot its ladder reads (x -> x_s mod p is a
-                            ring map).  Other rings answer None, and the
-                            cached sum/prod/neg structure polynomials, their
-                            coefficients reduced mod p since p = 0 in the
-                            ring, go through `ring.evaluate_poly`: the
-                            generic evaluator, or the perfected polynomial
-                            ring's, which multiplies on dicts and
-                            canonicalises once per component.  The Frobenius
+                            ring map); the perfected polynomial ring
+                            evaluates the cached sum/prod/neg structure
+                            polynomials, their coefficients reduced mod p
+                            since p = 0 in the ring, on dicts with one
+                            canonicalisation per component.  The Frobenius
                             is componentwise;
   * every other ring     -- one ghost transport, `_transport`, any length:
                             lift to the cover (Z/p**M to Z, Z[zeta]/p**M to
@@ -58,7 +56,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 from .errors import CapabilityMissing, LengthMismatch, MalformedConfig
 from .norms import NormValue, norm_max
 from .rings import Integers, Ring
-from .univ import structure_cap, structure_poly_mod_p
+from .univ import structure_cap
 
 __all__ = [
     "WittVec",
@@ -224,25 +222,15 @@ def _same_shape(x: WittVec, y: WittVec) -> None:
 
 
 def _char_p_op(kind: str, x: WittVec, *others: WittVec) -> WittVec:
-    """The ring's own answer (``Ring.char_p_witt_op``), or else the cached
-    ``kind`` structure polynomials reduced mod p; component i reads the
-    first i+1 components of x and then of each other operand."""
+    """The ring's answer (``Ring.char_p_witt_op``), within the cached range
+    of structure polynomials."""
     ring, p = x.ring, x.ring.p
     if x.top_index > structure_cap(p):
         raise CapabilityMissing(
             f"characteristic-p {kind} is cached up to length {structure_cap(p) + 1} "
             f"at p={p}; got length {x.length}"
         )
-    vecs = (x,) + others
-    comps = ring.char_p_witt_op(kind, vecs)
-    if comps is None:
-        comps = tuple(
-            ring.evaluate_poly(
-                structure_poly_mod_p(p, i, kind), [c for v in vecs for c in v.components[: i + 1]]
-            )
-            for i in range(x.length)
-        )
-    return WittVec(ring, comps)
+    return WittVec(ring, ring.char_p_witt_op(kind, (x,) + others))
 
 
 def _binary_op(x: WittVec, y: WittVec, kind: str) -> WittVec:

@@ -162,7 +162,7 @@ def test_theta_is_a_ring_map_on_samples():
 def test_precision_lift_reproduces_the_washed_family():
     small = ZModPM(2, 2)
     a = arrow_from_integer(small, 3, 5)
-    lifted = lift_arrow_precision(a, 1, check=True)
+    lifted = lift_arrow_precision(a, 1)
     assert lifted.ring.M == 3
     want = arrow_from_integer(lifted.ring, 3, 1)
     for n in range(2):
@@ -226,7 +226,7 @@ def test_precision_lift_over_a_cyclotomic_base():
     ring = CycloModPM(2, 2, 1)
     tops = iter([[1, 1], [0, 1], [1, 0], [1, 1], [0, 1]])
     a = sample_coherent(ring, 4, lambda: ring.make(next(tops)))
-    lifted = lift_arrow_precision(a, 1, check=True)
+    lifted = lift_arrow_precision(a, 1)
     assert lifted.ring.to_config() == CycloModPM(2, 2, 2).to_config()
     assert lifted.depth == 1
     assert arrow_to_json(lifted)["levels"] == [[[2, 0]], [[2, 0], [1, 0]]]

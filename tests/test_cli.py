@@ -146,6 +146,42 @@ def test_bad_primes_and_ring_arguments_are_usage_errors(capsys):
         assert out == "" and err.startswith("error: ")
 
 
+# Each invocation exits 2 with an `error: ` message and no traceback.  A row
+# whose second field is set runs as a subprocess with stdout on /dev/full, at
+# that PYTHONUNBUFFERED value, so the write fails from print or from the flush.
+_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+USAGE_ERRORS = [
+    pytest.param(("perfect", "test", '{"instance":"Zmod","p":2}'), None, id="perfect-no-M"),
+    pytest.param(("perfect", "test", '{"instance":"Z"}'), None, id="perfect-no-p"),
+    pytest.param(
+        ("perfect", "test", '{"instance":"zeta-ring","p":2,"k":"x"}'), None, id="perfect-k-not-int"
+    ),
+    pytest.param(("perfect", "test", "Z", "--p", "4"), None, id="perfect-p-not-prime"),
+    pytest.param(("perfect", "test", '{"instance":"Zmod","p":2,"M":0}'), None, id="perfect-M-zero"),
+    pytest.param(("tilt", "untilt", "1", "--n", "-1"), None, id="untilt-negative-n"),
+    pytest.param(("tilt", "add", "1", "2", "--depth", "-1"), None, id="tilt-negative-depth"),
+    pytest.param(("perfect", "test", "--json"), "", id="full-device", marks=_FULL),
+    pytest.param(("perfect", "test", "--json"), "1", id="full-device-unbuffered", marks=_FULL),
+]
+
+
+@pytest.mark.parametrize("argv, unbuffered", USAGE_ERRORS)
+def test_usage_errors_exit_two_with_a_message(capsys, argv, unbuffered):
+    if unbuffered is None:
+        code, out, err = run(capsys, *argv)
+        assert out == "", argv
+    else:
+        env = dict(_subprocess_env(), PYTHONUNBUFFERED=unbuffered)
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "wittlab", *argv],
+                env=env, stdout=full, stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+        code, err = proc.returncode, proc.stderr
+    assert code == 2, (argv, err)
+    assert err.startswith("error: ") and "Traceback" not in err, (argv, err)
+
+
 def test_arrow_lift_and_theta_read_the_ring_option(capsys):
     code, out, _ = run(capsys, "arrow", "lift", "3", "--ring", "ZzetaMod:2", "--json")
     assert code == 0
@@ -380,12 +416,17 @@ def test_universal_dump_refuses_a_p_that_is_not_prime(capsys, p, text):
     assert err.strip() == f"error: {text}"
 
 
-def test_python_dash_m_wittlab_runs_the_cli(capsys):
+def _subprocess_env() -> dict:
+    """The environment of a `python -m wittlab` child that imports this
+    checkout's package."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def test_python_dash_m_wittlab_runs_the_cli(capsys):
     proc = subprocess.run(
         [sys.executable, "-m", "wittlab", "universal", "dump", "--p", "2"],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=_subprocess_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     code, out, _ = run(capsys, "universal", "dump", "--p", "2")
@@ -398,8 +439,7 @@ def test_a_reader_that_closes_the_pipe_early_is_not_an_error():
     end is closed, so the first write fails, from print when stdout is
     unbuffered and from the last flush when it is buffered; either way the
     CLI exits 0, quietly."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = _subprocess_env()
     for unbuffered in ("1", ""):
         env["PYTHONUNBUFFERED"] = unbuffered
         read_end, write_end = os.pipe()

@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wittlab.errors import CapabilityMissing, IntegralityViolation, MalformedConfig, NoRoot
+from wittlab.errors import CapabilityMissing, NoRoot
 from wittlab.norms import NormValue
 from wittlab.perfpoly import PerfPolyRing
-from wittlab.rings import Ring
-from wittlab.univ import UPoly, structure_cap, structure_poly_mod_p
+from wittlab.rings import Ring, ZModPM
+from wittlab.tilt import TiltRing
+from wittlab.univ import structure_cap, structure_poly_mod_p
+from wittlab.witt import WittVec, witt_add, witt_mul
 
 
 @st.composite
@@ -110,29 +112,41 @@ def _samples(ring):
 
 
 @pytest.mark.parametrize("p, nvars", [(2, 1), (2, 2), (3, 1), (3, 2)])
-def test_evaluate_poly_matches_the_generic_evaluator(p, nvars):
-    """One canonicalisation per component gives the element the generic
-    UPoly.evaluate builds add by add, for every cached mod-p structure
-    polynomial, on sample vectors that include zero, one and constants."""
+def test_char_p_witt_op_matches_the_generic_evaluator(p, nvars):
+    """Component i of ``char_p_witt_op``, canonicalised once, is the generic
+    UPoly.evaluate of the cached mod-p structure polynomial at the first
+    i+1 components of each operand, for every kind at the longest cached
+    length, on sample vectors that include zero, one and constants."""
     ring = PerfPolyRing(p, nvars, 2)
     samples = _samples(ring)
-    for kind in ("sum", "prod", "neg"):
-        for index in range(structure_cap(p) + 1):
-            poly = structure_poly_mod_p(p, index, kind)
-            for shift in range(len(samples)):
-                values = [samples[(shift + j) % len(samples)] for j in range(poly.nvars)]
-                got = ring.evaluate_poly(poly, values)
-                assert got == poly.evaluate(ring, values), (kind, index, shift)
+    length = structure_cap(p) + 1
+    for kind, arity in (("sum", 2), ("prod", 2), ("neg", 1)):
+        for shift in range(len(samples)):
+            vecs = [
+                WittVec(ring, tuple(samples[(shift + a + j) % len(samples)] for j in range(length)))
+                for a in range(arity)
+            ]
+            got = ring.char_p_witt_op(kind, vecs)
+            assert len(got) == length
+            for i, comp in enumerate(got):
+                values = [c for v in vecs for c in v.components[: i + 1]]
+                want = structure_poly_mod_p(p, i, kind).evaluate(ring, values)
+                assert comp == want, (kind, shift, i)
 
 
-def test_evaluate_poly_keeps_the_generic_refusals():
+def test_char_p_witt_op_refusals():
+    """Past the cached range ``witt`` refuses before it asks the ring, over
+    the tilt as over this ring; and the ``Ring`` default refuses rather than
+    answer."""
     ring = PerfPolyRing(2, 1, 3)
     x = ring.monomial([Fraction(1, 8)])
-    with pytest.raises(MalformedConfig):
-        ring.evaluate_poly(structure_poly_mod_p(2, 1, "sum"), [x, x, x])
-    with pytest.raises(IntegralityViolation):
-        ring.evaluate_poly(UPoly(1, {(1,): Fraction(1, 2)}), [x])
-    assert ring.evaluate_poly(UPoly(2), [x, x]) == ring.zero()
-    # integer coefficients outside 0..p-1 reduce as through from_int
-    poly = UPoly(2, {(2, 0): 3, (1, 1): -1, (0, 0): 5})
-    assert ring.evaluate_poly(poly, [x, ring.one()]) == poly.evaluate(ring, [x, ring.one()])
+    long = WittVec(ring, (x,) * (structure_cap(2) + 2))
+    cap = "^characteristic-p {} is cached up to length {} at p={}; got length {}$"
+    with pytest.raises(CapabilityMissing, match=cap.format("sum", 4, 2, 5)):
+        witt_add(long, long)
+    tilt = TiltRing(ZModPM(3, 2), 2)
+    one = WittVec(tilt, (tilt.one(),) * (structure_cap(3) + 2))
+    with pytest.raises(CapabilityMissing, match=cap.format("prod", 3, 3, 4)):
+        witt_mul(one, one)
+    with pytest.raises(CapabilityMissing, match="^PerfPoly: no characteristic-p Witt arithmetic$"):
+        Ring.char_p_witt_op(ring, "sum", [long, long])

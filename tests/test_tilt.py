@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from wittlab.cyclotomic import CycloModPM
-from wittlab.errors import DepthExceeded, InsufficientDepth, LengthMismatch, NotEnumerable
+from wittlab.errors import DepthExceeded, LengthMismatch, MalformedConfig, NotEnumerable
 from wittlab.norms import NormValue
 from wittlab.perfpoly import PerfPolyRing
 from wittlab.rings import ZModPM
@@ -225,10 +225,24 @@ def test_untilt_matches_the_chain_of_arrow_ops(base, monkeypatch):
                 x = WittVec(ring, tuple(draw() for _ in range(length)))
                 unghosts.clear()
                 got = untilt(x, N)
-                # each Teichmueller family's Frobenius check, then one per level
-                assert len(unghosts) == length * N + N + 1
+                # one transport per family level, none for the families
+                assert len(unghosts) == N + 1
                 want = oracles.untilt_by_arrow_ops(x, N)
                 assert json.dumps(arrow_to_json(got)) == json.dumps(arrow_to_json(want)), (N, length)
+
+
+def test_negative_depths_are_refused():
+    base = ZModPM(3, 2)
+    depth = "^tilt depth must be a non-negative integer, got -1$"
+    with pytest.raises(MalformedConfig, match=depth):
+        tilt_from_top(base, base.one(), -1)
+    with pytest.raises(MalformedConfig, match=depth):
+        tilt_constant(base, 1, -1)
+    with pytest.raises(MalformedConfig, match=depth):
+        TiltRing(base, -1)
+    x = WittVec(TiltRing(base, 2), (tilt_from_top(base, base.one(), 2),))
+    with pytest.raises(MalformedConfig, match="^the untilt family depth must be >= 0, got -1$"):
+        untilt(x, -1)
 
 
 def test_untilt_isometry_on_certified_inputs():
@@ -272,10 +286,10 @@ _SUM_BASES = [
 ]
 
 
-def _oracle_sum_json(base, xs, ys, out_depth):
+def _oracle_sum_json(base, xs, ys):
     k = getattr(base, "k", None)
     entries = []
-    for digits, prec in oracles.chain_sum(base.p, k, base.M, xs, ys, out_depth):
+    for digits, prec in oracles.chain_sum(base.p, k, base.M, xs, ys, len(xs) - 1):
         payload = digits[0] if k is None else list(digits)
         key = "value" if k is None else "coeffs"
         entries.append(payload if prec == base.M else {key: payload, "prec": prec})
@@ -289,9 +303,9 @@ def _oracle_sum_json(base, xs, ys, out_depth):
 )
 def test_tilt_add_matches_the_per_slot_formula(base, depth):
     """z_m = (x_{m+l} + y_{m+l})^(p^l) mod p^min(l+1, M), l = min(M, D - m),
-    byte for byte, for every out_depth and min_prec, from chains whose slots
-    carry mixed precisions.  The last four draws leave the chains incoherent,
-    so that the slots m < D - M must read their own sums."""
+    byte for byte, from chains whose slots carry mixed precisions.  The last
+    four draws leave the chains incoherent, so that the slots m < D - M must
+    read their own sums."""
 
     def draw():
         return base.from_digits(
@@ -309,12 +323,5 @@ def test_tilt_add_matches_the_per_slot_formula(base, depth):
             chains.append(make_tilt(base, [base.truncate(e, rng.randint(1, base.M)) for e in entries]))
         x, y = chains
         xs, ys = ([(base.digits(e), e.prec) for e in c.entries] for c in chains)
-        for out_depth in range(depth + 1):
-            want = json.dumps(_oracle_sum_json(base, xs, ys, out_depth), sort_keys=True)
-            for min_prec in (None, 1, 2, base.M):
-                if min_prec is not None and min(depth - out_depth + 1, base.M) < min(min_prec, base.M):
-                    with pytest.raises(InsufficientDepth):
-                        tilt_add(x, y, out_depth=out_depth, min_prec=min_prec)
-                    continue
-                got = tilt_add(x, y, out_depth=out_depth, min_prec=min_prec)
-                assert json.dumps(tilt_to_json(got), sort_keys=True) == want
+        want = json.dumps(_oracle_sum_json(base, xs, ys), sort_keys=True)
+        assert json.dumps(tilt_to_json(tilt_add(x, y)), sort_keys=True) == want

@@ -11,9 +11,15 @@ power basis 1, zeta, ..., zeta**(e-1) over one positive denominator, with
 gcd(den, *nums) = 1, so zero is ((0,) * e, 1) and ``==`` and hashing are
 structural.  ``PowerBasisField`` holds the one integer kernel they share: every
 operation runs on the numerators with ``_conv``, ``_pow_int`` and
-``_norm_cofactor`` and normalises once at the end.  The kernel reads its own
-conductor (``root_p``, ``root_k``), which for Q(i) is 2**2 whatever the
-valuation prime p is.  ``inv`` multiplies by conjugates down the tower
+``_norm_cofactor`` and normalises once at the end.  ``_pow_int`` squares on
+``_sqr``, which forms each cross product a_i * a_j (i < j) once and doubles
+it, so a p-th power costs about half a convolution per squaring.  An integer
+element (zero past the constant term) in ``mul``, or zero in ``add`` and
+``sub``, costs O(e): the other operand's numerators are scaled or returned,
+with no convolution, tail reduction or lcm; the ghost ladders multiply by
+``from_int(p**i)`` and sum from ``zero()`` on every level.  The kernel reads
+its own conductor (``root_p``, ``root_k``), which for Q(i) is 2**2 whatever
+the valuation prime p is.  ``inv`` multiplies by conjugates down the tower
 Q(zeta_{p**k}) > Q(zeta_{p**(k-1)}) > ... > Q: each step's relative norm lies
 in the next subfield, the last one is the rational norm N, and
 1/a = den * cofactor / N.  Coefficients print as ``str(Fraction(n, den))``.
@@ -28,7 +34,9 @@ work, one coefficient sum for a unit, and no change-of-basis matrix.  p-th
 roots mod p need no change of basis either: mod p the Frobenius sends zeta**j
 to zeta**(p*j) and fixes F_p, so a class is a p-th power exactly when its
 power-basis residue is supported on multiples of p, and its root reads every
-p-th coefficient (``mod_p_root``).
+p-th coefficient (``mod_p_root_digits`` on residue digits, ``mod_p_root`` on
+elements).  An integer threshold v(a) >= k needs no valuation at all: it is
+p**k-divisibility of the coefficients in Z_(p) (``valuation_at_least``).
 
 ``CycloModPM`` is the truncation O/p**M with per-element digit budgets; its
 ``pow_``, ``pow_p_tower`` and ``seminorm`` read the integer digits directly,
@@ -135,24 +143,38 @@ def _conv(a: Sequence[int], b: Sequence[int], e: int, p: int, step: int) -> list
     return _reduce_tail(out, e, p, step)
 
 
+def _sqr(a: Sequence[int], e: int, p: int, step: int) -> list:
+    """a * a in Z[x] / Phi_{p**k}(x), equal to ``_conv(a, a, ...)``: each
+    product a_i * a_j with i < j is formed once and doubled, the squares sit
+    on the diagonal, and zero entries are skipped."""
+    nonzero = [(i, x) for i, x in enumerate(a) if x]
+    out = [0] * (2 * len(a) - 1)
+    for s, (i, x) in enumerate(nonzero):
+        out[i + i] += x * x
+        x2 = x + x
+        for j, y in nonzero[s + 1 :]:
+            out[i + j] += x2 * y
+    return _reduce_tail(out, e, p, step)
+
+
 def _pow_int(v: Sequence[int], n: int, e: int, p: int, step: int, q: Optional[int] = None) -> list:
     """v ** n in Z[x] / Phi_{p**k}(x) for n >= 1, each product reduced mod q
-    when q is given; square-and-multiply from the lowest set bit."""
+    when q is given; square-and-multiply from the lowest set bit, with the
+    squarings on ``_sqr``."""
 
-    def mul(a: Sequence[int], b: Sequence[int]) -> list:
-        out = _conv(a, b, e, p, step)
+    def reduced(out: list) -> list:
         return [c % q for c in out] if q else out
 
     base = list(v)
     while not n & 1:
-        base = mul(base, base)
+        base = reduced(_sqr(base, e, p, step))
         n >>= 1
     result = base
     n >>= 1
     while n:
-        base = mul(base, base)
+        base = reduced(_sqr(base, e, p, step))
         if n & 1:
-            result = mul(result, base)
+            result = reduced(_conv(result, base, e, p, step))
         n >>= 1
     return result
 
@@ -241,15 +263,29 @@ class PowerBasisField(Ring):
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, a: CVec, b: CVec) -> CVec:
+        if not any(b.nums):
+            return a
+        if not any(a.nums):
+            return b
         return _add(a, b, 1)
 
     def sub(self, a: CVec, b: CVec) -> CVec:
+        if not any(b.nums):
+            return a
+        if not any(a.nums):
+            return self.neg(b)
         return _add(a, b, -1)
 
     def neg(self, a: CVec) -> CVec:
         return CVec(tuple(-s for s in a.nums), a.den)
 
     def mul(self, a: CVec, b: CVec) -> CVec:
+        """The product; an integer element (zero past the constant term) on
+        either side scales the other's numerators instead of a convolution."""
+        if not any(a.nums[1:]):
+            return _canon([a.nums[0] * s for s in b.nums], a.den * b.den)
+        if not any(b.nums[1:]):
+            return _canon([b.nums[0] * s for s in a.nums], a.den * b.den)
         return _canon(_conv(a.nums, b.nums, self.e, self.root_p, self.step), a.den * b.den)
 
     def pow_(self, a: CVec, n: int) -> CVec:
@@ -375,6 +411,17 @@ class CyclotomicField(PowerBasisField):
             return None
         return self.integer_valuation(a.nums) - vp_int(a.den, self.p)
 
+    def valuation_at_least(self, a: CVec, k: int) -> bool:
+        """v(a) >= k for an integer k, True for a = 0, without a valuation:
+        p**k divides every power-basis coefficient in Z_(p).  This is exact
+        because the power basis is a Z-basis of Z[zeta], so a Z_(p)-basis
+        of the valuation ring, whose ideal of valuations >= k is p**k."""
+        need = k + vp_int(a.den, self.p)
+        if need <= 0:
+            return True
+        q = self.p**need
+        return all(c % q == 0 for c in a.nums)
+
     def integer_valuation(self, y: Sequence[int]) -> Fraction:
         """v of the nonzero element of Z[zeta] with power-basis digits y."""
         whole = 0
@@ -389,35 +436,54 @@ class CyclotomicField(PowerBasisField):
 
     # -- roots mod p --------------------------------------------------------------
 
+    def mod_p_root_digits(self, residue: Sequence[int]) -> Optional[Tuple[int, ...]]:
+        """The power-basis digits of the p-th root mod p, of degree below
+        e/p, of the class whose residue digits (each in 0..p-1) are given;
+        None when the class is not a p-th power mod p.
+
+        Mod p, Phi_{p**k} = (x - 1)**e and c(zeta)**p = c(zeta**p) for c over
+        F_p, so the p-th powers in O/p are spanned by the zeta**(p*j) with
+        p*j < e.  A class has a root exactly when its digits are supported on
+        multiples of p, and the root reads every p-th digit (the Frobenius
+        index map).  The root is checked on the digits: root**p = residue
+        mod p, one ``_pow_int`` reduced mod p.
+        """
+        p, e = self.p, self.e
+        res = list(residue)
+        root = res[::p]
+        spread = [0] * e
+        spread[::p] = root
+        if res != spread:
+            return None
+        if _pow_int(root + [0] * (e - len(root)), p, e, p, self.step, p) != res:
+            raise IntegralityViolation("constructed mod-p root failed verification")
+        return tuple(root)
+
     def mod_p_root(self, a: CVec) -> CVec:
         """The p-th root of a mod p of power-basis degree below e/p; raises
         NoRoot when a is not a p-th power mod p.
 
-        Mod p, Phi_{p**k} = (x - 1)**e and c(zeta)**p = c(zeta**p) for c over
-        F_p, so the p-th powers in O/p are spanned by the zeta**(p*j) with
-        p*j < e.  a has a root exactly when its power-basis residue is
-        supported on multiples of p, and the root reads every p-th coefficient
-        (the Frobenius index map).  A class without a root is named by its
-        first t-index off pZ, one more than the t-order of its derivative in
-        zeta.  The root is checked exactly: root**p = a mod p.
+        The root is ``mod_p_root_digits`` of the residue of a, as an element.
+        A class without a root is named by its first t-index off pZ, one more
+        than the t-order of its derivative in zeta, which is computed only
+        then.
         """
-        p = self.p
         res = self.residue_coeffs_mod_p(a)
-        if any(c for i, c in enumerate(res) if i % p):
+        root = self.mod_p_root_digits(res)
+        if root is None:
             # d/dx sends c_i * t**i to -i * c_i * t**(i-1), so the order of
             # the derivative is one less than the first t-index off pZ
             i = self.t_order([j * c for j, c in enumerate(res)][1:]) + 1
             raise NoRoot(
-                f"t-support index {i} is not a multiple of {p}; "
+                f"t-support index {i} is not a multiple of {self.p}; "
                 "the class is not a p-th power mod p"
             )
-        root = self.from_coeffs(res[::p])
-        diff = self.sub(self.pow_(root, p), a)
-        # every coefficient lies in pZ_(p): p divides each numerator (and then,
-        # the form being canonical, not the denominator)
-        if any(c % p for c in diff.nums):
-            raise IntegralityViolation("constructed mod-p root failed verification")
-        return root
+        return self.from_coeffs(root)
+
+    def pow_digits_mod(self, digits: Sequence[int], n: int, q: int) -> Tuple[int, ...]:
+        """The power-basis digits, each in 0..q-1, of y**n mod q for n >= 1
+        and y in Z[zeta] with these digits: one ``_pow_int`` reduced mod q."""
+        return tuple(_pow_int(digits, n, self.e, self.p, self.step, q))
 
     # -- embeddings ------------------------------------------------------------------
 
@@ -730,8 +796,4 @@ class CyclotomicTower:
         lo, hi = self.field(level), self.field(level + 1)
         s = self.embed_up(level, level + 1, lo.uniformizer())
         t_pow = hi.pow_(hi.uniformizer(), self.p)
-        diff = hi.sub(s, t_pow)
-        if hi.is_zero(diff):
-            return True
-        v = hi.valuation(diff)
-        return v is not None and v >= 1
+        return hi.valuation_at_least(hi.sub(s, t_pow), 1)

@@ -12,6 +12,13 @@ out of enumeration.  For cyclotomic towers condition (b) reduces to condition
 (a) through the element x1 with x1**p = p mod p**2: given a root c of a one
 level up, b = x1 * c satisfies b**p = p * c**p = p*a mod p**2.
 
+Both are computed on power-basis residue tuples, not on field elements: (a)
+by ``CyclotomicField.mod_p_root_digits`` on the digits mod p, (b) by
+``CyclotomicField.pow_digits_mod`` on the digits mod p**2.  A valuation
+bound at an integer, such as v(b**p - p*a) >= 2, is read as divisibility of
+the coefficients by p**2 (``CyclotomicField.valuation_at_least``), which is
+exact because the power basis is a Z-basis of Z[zeta].
+
 Root sequences x1, x2, ... with x_{n+1}**p = x_n mod p and exact valuation
 v(x_n) = p**(-n) are built constructively: closed forms zeta + 1/zeta for
 p = 2, and for p = 3 the seed x1 = u * (1 - zeta_9)**2 in Z[zeta_27], where
@@ -101,8 +108,7 @@ class RootSequence:
         checks: Dict[str, bool] = {}
         f1 = self.tower.field(1)
         diff = f1.sub(f1.pow_(self.value(1), p), f1.from_int(p))
-        v = f1.valuation(diff)
-        checks["x1_pth_power_is_p_mod_p2"] = v is None or v >= 2
+        checks["x1_pth_power_is_p_mod_p2"] = f1.valuation_at_least(diff, 2)
         for n in range(1, self.top_level + 1):
             fn = self.tower.field(n)
             vn = fn.valuation(self.value(n))
@@ -113,8 +119,7 @@ class RootSequence:
                 hi.pow_(self.value(n + 1), p),
                 self.tower.embed_up(n, n + 1, self.value(n)),
             )
-            v = hi.valuation(diff)
-            checks[f"coherence_level_{n}"] = v is None or v >= 1
+            checks[f"coherence_level_{n}"] = hi.valuation_at_least(diff, 1)
         return checks
 
 
@@ -268,13 +273,10 @@ def _check_cyclotomic_ring(p: int, k: int, enum_limit: int = 2 ** 16) -> Perfect
     witness_a = None
     root_ok = 0
     for coeffs in _residue_vectors(p, e):
-        a = field.from_coeffs(coeffs)
-        try:
-            field.mod_p_root(a)
+        if field.mod_p_root_digits(coeffs) is not None:
             root_ok += 1
-        except NoRoot:
-            if witness_a is None:
-                witness_a = field.format_elt(a)
+        elif witness_a is None:
+            witness_a = field.format_elt(field.from_coeffs(coeffs))
     cond_a = {
         "holds": witness_a is None,
         "checked": p ** e,
@@ -284,9 +286,7 @@ def _check_cyclotomic_ring(p: int, k: int, enum_limit: int = 2 ** 16) -> Perfect
     q = p * p
     image_b = {}
     for coeffs in _residue_vectors(p, e):
-        b = field.from_coeffs(coeffs)
-        bp = field.integral_coeffs(field.pow_(b, p))
-        image_b.setdefault(tuple(c % q for c in bp), coeffs)
+        image_b.setdefault(field.pow_digits_mod(coeffs, p, q), coeffs)
     witness_b = None
     for coeffs in _residue_vectors(p, e):
         target = tuple((p * c) % q for c in coeffs)
@@ -296,7 +296,7 @@ def _check_cyclotomic_ring(p: int, k: int, enum_limit: int = 2 ** 16) -> Perfect
     # the a = 1 instance gets its own record: a root of b**p = p mod p**2
     # exists in some single rings (it seeds the tower construction) even
     # when the all-a condition fails
-    one_target = tuple((p * c) % q for c in field.integral_coeffs(field.one()))
+    one_target = (p,) + (0,) * (e - 1)
     root_of_p = image_b.get(one_target)
     cond_b = {
         "holds": witness_b is None,
@@ -347,14 +347,13 @@ def _check_tower(
         b_ok = 0
         x1_up = tower.embed_up(1, k + 1, x1)
         for coeffs in pool:
-            a = lo.from_coeffs(coeffs)
-            a_up = tower.embed_up(k, k + 1, a)
+            a_up = tower.embed_up(k, k + 1, lo.from_coeffs(coeffs))
             c = hi.mod_p_root(a_up)  # raises NoRoot on failure
             roots_ok += 1
-            b = hi.mul(x1_up, c)
-            diff = hi.sub(hi.pow_(b, p), hi.scalar_mul(p, a_up))
-            v = hi.valuation(diff)
-            if v is None or v >= 2:
+            # x1 and c lie in Z[zeta], so b**p mod p**2 reads b's digits
+            bp = hi.pow_digits_mod(hi.integral_coeffs(hi.mul(x1_up, c)), p, p * p)
+            diff = hi.sub(hi.from_coeffs(bp), hi.mul(hi.from_int(p), a_up))
+            if hi.valuation_at_least(diff, 2):
                 b_ok += 1
         ok = purity and roots_ok == len(pool) and b_ok == len(pool)
         all_ok = all_ok and ok
@@ -401,9 +400,12 @@ def witt_perfect_test(config: dict, rng=None) -> PerfectReport:
 
         rng = random.Random(0)
     tower = {"levels": 1, "samples": 48, **config}
-    return _check_tower(
-        p, _need(tower, "levels", inst), rng, samples=_need(tower, "samples", inst)
-    )
+    levels, samples = _need(tower, "levels", inst), _need(tower, "samples", inst)
+    # a tower test with no level or no draw checks nothing and must not say yes
+    for key, value in (("levels", levels), ("samples", samples)):
+        if value < 1:
+            raise MalformedConfig(f"{key!r} must be at least 1, got {value}")
+    return _check_tower(p, levels, rng, samples=samples)
 
 
 # ---------------------------------------------------------------------------

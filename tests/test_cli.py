@@ -158,6 +158,17 @@ USAGE_ERRORS = [
     ),
     pytest.param(("perfect", "test", "Z", "--p", "4"), None, id="perfect-p-not-prime"),
     pytest.param(("perfect", "test", '{"instance":"Zmod","p":2,"M":0}'), None, id="perfect-M-zero"),
+    pytest.param(("perfect", "test", "tower", "--depth", "0"), None, id="perfect-tower-depth-zero"),
+    pytest.param(
+        ("perfect", "test", '{"instance":"tower","p":3,"levels":1,"samples":0}'),
+        None,
+        id="perfect-tower-samples-zero",
+    ),
+    pytest.param(
+        ("perfect", "test", '{"instance":"tower","p":3,"levels":-1}'),
+        None,
+        id="perfect-tower-levels-negative",
+    ),
     pytest.param(("tilt", "untilt", "1", "--n", "-1"), None, id="untilt-negative-n"),
     pytest.param(("tilt", "add", "1", "2", "--depth", "-1"), None, id="tilt-negative-depth"),
     pytest.param(("perfect", "test", "--json"), "", id="full-device", marks=_FULL),

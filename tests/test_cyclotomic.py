@@ -317,3 +317,26 @@ def test_mod_p_root_matches_the_t_basis_root_on_drawn_lifts(p, k):
         inv = pow(d, -1, p)
         roots += _check_mod_p_root(field, a, [x * inv % p for x in c])
     assert roots >= 100
+
+
+@pytest.mark.parametrize("p, k", [(2, 2), (2, 3), (3, 1), (3, 2), (5, 1)])
+def test_integer_valuation_threshold_matches_the_valuation(p, k):
+    """v(a) >= k read as p^k-divisibility of the coefficients, against the
+    valuation: 0, units, uniformizer powers around each integer threshold,
+    and drawn elements over denominators prime to p and divisible by p."""
+    field = cyclotomic_field(p, k)
+    t = field.uniformizer()
+    rng = random.Random(p * 10 + k)
+    elements = [field.zero(), field.one(), field.zeta(), field.from_int(p**3)]
+    elements += [field.pow_(t, j) for j in range(4 * field.e + 2)]
+    elements += [field.exact_divide_by_p(field.pow_(t, j)) for j in (field.e - 1, field.e, field.e + 1)]
+    for _ in range(80):
+        den = rng.choice((1, 1, 2, 7, 11, p, p * p, 3 * p))
+        scale = p ** rng.randrange(4)
+        elements.append(
+            field.from_coeffs([Fraction(scale * rng.randint(-20, 20), den) for _ in range(field.e)])
+        )
+    for a in elements:
+        v = field.valuation(a)
+        for threshold in range(4):
+            assert field.valuation_at_least(a, threshold) == (v is None or v >= threshold), (a, threshold)

@@ -5,11 +5,23 @@ canonical: den > 0, gcd(den, *nums) = 1, and zero is ((0,) * e, 1).
 """
 
 import math
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from wittlab.cyclotomic import CVec, CyclotomicField, GaussianField, cyclotomic_field
+from wittlab.cyclotomic import (
+    CVec,
+    CyclotomicField,
+    GaussianField,
+    _add,
+    _canon,
+    _conv,
+    _pow_int,
+    _sqr,
+    cyclotomic_field,
+)
 
 import oracles
 
@@ -128,6 +140,66 @@ def test_embeddings_stretch_the_power_basis(data):
     want = [Fraction(0)] * hi.e
     want[::stretch] = a
     assert canonical(hi, lo.embed(lo.from_coeffs(a), hi)) == tuple(want)
+
+
+SQUARING_SHAPES = [(2, k) for k in range(1, 7)] + [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2)]
+
+
+def _draw_digits(rng, e):
+    """Zeros, small signed entries and ~300-bit signed entries, mixed."""
+    return [
+        rng.choice((0, 0, rng.randint(-9, 9), rng.choice((1, -1)) * rng.getrandbits(300)))
+        for _ in range(e)
+    ]
+
+
+@pytest.mark.parametrize("p, k", SQUARING_SHAPES)
+def test_squaring_kernel_matches_the_convolution(p, k):
+    field = cyclotomic_field(p, k)
+    e, step, q = field.e, field.step, p**7
+    rng = random.Random(p * 100 + k)
+    draws = [[0] * e, [0] * (e - 1) + [rng.getrandbits(300)]]
+    draws += [_draw_digits(rng, e) for _ in range(12)]
+    for a in draws:
+        want = _conv(a, a, e, p, step)
+        assert _sqr(a, e, p, step) == want
+        assert _pow_int(a, 2, e, p, step) == want
+        assert _pow_int(a, 2, e, p, step, q) == [c % q for c in want]
+        cube = _conv(want, a, e, p, step)
+        assert _pow_int(a, 3, e, p, step) == cube
+        assert _pow_int(a, 3, e, p, step, q) == [c % q for c in cube]
+
+
+FAST_PATH_FIELDS = [cyclotomic_field(2, 3), cyclotomic_field(3, 2), GaussianField(2), GaussianField(5)]
+
+
+@pytest.mark.parametrize("field", FAST_PATH_FIELDS, ids=lambda f: f"{f.kind}-{f.e}-{f.p}")
+def test_integer_and_zero_operands_give_the_general_results(field):
+    """add, sub and mul with an integer element (zero past the constant term,
+    possibly over a denominator) or zero on either side, against the
+    general kernels, with denominators on the other side."""
+    rng = random.Random(field.e * 10 + field.p)
+
+    def general_mul(a, b):
+        return _canon(_conv(a.nums, b.nums, field.e, field.root_p, field.step), a.den * b.den)
+
+    for _ in range(40):
+        x = field.from_coeffs(
+            [Fraction(rng.randint(-60, 60), rng.choice((1, 2, 3, 4, 9, 10))) for _ in range(field.e)]
+        )
+        scalars = [
+            field.zero(),
+            field.from_int(rng.randint(-50, 50)),
+            field.from_coeffs([Fraction(rng.randint(-50, 50), rng.choice((2, 3, 5, 6)))]),
+        ]
+        for c in scalars:
+            for a, b in ((c, x), (x, c)):
+                for got, want in (
+                    (field.add(a, b), _add(a, b, 1)),
+                    (field.sub(a, b), _add(a, b, -1)),
+                    (field.mul(a, b), general_mul(a, b)),
+                ):
+                    assert type(got) is CVec and got == want, (a, b)
 
 
 def test_elements_print_as_fractions_over_one_denominator():

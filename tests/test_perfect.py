@@ -257,3 +257,16 @@ def test_power_ideal_check_validates_its_exponents():
 def test_unknown_instance_is_rejected():
     with pytest.raises(MalformedConfig):
         witt_perfect_test({"instance": "nope", "p": 2})
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"levels": 0}, "levels"),
+        ({"levels": -1}, "levels"),
+        ({"levels": 1, "samples": 0}, "samples"),
+    ],
+)
+def test_a_tower_test_that_checks_nothing_is_refused(config, key):
+    with pytest.raises(MalformedConfig, match=f"'{key}' must be at least 1"):
+        witt_perfect_test({"instance": "tower", "p": 3, **config})

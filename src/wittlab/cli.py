@@ -477,7 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run a named verification suite")
     sp.add_argument("suite", choices=SUITE_NAMES)
-    sp.add_argument("--p", type=int, default=None, help="restrict the suite to one prime")
+    restrict = "restrict to one prime; checks without a case there are reported as skipped"
+    sp.add_argument("--p", type=int, default=None, help=restrict)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=_cmd_verify)

@@ -14,7 +14,8 @@ a Gauss norm with radius > 1, so this ring is the stock example of unbounded
 growth for overconvergence checks.
 
 Char-p Witt ops reach this ring through its override of
-``Ring.char_p_witt_op``, which evaluates the cached mod-p structure
+``Ring.char_p_witt_op``.  It refuses vectors longer than the cached range
+(``univ.structure_cap``), and evaluates the cached mod-p structure
 polynomial of each component: it takes each power x_i**e once per component
 (a p-power is an exponent shift), forms the term products and their sum on
 plain dicts of monomials with unreduced integer coefficients, and reduces mod
@@ -37,7 +38,7 @@ from .errors import (
 )
 from .norms import NormValue
 from .rings import Ring, check_prime
-from .univ import structure_poly_mod_p
+from .univ import structure_cap, structure_poly_mod_p
 
 Monomial = Tuple[int, ...]
 PPoly = Tuple[Tuple[Monomial, int], ...]
@@ -140,10 +141,17 @@ class PerfPolyRing(Ring):
     def char_p_witt_op(self, kind: str, vecs: Sequence[Any]) -> Tuple[PPoly, ...]:
         """Component i is the mod-p structure polynomial ``kind`` at the
         first i+1 components of each vector, evaluated with one
-        canonicalisation, as the module docstring describes."""
+        canonicalisation, as the module docstring describes.  Lengths beyond
+        the cached range are refused rather than approximated."""
+        length, cap = vecs[0].length, structure_cap(self.p)
+        if length > cap + 1:
+            raise CapabilityMissing(
+                f"characteristic-p {kind} is cached up to length {cap + 1} "
+                f"at p={self.p}; got length {length}"
+            )
         unit_mono = (0,) * self.nvars
         comps = []
-        for i in range(vecs[0].length):
+        for i in range(length):
             values = [c for v in vecs for c in v.components[: i + 1]]
             powers: Dict[Tuple[int, int], PPoly] = {}
             acc: Dict[Monomial, int] = {}

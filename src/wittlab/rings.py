@@ -140,11 +140,11 @@ class Ring(ABC):
 
     def char_p_witt_op(self, kind: str, vecs: Sequence[Any]) -> Tuple[Any, ...]:
         """The components of the characteristic-p Witt op ``kind`` (``sum``,
-        ``prod`` or ``neg``) on the equal-length vectors ``vecs``, within the
-        length ``witt`` has checked against ``structure_cap``.  Every ring of
-        characteristic p overrides it: the tilt by one base-ring Witt op per
-        chain slot, the perfected polynomial ring by evaluating the cached
-        mod-p structure polynomials."""
+        ``prod`` or ``neg``) on the equal-length vectors ``vecs``.  Every ring
+        of characteristic p overrides it: the tilt by one base-ring Witt op per
+        chain slot, at any length; the perfected polynomial ring by evaluating
+        the cached mod-p structure polynomials, refusing lengths past
+        ``structure_cap``."""
         raise CapabilityMissing(f"{self.kind}: no characteristic-p Witt arithmetic")
 
     @abstractmethod

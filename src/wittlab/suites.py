@@ -19,12 +19,14 @@ Random ring elements come from one draw per ring kind, `_draw_elt` (one
 ``randrange(p**M)`` per digit over a truncated ring), and random units
 1 + p*(...) of a cyclotomic field from `_draw_unit`.
 
-A check that covers several primes keeps the grid entries at ``--p`` and
-refuses a prime it does not cover; a check that exists at p = 2 only runs when
-``--p`` is unset or 2, and is left out of the report otherwise.  A single
-suite passes the refusal on; ``all`` reports each refusing check as one
-inconclusive case that names the primes it covers, and refuses only when no
-check runs at ``--p``.
+Each check states its primes once, as a `Check(name, primes, run)` in
+`_SUITES` (``primes=None``: every prime), and `run_suite` alone decides what
+runs.  It calls ``run(rng, primes)`` with the primes the check runs at: all of
+its own, or ``--p`` alone.  A grid check keeps its instances at those primes,
+in grid order.  A check whose primes exclude ``--p`` is reported as one
+inconclusive ``skipped`` case that names the primes it covers, and a check
+that returns no case as one failing case.  One suite and ``all`` follow the
+same rule, and either is refused only when none of its checks covers ``--p``.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .arrow import (
     ArrowElt,
@@ -283,21 +285,6 @@ def _draw_unit(rng: random.Random, fld: CyclotomicField) -> Any:
     return fld.add(fld.one(), fld.scalar_mul(fld.p, coeffs))
 
 
-class _NoCaseAtPrime(MalformedConfig):
-    """A check has no case at the requested prime."""
-
-
-def _filter_grid(grid: Sequence, p: Optional[int], key=lambda item: item) -> List:
-    """The cases of ``grid`` at the prime p (all of them when p is None)."""
-    if p is None:
-        return list(grid)
-    kept = [item for item in grid if key(item) == p]
-    if not kept:
-        covered = ", ".join(str(q) for q in sorted({key(item) for item in grid}))
-        raise _NoCaseAtPrime(f"--p {p}: this check covers p in {{{covered}}} only")
-    return kept
-
-
 # ---------------------------------------------------------------------------
 # structure polynomials (suite: universal)
 # ---------------------------------------------------------------------------
@@ -312,12 +299,12 @@ def _ghost_compose(polys: Sequence[UPoly], p: int) -> UPoly:
     return acc
 
 
-def check_structure_polynomials(rng: random.Random, p: Optional[int] = None) -> List[CaseResult]:
+def check_structure_polynomials(rng: random.Random, primes: Sequence[int]) -> List[CaseResult]:
     """Exact polynomial identities and weighted homogeneity of the cached
     sum/prod/frob component polynomials."""
     del rng  # fully deterministic
     cases: List[CaseResult] = []
-    for q in _filter_grid((2, 3, 5), p):
+    for q in primes:
         cap = structure_cap(q)
         ghosts = _Law(f"ghost_identities_p{q}")
         carry = _Law(f"carry_decomposition_p{q}")
@@ -440,13 +427,14 @@ _RING_LAWS: Dict[str, Tuple[int, Callable[..., bool]]] = {
 
 
 def check_witt_ring_laws(
-    rng: random.Random, p: Optional[int] = None, per_law: int = 500
+    rng: random.Random, primes: Optional[Sequence[int]], per_law: int = 500
 ) -> List[CaseResult]:
     """Commutative-ring axioms and ghost-homomorphism identities, randomized
     over exact base rings at lengths 1-3, where ghost injectivity makes
     componentwise equality the right notion of truth, and over truncated
-    rings at lengths 1-5, where equality is up to the common precision."""
-    rings = _law_rings(p)
+    rings at lengths 1-5, where equality is up to the common precision.
+    The laws hold at every prime: ``primes`` is None or the one prime asked."""
+    rings = _law_rings(primes[0] if primes else None)
     names = ", ".join(_trunc_label(r) if r.truncated else r.kind for r in rings)
     cases = []
     for name, (arity, identity) in _RING_LAWS.items():
@@ -471,15 +459,15 @@ _RELATIONS = {"<=": operator.le, "==": operator.eq, ">=": operator.ge}
 
 
 def check_norm_laws(
-    rng: random.Random, p: Optional[int] = None, samples: int = 500
+    rng: random.Random, primes: Sequence[int], samples: int = 500
 ) -> List[CaseResult]:
     """Ultrametric/submultiplicative bounds, the exact Verschiebung identity,
     and the power-multiplicative lower bound for the componentwise norm."""
-    instances = _filter_grid(
-        [Rationals(2), Rationals(3), GaussianField(5), cyclotomic_field(2, 3)],
-        p,
-        key=lambda r: r.p,
-    )
+    instances = [
+        r
+        for r in (Rationals(2), Rationals(3), GaussianField(5), cyclotomic_field(2, 3))
+        if r.p in primes
+    ]
     laws = [
         _Law("norm_ultrametric"),
         _Law("norm_submultiplicative"),
@@ -522,12 +510,12 @@ def check_norm_laws(
 # ---------------------------------------------------------------------------
 
 
-def check_mul_by_p_norm(rng: random.Random, p: Optional[int] = None) -> List[CaseResult]:
+def check_mul_by_p_norm(rng: random.Random, primes: Sequence[int]) -> List[CaseResult]:
     """|p^m|_{W,b} = p^(-min(b,1)m) exactly, sup attained within depth m+1."""
     del rng
     bs = (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2))
     cases = []
-    for q in _filter_grid((2, 3), p):
+    for q in primes:
         ring = Integers(q)
         law = _Law(f"mul_by_p_norm_p{q}")
         for m in range(4):
@@ -590,14 +578,12 @@ def _induced(a: ArrowElt) -> Tuple[int, int, int]:
     return tuple(a.ring.digits(c)[0] for c in (z00, z10, z11))
 
 
-def check_depth_lifting(rng: random.Random, p: Optional[int] = None) -> List[CaseResult]:
+def check_depth_lifting(rng: random.Random, primes: Sequence[int]) -> List[CaseResult]:
     """Exhaustive reduction/lift analysis between depth-4 families mod 4 and
     depth-1 families mod 2: the induced depth-1 data mod 4 depends only on
     the mod-2 reduction (uniqueness), every mod-2 family is hit (existence),
     and the precision-lifting construction reproduces the same values."""
-    del rng
-    if p not in (None, 2):
-        return []  # the exhaustive instance is p=2 by design
+    del rng, primes  # the exhaustive instance is p=2 by design
     r4, r2 = ZModPM(2, 2), ZModPM(2, 1)
     fibers: Dict[Tuple[int, ...], set] = {}
     hit: set = set()
@@ -672,13 +658,13 @@ def check_depth_lifting(rng: random.Random, p: Optional[int] = None) -> List[Cas
 
 
 def check_theta_map(
-    rng: random.Random, p: Optional[int] = None, samples: int = 100, pairs: int = 100
+    rng: random.Random, primes: Sequence[int], samples: int = 100, pairs: int = 100
 ) -> List[CaseResult]:
     """The projection theta against the classical partial series, lift
     stability at the p^(M-N) scale, and the ring-homomorphism property."""
     cases = []
     M = 6
-    for q in _filter_grid((2, 3), p):
+    for q in primes:
         ring = ZModPM(q, M)
         draw = functools.partial(_draw_elt, rng, ring)
         fmt = ring.format_elt
@@ -764,7 +750,7 @@ def _ghost_p2(x: Sequence[int]) -> List[int]:
 
 def check_integer_rigidity(
     rng: random.Random,
-    p: Optional[int] = None,
+    primes: Sequence[int],
     bound: int = 8,
     perturbations: int = 200,
     cross: int = 300,
@@ -776,8 +762,7 @@ def check_integer_rigidity(
     w_m = w_(m-1) mod 2^m over all tops is exactly the family statement;
     the sampled cross-check below re-derives it through the arrow machinery.
     """
-    if p not in (None, 2):
-        return []  # the ghost polynomials below are written out at p=2
+    del primes  # the ghost polynomials below are written out at p=2
     N = 3
     exhaustive = _Law("rigidity_exhaustive")
     for top in itertools.product(range(-bound, bound + 1), repeat=N + 1):
@@ -854,7 +839,7 @@ def _unit_times_power(rng: random.Random, ring: Ring, val_steps: int) -> Any:
 
 
 def check_kernel_norm(
-    rng: random.Random, p: Optional[int] = None, samples: int = 50
+    rng: random.Random, primes: Sequence[int], samples: int = 50
 ) -> List[CaseResult]:
     """|w_1(x)| = p^(-1/p-...-1/p^j) |x|_W for the Frobenius-kernel family."""
     closed = _Law("kernel_closed_form")
@@ -879,7 +864,7 @@ def check_kernel_norm(
         (3, Rationals(3), "Q"),
         (3, cyclotomic_field(3, 2), "Q(zeta9)"),
     ]
-    for q, ring, label in _filter_grid(grid, p, key=lambda g: g[0]):
+    for q, ring, label in [g for g in grid if g[0] in primes]:
         steps = 1 if isinstance(ring, Rationals) else ring.e
         law = _Law(f"kernel_norm_{label.replace('(', '_').replace(')', '')}_p{q}")
         for j in (1, 2):
@@ -941,12 +926,11 @@ def _independent_pth_power_set(p: int, k: int, q: int) -> Dict[Tuple[int, ...], 
     return seen
 
 
-def check_perfect_verdicts(rng: random.Random, p: Optional[int] = None) -> List[CaseResult]:
+def check_perfect_verdicts(rng: random.Random, primes: Sequence[int]) -> List[CaseResult]:
     """Witt-perfectness yes/no verdicts with independently re-verified
     witnesses: plain residue rings fail, the small cyclotomic rings behave as
     recorded, and the towers pass up to level 2.  Each case runs at its own
-    prime; ``p`` keeps those at p."""
-    primes = _filter_grid((2, 3, 5), p)
+    prime, and only the cases at ``primes`` run."""
     cases = []
 
     integers = _Law("integers_not_perfect")
@@ -1079,12 +1063,12 @@ def _normed_contract(seq, lvl: int, head: Any) -> bool:
 
 
 def check_frobenius_solving(
-    rng: random.Random, p: Optional[int] = None, fuzz: int = 100
+    rng: random.Random, primes: Sequence[int], fuzz: int = 100
 ) -> List[CaseResult]:
     """Greedy digit solving round-trips over Z/p^M and the normed tower
     solver's exact contract |y|^p <= |x|."""
     cases = []
-    for q, M in _filter_grid([(2, 6), (3, 5)], p, key=lambda t: t[0]):
+    for q, M in [(q, M) for q, M in ((2, 6), (3, 5)) if q in primes]:
         ring = ZModPM(q, M)
         roundtrip = _Law(f"solve_roundtrip_p{q}")
         for s in range(fuzz):
@@ -1103,7 +1087,7 @@ def check_frobenius_solving(
             )
         )
 
-    if p in (None, 2):
+    if 2 in primes:
         ring = ZModPM(2, 6)
         wrong = _Law("solve_total_correctness")
         solved = refused = 0
@@ -1156,7 +1140,7 @@ def check_frobenius_solving(
             )
         )
 
-    if p in (None, 3):
+    if 3 in primes:
         seq3 = build_root_sequence(3, 3)
         f1 = seq3.tower.field(1)
         contract = _Law("solve_normed_contract_p3")
@@ -1183,13 +1167,13 @@ def check_frobenius_solving(
 # ---------------------------------------------------------------------------
 
 
-def check_tilt_ring_laws(rng: random.Random, p: Optional[int] = None) -> List[CaseResult]:
+def check_tilt_ring_laws(rng: random.Random, primes: Sequence[int]) -> List[CaseResult]:
     """Exhaustive ring laws for chain arithmetic over Z/2^3 and Z/3^2,
     the characteristic-p identity, and Frobenius bijectivity at the
     precision the chains actually certify."""
     del rng
     cases = []
-    for q, M in _filter_grid(((2, 3), (3, 2)), p, key=lambda t: t[0]):
+    for q, M in [(q, M) for q, M in ((2, 3), (3, 2)) if q in primes]:
         base = ZModPM(q, M)
         D = 3
         chains = enumerate_tilts(base, D)
@@ -1274,12 +1258,11 @@ def check_tilt_ring_laws(rng: random.Random, p: Optional[int] = None) -> List[Ca
 
 
 def check_charp_overconvergence(
-    rng: random.Random, p: Optional[int] = None, samples: int = 100
+    rng: random.Random, primes: Sequence[int], samples: int = 100
 ) -> List[CaseResult]:
     """Inverse-limit norm equals the closed sup formula over a perfected
     polynomial ring, and the degree-growth dichotomy is two-sided."""
-    if p not in (None, 2):
-        return []  # the perfected polynomial ring is F_2[x^(1/2^oo)]
+    del primes  # the perfected polynomial ring is F_2[x^(1/2^oo)]
     ring = PerfPolyRing(2, 1, 8)
     bs = (Fraction(1, 2), Fraction(1), Fraction(2))
     limit = _Law("charp_limit_vs_formula")
@@ -1317,12 +1300,10 @@ def check_charp_overconvergence(
 # ---------------------------------------------------------------------------
 
 
-def check_untilt_isometry(rng: random.Random, p: Optional[int] = None) -> List[CaseResult]:
+def check_untilt_isometry(rng: random.Random, primes: Sequence[int]) -> List[CaseResult]:
     """arrow_norm(untilt(x), b) == charp norm of x for b <= 1 on certified
     chain vectors over the conductor-32 truncated cyclotomic base."""
-    del rng
-    if p not in (None, 2):
-        return []  # the conductor-32 base is a p=2 instance
+    del rng, primes  # the conductor-32 base is a p=2 instance
     base = CycloModPM(2, 5, 4)
     D = 4
     tring = TiltRing(base, D)
@@ -1374,12 +1355,12 @@ def check_untilt_isometry(rng: random.Random, p: Optional[int] = None) -> List[C
 
 
 def check_inverse_frobenius_sandwich(
-    rng: random.Random, p: Optional[int] = None, samples: int = 100
+    rng: random.Random, primes: Sequence[int], samples: int = 100
 ) -> List[CaseResult]:
     """Both displayed inequalities tying |x|_{W,b} to the shifted family."""
-    rings: List[TruncatedRing] = _filter_grid(
-        [ZModPM(2, 6), ZModPM(3, 4), CycloModPM(2, 3, 4)], p, key=lambda r: r.p
-    )
+    rings: List[TruncatedRing] = [
+        r for r in (ZModPM(2, 6), ZModPM(3, 4), CycloModPM(2, 3, 4)) if r.p in primes
+    ]
     bs = (Fraction(1), Fraction(2), Fraction(4))
     law = _Law("inverse_frobenius_sandwich")  # definite failures
     unsettled = _Law("inverse_frobenius_sandwich")  # inconclusive samples
@@ -1417,13 +1398,12 @@ def check_inverse_frobenius_sandwich(
 # ---------------------------------------------------------------------------
 
 
-def check_invariant_profiles(rng: random.Random, p: Optional[int] = None) -> List[CaseResult]:
+def check_invariant_profiles(rng: random.Random, primes: Sequence[int]) -> List[CaseResult]:
     """Bounded/unbounded constant-ghost profiles over Q(i) against the
     localized-subring prediction, plus the Teichmueller fixed-point test.
-    Each sample runs at its own prime; ``p`` keeps those at p, and a case
-    left with no sample is dropped."""
+    Each sample runs at its own prime; only those at ``primes`` run, and a
+    case left with no sample is dropped."""
     del rng
-    primes = _filter_grid((3, 5, 7), p)
     f5, f3 = GaussianField(5), GaussianField(3)
     cases = []
 
@@ -1487,18 +1467,19 @@ def check_invariant_profiles(rng: random.Random, p: Optional[int] = None) -> Lis
         )
 
     teich = _Law("teichmuller_fixed_points")
-    teich_samples = at_primes([
+    every_teich_sample = [
         (f5, i5, True, "i^5 = i makes [i] shift-invariant at p=5"),
         (f3, i3, False, "i^3 = -i breaks the shift-invariance of [i] at p=3"),
         (f5, f5.one(), True, "1 is invariant at p=5"),
         (Rationals(7), Fraction(1), True, "1 is invariant at p=7"),
-    ])
+    ]
+    teich_samples = at_primes(every_teich_sample)
     for fld, f, fixed, _ in teich_samples:
         teich.check(
             teichmuller_phi_invariance(fld, f) == fixed,
             lambda: f"r={fld.format_elt(f)} over {fld!r}: r^p = r is {not fixed}",
         )
-    if p is None:
+    if teich_samples == every_teich_sample:
         teich_detail = (
             "i^5 = i makes [i] shift-invariant at p=5; i^3 = -i breaks it at p=3; "
             "1 is invariant at every p"
@@ -1513,62 +1494,81 @@ def check_invariant_profiles(rng: random.Random, p: Optional[int] = None) -> Lis
 # suite registry and runner
 # ---------------------------------------------------------------------------
 
-Check = Callable[..., List[CaseResult]]
+class Check(NamedTuple):
+    """A registered check: its name, the primes it has cases at (None: every
+    prime) and ``run(rng, primes)``, which runs it at the given primes."""
 
-_SUITES: Dict[str, List[Tuple[str, Check]]] = {
-    "universal": [("structure_polynomials", check_structure_polynomials)],
-    "ghost": [("witt_ring_laws", check_witt_ring_laws)],
-    "norms": [("norm_laws", check_norm_laws)],
+    name: str
+    primes: Optional[Tuple[int, ...]]
+    run: Callable[..., List[CaseResult]]
+
+    def covers(self, p: Optional[int]) -> bool:
+        return p is None or self.primes is None or p in self.primes
+
+
+_SUITES: Dict[str, List[Check]] = {
+    "universal": [Check("structure_polynomials", (2, 3, 5), check_structure_polynomials)],
+    "ghost": [Check("witt_ring_laws", None, check_witt_ring_laws)],
+    "norms": [Check("norm_laws", (2, 3, 5), check_norm_laws)],
     "arrow": [
-        ("mul_by_p_norm", check_mul_by_p_norm),
-        ("depth_lifting", check_depth_lifting),
-        ("theta_map", check_theta_map),
-        ("integer_rigidity", check_integer_rigidity),
-        ("inverse_frobenius_sandwich", check_inverse_frobenius_sandwich),
+        Check("mul_by_p_norm", (2, 3), check_mul_by_p_norm),
+        Check("depth_lifting", (2,), check_depth_lifting),
+        Check("theta_map", (2, 3), check_theta_map),
+        Check("integer_rigidity", (2,), check_integer_rigidity),
+        Check("inverse_frobenius_sandwich", (2, 3), check_inverse_frobenius_sandwich),
     ],
     "perfect": [
-        ("perfect_verdicts", check_perfect_verdicts),
-        ("frobenius_solving", check_frobenius_solving),
+        Check("perfect_verdicts", (2, 3, 5), check_perfect_verdicts),
+        Check("frobenius_solving", (2, 3), check_frobenius_solving),
     ],
     "tilt": [
-        ("tilt_ring_laws", check_tilt_ring_laws),
-        ("charp_overconvergence", check_charp_overconvergence),
-        ("untilt_isometry", check_untilt_isometry),
+        Check("tilt_ring_laws", (2, 3), check_tilt_ring_laws),
+        Check("charp_overconvergence", (2,), check_charp_overconvergence),
+        Check("untilt_isometry", (2,), check_untilt_isometry),
     ],
-    "kernel": [("kernel_norm", check_kernel_norm)],
-    "artin": [("invariant_profiles", check_invariant_profiles)],
+    "kernel": [Check("kernel_norm", (2, 3), check_kernel_norm)],
+    "artin": [Check("invariant_profiles", (3, 5, 7), check_invariant_profiles)],
 }
 
 SUITE_NAMES = tuple(_SUITES) + ("all",)
 
 
+def _covered(primes: Iterable[int]) -> str:
+    return "{" + ", ".join(str(q) for q in sorted(primes)) + "}"
+
+
 def run_suite(name: str, seed: int = 0, p: Optional[int] = None) -> SuiteReport:
-    """Execute a named suite; deterministic given (name, seed, p)."""
+    """Execute a named suite; deterministic given (name, seed, p).
+
+    The one loop below decides, for a single suite and for ``all`` alike,
+    which checks run, which are skipped at ``--p`` and when the selection is
+    refused (see the module docstring)."""
     if not isinstance(name, str) or name not in SUITE_NAMES:
         raise UnknownSuite(
             f"unknown suite {name!r}; available: {', '.join(SUITE_NAMES)}"
         )
+    selection = [
+        (sub, check)
+        for sub, checks in _SUITES.items()
+        if name in (sub, "all")
+        for check in checks
+    ]
     if p is not None:
         check_prime(p)
+        if not any(c.covers(p) for _, c in selection):
+            covered = _covered({q for _, c in selection for q in c.primes})
+            raise MalformedConfig(f"--p {p}: suite {name} covers p in {covered} only")
     started = time.monotonic()
     report = SuiteReport(suite=name, seed=seed)
-    if name != "all":
-        for check_name, fn in _SUITES[name]:
-            report.cases.extend(fn(random.Random(f"{seed}|{name}|{check_name}"), p=p))
-    else:
-        ran = False
-        for sub, checks in _SUITES.items():
-            for check_name, fn in checks:
-                try:
-                    cases = fn(random.Random(f"{seed}|{sub}|{check_name}"), p=p)
-                except _NoCaseAtPrime as exc:
-                    cases = [_case(check_name, True, f"skipped: {exc}", inconclusive=True)]
-                else:
-                    ran = ran or bool(cases)
-                report.cases.extend(
-                    dataclasses.replace(case, name=f"{sub}.{case.name}") for case in cases
-                )
-        if not ran:
-            raise MalformedConfig(f"--p {p}: no check of any suite covers this prime")
+    for sub, check in selection:
+        if check.covers(p):
+            primes = check.primes if p is None else (p,)
+            cases = check.run(random.Random(f"{seed}|{sub}|{check.name}"), primes)
+            cases = cases or [_case(check.name, False, "the check ran no case")]
+        else:
+            detail = f"skipped: --p {p}: this check covers p in {_covered(check.primes)} only"
+            cases = [_case(check.name, True, detail, inconclusive=True)]
+        prefix = f"{sub}." if name == "all" else ""
+        report.cases.extend(dataclasses.replace(c, name=prefix + c.name) for c in cases)
     report.elapsed_s = time.monotonic() - started
     return report

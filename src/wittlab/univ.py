@@ -16,11 +16,13 @@ integrality, so a bug in the recursion cannot slip through as a silently
 wrong denominator.
 
 Polynomials are built once per (p, index, kind) and cached, and so, lazily,
-are their reductions mod p (``structure_poly_mod_p``), which
-characteristic-p rings evaluate; ``canonical_dump`` and every other caller
-read the integer ones.  The cached range is deliberately small (index <= 3
-for p = 2, index <= 2 otherwise); vectors longer than the cached range are
-handled by ghost transport in the callers, not here.
+are their reductions mod p (``structure_poly_mod_p``), which the perfected
+polynomial ring evaluates; ``canonical_dump`` and every other caller read the
+integer ones.  The cached range is deliberately small (index <= 3 for p = 2,
+index <= 2 otherwise).  Only ``PerfPolyRing.char_p_witt_op`` reads it for
+Witt ops, and it refuses longer vectors; every other ring's Witt ops read no
+structure polynomial and take any length (ghost transport, or a tilt's
+base-ring ops).
 
 ``UPoly.evaluate`` is the generic evaluator, over any ``Ring``
 (``Integers(p)`` for plain integer inputs).  It checks the coefficients and

@@ -9,18 +9,17 @@ and dispatch on the ring's capabilities:
                             over a truncated ring the result is cut to the
                             minimum precision of the input, as a transport
                             would leave it;
-  * characteristic p     -- one dispatcher, `_char_p_op`, refuses lengths
-                            beyond the cached range of structure polynomials
-                            rather than approximate them, then asks the ring
-                            for the whole vector (`ring.char_p_witt_op`).  A
-                            tilt answers with one Witt op over its base per
-                            chain slot its ladder reads (x -> x_s mod p is a
-                            ring map); the perfected polynomial ring
-                            evaluates the cached sum/prod/neg structure
-                            polynomials, their coefficients reduced mod p
-                            since p = 0 in the ring, on dicts with one
-                            canonicalisation per component.  The Frobenius
-                            is componentwise;
+  * characteristic p     -- the ring answers for the whole vector
+                            (`ring.char_p_witt_op`).  A tilt answers at any
+                            length with one Witt op over its base per chain
+                            slot its ladder reads (x -> x_s mod p is a ring
+                            map); the perfected polynomial ring evaluates
+                            the cached sum/prod/neg structure polynomials,
+                            their coefficients reduced mod p since p = 0 in
+                            the ring, on dicts with one canonicalisation per
+                            component, and refuses lengths beyond the cached
+                            range rather than approximate them.  The
+                            Frobenius is componentwise;
   * every other ring     -- one ghost transport, `_transport`, any length:
                             lift to the cover (Z/p**M to Z, Z[zeta]/p**M to
                             integral elements of Q(zeta); Z, Q and the number
@@ -56,7 +55,6 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 from .errors import CapabilityMissing, LengthMismatch, MalformedConfig
 from .norms import NormValue, norm_max
 from .rings import Integers, Ring
-from .univ import structure_cap
 
 __all__ = [
     "WittVec",
@@ -221,22 +219,10 @@ def _same_shape(x: WittVec, y: WittVec) -> None:
         raise LengthMismatch(f"vector lengths differ: {x.length} vs {y.length}")
 
 
-def _char_p_op(kind: str, x: WittVec, *others: WittVec) -> WittVec:
-    """The ring's answer (``Ring.char_p_witt_op``), within the cached range
-    of structure polynomials."""
-    ring, p = x.ring, x.ring.p
-    if x.top_index > structure_cap(p):
-        raise CapabilityMissing(
-            f"characteristic-p {kind} is cached up to length {structure_cap(p) + 1} "
-            f"at p={p}; got length {x.length}"
-        )
-    return WittVec(ring, ring.char_p_witt_op(kind, (x,) + others))
-
-
 def _binary_op(x: WittVec, y: WittVec, kind: str) -> WittVec:
     _same_shape(x, y)
     if x.ring.char_p:
-        return _char_p_op(kind, x, y)
+        return WittVec(x.ring, x.ring.char_p_witt_op(kind, (x, y)))
     return _transport(GhostVec.add if kind == "sum" else GhostVec.mul, x, y)
 
 
@@ -255,7 +241,7 @@ def witt_neg(x: WittVec) -> WittVec:
         prec = _min_precision(ring, (x,))
         return WittVec(ring, tuple(ring.truncate(ring.neg(c), prec) for c in x.components))
     if ring.char_p:
-        return _char_p_op("neg", x)
+        return WittVec(ring, ring.char_p_witt_op("neg", (x,)))
     return _transport(GhostVec.neg, x)
 
 

@@ -171,6 +171,8 @@ USAGE_ERRORS = [
     ),
     pytest.param(("tilt", "untilt", "1", "--n", "-1"), None, id="untilt-negative-n"),
     pytest.param(("tilt", "add", "1", "2", "--depth", "-1"), None, id="tilt-negative-depth"),
+    pytest.param(("verify", "arrow", "--p", "5"), None, id="verify-arrow-uncovered-prime"),
+    pytest.param(("verify", "kernel", "--p", "5"), None, id="verify-kernel-uncovered-prime"),
     pytest.param(("perfect", "test", "--json"), "", id="full-device", marks=_FULL),
     pytest.param(("perfect", "test", "--json"), "1", id="full-device-unbuffered", marks=_FULL),
 ]
@@ -214,10 +216,24 @@ def test_arrow_lift_defaults_to_the_integers_mod_p_power(capsys):
 
 
 def test_suite_prime_filter_that_matches_nothing_is_a_usage_error(capsys):
-    code, out, err = run(capsys, "verify", "kernel", "--p", "5")
-    assert code == 2
-    assert out == ""
-    assert err.strip() == "error: --p 5: this check covers p in {2, 3} only"
+    for suite in ("kernel", "arrow"):
+        code, out, err = run(capsys, "verify", suite, "--p", "5")
+        assert code == 2
+        assert out == ""
+        assert err.strip() == f"error: --p 5: suite {suite} covers p in {{2, 3}} only"
+
+
+def test_a_single_suite_skips_the_checks_without_a_case_at_the_prime(capsys):
+    code, out, _ = run(capsys, "verify", "perfect", "--p", "5", "--json")
+    assert code == 0
+    cases = {c["name"]: (c["status"], c["detail"]) for c in json.loads(out)["cases"]}
+    assert cases.pop("frobenius_solving") == (
+        "inconclusive",
+        "skipped: --p 5: this check covers p in {2, 3} only",
+    )
+    assert set(cases) == {"gaussian_not_perfect", "integers_not_perfect"}
+    assert all(status == "pass" for status, _ in cases.values())
+    assert cases["integers_not_perfect"][1].endswith("direct powering: p=5: a=1")
 
 
 def test_prime_filter_drops_the_cases_of_other_primes(capsys):
@@ -225,6 +241,8 @@ def test_prime_filter_drops_the_cases_of_other_primes(capsys):
         "arrow": (
             0,
             [
+                "depth_lifting",
+                "integer_rigidity",
                 "inverse_frobenius_sandwich",
                 "mul_by_p_norm_p3",
                 "theta_integer_golden_p3",
@@ -236,10 +254,12 @@ def test_prime_filter_drops_the_cases_of_other_primes(capsys):
         "tilt": (
             0,
             [
+                "charp_overconvergence",
                 "tilt_add_laws_p3",
                 "tilt_char_p_p3",
                 "tilt_frobenius_bijective_p3",
                 "tilt_mul_laws_p3",
+                "untilt_isometry",
             ],
         ),
         "perfect": (
@@ -265,6 +285,9 @@ def test_prime_filter_drops_the_cases_of_other_primes(capsys):
         cases = json.loads(out)["cases"]
         assert [c["name"] for c in cases] == names
         details.update((c["name"], c["detail"]) for c in cases)
+    # the checks that exist at p = 2 only are reported as skipped
+    for name in ("depth_lifting", "integer_rigidity", "charp_overconvergence", "untilt_isometry"):
+        assert details[name] == "skipped: --p 3: this check covers p in {2} only"
     # the cases that mix primes keep only their p=3 samples
     assert details["integers_not_perfect"].endswith("direct powering: p=3: a=1")
     assert "p=5" not in details["invariant_named_cases"]
@@ -282,7 +305,7 @@ def test_prime_filter_keeps_the_other_primes_of_mixed_checks(capsys):
     code, out, err = run(capsys, "verify", "artin", "--p", "2")
     assert code == 2
     assert out == ""
-    assert err.strip() == "error: --p 2: this check covers p in {3, 5, 7} only"
+    assert err.strip() == "error: --p 2: suite artin covers p in {3, 5, 7} only"
 
 
 def test_sandwich_names_the_rings_the_prime_filter_kept(capsys):
@@ -483,7 +506,7 @@ def short_ghost_suite(monkeypatch):
     """The ghost ring laws at 20 draws per law: they cover every prime, and at
     p = 7 the default 500 draws over Q(zeta_49) take ~20 s."""
     short = functools.partial(suites.check_witt_ring_laws, per_law=20)
-    monkeypatch.setitem(suites._SUITES, "ghost", [("witt_ring_laws", short)])
+    monkeypatch.setitem(suites._SUITES, "ghost", [suites.Check("witt_ring_laws", None, short)])
 
 
 def _verify_all(capsys, p):
@@ -504,20 +527,31 @@ def test_verify_all_at_p2_skips_the_checks_without_a_p2_case(capsys, short_ghost
     }
 
 
+_P2_ONLY = (
+    "arrow.depth_lifting",
+    "arrow.integer_rigidity",
+    "tilt.charp_overconvergence",
+    "tilt.untilt_isometry",
+)
+
+
 def test_verify_all_at_p5_runs_what_covers_5(capsys, short_ghost_suite):
     code, report, skipped = _verify_all(capsys, 5)
     assert code == 0
     two_three = "this check covers p in {2, 3} only"
     assert skipped == {
-        name: f"skipped: --p 5: {two_three}"
-        for name in (
-            "arrow.mul_by_p_norm",
-            "arrow.theta_map",
-            "arrow.inverse_frobenius_sandwich",
-            "perfect.frobenius_solving",
-            "tilt.tilt_ring_laws",
-            "kernel.kernel_norm",
-        )
+        **{
+            name: f"skipped: --p 5: {two_three}"
+            for name in (
+                "arrow.mul_by_p_norm",
+                "arrow.theta_map",
+                "arrow.inverse_frobenius_sandwich",
+                "perfect.frobenius_solving",
+                "tilt.tilt_ring_laws",
+                "kernel.kernel_norm",
+            )
+        },
+        **{name: "skipped: --p 5: this check covers p in {2} only" for name in _P2_ONLY},
     }
     ran = {c["name"].split(".")[0] for c in report["cases"] if c["name"] not in skipped}
     assert ran == {"universal", "ghost", "norms", "perfect", "artin"}
@@ -536,6 +570,7 @@ def test_verify_all_at_p7_runs_what_covers_7(capsys, short_ghost_suite):
         "perfect.frobenius_solving",
         "tilt.tilt_ring_laws",
         "kernel.kernel_norm",
+        *_P2_ONLY,
     }
     assert skipped["perfect.perfect_verdicts"] == (
         "skipped: --p 7: this check covers p in {2, 3, 5} only"
@@ -560,4 +595,4 @@ def test_verify_all_refuses_a_prime_no_check_covers(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "all", "--p", "11")
     assert code == 2
     assert out == ""
-    assert err.strip() == "error: --p 11: no check of any suite covers this prime"
+    assert err.strip() == "error: --p 11: suite all covers p in {2, 3, 5, 7} only"

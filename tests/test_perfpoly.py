@@ -11,7 +11,7 @@ from wittlab.perfpoly import PerfPolyRing
 from wittlab.rings import Ring, ZModPM
 from wittlab.tilt import TiltRing
 from wittlab.univ import structure_cap, structure_poly_mod_p
-from wittlab.witt import WittVec, witt_add, witt_mul
+from wittlab.witt import WittVec, witt_add, witt_eq, witt_mul, witt_one
 
 
 @st.composite
@@ -135,18 +135,19 @@ def test_char_p_witt_op_matches_the_generic_evaluator(p, nvars):
 
 
 def test_char_p_witt_op_refusals():
-    """Past the cached range ``witt`` refuses before it asks the ring, over
-    the tilt as over this ring; and the ``Ring`` default refuses rather than
-    answer."""
+    """Past the cached range this ring refuses rather than approximate; a
+    tilt reads no structure polynomial and answers at that length; and the
+    ``Ring`` default refuses rather than answer."""
     ring = PerfPolyRing(2, 1, 3)
     x = ring.monomial([Fraction(1, 8)])
     long = WittVec(ring, (x,) * (structure_cap(2) + 2))
     cap = "^characteristic-p {} is cached up to length {} at p={}; got length {}$"
     with pytest.raises(CapabilityMissing, match=cap.format("sum", 4, 2, 5)):
         witt_add(long, long)
+    with pytest.raises(CapabilityMissing, match=cap.format("prod", 4, 2, 5)):
+        ring.char_p_witt_op("prod", [long, long])
     tilt = TiltRing(ZModPM(3, 2), 2)
-    one = WittVec(tilt, (tilt.one(),) * (structure_cap(3) + 2))
-    with pytest.raises(CapabilityMissing, match=cap.format("prod", 3, 3, 4)):
-        witt_mul(one, one)
+    one = witt_one(tilt, structure_cap(3) + 2)
+    assert witt_eq(witt_mul(one, one), one)
     with pytest.raises(CapabilityMissing, match="^PerfPoly: no characteristic-p Witt arithmetic$"):
         Ring.char_p_witt_op(ring, "sum", [long, long])

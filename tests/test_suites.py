@@ -1,11 +1,14 @@
-"""The verification suites at seeds 0 and 1, pinned byte for byte, and the law tally."""
+"""The verification suites at seeds 0 and 1, pinned byte for byte, the law
+tally, and the rule by which the runner runs, skips or refuses each check."""
 
 import hashlib
 import json
 
 import pytest
 
-from wittlab.suites import _Law, run_suite
+from wittlab import suites
+from wittlab.errors import MalformedConfig
+from wittlab.suites import SUITE_NAMES, CaseResult, _Law, run_suite
 
 # sha256 of json.dumps(report.to_dict(), sort_keys=True, indent=2), which is
 # exactly what `wittlab verify <suite> --seed S --json` prints
@@ -83,3 +86,72 @@ def test_law_adds_no_suffix_on_a_pass():
         law.check(True, lambda: pytest.fail("a witness is built only on a failure"))
     case = law.case("3 samples", inconclusive=True)
     assert (case.passed, case.status, case.detail) == (True, "inconclusive", "3 samples")
+
+
+def _stub_registry(monkeypatch, cases):
+    """Replace every check's ``run`` by a stub that records the primes it is
+    handed and returns ``cases(name)``."""
+    calls = {}
+
+    def stub(name):
+        def run(rng, primes):
+            calls[name] = primes
+            return cases(name)
+
+        return run
+
+    registry = {
+        suite: [check._replace(run=stub(check.name)) for check in checks]
+        for suite, checks in suites._SUITES.items()
+    }
+    monkeypatch.setattr(suites, "_SUITES", registry)
+    return registry, calls
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 5, 7, 11])
+def test_every_registered_check_is_run_or_skipped_exactly_once(monkeypatch, p):
+    registry, calls = _stub_registry(monkeypatch, lambda name: [CaseResult(name, True, "ran")])
+    for suite in SUITE_NAMES:
+        selected = {
+            (f"{sub}." if suite == "all" else "") + check.name: check
+            for sub, checks in registry.items()
+            if suite in (sub, "all")
+            for check in checks
+        }
+        excluded = {
+            label
+            for label, check in selected.items()
+            if p is not None and check.primes is not None and p not in check.primes
+        }
+        calls.clear()
+        if excluded == set(selected):
+            with pytest.raises(MalformedConfig, match=f"^--p {p}: suite {suite} covers p in "):
+                run_suite(suite, p=p)
+            assert not calls
+            continue
+        report = run_suite(suite, p=p)
+        names = [case.name for case in report.cases]
+        assert sorted(names) == sorted(selected), (suite, p)
+        skipped = {c.name: c for c in report.cases if c.detail.startswith("skipped: ")}
+        assert set(skipped) == excluded, (suite, p)
+        for label in excluded:
+            covered = ", ".join(map(str, selected[label].primes))
+            assert (skipped[label].status, skipped[label].detail) == (
+                "inconclusive",
+                f"skipped: --p {p}: this check covers p in {{{covered}}} only",
+            )
+        assert calls == {
+            check.name: check.primes if p is None else (p,)
+            for label, check in selected.items()
+            if label not in excluded
+        }
+
+
+def test_a_check_that_returns_no_case_is_reported_as_failing(monkeypatch):
+    registry, _ = _stub_registry(monkeypatch, lambda name: [])
+    report = run_suite("all")
+    labels = [f"{sub}.{check.name}" for sub, checks in registry.items() for check in checks]
+    assert sorted(c.name for c in report.cases) == sorted(labels)
+    assert all(c.status == "fail" for c in report.cases) and not report.passed
+    report = run_suite("kernel", p=3)
+    assert [(c.name, c.passed) for c in report.cases] == [("kernel_norm", False)]

@@ -308,8 +308,7 @@ def test_char_p_negation_and_distributivity(ring, length):
 
 
 @pytest.mark.parametrize(
-    "ring", [PerfPolyRing(2, 1, 3), PerfPolyRing(3, 1, 2), TiltRing(ZModPM(2, 3), 3)],
-    ids=["PerfPoly-p2", "PerfPoly-p3", "tilt-p2"],
+    "ring", [PerfPolyRing(2, 1, 3), PerfPolyRing(3, 1, 2)], ids=["PerfPoly-p2", "PerfPoly-p3"]
 )
 def test_char_p_ops_refuse_one_length_past_the_cap(ring):
     x = witt_one(ring, structure_cap(ring.p) + 2)
@@ -322,6 +321,64 @@ def test_char_p_ops_refuse_one_length_past_the_cap(ring):
             witt_neg(x)
     else:
         assert witt_eq(witt_neg(x), WittVec(ring, tuple(ring.neg(c) for c in x.components)))
+
+
+# -- char-p operations over tilts at any length ----------------------------------
+
+
+def _zp_image(x, L):
+    """A vector over a tilt of Z/p^M in Z/p^L: W(tilt) = W(F_p) = Z_p sends
+    (x_0, x_1, ...) to sum_i omega(x_i) p^i, with omega the Teichmueller lift
+    of the residue of x_i, computed as a^(p^(L-1)) mod p^L."""
+    p, base, mod = x.ring.p, x.ring.base, x.ring.p ** L
+    return sum(
+        pow(base.residue(c.entries[0]), p ** (L - 1), mod) * p ** i
+        for i, c in enumerate(x.components)
+    ) % mod
+
+
+_ZP_TILTS = [(3, 3, 4), (2, 4, 4), (5, 2, 3), (2, 2, 5)]
+
+
+@pytest.mark.parametrize("p, M, D", _ZP_TILTS, ids=[f"p{p}-M{M}-D{D}" for p, M, D in _ZP_TILTS])
+def test_char_p_tilt_ops_match_zp_past_the_old_cap(p, M, D):
+    """Tilts read no structure polynomial, so their char-p ops take any
+    length; at lengths 1-7 they agree with W(F_p) = Z_p."""
+    base = ZModPM(p, M)
+    ring = TiltRing(base, D)
+    rng = random.Random(f"zp|{p}|{M}|{D}")
+    for L in range(1, 8):
+        for _ in range(5):
+            x, y = (
+                WittVec(ring, tuple(
+                    tilt_from_top(base, base.from_int(rng.randrange(p ** M)), D)
+                    for _ in range(L)
+                ))
+                for _ in range(2)
+            )
+            mod = p ** L
+            assert _zp_image(witt_add(x, y), L) == (_zp_image(x, L) + _zp_image(y, L)) % mod
+            assert _zp_image(witt_mul(x, y), L) == _zp_image(x, L) * _zp_image(y, L) % mod
+
+
+@pytest.mark.parametrize("base", [CycloModPM(2, 1, 4), CycloModPM(2, 2, 4)], ids=repr)
+def test_char_p_tilt_ring_laws_past_the_old_cap(base):
+    ring = TiltRing(base, 2)
+    rng = random.Random(f"laws|{base!r}")
+
+    def draw(L):
+        return WittVec(ring, tuple(
+            tilt_from_top(base, base.from_digits(
+                [rng.randrange(base.p ** base.M) for _ in range(base.e)]
+            ), 2)
+            for _ in range(L)
+        ))
+
+    for L in (5, 6, 7, 5, 6, 7):
+        x, y, z = draw(L), draw(L), draw(L)
+        assert witt_eq(witt_mul(x, witt_add(y, z)), witt_add(witt_mul(x, y), witt_mul(x, z)))
+        assert witt_eq(witt_add(witt_add(x, y), z), witt_add(x, witt_add(y, z)))
+        assert witt_eq(witt_mul(witt_mul(x, y), z), witt_mul(x, witt_mul(y, z)))
 
 
 # -- char-p operations against the full integer structure polynomials -----------

@@ -124,7 +124,7 @@ def _cmd_compute(args) -> int:
         )
     if op == "ghost":
         entries = ghost(vectors[0]).entries
-        text = "(" + ", ".join(ring.format_elt(e) for e in entries) + ")"
+        text = format_witt(WittVec(ring, entries))
         payload = {"op": op, "result": [ring.elt_to_json(e) for e in entries]}
     elif op == "unghost":
         gv = vectors[0]
@@ -224,8 +224,7 @@ def _cmd_arrow(args) -> int:
                 f"{base}/{ring.p}^{ring.M + 1} at depth {args.depth}:"
             )
             for n, lvl in enumerate(lifted.levels):
-                comps = ", ".join(lifted.ring.format_elt(c) for c in lvl.components)
-                print(f"  level {n}: ({comps})")
+                print(f"  level {n}: {format_witt(lvl)}")
         return 0
     if args.action == "theta":
         a = arrow_from_integer(ring, args.c, args.depth)
@@ -353,8 +352,7 @@ def _cmd_tilt(args) -> int:
             _print_json({"op": "untilt", "result": arrow_to_json(a)})
         else:
             for n, lvl in enumerate(a.levels):
-                comps = ", ".join(base.format_elt(c) for c in lvl.components)
-                print(f"  level {n}: ({comps})")
+                print(f"  level {n}: {format_witt(lvl)}")
         return 0
     raise MalformedConfig(
         f"unknown tilt action {args.action!r}; try add, mul, norm, untilt"

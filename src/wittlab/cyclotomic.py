@@ -295,6 +295,11 @@ class PowerBasisField(Ring):
             return self.one()
         return _canon(_pow_int(a.nums, n, self.e, self.root_p, self.step), a.den**n)
 
+    def pow_digits_mod(self, digits: Sequence[int], n: int, q: int) -> Tuple[int, ...]:
+        """The power-basis digits, each in 0..q-1, of y**n mod q for n >= 1
+        and y in Z[zeta] with these digits: one ``_pow_int`` reduced mod q."""
+        return tuple(_pow_int(digits, n, self.e, self.root_p, self.step, q))
+
     def scalar_mul(self, q, a: CVec) -> CVec:
         q = Fraction(q)
         return _canon([q.numerator * s for s in a.nums], q.denominator * a.den)
@@ -479,11 +484,6 @@ class CyclotomicField(PowerBasisField):
                 "the class is not a p-th power mod p"
             )
         return self.from_coeffs(root)
-
-    def pow_digits_mod(self, digits: Sequence[int], n: int, q: int) -> Tuple[int, ...]:
-        """The power-basis digits, each in 0..q-1, of y**n mod q for n >= 1
-        and y in Z[zeta] with these digits: one ``_pow_int`` reduced mod q."""
-        return tuple(_pow_int(digits, n, self.e, self.p, self.step, q))
 
     # -- embeddings ------------------------------------------------------------------
 

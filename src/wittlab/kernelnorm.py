@@ -62,8 +62,7 @@ def kernel_element_from_w1(ring: Ring, t: Any, j: int) -> WittVec:
 def verify_kernel_norm(ring: Ring, t: Any, j: int) -> dict:
     """Both sides of the identity, exactly, plus the F(x) = 0 sanity check.
 
-    A failed identity is reported (``"mode": "reported"``) as ``passed``
-    false, never raised.
+    A failed identity is reported as ``passed`` false, never raised.
     """
     x = kernel_element_from_w1(ring, t, j)
     kernel_ok = witt_eq(frobenius(x), witt_zero(ring, j))
@@ -84,7 +83,6 @@ def verify_kernel_norm(ring: Ring, t: Any, j: int) -> dict:
         "constant_exponent": str(-kernel_exponent(ring.p, j)),
         "equal": equal,
         "bound_holds": bound_holds,
-        "mode": "reported",
         "passed": kernel_ok and equal,
     }
 
@@ -100,8 +98,7 @@ def symbolic_kernel_identity(p: int, j: int) -> dict:
     holds iff their minimum equals -(1/p + ... + 1/p**j).
 
     The verdict is ``passed``: the identity holds and every leading term is
-    attained uniquely.  ``identity_holds`` carries the same value and is kept
-    for ``suites.check_kernel_norm``.
+    attained uniquely.
     """
     if j < 1:
         raise MalformedConfig(f"the kernel family starts at j = 1, got {j}")
@@ -124,6 +121,5 @@ def symbolic_kernel_identity(p: int, j: int) -> dict:
         "valuation_offsets": [str(b) for b in offsets],
         "profile_offsets": [str(b) for b in profile],
         "leading_terms_unique": unique,
-        "identity_holds": holds,
         "passed": holds,
     }

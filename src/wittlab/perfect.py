@@ -8,16 +8,27 @@ numerically):
 
 Both conditions only depend on residues: b**p mod p**2 is determined by
 b mod p, so the searches are finite and honest witnesses/counterexamples come
-out of enumeration.  For cyclotomic towers condition (b) reduces to condition
-(a) through the element x1 with x1**p = p mod p**2: given a root c of a one
-level up, b = x1 * c satisfies b**p = p * c**p = p*a mod p**2.
+out of enumeration.  Z, Z/p**M, Z[i] and Z[zeta_{p**k}] are all decided by
+the one loop ``_check_residues`` over the p**e residue digit tuples of a
+rank-e ring.  Each ring hands it the digits of b**p mod q (``pow`` on ints,
+``pow_digits_mod`` on the power basis) and its own ``format_elt`` for the
+witnesses.  Condition (a) reads roots off the image of x -> x**p mod p,
+except on Z[zeta], whose roots come from ``CyclotomicField.mod_p_root_digits``.
+Condition (b) looks each p*a up in the image of b -> b**p mod q, with
+q = p**2 (q = p on Z/p), and records a root of the a = 1 case as
+``root_of_p``.  Every such instance reports (a) as
+{holds, checked, roots_found, witness} and (b) as
+{holds, checked_b_residues, witness_a, root_of_p}.
 
-Both are computed on power-basis residue tuples, not on field elements: (a)
-by ``CyclotomicField.mod_p_root_digits`` on the digits mod p, (b) by
-``CyclotomicField.pow_digits_mod`` on the digits mod p**2.  A valuation
-bound at an integer, such as v(b**p - p*a) >= 2, is read as divisibility of
-the coefficients by p**2 (``CyclotomicField.valuation_at_least``), which is
-exact because the power basis is a Z-basis of Z[zeta].
+For cyclotomic towers condition (b) reduces to condition (a) through the
+element x1 with x1**p = p mod p**2: given a root c of a one level up,
+b = x1 * c satisfies b**p = p * c**p = p*a mod p**2.  ``_check_tower`` has
+its own loop, on the digits of each level: a root one level up by
+``CyclotomicField.mod_p_root``, b**p by ``pow_digits_mod`` on the digits
+mod p**2.  A valuation bound at an integer, such as v(b**p - p*a) >= 2, is
+read as divisibility of the coefficients by p**2
+(``CyclotomicField.valuation_at_least``), which is exact because the power
+basis is a Z-basis of Z[zeta].
 
 Root sequences x1, x2, ... with x_{n+1}**p = x_n mod p and exact valuation
 v(x_n) = p**(-n) are built constructively: closed forms zeta + 1/zeta for
@@ -45,7 +56,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .config import _need
 from .cyclotomic import CVec, CyclotomicField, CyclotomicTower, GaussianField
@@ -59,7 +70,7 @@ from .errors import (
     RescaleInfeasible,
 )
 from .norms import NormValue
-from .rings import ZModPM, check_prime
+from .rings import Integers, ZModPM, check_prime
 from .witt import (
     WittVec,
     frobenius,
@@ -202,117 +213,68 @@ class PerfectReport:
         }
 
 
-def _check_residue_ring(p: int, modulus_exp: Optional[int]) -> PerfectReport:
-    """Z (modulus_exp None) or Z/p**M: conditions by direct enumeration."""
-    name = "Z" if modulus_exp is None else f"Z/{p}^{modulus_exp}"
-    image_a = {pow(x, p, p) for x in range(p)}
-    cond_a = {
-        "holds": image_a == set(range(p)),
-        "checked": p,
-        "detail": "x -> x^p is the identity on Z/p",
-    }
-    # condition (b): work mod p**min(M, 2); for M = 1 the target p*a is 0
-    q_exp = 2 if modulus_exp is None else min(modulus_exp, 2)
+_ENUM_LIMIT = 2 ** 16  # the largest residue space p**e that is enumerated
+
+
+def _check_residues(
+    name: str,
+    p: int,
+    e: int,
+    pow_mod: Callable[[Tuple[int, ...], int], Tuple[int, ...]],
+    format_elt: Callable[[Tuple[int, ...]], str],
+    root: Optional[Callable[[Tuple[int, ...]], Optional[Tuple[int, ...]]]] = None,
+    q_exp: int = 2,
+) -> PerfectReport:
+    """Both conditions for a rank-e ring by enumerating its residues mod p.
+
+    ``pow_mod(digits, q)`` gives the digits of b**p mod q, ``format_elt``
+    prints a residue as the ring prints it, and ``root(residue)`` gives a
+    p-th root mod p or None; without it roots are read off the image of
+    x -> x**p on the residues.  Condition (b) works mod q = p**q_exp.
+    """
+    if p ** e > _ENUM_LIMIT:
+        raise NotEnumerable(f"residue space {p}^{e} exceeds the enumeration limit")
     q = p ** q_exp
-    image_b = {pow(b, p, q) for b in range(q)}
-    witness = None
-    for a in range(p):
-        if (p * a) % q not in image_b:
-            witness = a
-            break
+    residues = list(itertools.product(range(p), repeat=e))
+    image_b: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+    for b in residues:
+        image_b.setdefault(pow_mod(b, q), b)
+    if root is None:
+        image_a = {tuple(c % p for c in bp): b for bp, b in image_b.items()}
+        root = image_a.get
+    missing = [a for a in residues if root(a) is None]
+    cond_a = {
+        "holds": not missing,
+        "checked": len(residues),
+        "roots_found": len(residues) - len(missing),
+        "witness": format_elt(missing[0]) if missing else None,
+    }
+
+    def times_p(a: Tuple[int, ...]) -> Tuple[int, ...]:
+        return tuple(p * c % q for c in a)
+
+    witness_b = next((a for a in residues if times_p(a) not in image_b), None)
+    # the a = 1 instance gets its own record: a root of b**p = p mod p**2
+    # exists in some single rings (it seeds the tower construction) even
+    # when the all-a condition fails
+    root_of_p = image_b.get(times_p((1,) + (0,) * (e - 1)))
     cond_b = {
-        "holds": witness is None,
-        "checked_b_residues": q,
-        "witness_a": witness,
-        "detail": f"searched all b mod {p}^{q_exp} for b^p = {p}*a mod {p}^{q_exp}",
+        "holds": witness_b is None,
+        "checked_b_residues": len(residues),
+        "witness_a": None if witness_b is None else format_elt(witness_b),
+        "root_of_p": None if root_of_p is None else list(root_of_p),
     }
     verdict = "yes" if cond_a["holds"] and cond_b["holds"] else "no"
     return PerfectReport(name, verdict, cond_a, cond_b)
 
 
-def _check_gaussian(p: int) -> PerfectReport:
-    """Z[i] at p, residues enumerated as integer pairs."""
-    field = GaussianField(p)
-
-    def pth_power(a: int, b: int, q: int) -> Tuple[int, ...]:
-        return tuple(c % q for c in field.pow_(field.from_pair(a, b), p).nums)
-
-    image_a = {pth_power(a, b, p) for a in range(p) for b in range(p)}
-    full = {(a, b) for a in range(p) for b in range(p)}
-    missing_a = sorted(full - image_a)
-    cond_a = {
-        "holds": not missing_a,
-        "checked": p * p,
-        "witness": None if not missing_a else f"{missing_a[0][0]}+{missing_a[0][1]}i",
-    }
-    q = p * p
-    image_b = {pth_power(a, b, q) for a in range(p) for b in range(p)}
-    witness = None
-    for a in range(p):
-        for b in range(p):
-            if ((p * a) % q, (p * b) % q) not in image_b:
-                witness = f"{a}+{b}i"
-                break
-        if witness:
-            break
-    cond_b = {"holds": witness is None, "checked_b_residues": p * p, "witness_a": witness}
-    verdict = "yes" if cond_a["holds"] and cond_b["holds"] else "no"
-    return PerfectReport(f"Z[i] at p={p}", verdict, cond_a, cond_b)
-
-
-def _residue_vectors(p: int, e: int):
-    return itertools.product(range(p), repeat=e)
-
-
-def _check_cyclotomic_ring(p: int, k: int, enum_limit: int = 2 ** 16) -> PerfectReport:
-    """A single ring Z[zeta_{p**k}], roots required in the SAME ring."""
-    field = CyclotomicField(p, k)
-    e = field.e
-    if p ** e > enum_limit:
-        raise NotEnumerable(f"residue space {p}^{e} exceeds the enumeration limit")
-    witness_a = None
-    root_ok = 0
-    for coeffs in _residue_vectors(p, e):
-        if field.mod_p_root_digits(coeffs) is not None:
-            root_ok += 1
-        elif witness_a is None:
-            witness_a = field.format_elt(field.from_coeffs(coeffs))
-    cond_a = {
-        "holds": witness_a is None,
-        "checked": p ** e,
-        "roots_found": root_ok,
-        "witness": witness_a,
-    }
-    q = p * p
-    image_b = {}
-    for coeffs in _residue_vectors(p, e):
-        image_b.setdefault(field.pow_digits_mod(coeffs, p, q), coeffs)
-    witness_b = None
-    for coeffs in _residue_vectors(p, e):
-        target = tuple((p * c) % q for c in coeffs)
-        if target not in image_b:
-            witness_b = "[" + ", ".join(str(c) for c in coeffs) + "]"
-            break
-    # the a = 1 instance gets its own record: a root of b**p = p mod p**2
-    # exists in some single rings (it seeds the tower construction) even
-    # when the all-a condition fails
-    one_target = (p,) + (0,) * (e - 1)
-    root_of_p = image_b.get(one_target)
-    cond_b = {
-        "holds": witness_b is None,
-        "checked_b_residues": p ** e,
-        "witness_a": witness_b,
-        "root_of_p": None if root_of_p is None else list(root_of_p),
-    }
-    verdict = "yes" if cond_a["holds"] and cond_b["holds"] else "no"
-    return PerfectReport(f"Z[zeta_{p}^{k}]", verdict, cond_a, cond_b)
+_TOWER_EXHAUSTIVE_LIMIT = 1100  # larger tower levels are sampled
 
 
 def _check_tower(
     p: int,
     top_level: int,
     rng,
-    enum_limit: int = 1100,
     samples: int = 48,
 ) -> PerfectReport:
     """The tower union: level-k residues get roots one level up.
@@ -332,9 +294,9 @@ def _check_tower(
     for k in range(1, top_level + 1):
         lo, hi = tower.field(k), tower.field(k + 1)
         purity = tower.check_uniformizer_purity(k)
-        exhaustive = p ** lo.e <= enum_limit
+        exhaustive = p ** lo.e <= _TOWER_EXHAUSTIVE_LIMIT
         if exhaustive:
-            pool = list(_residue_vectors(p, lo.e))
+            pool = list(itertools.product(range(p), repeat=lo.e))
         else:
             pool = [
                 tuple(rng.randrange(p) for _ in range(lo.e)) for _ in range(samples)
@@ -386,15 +348,25 @@ def witt_perfect_test(config: dict, rng=None) -> PerfectReport:
     if inst not in INSTANCES:
         raise MalformedConfig(f"unknown perfectness instance {inst!r}")
     p = check_prime(config.get("p"))
-    if inst == "Z":
-        return _check_residue_ring(p, None)
-    if inst == "Zmod":
+    if inst in ("Z", "Zmod"):
         # the ring's constructor refuses M < 1
-        return _check_residue_ring(p, ZModPM(p, _need(config, "M", inst)).M)
-    if inst == "Qi":
-        return _check_gaussian(p)
-    if inst == "zeta-ring":
-        return _check_cyclotomic_ring(p, _need(config, "k", inst))
+        ring = Integers(p) if inst == "Z" else ZModPM(p, _need(config, "M", inst))
+        name, q_exp = ("Z", 2) if inst == "Z" else (f"Z/{p}^{ring.M}", min(ring.M, 2))
+        return _check_residues(
+            name, p, 1, lambda b, q: (pow(b[0], p, q),),
+            lambda d: ring.format_elt(ring.from_int(d[0])), q_exp=q_exp,
+        )
+    if inst in ("Qi", "zeta-ring"):
+        if inst == "Qi":
+            field, name, root = GaussianField(p), f"Z[i] at p={p}", None
+        else:
+            k = _need(config, "k", inst)
+            field, name = CyclotomicField(p, k), f"Z[zeta_{p}^{k}]"
+            root = field.mod_p_root_digits
+        return _check_residues(
+            name, p, field.e, lambda b, q: field.pow_digits_mod(b, p, q),
+            lambda d: field.format_elt(field.from_coeffs(d)), root,
+        )
     if rng is None:
         import random
 

@@ -77,7 +77,7 @@ from .errors import (
 from .norms import NormValue, norm_max
 from .perfpoly import PerfPolyRing
 from .rings import Ring
-from .witt import WittVec, witt_add, witt_combination, witt_mul, witt_neg, witt_norm
+from .witt import WittVec, witt_add, witt_combination, witt_mul, witt_neg
 
 __all__ = [
     "TiltElt",
@@ -471,22 +471,14 @@ def charp_limit_norm(x: WittVec, b, depth: Optional[int] = None) -> dict:
     supremum is the true limit value and the two must agree exactly.
     """
     realization = charp_arrow_realization(x, depth)
-    p = x.ring.p
-    b = Fraction(b)
-    if b <= 0:
-        raise BOutOfRange(f"the weight b must be positive, got {b}")
-    terms = [
-        witt_norm(z).pow(p ** n).scale_exponent(b * n)
-        for n, z in enumerate(realization.levels)
-    ]
-    limit_value = norm_max(terms)
-    formula = charp_overconv_norm(x, b)
+    norm = arrow_norm(realization, b)
+    formula = charp_overconv_norm(x, norm.b)
     return {
-        "limit_exponent": limit_value.exponent_json(),
+        "limit_exponent": norm.value.exponent_json(),
         "formula_exponent": formula.exponent_json(),
-        "agree": limit_value == formula,
+        "agree": norm.value == formula,
         "depth": realization.depth,
-        "b": str(b),
+        "b": str(norm.b),
     }
 
 

@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from wittlab.cyclotomic import CyclotomicField, GaussianField
 from wittlab.errors import (
     CapabilityMissing,
     IntegralityViolation,
     MalformedConfig,
     NoRoot,
+    NotEnumerable,
 )
 from wittlab.perfect import (
     build_root_sequence,
@@ -58,7 +60,7 @@ def test_integers_are_not_witt_perfect(p):
     assert report.verdict == "no"
     assert report.condition_a["holds"]
     assert not report.condition_b["holds"]
-    a = report.condition_b["witness_a"]
+    a = Integers(p).parse_elt(report.condition_b["witness_a"])
     # independent recheck: no b has b^p = p*a mod p^2
     assert all(pow(b, p, p * p) != (p * a) % (p * p) for b in range(p * p))
 
@@ -66,9 +68,9 @@ def test_integers_are_not_witt_perfect(p):
 def test_gaussian_integers_fail_at_five():
     report = witt_perfect_test({"instance": "Qi", "p": 5})
     assert report.verdict == "no"
-    text = report.condition_b["witness_a"]
-    re_txt, im_txt = text.replace("i", "").split("+")
-    a = (int(re_txt) % 25, int(im_txt) % 25)
+    witness = GaussianField(5).parse_elt(report.condition_b["witness_a"])
+    assert witness.den == 1
+    a = (witness.nums[0] % 25, witness.nums[1] % 25)
     found = False
     for c in range(25):
         for d in range(25):
@@ -95,6 +97,53 @@ def test_zeta9_ring_is_not_witt_perfect():
     report = witt_perfect_test({"instance": "zeta-ring", "p": 3, "k": 2})
     assert report.verdict == "no"
     assert not (report.condition_a["holds"] and report.condition_b["holds"])
+
+
+def test_gaussian_integers_at_two_are_the_zeta4_ring():
+    """Z[i] at p = 2 is Z[zeta_4]: both reports agree on verdicts, counts and
+    holds, and each witness, read with its own ring's parser, names the same
+    element."""
+    qi = witt_perfect_test({"instance": "Qi", "p": 2})
+    z4 = witt_perfect_test({"instance": "zeta-ring", "p": 2, "k": 2})
+    assert qi.verdict == z4.verdict == "no"
+    witness_keys = {"witness", "witness_a"}
+    for cond in ("condition_a", "condition_b"):
+        got, want = getattr(qi, cond), getattr(z4, cond)
+        assert {k: v for k, v in got.items() if k not in witness_keys} == {
+            k: v for k, v in want.items() if k not in witness_keys
+        }
+        for key in witness_keys & set(got):
+            a = GaussianField(2).parse_elt(got[key])
+            b = CyclotomicField(2, 2).parse_elt(want[key])
+            assert a == b, (cond, got[key], want[key])
+
+
+def test_every_enumerated_instance_reports_the_same_keys():
+    configs = [
+        {"instance": "Z", "p": 3},
+        {"instance": "Zmod", "p": 2, "M": 1},
+        {"instance": "Zmod", "p": 3, "M": 3},
+        {"instance": "Qi", "p": 5},
+        {"instance": "zeta-ring", "p": 3, "k": 1},
+    ]
+    shapes = {
+        (tuple(rep.condition_a), tuple(rep.condition_b))
+        for rep in map(witt_perfect_test, configs)
+    }
+    assert shapes == {
+        (
+            ("holds", "checked", "roots_found", "witness"),
+            ("holds", "checked_b_residues", "witness_a", "root_of_p"),
+        )
+    }
+
+
+@pytest.mark.parametrize(
+    "config", [{"instance": "zeta-ring", "p": 2, "k": 18}, {"instance": "Qi", "p": 257}]
+)
+def test_a_residue_space_past_the_limit_is_refused(config):
+    with pytest.raises(NotEnumerable, match="exceeds the enumeration limit$"):
+        witt_perfect_test(config)
 
 
 def test_tower_is_witt_perfect_up_to_level_two():

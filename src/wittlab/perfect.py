@@ -12,11 +12,11 @@ out of enumeration.  Z, Z/p**M, Z[i] and Z[zeta_{p**k}] are all decided by
 the one loop ``_check_residues`` over the p**e residue digit tuples of a
 rank-e ring.  Each ring hands it the digits of b**p mod q (``pow`` on ints,
 ``pow_digits_mod`` on the power basis) and its own ``format_elt`` for the
-witnesses.  Condition (a) reads roots off the image of x -> x**p mod p,
-except on Z[zeta], whose roots come from ``CyclotomicField.mod_p_root_digits``.
-Condition (b) looks each p*a up in the image of b -> b**p mod q, with
-q = p**2 (q = p on Z/p), and records a root of the a = 1 case as
-``root_of_p``.  Every such instance reports (a) as
+witnesses.  The loop builds the image of b -> b**p mod q once, with
+q = p**2 (q = p on Z/p).  Condition (a) reads roots off that image reduced
+mod p; condition (b) looks each p*a up in it and records a root of the
+a = 1 case as ``root_of_p``.  Z[zeta] residue spaces past 2**16 are
+refused (``NotEnumerable``).  Every such instance reports (a) as
 {holds, checked, roots_found, witness} and (b) as
 {holds, checked_b_residues, witness_a, root_of_p}.
 
@@ -56,7 +56,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from .config import _need
 from .cyclotomic import CVec, CyclotomicField, CyclotomicTower, GaussianField
@@ -213,7 +213,7 @@ class PerfectReport:
         }
 
 
-_ENUM_LIMIT = 2 ** 16  # the largest residue space p**e that is enumerated
+_ZETA_ENUM_LIMIT = 2 ** 16  # the largest Z[zeta] residue space p**e enumerated
 
 
 def _check_residues(
@@ -222,27 +222,22 @@ def _check_residues(
     e: int,
     pow_mod: Callable[[Tuple[int, ...], int], Tuple[int, ...]],
     format_elt: Callable[[Tuple[int, ...]], str],
-    root: Optional[Callable[[Tuple[int, ...]], Optional[Tuple[int, ...]]]] = None,
     q_exp: int = 2,
 ) -> PerfectReport:
     """Both conditions for a rank-e ring by enumerating its residues mod p.
 
-    ``pow_mod(digits, q)`` gives the digits of b**p mod q, ``format_elt``
-    prints a residue as the ring prints it, and ``root(residue)`` gives a
-    p-th root mod p or None; without it roots are read off the image of
-    x -> x**p on the residues.  Condition (b) works mod q = p**q_exp.
+    ``pow_mod(digits, q)`` gives the digits of b**p mod q and ``format_elt``
+    prints a residue as the ring prints it.  Condition (b) works mod
+    q = p**q_exp; condition (a) reads the p-th powers mod p off the same
+    image, since b**p mod p is b**p mod q reduced mod p.
     """
-    if p ** e > _ENUM_LIMIT:
-        raise NotEnumerable(f"residue space {p}^{e} exceeds the enumeration limit")
     q = p ** q_exp
     residues = list(itertools.product(range(p), repeat=e))
     image_b: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
     for b in residues:
         image_b.setdefault(pow_mod(b, q), b)
-    if root is None:
-        image_a = {tuple(c % p for c in bp): b for bp, b in image_b.items()}
-        root = image_a.get
-    missing = [a for a in residues if root(a) is None]
+    image_a = {tuple(c % p for c in bp) for bp in image_b}
+    missing = [a for a in residues if a not in image_a]
     cond_a = {
         "holds": not missing,
         "checked": len(residues),
@@ -358,14 +353,17 @@ def witt_perfect_test(config: dict, rng=None) -> PerfectReport:
         )
     if inst in ("Qi", "zeta-ring"):
         if inst == "Qi":
-            field, name, root = GaussianField(p), f"Z[i] at p={p}", None
+            field, name = GaussianField(p), f"Z[i] at p={p}"
         else:
             k = _need(config, "k", inst)
             field, name = CyclotomicField(p, k), f"Z[zeta_{p}^{k}]"
-            root = field.mod_p_root_digits
+            if p ** field.e > _ZETA_ENUM_LIMIT:
+                raise NotEnumerable(
+                    f"residue space {p}^{field.e} exceeds the enumeration limit"
+                )
         return _check_residues(
             name, p, field.e, lambda b, q: field.pow_digits_mod(b, p, q),
-            lambda d: field.format_elt(field.from_coeffs(d)), root,
+            lambda d: field.format_elt(field.from_coeffs(d)),
         )
     if rng is None:
         import random

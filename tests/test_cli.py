@@ -233,7 +233,7 @@ def test_a_single_suite_skips_the_checks_without_a_case_at_the_prime(capsys):
     )
     assert set(cases) == {"gaussian_not_perfect", "integers_not_perfect"}
     assert all(status == "pass" for status, _ in cases.values())
-    assert cases["integers_not_perfect"][1].endswith("direct powering: p=5: a=1")
+    assert cases["integers_not_perfect"][1].endswith("convolution arithmetic: p=5: a=1 (25 residues)")
 
 
 def test_prime_filter_drops_the_cases_of_other_primes(capsys):
@@ -289,7 +289,7 @@ def test_prime_filter_drops_the_cases_of_other_primes(capsys):
     for name in ("depth_lifting", "integer_rigidity", "charp_overconvergence", "untilt_isometry"):
         assert details[name] == "skipped: --p 3: this check covers p in {2} only"
     # the cases that mix primes keep only their p=3 samples
-    assert details["integers_not_perfect"].endswith("direct powering: p=3: a=1")
+    assert details["integers_not_perfect"].endswith("convolution arithmetic: p=3: a=1 (9 residues)")
     assert "p=5" not in details["invariant_named_cases"]
     assert details["teichmuller_fixed_points"] == (
         "i^3 = -i breaks the shift-invariance of [i] at p=3"

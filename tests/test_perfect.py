@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from wittlab import perfect
 from wittlab.cyclotomic import CyclotomicField, GaussianField
 from wittlab.errors import (
     CapabilityMissing,
@@ -138,12 +139,21 @@ def test_every_enumerated_instance_reports_the_same_keys():
     }
 
 
-@pytest.mark.parametrize(
-    "config", [{"instance": "zeta-ring", "p": 2, "k": 18}, {"instance": "Qi", "p": 257}]
-)
-def test_a_residue_space_past_the_limit_is_refused(config):
+def test_a_zeta_ring_residue_space_past_the_limit_is_refused():
     with pytest.raises(NotEnumerable, match="exceeds the enumeration limit$"):
-        witt_perfect_test(config)
+        witt_perfect_test({"instance": "zeta-ring", "p": 2, "k": 18})
+
+
+def test_only_zeta_rings_are_refused_past_the_enumeration_limit(monkeypatch):
+    monkeypatch.setattr(perfect, "_ZETA_ENUM_LIMIT", 16)
+    for config in (
+        {"instance": "Z", "p": 17},
+        {"instance": "Zmod", "p": 17, "M": 2},
+        {"instance": "Qi", "p": 5},
+    ):
+        assert witt_perfect_test(config).verdict == "no"
+    with pytest.raises(NotEnumerable, match="exceeds the enumeration limit$"):
+        witt_perfect_test({"instance": "zeta-ring", "p": 5, "k": 1})
 
 
 def test_tower_is_witt_perfect_up_to_level_two():

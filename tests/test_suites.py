@@ -17,7 +17,7 @@ DIGESTS = {
     "ghost": "e02b442a1c33998834cb771e50d4b674e60b8171c8a9b846684a552e7caba82d",
     "norms": "0fee92cc05f8b357df934c4cc2cea40788dce9ae3f0fd0de8320ccecdd5e6d3f",
     "arrow": "65759894aa4352bc4994d00121b69aa6b08d2554d1f4cf86b40a7f14cdae3c90",
-    "perfect": "88e835e78f6f77d40310d277161adfc1d20f091af657e024c3d3e3bafef2ca5b",
+    "perfect": "5e834589cc6d483e9a97d655efa4514f82173e9c107b549b89b2b96d876389c1",
     "tilt": "bcaed066cc109301ec49e9bbb92d6b534e98af60d7468aa8cf9c837490cb7563",
     "kernel": "9119eaddacca32badfb874f64432c580dcbd1b127cddcec13650f57909d92806",
     "artin": "75f836016700bc5ad8ee420a09ac1a0dfa5549fdd172032965d2d3b1c5ef7e26",
@@ -27,7 +27,7 @@ DIGESTS_SEED_1 = {
     "ghost": "b6b75a12d994c64f761c5888c88ec892025609d6522d9f19e24431af03ae5307",
     "norms": "08662b5cb2860456c41674af50b12b345bd08ab1fd13295738b9f7d23cf5b770",
     "arrow": "2025a8ef75050349c30e7bb36180cdf6f9554acef28b3097659e11b3541e26ba",
-    "perfect": "971ac916bfd104aab75b2fe30de212a249a630017f1235292317358a738eeefa",
+    "perfect": "9f344a05af69285e64666391863b7511cbc825b118ef1aa739ce97341b64e342",
     "tilt": "d4b8a0a691216498005a34cff127528a9d0b17189331fce982dd05b6e6d93622",
     "kernel": "fa1aed0cca7a7140517fe85933668c58a2978631919f33b5fb7e0e1c3b719b77",
     "artin": "cac0eaea946bb825515538709c348f1983325245f58a8f8900a27517cf2f051e",

@@ -301,8 +301,6 @@ def arrow_norm(a: ArrowElt, b) -> ArrowNorm:
             tail = None if tail_value.is_zero else -tail_value.v
             if tail_value <= value:
                 status = "exact"
-    if value.is_zero and B is not None and B.is_zero:
-        status = "exact"
     return ArrowNorm(
         value=value,
         status=status,

@@ -78,7 +78,7 @@ def predicted_invariant_member(field: GaussianField, f: Any) -> bool:
 
 def invariant_classify(field: GaussianField, f: Any, N: int) -> dict:
     """Observed bounded/unbounded profile versus the predicted membership;
-    ``passed`` (also kept as ``match``) says whether the two agree."""
+    ``passed`` says whether the two agree."""
     if not isinstance(field, GaussianField):
         raise CapabilityMissing("classification is implemented over Q(i) only")
     if field.p == 2:
@@ -92,7 +92,6 @@ def invariant_classify(field: GaussianField, f: Any, N: int) -> dict:
             "field": "Q(i)",
             "splitting": "split" if field.split else "inert",
             "predicted_bounded": predicted,
-            "match": predicted == report["bounded"],
             "passed": predicted == report["bounded"],
         }
     )

@@ -1,10 +1,14 @@
 """Command-line front end.
 
 Computes Witt-vector operations, runs the named verification suites, and
-emits machine-readable reports.  Exit codes: 0 for success, 1 when a
+emits machine-readable reports.  Every subcommand is a ``_cmd_*`` function
+that returns ``(exit_code, payload, lines)`` and prints nothing; ``main``
+is the one emitter, printing the payload as sorted, indented JSON under
+``--json`` and the lines otherwise.  Exit codes: 0 for success, 1 when a
 verification suite records failures, 2 for usage or configuration errors.
-All randomness flows from the single ``--seed`` flag, and ``--json`` output
-is byte-stable for a fixed seed and configuration.
+The subcommands that draw samples (``verify``, ``perfect`` and ``kernel``)
+take their randomness from ``--seed``, and ``--json`` output is byte-stable
+for a fixed seed and configuration.
 """
 
 from __future__ import annotations
@@ -12,10 +16,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import re
 import sys
 from fractions import Fraction
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence, Tuple
 
 from .arrow import (
     arrow_from_integer,
@@ -62,16 +67,15 @@ from .witt import (
 
 __all__ = ["main", "build_parser"]
 
+# what a subcommand hands the emitter: exit code, JSON payload, text lines
+Reply = Tuple[int, Any, List[str]]
+
 
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedConfig(f"not a rational number: {text!r}") from exc
-
-
-def _print_json(payload: Any) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +108,7 @@ def _operands(ring: Ring, expr: str, pos: int) -> List[WittVec]:
     return [parse_witt(ring, g) for g in groups]
 
 
-def _cmd_compute(args) -> int:
+def _cmd_compute(args) -> Reply:
     ring = ring_from_spec(args.ring, p=args.p, precision=args.precision, depth=args.depth)
     expr = args.expr.strip()
     m = re.match(r"[a-z_]+", expr)
@@ -146,11 +150,7 @@ def _cmd_compute(args) -> int:
         out = fn(*vectors)
         text = format_witt(out)
         payload = {"op": op, "result": witt_to_json(out)}
-    if args.json:
-        _print_json(payload)
-    else:
-        print(text)
-    return 0
+    return 0, payload, [text]
 
 
 # ---------------------------------------------------------------------------
@@ -158,18 +158,17 @@ def _cmd_compute(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> Reply:
     report = run_suite(args.suite, seed=args.seed, p=args.p)
-    if args.json:
-        _print_json(report.to_dict())
-    else:
-        print(
-            f"suite {report.suite}: {len(report.cases)} cases, "
-            f"{report.failures} failures ({report.elapsed_s:.2f}s, seed {report.seed})"
-        )
-        for case in sorted(report.cases, key=lambda c: c.name):
-            print(f"  [{case.status}] {case.name}: {case.detail}")
-    return 0 if report.passed else 1
+    lines = [
+        f"suite {report.suite}: {len(report.cases)} cases, "
+        f"{report.failures} failures ({report.elapsed_s:.2f}s, seed {report.seed})"
+    ]
+    lines += [
+        f"  [{case.status}] {case.name}: {case.detail}"
+        for case in sorted(report.cases, key=lambda c: c.name)
+    ]
+    return (0 if report.passed else 1), report.to_dict(), lines
 
 
 # ---------------------------------------------------------------------------
@@ -177,15 +176,9 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_universal(args) -> int:
-    if args.action != "dump":
-        raise MalformedConfig(f"unknown universal action {args.action!r}; try 'dump'")
-    text = canonical_dump(args.p)
-    if args.json:
-        _print_json({"p": args.p, "polynomials": text.splitlines()})
-    else:
-        print(text, end="")
-    return 0
+def _cmd_universal(args) -> Reply:
+    lines = canonical_dump(args.p).splitlines()
+    return 0, {"p": args.p, "polynomials": lines}, lines
 
 
 # ---------------------------------------------------------------------------
@@ -193,65 +186,49 @@ def _cmd_universal(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_arrow(args) -> int:
+def _cmd_arrow(args) -> Reply:
     # norm works over any ring; lift and theta need a truncated base
     spec = args.ring or ("Z" if args.action == "norm" else "Zmod")
     ring = ring_from_spec(spec, p=args.p, precision=args.precision)
     if args.action == "norm":
         a = arrow_from_integer(ring, args.c, args.depth)
         result = arrow_norm(a, _fraction(args.b))
-        if args.json:
-            _print_json({"c": args.c, "norm": result.to_dict()})
-        else:
-            where = "" if result.attained_at is None else f", attained at level {result.attained_at}"
-            print(
-                f"|{args.c}|_(W,{args.b}) = {result.value.text()} "
-                f"({result.status}{where})"
-            )
-        return 0
+        where = "" if result.attained_at is None else f", attained at level {result.attained_at}"
+        line = f"|{args.c}|_(W,{args.b}) = {result.value.text()} ({result.status}{where})"
+        return 0, {"c": args.c, "norm": result.to_dict()}, [line]
     if args.action == "lift":
         if not ring.truncated:
             raise CapabilityMissing(f"arrow lift needs a truncated base ring, got {ring.kind}")
         a = arrow_from_integer(ring, args.c, args.depth + ring.M + 2)
         lifted = lift_arrow_precision(a, args.depth)
-        payload = {"c": args.c, "lifted": arrow_to_json(lifted)}
-        if args.json:
-            _print_json(payload)
-        else:
-            base = "Z" if ring.scalar else f"Z[zeta_{ring.p}^{ring.k}]"
-            print(
-                f"lift of {args.c} from {base}/{ring.p}^{ring.M} to "
-                f"{base}/{ring.p}^{ring.M + 1} at depth {args.depth}:"
-            )
-            for n, lvl in enumerate(lifted.levels):
-                print(f"  level {n}: {format_witt(lvl)}")
-        return 0
-    if args.action == "theta":
-        a = arrow_from_integer(ring, args.c, args.depth)
-        value = theta(a)
-        series_value, terms = theta_series(a)
-        payload = {
-            "c": args.c,
-            "theta": ring.elt_to_json(value),
-            "series": ring.elt_to_json(series_value),
-            "terms": [ring.elt_to_json(t) for t in terms],
-            "agree": ring.eq(value, series_value),
-        }
-        if args.json:
-            _print_json(payload)
-        else:
-            print(f"theta = {ring.format_elt(value)}")
-            print(f"series = {ring.format_elt(series_value)} (terms: "
-                  + ", ".join(ring.format_elt(t) for t in terms) + ")")
-        return 0
-    raise MalformedConfig(f"unknown arrow action {args.action!r}; try norm, lift, theta")
+        lines = [
+            f"lift of {args.c} from {ring.label} to {lifted.ring.label} at depth {args.depth}:"
+        ]
+        lines += [f"  level {n}: {format_witt(lvl)}" for n, lvl in enumerate(lifted.levels)]
+        return 0, {"c": args.c, "lifted": arrow_to_json(lifted)}, lines
+    a = arrow_from_integer(ring, args.c, args.depth)
+    value = theta(a)
+    series_value, terms = theta_series(a)
+    payload = {
+        "c": args.c,
+        "theta": ring.elt_to_json(value),
+        "series": ring.elt_to_json(series_value),
+        "terms": [ring.elt_to_json(t) for t in terms],
+        "agree": ring.eq(value, series_value),
+    }
+    fmt = ring.format_elt
+    lines = [
+        f"theta = {fmt(value)}",
+        f"series = {fmt(series_value)} (terms: " + ", ".join(fmt(t) for t in terms) + ")",
+    ]
+    return 0, payload, lines
 
 
 # ---------------------------------------------------------------------------
 # perfect test | solve-frob
 # ---------------------------------------------------------------------------
 
-def _cmd_perfect(args) -> int:
+def _cmd_perfect(args) -> Reply:
     if args.action == "test":
         spec = args.x or args.ring or "Z"
         if spec.strip().startswith("{"):
@@ -273,38 +250,23 @@ def _cmd_perfect(args) -> int:
                 + ", ".join(INSTANCES)
                 + " or an inline JSON config"
             )
-        import random
-
         report = witt_perfect_test(config, random.Random(args.seed))
-        if args.json:
-            _print_json(report.to_dict())
-        else:
-            print(f"{report.instance}: {report.verdict}")
-            print(f"  condition (a): {report.condition_a}")
-            print(f"  condition (b): {report.condition_b}")
-            for note in report.notes:
-                print(f"  note: {note}")
-        return 0
-    if args.action == "solve-frob":
-        ring = ring_from_spec(args.ring or "Zmod", p=args.p, precision=args.precision)
-        x = parse_witt(ring, args.x)
-        try:
-            y, rep = solve_frobenius(x)
-        except NoRoot as exc:
-            payload = {"solved": False, "certified": True, "reason": str(exc)}
-            if args.json:
-                _print_json(payload)
-            else:
-                print(f"no preimage (certified): {exc}")
-            return 0
-        payload = {"solved": True, "y": witt_to_json(y), "report": rep}
-        if args.json:
-            _print_json(payload)
-        else:
-            print(f"y = {format_witt(y)}")
-            print(f"verified at precision {rep['verified_at_precision']}")
-        return 0
-    raise MalformedConfig(f"unknown perfect action {args.action!r}; try test, solve-frob")
+        lines = [
+            f"{report.instance}: {report.verdict}",
+            f"  condition (a): {report.condition_a}",
+            f"  condition (b): {report.condition_b}",
+        ]
+        lines += [f"  note: {note}" for note in report.notes]
+        return 0, report.to_dict(), lines
+    ring = ring_from_spec(args.ring or "Zmod", p=args.p, precision=args.precision)
+    x = parse_witt(ring, args.x)
+    try:
+        y, rep = solve_frobenius(x)
+    except NoRoot as exc:
+        payload = {"solved": False, "certified": True, "reason": str(exc)}
+        return 0, payload, [f"no preimage (certified): {exc}"]
+    lines = [f"y = {format_witt(y)}", f"verified at precision {rep['verified_at_precision']}"]
+    return 0, {"solved": True, "y": witt_to_json(y), "report": rep}, lines
 
 
 # ---------------------------------------------------------------------------
@@ -312,51 +274,24 @@ def _cmd_perfect(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _tilt_base(args) -> Ring:
-    ring = ring_from_spec(args.ring, p=args.p, precision=args.precision, depth=args.depth)
-    if not ring.truncated:
-        raise MalformedConfig(
-            f"tilting needs a truncated base ring (Zmod or ZzetaMod), got {ring.kind}"
-        )
-    return ring
-
-
-def _cmd_tilt(args) -> int:
-    base = _tilt_base(args)
+def _cmd_tilt(args) -> Reply:
+    base = ring_from_spec(args.ring, p=args.p, precision=args.precision, depth=args.depth)
     depth = args.depth
     chains = [tilt_from_top(base, base.parse_elt(tok), depth) for tok in args.tops]
     if args.action in ("add", "mul"):
         if len(chains) != 2:
             raise MalformedConfig(f"tilt {args.action} takes two top elements")
         out = (tilt_add if args.action == "add" else tilt_mul)(chains[0], chains[1])
-        if args.json:
-            _print_json({"op": args.action, "result": tilt_to_json(out)})
-        else:
-            for m, entry in enumerate(out.entries):
-                print(f"  slot {m}: {base.format_elt(entry)}")
-        return 0
+        lines = [f"  slot {m}: {base.format_elt(entry)}" for m, entry in enumerate(out.entries)]
+        return 0, {"op": args.action, "result": tilt_to_json(out)}, lines
     if len(chains) != 1:
         raise MalformedConfig(f"tilt {args.action} takes one top element")
     if args.action == "norm":
         text = tilt_norm(chains[0]).text()
-        if args.json:
-            _print_json({"op": "norm", "result": text})
-        else:
-            print(text)
-        return 0
-    if args.action == "untilt":
-        tring = TiltRing(base, depth)
-        x = WittVec(tring, (chains[0],))
-        a = untilt(x, args.n)
-        if args.json:
-            _print_json({"op": "untilt", "result": arrow_to_json(a)})
-        else:
-            for n, lvl in enumerate(a.levels):
-                print(f"  level {n}: {format_witt(lvl)}")
-        return 0
-    raise MalformedConfig(
-        f"unknown tilt action {args.action!r}; try add, mul, norm, untilt"
-    )
+        return 0, {"op": "norm", "result": text}, [text]
+    a = untilt(WittVec(TiltRing(base, depth), (chains[0],)), args.n)
+    lines = [f"  level {n}: {format_witt(lvl)}" for n, lvl in enumerate(a.levels)]
+    return 0, {"op": "untilt", "result": arrow_to_json(a)}, lines
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +299,7 @@ def _cmd_tilt(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_kernel(args) -> int:
-    if args.action != "verify":
-        raise MalformedConfig(f"unknown kernel action {args.action!r}; try 'verify'")
+def _cmd_kernel(args) -> Reply:
     ring = ring_from_spec(args.ring, p=args.p, precision=args.precision, depth=args.depth)
     elements: List[Any] = []
     try:
@@ -376,15 +309,13 @@ def _cmd_kernel(args) -> int:
     if count is None:
         try:
             with open(args.samples, "r", encoding="utf-8") as fh:
-                lines = [ln.strip() for ln in fh if ln.strip()]
+                texts = [ln.strip() for ln in fh if ln.strip()]
         except OSError as exc:
             raise MalformedConfig(
                 f"--samples must be a count or a readable file: {exc}"
             ) from exc
-        elements = [ring.parse_elt(ln) for ln in lines]
+        elements = [ring.parse_elt(text) for text in texts]
     else:
-        import random
-
         # the sampled t may carry negative powers of p; a file may hold t over any ring
         if not ring.q_algebra:
             raise MalformedConfig(
@@ -405,26 +336,21 @@ def _cmd_kernel(args) -> int:
             elements.append(t)
     results = [verify_kernel_norm(ring, t, args.j) for t in elements]
     failures = sum(1 for r in results if not r["passed"])
-    if args.json:
-        _print_json({"j": args.j, "failures": failures, "results": results})
-    else:
-        for r in results:
-            status = "pass" if r["passed"] else "FAIL"
-            print(
-                f"[{status}] t={r['t']}: |w1| = p^{r['w1_exponent']}, "
-                f"scaled sup = p^{r['scaled_sup_exponent']}"
-            )
-        print(f"{len(results)} samples, {failures} failures")
-    return 0 if failures == 0 else 1
+    lines = [
+        f"[{'pass' if r['passed'] else 'FAIL'}] t={r['t']}: |w1| = p^{r['w1_exponent']}, "
+        f"scaled sup = p^{r['scaled_sup_exponent']}"
+        for r in results
+    ]
+    lines.append(f"{len(results)} samples, {failures} failures")
+    payload = {"j": args.j, "failures": failures, "results": results}
+    return (0 if failures == 0 else 1), payload, lines
 
 
 # ---------------------------------------------------------------------------
 # artin classify
 # ---------------------------------------------------------------------------
 
-def _cmd_artin(args) -> int:
-    if args.action != "classify":
-        raise MalformedConfig(f"unknown artin action {args.action!r}; try 'classify'")
+def _cmd_artin(args) -> Reply:
     if args.field != "Qi":
         raise MalformedConfig(
             f"classification is implemented over the Gaussian field only, got {args.field!r}"
@@ -433,17 +359,14 @@ def _cmd_artin(args) -> int:
     f = field.parse_elt(args.f)
     report = invariant_classify(field, f, args.depth)
     report["teichmuller_phi_invariant"] = teichmuller_phi_invariance(field, f)
-    if args.json:
-        _print_json(report)
-    else:
-        verdict = "bounded" if report["bounded"] else "unbounded"
-        predicted = "bounded" if report["predicted_bounded"] else "unbounded"
-        print(
-            f"f = {args.f} over Q(i) at p={args.p} ({report['splitting']}): "
-            f"{verdict} (predicted {predicted}, match={report['match']})"
-        )
-        print(f"profile exponents: {report['profile_exponents']}")
-    return 0
+    verdict = "bounded" if report["bounded"] else "unbounded"
+    predicted = "bounded" if report["predicted_bounded"] else "unbounded"
+    lines = [
+        f"f = {args.f} over Q(i) at p={args.p} ({report['splitting']}): "
+        f"{verdict} (predicted {predicted}, match={report['passed']})",
+        f"profile exponents: {report['profile_exponents']}",
+    ]
+    return 0, report, lines
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +385,6 @@ def _add_common(sp, *, ring_default: Optional[str] = None, precision: int = 6, d
         )
     sp.add_argument("--precision", type=int, default=precision, help="truncation exponent M")
     sp.add_argument("--depth", type=int, default=depth, help="family depth / level count")
-    sp.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     sp.add_argument("--json", action="store_true", help="emit a machine-readable report")
 
 
@@ -518,6 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="for solve-frob: the target vector, e.g. \"(4, 0)\"",
     )
     sp.add_argument("--ring", help="ring config (default Z for test, Zmod for solve-frob)")
+    sp.add_argument("--seed", type=int, default=0, help="seed for the tower's samples")
     _add_common(sp, precision=6, depth=2)
     sp.set_defaults(fn=_cmd_perfect)
 
@@ -536,6 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="10",
         help="sample count, or a file with one element per line",
     )
+    sp.add_argument("--seed", type=int, default=0, help="seed for a sample count's draws")
     _add_common(sp, ring_default="Q")
     sp.set_defaults(fn=_cmd_kernel)
 
@@ -555,7 +479,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.fn(args)
+        code, payload, lines = args.fn(args)
+        print(json.dumps(payload, sort_keys=True, indent=2) if args.json else "\n".join(lines))
         # a reader that closed the pipe shows here, not in the exit flush
         sys.stdout.flush()
     except WittError as exc:

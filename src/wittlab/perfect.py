@@ -346,7 +346,7 @@ def witt_perfect_test(config: dict, rng=None) -> PerfectReport:
     if inst in ("Z", "Zmod"):
         # the ring's constructor refuses M < 1
         ring = Integers(p) if inst == "Z" else ZModPM(p, _need(config, "M", inst))
-        name, q_exp = ("Z", 2) if inst == "Z" else (f"Z/{p}^{ring.M}", min(ring.M, 2))
+        name, q_exp = ("Z", 2) if inst == "Z" else (ring.label, min(ring.M, 2))
         return _check_residues(
             name, p, 1, lambda b, q: (pow(b[0], p, q),),
             lambda d: ring.format_elt(ring.from_int(d[0])), q_exp=q_exp,

@@ -378,6 +378,12 @@ class TruncatedRing(Ring):
         span = range(self.p ** self.M)
         return [self.from_digits(seq) for seq in product(span, repeat=self.e)]
 
+    @property
+    def label(self) -> str:
+        """Z/p^M or Z[zeta_(p^k)]/p^M."""
+        base = "Z" if self.scalar else f"Z[zeta_{self.p ** self.k}]"
+        return f"{base}/{self.p}^{self.M}"
+
     def precision_of(self, a: Any) -> int:
         return a.prec
 

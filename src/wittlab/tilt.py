@@ -159,6 +159,7 @@ def _check_depth(depth: int) -> int:
 
 def tilt_from_top(base: Ring, top: Any, depth: int) -> TiltElt:
     """The chain determined by its deepest entry: x_m = top ** (p**(D-m))."""
+    _truncated_modulus(base)
     _check_depth(depth)
     entries = [top]
     for _ in range(depth):

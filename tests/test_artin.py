@@ -8,7 +8,7 @@ def test_classification_verdict_carries_passed():
     f3, f5 = GaussianField(3), GaussianField(5)
     for field, f in ((f3, f3.from_int(2)), (f3, f3.imag_unit()), (f5, f5.from_pair(0, "1/5"))):
         rep = invariant_classify(field, f, 3)
-        assert rep["passed"] is rep["match"] is True
+        assert rep["passed"] is True
 
 
 def test_a_depth_too_short_to_see_growth_does_not_pass():
@@ -17,4 +17,4 @@ def test_a_depth_too_short_to_see_growth_does_not_pass():
     field = GaussianField(3)
     rep = invariant_classify(field, field.imag_unit(), 0)
     assert rep["bounded"] and not rep["predicted_bounded"]
-    assert rep["passed"] is rep["match"] is False
+    assert rep["passed"] is False

@@ -1,8 +1,11 @@
 """The command-line front end, driven through ``main``: exit codes and JSON keys."""
 
 import functools
+import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -596,3 +599,76 @@ def test_verify_all_refuses_a_prime_no_check_covers(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.strip() == "error: --p 11: suite all covers p in {2, 3, 5, 7} only"
+
+
+# -- the output table -------------------------------------------------------------
+
+# Per command: its exit code, then the first 16 hex digits of the sha256 of its
+# stdout, in text and under --json.  The text of `verify` drops its header line,
+# which carries the wall time.
+_NO_OUTPUT = hashlib.sha256(b"").hexdigest()[:16]
+CLI_TABLE = [
+    ("verify artin --p 7", 0, "cb2a852119a08f68", "b2a20ec8b74271a4"),
+    ("verify kernel --p 3", 0, "0b27611596424996", "d1158fbfb0227566"),
+    ("compute 'add (1,2) (3,4)'", 0, "5cfd9ba394293ad6", "20452aa27ce19932"),
+    ("compute 'sub (1,2) (3,4)'", 0, "e36eddaeca8028b8", "c2c1e4cc5db4a6df"),
+    ("compute 'mul (1,2) (3,4)'", 0, "d3e8de441b9523d5", "13e278b8ea7249c8"),
+    ("compute 'neg (1,2)'", 0, "28c60bae40d2359c", "6ab1fb8bce242eb3"),
+    ("compute 'frob (1,2,3)'", 0, "c1123e65a12cb4e6", "be25286d74ad7724"),
+    ("compute 'versch (1,2)'", 0, "942f6c58180616ed", "f457d425e41f04b1"),
+    ("compute 'ghost (1,2)'", 0, "050e92274c778d9c", "09fa0d45882ded01"),
+    ("compute --ring Q 'unghost (1,2)'", 0, "19d4a7df99b03fe0", "af0a3dbcdd46104e"),
+    ("compute 'wnorm (4,2)'", 0, "d5cf46f2a5f4ba24", "cb18185f8dfd0b88"),
+    ("compute --ring ZzetaMod:2 --precision 3 'neg ([1,2]~2)'", 0, "5e87059b9173a03a", "461cd3409b040904"),
+    ("universal dump --p 2", 0, "aed20f4582d8ff4d", "acd97a75b2699d1b"),
+    ("arrow norm 4", 0, "faea398031bc0636", "9065359348ef84ea"),
+    ("arrow norm 3 --b 1/2 --ring Qi --p 5", 0, "8fb61cc330a19e68", "5e162e5a0f786b5e"),
+    ("arrow lift 3 --depth 1", 0, "4bc882fd838efc9d", "81bab9a2836dbaa7"),
+    ("arrow lift 3 --ring ZzetaMod:2", 0, "f7e79f4e803d44bb", "6ab6a7f1e1faa5f3"),
+    ("arrow theta 3", 0, "2022fd23f5eb4714", "1a97a06f88121edb"),
+    ("arrow theta 5 --ring ZzetaMod:2 --p 2", 0, "433cfcae6ac43c6e", "f3c76c0fed3e4673"),
+    ("arrow theta 3 --ring Z", 2, _NO_OUTPUT, _NO_OUTPUT),
+    ("perfect test", 0, "9a09058faa933545", "e960b68f23040c43"),
+    ("perfect test Zmod --p 3 --precision 2", 0, "3390f52d39f07de2", "e1e9b3c3120b7aae"),
+    ("perfect test Qi --p 5", 0, "cf3c1db72a256c4b", "511ca5a40b52f3f9"),
+    ("perfect test zeta-ring --p 3 --depth 1", 0, "5fbd7d628e448797", "1ab37edd53138ffa"),
+    ("perfect test tower --p 2 --depth 1 --seed 1", 0, "9c1360dc5a5aed62", "0348bdd58b5406fe"),
+    ("perfect solve-frob '(4, 0)'", 0, "406f572d48265b39", "ad3808e65c89aada"),
+    ("perfect solve-frob '(1, 2, 3, 4, 5)' --precision 8", 0, "d4cb564d8481a986", "973ca2eb6f096ecc"),
+    ("tilt add 5 7 --p 3 --depth 4", 0, "fac8c3c8e1ec36a4", "7d6e851e2aeda2b1"),
+    ("tilt mul 5 4 --p 3 --depth 4", 0, "6b839a3d50eb043c", "9951ff424ace0ee6"),
+    ("tilt norm '[0,1]' --ring ZzetaMod:2 --depth 2", 0, "49928d4d77a0cb20", "69df26e550654f0b"),
+    ("tilt untilt 5 --p 3 --depth 3 --n 2", 0, "bf80a49f69b2937f", "388c74a3f534a96e"),
+    ("tilt mul 3 2 --ring Z", 2, _NO_OUTPUT, _NO_OUTPUT),
+    ("kernel verify", 0, "b8a38e0cf8ec30af", "919ef7cdeb096685"),
+    ("kernel verify --ring Qi --p 5 --samples 4 --seed 2", 0, "6be251fce2bd4ce4", "6d031c475f2be1cf"),
+    ("kernel verify --ring Qzeta:2 --j 2 --samples 3", 0, "c5963c53fcf1a230", "5a5201db9527799f"),
+    ("artin classify --f i --p 3", 0, "025cdb50aa513fe8", "e1eb80465b31f13e"),
+    ("artin classify --f 1/5 --p 5 --depth 2", 0, "4512456bd5c5b21b", "327010a9b57e5877"),
+    ("artin classify --field Qzeta --f i", 2, _NO_OUTPUT, _NO_OUTPUT),
+]
+
+# the first stderr line of each refused command; every other command writes none
+CLI_REFUSALS = {
+    "arrow theta 3 --ring Z": "error: theta is defined over truncated bases; this ring is exact",
+    "tilt mul 3 2 --ring Z": "error: tilting needs a truncated base with a digit budget; got Z",
+    "artin classify --field Qzeta --f i": (
+        "error: classification is implemented over the Gaussian field only, got 'Qzeta'"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "cmd, want_code, text_sha, json_sha",
+    CLI_TABLE,
+    ids=[re.sub(r"\W+", "-", r[0]).strip("-") for r in CLI_TABLE],
+)
+def test_cli_output_table(capsys, cmd, want_code, text_sha, json_sha):
+    argv = shlex.split(cmd)
+    for extra, want_sha in (((), text_sha), (("--json",), json_sha)):
+        code, out, err = run(capsys, *argv, *extra)
+        if argv[0] == "verify" and not extra:
+            out = out.split("\n", 1)[1]
+        assert code == want_code, (cmd, extra, err)
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == want_sha, (cmd, extra, out)
+        assert (err.splitlines() or [""])[0] == CLI_REFUSALS.get(cmd, ""), (cmd, extra)

@@ -8,10 +8,16 @@ from fractions import Fraction
 import pytest
 
 from wittlab.cyclotomic import CycloModPM
-from wittlab.errors import DepthExceeded, LengthMismatch, MalformedConfig, NotEnumerable
+from wittlab.errors import (
+    CapabilityMissing,
+    DepthExceeded,
+    LengthMismatch,
+    MalformedConfig,
+    NotEnumerable,
+)
 from wittlab.norms import NormValue
 from wittlab.perfpoly import PerfPolyRing
-from wittlab.rings import ZModPM
+from wittlab.rings import Integers, Rationals, ZModPM
 from wittlab.tilt import (
     TiltElt,
     TiltRing,
@@ -229,6 +235,16 @@ def test_untilt_matches_the_chain_of_arrow_ops(base, monkeypatch):
                 assert len(unghosts) == N + 1
                 want = oracles.untilt_by_arrow_ops(x, N)
                 assert json.dumps(arrow_to_json(got)) == json.dumps(arrow_to_json(want)), (N, length)
+
+
+def test_a_chain_needs_a_base_with_a_digit_budget():
+    # over Z the top 3 would give the "chain" (81, 9, 3), which tilt_mul accepted
+    for base in (Integers(2), Rationals(3)):
+        with pytest.raises(
+            CapabilityMissing,
+            match=f"^tilting needs a truncated base with a digit budget; got {base.kind}$",
+        ):
+            tilt_from_top(base, base.from_int(3), 2)
 
 
 def test_negative_depths_are_refused():

@@ -76,6 +76,7 @@ from .arrow import (
     arrow_add,
     arrow_eq,
     arrow_from_integer,
+    arrow_from_top,
     arrow_mul,
     arrow_neg,
     arrow_norm,

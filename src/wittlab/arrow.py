@@ -14,7 +14,10 @@ A finite depth can only ever certify a supremum from below, so the result
 carries a status flag.  When the element comes with a *tail bound* B <= 1 (a
 certificate that it extends coherently with all level norms <= B), the terms
 beyond depth N are bounded by p**(-b*(N+1)) * B**(p**(N+1)), and whenever the
-stored maximum dominates that bound the supremum is exact.
+stored maximum dominates that bound the supremum is exact.  ``_norm_terms``
+is the one loop over the terms, and the one place that may read a truncated
+residue zero at precision k as p**-k, the top of its norm's interval.
+``arrow_from_top`` builds a top level's family, one Frobenius per level.
 
 ``lift_arrow_precision`` trades depth for digits over a truncated base: each
 new level is computed as F**(m+1) of a digit-extended lift two-plus-m levels
@@ -51,7 +54,6 @@ from .witt import (
     witt_from_integer,
     witt_mul,
     witt_neg,
-    witt_norm,
     witt_to_json,
 )
 
@@ -76,6 +78,7 @@ __all__ = [
     "arrow_norm",
     "lift_arrow_precision",
     "map_components",
+    "arrow_from_top",
     "sample_coherent",
     "rigidity_profile",
     "arrow_to_json",
@@ -273,34 +276,44 @@ class ArrowNorm:
         }
 
 
+def _norm_terms(a: ArrowElt, b: Fraction, zero_floor: bool = False) -> List[NormValue]:
+    """The terms p**(-b*n) * |z_n|_W ** (p**n) of the b-weighted norm, one per
+    level.  With ``zero_floor`` a truncated residue that is zero at precision k
+    counts as p**-k, the top of the interval [0, p**-k] its norm lies in."""
+    ring, p = a.ring, a.ring.p
+    terms = []
+    for n, z in enumerate(a.levels):
+        norms = []
+        for i, c in enumerate(z.components):
+            v = ring.seminorm(c)
+            if zero_floor and v.is_zero and ring.truncated:
+                v = NormValue.from_exponent(ring.precision_of(c))
+            norms.append(v.pow(Fraction(1, p**i)))
+        terms.append(norm_max(norms).pow(p**n).scale_exponent(b * n))
+    return terms
+
+
+def _tail_status(a: ArrowElt, b: Fraction, value: NormValue) -> Tuple[str, Optional[Fraction]]:
+    """(status, tail exponent): ``exact`` when a tail bound B <= 1 keeps the
+    terms past depth N, p**(-b*(N+1)) * B**(p**(N+1)), at most ``value``."""
+    B, N = a.tail_bound, a.depth
+    if B is None or NormValue.one() < B:
+        return "lower-bound", None
+    tail_value = B.pow(a.ring.p ** (N + 1)).scale_exponent(b * (N + 1))
+    tail = None if tail_value.is_zero else -tail_value.v
+    return ("exact" if tail_value <= value else "lower-bound"), tail
+
+
 def arrow_norm(a: ArrowElt, b) -> ArrowNorm:
     """sup_n p**(-b*n) |z_n| ** (p**n) over the stored levels, with an
     exactness certificate when the tail bound dominates."""
     b = Fraction(b)
     if b <= 0:
         raise BOutOfRange(f"the weight b must be positive, got {b}")
-    p = a.ring.p
-    terms = []
-    for n, z in enumerate(a.levels):
-        terms.append(witt_norm(z).pow(p ** n).scale_exponent(b * n))
+    terms = _norm_terms(a, b)
     value = norm_max(terms)
-    attained = None
-    for n, t in enumerate(terms):
-        if not t.is_zero and t == value:
-            attained = n
-            break
-    status = "lower-bound"
-    tail = None
-    B = a.tail_bound
-    if B is not None:
-        if B.is_zero:
-            status = "exact"
-        elif not NormValue.one() < B:
-            N = a.depth
-            tail_value = B.pow(p ** (N + 1)).scale_exponent(b * (N + 1))
-            tail = None if tail_value.is_zero else -tail_value.v
-            if tail_value <= value:
-                status = "exact"
+    attained = next((n for n, t in enumerate(terms) if not t.is_zero and t == value), None)
+    status, tail = _tail_status(a, b, value)
     return ArrowNorm(
         value=value,
         status=status,
@@ -309,26 +322,6 @@ def arrow_norm(a: ArrowElt, b) -> ArrowNorm:
         term_exponents=tuple(None if t.is_zero else -t.v for t in terms),
         tail_exponent=tail,
     )
-
-
-def _norm_bounds(a: ArrowElt, b: Fraction) -> Tuple[NormValue, NormValue, NormValue, NormValue]:
-    """(head_lo, head_hi, value_lo, value_hi): |z_0|_W and the finite-depth
-    b-weighted norm of a, as intervals.  A residue that is zero at its
-    precision k has norm in [0, p**-k]; every other component's norm is exact."""
-    ring, p = a.ring, a.ring.p
-    lows, highs = [], []
-    for n, z in enumerate(a.levels):
-        lo, hi = [], []
-        for i, c in enumerate(z.components):
-            r = Fraction(1, p**i)
-            v = ring.seminorm(c)
-            lo.append(v.pow(r))
-            if ring.truncated and v.is_zero:
-                v = NormValue.from_exponent(ring.precision_of(c))
-            hi.append(v.pow(r))
-        lows.append(norm_max(lo).pow(p**n).scale_exponent(b * n))
-        highs.append(norm_max(hi).pow(p**n).scale_exponent(b * n))
-    return lows[0], highs[0], norm_max(lows), norm_max(highs)
 
 
 def inverse_frobenius_sandwich(a: ArrowElt, b) -> dict:
@@ -340,18 +333,21 @@ def inverse_frobenius_sandwich(a: ArrowElt, b) -> dict:
 
     where Fi is the inverse Frobenius and x_1 the level-0 component, at the
     stored depth.  Over a truncated ring a zero residue only bounds its norm,
-    so each side is an interval (``_norm_bounds``): ``status`` is ``pass`` when
+    so each side is an interval (``_norm_terms``): ``status`` is ``pass`` when
     both inequalities hold at every point of the intervals, ``fail`` when one
     is violated at every point, and ``inconclusive`` otherwise, with the zero
-    components named.  ``passed`` is true for ``pass`` only.
+    components named.  ``passed`` is true for ``pass`` only.  The
+    ``arrow_norm`` statuses of a and Fi(a) are read off the same terms.
     """
     b = Fraction(b)
     if b < 1:
         raise BOutOfRange(f"the sandwich needs b >= 1, got {b}")
     ring, p = a.ring, a.ring.p
-    fi = inverse_frobenius(a)
-    head_lo, head_hi, value_lo, value_hi = _norm_bounds(a, b)
-    _, _, shifted_lo, shifted_hi = _norm_bounds(fi, Fraction(b, p))
+    fi, b_fi = inverse_frobenius(a), Fraction(b, p)
+    lows, highs = _norm_terms(a, b), _norm_terms(a, b, zero_floor=True)
+    head_lo, head_hi, value_lo, value_hi = lows[0], highs[0], norm_max(lows), norm_max(highs)
+    shifted_lo = norm_max(_norm_terms(fi, b_fi))
+    shifted_hi = norm_max(_norm_terms(fi, b_fi, zero_floor=True))
     lower_lo = norm_max([head_lo, shifted_lo.pow(p).scale_exponent(b)])
     lower_hi = norm_max([head_hi, shifted_hi.pow(p).scale_exponent(b)])
     upper_lo = norm_max([head_lo, shifted_lo.pow(p)])
@@ -378,8 +374,8 @@ def inverse_frobenius_sandwich(a: ArrowElt, b) -> dict:
         "lower_exponents": exponents(lower_lo, lower_hi),
         "upper_exponents": exponents(upper_lo, upper_hi),
         "zero_components": zeros,
-        "value_status": arrow_norm(a, b).status,
-        "shifted_status": arrow_norm(fi, Fraction(b, p)).status,
+        "value_status": _tail_status(a, b, value_lo)[0],
+        "shifted_status": _tail_status(fi, b_fi, shifted_lo)[0],
         "status": status,
         "passed": status == "pass",
     }
@@ -439,14 +435,20 @@ def map_components(
     return make_arrow(target, levels, tail_bound=tail_bound, validate=validate)
 
 
-def sample_coherent(ring: Ring, depth: int, draw: Callable[[], Any]) -> ArrowElt:
-    """A random coherent element: draw a top level, then push down with F."""
-    top = WittVec(ring, tuple(draw() for _ in range(depth + 1)))
-    levels: List[WittVec] = [top]
-    for _ in range(depth):
+def arrow_from_top(top: WittVec) -> ArrowElt:
+    """The coherent family with top level ``top``, pushed down one Frobenius
+    per level.  It is coherent by construction, so nothing re-checks it; over
+    a truncated base it carries the unit tail bound."""
+    levels = [top]
+    for _ in range(top.length - 1):
         levels.append(frobenius(levels[-1]))
     levels.reverse()
-    return make_arrow(ring, levels, tail_bound=_integral_tail_bound(ring))
+    return ArrowElt(top.ring, tuple(levels), _integral_tail_bound(top.ring))
+
+
+def sample_coherent(ring: Ring, depth: int, draw: Callable[[], Any]) -> ArrowElt:
+    """A random coherent element: the family of a drawn top level."""
+    return arrow_from_top(WittVec(ring, tuple(draw() for _ in range(depth + 1))))
 
 
 def rigidity_profile(a: ArrowElt) -> List[bool]:

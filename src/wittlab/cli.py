@@ -8,7 +8,9 @@ is the one emitter, printing the payload as sorted, indented JSON under
 verification suite records failures, 2 for usage or configuration errors.
 The subcommands that draw samples (``verify``, ``perfect`` and ``kernel``)
 take their randomness from ``--seed``, and ``--json`` output is byte-stable
-for a fixed seed and configuration.
+for a fixed seed and configuration; ``kernel verify`` draws t with the kernel
+suite's sampler, ``kernelnorm.unit_times_power``, and refuses to run with no
+sample.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from .artin import invariant_classify, teichmuller_phi_invariance
 from .config import ring_from_spec
 from .cyclotomic import GaussianField
 from .errors import CapabilityMissing, MalformedConfig, NoRoot, WittError
-from .kernelnorm import verify_kernel_norm
+from .kernelnorm import uniformizer_steps, unit_times_power, verify_kernel_norm
+from .norms import exponent_text
 from .perfect import INSTANCES, solve_frobenius, witt_perfect_test
 from .rings import Ring
 from .suites import SUITE_NAMES, run_suite
@@ -301,20 +304,15 @@ def _cmd_tilt(args) -> Reply:
 
 def _cmd_kernel(args) -> Reply:
     ring = ring_from_spec(args.ring, p=args.p, precision=args.precision, depth=args.depth)
-    elements: List[Any] = []
     try:
         count = int(args.samples)
     except ValueError:
         count = None
-    if count is None:
         try:
             with open(args.samples, "r", encoding="utf-8") as fh:
-                texts = [ln.strip() for ln in fh if ln.strip()]
+                elements = [ring.parse_elt(ln.strip()) for ln in fh if ln.strip()]
         except OSError as exc:
-            raise MalformedConfig(
-                f"--samples must be a count or a readable file: {exc}"
-            ) from exc
-        elements = [ring.parse_elt(text) for text in texts]
+            raise MalformedConfig(f"--samples must be a count or a readable file: {exc}") from exc
     else:
         # the sampled t may carry negative powers of p; a file may hold t over any ring
         if not ring.q_algebra:
@@ -323,22 +321,20 @@ def _cmd_kernel(args) -> Reply:
                 f"got {ring.kind}; use --ring Q, Qi or Qzeta:k, or give --samples a file"
             )
         rng = random.Random(args.seed)
-        for i in range(count):
-            k = rng.randint(-2, 2)
-            if hasattr(ring, "uniformizer"):
-                t = ring.pow_(ring.uniformizer(), rng.randint(0, 2 * ring.e))
-            else:
-                t = ring.from_int(rng.choice([u for u in range(1, 10) if u % ring.p]))
-                for _ in range(k):
-                    t = ring.mul(t, ring.from_int(ring.p))
-                for _ in range(-k):
-                    t = ring.exact_divide_by_p(t)
-            elements.append(t)
+        steps = uniformizer_steps(ring)  # valuations in [-2, 2], as in the kernel suite
+        elements = [
+            unit_times_power(rng, ring, rng.randint(-2 * steps, 2 * steps)) for _ in range(count)
+        ]
+    if not elements:  # a run that checks nothing must not report 0 failures
+        raise MalformedConfig(
+            f"kernel verify needs at least 1 sample, got {count or 0} (--samples {args.samples})"
+        )
     results = [verify_kernel_norm(ring, t, args.j) for t in elements]
     failures = sum(1 for r in results if not r["passed"])
     lines = [
-        f"[{'pass' if r['passed'] else 'FAIL'}] t={r['t']}: |w1| = p^{r['w1_exponent']}, "
-        f"scaled sup = p^{r['scaled_sup_exponent']}"
+        f"[{'pass' if r['passed'] else 'FAIL'}] t={r['t']}: "
+        f"|w1| = {exponent_text(r['w1_exponent'])}, "
+        f"scaled sup = {exponent_text(r['scaled_sup_exponent'])}"
         for r in results
     ]
     lines.append(f"{len(results)} samples, {failures} failures")

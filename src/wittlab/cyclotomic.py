@@ -11,9 +11,10 @@ power basis 1, zeta, ..., zeta**(e-1) over one positive denominator, with
 gcd(den, *nums) = 1, so zero is ((0,) * e, 1) and ``==`` and hashing are
 structural.  ``PowerBasisField`` holds the one integer kernel they share: every
 operation runs on the numerators with ``_conv``, ``_pow_int`` and
-``_norm_cofactor`` and normalises once at the end.  ``_pow_int`` squares on
-``_sqr``, which forms each cross product a_i * a_j (i < j) once and doubles
-it, so a p-th power costs about half a convolution per squaring.  An integer
+``_norm_cofactor`` and normalises once at the end.  ``_pow_int`` runs the
+shared ``rings.power_ladder`` on ``_conv`` and ``_sqr``, which forms each cross
+product a_i * a_j (i < j) once and doubles it, so a p-th power costs about
+half a convolution per squaring.  An integer
 element (zero past the constant term) in ``mul``, or zero in ``add`` and
 ``sub``, costs O(e): the other operand's numerators are scaled or returned,
 with no convolution, tail reduction or lcm; the ghost ladders multiply by
@@ -61,7 +62,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .norms import NormValue
-from .rings import Ring, TruncatedRing, check_prime, vp_int
+from .rings import Ring, TruncatedRing, check_prime, power_ladder, vp_int
 
 
 class CVec(NamedTuple):
@@ -158,25 +159,15 @@ def _sqr(a: Sequence[int], e: int, p: int, step: int) -> list:
 
 
 def _pow_int(v: Sequence[int], n: int, e: int, p: int, step: int, q: Optional[int] = None) -> list:
-    """v ** n in Z[x] / Phi_{p**k}(x) for n >= 1, each product reduced mod q
-    when q is given; square-and-multiply from the lowest set bit, with the
-    squarings on ``_sqr``."""
-
-    def reduced(out: list) -> list:
-        return [c % q for c in out] if q else out
-
-    base = list(v)
-    while not n & 1:
-        base = reduced(_sqr(base, e, p, step))
-        n >>= 1
-    result = base
-    n >>= 1
-    while n:
-        base = reduced(_sqr(base, e, p, step))
-        if n & 1:
-            result = reduced(_conv(result, base, e, p, step))
-        n >>= 1
-    return result
+    """v ** n in Z[x] / Phi_{p**k}(x) for n >= 1 on ``rings.power_ladder``,
+    with the squarings on ``_sqr`` and each product reduced mod q when q is
+    given."""
+    mul, sqr = (lambda a, b: _conv(a, b, e, p, step)), (lambda a: _sqr(a, e, p, step))
+    if not q:
+        return power_ladder(list(v), n, mul, sqr)
+    return power_ladder(
+        list(v), n, lambda a, b: [c % q for c in mul(a, b)], lambda a: [c % q for c in sqr(a)]
+    )
 
 
 def _conjugate(v: Sequence[int], m: int, p: int, k: int) -> list:

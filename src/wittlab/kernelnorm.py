@@ -15,15 +15,21 @@ ring where |t| = p**-v with v free: every valuation in sight is a linear
 form v + const with the same v-coefficient, so the leading-term selections
 in the recursion are uniform in v and the whole computation reduces to exact
 Fraction arithmetic on the constants.
+
+The ``kernel`` suite and ``kernel verify`` draw t from ``unit_times_power``:
+a random unit times a power, of either sign, of the uniformizer (p over Q and
+Q(i), 1 - zeta of valuation 1/e over Q(zeta); see ``uniformizer_steps``).
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from typing import Any, List
 
+from .cyclotomic import CyclotomicField
 from .errors import CapabilityMissing, MalformedConfig
-from .rings import Ring
+from .rings import Rationals, Ring
 from .witt import (
     GhostVec,
     WittVec,
@@ -39,6 +45,8 @@ __all__ = [
     "kernel_element_from_w1",
     "verify_kernel_norm",
     "symbolic_kernel_identity",
+    "uniformizer_steps",
+    "unit_times_power",
 ]
 
 
@@ -123,3 +131,23 @@ def symbolic_kernel_identity(p: int, j: int) -> dict:
         "leading_terms_unique": unique,
         "passed": holds,
     }
+
+
+def uniformizer_steps(ring: Ring) -> int:
+    """Uniformizer powers per unit of valuation: e over Q(zeta), 1 over Q and Q(i)."""
+    return ring.e if isinstance(ring, CyclotomicField) else 1
+
+
+def unit_times_power(rng: random.Random, ring: Ring, val_steps: int) -> Any:
+    """A random unit times the val_steps-th power (of either sign) of the
+    uniformizer, over Q, Q(i) or Q(zeta); there the unit is
+    1 + p*(c_0 + ... + c_(e-1) zeta^(e-1)) with digits c_i in [0, p)."""
+    if isinstance(ring, Rationals):
+        units = [u for u in (1, -1, 3, 5, 7, -5, 11) if u % ring.p]
+        t = Fraction(rng.choice(units), rng.choice([u for u in (1, 3, 5, 7) if u % ring.p]))
+        return t * Fraction(ring.p) ** val_steps
+    digits = ring.from_coeffs([rng.randint(0, ring.p - 1) for _ in range(ring.e)])
+    unit = ring.add(ring.one(), ring.scalar_mul(ring.p, digits))
+    pi = ring.uniformizer() if isinstance(ring, CyclotomicField) else ring.from_int(ring.p)
+    t_pow = ring.pow_(pi, abs(val_steps))
+    return ring.mul(unit, t_pow) if val_steps >= 0 else ring.div(unit, t_pow)

@@ -77,7 +77,7 @@ class NormValue:
 
     def text(self) -> str:
         """'0', or 'p^e' for the value p**e (e rational)."""
-        return "0" if self.v is None else f"p^{-self.v}"
+        return exponent_text(self.exponent_json())
 
     def exponent_json(self) -> Optional[str]:
         """The e of the value p**e as a string, None for the value 0."""
@@ -107,6 +107,12 @@ class NormValue:
         if self.v == 0:
             return "p^0"
         return f"p^({-self.v})"
+
+
+def exponent_text(e: Optional[str]) -> str:
+    """The text of the norm value whose ``exponent_json()`` is e: '0' for
+    None (the value 0), else 'p^e'; every text form of a norm goes through it."""
+    return "0" if e is None else f"p^{e}"
 
 
 def norm_max(values: Iterable[NormValue]) -> NormValue:

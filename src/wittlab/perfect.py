@@ -266,12 +266,7 @@ def _check_residues(
 _TOWER_EXHAUSTIVE_LIMIT = 1100  # larger tower levels are sampled
 
 
-def _check_tower(
-    p: int,
-    top_level: int,
-    rng,
-    samples: int = 48,
-) -> PerfectReport:
+def _check_tower(p: int, top_level: int, rng, samples: int) -> PerfectReport:
     """The tower union: level-k residues get roots one level up.
 
     Purity of the uniformizer ((1 - zeta_next)**p = 1 - zeta mod p) makes
@@ -375,7 +370,7 @@ def witt_perfect_test(config: dict, rng=None) -> PerfectReport:
     for key, value in (("levels", levels), ("samples", samples)):
         if value < 1:
             raise MalformedConfig(f"{key!r} must be at least 1, got {value}")
-    return _check_tower(p, levels, rng, samples=samples)
+    return _check_tower(p, levels, rng, samples)
 
 
 # ---------------------------------------------------------------------------

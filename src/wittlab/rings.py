@@ -38,7 +38,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from .errors import (
     CapabilityMissing,
@@ -77,6 +77,24 @@ def vp_fraction(q: Fraction, p: int) -> Optional[int]:
     if q == 0:
         return None
     return vp_int(q.numerator, p) - vp_int(q.denominator, p)
+
+
+def power_ladder(a: Any, n: int, mul: Callable, sqr: Optional[Callable] = None) -> Any:
+    """a ** n, n >= 1, by square-and-multiply from the lowest set bit, on
+    ``mul`` and ``sqr`` (default ``mul(x, x)``): bit_length(n) - 1 squarings
+    and popcount(n) - 1 products, with no one multiplied in."""
+    sqr = sqr or (lambda x: mul(x, x))
+    while not n & 1:
+        a = sqr(a)
+        n >>= 1
+    result = a
+    n >>= 1
+    while n:
+        a = sqr(a)
+        if n & 1:
+            result = mul(result, a)
+        n >>= 1
+    return result
 
 
 class Ring(ABC):
@@ -118,21 +136,7 @@ class Ring(ABC):
     def pow_(self, a: Any, n: int) -> Any:
         if n < 0:
             raise CapabilityMissing(f"{self.kind}: negative powers not supported")
-        if n == 0:
-            return self.one()
-        # square-and-multiply from the lowest set bit, so one() is never
-        # multiplied in
-        while not n & 1:
-            a = self.mul(a, a)
-            n >>= 1
-        result = a
-        n >>= 1
-        while n:
-            a = self.mul(a, a)
-            if n & 1:
-                result = self.mul(result, a)
-            n >>= 1
-        return result
+        return power_ladder(a, n, self.mul) if n else self.one()
 
     def pow_p_tower(self, a: Any, l: int) -> Any:
         """a ** (p ** l); truncated rings override this to gain l digits."""

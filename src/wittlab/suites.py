@@ -16,8 +16,9 @@ to its detail as ``; first: <witness>``.  A witness names the sample index
 <seed>`` reproduces it.  Single verdicts are plain `_case` calls.
 
 Random ring elements come from one draw per ring kind, `_draw_elt` (one
-``randrange(p**M)`` per digit over a truncated ring), and random units
-1 + p*(...) of a cyclotomic field from `_draw_unit`.
+``randrange(p**M)`` per digit over a truncated ring), and a random unit
+1 + p*(...) of a cyclotomic field times a uniformizer power from
+`kernelnorm.unit_times_power`, the sampler ``kernel verify`` draws from too.
 
 Each check states its primes once, as a `Check(name, primes, run)` in
 `_SUITES` (``primes=None``: every prime), and `run_suite` alone decides what
@@ -46,6 +47,7 @@ from .arrow import (
     arrow_add,
     arrow_eq,
     arrow_from_integer,
+    arrow_from_top,
     arrow_mul,
     arrow_norm,
     arrow_teichmuller,
@@ -74,9 +76,11 @@ from .errors import (
 from .kernelnorm import (
     kernel_element_from_w1,
     symbolic_kernel_identity,
+    uniformizer_steps,
+    unit_times_power,
     verify_kernel_norm,
 )
-from .norms import NormValue, norm_max
+from .norms import NormValue, exponent_text, norm_max
 from .perfect import (
     build_root_sequence,
     solve_frobenius,
@@ -237,6 +241,16 @@ def _show(**vecs: WittVec) -> str:
 
 _DENOMS = (1, 1, 2, 3, 4)
 
+# the sizes of the randomized checks, which each case's detail states
+_LAW_DRAWS = 500  # per ghost ring law
+_NORM_SAMPLES = 500  # per norm-law instance
+_THETA_SAMPLES, _THETA_PAIRS = 100, 100  # per prime
+_RIGIDITY_BOUND, _RIGIDITY_CROSS, _RIGIDITY_PERTURBATIONS = 8, 300, 200
+_KERNEL_SAMPLES = 50  # per ring and j
+_SOLVE_FUZZ = 100  # round trips per ring
+_CHARP_SAMPLES = 100
+_SANDWICH_SAMPLES = 100
+
 
 def _draw_elt(rng: random.Random, ring: Ring) -> Any:
     if ring.truncated:
@@ -271,12 +285,6 @@ def _draw_elt(rng: random.Random, ring: Ring) -> Any:
 
 def _draw_vec(rng: random.Random, ring: Ring, length: int) -> WittVec:
     return WittVec(ring, tuple(_draw_elt(rng, ring) for _ in range(length)))
-
-
-def _draw_unit(rng: random.Random, fld: CyclotomicField) -> Any:
-    """A unit 1 + p*(c_0 + ... + c_(e-1) zeta^(e-1)) with digits c_i in [0, p)."""
-    coeffs = fld.from_coeffs([rng.randint(0, fld.p - 1) for _ in range(fld.e)])
-    return fld.add(fld.one(), fld.scalar_mul(fld.p, coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +428,7 @@ _RING_LAWS: Dict[str, Tuple[int, Callable[..., bool]]] = {
 }
 
 
-def check_witt_ring_laws(
-    rng: random.Random, primes: Optional[Sequence[int]], per_law: int = 500
-) -> List[CaseResult]:
+def check_witt_ring_laws(rng: random.Random, primes: Optional[Sequence[int]]) -> List[CaseResult]:
     """Commutative-ring axioms and ghost-homomorphism identities, randomized
     over exact base rings at lengths 1-3, where ghost injectivity makes
     componentwise equality the right notion of truth, and over truncated
@@ -433,14 +439,14 @@ def check_witt_ring_laws(
     cases = []
     for name, (arity, identity) in _RING_LAWS.items():
         law = _Law(f"law_{name}")
-        for i in range(per_law):
+        for i in range(_LAW_DRAWS):
             ring = rings[i % len(rings)]
             L = rng.randint(1, 5 if ring.truncated else 3)
             vecs = dict(zip("xyz", (_draw_vec(rng, ring, L) for _ in range(arity))))
             law.check(
                 identity(*vecs.values()), lambda: f"sample {i} over {ring!r}: {_show(**vecs)}"
             )
-        cases.append(law.case(f"{per_law} randomized cases over {names}; {law.bad} failures"))
+        cases.append(law.case(f"{_LAW_DRAWS} randomized cases over {names}; {law.bad} failures"))
     return cases
 
 
@@ -452,9 +458,7 @@ def check_witt_ring_laws(
 _RELATIONS = {"<=": operator.le, "==": operator.eq, ">=": operator.ge}
 
 
-def check_norm_laws(
-    rng: random.Random, primes: Sequence[int], samples: int = 500
-) -> List[CaseResult]:
+def check_norm_laws(rng: random.Random, primes: Sequence[int]) -> List[CaseResult]:
     """Ultrametric/submultiplicative bounds, the exact Verschiebung identity,
     and the power-multiplicative lower bound for the componentwise norm."""
     instances = [
@@ -472,7 +476,7 @@ def check_norm_laws(
     ultra, submult, frob, versch, power = laws
     for ring in instances:
         q = ring.p
-        for s in range(samples):
+        for s in range(_NORM_SAMPLES):
             L = rng.randint(2, 3)
             x, y = _draw_vec(rng, ring, L), _draw_vec(rng, ring, L)
             nx, ny = witt_norm(x), witt_norm(y)
@@ -494,7 +498,7 @@ def check_norm_laws(
                 )
     names = ", ".join(f"{r.kind}(p={r.p})" for r in instances)
     return [
-        law.case(f"{samples} samples per instance over {names}; {law.bad} failures")
+        law.case(f"{_NORM_SAMPLES} samples per instance over {names}; {law.bad} failures")
         for law in laws
     ]
 
@@ -558,14 +562,6 @@ def _int_chain_p2(top: Tuple[int, ...], mod: int) -> List[Tuple[int, ...]]:
     return levels
 
 
-def _machine_chain(ring: Ring, top_vals: Sequence[int]) -> ArrowElt:
-    levels = [WittVec(ring, tuple(ring.from_int(v) for v in top_vals))]
-    for _ in range(len(top_vals) - 1):
-        levels.append(frobenius(levels[-1]))
-    levels.reverse()
-    return make_arrow(ring, levels, tail_bound=NormValue.one(), validate=False)
-
-
 def _induced(a: ArrowElt) -> Tuple[int, int, int]:
     """The depth-1 data (z_0[0], z_1[0], z_1[1]) of a family over Z/p^M."""
     (z00,), (z10, z11) = a.levels[0].components, a.levels[1].components
@@ -599,10 +595,10 @@ def check_depth_lifting(rng: random.Random, primes: Sequence[int]) -> List[CaseR
     cross = _Law("lift_machinery_crosscheck")
     for cls, vals in fibers.items():
         unique.check(len(vals) == 1, lambda: f"class {cls} induces {sorted(vals)}")
-        a2 = _machine_chain(r2, cls)
+        a2 = arrow_from_top(WittVec(r2, tuple(map(r2.from_int, cls))))
         lifted = _induced(lift_arrow_precision(a2, 1))
         lift.check(lifted == next(iter(vals)), lambda: f"class {cls}: lifted {lifted}")
-        machine = _induced(_machine_chain(r4, cls))
+        machine = _induced(arrow_from_top(WittVec(r4, tuple(map(r4.from_int, cls)))))
         cross.check(machine in vals, lambda: f"class {cls}: generic {machine}")
 
     consistent = _Law("lift_integer_consistency")
@@ -651,9 +647,7 @@ def check_depth_lifting(rng: random.Random, primes: Sequence[int]) -> List[CaseR
 # ---------------------------------------------------------------------------
 
 
-def check_theta_map(
-    rng: random.Random, primes: Sequence[int], samples: int = 100, pairs: int = 100
-) -> List[CaseResult]:
+def check_theta_map(rng: random.Random, primes: Sequence[int]) -> List[CaseResult]:
     """The projection theta against the classical partial series, lift
     stability at the p^(M-N) scale, and the ring-homomorphism property."""
     cases = []
@@ -665,7 +659,7 @@ def check_theta_map(
 
         agree = _Law(f"theta_projection_equals_series_p{q}")
         stability = _Law(f"theta_lift_stability_p{q}")
-        for s in range(samples):
+        for s in range(_THETA_SAMPLES):
             N = rng.randint(1, 3)
             a = sample_coherent(ring, N, draw)
             at = lambda: f"sample {s} over {ring!r}, N={N}, top {format_witt(a.levels[-1])}: "
@@ -682,7 +676,7 @@ def check_theta_map(
                 lambda: at() + f"perturbed by {[fmt(c) for c in pert]}, moved by {moved.text()}",
             )
         hom = _Law(f"theta_ring_hom_p{q}")
-        for s in range(pairs):
+        for s in range(_THETA_PAIRS):
             N = rng.randint(1, 3)
             a = sample_coherent(ring, N, draw)
             b = sample_coherent(ring, N, draw)
@@ -710,7 +704,7 @@ def check_theta_map(
         )
         cases += [
             agree.case(
-                f"{samples} coherent samples over {ring.label}, N<=3; projection == "
+                f"{_THETA_SAMPLES} coherent samples over {ring.label}, N<=3; projection == "
                 f"telescoped partial series exactly; {agree.bad} failures"
             ),
             stability.case(
@@ -718,7 +712,7 @@ def check_theta_map(
                 f"by at most {q}^-(M-N); {stability.bad} failures"
             ),
             hom.case(
-                f"{pairs} sampled pairs: theta(a+b)=theta(a)+theta(b), "
+                f"{_THETA_PAIRS} sampled pairs: theta(a+b)=theta(a)+theta(b), "
                 f"theta(ab)=theta(a)theta(b), exactly; {hom.bad} failures"
             ),
             golden.case("theta(from_integer(k)) = k for |k|<=3 and theta([1]) = 1"),
@@ -742,13 +736,7 @@ def _ghost_p2(x: Sequence[int]) -> List[int]:
     ]
 
 
-def check_integer_rigidity(
-    rng: random.Random,
-    primes: Sequence[int],
-    bound: int = 8,
-    perturbations: int = 200,
-    cross: int = 300,
-) -> List[CaseResult]:
+def check_integer_rigidity(rng: random.Random, primes: Sequence[int]) -> List[CaseResult]:
     """Exhaustive ghost-congruence check for integer families at p=2, depth 3.
 
     For the family generated by a top vector z, the chain value at index
@@ -757,7 +745,7 @@ def check_integer_rigidity(
     the sampled cross-check below re-derives it through the arrow machinery.
     """
     del primes  # the ghost polynomials below are written out at p=2
-    N = 3
+    N, bound = 3, _RIGIDITY_BOUND
     exhaustive = _Law("rigidity_exhaustive")
     for top in itertools.product(range(-bound, bound + 1), repeat=N + 1):
         w = _ghost_p2(top)
@@ -767,9 +755,9 @@ def check_integer_rigidity(
 
     ring = Integers(2)
     machinery = _Law("rigidity_machinery_crosscheck")
-    for s in range(cross):
+    for s in range(_RIGIDITY_CROSS):
         top = tuple(rng.randint(-bound, bound) for _ in range(N + 1))
-        a = _machine_chain(ring, top)
+        a = arrow_from_top(WittVec(ring, top))
         profile = rigidity_profile(a)
         w = _ghost_p2(top)
         heads = [a.levels[i].components[0] for i in range(N + 1)]
@@ -779,9 +767,9 @@ def check_integer_rigidity(
         )
 
     slipped = _Law("rigidity_perturbations_fail")
-    for s in range(perturbations):
+    for s in range(_RIGIDITY_PERTURBATIONS):
         top = tuple(rng.randint(-bound, bound) for _ in range(N + 1))
-        a = _machine_chain(ring, top)
+        a = arrow_from_top(WittVec(ring, top))
         lvl = rng.randint(0, N - 1)
         pos = rng.randint(0, lvl)
         delta = rng.choice([-2, -1, 1, 2, 3])
@@ -803,11 +791,11 @@ def check_integer_rigidity(
             f"w_m = w_(m-1) mod 2^m for m=1..3; {exhaustive.bad} failures"
         ),
         machinery.case(
-            f"{cross} random tops: arrow rigidity profile true and chain heads equal "
+            f"{_RIGIDITY_CROSS} random tops: arrow rigidity profile true and chain heads equal "
             f"the ghost coordinates; {machinery.bad} failures"
         ),
         slipped.case(
-            f"{perturbations} random single-component perturbations of non-top levels "
+            f"{_RIGIDITY_PERTURBATIONS} random single-component perturbations of non-top levels "
             f"all violate coherence; {slipped.bad} slipped through"
         ),
     ]
@@ -818,23 +806,7 @@ def check_integer_rigidity(
 # ---------------------------------------------------------------------------
 
 
-def _unit_times_power(rng: random.Random, ring: Ring, val_steps: int) -> Any:
-    """A random element with prescribed valuation val_steps (in uniformizer
-    steps for cyclotomic fields, in powers of p over Q)."""
-    if isinstance(ring, Rationals):
-        units = [u for u in (1, -1, 3, 5, 7, -5, 11) if u % ring.p]
-        t = Fraction(rng.choice(units), rng.choice([u for u in (1, 3, 5, 7) if u % ring.p]))
-        return t * Fraction(ring.p) ** val_steps
-    unit = _draw_unit(rng, ring)
-    t_pow = ring.pow_(ring.uniformizer(), abs(val_steps))
-    if val_steps >= 0:
-        return ring.mul(unit, t_pow)
-    return ring.div(unit, t_pow)
-
-
-def check_kernel_norm(
-    rng: random.Random, primes: Sequence[int], samples: int = 50
-) -> List[CaseResult]:
+def check_kernel_norm(rng: random.Random, primes: Sequence[int]) -> List[CaseResult]:
     """|w_1(x)| = p^(-1/p-...-1/p^j) |x|_W for the Frobenius-kernel family."""
     closed = _Law("kernel_closed_form")
     closed_primes = [q for q in (2, 3) if q in primes]
@@ -864,22 +836,23 @@ def check_kernel_norm(
         (3, cyclotomic_field(3, 2), "Q(zeta9)"),
     ]
     for q, ring, label in [g for g in grid if g[0] in primes]:
-        steps = 1 if isinstance(ring, Rationals) else ring.e
+        steps = uniformizer_steps(ring)
         law = _Law(f"kernel_norm_{label.replace('(', '_').replace(')', '')}_p{q}")
         for j in (1, 2):
-            for s in range(samples):
+            for s in range(_KERNEL_SAMPLES):
                 v = (s % (4 * steps + 1)) - 2 * steps
-                t = ring.zero() if s == samples - 1 else _unit_times_power(rng, ring, v)
+                t = ring.zero() if s == _KERNEL_SAMPLES - 1 else unit_times_power(rng, ring, v)
                 rep = verify_kernel_norm(ring, t, j)
                 law.check(
                     rep["passed"],
                     lambda: f"sample {s} over {ring!r}, j={j}, t={ring.format_elt(t)}: "
-                    f"|w1|=p^{rep['w1_exponent']}, c|x|=p^{rep['scaled_sup_exponent']}",
+                    f"|w1|={exponent_text(rep['w1_exponent'])}, "
+                    f"c|x|={exponent_text(rep['scaled_sup_exponent'])}",
                 )
         cases.append(
             law.case(
-                f"{samples} samples per j in {{1,2}} spanning valuations [-2,2] over {label}; "
-                f"F(x)=0 and exact equality; {law.bad} failures"
+                f"{_KERNEL_SAMPLES} samples per j in {{1,2}} spanning valuations [-2,2] "
+                f"over {label}; F(x)=0 and exact equality; {law.bad} failures"
             )
         )
     return cases
@@ -1065,16 +1038,14 @@ def _normed_contract(seq, lvl: int, head: Any) -> bool:
         return False
 
 
-def check_frobenius_solving(
-    rng: random.Random, primes: Sequence[int], fuzz: int = 100
-) -> List[CaseResult]:
+def check_frobenius_solving(rng: random.Random, primes: Sequence[int]) -> List[CaseResult]:
     """Greedy digit solving round-trips over Z/p^M and the normed tower
     solver's exact contract |y|^p <= |x|."""
     cases = []
     for q, M in [(q, M) for q, M in ((2, 6), (3, 5)) if q in primes]:
         ring = ZModPM(q, M)
         roundtrip = _Law(f"solve_roundtrip_p{q}")
-        for s in range(fuzz):
+        for s in range(_SOLVE_FUZZ):
             L = rng.randint(1, M - 1)
             y = _draw_vec(rng, ring, L + 1)
             x = frobenius(y)
@@ -1085,7 +1056,7 @@ def check_frobenius_solving(
             )
         cases.append(
             roundtrip.case(
-                f"{fuzz} fuzzed images x = F(y) over {ring.label}: solver output satisfies "
+                f"{_SOLVE_FUZZ} fuzzed images x = F(y) over {ring.label}: solver output satisfies "
                 f"F(y') = x at the tracked precision; {roundtrip.bad} failures"
             )
         )
@@ -1121,7 +1092,7 @@ def check_frobenius_solving(
             lvl = rng.choice((1, 2))
             fld = t2.field(lvl)
             j = rng.randint(1, 2 * fld.e - 1)
-            shapes.append((lvl, fld.mul(_draw_unit(rng, fld), fld.pow_(fld.uniformizer(), j))))
+            shapes.append((lvl, unit_times_power(rng, fld, j)))
         for _ in range(8):
             j = rng.randint(1, f2.e - 1)
             shapes.append((2, f2.scalar_mul(Fraction(1, 2), f2.pow_(f2.uniformizer(), j))))
@@ -1151,7 +1122,7 @@ def check_frobenius_solving(
             # exponents below e/3 keep the rescale window at its first level,
             # so the solver works inside conductor 3^5 instead of 3^6 and up
             j = rng.randint(1, 5)
-            head = f1.mul(_draw_unit(rng, f1), f1.pow_(f1.uniformizer(), j))
+            head = unit_times_power(rng, f1, j)
             contract.check(
                 _normed_contract(seq3, 1, head),
                 lambda: f"input {s} over {f1!r}: x=({f1.format_elt(head)})",
@@ -1260,23 +1231,21 @@ def check_tilt_ring_laws(rng: random.Random, primes: Sequence[int]) -> List[Case
 # ---------------------------------------------------------------------------
 
 
-def check_charp_overconvergence(
-    rng: random.Random, primes: Sequence[int], samples: int = 100
-) -> List[CaseResult]:
+def check_charp_overconvergence(rng: random.Random, primes: Sequence[int]) -> List[CaseResult]:
     """Inverse-limit norm equals the closed sup formula over a perfected
     polynomial ring, and the degree-growth dichotomy is two-sided."""
     del primes  # the perfected polynomial ring is F_2[x^(1/2^oo)]
     ring = PerfPolyRing(2, 1, 8)
     bs = (Fraction(1, 2), Fraction(1), Fraction(2))
     limit = _Law("charp_limit_vs_formula")
-    for s in range(samples):
+    for s in range(_CHARP_SAMPLES):
         x = _draw_vec(rng, ring, 5)
         b = bs[s % 3]
         rep = charp_limit_norm(x, b, depth=4)
         limit.check(rep["agree"], lambda: f"sample {s} over {ring!r}, b={b}: {_show(x=x)}")
     cases = [
         limit.case(
-            f"{samples} vectors over F_2[x^(1/2^oo)] at depth 4, b in (1/2,1,2): "
+            f"{_CHARP_SAMPLES} vectors over F_2[x^(1/2^oo)] at depth 4, b in (1/2,1,2): "
             f"coherent-family norm == sup formula exactly; {limit.bad} failures"
         )
     ]
@@ -1341,8 +1310,9 @@ def check_untilt_isometry(rng: random.Random, primes: Sequence[int]) -> List[Cas
             rep = untilt_isometry(x, 2, b)
             law.check(
                 rep["isometric"],
-                lambda: f"input {idx} over {tring!r}, b={b}: family p^{rep['family_exponent']} "
-                f"vs charp p^{rep['charp_exponent']}",
+                lambda: f"input {idx} over {tring!r}, b={b}: family "
+                f"{exponent_text(rep['family_exponent'])} vs charp "
+                f"{exponent_text(rep['charp_exponent'])}",
             )
     return [
         law.case(
@@ -1357,9 +1327,7 @@ def check_untilt_isometry(rng: random.Random, primes: Sequence[int]) -> List[Cas
 # ---------------------------------------------------------------------------
 
 
-def check_inverse_frobenius_sandwich(
-    rng: random.Random, primes: Sequence[int], samples: int = 100
-) -> List[CaseResult]:
+def check_inverse_frobenius_sandwich(rng: random.Random, primes: Sequence[int]) -> List[CaseResult]:
     """Both displayed inequalities tying |x|_{W,b} to the shifted family."""
     rings: List[TruncatedRing] = [
         r for r in (ZModPM(2, 6), ZModPM(3, 4), CycloModPM(2, 3, 4)) if r.p in primes
@@ -1367,7 +1335,7 @@ def check_inverse_frobenius_sandwich(
     bs = (Fraction(1), Fraction(2), Fraction(4))
     law = _Law("inverse_frobenius_sandwich")  # definite failures
     unsettled = _Law("inverse_frobenius_sandwich")  # inconclusive samples
-    for s in range(samples):
+    for s in range(_SANDWICH_SAMPLES):
         ring = rings[s % len(rings)]
         depth = rng.randint(2, 4)
         a = sample_coherent(ring, depth, functools.partial(_draw_elt, rng, ring))
@@ -1375,7 +1343,7 @@ def check_inverse_frobenius_sandwich(
 
         def witness() -> str:
             lower, value, upper = (
-                "[" + ", ".join("0" if e is None else f"p^{e}" for e in rep[key]) + "]"
+                "[" + ", ".join(map(exponent_text, rep[key])) + "]"
                 for key in ("lower_exponents", "value_exponents", "upper_exponents")
             )
             return (
@@ -1388,7 +1356,7 @@ def check_inverse_frobenius_sandwich(
         unsettled.check(rep["status"] != "inconclusive", witness)
     names = ", ".join(r.label for r in rings)
     detail = (
-        f"{samples} certified coherent samples over {names} with b in (1,2,4), norms of "
+        f"{_SANDWICH_SAMPLES} certified coherent samples over {names} with b in (1,2,4), norms of "
         f"zero residues as intervals; {law.bad} failures, {unsettled.bad} inconclusive"
     )
     if unsettled.bad:

@@ -77,7 +77,7 @@ from .errors import (
 from .norms import NormValue, norm_max
 from .perfpoly import PerfPolyRing
 from .rings import Ring
-from .witt import WittVec, witt_add, witt_combination, witt_mul, witt_neg
+from .witt import WittVec, witt_add, witt_combination, witt_mul, witt_neg, witt_norm_profile
 
 __all__ = [
     "TiltElt",
@@ -271,12 +271,15 @@ def tilt_residue(x: TiltElt):
     return x.base.residue(x.entries[0])
 
 
-def enumerate_tilts(base: Ring, depth: int, limit: int = 100000) -> List[TiltElt]:
+_ENUMERATION_LIMIT = 100000  # the largest base enumerated by enumerate_tilts
+
+
+def enumerate_tilts(base: Ring, depth: int) -> List[TiltElt]:
     """Every coherent chain of the given depth: one per choice of deepest
     entry, since the rest of the chain is determined by powering down."""
     if not base.truncated:
         raise NotEnumerable(f"base {base.kind} is not a finite truncated ring")
-    return [tilt_from_top(base, top, depth) for top in base.elements(limit)]
+    return [tilt_from_top(base, top, depth) for top in base.elements(_ENUMERATION_LIMIT)]
 
 
 def format_tilt(x: TiltElt) -> str:
@@ -418,16 +421,13 @@ def _require_char_p(ring: Ring) -> None:
 
 
 def charp_overconv_profile(x: WittVec, b) -> List[NormValue]:
-    """Per-index values p**(-b*j) * |x_{p^j}| ** (1/p**j)."""
+    """Per-index values p**(-b*j) * |x_{p^j}| ** (1/p**j): the
+    ``witt_norm_profile`` of x weighted by p**(-b*j)."""
     _require_char_p(x.ring)
     b = Fraction(b)
     if b <= 0:
         raise BOutOfRange(f"the weight b must be positive, got {b}")
-    ring = x.ring
-    return [
-        ring.seminorm(c).pow(Fraction(1, ring.p ** j)).scale_exponent(b * j)
-        for j, c in enumerate(x.components)
-    ]
+    return [v.scale_exponent(b * j) for j, v in enumerate(witt_norm_profile(x))]
 
 
 def charp_overconv_norm(x: WittVec, b) -> NormValue:

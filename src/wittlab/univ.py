@@ -18,11 +18,12 @@ wrong denominator.
 Polynomials are built once per (p, index, kind) and cached, and so, lazily,
 are their reductions mod p (``structure_poly_mod_p``), which the perfected
 polynomial ring evaluates; ``canonical_dump`` and every other caller read the
-integer ones.  The cached range is deliberately small (index <= 3 for p = 2,
-index <= 2 otherwise).  Only ``PerfPolyRing.char_p_witt_op`` reads it for
-Witt ops, and it refuses longer vectors; every other ring's Witt ops read no
-structure polynomial and take any length (ghost transport, or a tilt's
-base-ring ops).
+integer ones, and every power of a polynomial comes from ``UPoly.pow`` on
+the one square-and-multiply ladder, ``rings.power_ladder``.  The cached range
+is deliberately small (index <= 3 for p = 2, index <= 2 otherwise).  Only
+``PerfPolyRing.char_p_witt_op`` reads it for Witt ops, and it refuses longer
+vectors; every other ring's Witt ops read no structure polynomial and take
+any length (ghost transport, or a tilt's base-ring ops).
 
 ``UPoly.evaluate`` is the generic evaluator, over any ``Ring``
 (``Integers(p)`` for plain integer inputs).  It checks the coefficients and
@@ -57,7 +58,7 @@ from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import CapabilityMissing, IntegralityViolation, MalformedConfig
-from .rings import check_prime
+from .rings import check_prime, power_ladder
 
 Exps = Tuple[int, ...]
 
@@ -130,25 +131,11 @@ class UPoly:
         return UPoly(self.nvars, terms)
 
     def pow(self, n: int) -> "UPoly":
-        """self ** n by square-and-multiply from the lowest set bit, as
-        ``Ring.pow_``: the base is never squared past the top bit and the
-        constant 1 is never multiplied in."""
+        """self ** n on ``rings.power_ladder``: the base is never squared past
+        the top bit and the constant 1 is never multiplied in."""
         if n < 0:
             raise CapabilityMissing("UPoly: negative powers not supported")
-        if n == 0:
-            return UPoly.constant(self.nvars, 1)
-        base = self
-        while not n & 1:
-            base = base.mul(base)
-            n >>= 1
-        result = base
-        n >>= 1
-        while n:
-            base = base.mul(base)
-            if n & 1:
-                result = result.mul(base)
-            n >>= 1
-        return result
+        return power_ladder(self, n, UPoly.mul) if n else UPoly.constant(self.nvars, 1)
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -397,8 +397,8 @@ def format_witt(x: WittVec, tagged: bool = False) -> str:
     return "(" + body + ")"
 
 
-def split_top_level(text: str, sep: str = ",") -> List[str]:
-    """Split on separators not nested inside (), [], or {}."""
+def split_top_level(text: str) -> List[str]:
+    """Split on commas not nested inside (), [], or {}."""
     parts, depth, current = [], 0, []
     for ch in text:
         if ch in "([{":
@@ -407,7 +407,7 @@ def split_top_level(text: str, sep: str = ",") -> List[str]:
             depth -= 1
             if depth < 0:
                 raise MalformedConfig(f"unbalanced brackets in {text!r}")
-        if ch == sep and depth == 0:
+        if ch == "," and depth == 0:
             parts.append("".join(current))
             current = []
         else:

@@ -10,11 +10,13 @@ from wittlab.arrow import (
     arrow_add,
     arrow_eq,
     arrow_from_integer,
+    arrow_from_top,
     arrow_mul,
     arrow_neg,
     arrow_norm,
     arrow_teichmuller,
     arrow_to_json,
+    check_coherence,
     frobenius_arrow,
     inverse_frobenius,
     inverse_frobenius_sandwich,
@@ -29,6 +31,7 @@ from wittlab.arrow import (
 from wittlab.cyclotomic import CycloModPM
 from wittlab.errors import DepthExceeded, IntegralityViolation, LengthMismatch
 from wittlab.norms import NormValue
+from wittlab import witt
 from wittlab.rings import Integers, ZModPM
 from wittlab.witt import WittVec, frobenius, witt_eq, witt_from_integer
 
@@ -167,6 +170,41 @@ def test_precision_lift_reproduces_the_washed_family():
     want = arrow_from_integer(lifted.ring, 3, 1)
     for n in range(2):
         assert witt_eq(lifted.levels[n], want.levels[n])
+
+
+def test_a_family_from_its_top_takes_one_frobenius_per_level(monkeypatch):
+    """The top pushed down by F is coherent by construction: depth
+    transports, counted as unghost calls, and no second pass re-checks them."""
+    calls = []
+    unghost = witt.unghost
+    monkeypatch.setattr(witt, "unghost", lambda w: calls.append(w) or unghost(w))
+    ring = ZModPM(2, 6)
+    rng = random.Random(7)
+    for depth in range(1, 6):
+        calls.clear()
+        a = sample_coherent(ring, depth, _draw(ring, rng))
+        assert len(calls) == depth
+        assert a.tail_bound == NormValue.one()
+        check_coherence(ring, a.levels)
+        b = arrow_from_top(a.levels[-1])
+        assert b.levels == a.levels and b.tail_bound == a.tail_bound
+    assert arrow_from_top(WittVec(Integers(2), (3, 1))).tail_bound is None
+
+
+def test_sandwich_statuses_are_the_arrow_norm_statuses():
+    rng = random.Random(5)
+    for ring in (ZModPM(2, 6), ZModPM(3, 4), CycloModPM(2, 3, 4)):
+        for _ in range(6):
+            a = sample_coherent(ring, rng.randint(2, 4), _draw_digits(ring, rng))
+            for b in (1, 2, 4):
+                rep = inverse_frobenius_sandwich(a, b)
+                shifted = arrow_norm(inverse_frobenius(a), Fraction(b, ring.p))
+                assert rep["value_status"] == arrow_norm(a, b).status
+                assert rep["shifted_status"] == shifted.status
+
+
+def _draw_digits(ring, rng):
+    return lambda: ring.from_digits([rng.randrange(ring.p**ring.M) for _ in range(ring.e)])
 
 
 def test_sandwich_on_integer_families():

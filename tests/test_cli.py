@@ -1,6 +1,5 @@
 """The command-line front end, driven through ``main``: exit codes and JSON keys."""
 
-import functools
 import hashlib
 import json
 import os
@@ -13,6 +12,7 @@ import pytest
 
 from wittlab import suites
 from wittlab.cli import main
+from wittlab.cyclotomic import CyclotomicField
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -176,6 +176,11 @@ USAGE_ERRORS = [
     pytest.param(("tilt", "add", "1", "2", "--depth", "-1"), None, id="tilt-negative-depth"),
     pytest.param(("verify", "arrow", "--p", "5"), None, id="verify-arrow-uncovered-prime"),
     pytest.param(("verify", "kernel", "--p", "5"), None, id="verify-kernel-uncovered-prime"),
+    pytest.param(("kernel", "verify", "--samples", "0"), None, id="kernel-samples-zero"),
+    pytest.param(("kernel", "verify", "--samples", "-3"), None, id="kernel-samples-negative"),
+    pytest.param(
+        ("kernel", "verify", "--samples", os.devnull), None, id="kernel-samples-empty-file"
+    ),
     pytest.param(("perfect", "test", "--json"), "", id="full-device", marks=_FULL),
     pytest.param(("perfect", "test", "--json"), "1", id="full-device-unbuffered", marks=_FULL),
 ]
@@ -335,6 +340,43 @@ def test_kernel_verify_reads_samples_over_the_integers_from_a_file(capsys, tmp_p
     payload = json.loads(out)
     assert payload["failures"] == 0
     assert [r["t"] for r in payload["results"]] == ["4"]
+
+
+def test_kernel_verify_refuses_a_run_with_no_sample(capsys):
+    for samples, count in (("0", 0), ("-3", -3), (os.devnull, 0)):
+        code, out, err = run(capsys, "kernel", "verify", "--samples", samples)
+        assert (code, out) == (2, "")
+        assert err.strip() == (
+            f"error: kernel verify needs at least 1 sample, got {count} (--samples {samples})"
+        )
+
+
+def test_kernel_verify_prints_a_zero_norm_as_zero(capsys, tmp_path):
+    samples = tmp_path / "t.txt"
+    samples.write_text("0\n")
+    code, out, _ = run(capsys, "kernel", "verify", "--samples", str(samples))
+    assert code == 0
+    assert out.splitlines() == ["[pass] t=0: |w1| = 0, scaled sup = 0", "1 samples, 0 failures"]
+
+
+def test_kernel_verify_draws_units_times_powers_of_either_sign_over_qzeta(capsys):
+    code, out, _ = run(capsys, "kernel", "verify", "--ring", "Qzeta:2", "--samples", "30", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["failures"] == 0
+    field = CyclotomicField(2, 2)
+    pi = field.uniformizer()
+    valuations, pure_powers = [], []
+    for r in payload["results"]:
+        t = field.parse_elt(r["t"])
+        v = field.valuation(t)
+        assert -2 <= v <= 2
+        steps = int(v * field.e)
+        power = field.pow_(pi, abs(steps))
+        valuations.append(v)
+        pure_powers.append(field.eq(t, power if steps >= 0 else field.inv(power)))
+    assert min(valuations) < 0 < max(valuations)
+    assert not all(pure_powers)
 
 
 # -- tilt and universal -------------------------------------------------------------
@@ -508,8 +550,7 @@ def test_arrow_norm_prints_its_json_keys(capsys):
 def short_ghost_suite(monkeypatch):
     """The ghost ring laws at 20 draws per law: they cover every prime, and at
     p = 7 the default 500 draws over Q(zeta_49) take ~20 s."""
-    short = functools.partial(suites.check_witt_ring_laws, per_law=20)
-    monkeypatch.setitem(suites._SUITES, "ghost", [suites.Check("witt_ring_laws", None, short)])
+    monkeypatch.setattr(suites, "_LAW_DRAWS", 20)
 
 
 def _verify_all(capsys, p):
@@ -640,9 +681,9 @@ CLI_TABLE = [
     ("tilt norm '[0,1]' --ring ZzetaMod:2 --depth 2", 0, "49928d4d77a0cb20", "69df26e550654f0b"),
     ("tilt untilt 5 --p 3 --depth 3 --n 2", 0, "bf80a49f69b2937f", "388c74a3f534a96e"),
     ("tilt mul 3 2 --ring Z", 2, _NO_OUTPUT, _NO_OUTPUT),
-    ("kernel verify", 0, "b8a38e0cf8ec30af", "919ef7cdeb096685"),
-    ("kernel verify --ring Qi --p 5 --samples 4 --seed 2", 0, "6be251fce2bd4ce4", "6d031c475f2be1cf"),
-    ("kernel verify --ring Qzeta:2 --j 2 --samples 3", 0, "c5963c53fcf1a230", "5a5201db9527799f"),
+    ("kernel verify", 0, "451a1d7d523817b3", "2edf55417ec7d3d0"),
+    ("kernel verify --ring Qi --p 5 --samples 4 --seed 2", 0, "be532172d7586d55", "73478515b573f90d"),
+    ("kernel verify --ring Qzeta:2 --j 2 --samples 3", 0, "35838112b2e64e0f", "ee5f7555c34c797f"),
     ("artin classify --f i --p 3", 0, "025cdb50aa513fe8", "e1eb80465b31f13e"),
     ("artin classify --f 1/5 --p 5 --depth 2", 0, "4512456bd5c5b21b", "327010a9b57e5877"),
     ("artin classify --field Qzeta --f i", 2, _NO_OUTPUT, _NO_OUTPUT),

@@ -1,6 +1,8 @@
 """The power ladders of ``ghost``, ``unghost`` and ``teich_mul`` against the
 direct-power loops they replaced, byte for byte, and the ladder's op count;
-odd-p ``witt_neg``, which skips the ladders, against transported negation."""
+the one square-and-multiply ladder behind every ``pow_``, its product count
+and its powers against repeated products; odd-p ``witt_neg``, which skips the
+ladders, against transported negation."""
 
 import json
 import random
@@ -11,9 +13,9 @@ import pytest
 from wittlab.cyclotomic import CycloModPM, GaussianField, cyclotomic_field
 from wittlab.errors import CapabilityMissing
 from wittlab.perfpoly import PerfPolyRing
-from wittlab.rings import Integers, Rationals, TruncatedRing, ZModPM
+from wittlab.rings import Integers, Rationals, Ring, TruncatedRing, ZModPM, power_ladder
 from wittlab.tilt import TiltRing, make_tilt, tilt_from_top
-from wittlab.univ import structure_poly_mod_p
+from wittlab.univ import UPoly, structure_poly_mod_p
 from wittlab.witt import (
     GhostVec,
     WittVec,
@@ -160,6 +162,58 @@ def test_the_ladders_take_only_p_th_powers(p, n):
     ring.exponents.clear()
     teich_mul(Fraction(3, 2), x)
     assert ring.exponents == [p] * (n - 1)
+
+
+class _CountingIntegers(Integers):
+    """Z on the generic ``Ring.pow_`` (not Python's ``**``), counting the
+    products it makes."""
+
+    pow_ = Ring.pow_
+
+    def __init__(self):
+        super().__init__(2)
+        self.products = 0
+
+    def mul(self, a, b):
+        self.products += 1
+        return a * b
+
+
+def test_the_power_ladder_makes_one_product_per_bit_past_the_first():
+    """a ** n takes bit_length(n) - 1 squarings and popcount(n) - 1 further
+    products, through ``Ring.pow_``, through ``UPoly.pow`` and with a
+    squaring of its own."""
+    ring = _CountingIntegers()
+    for n in range(1, 65):
+        want = (n.bit_length() - 1) + (bin(n).count("1") - 1)
+        ring.products = 0
+        assert ring.pow_(3, n) == 3**n
+        assert ring.products == want, n
+        calls = []
+        got = power_ladder(
+            3, n, lambda a, b: calls.append("mul") or a * b, lambda a: calls.append("sqr") or a * a
+        )
+        assert got == 3**n
+        assert calls.count("sqr") == n.bit_length() - 1, n
+        assert calls.count("mul") == bin(n).count("1") - 1, n
+    x = UPoly.variable(1, 0).add(UPoly.constant(1, 1))
+    assert x.pow(5) == x.mul(x).mul(x).mul(x).mul(x)
+    assert x.pow(0) == UPoly.constant(1, 1)
+
+
+@pytest.mark.parametrize(
+    "name", ["Z/3^4", "Zzeta8/2^4", "Qzeta9", "tilt(Z/3^3,4)", "PerfPoly(2,1,8)"]
+)
+def test_pow_is_the_repeated_product(name):
+    ring = _RINGS[name]
+    rng = random.Random(name)
+    for _ in range(3):
+        a = _draw(rng, ring)
+        product = a
+        for n in range(1, 14):
+            if n > 1:
+                product = ring.mul(product, a)
+            assert ring.eq(ring.pow_(a, n), product), (n, ring.format_elt(a))
 
 
 _NEG_RINGS = {

@@ -18,6 +18,7 @@ from wittlab.errors import (
 from wittlab.norms import NormValue
 from wittlab.perfpoly import PerfPolyRing
 from wittlab.rings import Integers, Rationals, ZModPM
+from wittlab import tilt
 from wittlab.tilt import (
     TiltElt,
     TiltRing,
@@ -286,9 +287,10 @@ def test_enumeration_over_a_cyclotomic_base():
     assert [tilt_residue(c) for c in chains] == [(0, 0), (1, 0), (1, 0), (0, 0)]
 
 
-def test_enumeration_refuses_past_its_limit():
+def test_enumeration_refuses_past_its_limit(monkeypatch):
+    monkeypatch.setattr(tilt, "_ENUMERATION_LIMIT", 10)
     with pytest.raises(NotEnumerable, match="^64 .*exceed the enumeration limit 10$"):
-        enumerate_tilts(CycloModPM(2, 2, 3), 2, limit=10)
+        enumerate_tilts(CycloModPM(2, 2, 3), 2)
 
 
 # -- tilt_add against the per-slot formula ----------------------------------------

@@ -24,7 +24,7 @@ from .errors import (
     UnknownSuite,
     WittError,
 )
-from .norms import NormValue, norm_max, norm_min
+from .norms import NormValue, norm_max
 from .rings import Integers, Rationals, Ring, TruncInt, TruncatedRing, ZModPM
 from .cyclotomic import (
     CycloModPM,
@@ -39,7 +39,6 @@ from .univ import (
     UPoly,
     canonical_dump,
     component_labels,
-    ghost_poly,
     structure_cap,
     structure_poly,
     structure_poly_labels,
@@ -51,7 +50,6 @@ from .witt import (
     frobenius_iter,
     ghost,
     integer_witt_components,
-    mul_by_int,
     restrict,
     teich_mul,
     teichmuller,
@@ -67,7 +65,6 @@ from .witt import (
     witt_norm_profile,
     witt_one,
     witt_sub,
-    witt_vec,
     witt_zero,
 )
 from .arrow import (
@@ -80,14 +77,12 @@ from .arrow import (
     arrow_mul,
     arrow_neg,
     arrow_norm,
-    arrow_sub,
     arrow_teichmuller,
     frobenius_arrow,
     inverse_frobenius,
     inverse_frobenius_sandwich,
     lift_arrow_precision,
     make_arrow,
-    project,
     rigidity_profile,
     sample_coherent,
     theta,
@@ -124,7 +119,6 @@ from .tilt import (
     tilt_norm,
     tilt_pth_root,
     tilt_residue,
-    tilt_sub,
     untilt,
     untilt_isometry,
 )

@@ -64,11 +64,9 @@ __all__ = [
     "arrow_add",
     "arrow_mul",
     "arrow_neg",
-    "arrow_sub",
     "arrow_eq",
     "arrow_from_integer",
     "arrow_teichmuller",
-    "project",
     "inverse_frobenius",
     "inverse_frobenius_sandwich",
     "frobenius_arrow",
@@ -77,7 +75,6 @@ __all__ = [
     "ArrowNorm",
     "arrow_norm",
     "lift_arrow_precision",
-    "map_components",
     "arrow_from_top",
     "sample_coherent",
     "rigidity_profile",
@@ -161,25 +158,23 @@ def arrow_neg(a: ArrowElt) -> ArrowElt:
     return ArrowElt(a.ring, tuple(witt_neg(x) for x in a.levels), a.tail_bound)
 
 
-def arrow_sub(a: ArrowElt, b: ArrowElt) -> ArrowElt:
-    return arrow_add(a, arrow_neg(b))
-
-
 def arrow_eq(a: ArrowElt, b: ArrowElt) -> bool:
     _check_depths(a, b)
     return all(witt_eq(x, y) for x, y in zip(a.levels, b.levels))
 
 
 def arrow_from_integer(ring: Ring, c: int, depth: int) -> ArrowElt:
-    """The constant-ghost integer c at every level; coherent because the
-    ghost of F is the shift and constant families are shift-invariant."""
+    """The constant-ghost integer c at every level.  It is coherent by
+    construction: over Z the ghost of F is the shift, which fixes a constant
+    ghost, and F commutes with the map Z -> R.  So nothing re-checks it, and
+    only an empty family (depth < 0) is refused."""
     levels = tuple(witt_from_integer(ring, c, n + 1) for n in range(depth + 1))
     bound = norm_max([ring.seminorm(ring.from_int(c)), NormValue.one()])
     if NormValue.one() < bound:
         raise IntegralityViolation(
             f"integer image of {c} has seminorm above 1; tail certificate invalid"
         )
-    return make_arrow(ring, levels, tail_bound=NormValue.one())
+    return make_arrow(ring, levels, tail_bound=NormValue.one(), validate=False)
 
 
 def arrow_teichmuller(ring: Ring, roots: Sequence) -> ArrowElt:
@@ -198,13 +193,6 @@ def arrow_teichmuller(ring: Ring, roots: Sequence) -> ArrowElt:
     if not NormValue.one() < ring.seminorm(roots[0]):
         bound = NormValue.one()
     return make_arrow(ring, levels, tail_bound=bound, validate=False)
-
-
-def project(a: ArrowElt, n: int) -> WittVec:
-    """Level n of the family (length n+1); its first component is w_{p^-n}."""
-    if n < 0 or n > a.depth:
-        raise DepthExceeded(f"level {n} of a depth-{a.depth} element")
-    return a.levels[n]
 
 
 def inverse_frobenius(a: ArrowElt) -> ArrowElt:
@@ -422,17 +410,6 @@ def lift_arrow_precision(a: ArrowElt, N: int) -> ArrowElt:
                 f"precision lift does not reduce to the original at level {n}"
             )
     return result
-
-
-def map_components(
-    a: ArrowElt,
-    target: Ring,
-    fn: Callable[[Any], Any],
-    tail_bound: Optional[NormValue] = None,
-    validate: bool = True,
-) -> ArrowElt:
-    levels = tuple(WittVec(target, tuple(fn(c) for c in z.components)) for z in a.levels)
-    return make_arrow(target, levels, tail_bound=tail_bound, validate=validate)
 
 
 def arrow_from_top(top: WittVec) -> ArrowElt:

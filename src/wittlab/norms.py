@@ -123,13 +123,3 @@ def norm_max(values: Iterable[NormValue]) -> NormValue:
             best = val
     return best
 
-
-def norm_min(values: Iterable[NormValue]) -> NormValue:
-    vals = list(values)
-    if not vals:
-        raise WittError("minimum of an empty family of norm values")
-    best = vals[0]
-    for val in vals[1:]:
-        if val < best:
-            best = val
-    return best

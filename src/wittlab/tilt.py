@@ -87,7 +87,6 @@ __all__ = [
     "tilt_add",
     "tilt_mul",
     "tilt_neg",
-    "tilt_sub",
     "tilt_eq",
     "tilt_is_zero",
     "tilt_frobenius",
@@ -232,10 +231,6 @@ def tilt_neg(x: TiltElt) -> TiltElt:
     if x.base.p == 2:
         return x
     return TiltElt(x.base, tuple(x.base.neg(e) for e in x.entries))
-
-
-def tilt_sub(x: TiltElt, y: TiltElt) -> TiltElt:
-    return tilt_add(x, tilt_neg(y))
 
 
 def tilt_eq(x: TiltElt, y: TiltElt) -> bool:

@@ -6,14 +6,13 @@ x_1, x_p, ..., x_{p**n}.  The ghost map sends such a vector to
     w_{p**m} = sum_{i <= m} p**i * x_{p**i} ** (p**(m-i)),   m = 0..n,
 
 and every ring operation is defined by transporting through ghost
-coordinates.  Over Q the transport can be inverted degree by degree:
-
-    s_m = (phi_m - sum_{i<m} p**i * s_i ** (p**(m-i))) / p**m,
-
-and the classical integrality statement says the resulting polynomials have
-integer coefficients.  We compute them exactly over Q and *assert* the
-integrality, so a bug in the recursion cannot slip through as a silently
-wrong denominator.
+coordinates.  The structure polynomials are that transport run on variables:
+`structure_polys` hands `witt.ghost` and `witt.unghost` vectors of variables
+over `_PolyRing`, Z[x_0, ..., x_(n-1)] on `UPoly`, so the library inverts the
+ghost map in one place.  The classical integrality statement says the
+results have integer coefficients; `_PolyRing.exact_divide_by_p` refuses a
+coefficient that p**m does not divide, so a wrong transport cannot slip
+through as a silently wrong denominator.
 
 Polynomials are built once per (p, index, kind) and cached, and so, lazily,
 are their reductions mod p (``structure_poly_mod_p``), which the perfected
@@ -44,10 +43,8 @@ Kinds:
   * ``frob``           -- component m of the Frobenius, in x_1..x_{p**(m+1)};
   * ``frob_f``         -- the carry term f_{p**m} in the decomposition
                           F_m = x_{p**m}**p + p*x_{p**(m+1)} + p*f_{p**m},
-                          which involves only x_1..x_{p**m}.  Read by
-                          ``universal dump``, the ``universal`` suite and the
-                          ``arrow`` suite's oracle ``_int_frobenius_p2``;
-                          `witt` and `perfect` never evaluate it.
+                          which involves only x_1..x_{p**m}.  Read only by
+                          ``universal dump`` and the ``universal`` suite.
 """
 
 from __future__ import annotations
@@ -59,6 +56,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .errors import CapabilityMissing, IntegralityViolation, MalformedConfig
 from .rings import check_prime, power_ladder
+from .witt import GhostVec, WittVec, ghost, unghost
 
 Exps = Tuple[int, ...]
 
@@ -151,19 +149,6 @@ class UPoly:
     def __hash__(self):
         return hash((self.nvars, tuple(sorted((e, Fraction(c)) for e, c in self.terms.items()))))
 
-    # -- integrality ----------------------------------------------------------
-
-    def to_integer_poly(self) -> "UPoly":
-        terms: Dict[Exps, object] = {}
-        for exps, c in self.terms.items():
-            q = Fraction(c)
-            if q.denominator != 1:
-                raise IntegralityViolation(
-                    f"coefficient {q} of exponent {exps} is not an integer"
-                )
-            terms[exps] = int(q)
-        return UPoly(self.nvars, terms)
-
     def uses_variable(self, idx: int) -> bool:
         return any(exps[idx] for exps in self.terms)
 
@@ -224,41 +209,50 @@ class UPoly:
         return f"UPoly({self.nvars}, {len(self.terms)} terms)"
 
 
-def ghost_poly(p: int, m: int, nvars: int, offset: int = 0) -> UPoly:
-    """w_{p**m} as a polynomial in variables offset..offset+m."""
-    acc = UPoly(nvars)
-    for i in range(m + 1):
-        acc = acc.add(UPoly.variable(nvars, offset + i, p ** (m - i)).scale(p ** i))
-    return acc
+class _PolyRing:
+    """Z[x_0..x_(nvars-1)] on `UPoly`, duck-typed as the p-torsion-free ring
+    that `witt.ghost` and `witt.unghost` read.  Its exact division by p**k is
+    the integrality certificate of the structure polynomials: a coefficient
+    that p**k does not divide is refused."""
 
+    p_torsion_free = True
 
-def _pair_lift(s: UPoly, i: int, m: int) -> UPoly:
-    """Reinterpret an index-i two-block polynomial over the index-m split."""
-    nv = 2 * (m + 1)
-    remap = {}
-    for exps, c in s.terms.items():
-        xs, ys = exps[: i + 1], exps[i + 1 :]
-        remap[xs + (0,) * (m - i) + ys + (0,) * (m - i)] = c
-    return UPoly(nv, remap)
+    def __init__(self, p: int, nvars: int):
+        self.p, self.nvars = p, nvars
 
+    def variables(self) -> Tuple[UPoly, ...]:
+        return tuple(UPoly.variable(self.nvars, i) for i in range(self.nvars))
 
-def _tail_lift(s: UPoly, nv: int) -> UPoly:
-    """s over nv variables, the added ones last and unused."""
-    return UPoly(nv, {e + (0,) * (nv - s.nvars): c for e, c in s.terms.items()})
+    def from_int(self, n: int) -> UPoly:
+        return UPoly.constant(self.nvars, n)
 
+    def zero(self) -> UPoly:
+        return UPoly(self.nvars)
 
-def _unghost_step(p: int, m: int, phi_m: UPoly, lower: Sequence[UPoly]) -> UPoly:
-    """Solve w_{p**m}(s) = phi_m for s_m given s_0..s_{m-1}; asserts integrality."""
-    acc = phi_m
-    for i, s in enumerate(lower):
-        acc = acc.sub(s.pow(p ** (m - i)).scale(p ** i))
-    return acc.scale(Fraction(1, p ** m)).to_integer_poly()
+    add = staticmethod(UPoly.add)
+    sub = staticmethod(UPoly.sub)
+    mul = staticmethod(UPoly.mul)
+    pow_ = staticmethod(UPoly.pow)
+
+    def neg(self, a: UPoly) -> UPoly:
+        return a.scale(-1)
+
+    def exact_divide_by_p(self, a: UPoly, k: int = 1) -> UPoly:
+        q = self.p ** k
+        for exps, c in a.terms.items():
+            if c % q:
+                raise IntegralityViolation(
+                    f"coefficient {Fraction(c, q)} of exponent {exps} is not an integer"
+                )
+        return UPoly(self.nvars, {exps: c // q for exps, c in a.terms.items()})
 
 
 @lru_cache(maxsize=None)
-def structure_poly(p: int, index: int, kind: str) -> UPoly:
-    """The index-th component polynomial of the requested operation at the
-    prime p; a p that is not prime is refused before any recursion."""
+def structure_polys(p: int, index: int, kind: str) -> Tuple[UPoly, ...]:
+    """Components 0..index of the operation ``kind`` at the prime p, all over
+    the variables of component ``index``: one `witt.ghost`/`witt.unghost`
+    pass over `_PolyRing`, whose exact divisions certify integrality.  A p
+    that is not prime is refused before any transport."""
     check_prime(p)
     if kind not in KINDS:
         raise MalformedConfig(f"unknown structure polynomial kind {kind!r}")
@@ -268,34 +262,38 @@ def structure_poly(p: int, index: int, kind: str) -> UPoly:
             f"structure polynomials at p={p} are cached for indices 0..{cap}, "
             f"got {index}; use ghost transport for longer vectors"
         )
+    if kind == "frob_f":
+        # strip the exact part off each Frobenius component:
+        # frob_i = x_i**p + p*x_(i+1) + p*f_i, with f_i in x_0..x_i
+        ring = _PolyRing(p, index + 2)
+        xs = ring.variables()
+        carries = []
+        for i, full in enumerate(structure_polys(p, index, "frob")):
+            f = ring.exact_divide_by_p(full.sub(xs[i].pow(p)).sub(xs[i + 1].scale(p)))
+            if f.uses_variable(i + 1):
+                raise IntegralityViolation(
+                    f"carry term f at p={p}, index {i} unexpectedly involves x_{{p^{i + 1}}}"
+                )
+            carries.append(UPoly(index + 1, {e[: index + 1]: c for e, c in f.terms.items()}))
+        return tuple(carries)
     if kind in ("sum", "prod"):
-        nv = 2 * (index + 1)
-        lifted = [_pair_lift(structure_poly(p, i, kind), i, index) for i in range(index)]
-        wx = ghost_poly(p, index, nv, offset=0)
-        wy = ghost_poly(p, index, nv, offset=index + 1)
+        ring = _PolyRing(p, 2 * (index + 1))
+        xs = ring.variables()
+        wx, wy = ghost(WittVec(ring, xs[: index + 1])), ghost(WittVec(ring, xs[index + 1 :]))
         phi = wx.add(wy) if kind == "sum" else wx.mul(wy)
-        return _unghost_step(p, index, phi, lifted)
-    if kind in ("neg", "frob"):
-        # neg_m transports -w_m; frob_m transports w_{m+1}, one variable more
-        if kind == "neg":
-            phi = ghost_poly(p, index, index + 1).scale(-1)
-        else:
-            phi = ghost_poly(p, index + 1, index + 2)
-        lower = [_tail_lift(structure_poly(p, i, kind), phi.nvars) for i in range(index)]
-        return _unghost_step(p, index, phi, lower)
-    # kind == "frob_f": strip the exact part off the Frobenius component
-    full = structure_poly(p, index, "frob")
-    nv = index + 2
-    correction = full.sub(UPoly.variable(nv, index, p)).sub(
-        UPoly.variable(nv, index + 1, 1).scale(p)
-    )
-    f = correction.scale(Fraction(1, p)).to_integer_poly()
-    if f.uses_variable(index + 1):
-        raise IntegralityViolation(
-            f"carry term f at p={p}, index {index} unexpectedly involves x_{{p^{index + 1}}}"
-        )
-    # drop the unused last variable
-    return UPoly(index + 1, {e[: index + 1]: c for e, c in f.terms.items()})
+    elif kind == "neg":
+        ring = _PolyRing(p, index + 1)
+        phi = ghost(WittVec(ring, ring.variables())).neg()
+    else:  # frob: the shifted ghost of a vector one component longer
+        ring = _PolyRing(p, index + 2)
+        phi = GhostVec(ring, ghost(WittVec(ring, ring.variables())).entries[1:])
+    return unghost(phi).components
+
+
+def structure_poly(p: int, index: int, kind: str) -> UPoly:
+    """The index-th component polynomial of the requested operation at the
+    prime p: the last entry of ``structure_polys``."""
+    return structure_polys(p, index, kind)[-1]
 
 
 @lru_cache(maxsize=None)

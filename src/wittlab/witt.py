@@ -59,7 +59,6 @@ from .rings import Integers, Ring
 __all__ = [
     "WittVec",
     "GhostVec",
-    "witt_vec",
     "witt_zero",
     "witt_one",
     "ghost",
@@ -76,7 +75,6 @@ __all__ = [
     "restrict",
     "integer_witt_components",
     "witt_from_integer",
-    "mul_by_int",
     "witt_norm",
     "witt_to_json",
     "witt_from_json",
@@ -126,10 +124,6 @@ class GhostVec:
 
     def neg(self) -> "GhostVec":
         return GhostVec(self.ring, tuple(self.ring.neg(a) for a in self.entries))
-
-
-def witt_vec(ring: Ring, components: Sequence) -> WittVec:
-    return WittVec(ring, tuple(components))
 
 
 def witt_zero(ring: Ring, length: int) -> WittVec:
@@ -351,10 +345,6 @@ def integer_witt_components(p: int, c: int, length: int) -> Tuple[int, ...]:
 def witt_from_integer(ring: Ring, c: int, length: int) -> WittVec:
     comps = integer_witt_components(ring.p, c, length)
     return WittVec(ring, tuple(ring.from_int(v) for v in comps))
-
-
-def mul_by_int(c: int, x: WittVec) -> WittVec:
-    return witt_mul(witt_from_integer(x.ring, c, x.length), x)
 
 
 # -- norms ----------------------------------------------------------------------------

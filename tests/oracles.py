@@ -2,6 +2,9 @@
 
 Everything here is computed from first principles (direct formulas, trial
 division, convolution, determinants) so the package never checks itself.
+The integer ghost map, its inverse and the cyclotomic convolution are not
+repeated here: the tests call ``wittlab.reference``, the standard-library-only
+module that the verification suites re-check with too.
 """
 
 from __future__ import annotations
@@ -12,27 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
-
-def naive_ghost(p: int, components: Sequence) -> Tuple:
-    """w_m = sum_{i <= m} p^i * x_i^(p^(m-i)) computed with plain powers."""
-    out = []
-    for m in range(len(components)):
-        acc = 0
-        for i in range(m + 1):
-            acc += p**i * components[i] ** (p ** (m - i))
-        out.append(acc)
-    return tuple(out)
-
-
-def naive_unghost(p: int, ws: Sequence) -> Tuple[Fraction, ...]:
-    """Solve the ghost equations top-down; exact over the rationals."""
-    xs: List[Fraction] = []
-    for m, w in enumerate(ws):
-        acc = Fraction(w)
-        for i in range(m):
-            acc -= p**i * xs[i] ** (p ** (m - i))
-        xs.append(acc / p**m)
-    return tuple(xs)
+from wittlab import reference
 
 
 def naive_ring_ghost(ring, components: Sequence) -> Tuple:
@@ -166,31 +149,6 @@ def vp_fraction(q: Fraction, p: int) -> int:
     return vp_int(q.numerator, p) - vp_int(q.denominator, p)
 
 
-def conv_reduce(a: Sequence, b: Sequence, p: int, k: int) -> List:
-    """Multiply coefficient vectors in Q[x]/Phi_{p^k}(x) by convolution,
-    then eliminate degrees >= e with x^e = -(1 + x^s + ... + x^((p-2)s)) * x^(e-(p-1)s)
-    where s = p^(k-1), i.e. the relation sum_{i<p} x^(i*s) = 0 shifted up."""
-    s = p ** (k - 1)
-    e = s * (p - 1)
-    out = [Fraction(0)] * (2 * e - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += Fraction(x) * Fraction(y)
-    for idx in range(len(out) - 1, e - 1, -1):
-        c = out[idx]
-        if c:
-            out[idx] = Fraction(0)
-            for i in range(p - 1):
-                out[idx - e + i * s] -= c
-    return out[:e]
-
-
-def conv_reduce_int(a: Sequence[int], b: Sequence[int], p: int, k: int, q: int) -> List[int]:
-    return [int(c) % q for c in conv_reduce(a, b, p, k)]
-
-
 def t_power_row(p: int, i: int, e: int) -> List[int]:
     """The power-basis coefficients of (1 - zeta)**i mod p for i < e, by the
     binomial theorem: (-1)**j * C(i, j) at zeta**j, with no power of zeta
@@ -302,7 +260,7 @@ def cyclotomic_field_norm(coeffs: Sequence, p: int, k: int) -> Fraction:
     for i in range(e):
         basis_vec = [Fraction(0)] * e
         basis_vec[i] = Fraction(1)
-        columns.append(conv_reduce(list(coeffs), basis_vec, p, k))
+        columns.append(reference.conv_reduce(list(coeffs), basis_vec, p, k))
     matrix = [[columns[j][i] for j in range(e)] for i in range(e)]
     return _det_fraction(matrix)
 
@@ -322,7 +280,7 @@ def cyclo_pow_int(a: Sequence[int], n: int, p: int, k: int, q: int) -> List[int]
     e = p ** (k - 1) * (p - 1)
     out = [1 % q] + [0] * (e - 1)
     for _ in range(n):
-        out = conv_reduce_int(out, a, p, k, q)
+        out = reference.conv_reduce(out, a, p, k, q)
     return out
 
 

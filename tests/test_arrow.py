@@ -22,14 +22,13 @@ from wittlab.arrow import (
     inverse_frobenius_sandwich,
     lift_arrow_precision,
     make_arrow,
-    project,
     rigidity_profile,
     sample_coherent,
     theta,
     theta_series,
 )
 from wittlab.cyclotomic import CycloModPM
-from wittlab.errors import DepthExceeded, IntegralityViolation, LengthMismatch
+from wittlab.errors import IntegralityViolation, LengthMismatch
 from wittlab.norms import NormValue
 from wittlab import witt
 from wittlab.rings import Integers, ZModPM
@@ -45,9 +44,6 @@ def _draw(ring, rng):
 def test_integer_family_levels():
     a = arrow_from_integer(Integers(2), 2, 2)
     assert [lv.components for lv in a.levels] == [(2,), (2, -1), (2, -1, -4)]
-    assert project(a, 1).components == (2, -1)
-    with pytest.raises(DepthExceeded):
-        project(a, 3)
 
 
 def test_integer_family_is_coherent_and_rigid():
@@ -56,6 +52,20 @@ def test_integer_family_is_coherent_and_rigid():
         for n in range(a.depth):
             assert witt_eq(frobenius(a.levels[n + 1]), a.levels[n])
         assert all(rigidity_profile(a))
+
+
+def test_integer_family_makes_no_transport_on_a_warm_call(monkeypatch):
+    # coherent by construction: once the integer components are cached,
+    # building the family over Z/2^6 unghosts nothing
+    ring = ZModPM(2, 6)
+    want = arrow_from_integer(ring, 5, 4)
+    calls, unghost = [], witt.unghost
+    monkeypatch.setattr(witt, "unghost", lambda g: calls.append(g) or unghost(g))
+    a = arrow_from_integer(ring, 5, 4)
+    assert calls == []
+    assert arrow_eq(a, want) and a.tail_bound == NormValue.one()
+    check_coherence(ring, a.levels)
+    assert len(calls) == 4
 
 
 def test_perturbing_a_component_breaks_coherence():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from wittlab.norms import NormValue, norm_max, norm_min
+from wittlab.norms import NormValue, norm_max
 
 exps = st.fractions(min_value=-12, max_value=12, max_denominator=8)
 
@@ -50,7 +50,6 @@ def test_p_power_convention():
 def test_max_and_min_agree_with_exponent_extremes(us):
     values = [NormValue.from_exponent(u) for u in us]
     assert norm_max(values) == NormValue.from_exponent(min(us))
-    assert norm_min(values) == NormValue.from_exponent(max(us))
 
 
 def test_max_ignores_zero_unless_all_zero():
@@ -58,4 +57,3 @@ def test_max_ignores_zero_unless_all_zero():
     a = NormValue.from_exponent(3)
     assert norm_max([z, a]) == a
     assert norm_max([z, z]).is_zero
-    assert norm_min([z, a]).is_zero

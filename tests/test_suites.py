@@ -16,7 +16,7 @@ DIGESTS = {
     "universal": "6fecc43d3474c73580bce775d41f79e5372d79c4d9c2012168a0cb29733c41be",
     "ghost": "e02b442a1c33998834cb771e50d4b674e60b8171c8a9b846684a552e7caba82d",
     "norms": "0fee92cc05f8b357df934c4cc2cea40788dce9ae3f0fd0de8320ccecdd5e6d3f",
-    "arrow": "65759894aa4352bc4994d00121b69aa6b08d2554d1f4cf86b40a7f14cdae3c90",
+    "arrow": "ef78d4013a2584eff0792df74558969d14b36c1be0e034524db288f56c5a2056",
     "perfect": "5e834589cc6d483e9a97d655efa4514f82173e9c107b549b89b2b96d876389c1",
     "tilt": "bcaed066cc109301ec49e9bbb92d6b534e98af60d7468aa8cf9c837490cb7563",
     "kernel": "9119eaddacca32badfb874f64432c580dcbd1b127cddcec13650f57909d92806",
@@ -26,7 +26,7 @@ DIGESTS_SEED_1 = {
     "universal": "ee1851d2ba34eccf1b2c47703648e64dada42a1812c0a21fd42ddfd40cbcb4a2",
     "ghost": "b6b75a12d994c64f761c5888c88ec892025609d6522d9f19e24431af03ae5307",
     "norms": "08662b5cb2860456c41674af50b12b345bd08ab1fd13295738b9f7d23cf5b770",
-    "arrow": "2025a8ef75050349c30e7bb36180cdf6f9554acef28b3097659e11b3541e26ba",
+    "arrow": "48f08ecec37f1b8188b39bf2562387b4b4de286cc997188c028ff7092a1aaa33",
     "perfect": "9f344a05af69285e64666391863b7511cbc825b118ef1aa739ce97341b64e342",
     "tilt": "d4b8a0a691216498005a34cff127528a9d0b17189331fce982dd05b6e6d93622",
     "kernel": "fa1aed0cca7a7140517fe85933668c58a2978631919f33b5fb7e0e1c3b719b77",

@@ -75,10 +75,8 @@ from .arrow import (
     arrow_from_integer,
     arrow_from_top,
     arrow_mul,
-    arrow_neg,
     arrow_norm,
     arrow_teichmuller,
-    frobenius_arrow,
     inverse_frobenius,
     inverse_frobenius_sandwich,
     lift_arrow_precision,
@@ -92,7 +90,6 @@ from .perfect import (
     PerfectReport,
     RootSequence,
     build_root_sequence,
-    power_ideal_check,
     solve_frobenius,
     solve_frobenius_normed,
     witt_perfect_test,
@@ -118,7 +115,6 @@ from .tilt import (
     tilt_neg,
     tilt_norm,
     tilt_pth_root,
-    tilt_residue,
     untilt,
     untilt_isometry,
 )

@@ -53,7 +53,6 @@ from .witt import (
     witt_eq,
     witt_from_integer,
     witt_mul,
-    witt_neg,
     witt_to_json,
 )
 
@@ -63,13 +62,11 @@ __all__ = [
     "check_coherence",
     "arrow_add",
     "arrow_mul",
-    "arrow_neg",
     "arrow_eq",
     "arrow_from_integer",
     "arrow_teichmuller",
     "inverse_frobenius",
     "inverse_frobenius_sandwich",
-    "frobenius_arrow",
     "theta",
     "theta_series",
     "ArrowNorm",
@@ -154,10 +151,6 @@ def arrow_mul(a: ArrowElt, b: ArrowElt) -> ArrowElt:
     return ArrowElt(a.ring, levels, _combine_tail(a, b, "mul"))
 
 
-def arrow_neg(a: ArrowElt) -> ArrowElt:
-    return ArrowElt(a.ring, tuple(witt_neg(x) for x in a.levels), a.tail_bound)
-
-
 def arrow_eq(a: ArrowElt, b: ArrowElt) -> bool:
     _check_depths(a, b)
     return all(witt_eq(x, y) for x, y in zip(a.levels, b.levels))
@@ -201,12 +194,6 @@ def inverse_frobenius(a: ArrowElt) -> ArrowElt:
         raise DepthExceeded("inverse Frobenius consumes one level; depth 0 given")
     levels = tuple(restrict(a.levels[n + 1], n) for n in range(a.depth))
     return ArrowElt(a.ring, levels, a.tail_bound)
-
-
-def frobenius_arrow(a: ArrowElt) -> ArrowElt:
-    if a.depth < 1:
-        raise DepthExceeded("Frobenius consumes one level; depth 0 given")
-    return ArrowElt(a.ring, a.levels[:-1], a.tail_bound)
 
 
 def theta(a: ArrowElt) -> Any:

@@ -19,7 +19,7 @@ def _need(config: dict, key: str, kind: str) -> int:
     if key not in config or config[key] is None:
         raise MalformedConfig(f"ring kind {kind!r} needs {key!r}")
     value = config[key]
-    if not isinstance(value, int):
+    if not isinstance(value, int) or isinstance(value, bool):
         raise MalformedConfig(f"{key!r} must be an integer, got {value!r}")
     return value
 

@@ -222,7 +222,6 @@ class PowerBasisField(Ring):
 
     q_algebra = True
     p_torsion_free = True
-    power_multiplicative_norm = True
 
     def __init__(self, root_p: int, root_k: int):
         self.root_p, self.root_k = root_p, root_k
@@ -319,11 +318,6 @@ class PowerBasisField(Ring):
 
     def elt_to_json(self, a: CVec) -> Any:
         return [_coeff_text(n, a.den) for n in a.nums]
-
-    def elt_from_json(self, value: Any) -> CVec:
-        if isinstance(value, str):
-            return self.parse_elt(value)
-        return self.from_coeffs(value)
 
 
 class CyclotomicField(PowerBasisField):
@@ -612,10 +606,6 @@ class CycloModPM(TruncatedRing):
                 raise PrecisionExhausted("dividing by p would leave no significant digits")
             coeffs, prec = tuple(c // self.p for c in coeffs), prec - 1
         return TruncVec(coeffs, prec)
-
-    def pth_root_mod_p(self, a: TruncVec) -> TruncVec:
-        root = self.field.mod_p_root(self.lift_to_cover(a))
-        return self.make(self.field.integral_coeffs(root), self.M)
 
     def cover_ring(self) -> Ring:
         return self.field

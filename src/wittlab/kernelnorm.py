@@ -59,7 +59,7 @@ def kernel_element_from_w1(ring: Ring, t: Any, j: int) -> WittVec:
     """The unique length-(j+1) vector with ghost coordinates (t, 0, ..., 0)."""
     if j < 1:
         raise MalformedConfig(f"the kernel family starts at j = 1, got {j}")
-    if not (ring.q_algebra or ring.p_torsion_free):
+    if not ring.p_torsion_free:
         raise CapabilityMissing(
             "recovering x from w_1 needs division by p; use a p-torsion-free ring"
         )

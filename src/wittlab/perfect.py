@@ -86,7 +86,6 @@ __all__ = [
     "PerfectReport",
     "INSTANCES",
     "witt_perfect_test",
-    "power_ideal_check",
     "solve_frobenius",
     "solve_frobenius_normed",
 ]
@@ -371,66 +370,6 @@ def witt_perfect_test(config: dict, rng=None) -> PerfectReport:
         if value < 1:
             raise MalformedConfig(f"{key!r} must be at least 1, got {value}")
     return _check_tower(p, levels, rng, samples)
-
-
-# ---------------------------------------------------------------------------
-# power-ideal membership
-# ---------------------------------------------------------------------------
-
-
-def power_ideal_check(
-    seq: RootSequence, x_level: int, x: CVec, n: int, m: int
-) -> dict:
-    """Decide x**(p**n) in (p**m) against x in (x_n**m, p), both exactly.
-
-    In the valuation ring at the tower prime the two are equivalent (both say
-    v(x) >= m / p**n); the left side is checked by coefficient divisibility
-    after exact exponentiation, the right side constructively (cofactor
-    alpha = x / x_n**m with v(alpha) >= 0) or by a norm refutation (every
-    element of the ideal has v >= m/p**n >= v(x) fails).
-    """
-    p = seq.tower.p
-    if not 1 <= m <= p ** n:
-        raise MalformedConfig(f"need 1 <= m <= p^{n}, got m={m}")
-    if n > seq.top_level:
-        raise MalformedConfig(f"root sequence stops at level {seq.top_level}, need {n}")
-    L = max(x_level, n)
-    F = seq.tower.field(L)
-    X = seq.tower.embed_up(x_level, L, x) if x_level < L else x
-    xn = seq.tower.embed_up(n, L, seq.value(n)) if n < L else seq.value(n)
-
-    # every coefficient of x**(p**n) lies in p**m Z_(p): p**m divides each
-    # numerator (and then, m >= 1 and the form canonical, p not the denominator)
-    xpn = F.pow_(X, p ** n)
-    in_pm = all(c % p**m == 0 for c in xpn.nums)
-
-    v = F.valuation(X)
-    threshold = Fraction(m, p ** n)
-    member = v is None or v >= threshold
-
-    out: dict = {
-        "forward_in_pm": in_pm,
-        "valuation": None if v is None else str(v),
-        "threshold": str(threshold),
-        "member": member,
-        "equivalent": in_pm == member,
-    }
-    if member:
-        alpha = F.div(X, F.pow_(xn, m)) if not F.is_zero(X) else F.zero()
-        va = F.valuation(alpha)
-        identity = F.eq(F.mul(alpha, F.pow_(xn, m)), X) or F.is_zero(X)
-        out["cofactor_alpha"] = F.format_elt(alpha)
-        out["cofactor_beta"] = "0"
-        out["alpha_integral"] = va is None or va >= 0
-        out["identity_check"] = identity
-    else:
-        out["nonmember_certificate"] = {
-            "ideal_min_valuation": str(threshold),
-            "element_valuation": str(v),
-            "reason": "every alpha*x_n^m + beta*p with integral cofactors has "
-            f"valuation >= {threshold}",
-        }
-    return out
 
 
 # ---------------------------------------------------------------------------

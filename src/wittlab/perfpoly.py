@@ -19,9 +19,9 @@ Char-p Witt ops reach this ring through its override of
 polynomial of each component: it takes each power x_i**e once per component
 (a p-power is an exponent shift), forms the term products and their sum on
 plain dicts of monomials with unreduced integer coefficients, and reduces mod
-p and sorts once per component, where the generic ``UPoly.evaluate`` does so
-after every ``add`` and ``mul``.  Reduction mod p is a ring map and elements
-are canonical, so both give the same element.
+p and sorts once per component.  Reduction mod p is a ring map and elements
+are canonical, so this is the element that evaluating the polynomial term
+by term in ring arithmetic would give.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ class PerfPolyRing(Ring):
     q_algebra = False
     p_torsion_free = False
     truncated = False
-    power_multiplicative_norm = True
 
     def __init__(self, p: int, nvars: int, depth: int):
         self.p = check_prime(p)
@@ -259,9 +258,3 @@ class PerfPolyRing(Ring):
 
     def elt_to_json(self, a: PPoly) -> Any:
         return [[list(mono), c] for mono, c in a]
-
-    def elt_from_json(self, value: Any) -> PPoly:
-        if isinstance(value, str):
-            return self.parse_elt(value)
-        terms = {tuple(int(m) for m in mono): int(c) for mono, c in value}
-        return self._canon(terms)

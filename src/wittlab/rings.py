@@ -106,7 +106,6 @@ class Ring(ABC):
     q_algebra: bool = False
     p_torsion_free: bool = True
     truncated: bool = False
-    power_multiplicative_norm: bool = False
 
     # -- element constructors ---------------------------------------------
 
@@ -207,9 +206,6 @@ class Ring(ABC):
     def elt_to_json(self, a: Any) -> Any:
         return self.format_elt(a)
 
-    def elt_from_json(self, value: Any) -> Any:
-        return self.parse_elt(str(value))
-
     def to_config(self) -> dict:
         return {"kind": self.kind, "p": self.p}
 
@@ -232,7 +228,6 @@ class Integers(Ring):
 
     kind = "Z"
     p_torsion_free = True
-    power_multiplicative_norm = True
 
     def __init__(self, p: int):
         self.p = check_prime(p)
@@ -270,11 +265,6 @@ class Integers(Ring):
             raise NotDivisible(f"{a} is not divisible by {self.p}")
         return q
 
-    def pth_root_mod_p(self, a: int) -> int:
-        # Fermat: a itself is a p-th root of a modulo p; pick the canonical
-        # residue as the returned representative.
-        return a % self.p
-
     def format_elt(self, a: int) -> str:
         return str(a)
 
@@ -291,7 +281,6 @@ class Rationals(Ring):
     kind = "Q"
     q_algebra = True
     p_torsion_free = True
-    power_multiplicative_norm = True
 
     def __init__(self, p: int):
         self.p = check_prime(p)
@@ -342,7 +331,7 @@ class TruncatedRing(Ring):
     carries its budget as `prec`.  This base owns the digit budget and the
     digit layout: the `~prec` text suffix, the JSON form
     `{<json_key>: ..., "prec": k}` (the bare payload at full precision), and
-    the digit view `digits`, `from_digits`, `residue` and `elements` that
+    the digit view `digits`, `from_digits` and `elements` that
     generic code uses in place of element payloads.  A scalar ring (Z/p**M)
     prints its one digit bare, any other ring `[d_0, ..., d_(e-1)]`, even
     when e = 1.  Subclasses define `make`, `digits`, `from_digits` and the
@@ -368,11 +357,6 @@ class TruncatedRing(Ring):
     @abstractmethod
     def from_digits(self, seq: Sequence[int], prec: Optional[int] = None) -> Any:
         """The element with these digits, known mod p**prec (default M)."""
-
-    def residue(self, a: Any) -> Any:
-        """The class of a mod p: an int for a scalar ring, else a tuple."""
-        r = tuple(d % self.p for d in self.digits(a))
-        return r[0] if self.scalar else r
 
     def elements(self, limit: int) -> List[Any]:
         """Every element at full precision, in lexicographic digit order."""
@@ -416,12 +400,6 @@ class TruncatedRing(Ring):
         ds = self.digits(a)
         payload = ds[0] if self.scalar else list(ds)
         return payload if a.prec == self.M else {self.json_key: payload, "prec": a.prec}
-
-    def elt_from_json(self, value: Any) -> Any:
-        prec = None
-        if isinstance(value, dict):
-            value, prec = value[self.json_key], int(value["prec"])
-        return self.from_digits([value] if self.scalar else value, prec)
 
 
 @dataclass(frozen=True)

@@ -92,10 +92,8 @@ __all__ = [
     "tilt_frobenius",
     "tilt_pth_root",
     "tilt_norm",
-    "tilt_residue",
     "enumerate_tilts",
     "tilt_to_json",
-    "tilt_from_json",
     "format_tilt",
     "parse_tilt",
     "TiltRing",
@@ -260,12 +258,6 @@ def tilt_norm(x: TiltElt) -> NormValue:
     return x.base.seminorm(x.entries[0])
 
 
-def tilt_residue(x: TiltElt):
-    """The mod-p class of the head, which determines the chain up to the
-    stable precision profile."""
-    return x.base.residue(x.entries[0])
-
-
 _ENUMERATION_LIMIT = 100000  # the largest base enumerated by enumerate_tilts
 
 
@@ -298,14 +290,6 @@ def tilt_to_json(x: TiltElt) -> dict:
     }
 
 
-def tilt_from_json(base: Ring, data: dict) -> TiltElt:
-    if "base" in data and data["base"] != base.to_config():
-        raise MalformedConfig(
-            f"chain was serialized over {data['base']}, not {base.to_config()}"
-        )
-    return make_tilt(base, [base.elt_from_json(v) for v in data["entries"]])
-
-
 _BASE_OPS = {"sum": witt_add, "prod": witt_mul, "neg": witt_neg}
 
 
@@ -324,7 +308,6 @@ class TiltRing(Ring):
         self.base = base
         self.depth = _check_depth(depth)
         self.p = base.p
-        self.power_multiplicative_norm = base.power_multiplicative_norm
 
     def to_config(self) -> dict:
         return {"kind": self.kind, "base": self.base.to_config(), "depth": self.depth}
@@ -387,11 +370,6 @@ class TiltRing(Ring):
     def seminorm(self, a: TiltElt) -> NormValue:
         return tilt_norm(self._own(a))
 
-    def pth_root_mod_p(self, a: TiltElt) -> TiltElt:
-        raise CapabilityMissing(
-            "chains lose a level per root; use tilt_pth_root explicitly"
-        )
-
     def format_elt(self, a: TiltElt) -> str:
         return format_tilt(self._own(a))
 
@@ -400,9 +378,6 @@ class TiltRing(Ring):
 
     def elt_to_json(self, a: TiltElt) -> Any:
         return [self.base.elt_to_json(e) for e in self._own(a).entries]
-
-    def elt_from_json(self, value: Any) -> TiltElt:
-        return self._own(make_tilt(self.base, [self.base.elt_from_json(v) for v in value]))
 
 
 # -- norms over characteristic-p perfect rings ------------------------------------------

@@ -24,16 +24,12 @@ is deliberately small (index <= 3 for p = 2, index <= 2 otherwise).  Only
 vectors; every other ring's Witt ops read no structure polynomial and take
 any length (ghost transport, or a tilt's base-ring ops).
 
-``UPoly.evaluate`` is the generic evaluator, over any ``Ring``
-(``Integers(p)`` for plain integer inputs).  It checks the coefficients and
-sorts the terms once per polynomial, computes each power x_i ** e once per
-call, and adds the terms to ``ring.zero()`` in sorted order, so a ring whose
-addition tracks precision sees the same operation sequence on every call.
-The char-p Witt ops call no evaluator here: each ring of characteristic p
-answers them through ``Ring.char_p_witt_op``.  A tilt evaluates nothing: it
-runs the base ring's Witt ops on one-digit slot vectors
+There is no generic evaluator: each ring of characteristic p answers the
+char-p Witt ops through ``Ring.char_p_witt_op``.  A tilt evaluates nothing:
+it runs the base ring's Witt ops on one-digit slot vectors
 (``tilt.TiltRing.char_p_witt_op``).  A perfected polynomial ring reads the
-same sorted terms (``UPoly.terms_for``) of the mod-p polynomials and
+terms of the mod-p polynomials from ``UPoly.terms_for``, which checks the
+arity and the coefficients and sorts the terms once per polynomial, and
 multiplies on dicts, canonicalising once per component
 (``perfpoly.PerfPolyRing.char_p_witt_op``).
 
@@ -174,20 +170,6 @@ class UPoly:
                 terms.append((None if c == 1 and factors else int(c), factors))
             self._sorted = tuple(terms)
         return self._sorted
-
-    def evaluate(self, ring, values: Sequence) -> object:
-        """Evaluate with ring arithmetic (coefficients through ring.from_int)."""
-        powers: Dict[Tuple[int, int], object] = {}
-        acc = ring.zero()
-        for c, factors in self.terms_for(values):
-            term = None if c is None else ring.from_int(c)
-            for key in factors:
-                power = powers.get(key)
-                if power is None:
-                    power = powers[key] = ring.pow_(values[key[0]], key[1])
-                term = power if term is None else ring.mul(term, power)
-            acc = ring.add(acc, term)
-        return acc
 
     # -- formatting -----------------------------------------------------------------
 

@@ -77,7 +77,6 @@ __all__ = [
     "witt_from_integer",
     "witt_norm",
     "witt_to_json",
-    "witt_from_json",
     "format_witt",
     "parse_witt",
     "split_top_level",
@@ -372,19 +371,8 @@ def witt_to_json(x: WittVec) -> dict:
     }
 
 
-def witt_from_json(ring: Ring, data: dict) -> WittVec:
-    if "ring" in data and data["ring"] != ring.to_config():
-        raise MalformedConfig(
-            f"vector was serialized over {data['ring']}, not {ring.to_config()}"
-        )
-    return WittVec(ring, tuple(ring.elt_from_json(v) for v in data["components"]))
-
-
-def format_witt(x: WittVec, tagged: bool = False) -> str:
-    body = ", ".join(x.ring.format_elt(c) for c in x.components)
-    if tagged:
-        return f"W(p={x.ring.p}; {body})"
-    return "(" + body + ")"
+def format_witt(x: WittVec) -> str:
+    return "(" + ", ".join(x.ring.format_elt(c) for c in x.components) + ")"
 
 
 def split_top_level(text: str) -> List[str]:

@@ -1,0 +1,76 @@
+"""No public name without a caller.
+
+Every name in a module's ``__all__``, and every name the package
+``__init__`` imports, must be read somewhere in the library itself (outside
+``__init__.py`` and the ``__all__`` lists) or in the benchmark.  A name that
+only tests read is API nobody calls: delete it with its tests, or give it a
+library or CLI caller.  The benchmark dispatches on op names with
+``getattr(module, kind)``, so its string constants count as reads too.
+"""
+
+import ast
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "wittlab")
+BENCH = os.path.join(ROOT, "bench")
+
+
+def _trees(directory, keep):
+    trees = {}
+    for name in sorted(os.listdir(directory)):
+        if name.endswith(".py") and keep(name):
+            with open(os.path.join(directory, name), encoding="utf-8") as handle:
+                trees[name] = ast.parse(handle.read())
+    return trees
+
+
+def _all_names(tree):
+    """The strings of a module's ``__all__`` list, if it has one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def _reads(tree, strings=False):
+    """Names a tree loads, bare or as an attribute, and with ``strings`` its
+    string constants.  An ``__all__`` list holds only strings, so without
+    them it reads nothing."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def uncalled_public_names():
+    src = _trees(SRC, lambda name: True)
+    bench = _trees(BENCH, lambda name: not name.startswith("test_"))
+    public = set()
+    for name, tree in src.items():
+        public |= _all_names(tree)
+        if name == "__init__.py":
+            public |= {
+                alias.asname or alias.name
+                for node in tree.body
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names
+            }
+    read = set()
+    for name, tree in src.items():
+        if name != "__init__.py":
+            read |= _reads(tree)
+    for tree in bench.values():
+        read |= _reads(tree, strings=True)
+    return sorted(public - read)
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    assert uncalled_public_names() == []

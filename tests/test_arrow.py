@@ -12,12 +12,10 @@ from wittlab.arrow import (
     arrow_from_integer,
     arrow_from_top,
     arrow_mul,
-    arrow_neg,
     arrow_norm,
     arrow_teichmuller,
     arrow_to_json,
     check_coherence,
-    frobenius_arrow,
     inverse_frobenius,
     inverse_frobenius_sandwich,
     lift_arrow_precision,
@@ -114,7 +112,8 @@ def test_arrow_ring_laws_over_truncated_base():
         b = sample_coherent(ring, 3, _draw(ring, rng))
         assert arrow_eq(arrow_add(a, b), arrow_add(b, a))
         assert arrow_eq(arrow_mul(a, b), arrow_mul(b, a))
-        assert arrow_eq(arrow_add(a, arrow_neg(a)), arrow_from_integer(ring, 0, 3))
+        minus_a = arrow_mul(arrow_from_integer(ring, -1, 3), a)
+        assert arrow_eq(arrow_add(a, minus_a), arrow_from_integer(ring, 0, 3))
 
 
 def test_depth_mismatch_is_rejected():
@@ -129,8 +128,8 @@ def test_frobenius_and_inverse_shift_levels():
     a = sample_coherent(ring, 3, _draw(ring, rng))
     down = inverse_frobenius(a)
     assert down.depth == a.depth - 1
-    # F then F^{-1} round-trips onto the truncated family
-    back = inverse_frobenius(frobenius_arrow(a))
+    # F drops the top level; F^{-1} then round-trips onto the truncated family
+    back = inverse_frobenius(make_arrow(ring, a.levels[:-1]))
     for n in range(back.depth + 1):
         assert witt_eq(back.levels[n], a.levels[n])
 
@@ -261,10 +260,14 @@ def test_json_export_reconstructs_the_family():
     ring = ZModPM(2, 4)
     a = arrow_from_integer(ring, 5, 2)
     data = arrow_to_json(a)
-    assert data["ring"] == {"kind": "Zmod", "p": 2, "M": 4}
+    assert data == {
+        "ring": {"kind": "Zmod", "p": 2, "M": 4},
+        "levels": [[5], [5, 6], [5, 6, 3]],
+        "tail_bound_exponent": "0",
+    }
+    # every digit is at full precision, so each entry is one bare digit
     levels = tuple(
-        WittVec(ring, tuple(ring.elt_from_json(c) for c in row))
-        for row in data["levels"]
+        WittVec(ring, tuple(ring.from_digits([c]) for c in row)) for row in data["levels"]
     )
     back = make_arrow(ring, levels, validate=True)
     assert arrow_eq(back, a)

@@ -159,6 +159,21 @@ USAGE_ERRORS = [
     pytest.param(
         ("perfect", "test", '{"instance":"zeta-ring","p":2,"k":"x"}'), None, id="perfect-k-not-int"
     ),
+    # JSON true is a Python bool, which is an int: refused as no integer
+    pytest.param(
+        ("perfect", "test", '{"instance":"zeta-ring","p":2,"k":true}'), None, id="perfect-k-true"
+    ),
+    pytest.param(("perfect", "test", '{"instance":"Zmod","p":3,"M":true}'), None, id="perfect-M-true"),
+    pytest.param(
+        ("perfect", "test", '{"instance":"tower","p":2,"levels":true,"samples":true}'),
+        None,
+        id="perfect-tower-levels-true",
+    ),
+    pytest.param(
+        ("compute", "--ring", '{"kind":"Zmod","p":2,"M":true}', "add (1,1) (1,0)", "--json"),
+        None,
+        id="compute-ring-M-true",
+    ),
     pytest.param(("perfect", "test", "Z", "--p", "4"), None, id="perfect-p-not-prime"),
     pytest.param(("perfect", "test", '{"instance":"Zmod","p":2,"M":0}'), None, id="perfect-M-zero"),
     pytest.param(("perfect", "test", "tower", "--depth", "0"), None, id="perfect-tower-depth-zero"),

@@ -15,7 +15,7 @@ from wittlab.cyclotomic import (
     GaussianField,
     cyclotomic_field,
 )
-from wittlab.errors import IntegralityViolation, NoRoot
+from wittlab.errors import CapabilityMissing, IntegralityViolation, NoRoot
 from wittlab.norms import NormValue
 
 import oracles
@@ -140,6 +140,13 @@ def test_truncated_cyclotomic_parse_and_precision():
     assert ring.precision_of(sq) == 3
     # overlong coefficient lists reduce through the relation zeta^2 = -1
     assert ring.parse_elt("[1, 2, 3]").coeffs == ((1 - 3) % 8, 2)
+
+
+def test_truncated_cyclotomic_ring_takes_no_pth_root_mod_p():
+    # no caller takes p-th roots mod p over Z[zeta]/p^M: the Ring default refuses
+    ring = CycloModPM(2, 2, 3)
+    with pytest.raises(CapabilityMissing, match="^ZzetaMod: p-th roots mod p not supported$"):
+        ring.pth_root_mod_p(ring.parse_elt("[1, 0]"))
 
 
 def test_tower_embeddings_commute_with_arithmetic():

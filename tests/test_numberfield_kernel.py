@@ -224,7 +224,6 @@ def test_elements_print_as_fractions_over_one_denominator():
     assert [(r.format_elt(x), r.elt_to_json(x)) for r, x in cases] == PINNED
     for r, x in cases:
         assert r.parse_elt(r.format_elt(x)) == x
-        assert r.elt_from_json(r.elt_to_json(x)) == x
 
 
 PINNED = [

@@ -17,7 +17,6 @@ from wittlab.errors import (
 )
 from wittlab.perfect import (
     build_root_sequence,
-    power_ideal_check,
     solve_frobenius,
     solve_frobenius_normed,
     witt_perfect_test,
@@ -289,29 +288,6 @@ def test_normed_solver_never_returns_a_contract_violation():
     x = WittVec(f1, (f1.zero(), f1.uniformizer()))
     with pytest.raises(IntegralityViolation):
         solve_frobenius_normed(seq, 1, x)
-
-
-def test_power_ideal_membership_is_equivalent_both_ways():
-    seq = build_root_sequence(2, 2)
-    x1 = seq.value(1)
-    inside = power_ideal_check(seq, 1, x1, 1, 1)
-    assert inside["member"] and inside["forward_in_pm"] and inside["equivalent"]
-    assert inside["alpha_integral"] and inside["identity_check"]
-    outside = power_ideal_check(seq, 1, x1, 1, 2)
-    assert not outside["member"] and not outside["forward_in_pm"]
-    assert outside["equivalent"]
-    assert "nonmember_certificate" in outside
-
-
-def test_power_ideal_check_validates_its_exponents():
-    seq = build_root_sequence(2, 2)
-    x1 = seq.value(1)
-    with pytest.raises(MalformedConfig):
-        power_ideal_check(seq, 1, x1, 1, 0)
-    with pytest.raises(MalformedConfig):
-        power_ideal_check(seq, 1, x1, 1, 3)
-    with pytest.raises(MalformedConfig):
-        power_ideal_check(seq, 1, x1, 5, 1)
 
 
 def test_unknown_instance_is_rejected():

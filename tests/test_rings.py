@@ -74,9 +74,9 @@ def test_integers_divide_by_p_and_root():
     assert ring.exact_divide_by_p(12) == 4
     with pytest.raises(NotDivisible):
         ring.exact_divide_by_p(7)
-    for a in range(-5, 6):
-        root = ring.pth_root_mod_p(a)
-        assert (root**3 - a) % 3 == 0
+    # no caller takes p-th roots mod p over Z: the Ring default refuses
+    with pytest.raises(CapabilityMissing, match="^Z: p-th roots mod p not supported$"):
+        ring.pth_root_mod_p(2)
 
 
 @given(small_fracs, small_fracs, st.sampled_from([2, 3]))
@@ -307,13 +307,10 @@ def test_truncated_text_round_trip(ring, full, partial, canonical, full_json, pa
 
 @truncated_cases
 def test_truncated_json_round_trip(ring, full, partial, canonical, full_json, partial_json):
+    # the JSON form is written, never read back: pin it through a JSON dump
     a, b = ring.parse_elt(full), ring.parse_elt(partial)
-    assert ring.elt_to_json(a) == full_json
-    assert ring.elt_to_json(b) == partial_json
-    for x, data in ((a, full_json), (b, partial_json)):
-        y = ring.elt_from_json(json.loads(json.dumps(data)))
-        assert ring.format_elt(y) == ring.format_elt(x)
-        assert ring.precision_of(y) == ring.precision_of(x)
+    assert json.loads(json.dumps(ring.elt_to_json(a))) == full_json
+    assert json.loads(json.dumps(ring.elt_to_json(b))) == partial_json
 
 
 @truncated_cases
@@ -334,7 +331,7 @@ def test_digits_round_trip(ring, full, partial, canonical, full_json, partial_js
     assert ring.format_elt(ring.from_digits(ring.digits(a))) == full
     c = ring.from_digits(ring.digits(b), 2)
     assert ring.eq(c, b) and ring.precision_of(c) == 2
-    assert ring.residue(a) == (1 if ring.e == 1 else (1, 0))
+    assert tuple(d % ring.p for d in ring.digits(a)) == ((1,) if ring.e == 1 else (1, 0))
     assert len(ring.elements(64 ** ring.e)) == 8 ** ring.e
 
 

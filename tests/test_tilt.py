@@ -35,14 +35,12 @@ from wittlab.tilt import (
     tilt_constant,
     tilt_eq,
     tilt_frobenius,
-    tilt_from_json,
     tilt_from_top,
     tilt_is_zero,
     tilt_mul,
     tilt_neg,
     tilt_norm,
     tilt_pth_root,
-    tilt_residue,
     tilt_to_json,
     untilt,
     untilt_isometry,
@@ -105,14 +103,15 @@ def test_residue_and_norm():
     assert tilt_norm(two) == NormValue.from_exponent(2)
     deep = tilt_from_top(base, base.from_int(2), 3)
     assert tilt_norm(deep).is_zero  # 2**8 = 0 mod 8: below resolution
-    assert tilt_residue(deep) == deep.entries[0].value % 2
+    assert base.digits(deep.entries[0]) == (0,)
 
 
 def test_serialization_roundtrips():
     base = ZModPM(2, 3)
     x = tilt_from_top(base, base.from_int(3), 2)
     assert tilt_eq(parse_tilt(base, format_tilt(x)), x)
-    assert tilt_eq(tilt_from_json(base, tilt_to_json(x)), x)
+    # the JSON form is written, never read back: pin it
+    assert tilt_to_json(x) == {"base": {"kind": "Zmod", "p": 2, "M": 3}, "entries": [1, 1, 3]}
 
 
 def test_tilt_ring_wraps_chains_as_ring_elements():
@@ -150,6 +149,15 @@ def test_realized_arrow_reproduces_the_formula_norm():
     a = charp_arrow_realization(x, depth=3)
     got = arrow_norm(a, 1)
     assert got.value == charp_overconv_norm(x, 1)
+
+
+def test_a_tilt_has_no_realization_past_level_zero():
+    # a chain loses a level per p-th root, so a tilt keeps the Ring default
+    # refusal of roots mod p, and the realization of a longer vector refuses
+    ring = TiltRing(ZModPM(3, 3), 2)
+    x = WittVec(ring, (ring.one(), ring.one()))
+    with pytest.raises(CapabilityMissing, match="^tilt: p-th roots mod p not supported$"):
+        charp_arrow_realization(x)
 
 
 @pytest.mark.parametrize("C,D", [(0, 0), (1, 0), (1, 2), (2, 1)])
@@ -284,7 +292,8 @@ def test_enumeration_over_a_cyclotomic_base():
     base = CycloModPM(2, 2, 1)
     chains = enumerate_tilts(base, 2)
     assert len(chains) == 4
-    assert [tilt_residue(c) for c in chains] == [(0, 0), (1, 0), (1, 0), (0, 0)]
+    # M = 1: each head's digits are its residue
+    assert [base.digits(c.entries[0]) for c in chains] == [(0, 0), (1, 0), (1, 0), (0, 0)]
 
 
 def test_enumeration_refuses_past_its_limit(monkeypatch):

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from wittlab import univ, witt
+from wittlab import witt
 from wittlab.cyclotomic import cyclotomic_field
 from wittlab.rings import Integers, ZModPM
 from wittlab.univ import structure_cap, structure_poly
@@ -116,7 +116,7 @@ def _counting(monkeypatch, module, name, calls):
 @pytest.mark.parametrize("name", list(_FROB_RINGS))
 def test_one_frobenius_is_one_ghost_shift(name, monkeypatch):
     """At every length, below the cached carry range and past it, one
-    Frobenius ghosts once, unghosts once and evaluates no polynomial."""
+    Frobenius ghosts once and unghosts once."""
     ring = _FROB_RINGS[name]
     rng = random.Random(name)
     if ring.kind == "Zmod":
@@ -128,7 +128,6 @@ def test_one_frobenius_is_one_ghost_shift(name, monkeypatch):
     calls = []
     for fn in ("ghost", "unghost"):
         _counting(monkeypatch, witt, fn, calls)
-    _counting(monkeypatch, univ.UPoly, "evaluate", calls)
     for length in range(2, 8):
         x = WittVec(ring, tuple(draw() for _ in range(length)))
         calls.clear()

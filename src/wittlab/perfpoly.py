@@ -13,22 +13,38 @@ degree, which is multiplicative and takes negative exponent values; it models
 a Gauss norm with radius > 1, so this ring is the stock example of unbounded
 growth for overconvergence checks.
 
+Products, powers and char-p Witt ops run on one kernel over packed
+monomials.  A monomial with stored exponents m_0, ..., m_{nvars-1} becomes
+the integer key sum_j m_j * R**j.  The radix R is one more than the largest
+exponent the call can produce: the sum of the operands' largest exponents
+for ``mul``, n times the operand's for ``pow_``, and for ``char_p_witt_op``
+the largest input exponent times the largest total degree of a term of the
+structure polynomials it reads.  No exponent reaches R, so no digit carries
+into the next variable: a product of monomials is one addition of keys, and
+x -> x**(p**s) multiplies every key by p**s.  So x**n, n = p**s * r with p
+not dividing r, is the r-th power on ``rings.power_ladder`` and then one such
+shift.  Elements stay sorted tuples of (exponent tuple, coefficient); each
+call packs its operands once, and unpacks and sorts its result once.
+
 Char-p Witt ops reach this ring through its override of
 ``Ring.char_p_witt_op``.  It refuses vectors longer than the cached range
 (``univ.structure_cap``), and evaluates the cached mod-p structure
-polynomial of each component: it takes each power x_i**e once per component
-(a p-power is an exponent shift), forms the term products and their sum on
-plain dicts of monomials with unreduced integer coefficients, and reduces mod
-p and sorts once per component.  Reduction mod p is a ring map and elements
-are canonical, so this is the element that evaluating the polynomial term
-by term in ring arithmetic would give.
+polynomial of each component.  It packs each input component once and keeps
+one cache of powers, keyed by (operand, component, exponent), across all
+output components.  Every partial term product is reduced mod p, its zero
+terms dropped, and each term's last factor is multiplied straight into the
+component's accumulator, which is reduced, unpacked and sorted once.
+Reduction mod p is a ring map and elements are canonical, so this is the
+element that evaluating the polynomial term by term in ring arithmetic would
+give.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from operator import add as _plus
-from typing import Any, Dict, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     CapabilityMissing,
@@ -37,22 +53,69 @@ from .errors import (
     NoRoot,
 )
 from .norms import NormValue
-from .rings import Ring, check_prime
+from .rings import Ring, check_prime, power_ladder
 from .univ import structure_cap, structure_poly_mod_p
 
 Monomial = Tuple[int, ...]
 PPoly = Tuple[Tuple[Monomial, int], ...]
+Packed = List[Tuple[int, int]]  # (sum_j m_j * radix**j, coefficient) pairs
+
+_ONE = ((0, 1),)  # the packed constant 1
 
 
-def _conv(a, b) -> Dict[Monomial, int]:
-    """The product of two sequences of (monomial, coefficient) pairs, as a
-    dict with unreduced coefficients."""
-    terms: Dict[Monomial, int] = {}
-    for ma, ca in a:
-        for mb, cb in b:
-            key = tuple(map(_plus, ma, mb))
-            terms[key] = terms.get(key, 0) + ca * cb
-    return terms
+def _top(a: PPoly) -> int:
+    """The largest exponent, in units of 1/p**depth, in any variable of a."""
+    return max((m for mono, _ in a for m in mono), default=0)
+
+
+def _mul_into(acc: Dict[int, int], a: Packed, b: Packed) -> Dict[int, int]:
+    """Add the product of two packed polynomials into acc, coefficients
+    unreduced: a product of monomials is one addition of keys."""
+    get = acc.get
+    for ka, ca in a:
+        for kb, cb in b:
+            k = ka + kb
+            acc[k] = get(k, 0) + ca * cb
+    return acc
+
+
+def _reduced(terms: Dict[int, int], p: int) -> Packed:
+    """The terms with coefficients reduced mod p, zeros dropped."""
+    return [(k, r) for k, c in terms.items() if (r := c % p)]
+
+
+def _times(a: Packed, b: Packed, p: int) -> Packed:
+    """The product of two packed polynomials, reduced mod p."""
+    return _reduced(_mul_into({}, a, b), p)
+
+
+def _power(a: Packed, n: int, p: int) -> Packed:
+    """a ** n for n = p**s * r >= 1 with p not dividing r: the r-th power on
+    ``rings.power_ladder``, then s Frobenius maps at once, which multiply
+    every key by p**s and fix the F_p coefficients."""
+    s = 0
+    while n % p == 0:
+        n //= p
+        s += 1
+    result = power_ladder(a, n, lambda x, y: _times(x, y, p))
+    shift = p**s
+    return [(k * shift, c) for k, c in result] if s else result
+
+
+@lru_cache(maxsize=None)
+def _plan(p: int, length: int, kind: str, arity: int) -> Tuple[tuple, int]:
+    """The mod-p structure polynomials of ``kind`` at components
+    0..length-1 over ``arity`` vectors, read through ``UPoly.terms_for``
+    (which checks the arity): per component, its terms as (coefficient or
+    None, ((operand, component, exponent), ...)); and the largest total
+    degree of a term."""
+    comps = []
+    for i in range(length):
+        slots = [(a, j) for a in range(arity) for j in range(i + 1)]
+        terms = structure_poly_mod_p(p, i, kind).terms_for(slots)
+        comps.append(tuple((c, tuple((*slots[idx], e) for idx, e in fs)) for c, fs in terms))
+    degree = max(sum(e for _, _, e in keys) for terms in comps for _, keys in terms)
+    return tuple(comps), degree
 
 
 class PerfPolyRing(Ring):
@@ -119,51 +182,69 @@ class PerfPolyRing(Ring):
     def neg(self, a: PPoly) -> PPoly:
         return tuple((mono, self.p - c) for mono, c in a)
 
+    def _pack(self, a: PPoly, radix: int) -> Packed:
+        places = [radix**j for j in range(self.nvars)]
+        return [(sum(map(operator.mul, mono, places)), c) for mono, c in a]
+
+    def _unpack(self, terms: Packed, radix: int) -> PPoly:
+        """The canonical element of packed terms whose exponents are all below
+        radix and whose coefficients are reduced: unpacked, then sorted."""
+        out = []
+        for k, c in terms:
+            mono = []
+            for _ in range(self.nvars):
+                k, m = divmod(k, radix)
+                mono.append(m)
+            out.append((tuple(mono), c))
+        out.sort()
+        return tuple(out)
+
     def mul(self, a: PPoly, b: PPoly) -> PPoly:
-        return self._canon(_conv(a, b))
+        radix = _top(a) + _top(b) + 1
+        return self._unpack(_times(self._pack(a, radix), self._pack(b, radix), self.p), radix)
 
     def pow_(self, a: PPoly, n: int) -> PPoly:
-        """a ** n for n = p**s * r with p not dividing r: the r-th power by
-        the generic ladder, then s Frobenius maps, which multiply exponents
-        by p and fix the F_p coefficients."""
+        """a ** n on the packed kernel (``_power``), at radix n * top + 1."""
         if n <= 0:
             return super().pow_(a, n)
-        s = 0
-        while n % self.p == 0:
-            n //= self.p
-            s += 1
-        result = super().pow_(a, n)
-        for _ in range(s):
-            result = self.frobenius_elt(result)
-        return result
+        radix = n * _top(a) + 1
+        return self._unpack(_power(self._pack(a, radix), n, self.p), radix)
 
     def char_p_witt_op(self, kind: str, vecs: Sequence[Any]) -> Tuple[PPoly, ...]:
         """Component i is the mod-p structure polynomial ``kind`` at the
-        first i+1 components of each vector, evaluated with one
-        canonicalisation, as the module docstring describes.  Lengths beyond
-        the cached range are refused rather than approximated."""
-        length, cap = vecs[0].length, structure_cap(self.p)
+        first i+1 components of each vector, evaluated on the packed kernel
+        as the module docstring describes.  Lengths beyond the cached range
+        are refused rather than approximated."""
+        p, length, cap = self.p, vecs[0].length, structure_cap(self.p)
         if length > cap + 1:
             raise CapabilityMissing(
                 f"characteristic-p {kind} is cached up to length {cap + 1} "
-                f"at p={self.p}; got length {length}"
+                f"at p={p}; got length {length}"
             )
-        unit_mono = (0,) * self.nvars
+        plan, degree = _plan(p, length, kind, len(vecs))
+        radix = max(_top(c) for v in vecs for c in v.components) * degree + 1
+        powers: Dict[Tuple[int, int, int], Packed] = {
+            (a, j, 1): self._pack(c, radix)
+            for a, v in enumerate(vecs)
+            for j, c in enumerate(v.components)
+        }
         comps = []
-        for i in range(length):
-            values = [c for v in vecs for c in v.components[: i + 1]]
-            powers: Dict[Tuple[int, int], PPoly] = {}
-            acc: Dict[Monomial, int] = {}
-            for c, factors in structure_poly_mod_p(self.p, i, kind).terms_for(values):
-                term: Any = None if c is None else ((unit_mono, c),)
-                for key in factors:
+        for terms in plan:
+            acc: Dict[int, int] = {}
+            for c, keys in terms:
+                fs = []
+                for key in keys:
                     power = powers.get(key)
                     if power is None:
-                        power = powers[key] = self.pow_(values[key[0]], key[1])
-                    term = power if term is None else _conv(term, power).items()
-                for mono, v in term:
-                    acc[mono] = acc.get(mono, 0) + v
-            comps.append(self._canon(acc))
+                        a, j, e = key
+                        power = powers[key] = _power(powers[a, j, 1], e, p)
+                    fs.append(power)
+                term = fs.pop(0) if c is None else [(0, c)]
+                last = fs.pop() if fs else _ONE
+                for f in fs:
+                    term = _times(term, f, p)
+                _mul_into(acc, term, last)
+            comps.append(self._unpack(_reduced(acc, p), radix))
         return tuple(comps)
 
     def eq(self, a: PPoly, b: PPoly) -> bool:
@@ -173,10 +254,6 @@ class PerfPolyRing(Ring):
         return not a
 
     # -- p-structure ----------------------------------------------------------------
-
-    def frobenius_elt(self, a: PPoly) -> PPoly:
-        """x -> x**p: multiplies exponents by p, fixes F_p coefficients."""
-        return tuple((tuple(self.p * m for m in mono), c) for mono, c in a)
 
     def pth_root(self, a: PPoly) -> PPoly:
         """Inverse of x -> x**p; fails at the depth boundary."""

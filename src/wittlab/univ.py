@@ -29,8 +29,12 @@ char-p Witt ops through ``Ring.char_p_witt_op``.  A tilt evaluates nothing:
 it runs the base ring's Witt ops on one-digit slot vectors
 (``tilt.TiltRing.char_p_witt_op``).  A perfected polynomial ring reads the
 terms of the mod-p polynomials from ``UPoly.terms_for``, which checks the
-arity and the coefficients and sorts the terms once per polynomial, and
-multiplies on dicts, canonicalising once per component
+arity and the coefficients and sorts the terms once per polynomial, into
+one cached plan per length, kind and arity, and multiplies on its
+packed-monomial kernel: each monomial is one int key in a radix one more
+than the largest exponent the call can produce (the largest input exponent
+times the largest total degree of a term), so a monomial product is one
+addition, and each component is unpacked and sorted once
 (``perfpoly.PerfPolyRing.char_p_witt_op``).
 
 Kinds:

@@ -16,9 +16,12 @@ and dispatch on the ring's capabilities:
                             map); the perfected polynomial ring evaluates
                             the cached sum/prod/neg structure polynomials,
                             their coefficients reduced mod p since p = 0 in
-                            the ring, on dicts with one canonicalisation per
-                            component, and refuses lengths beyond the cached
-                            range rather than approximate them.  The
+                            the ring, on packed monomials: one int key per
+                            monomial, in a radix one more than the largest
+                            input exponent times the largest term degree,
+                            so no exponent carries, with one unpack and sort
+                            per component.  It refuses lengths beyond the
+                            cached range rather than approximate them.  The
                             Frobenius is componentwise;
   * every other ring     -- one ghost transport, `_transport`, any length:
                             lift to the cover (Z/p**M to Z, Z[zeta]/p**M to

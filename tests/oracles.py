@@ -321,6 +321,47 @@ def eval_poly(ring, terms: dict, values: Sequence):
     return acc
 
 
+class PerfPolyOracle:
+    """F_p[x_0^(1/p^oo), ...] on the elements of ``PerfPolyRing`` (sorted
+    tuples of (exponent tuple, coefficient in 1..p-1)), through the part of
+    the ring interface that ``eval_poly`` reads.  Its product is the
+    tuple-keyed one: every pair of terms adds its exponent tuples, and the
+    sum is reduced mod p and sorted once; it never packs a monomial."""
+
+    def __init__(self, p: int, nvars: int):
+        self.p, self.nvars = p, nvars
+
+    def _canon(self, terms: dict) -> tuple:
+        return tuple(sorted((mono, c % self.p) for mono, c in terms.items() if c % self.p))
+
+    def zero(self) -> tuple:
+        return ()
+
+    def from_int(self, n: int) -> tuple:
+        return self._canon({(0,) * self.nvars: n})
+
+    def add(self, a, b) -> tuple:
+        terms = dict(a)
+        for mono, c in b:
+            terms[mono] = terms.get(mono, 0) + c
+        return self._canon(terms)
+
+    def mul(self, a, b) -> tuple:
+        terms: dict = {}
+        for ma, ca in a:
+            for mb, cb in b:
+                key = tuple(x + y for x, y in zip(ma, mb))
+                terms[key] = terms.get(key, 0) + ca * cb
+        return self._canon(terms)
+
+    def pow_(self, a, n: int) -> tuple:
+        """a ** n as n products, starting from one."""
+        out = self.from_int(1)
+        for _ in range(n):
+            out = self.mul(out, a)
+        return out
+
+
 def gauss_place_valuation(coeffs: Sequence, p: int, pi: Tuple[int, int]) -> Fraction:
     """v_pi(a + b*i) at the place pi = u + w*i above a split prime p, for
     a + b*i nonzero with small entries: Z[i] / pi^K = Z / p^K with i sent to

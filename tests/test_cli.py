@@ -676,6 +676,19 @@ CLI_TABLE = [
     ("compute --ring Q 'unghost (1,2)'", 0, "19d4a7df99b03fe0", "af0a3dbcdd46104e"),
     ("compute 'wnorm (4,2)'", 0, "d5cf46f2a5f4ba24", "cb18185f8dfd0b88"),
     ("compute --ring ZzetaMod:2 --precision 3 'neg ([1,2]~2)'", 0, "5e87059b9173a03a", "461cd3409b040904"),
+    (
+        "compute --ring PerfPoly --p 2 --depth 2 'add (x^(1/4), 1, x, x^(3/4)) (x, x^(1/2), 1, x)'",
+        0, "594adf4bab82bbff", "dd3c4c32c2741471",
+    ),
+    (
+        "compute --ring PerfPoly --p 2 --depth 2 'mul (x^(1/4), 1, x, x^(3/4)) (x, x^(1/2), 1, x)'",
+        0, "97d5e0adbd994678", "ca80bfbad3886ee8",
+    ),
+    ("compute --ring PerfPoly --p 2 --depth 2 'neg (x^(1/4), 1, x, x^(3/4))'", 0, "402bdb73b079d80f", "0a098ea4596c4a24"),
+    (
+        "compute --ring PerfPoly --p 3 --depth 2 'mul (x^(1/3) + 2, 2*x, x^(2/9)) (x + 1, x^(4/9), 2)'",
+        0, "c0868db981c9f93f", "35292b2241b5f48a",
+    ),
     ("universal dump --p 2", 0, "aed20f4582d8ff4d", "acd97a75b2699d1b"),
     ("arrow norm 4", 0, "faea398031bc0636", "9065359348ef84ea"),
     ("arrow norm 3 --b 1/2 --ring Qi --p 5", 0, "8fb61cc330a19e68", "5e162e5a0f786b5e"),

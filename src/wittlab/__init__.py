@@ -25,13 +25,12 @@ from .errors import (
     WittError,
 )
 from .norms import NormValue, norm_max
-from .rings import Integers, Rationals, Ring, TruncInt, TruncatedRing, ZModPM
+from .rings import Integers, Rationals, Ring, TruncatedRing, TruncVec, ZModPM
 from .cyclotomic import (
     CycloModPM,
     CyclotomicField,
     CyclotomicTower,
     GaussianField,
-    TruncVec,
     cyclotomic_field,
 )
 from .perfpoly import PerfPolyRing

@@ -39,30 +39,30 @@ p-th coefficient (``mod_p_root_digits`` on residue digits, ``mod_p_root`` on
 elements).  An integer threshold v(a) >= k needs no valuation at all: it is
 p**k-divisibility of the coefficients in Z_(p) (``valuation_at_least``).
 
-``CycloModPM`` is the truncation O/p**M with per-element digit budgets; its
-``pow_``, ``pow_p_tower`` and ``seminorm`` read the integer digits directly,
-and its cover is the field, reached by the digits over denominator 1.
+``CycloModPM`` is the truncation O/p**M: a ``rings.TruncatedRing`` whose
+elements are ``TruncVec``s of e digits under the shared precision rule.  It
+gives the rule its digit product ``_conv``, its digit power ``_pow_int``
+reduced mod p**prec, the valuation ``integer_valuation`` of the digits and
+the fold ``_reduce_tail`` of digits past e; its cover is the field, reached
+by the digits over denominator 1.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     CapabilityMissing,
     IntegralityViolation,
     MalformedConfig,
     NoRoot,
-    NotDivisible,
-    PrecisionExhausted,
 )
 from .norms import NormValue
-from .rings import Ring, TruncatedRing, check_prime, power_ladder, vp_int
+from .rings import Ring, TruncatedRing, TruncVec, check_prime, power_ladder, vp_int
 
 
 class CVec(NamedTuple):
@@ -502,17 +502,10 @@ class CyclotomicField(PowerBasisField):
         return self.from_coeffs(parts)
 
 
-@dataclass(frozen=True)
-class TruncVec:
-    """Cyclotomic integer coefficients known modulo p**prec."""
-
-    coeffs: Tuple[int, ...]
-    prec: int
-
-
 class CycloModPM(TruncatedRing):
-    """Z[zeta_{p**k}] / p**M with per-element digit budgets; the digits are
-    the coefficients on 1, zeta, ..., zeta**(e-1)."""
+    """Z[zeta_{p**k}] / p**M: the digits are the coefficients on 1, zeta,
+    ..., zeta**(e-1), multiplied by ``_conv`` and powered by ``_pow_int``
+    mod p**prec; digits past e fold in by the minimal polynomial."""
 
     kind = "ZzetaMod"
     scalar = False
@@ -531,81 +524,25 @@ class CycloModPM(TruncatedRing):
         return CycloModPM(self.p, self.k, M)
 
     def make(self, coeffs: Sequence[int], prec: Optional[int] = None) -> TruncVec:
-        if prec is None:
-            prec = self.M
-        if prec < 1:
-            raise PrecisionExhausted("cannot build a residue with no significant digits")
-        if prec > self.M:
-            raise MalformedConfig(f"precision {prec} exceeds ring modulus exponent {self.M}")
-        q = self.p ** prec
-        lst = [int(c) % q for c in coeffs]
+        return self.from_digits(coeffs, prec)
+
+    def _reduce(self, seq: Iterable[int], prec: int) -> TruncVec:
+        q = self.p**prec
+        lst = [int(c) % q for c in seq]
         if len(lst) > self.e:
             _reduce_tail(lst, self.e, self.p, self.field.step)
             lst = [c % q for c in lst]
         lst += [0] * (self.e - len(lst))
         return TruncVec(tuple(lst), prec)
 
-    def digits(self, a: TruncVec) -> Tuple[int, ...]:
-        return a.coeffs
+    def _mul(self, a: Tuple[int, ...], b: Tuple[int, ...]) -> list:
+        return _conv(a, b, self.e, self.p, self.field.step)
 
-    def from_digits(self, seq: Sequence[int], prec: Optional[int] = None) -> TruncVec:
-        return self.make(seq, prec)
+    def _pow(self, a: Tuple[int, ...], n: int, q: int) -> Tuple[int, ...]:
+        return tuple(_pow_int(a, n, self.e, self.p, self.field.step, q))
 
-    def from_int(self, n: int) -> TruncVec:
-        return self.make([n])
-
-    def add(self, a: TruncVec, b: TruncVec) -> TruncVec:
-        k = min(a.prec, b.prec)
-        return self.make([x + y for x, y in zip(a.coeffs, b.coeffs)], k)
-
-    def neg(self, a: TruncVec) -> TruncVec:
-        return self.make([-x for x in a.coeffs], a.prec)
-
-    def mul(self, a: TruncVec, b: TruncVec) -> TruncVec:
-        k = min(a.prec, b.prec)
-        return self.make(_conv(a.coeffs, b.coeffs, self.e, self.p, self.field.step), k)
-
-    def pow_(self, a: TruncVec, n: int) -> TruncVec:
-        if n < 0:
-            raise CapabilityMissing("ZzetaMod: negative powers not supported")
-        if n == 0:
-            return self.one()
-        return self._pow_at(a, n, a.prec)
-
-    def pow_p_tower(self, a: TruncVec, l: int) -> TruncVec:
-        """a ** (p**l), gaining l digits (capped at M)."""
-        if l < 0:
-            raise CapabilityMissing("ZzetaMod: negative Frobenius powers not supported")
-        return self._pow_at(a, self.p ** l, min(a.prec + l, self.M))
-
-    def _pow_at(self, a: TruncVec, n: int, prec: int) -> TruncVec:
-        """a ** n known mod p**prec, on integer digits; one TruncVec at the end."""
-        coeffs = _pow_int(a.coeffs, n, self.e, self.p, self.field.step, self.p ** prec)
-        return TruncVec(tuple(coeffs), prec)
-
-    def eq(self, a: TruncVec, b: TruncVec) -> bool:
-        k = min(a.prec, b.prec)
-        q = self.p ** k
-        return all((x - y) % q == 0 for x, y in zip(a.coeffs, b.coeffs))
-
-    def is_zero(self, a: TruncVec) -> bool:
-        return all(c == 0 for c in a.coeffs)
-
-    def seminorm(self, a: TruncVec) -> NormValue:
-        if self.is_zero(a):
-            return NormValue.zero()
-        return NormValue.from_exponent(self.field.integer_valuation(a.coeffs))
-
-    def exact_divide_by_p(self, a: TruncVec, k: int = 1) -> TruncVec:
-        """a / p**k, one digit less per division by p."""
-        coeffs, prec = a.coeffs, a.prec
-        for _ in range(k):
-            if any(c % self.p for c in coeffs):
-                raise NotDivisible("coefficient vector is not divisible by p")
-            if prec - 1 < 1:
-                raise PrecisionExhausted("dividing by p would leave no significant digits")
-            coeffs, prec = tuple(c // self.p for c in coeffs), prec - 1
-        return TruncVec(coeffs, prec)
+    def _valuation(self, a: Tuple[int, ...]) -> Optional[Fraction]:
+        return self.field.integer_valuation(a) if any(a) else None
 
     def cover_ring(self) -> Ring:
         return self.field
@@ -614,7 +551,7 @@ class CycloModPM(TruncatedRing):
         return CVec(a.coeffs, 1)
 
     def reduce_from_cover(self, a: CVec, prec: Optional[int] = None) -> TruncVec:
-        return self.make(self.field.integral_coeffs(a), self.M if prec is None else prec)
+        return self._reduce(self.field.integral_coeffs(a), self.M if prec is None else prec)
 
 
 _SQUARE_SUM = {}

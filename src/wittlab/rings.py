@@ -22,23 +22,27 @@ Capability flags drive dispatch:
 
 No transport runs over Q unless its ring is Q.
 
-Truncated rings use per-element precision: an element "known mod p**k" records
-k, binary operations take the minimum of the budgets, exact division by p
-costs one digit, and p-power maps a -> a**(p**l) gain l digits (a value known
-mod p**k determines its p**l-th power mod p**(k+l)).  Operations raise
-`PrecisionExhausted` rather than produce an element with no digits at all.
-`TruncatedRing` owns the digit layout of Z/p**M (here) and Z[zeta]/p**M (in
-`cyclotomic`): the budget, the text and JSON forms, and the digit view that
-generic code reads instead of element payloads.
+Truncated rings use per-element precision, the capped-absolute model: an
+element "known mod p**k" records k, binary operations take the minimum of the
+budgets, exact division by p costs one digit, and p-power maps
+a -> a**(p**l) gain l digits, capped at M (a value known mod p**k determines
+its p**l-th power mod p**(k+l)).  Operations raise `PrecisionExhausted`
+rather than produce an element with no digits at all.  Z/p**M (here) and
+Z[zeta]/p**M (in `cyclotomic`) share one element, `TruncVec(coeffs, prec)`,
+and `TruncatedRing` implements this rule once for both, with the budget, the
+text and JSON forms and the digit view that generic code reads.  A subclass
+gives only its digit product, digit power, valuation and digit fold, besides
+its constructor and its cover.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from itertools import product, repeat
+from typing import Any, Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     CapabilityMissing,
@@ -324,18 +328,32 @@ class Rationals(Ring):
             raise MalformedConfig(f"not a rational number: {text!r}") from exc
 
 
+class TruncVec(NamedTuple):
+    """An element of a truncated ring: its e digits, each in [0, p**prec),
+    known modulo p**prec.  A NamedTuple, like ``cyclotomic.CVec``, because
+    Z/p**M builds one per residue on every Witt transport."""
+
+    coeffs: Tuple[int, ...]
+    prec: int
+
+
 class TruncatedRing(Ring):
     """A quotient O / p**M of a p-torsion-free order O of rank e over Z.
 
-    An element is e integer digits known modulo p**prec, 1 <= prec <= M, and
-    carries its budget as `prec`.  This base owns the digit budget and the
-    digit layout: the `~prec` text suffix, the JSON form
-    `{<json_key>: ..., "prec": k}` (the bare payload at full precision), and
-    the digit view `digits`, `from_digits` and `elements` that
-    generic code uses in place of element payloads.  A scalar ring (Z/p**M)
-    prints its one digit bare, any other ring `[d_0, ..., d_(e-1)]`, even
-    when e = 1.  Subclasses define `make`, `digits`, `from_digits` and the
-    arithmetic directly, without a call layer.
+    An element is one ``TruncVec``: e integer digits known modulo p**prec,
+    1 <= prec <= M.  This base owns the element and the precision rule, so
+    Z/p**M and Z[zeta]/p**M run the same code for `from_digits`, `from_int`,
+    `add`, `neg`, `mul`, `pow_`, `pow_p_tower`, `eq`, `is_zero`, `seminorm`
+    and `exact_divide_by_p`.  It also owns the digit layout: the `~prec` text
+    suffix, the JSON form `{<json_key>: ..., "prec": k}` (the bare payload at
+    full precision), and the digit view `digits`, `from_digits` and
+    `elements` that generic code uses in place of element payloads.  A scalar
+    ring (Z/p**M) prints its one digit bare, any other ring
+    `[d_0, ..., d_(e-1)]`, even when e = 1.
+
+    A subclass supplies what differs: the digit product `_mul`, the digit
+    power `_pow`, the valuation `_valuation`, the fold `_reduce` of digits
+    into an element, `make`, and the cover hooks.
     """
 
     p_torsion_free = False
@@ -350,15 +368,45 @@ class TruncatedRing(Ring):
             raise MalformedConfig(f"modulus exponent M must be a positive integer, got {M!r}")
         self.M = M
 
+    # -- subclass hooks ------------------------------------------------------
+
     @abstractmethod
-    def digits(self, a: Any) -> Tuple[int, ...]:
+    def _reduce(self, seq: Iterable[int], prec: int) -> TruncVec:
+        """The element with the integer digits seq known mod p**prec, for
+        1 <= prec <= M: each digit reduced into [0, p**prec), with digits
+        past e folded in or refused (``ValueError``)."""
+
+    @abstractmethod
+    def _mul(self, a: Tuple[int, ...], b: Tuple[int, ...]) -> Sequence[int]:
+        """The digits of the product in O, not yet reduced."""
+
+    @abstractmethod
+    def _pow(self, a: Tuple[int, ...], n: int, q: int) -> Tuple[int, ...]:
+        """The digits of a ** n mod q, each in [0, q), for n >= 1 and digits
+        a already in [0, q)."""
+
+    @abstractmethod
+    def _valuation(self, a: Tuple[int, ...]) -> Any:
+        """The valuation of the digits, normalized by v(p) = 1; None for
+        zero digits."""
+
+    # -- the digit view ----------------------------------------------------
+
+    def digits(self, a: TruncVec) -> Tuple[int, ...]:
         """The e digits of the canonical representative of a."""
+        return a.coeffs
 
-    @abstractmethod
-    def from_digits(self, seq: Sequence[int], prec: Optional[int] = None) -> Any:
+    def from_digits(self, seq: Sequence[int], prec: Optional[int] = None) -> TruncVec:
         """The element with these digits, known mod p**prec (default M)."""
+        if prec is None:
+            prec = self.M
+        if prec < 1:
+            raise PrecisionExhausted("cannot build a residue with no significant digits")
+        if prec > self.M:
+            raise MalformedConfig(f"precision {prec} exceeds ring modulus exponent {self.M}")
+        return self._reduce(seq, prec)
 
-    def elements(self, limit: int) -> List[Any]:
+    def elements(self, limit: int) -> List[TruncVec]:
         """Every element at full precision, in lexicographic digit order."""
         count = self.p ** (self.M * self.e)
         if count > limit:
@@ -366,26 +414,93 @@ class TruncatedRing(Ring):
         span = range(self.p ** self.M)
         return [self.from_digits(seq) for seq in product(span, repeat=self.e)]
 
+    # -- arithmetic under the precision rule ----------------------------------
+    # Sums and products keep the smaller budget, a p**l-th power gains l
+    # digits (capped at M), and a division by p spends one.
+
+    def from_int(self, n: int) -> TruncVec:
+        return self._reduce((n,), self.M)
+
+    def add(self, a: TruncVec, b: TruncVec) -> TruncVec:
+        return self._reduce(map(operator.add, a.coeffs, b.coeffs), min(a.prec, b.prec))
+
+    def neg(self, a: TruncVec) -> TruncVec:
+        return self._reduce(map(operator.neg, a.coeffs), a.prec)
+
+    def sub(self, a: TruncVec, b: TruncVec) -> TruncVec:
+        return self._reduce(map(operator.sub, a.coeffs, b.coeffs), min(a.prec, b.prec))
+
+    def mul(self, a: TruncVec, b: TruncVec) -> TruncVec:
+        return self._reduce(self._mul(a.coeffs, b.coeffs), min(a.prec, b.prec))
+
+    def pow_(self, a: TruncVec, n: int) -> TruncVec:
+        if n < 0:
+            raise CapabilityMissing(f"{self.kind}: negative powers not supported")
+        if n == 0:
+            return self.one()
+        return TruncVec(self._pow(a.coeffs, n, self.p**a.prec), a.prec)
+
+    def pow_p_tower(self, a: TruncVec, l: int) -> TruncVec:
+        """a ** (p**l), gaining l digits (capped at M)."""
+        if l < 0:
+            raise CapabilityMissing(f"{self.kind}: negative Frobenius powers not supported")
+        k = min(a.prec + l, self.M)
+        return TruncVec(self._pow(a.coeffs, self.p**l, self.p**k), k)
+
+    def eq(self, a: TruncVec, b: TruncVec) -> bool:
+        """Equality mod p**min(a.prec, b.prec): canonical digits compare
+        after the longer budget is cut to the shorter one."""
+        if a.prec > b.prec:
+            a, b = b, a
+        if a.prec == b.prec:
+            return a.coeffs == b.coeffs
+        return a.coeffs == tuple(map(operator.mod, b.coeffs, repeat(self.p**a.prec)))
+
+    def is_zero(self, a: TruncVec) -> bool:
+        return not any(a.coeffs)
+
+    def seminorm(self, a: TruncVec) -> NormValue:
+        """p**(-v) of the canonical representative; the class of 0 has
+        seminorm 0."""
+        v = self._valuation(a.coeffs)
+        return NormValue.zero() if v is None else NormValue.from_exponent(v)
+
+    def exact_divide_by_p(self, a: TruncVec, k: int = 1) -> TruncVec:
+        """a / p**k, one digit less per division by p; the first division
+        that fails names its quotient and precision, as k single ones would."""
+        p, coeffs, prec = self.p, a.coeffs, a.prec
+        for _ in range(k):
+            if math.gcd(*coeffs) % p:  # p divides every digit iff it divides their gcd
+                raise NotDivisible(f"{self._body(coeffs)} is not divisible by {p} (mod {p}^{prec})")
+            if prec <= 1:
+                raise PrecisionExhausted("dividing by p would leave no significant digits")
+            coeffs, prec = tuple(map(operator.floordiv, coeffs, repeat(p))), prec - 1
+        return TruncVec(coeffs, prec)
+
+    # -- labels, text and JSON ------------------------------------------------
+
     @property
     def label(self) -> str:
         """Z/p^M or Z[zeta_(p^k)]/p^M."""
         base = "Z" if self.scalar else f"Z[zeta_{self.p ** self.k}]"
         return f"{base}/{self.p}^{self.M}"
 
-    def precision_of(self, a: Any) -> int:
+    def precision_of(self, a: TruncVec) -> int:
         return a.prec
 
-    def truncate(self, a: Any, k: int) -> Any:
+    def truncate(self, a: TruncVec, k: int) -> TruncVec:
         if k >= a.prec:
             return a
-        return self.from_digits(self.digits(a), k)
+        return self.from_digits(a.coeffs, k)
 
-    def format_elt(self, a: Any) -> str:
-        ds = self.digits(a)
-        body = str(ds[0]) if self.scalar else "[" + ", ".join(map(str, ds)) + "]"
+    def _body(self, ds: Sequence[int]) -> str:
+        return str(ds[0]) if self.scalar else "[" + ", ".join(map(str, ds)) + "]"
+
+    def format_elt(self, a: TruncVec) -> str:
+        body = self._body(a.coeffs)
         return body if a.prec == self.M else f"{body}~{a.prec}"
 
-    def parse_elt(self, text: str) -> Any:
+    def parse_elt(self, text: str) -> TruncVec:
         body, tilde, prec = text.strip().partition("~")
         body = body.strip()
         if not self.scalar and body.startswith("[") and body.endswith("]"):
@@ -396,22 +511,14 @@ class TruncatedRing(Ring):
         except (ValueError, PrecisionExhausted) as exc:
             raise MalformedConfig(f"not an element of {self!r}: {text!r}") from exc
 
-    def elt_to_json(self, a: Any) -> Any:
-        ds = self.digits(a)
+    def elt_to_json(self, a: TruncVec) -> Any:
+        ds = a.coeffs
         payload = ds[0] if self.scalar else list(ds)
         return payload if a.prec == self.M else {self.json_key: payload, "prec": a.prec}
 
 
-@dataclass(frozen=True)
-class TruncInt:
-    """A residue known modulo p**prec, stored canonically in [0, p**prec)."""
-
-    value: int
-    prec: int
-
-
 class ZModPM(TruncatedRing):
-    """The quotient Z / p**M with per-element precision tracking.
+    """The quotient Z / p**M: elements are 1-digit ``TruncVec``s.
 
     Fresh elements carry the full budget M.  The seminorm is the quotient
     seminorm p**(-v) of the canonical lift; the class of 0 has seminorm 0.
@@ -428,89 +535,31 @@ class ZModPM(TruncatedRing):
     def with_precision(self, M: int) -> "ZModPM":
         return ZModPM(self.p, M)
 
-    def make(self, value: int, prec: Optional[int] = None) -> TruncInt:
-        if prec is None:
-            prec = self.M
-        if prec < 1:
-            raise PrecisionExhausted("cannot build a residue with no significant digits")
-        if prec > self.M:
-            raise MalformedConfig(f"precision {prec} exceeds ring modulus exponent {self.M}")
-        return TruncInt(value % self.p ** prec, prec)
+    def make(self, value: int, prec: Optional[int] = None) -> TruncVec:
+        return self.from_digits((value,), prec)
 
-    def digits(self, a: TruncInt) -> Tuple[int]:
-        return (a.value,)
+    def _reduce(self, seq: Iterable[int], prec: int) -> TruncVec:
+        (value,) = seq  # one digit; a longer or empty list is refused
+        return TruncVec((value % self.p**prec,), prec)
 
-    def from_digits(self, seq: Sequence[int], prec: Optional[int] = None) -> TruncInt:
-        (value,) = seq
-        return self.make(int(value), prec)
+    def _mul(self, a: Tuple[int], b: Tuple[int]) -> Tuple[int]:
+        return (a[0] * b[0],)
 
-    def from_int(self, n: int) -> TruncInt:
-        return self.make(n, self.M)
+    def _pow(self, a: Tuple[int], n: int, q: int) -> Tuple[int]:
+        return (pow(a[0], n, q),)
 
-    def _join(self, a: TruncInt, b: TruncInt) -> int:
-        return min(a.prec, b.prec)
+    def _valuation(self, a: Tuple[int]) -> Optional[int]:
+        return vp_int(a[0], self.p)
 
-    def add(self, a: TruncInt, b: TruncInt) -> TruncInt:
-        k = self._join(a, b)
-        return self.make(a.value + b.value, k)
-
-    def neg(self, a: TruncInt) -> TruncInt:
-        return self.make(-a.value, a.prec)
-
-    def mul(self, a: TruncInt, b: TruncInt) -> TruncInt:
-        k = self._join(a, b)
-        return self.make(a.value * b.value, k)
-
-    def pow_(self, a: TruncInt, n: int) -> TruncInt:
-        if n < 0:
-            raise CapabilityMissing("Zmod: negative powers not supported")
-        if n == 0:
-            return self.make(1, self.M)
-        return self.make(pow(a.value, n, self.p ** a.prec), a.prec)
-
-    def pow_p_tower(self, a: TruncInt, l: int) -> TruncInt:
-        """a ** (p**l), gaining l digits (capped at M)."""
-        if l < 0:
-            raise CapabilityMissing("Zmod: negative Frobenius powers not supported")
-        k = min(a.prec + l, self.M)
-        return self.make(pow(a.value, self.p ** l, self.p ** k), k)
-
-    def eq(self, a: TruncInt, b: TruncInt) -> bool:
-        k = self._join(a, b)
-        return (a.value - b.value) % self.p ** k == 0
-
-    def is_zero(self, a: TruncInt) -> bool:
-        return a.value == 0
-
-    def seminorm(self, a: TruncInt) -> NormValue:
-        v = vp_int(a.value, self.p)
-        return NormValue.zero() if v is None else NormValue.from_exponent(v)
-
-    def exact_divide_by_p(self, a: TruncInt, k: int = 1) -> TruncInt:
-        """a / p**k, one digit less per division by p; the first division
-        that fails names its quotient and precision, as k single ones would."""
-        value, prec = a.value, a.prec
-        for _ in range(k):
-            if value % self.p:
-                raise NotDivisible(
-                    f"{value} is not divisible by {self.p} (mod {self.p}^{prec})"
-                )
-            if prec - 1 < 1:
-                raise PrecisionExhausted(
-                    "dividing by p would leave no significant digits"
-                )
-            value, prec = value // self.p, prec - 1
-        return TruncInt(value, prec)
-
-    def pth_root_mod_p(self, a: TruncInt) -> TruncInt:
+    def pth_root_mod_p(self, a: TruncVec) -> TruncVec:
         # The canonical residue of a mod p is itself a p-th root of a mod p.
-        return self.make(a.value % self.p, self.M)
+        return TruncVec((a.coeffs[0] % self.p,), self.M)
 
     def cover_ring(self) -> Ring:
         return Integers(self.p)
 
-    def lift_to_cover(self, a: TruncInt) -> int:
-        return a.value
+    def lift_to_cover(self, a: TruncVec) -> int:
+        return a.coeffs[0]
 
-    def reduce_from_cover(self, a: int, prec: Optional[int] = None) -> TruncInt:
-        return self.make(a, self.M if prec is None else prec)
+    def reduce_from_cover(self, a: int, prec: Optional[int] = None) -> TruncVec:
+        return self._reduce((a,), self.M if prec is None else prec)

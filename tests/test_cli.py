@@ -663,6 +663,11 @@ def test_verify_all_refuses_a_prime_no_check_covers(capsys, monkeypatch):
 # stdout, in text and under --json.  The text of `verify` drops its header line,
 # which carries the wall time.
 _NO_OUTPUT = hashlib.sha256(b"").hexdigest()[:16]
+# tilt rings over Z/2^2 and Z/3^2 at depth 2 and over Z[zeta_4]/2^2 at depth 1:
+# `compute` runs the tilt's own parser, constants, arithmetic and formatter
+_TILT_Z4 = '{"kind":"tilt","base":{"kind":"Zmod","p":2,"M":2},"depth":2}'
+_TILT_Z9 = '{"kind":"tilt","base":{"kind":"Zmod","p":3,"M":2},"depth":2}'
+_TILT_ZETA = '{"kind":"tilt","base":{"kind":"ZzetaMod","p":2,"k":2,"M":2},"depth":1}'
 CLI_TABLE = [
     ("verify artin --p 7", 0, "cb2a852119a08f68", "b2a20ec8b74271a4"),
     ("verify kernel --p 3", 0, "0b27611596424996", "d1158fbfb0227566"),
@@ -709,6 +714,16 @@ CLI_TABLE = [
     ("tilt norm '[0,1]' --ring ZzetaMod:2 --depth 2", 0, "49928d4d77a0cb20", "69df26e550654f0b"),
     ("tilt untilt 5 --p 3 --depth 3 --n 2", 0, "bf80a49f69b2937f", "388c74a3f534a96e"),
     ("tilt mul 3 2 --ring Z", 2, _NO_OUTPUT, _NO_OUTPUT),
+    (f"compute --ring '{_TILT_Z4}' 'add ([1;1;3], [0;0;2]) ([1;1;1], [1;1;3])'", 0, "3a40d0927afecbd6", "4bd06783d13ec6be"),
+    (f"compute --ring '{_TILT_Z4}' 'mul ([1;1;3], [0;0;2]) ([1;1;1], [1;1;3])'", 0, "de9c34de3d893cbd", "7d37e54cb6490653"),
+    (f"compute --ring '{_TILT_Z4}' 'neg ([1;1;3], [0;0;2])'", 0, "de9c34de3d893cbd", "fa1fd1c532da4b93"),
+    (f"compute --ring '{_TILT_Z9}' 'ghost ([1;1;1], [0;0;0])'", 0, "de9c34de3d893cbd", "25545e1a6bbd6baa"),
+    (f"compute --ring '{_TILT_Z9}' 'neg ([1;1;1], [0;0;0])'", 0, "7ff06c7009feaa31", "2f593cc55abe04e1"),
+    (
+        f"compute --ring '{_TILT_ZETA}' 'add ([[0,2];[1,1]], [[1,0];[1,0]]) ([[1,0];[1,0]], [[0,2];[1,1]])'",
+        0, "baf62060c2750bb1", "e00a0f370f0a8a6c",
+    ),
+    (f"compute --ring '{_TILT_Z9}' 'add ([1;2;1]) ([1;1;1])'", 2, _NO_OUTPUT, _NO_OUTPUT),
     ("kernel verify", 0, "451a1d7d523817b3", "2edf55417ec7d3d0"),
     ("kernel verify --ring Qi --p 5 --samples 4 --seed 2", 0, "be532172d7586d55", "73478515b573f90d"),
     ("kernel verify --ring Qzeta:2 --j 2 --samples 3", 0, "35838112b2e64e0f", "ee5f7555c34c797f"),
@@ -721,6 +736,9 @@ CLI_TABLE = [
 CLI_REFUSALS = {
     "arrow theta 3 --ring Z": "error: theta is defined over truncated bases; this ring is exact",
     "tilt mul 3 2 --ring Z": "error: tilting needs a truncated base with a digit budget; got Z",
+    f"compute --ring '{_TILT_Z9}' 'add ([1;2;1]) ([1;1;1])'": (
+        "error: chain entries 0/1 are not p-th-power coherent"
+    ),
     "artin classify --field Qzeta --f i": (
         "error: classification is implemented over the Gaussian field only, got 'Qzeta'"
     ),

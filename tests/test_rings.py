@@ -1,11 +1,13 @@
 """Base coefficient rings: exact arithmetic, precision tracking, seminorms."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from wittlab import reference
 from wittlab.cyclotomic import CycloModPM
 from wittlab.errors import CapabilityMissing, MalformedConfig, NotDivisible, PrecisionExhausted, WittError
 from wittlab.norms import NormValue
@@ -102,7 +104,7 @@ def test_rationals_parse_and_capabilities():
 def test_truncated_residues_track_precision():
     ring = ZModPM(2, 5)
     a = ring.from_int(7)
-    assert a.prec == 5 and a.value == 7
+    assert a.prec == 5 and ring.digits(a) == (7,)
     b = ring.make(3, 2)
     assert ring.add(a, b).prec == 2
     assert ring.mul(a, b).prec == 2
@@ -115,7 +117,7 @@ def test_truncated_frobenius_power_gains_digits():
     a = ring.make(3, 2)
     sq = ring.pow_p_tower(a, 1)
     assert sq.prec == 3
-    assert sq.value == 9 % 8
+    assert ring.digits(sq) == (9 % 8,)
     assert ring.pow_p_tower(a, 10).prec == 6
 
 
@@ -123,7 +125,7 @@ def test_truncated_division_spends_a_digit():
     ring = ZModPM(3, 3)
     a = ring.from_int(6)
     q = ring.exact_divide_by_p(a)
-    assert (q.value, q.prec) == (2, 2)
+    assert (ring.digits(q), q.prec) == ((2,), 2)
     with pytest.raises(NotDivisible):
         ring.exact_divide_by_p(ring.from_int(5))
     last = ring.make(3, 1)
@@ -164,15 +166,21 @@ def test_division_by_p_to_the_k_is_k_single_divisions():
     assert Integers(3).exact_divide_by_p(162, 4) == 2
     with pytest.raises(NotDivisible, match="^5 is not divisible by 3$"):
         Integers(3).exact_divide_by_p(135, 4)
+    # a truncated ring names the quotient as format_elt prints it, and its budget
+    with pytest.raises(NotDivisible, match=r"^7 is not divisible by 3 \(mod 3\^3\)$"):
+        ZModPM(3, 5).exact_divide_by_p(ZModPM(3, 5).make(63), 3)
+    ring = CycloModPM(3, 2, 4)
+    with pytest.raises(NotDivisible, match=r"^\[1, 2, 0, 3, 0, 0\] is not divisible by 3 \(mod 3\^2\)$"):
+        ring.exact_divide_by_p(ring.make([9, 18, 0, 27, 0, 0]), 3)
 
 
 def test_truncated_parse_format_roundtrip():
     ring = ZModPM(2, 4)
     a = ring.parse_elt("5~2")
-    assert (a.value, a.prec) == (1, 2)
-    assert ring.parse_elt(ring.format_elt(a)).value == a.value
+    assert (ring.digits(a), a.prec) == ((1,), 2)
+    assert ring.digits(ring.parse_elt(ring.format_elt(a))) == ring.digits(a)
     full = ring.parse_elt("11")
-    assert (full.value, full.prec) == (11, 4)
+    assert (ring.digits(full), full.prec) == ((11,), 4)
     assert ring.format_elt(full) == "11"
 
 
@@ -351,3 +359,115 @@ def test_the_truncated_flag_marks_exactly_the_truncated_rings():
         assert not ring.truncated and not isinstance(ring, TruncatedRing)
     for ring, *_ in TRUNCATED:
         assert ring.truncated and isinstance(ring, TruncatedRing)
+
+
+# -- one precision rule on both truncated rings --------------------------------
+
+SHARED_ARITHMETIC = {
+    "from_digits", "digits", "from_int", "add", "neg", "mul", "pow_", "pow_p_tower",
+    "eq", "is_zero", "seminorm", "exact_divide_by_p",
+}
+
+
+def test_the_truncated_rings_share_one_arithmetic():
+    assert SHARED_ARITHMETIC <= set(vars(TruncatedRing))
+    for cls in (ZModPM, CycloModPM):
+        assert not SHARED_ARITHMETIC & set(vars(cls)), cls
+
+
+def _int_mul(ring, a, b):
+    """a * b on integer digits: over Z, or over Z[zeta] by the reference."""
+    if ring.scalar:
+        return [a[0] * b[0]]
+    return reference.conv_reduce(a, b, ring.p, ring.k)
+
+
+def _int_pow(ring, a, n):
+    out = [1] + [0] * (ring.e - 1)
+    for _ in range(n):
+        out = _int_mul(ring, out, a)
+    return out
+
+
+def _mod(digits, p, k):
+    return tuple(d % p**k for d in digits)
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [ZModPM(2, 6), ZModPM(3, 4), CycloModPM(2, 3, 4), CycloModPM(3, 2, 2)],
+    ids=["Zmod-2-6", "Zmod-3-4", "ZzetaMod-2-3-4", "ZzetaMod-3-2-2"],
+)
+def test_truncated_arithmetic_matches_integer_arithmetic(ring):
+    """Every operation of the shared rule against integer arithmetic mod
+    p**k on unreduced lifts: sums and products keep the smaller budget, a
+    p**l-th power gains l digits (capped at M), a division by p spends one."""
+    rng = random.Random(f"truncated:{ring.label}")
+    p, M, e = ring.p, ring.M, ring.e
+
+    def draw():
+        return [rng.randrange(-(p ** (M + 1)), p ** (M + 1)) for _ in range(e)]
+
+    def check(got, digits, k):
+        assert (ring.digits(got), ring.precision_of(got)) == (_mod(digits, p, k), k)
+
+    for _ in range(30):
+        ka, kb = rng.randint(1, M), rng.randint(1, M)
+        da, db = draw(), draw()
+        a, b = ring.from_digits(da, ka), ring.from_digits(db, kb)
+        check(a, da, ka)
+        k = min(ka, kb)
+        check(ring.add(a, b), [x + y for x, y in zip(da, db)], k)
+        check(ring.sub(a, b), [x - y for x, y in zip(da, db)], k)
+        check(ring.mul(a, b), _int_mul(ring, da, db), k)
+        check(ring.neg(a), [-x for x in da], ka)
+        for n in (0, 1, 2, 3, 5):
+            check(ring.pow_(a, n), _int_pow(ring, da, n), ka if n else M)
+        for l in (0, 1, 2):
+            check(ring.pow_p_tower(a, l), _int_pow(ring, da, p**l), min(ka + l, M))
+
+        # eq at unequal budgets compares mod p**min; is_zero reads the digits
+        near = [x + p**k * rng.randint(-3, 3) for x in da]
+        assert ring.eq(a, ring.from_digits(near, kb)) and ring.eq(ring.from_digits(near, kb), a)
+        off = [near[0] + p ** (k - 1)] + near[1:]
+        assert not ring.eq(a, ring.from_digits(off, kb))
+        assert ring.eq(a, b) == all((x - y) % p**k == 0 for x, y in zip(da, db))
+        assert ring.is_zero(a) == all(x % p**ka == 0 for x in da)
+        assert ring.is_zero(ring.from_digits([p**ka * x for x in da], ka))
+
+        # the seminorm of the canonical lift
+        lift = _mod(da, p, ka)
+        if not any(lift):
+            assert ring.seminorm(a).is_zero
+        else:
+            v = vp_int(lift[0], p) if ring.scalar else oracles.cyclotomic_valuation(lift, p, ring.k)
+            assert ring.seminorm(a) == NormValue.from_exponent(v)
+
+        # a / p**j: one digit per division; the first failure names the
+        # quotient so far at its budget, a division to no digits is refused
+        j = rng.randint(0, 3)
+        c = ring.from_digits([p**j * x for x in da], ka)
+        lift = ring.digits(c)
+        for kdiv in (1, 2, 3):
+            for i in range(kdiv):
+                if any(x % p ** (i + 1) for x in lift):
+                    body = ring.format_elt(ring.from_digits([x // p**i for x in lift]))
+                    want = (NotDivisible, f"{body} is not divisible by {p} (mod {p}^{ka - i})")
+                    break
+                if ka - i - 1 < 1:
+                    want = (PrecisionExhausted, "dividing by p would leave no significant digits")
+                    break
+            else:
+                want = None
+            if want is None:
+                check(ring.exact_divide_by_p(c, kdiv), [x // p**kdiv for x in lift], ka - kdiv)
+            else:
+                with pytest.raises(want[0]) as exc:
+                    ring.exact_divide_by_p(c, kdiv)
+                assert str(exc.value) == want[1]
+
+    # no element without digits, none past the modulus
+    with pytest.raises(PrecisionExhausted):
+        ring.from_digits([1], 0)
+    with pytest.raises(MalformedConfig):
+        ring.from_digits([1], M + 1)

@@ -100,19 +100,12 @@ from .tilt import (
     charp_limit_norm,
     charp_overconv_norm,
     charp_overconv_profile,
-    enumerate_tilts,
     growth_family,
     growth_profile_report,
     make_tilt,
     tilt_add,
-    tilt_constant,
-    tilt_eq,
-    tilt_frobenius,
     tilt_from_top,
-    tilt_is_zero,
     tilt_mul,
-    tilt_neg,
-    tilt_norm,
     tilt_pth_root,
     untilt,
     untilt_isometry,

@@ -46,7 +46,6 @@ from .tilt import (
     tilt_add,
     tilt_from_top,
     tilt_mul,
-    tilt_norm,
     tilt_to_json,
     untilt,
 )
@@ -289,10 +288,11 @@ def _cmd_tilt(args) -> Reply:
         return 0, {"op": args.action, "result": tilt_to_json(out)}, lines
     if len(chains) != 1:
         raise MalformedConfig(f"tilt {args.action} takes one top element")
+    ring = TiltRing(base, depth)
     if args.action == "norm":
-        text = tilt_norm(chains[0]).text()
+        text = ring.seminorm(chains[0]).text()
         return 0, {"op": "norm", "result": text}, [text]
-    a = untilt(WittVec(TiltRing(base, depth), (chains[0],)), args.n)
+    a = untilt(WittVec(ring, (chains[0],)), args.n)
     lines = [f"  level {n}: {format_witt(lvl)}" for n, lvl in enumerate(a.levels)]
     return 0, {"op": "untilt", "result": arrow_to_json(a)}, lines
 

@@ -101,13 +101,6 @@ class NormValue:
     def __ge__(self, other: "NormValue") -> bool:
         return other <= self
 
-    def __repr__(self) -> str:
-        if self.v is None:
-            return "|0|"
-        if self.v == 0:
-            return "p^0"
-        return f"p^({-self.v})"
-
 
 def exponent_text(e: Optional[str]) -> str:
     """The text of the norm value whose ``exponent_json()`` is e: '0' for

@@ -509,25 +509,32 @@ def solve_frobenius_normed(
     window_lo = NormValue.p_power(Fraction(-1, p ** (x.top_index + 1)))
     if not (window_lo < cp and cp < NormValue.one()):
         raise RescaleInfeasible(
-            f"scaled norm {cp!r} escaped the window ({window_lo!r}, 1)"
+            f"scaled norm {cp.text()} escaped the window ({window_lo.text()}, 1)"
         )
     nu = cp.v  # window norm is p**(-nu) with 0 < nu < 1/p**(s+1)
 
+    def shift_head(head_low, defect, k: int):
+        """The level k above Lw and the head root there shifted by x_1 * w,
+        w a p**k-th root of the defect taken one mod-p root per level climbed.
+        x_1**p = p*(1 + p*h) hands every cross term an extra factor of p."""
+        lvl, w = Lw, defect
+        for _ in range(k):
+            lvl += 1
+            w = tower.field(lvl).mod_p_root(tower.embed_up(lvl - 1, lvl, w))
+        F = tower.field(lvl)
+        x1 = tower.embed_up(1, lvl, seq.value(1))
+        return lvl, F.add(tower.embed_up(Lw, lvl, head_low), F.mul(x1, w))
+
     # Head root, refined once when the forced digit (x'_0 - r**p)/p would be
-    # too large for the contract: r += x_1 * w with w a root of that digit one
-    # level up pushes the head-root precision past 1 + 1/p, because
-    # x_1**p = p*(1 + p*h) hands every cross term an extra factor of p.
+    # too large for the contract: the shift by a root of that digit one level
+    # up pushes the head-root precision past 1 + 1/p.
     head = W.mod_p_root(x_prime.components[0])
     gap = W.exact_divide_by_p(W.sub(x_prime.components[0], W.pow_(head, p)))
     vgap = W.valuation(gap)
     refined = False
     if not (vgap is None or vgap >= nu):
-        head_low, gap_low = head, gap
-        Lw += 1
+        Lw, head = shift_head(head, gap, 1)
         W, X, xn, x_prime = window_vector(Lw)
-        w0 = W.mod_p_root(tower.embed_up(Lw - 1, Lw, gap_low))
-        x1_l = tower.embed_up(1, Lw, seq.value(1))
-        head = W.add(tower.embed_up(Lw - 1, Lw, head_low), W.mul(x1_l, w0))
         refined = True
 
     ys, failure = _digit_solve(W, x_prime.components, p, head)
@@ -539,14 +546,8 @@ def solve_frobenius_normed(
                 f"digit equation {i} is not divisible by {p} and only the "
                 "length-2 branch repair is implemented"
             )
-        up1 = tower.field(Lw + 1)
-        root1 = up1.mod_p_root(tower.embed_up(Lw, Lw + 1, W.neg(rhs)))
-        head_low = head
-        Lw += 2
+        Lw, seed = shift_head(head, W.neg(rhs), 2)
         W, X, xn, x_prime = window_vector(Lw)
-        w_shift = W.mod_p_root(up1.embed(root1, W))
-        x1_l = tower.embed_up(1, Lw, seq.value(1))
-        seed = W.add(tower.embed_up(Lw - 2, Lw, head_low), W.mul(x1_l, w_shift))
         ys, failure = _digit_solve(W, x_prime.components, p, seed)
         if failure is not None:
             raise NoRoot(

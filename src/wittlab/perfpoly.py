@@ -168,9 +168,6 @@ class PerfPolyRing(Ring):
             mono.append(int(scaled))
         return self._canon({tuple(mono): coeff})
 
-    def exponents_of(self, mono: Monomial) -> Tuple[Fraction, ...]:
-        return tuple(Fraction(m, self.unit) for m in mono)
-
     # -- arithmetic --------------------------------------------------------------
 
     def add(self, a: PPoly, b: PPoly) -> PPoly:
@@ -250,9 +247,6 @@ class PerfPolyRing(Ring):
     def eq(self, a: PPoly, b: PPoly) -> bool:
         return a == b
 
-    def is_zero(self, a: PPoly) -> bool:
-        return not a
-
     # -- p-structure ----------------------------------------------------------------
 
     def pth_root(self, a: PPoly) -> PPoly:
@@ -260,7 +254,7 @@ class PerfPolyRing(Ring):
         out = []
         for mono, c in a:
             if any(m % self.p for m in mono):
-                exps = self.exponents_of(mono)
+                exps = tuple(Fraction(m, self.unit) for m in mono)
                 raise NoRoot(
                     f"monomial with exponents {exps} has no p-th root at depth {self.depth}"
                 )

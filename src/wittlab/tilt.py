@@ -25,6 +25,15 @@ The same mod-p dependence shows the whole ring structure is the perfection of
 A/p presented at finite depth; over Z/p**M every chain collapses to the
 Teichmueller chain of its residue, so that tilt is F_p.
 
+There is one chain API: ``TiltRing(A, D)`` is the ring of depth-D chains,
+and its methods are the constants, sum, negative, product, equality, zero
+test, Frobenius powers, norm, text form and enumeration of chains, each
+operand checked to be a depth-D chain over A.  Beside it stay only the chain
+functions the Witt layer and the benchmark call on bare chains:
+``make_tilt``, ``tilt_from_top``, ``tilt_add``, ``tilt_mul``,
+``tilt_to_json``, and ``tilt_pth_root``, which changes the depth and so
+leaves the ring.
+
 Char-p Witt ops over the tilt are computed by the base's ghost transport.
 Each component is a structure polynomial image, which the generic evaluator
 would finish with a chain sum; that sum reads only its slot sums mod p, at
@@ -61,7 +70,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Sequence, Tuple
 
 from .arrow import ArrowElt, arrow_norm, arrow_teichmuller, make_arrow
 from .errors import (
@@ -71,7 +80,6 @@ from .errors import (
     InsufficientDepth,
     LengthMismatch,
     MalformedConfig,
-    NotEnumerable,
     RingMismatch,
 )
 from .norms import NormValue, norm_max
@@ -83,19 +91,10 @@ __all__ = [
     "TiltElt",
     "make_tilt",
     "tilt_from_top",
-    "tilt_constant",
     "tilt_add",
     "tilt_mul",
-    "tilt_neg",
-    "tilt_eq",
-    "tilt_is_zero",
-    "tilt_frobenius",
     "tilt_pth_root",
-    "tilt_norm",
-    "enumerate_tilts",
     "tilt_to_json",
-    "format_tilt",
-    "parse_tilt",
     "TiltRing",
     "charp_overconv_profile",
     "charp_overconv_norm",
@@ -131,20 +130,16 @@ class TiltElt:
         return f"TiltElt(depth={self.depth}, base={self.base!r})"
 
 
-def check_chain(base: Ring, entries: Sequence[Any]) -> None:
-    for m in range(len(entries) - 1):
-        if not base.eq(base.pow_p_tower(entries[m + 1], 1), entries[m]):
-            raise LengthMismatch(
-                f"chain entries {m}/{m + 1} are not p-th-power coherent"
-            )
-
-
 def make_tilt(base: Ring, entries: Sequence[Any], validate: bool = True) -> TiltElt:
     _truncated_modulus(base)
     if not entries:
         raise LengthMismatch("a tilt element needs at least one chain entry")
     if validate:
-        check_chain(base, entries)
+        for m in range(len(entries) - 1):
+            if not base.eq(base.pow_p_tower(entries[m + 1], 1), entries[m]):
+                raise LengthMismatch(
+                    f"chain entries {m}/{m + 1} are not p-th-power coherent"
+                )
     return TiltElt(base, tuple(entries))
 
 
@@ -163,19 +158,6 @@ def tilt_from_top(base: Ring, top: Any, depth: int) -> TiltElt:
         entries.append(base.pow_p_tower(entries[-1], 1))
     entries.reverse()
     return TiltElt(base, tuple(entries))
-
-
-def tilt_constant(base: Ring, c: int, depth: int) -> TiltElt:
-    """The stable chain of an integer: its Teichmueller value repeated.
-
-    omega = c**(p**M) is fixed by the p-th power map mod p**M (the iterates
-    of an integer stabilize after M - 1 steps), so the constant chain is
-    coherent at full precision.
-    """
-    M = _truncated_modulus(base)
-    _check_depth(depth)
-    omega = base.pow_p_tower(base.from_int(c), M)
-    return TiltElt(base, tuple(omega for _ in range(depth + 1)))
 
 
 def _check_pair(x: TiltElt, y: TiltElt) -> Ring:
@@ -223,64 +205,11 @@ def tilt_mul(x: TiltElt, y: TiltElt) -> TiltElt:
     return TiltElt(base, entries)
 
 
-def tilt_neg(x: TiltElt) -> TiltElt:
-    """Additive inverse: the chain itself at p = 2 (characteristic 2), the
-    componentwise negation at odd p (where (-a)**p = -(a**p))."""
-    if x.base.p == 2:
-        return x
-    return TiltElt(x.base, tuple(x.base.neg(e) for e in x.entries))
-
-
-def tilt_eq(x: TiltElt, y: TiltElt) -> bool:
-    base = _check_pair(x, y)
-    return all(base.eq(a, b) for a, b in zip(x.entries, y.entries))
-
-
-def tilt_is_zero(x: TiltElt) -> bool:
-    return all(x.base.is_zero(e) for e in x.entries)
-
-
-def tilt_frobenius(x: TiltElt) -> TiltElt:
-    """x -> x**p: one slot down the chain, with x_0**p as the new head."""
-    head = x.base.pow_p_tower(x.entries[0], 1)
-    return TiltElt(x.base, (head,) + x.entries[:-1])
-
-
 def tilt_pth_root(x: TiltElt) -> TiltElt:
     """The exact p-th root: drop the head.  Costs one level of depth."""
     if x.depth < 1:
         raise DepthExceeded("a p-th root consumes one chain level; depth 0 given")
     return TiltElt(x.base, x.entries[1:])
-
-
-def tilt_norm(x: TiltElt) -> NormValue:
-    """The norm of a chain is the norm of its head entry."""
-    return x.base.seminorm(x.entries[0])
-
-
-_ENUMERATION_LIMIT = 100000  # the largest base enumerated by enumerate_tilts
-
-
-def enumerate_tilts(base: Ring, depth: int) -> List[TiltElt]:
-    """Every coherent chain of the given depth: one per choice of deepest
-    entry, since the rest of the chain is determined by powering down."""
-    if not base.truncated:
-        raise NotEnumerable(f"base {base.kind} is not a finite truncated ring")
-    return [tilt_from_top(base, top, depth) for top in base.elements(_ENUMERATION_LIMIT)]
-
-
-def format_tilt(x: TiltElt) -> str:
-    return "[" + "; ".join(x.base.format_elt(e) for e in x.entries) + "]"
-
-
-def parse_tilt(base: Ring, text: str) -> TiltElt:
-    body = text.strip()
-    if not (body.startswith("[") and body.endswith("]")):
-        raise MalformedConfig(f"a tilt element looks like '[x0; x1; ...]', got {text!r}")
-    parts = [p.strip() for p in body[1:-1].split(";") if p.strip()]
-    if not parts:
-        raise MalformedConfig("a tilt element needs at least one chain entry")
-    return make_tilt(base, [base.parse_elt(p) for p in parts])
 
 
 def tilt_to_json(x: TiltElt) -> dict:
@@ -292,10 +221,16 @@ def tilt_to_json(x: TiltElt) -> dict:
 
 _BASE_OPS = {"sum": witt_add, "prod": witt_mul, "neg": witt_neg}
 
+_ENUMERATION_LIMIT = 100000  # the largest base whose tilt ``TiltRing.elements`` lists
+
 
 class TiltRing(Ring):
     """The tilt of a truncated base, as a ring of coherent chains at a fixed
-    depth.  Characteristic p; the norm of a chain is the norm of its head."""
+    depth.  Characteristic p; the norm of a chain is the norm of its head.
+
+    Every method checks its operands (``_own``): a chain over another base or
+    at another depth is refused.
+    """
 
     kind = "tilt"
     char_p = True
@@ -322,22 +257,42 @@ class TiltRing(Ring):
         return x
 
     def from_int(self, n: int) -> TiltElt:
-        return tilt_constant(self.base, n, self.depth)
+        """The stable chain of an integer: its Teichmueller value repeated.
+
+        omega = n**(p**M) is fixed by the p-th power map mod p**M (the iterates
+        of an integer stabilize after M - 1 steps), so the constant chain is
+        coherent at full precision.
+        """
+        omega = self.base.pow_p_tower(self.base.from_int(n), self.M)
+        return TiltElt(self.base, (omega,) * (self.depth + 1))
+
+    def elements(self) -> List[TiltElt]:
+        """Every coherent chain, in the order of the base's ``elements``: one
+        per choice of deepest entry, since the rest of the chain is determined
+        by powering down."""
+        base = self.base
+        return [tilt_from_top(base, top, self.depth) for top in base.elements(_ENUMERATION_LIMIT)]
 
     def add(self, a: TiltElt, b: TiltElt) -> TiltElt:
         return tilt_add(self._own(a), self._own(b))
 
     def neg(self, a: TiltElt) -> TiltElt:
-        return tilt_neg(self._own(a))
+        """Additive inverse: the chain itself at p = 2 (characteristic 2), the
+        componentwise negation at odd p (where (-a)**p = -(a**p))."""
+        a = self._own(a)
+        if self.p == 2:
+            return a
+        return TiltElt(self.base, tuple(self.base.neg(e) for e in a.entries))
 
     def mul(self, a: TiltElt, b: TiltElt) -> TiltElt:
         return tilt_mul(self._own(a), self._own(b))
 
     def eq(self, a: TiltElt, b: TiltElt) -> bool:
-        return tilt_eq(self._own(a), self._own(b))
+        pairs = zip(self._own(a).entries, self._own(b).entries)
+        return all(self.base.eq(x, y) for x, y in pairs)
 
     def is_zero(self, a: TiltElt) -> bool:
-        return tilt_is_zero(self._own(a))
+        return all(self.base.is_zero(e) for e in self._own(a).entries)
 
     def char_p_witt_op(self, kind: str, vecs: Sequence[WittVec]) -> Tuple[TiltElt, ...]:
         """The components of the char-p Witt op ``kind``, from one base-ring
@@ -362,19 +317,28 @@ class TiltRing(Ring):
         )
 
     def pow_p_tower(self, a: TiltElt, l: int) -> TiltElt:
-        out = self._own(a)
+        """a ** (p**l): each Frobenius moves the chain one slot down, with the
+        p-th power of the head as the new head."""
+        entries = self._own(a).entries
         for _ in range(l):
-            out = tilt_frobenius(out)
-        return out
+            entries = (self.base.pow_p_tower(entries[0], 1),) + entries[:-1]
+        return TiltElt(self.base, entries)
 
     def seminorm(self, a: TiltElt) -> NormValue:
-        return tilt_norm(self._own(a))
+        """The norm of a chain is the norm of its head entry."""
+        return self.base.seminorm(self._own(a).entries[0])
 
     def format_elt(self, a: TiltElt) -> str:
-        return format_tilt(self._own(a))
+        return "[" + "; ".join(self.base.format_elt(e) for e in self._own(a).entries) + "]"
 
     def parse_elt(self, text: str) -> TiltElt:
-        return self._own(parse_tilt(self.base, text))
+        body = text.strip()
+        if not (body.startswith("[") and body.endswith("]")):
+            raise MalformedConfig(f"a tilt element looks like '[x0; x1; ...]', got {text!r}")
+        parts = [p.strip() for p in body[1:-1].split(";") if p.strip()]
+        if not parts:
+            raise MalformedConfig("a tilt element needs at least one chain entry")
+        return self._own(make_tilt(self.base, [self.base.parse_elt(p) for p in parts]))
 
     def elt_to_json(self, a: TiltElt) -> Any:
         return [self.base.elt_to_json(e) for e in self._own(a).entries]
@@ -405,35 +369,31 @@ def charp_overconv_norm(x: WittVec, b) -> NormValue:
     return norm_max(charp_overconv_profile(x, b))
 
 
-def charp_arrow_realization(x: WittVec, depth: Optional[int] = None) -> ArrowElt:
-    """The coherent family of a finite vector over a char-p perfect ring.
+def charp_arrow_realization(x: WittVec) -> ArrowElt:
+    """The coherent family of a finite vector over a char-p perfect ring, one
+    level per component.
 
     Frobenius is the componentwise p-th power there, so level n is the
-    componentwise p**n-th root of the first n+1 components (zero-padded past
-    the stored length).  Root extraction may refuse (NoRoot) when the ring
-    cannot divide exponents by p any further; callers pick representable
-    inputs.
+    componentwise p**n-th root of the first n+1 components.  Root extraction
+    may refuse (NoRoot) when the ring cannot divide exponents by p any
+    further; callers pick representable inputs.
     """
     ring = x.ring
     _require_char_p(ring)
-    N = x.top_index if depth is None else depth
+    N = x.top_index
     chains: List[List[Any]] = []
-    for c in x.components[: N + 1]:
+    for c in x.components:
         chain = [c]
         for _ in range(N):
             chain.append(ring.pth_root_mod_p(chain[-1]))
         chains.append(chain)
-    zero = ring.zero()
-    levels = []
-    for n in range(N + 1):
-        comps = tuple(
-            chains[i][n] if i < len(chains) else zero for i in range(n + 1)
-        )
-        levels.append(WittVec(ring, comps))
+    levels = [
+        WittVec(ring, tuple(chains[i][n] for i in range(n + 1))) for n in range(N + 1)
+    ]
     return make_arrow(ring, levels)
 
 
-def charp_limit_norm(x: WittVec, b, depth: Optional[int] = None) -> dict:
+def charp_limit_norm(x: WittVec, b) -> dict:
     """The b-weighted norm through the coherent-family realization, compared
     with the closed sup-formula.
 
@@ -441,13 +401,13 @@ def charp_limit_norm(x: WittVec, b, depth: Optional[int] = None) -> dict:
     prefix maximum under a strictly smaller weight p**(-b*n), so the finite
     supremum is the true limit value and the two must agree exactly.
     """
-    realization = charp_arrow_realization(x, depth)
+    realization = charp_arrow_realization(x)
     norm = arrow_norm(realization, b)
     formula = charp_overconv_norm(x, norm.b)
     return {
         "limit_exponent": norm.value.exponent_json(),
         "formula_exponent": formula.exponent_json(),
-        "agree": norm.value == formula,
+        "passed": norm.value == formula,
         "depth": realization.depth,
         "b": str(norm.b),
     }

@@ -71,7 +71,9 @@ __all__ = [
     "witt_neg",
     "witt_mul",
     "witt_combination",
+    "witt_eq",
     "frobenius",
+    "frobenius_iter",
     "verschiebung",
     "teichmuller",
     "teich_mul",
@@ -79,6 +81,7 @@ __all__ = [
     "integer_witt_components",
     "witt_from_integer",
     "witt_norm",
+    "witt_norm_profile",
     "witt_to_json",
     "format_witt",
     "parse_witt",

@@ -284,6 +284,20 @@ def cyclo_pow_int(a: Sequence[int], n: int, p: int, k: int, q: int) -> List[int]
     return out
 
 
+def trunc_mul(p: int, k, a: Sequence[int], b: Sequence[int], q: int) -> Tuple[int, ...]:
+    """a * b mod q on digits: Z/p^M when k is None, else Z[zeta_{p^k}]/p^M."""
+    if k is None:
+        return (a[0] * b[0] % q,)
+    return tuple(reference.conv_reduce(list(a), list(b), p, k, q))
+
+
+def trunc_pow(p: int, k, a: Sequence[int], n: int, q: int) -> Tuple[int, ...]:
+    """a ** n mod q on digits, as ``trunc_mul`` reads them."""
+    if k is None:
+        return (pow(a[0], n, q),)
+    return tuple(cyclo_pow_int(a, n, p, k, q))
+
+
 def chain_sum(p: int, k, M: int, xs: Sequence, ys: Sequence, out_depth: int) -> List[Tuple]:
     """The tilt sum slot by slot, z_m = (x_{m+l} + y_{m+l}) ** (p^l) mod
     p^min(l+1, M) with l = min(M, D - m), for slots m <= out_depth.

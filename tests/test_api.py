@@ -6,6 +6,10 @@ Every name in a module's ``__all__``, and every name the package
 only tests read is API nobody calls: delete it with its tests, or give it a
 library or CLI caller.  The benchmark dispatches on op names with
 ``getattr(module, kind)``, so its string constants count as reads too.
+
+A module with an ``__all__`` must list in it every public top-level def and
+class, so that no public name escapes the rule; a name that only its own
+module reads takes a leading underscore instead.
 """
 
 import ast
@@ -26,13 +30,13 @@ def _trees(directory, keep):
 
 
 def _all_names(tree):
-    """The strings of a module's ``__all__`` list, if it has one."""
+    """The strings of a module's ``__all__`` list; None if it has none."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             return {elt.value for elt in node.value.elts}
-    return set()
+    return None
 
 
 def _reads(tree, strings=False):
@@ -55,7 +59,7 @@ def uncalled_public_names():
     bench = _trees(BENCH, lambda name: not name.startswith("test_"))
     public = set()
     for name, tree in src.items():
-        public |= _all_names(tree)
+        public |= _all_names(tree) or set()
         if name == "__init__.py":
             public |= {
                 alias.asname or alias.name
@@ -72,5 +76,27 @@ def uncalled_public_names():
     return sorted(public - read)
 
 
+def unlisted_public_defs():
+    """``module.name`` for each public top-level def or class that a module
+    with an ``__all__`` leaves out of it."""
+    out = []
+    for name, tree in _trees(SRC, lambda name: True).items():
+        listed = _all_names(tree)
+        if listed is None:
+            continue
+        out += [
+            f"{name[:-3]}.{node.name}"
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and node.name not in listed
+        ]
+    return out
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
     assert uncalled_public_names() == []
+
+
+def test_every_public_def_of_a_module_with_all_is_listed():
+    assert unlisted_public_defs() == []

@@ -694,6 +694,8 @@ CLI_TABLE = [
         "compute --ring PerfPoly --p 3 --depth 2 'mul (x^(1/3) + 2, 2*x, x^(2/9)) (x + 1, x^(4/9), 2)'",
         0, "c0868db981c9f93f", "35292b2241b5f48a",
     ),
+    # odd-p witt_neg negates componentwise through PerfPolyRing.neg
+    ("compute --ring PerfPoly --p 3 --depth 2 'neg (x^(1/3) + 2, 2*x, x^(2/9))'", 0, "317dafbbbe367254", "3211d52442f92cfc"),
     ("universal dump --p 2", 0, "aed20f4582d8ff4d", "acd97a75b2699d1b"),
     ("arrow norm 4", 0, "faea398031bc0636", "9065359348ef84ea"),
     ("arrow norm 3 --b 1/2 --ring Qi --p 5", 0, "8fb61cc330a19e68", "5e162e5a0f786b5e"),

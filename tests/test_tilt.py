@@ -25,21 +25,12 @@ from wittlab.tilt import (
     charp_arrow_realization,
     charp_limit_norm,
     charp_overconv_norm,
-    enumerate_tilts,
-    format_tilt,
     growth_family,
     growth_profile_report,
     make_tilt,
-    parse_tilt,
     tilt_add,
-    tilt_constant,
-    tilt_eq,
-    tilt_frobenius,
     tilt_from_top,
-    tilt_is_zero,
     tilt_mul,
-    tilt_neg,
-    tilt_norm,
     tilt_pth_root,
     tilt_to_json,
     untilt,
@@ -64,7 +55,7 @@ def test_chains_are_pth_power_coherent():
 
 def test_enumeration_counts_over_small_bases():
     base = ZModPM(2, 2)
-    chains = enumerate_tilts(base, 2)
+    chains = TiltRing(base, 2).elements()
     # every chain is determined by (top entry, compatible lower entries)
     seen = {tuple(base.digits(e)[0] for e in c.entries) for c in chains}
     assert len(seen) == len(chains)
@@ -75,23 +66,25 @@ def test_enumeration_counts_over_small_bases():
 
 def test_ring_laws_on_all_depth_two_chains_mod_four():
     base = ZModPM(2, 2)
-    chains = enumerate_tilts(base, 2)
-    zero = tilt_constant(base, 0, 2)
+    ring = TiltRing(base, 2)
+    chains = ring.elements()
+    zero = ring.from_int(0)
     for x, y in itertools.product(chains[:8], chains[:8]):
-        assert tilt_eq(tilt_add(x, y), tilt_add(y, x))
-        assert tilt_eq(tilt_mul(x, y), tilt_mul(y, x))
+        assert ring.eq(tilt_add(x, y), tilt_add(y, x))
+        assert ring.eq(tilt_mul(x, y), tilt_mul(y, x))
     for x in chains:
-        assert tilt_eq(tilt_add(x, tilt_neg(x)), zero)
+        assert ring.eq(tilt_add(x, ring.neg(x)), zero)
         # characteristic p: the p-fold sum vanishes
-        assert tilt_is_zero(tilt_add(x, x))
+        assert ring.is_zero(tilt_add(x, x))
 
 
 def test_frobenius_and_root_are_mutual_shifts():
     base = ZModPM(3, 2)
+    ring, lower = TiltRing(base, 3), TiltRing(base, 2)
     x = tilt_from_top(base, base.from_int(2), 3)
     trunc = TiltElt(base, x.entries[:-1])
-    assert tilt_eq(tilt_pth_root(tilt_frobenius(x)), trunc)
-    assert tilt_eq(tilt_frobenius(tilt_pth_root(x)), trunc)
+    assert lower.eq(tilt_pth_root(ring.pow_p_tower(x, 1)), trunc)
+    assert lower.eq(lower.pow_p_tower(tilt_pth_root(x), 1), trunc)
     with pytest.raises(DepthExceeded):
         tilt_pth_root(TiltElt(base, (base.from_int(2),)))
 
@@ -100,16 +93,17 @@ def test_residue_and_norm():
     base = ZModPM(2, 3)
     two = tilt_from_top(base, base.from_int(2), 1)
     # head entry is 2**2 = 4, so the head norm sees exponent 2
-    assert tilt_norm(two) == NormValue.from_exponent(2)
+    assert TiltRing(base, 1).seminorm(two) == NormValue.from_exponent(2)
     deep = tilt_from_top(base, base.from_int(2), 3)
-    assert tilt_norm(deep).is_zero  # 2**8 = 0 mod 8: below resolution
+    assert TiltRing(base, 3).seminorm(deep).is_zero  # 2**8 = 0 mod 8: below resolution
     assert base.digits(deep.entries[0]) == (0,)
 
 
 def test_serialization_roundtrips():
     base = ZModPM(2, 3)
+    ring = TiltRing(base, 2)
     x = tilt_from_top(base, base.from_int(3), 2)
-    assert tilt_eq(parse_tilt(base, format_tilt(x)), x)
+    assert ring.eq(ring.parse_elt(ring.format_elt(x)), x)
     # the JSON form is written, never read back: pin it
     assert tilt_to_json(x) == {"base": {"kind": "Zmod", "p": 2, "M": 3}, "entries": [1, 1, 3]}
 
@@ -120,7 +114,7 @@ def test_tilt_ring_wraps_chains_as_ring_elements():
     a = tring.from_int(3)
     b = tring.from_int(1)
     assert tring.char_p
-    assert tilt_eq(tring.add(a, b), tilt_add(a, b))
+    assert tring.eq(tring.add(a, b), tilt_add(a, b))
     assert tring.is_zero(tring.add(a, a))
 
 
@@ -134,9 +128,11 @@ def test_overconvergence_formula_agrees_with_truncated_limits():
             ring.add(ring.one(), ring.monomial([Fraction(1, 2)])),
         ),
     )
+    # zero-padded to length 5, so that the realization reaches depth 4
+    padded = WittVec(ring, x.components + (ring.zero(),) * 2)
     for b in (Fraction(1, 2), 1, 2):
-        rep = charp_limit_norm(x, b, depth=4)
-        assert rep["agree"], rep
+        rep = charp_limit_norm(padded, b)
+        assert rep["passed"], rep
         # exported exponents are log_p of the value
         assert charp_overconv_norm(x, b) == NormValue.p_power(
             Fraction(rep["formula_exponent"])
@@ -146,7 +142,8 @@ def test_overconvergence_formula_agrees_with_truncated_limits():
 def test_realized_arrow_reproduces_the_formula_norm():
     ring = PerfPolyRing(2, 1, 5)
     x = WittVec(ring, (ring.monomial([Fraction(1, 2)]), ring.monomial([3])))
-    a = charp_arrow_realization(x, depth=3)
+    # zero-padded to length 4, so that the realization reaches depth 3
+    a = charp_arrow_realization(WittVec(ring, x.components + (ring.zero(),) * 2))
     got = arrow_norm(a, 1)
     assert got.value == charp_overconv_norm(x, 1)
 
@@ -262,7 +259,7 @@ def test_negative_depths_are_refused():
     with pytest.raises(MalformedConfig, match=depth):
         tilt_from_top(base, base.one(), -1)
     with pytest.raises(MalformedConfig, match=depth):
-        tilt_constant(base, 1, -1)
+        TiltRing(base, -1).from_int(1)
     with pytest.raises(MalformedConfig, match=depth):
         TiltRing(base, -1)
     x = WittVec(TiltRing(base, 2), (tilt_from_top(base, base.one(), 2),))
@@ -290,7 +287,7 @@ def test_untilt_isometry_on_certified_inputs():
 
 def test_enumeration_over_a_cyclotomic_base():
     base = CycloModPM(2, 2, 1)
-    chains = enumerate_tilts(base, 2)
+    chains = TiltRing(base, 2).elements()
     assert len(chains) == 4
     # M = 1: each head's digits are its residue
     assert [base.digits(c.entries[0]) for c in chains] == [(0, 0), (1, 0), (1, 0), (0, 0)]
@@ -299,7 +296,7 @@ def test_enumeration_over_a_cyclotomic_base():
 def test_enumeration_refuses_past_its_limit(monkeypatch):
     monkeypatch.setattr(tilt, "_ENUMERATION_LIMIT", 10)
     with pytest.raises(NotEnumerable, match="^64 .*exceed the enumeration limit 10$"):
-        enumerate_tilts(CycloModPM(2, 2, 3), 2)
+        TiltRing(CycloModPM(2, 2, 3), 2).elements()
 
 
 # -- tilt_add against the per-slot formula ----------------------------------------
@@ -352,3 +349,127 @@ def test_tilt_add_matches_the_per_slot_formula(base, depth):
         xs, ys = ([(base.digits(e), e.prec) for e in c.entries] for c in chains)
         want = json.dumps(_oracle_sum_json(base, xs, ys), sort_keys=True)
         assert json.dumps(tilt_to_json(tilt_add(x, y)), sort_keys=True) == want
+
+
+# -- TiltRing, method by method, against the oracles --------------------------------
+
+_TABLE = [
+    (ZModPM(2, 3), 4),  # D > M
+    (ZModPM(2, 3), 3),  # D = M
+    (ZModPM(2, 3), 2),  # D < M
+    (ZModPM(3, 2), 3),
+    (ZModPM(3, 2), 2),
+    (ZModPM(3, 2), 1),
+    (CycloModPM(2, 2, 2), 3),
+    (CycloModPM(2, 2, 2), 2),
+    (CycloModPM(2, 2, 2), 1),
+]
+
+
+@pytest.mark.parametrize(
+    "base, depth", _TABLE, ids=[f"{base.label}-D{depth}" for base, depth in _TABLE]
+)
+def test_tilt_ring_methods_match_the_oracles(base, depth):
+    """Each method on (digits, prec) views of chains, of chain sums (whose
+    deep slots are short) and of chains cut to random precisions, against the
+    direct formulas: constants are n^(p^M) in every slot, products and p-th
+    powers slot by slot under the precision rule, sums per
+    ``oracles.chain_sum``, and the norm that of the head.  A chain one level
+    deeper is refused by every method."""
+    p, M, k = base.p, base.M, getattr(base, "k", None)
+    ring = TiltRing(base, depth)
+
+    def view(x):
+        return [(base.digits(e), e.prec) for e in x.entries]
+
+    def cut(ds, prec):
+        return tuple(d % p**prec for d in ds)
+
+    def text(ds, prec):
+        body = str(ds[0]) if k is None else "[" + ", ".join(map(str, ds)) + "]"
+        return body if prec == M else f"{body}~{prec}"
+
+    chains = ring.elements()
+    assert len(chains) == p ** (M * base.e)
+    rng = random.Random(f"{base!r}|{depth}")
+    xs = rng.sample(chains, 6)
+    xs += [ring.add(*rng.sample(xs, 2)) for _ in range(4)]
+    xs += [
+        make_tilt(base, [base.truncate(e, rng.randint(1, M)) for e in c.entries])
+        for c in rng.sample(chains, 4)
+    ]
+
+    zero_digits = (0,) * (base.e - 1)
+    for n in (0, 1, 2, -1, 5):
+        omega = oracles.trunc_pow(p, k, (n,) + zero_digits, p**M, p**M)
+        assert view(ring.from_int(n)) == [(omega, M)] * (depth + 1)
+
+    for x in xs:
+        vx = view(x)
+        negated = [(cut([-d for d in ds], prec), prec) for ds, prec in vx]
+        assert view(ring.neg(x)) == (vx if p == 2 else negated)
+        assert ring.is_zero(x) == all(not any(ds) for ds, _ in vx)
+        want = vx
+        for l in range(3):
+            assert view(ring.pow_p_tower(x, l)) == want
+            ds, prec = want[0]
+            up = min(prec + 1, M)
+            want = [(oracles.trunc_pow(p, k, ds, p, p**up), up)] + want[:-1]
+        head = vx[0][0]
+        if not any(head):
+            assert ring.seminorm(x) == NormValue.zero()
+        else:
+            if k is None:
+                v = oracles.vp_int(head[0], p)
+            else:
+                v = oracles.cyclotomic_valuation(head, p, k)
+            assert ring.seminorm(x) == NormValue.from_exponent(v)
+        shown = ring.format_elt(x)
+        assert shown == "[" + "; ".join(text(ds, prec) for ds, prec in vx) + "]"
+        assert ring.eq(ring.parse_elt(shown), x)
+        assert ring.format_elt(ring.parse_elt(shown)) == shown
+
+    for x, y in itertools.product(xs, repeat=2):
+        vx, vy = view(x), view(y)
+        assert view(ring.add(x, y)) == oracles.chain_sum(p, k, M, vx, vy, depth)
+        precs = [min(a[1], b[1]) for a, b in zip(vx, vy)]
+        assert view(ring.mul(x, y)) == [
+            (oracles.trunc_mul(p, k, a, b, p**prec), prec)
+            for (a, _), (b, _), prec in zip(vx, vy, precs)
+        ]
+        same = all(cut(a, prec) == cut(b, prec) for (a, _), (b, _), prec in zip(vx, vy, precs))
+        assert ring.eq(x, y) == same
+
+    deeper = tilt_from_top(base, base.one(), depth + 1)
+    x = xs[0]
+    calls = [
+        lambda: ring.add(x, deeper),
+        lambda: ring.mul(deeper, x),
+        lambda: ring.neg(deeper),
+        lambda: ring.eq(x, deeper),
+        lambda: ring.is_zero(deeper),
+        lambda: ring.pow_p_tower(deeper, 1),
+        lambda: ring.seminorm(deeper),
+        lambda: ring.format_elt(deeper),
+        lambda: TiltRing(base, depth + 1).parse_elt(ring.format_elt(x)),
+    ]
+    for call in calls:
+        with pytest.raises(LengthMismatch, match="^this tilt ring holds depth-"):
+            call()
+
+
+_DELETED_CHAIN_FUNCTIONS = (
+    "tilt_constant", "tilt_neg", "tilt_eq", "tilt_is_zero", "tilt_frobenius", "tilt_norm",
+    "enumerate_tilts", "format_tilt", "parse_tilt", "check_chain",
+)
+
+
+def test_chains_have_one_api():
+    """The chain ring's methods are the only copy of its arithmetic, text and
+    enumeration: no module function duplicates them."""
+    import wittlab
+
+    for name in _DELETED_CHAIN_FUNCTIONS:
+        assert not hasattr(tilt, name), name
+        assert not hasattr(wittlab, name), name
+        assert name not in tilt.__all__, name

@@ -44,7 +44,7 @@ elements are ``TruncVec``s of e digits under the shared precision rule.  It
 gives the rule its digit product ``_conv``, its digit power ``_pow_int``
 reduced mod p**prec, the valuation ``integer_valuation`` of the digits and
 the fold ``_reduce_tail`` of digits past e; its cover is the field, reached
-by the digits over denominator 1.
+by the balanced digits, each in (-p**prec/2, p**prec/2], over denominator 1.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from .errors import (
     NoRoot,
 )
 from .norms import NormValue
-from .rings import Ring, TruncatedRing, TruncVec, check_prime, power_ladder, vp_int
+from .rings import Ring, TruncatedRing, TruncVec, balanced, check_prime, power_ladder, vp_int
 
 
 class CVec(NamedTuple):
@@ -548,7 +548,8 @@ class CycloModPM(TruncatedRing):
         return self.field
 
     def lift_to_cover(self, a: TruncVec) -> CVec:
-        return CVec(a.coeffs, 1)
+        q = self.p**a.prec
+        return CVec(tuple(balanced(d, q) for d in a.coeffs), 1)
 
     def reduce_from_cover(self, a: CVec, prec: Optional[int] = None) -> TruncVec:
         return self._reduce(self.field.integral_coeffs(a), self.M if prec is None else prec)

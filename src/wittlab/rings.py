@@ -83,6 +83,11 @@ def vp_fraction(q: Fraction, p: int) -> Optional[int]:
     return vp_int(q.numerator, p) - vp_int(q.denominator, p)
 
 
+def balanced(d: int, q: int) -> int:
+    """The representative of d mod q in (-q/2, q/2], for d in [0, q)."""
+    return d if 2 * d <= q else d - q
+
+
 def power_ladder(a: Any, n: int, mul: Callable, sqr: Optional[Callable] = None) -> Any:
     """a ** n, n >= 1, by square-and-multiply from the lowest set bit, on
     ``mul`` and ``sqr`` (default ``mul(x, x)``): bit_length(n) - 1 squarings
@@ -174,7 +179,11 @@ class Ring(ABC):
 
     # -- torsion-free cover (for ghost transport) ----------------------------
     # A p-torsion-free ring is its own cover; a ring with p-torsion overrides
-    # all three, or has no cover.
+    # all three, or has no cover.  A truncated ring lifts each digit of an
+    # element known mod p**k to its balanced representative, in
+    # (-p**k/2, p**k/2], and reduces a cover element at a given precision;
+    # ``lift_to_cover(reduce_from_cover(z, a))`` is then a least lift of
+    # z's class mod p**a, to which the transport settles its components.
 
     def cover_ring(self) -> "Ring":
         if self.p_torsion_free:
@@ -214,7 +223,7 @@ class Ring(ABC):
         return {"kind": self.kind, "p": self.p}
 
     def same_ring(self, other: "Ring") -> bool:
-        return self.to_config() == other.to_config()
+        return self is other or self.to_config() == other.to_config()
 
     def require_same(self, other: "Ring") -> None:
         if not self.same_ring(other):
@@ -522,9 +531,11 @@ class ZModPM(TruncatedRing):
 
     Fresh elements carry the full budget M.  The seminorm is the quotient
     seminorm p**(-v) of the canonical lift; the class of 0 has seminorm 0.
-    This ring has p-torsion, so Witt operations over it lift the canonical
-    residues to Z (``cover_ring`` is ``Integers(p)``), transport there on
-    ints and reduce back at the minimum input precision.
+    This ring has p-torsion, so Witt operations over it lift each residue
+    known mod p**k to its balanced representative in Z, in (-p**k/2,
+    p**k/2] (``cover_ring`` is ``Integers(p)``), transport there on ints,
+    settling each unghosted component to the balanced lift at the output
+    precision, and reduce back at the minimum input precision.
     """
 
     kind = "Zmod"
@@ -559,7 +570,7 @@ class ZModPM(TruncatedRing):
         return Integers(self.p)
 
     def lift_to_cover(self, a: TruncVec) -> int:
-        return a.coeffs[0]
+        return balanced(a.coeffs[0], self.p**a.prec)
 
     def reduce_from_cover(self, a: int, prec: Optional[int] = None) -> TruncVec:
         return self._reduce((a,), self.M if prec is None else prec)

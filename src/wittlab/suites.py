@@ -122,6 +122,7 @@ __all__ = [
     "run_suite",
     "check_structure_polynomials",
     "check_witt_ring_laws",
+    "check_truncated_naturality",
     "check_norm_laws",
     "check_mul_by_p_norm",
     "check_depth_lifting",
@@ -235,6 +236,8 @@ _DENOMS = (1, 1, 2, 3, 4)
 
 # the sizes of the randomized checks, which each case's detail states
 _LAW_DRAWS = 500  # per ghost ring law
+_NATURALITY_M = {2: 6, 3: 4, 5: 3}  # M of Z/p^M; 2 at any other prime
+_NATURALITY_DRAWS = 40  # pairs of vectors per ring and length
 _NORM_SAMPLES = 500  # per norm-law instance
 _THETA_SAMPLES, _THETA_PAIRS = 100, 100  # per prime
 _RIGIDITY_BOUND, _RIGIDITY_CROSS, _RIGIDITY_PERTURBATIONS = 8, 300, 200
@@ -440,6 +443,73 @@ def check_witt_ring_laws(rng: random.Random, primes: Optional[Sequence[int]]) ->
             )
         cases.append(law.case(f"{_LAW_DRAWS} randomized cases over {names}; {law.bad} failures"))
     return cases
+
+
+# (name, arity, op) of the ops whose naturality Z -> Z/p^M is checked
+_NATURAL_OPS = (
+    ("witt_add", 2, witt_add),
+    ("witt_mul", 2, witt_mul),
+    ("witt_neg", 1, witt_neg),
+    ("frobenius", 1, frobenius),
+)
+
+
+def check_truncated_naturality(
+    rng: random.Random, primes: Optional[Sequence[int]]
+) -> List[CaseResult]:
+    """W_L is a functor, so reduction Z -> Z/p^M commutes with every Witt
+    op, whatever lift of the residues the exact side starts from.  Over
+    Z/p^M at lengths 1-5, with each input component at a random precision
+    1..M, the op's result must equal the op over Z on a random other lift
+    (each component plus p**prec * k), reduced at the precision the
+    truncated result claims, component by component.  It fails when the
+    transport keeps too few digits or claims too many.  The law holds at
+    every prime: ``primes`` is None (Z/2^6, Z/3^4 and Z/5^3) or the one
+    prime asked."""
+    law = _Law("truncated_naturality")
+    labels, components = [], 0
+    for p in primes or sorted(_NATURALITY_M):
+        M = _NATURALITY_M.get(p, 2)
+        ring, exact = ZModPM(p, M), Integers(p)
+        labels.append(ring.label)
+        for L in range(1, 6):
+            for i in range(_NATURALITY_DRAWS):
+                vecs = [
+                    [ring.make(rng.randrange(p**M), rng.randint(1, M)) for _ in range(L)]
+                    for _ in range(2)
+                ]
+                lifts = [
+                    [c.coeffs[0] + p**c.prec * rng.randint(-(p**M), p**M) for c in v] for v in vecs
+                ]
+                truncated = [WittVec(ring, tuple(v)) for v in vecs]
+                lifted = [WittVec(exact, tuple(v)) for v in lifts]
+                for name, arity, op in _NATURAL_OPS:
+                    if name == "frobenius" and L < 2:
+                        continue
+                    want = op(*lifted[:arity]).components
+                    components += len(want)
+                    sample = (
+                        f"sample {i} over {ring!r}, {name} of "
+                        f"{_show(**dict(zip('xy', truncated[:arity])))} lifted to {lifts[:arity]}"
+                    )
+                    try:
+                        got = op(*truncated[:arity]).components
+                    except WittError as exc:
+                        law.check(False, lambda: f"{sample}: raised {exc}")
+                        continue
+                    for j, (a, b) in enumerate(zip(got, want)):
+                        law.check(
+                            a == ring.make(b, a.prec),
+                            lambda: f"{sample}: component {j} is {ring.format_elt(a)}, "
+                            f"the exact result {b}",
+                        )
+    return [
+        law.case(
+            f"sampled: {components} components of witt_add, witt_mul, witt_neg and "
+            f"frobenius over {', '.join(labels)} at lengths 1-5, each input component "
+            f"at a random precision, against Z on a random other lift; {law.bad} failures"
+        )
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -1434,7 +1504,10 @@ class _Check(NamedTuple):
 
 _SUITES: Dict[str, List[_Check]] = {
     "universal": [_Check("structure_polynomials", (2, 3, 5), check_structure_polynomials)],
-    "ghost": [_Check("witt_ring_laws", None, check_witt_ring_laws)],
+    "ghost": [
+        _Check("witt_ring_laws", None, check_witt_ring_laws),
+        _Check("truncated_naturality", None, check_truncated_naturality),
+    ],
     "norms": [_Check("norm_laws", (2, 3, 5), check_norm_laws)],
     "arrow": [
         _Check("mul_by_p_norm", (2, 3), check_mul_by_p_norm),

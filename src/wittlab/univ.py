@@ -135,9 +135,6 @@ class UPoly:
             raise CapabilityMissing("UPoly: negative powers not supported")
         return power_ladder(self, n, UPoly.mul) if n else UPoly.constant(self.nvars, 1)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, UPoly)
@@ -145,9 +142,6 @@ class UPoly:
             and {e: Fraction(c) for e, c in self.terms.items()}
             == {e: Fraction(c) for e, c in other.terms.items()}
         )
-
-    def __hash__(self):
-        return hash((self.nvars, tuple(sorted((e, Fraction(c)) for e, c in self.terms.items()))))
 
     def uses_variable(self, idx: int) -> bool:
         return any(exps[idx] for exps in self.terms)

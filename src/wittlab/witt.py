@@ -25,10 +25,13 @@ and dispatch on the ring's capabilities:
                             Frobenius is componentwise;
   * every other ring     -- one ghost transport, `_transport`, any length:
                             lift to the cover (Z/p**M to Z, Z[zeta]/p**M to
-                            integral elements of Q(zeta); Z, Q and the number
-                            fields are their own), ghost, combine (the
-                            Frobenius drops the first ghost entry), unghost,
-                            and reduce back at the minimum input precision.
+                            integral elements of Q(zeta), on balanced digits;
+                            Z, Q and the number fields are their own), ghost,
+                            combine (the Frobenius drops the first ghost
+                            entry), unghost, and reduce back at the minimum
+                            input precision a.  Over a truncated ring the
+                            unghost settles each component to the balanced
+                            lift of its class mod p**a before raising it.
                             `witt_combination` runs an integer combination
                             sum_j c_j * v_j as one such transport.
 
@@ -44,7 +47,7 @@ than a fresh x_i**(p**(m-i)) at every level m, and the constants p**i are
 built once per call.  `teich_mul` raises r the same way.  Every power is
 exact, so the ladder gives the same elements, bytes included, as the
 powers taken directly; additions keep their order, which a tilt's chain sum can
-see.
+see.  A settled unghost is exact only mod p**a, which is all its caller reads.
 """
 
 from __future__ import annotations
@@ -161,11 +164,19 @@ def ghost(x: WittVec) -> GhostVec:
     return GhostVec(ring, tuple(entries))
 
 
-def unghost(g: GhostVec) -> WittVec:
+def unghost(g: GhostVec, settle: Optional[Callable[[Any], Any]] = None) -> WittVec:
     """Invert the ghost map; level m makes one exact division by p**m, which
     must succeed (NotDivisible otherwise) and over a p-torsion-free ring
     certifies the preimage.  The powers of the components found so far form
-    the same ladder as in ``ghost``."""
+    the same ladder as in ``ghost``.
+
+    ``settle``, when given, replaces each component as soon as it is found,
+    before the ladder raises it, by another representative of its class mod
+    p**a; the truncated transport passes the balanced lift at its output
+    precision a.  The exact divisions still succeed and every component
+    keeps its class mod p**a: if z = z' mod p**a then z**(p**k) = z'**(p**k)
+    mod p**(a+k), so level m's numerator moves by a multiple of p**(a+m).
+    Without it the inversion is exact."""
     ring, p = g.ring, g.ring.p
     if not ring.p_torsion_free:
         raise CapabilityMissing(
@@ -184,6 +195,8 @@ def unghost(g: GhostVec) -> WittVec:
             acc = ring.sub(acc, term)
         if m:
             acc = ring.exact_divide_by_p(acc, m)
+        if settle is not None:
+            acc = settle(acc)
         comps.append(acc)
         powers.append(acc)
     return WittVec(ring, tuple(comps))
@@ -200,16 +213,33 @@ def _min_precision(ring: Ring, vecs: Sequence[WittVec]) -> Optional[int]:
 
 def _transport(combine: Callable[..., GhostVec], *vecs: WittVec) -> WittVec:
     """Lift each vector to the cover, ghost it, ``combine`` the ghost
-    vectors, unghost, and reduce back at the minimum input precision."""
+    vectors, unghost, and reduce back at the minimum input precision a.
+
+    A truncated ring lifts each digit to its balanced representative, and
+    the unghost settles each component to the balanced lift of its class mod
+    p**a before the ladder raises it: the ladder then raises digits of at
+    most p**a/2 in size, where the exact components grow with p**m.  The
+    residues mod p**a that the settling finds are the output, the same as
+    an exact inversion's reduced, because any lift of a class gives the
+    same residues (W_L is a functor).  A ring that is its own cover
+    unghosts exactly."""
     ring = vecs[0].ring
     cover = ring.cover_ring()
     ghosts = [
         ghost(WittVec(cover, tuple(ring.lift_to_cover(c) for c in v.components)))
         for v in vecs
     ]
-    z = unghost(combine(*ghosts))
     prec = _min_precision(ring, vecs)
-    return WittVec(ring, tuple(ring.reduce_from_cover(c, prec) for c in z.components))
+    if prec is None:
+        return unghost(combine(*ghosts))
+    residues: List[Any] = []
+
+    def settle(z):
+        residues.append(ring.reduce_from_cover(z, prec))
+        return ring.lift_to_cover(residues[-1])
+
+    unghost(combine(*ghosts), settle)
+    return WittVec(ring, tuple(residues))
 
 
 def _same_shape(x: WittVec, y: WittVec) -> None:

@@ -9,7 +9,14 @@ from hypothesis import given, strategies as st
 
 from wittlab import reference
 from wittlab.cyclotomic import CycloModPM
-from wittlab.errors import CapabilityMissing, MalformedConfig, NotDivisible, PrecisionExhausted, WittError
+from wittlab.errors import (
+    CapabilityMissing,
+    MalformedConfig,
+    NotDivisible,
+    PrecisionExhausted,
+    RingMismatch,
+    WittError,
+)
 from wittlab.norms import NormValue
 from wittlab.rings import (
     Integers,
@@ -471,3 +478,51 @@ def test_truncated_arithmetic_matches_integer_arithmetic(ring):
         ring.from_digits([1], 0)
     with pytest.raises(MalformedConfig):
         ring.from_digits([1], M + 1)
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [ZModPM(2, 6), ZModPM(5, 3), CycloModPM(2, 3, 4), CycloModPM(3, 2, 2)],
+    ids=["Zmod-2-6", "Zmod-5-3", "ZzetaMod-2-3-4", "ZzetaMod-3-2-2"],
+)
+def test_the_cover_lift_is_the_balanced_representative(ring):
+    """Each digit lifts into (-p**k/2, p**k/2] for an element known mod
+    p**k, and reducing the lift at k gives the element back."""
+    rng = random.Random(f"lift:{ring.label}")
+    p, M = ring.p, ring.M
+    for k in range(1, M + 1):
+        q = p**k
+        edges = [0, 1, q // 2, q // 2 + 1, q - 1]
+        for _ in range(50):
+            a = ring.from_digits([rng.choice(edges + [rng.randrange(q)]) for _ in range(ring.e)], k)
+            lift = ring.lift_to_cover(a)
+            digits = (lift,) if ring.scalar else lift.nums
+            assert all(-q < 2 * d <= q for d in digits), (a, lift)
+            assert _mod(digits, p, k) == ring.digits(a)
+            assert ring.reduce_from_cover(lift, k) == a
+
+
+class _CountingZModPM(ZModPM):
+    def __init__(self, p, M, calls):
+        super().__init__(p, M)
+        self.calls = calls
+
+    def to_config(self):
+        self.calls.append(self)
+        return super().to_config()
+
+
+def test_same_ring_tests_identity_before_the_config():
+    calls = []
+    ring = _CountingZModPM(3, 4, calls)
+    assert ring.same_ring(ring)
+    ring.require_same(ring)
+    assert calls == []
+    # equal instances still match through their configs
+    assert ZModPM(3, 4).same_ring(ZModPM(3, 4))
+    ZModPM(3, 4).require_same(ZModPM(3, 4))
+    assert ring.same_ring(ZModPM(3, 4)) and calls == [ring]
+    for other in (ZModPM(3, 3), ZModPM(2, 4), Integers(3), CycloModPM(3, 1, 4)):
+        assert not ZModPM(3, 4).same_ring(other)
+        with pytest.raises(RingMismatch):
+            ZModPM(3, 4).require_same(other)

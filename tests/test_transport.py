@@ -1,6 +1,8 @@
-"""Ghost transport over Z and Z/p^M on ints against the rational-cover
-transport (``oracles.cover_transport``), byte for byte, the Frobenius
-included at every length; the carry formula checks its values."""
+"""Ghost transport over Z, Z/p^M and Z[zeta]/p^M against the exact cover
+transport on canonical lifts (``oracles.cover_transport``), byte for byte,
+the Frobenius included at every length; the carry formula checks its
+values.  The truncated transport settles each component it unghosts to a
+balanced lift at its output precision; its numbers stay that small."""
 
 import json
 import random
@@ -8,7 +10,7 @@ import random
 import pytest
 
 from wittlab import witt
-from wittlab.cyclotomic import cyclotomic_field
+from wittlab.cyclotomic import CycloModPM, cyclotomic_field
 from wittlab.rings import Integers, ZModPM
 from wittlab.univ import structure_cap, structure_poly
 from wittlab.witt import WittVec, frobenius, witt_add, witt_mul, witt_neg
@@ -38,14 +40,18 @@ def _carry_frobenius(ring, comps):
     return tuple(out)
 
 
-def _zmod_vectors(ring, length, rng):
-    """Components with a nonzero leading digit: one vector at full precision,
-    two with one component a digit short, then zero and one."""
+def _truncated_vectors(ring, length, rng):
+    """Components whose digits have a nonzero leading p-adic digit: one
+    vector at full precision, two with one component a digit short, then
+    zero and one."""
     p, M = ring.p, ring.M
     out = []
     for short in (False, True, True):
-        comps = [ring.from_int(rng.randrange(1, p) * p ** (M - 1) + rng.randrange(p ** (M - 1)))
-                 for _ in range(length)]
+        comps = [
+            ring.from_digits([rng.randrange(1, p) * p ** (M - 1) + rng.randrange(p ** (M - 1))
+                              for _ in range(ring.e)])
+            for _ in range(length)
+        ]
         if short:
             i = rng.randrange(length)
             comps[i] = ring.truncate(comps[i], M - 1)
@@ -55,12 +61,9 @@ def _zmod_vectors(ring, length, rng):
     return out
 
 
-@pytest.mark.parametrize("p, M", [(2, 6), (3, 4), (5, 3)])
-def test_zmod_transport_on_ints_matches_the_rational_cover(p, M):
-    ring = ZModPM(p, M)
-    rng = random.Random(f"Z/{p}^{M}")
-    for length in range(1, 8):
-        vecs = _zmod_vectors(ring, length, rng)
+def _matches_the_cover_transport(ring, lengths, rng):
+    for length in lengths:
+        vecs = _truncated_vectors(ring, length, rng)
         for x, y in zip(vecs, vecs[1:] + vecs[:1]):
             X, Y = WittVec(ring, x), WittVec(ring, y)
             for kind, op in _OPS.items():
@@ -75,13 +78,52 @@ def test_zmod_transport_on_ints_matches_the_rational_cover(p, M):
             got = frobenius(X).components
             want = oracles.cover_transport(ring, "frob", x)
             assert got == want and _bytes(ring, got) == _bytes(ring, want), ("frob", x)
-            if length - 2 > structure_cap(p):
+            if length - 2 > structure_cap(ring.p):
                 continue
             # every component carries the minimum input precision, and the
             # carry formula agrees with it mod p to that power
             prec = min(c.prec for c in x)
             for a, b in zip(got, _carry_frobenius(ring, x)):
                 assert a.prec == prec and ring.eq(a, b), ("frob", x)
+
+
+@pytest.mark.parametrize("p, M", [(2, 6), (3, 4), (5, 3)])
+def test_zmod_transport_on_ints_matches_the_rational_cover(p, M):
+    _matches_the_cover_transport(ZModPM(p, M), range(1, 8), random.Random(f"Z/{p}^{M}"))
+
+
+@pytest.mark.parametrize("p, k, M", [(2, 3, 4), (3, 2, 2)])
+def test_cyclo_mod_transport_matches_the_field_cover(p, k, M):
+    ring = CycloModPM(p, k, M)
+    _matches_the_cover_transport(ring, range(1, 6), random.Random(ring.label))
+
+
+def test_settling_keeps_the_unghosted_components_small(monkeypatch):
+    """Over Z/5^3 at length 7 the transport settles every component it
+    unghosts, each to the balanced lift at the minimum input precision a:
+    |z| <= 5**a / 2."""
+    ring, real_unghost = ZModPM(5, 3), witt.unghost
+    settled = []
+
+    def spy(g, settle):
+        def recorded(z):
+            settled.append(settle(z))
+            return settled[-1]
+
+        return real_unghost(g, recorded)
+
+    monkeypatch.setattr(witt, "unghost", spy)
+    rng = random.Random("settle")
+    for low in (1, 2, 3) * 4:
+        x, y = (
+            WittVec(ring, tuple(ring.make(rng.randrange(125), rng.randint(low, 3)) for _ in range(7)))
+            for _ in range(2)
+        )
+        for op, args in ((witt_add, (x, y)), (witt_mul, (x, y)), (frobenius, (x,))):
+            a = min(c.prec for v in args for c in v.components)
+            settled.clear()
+            assert op(*args).length == len(settled)
+            assert all(2 * abs(z) <= 5**a for z in settled), (a, settled)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

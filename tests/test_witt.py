@@ -494,7 +494,7 @@ def test_char_p_tilt_sum_runs_in_a_mod_p_with_one_ladder_per_component(monkeypat
     of single p-power steps (D of them when D <= M)."""
     unghosts = []
     real_unghost = witt_module.unghost
-    monkeypatch.setattr(witt_module, "unghost", lambda g: unghosts.append(g) or real_unghost(g))
+    monkeypatch.setattr(witt_module, "unghost", lambda g, *a: unghosts.append(g) or real_unghost(g, *a))
     for k, M in ((5, 4), (2, 2)):
         base = _CountingCycloModPM(2, k, M)
         ring = TiltRing(base, 4)

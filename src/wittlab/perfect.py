@@ -25,10 +25,10 @@ element x1 with x1**p = p mod p**2: given a root c of a one level up,
 b = x1 * c satisfies b**p = p * c**p = p*a mod p**2.  ``_check_tower`` has
 its own loop, on the digits of each level: a root one level up by
 ``CyclotomicField.mod_p_root``, b**p by ``pow_digits_mod`` on the digits
-mod p**2.  A valuation bound at an integer, such as v(b**p - p*a) >= 2, is
-read as divisibility of the coefficients by p**2
-(``CyclotomicField.valuation_at_least``), which is exact because the power
-basis is a Z-basis of Z[zeta].
+mod p**2.  Since a is integral, v(b**p - p*a) >= 2 reads as the digits of
+b**p and of p*a agreeing mod p**2, which is exact because the power basis is
+a Z-basis of Z[zeta] (``CyclotomicField.valuation_at_least`` reads a
+valuation bound at an integer the same way).
 
 Root sequences x1, x2, ... with x_{n+1}**p = x_n mod p and exact valuation
 v(x_n) = p**(-n) are built constructively: closed forms zeta + 1/zeta for
@@ -43,15 +43,19 @@ nonzero residues mod 3 cubes to 3 mod 9.
 ``solve_frobenius`` inverts the Frobenius on vectors over Z/p**M greedily
 (the mod-p root is unique there, so failures are certified refutations);
 ``solve_frobenius_normed`` does the same over a tower field after rescaling
-into a norm window, and returns a preimage with |y| ** p <= |x|.  Both run the
-one digit recursion ``_digit_solve`` and differ only in how they pick the
-head root.  The recursion reads each digit equation off ``witt.frobenius``
-itself, so neither solver has a length cap: Z/p**M needs only M >= L + 1 for
-a length-L target.
+into a norm window, and returns a preimage with |y| ** p <= |x|.  It scales
+by one Teichmueller unit into the window and one back out, both built from
+the powers of the roots x_n that ``RootSequence.power`` memoizes, so the
+solves of one sequence share them.  Both solvers run the one digit
+recursion ``_digit_solve`` and differ only in how they pick the head root.
+The recursion reads each digit equation off ``witt.frobenius`` itself, so
+neither solver has a length cap: Z/p**M needs only M >= L + 1 for a
+length-L target.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -103,6 +107,10 @@ class RootSequence:
 
     tower: CyclotomicTower
     values: Tuple[CVec, ...]  # values[n-1] lives in tower.field(n)
+    # x_n**e in tower.field(level), keyed (n, e, level); filled by ``power``
+    _powers: Dict[Tuple[int, int, int], CVec] = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def top_level(self) -> int:
@@ -112,6 +120,24 @@ class RootSequence:
         if not 1 <= n <= self.top_level:
             raise MalformedConfig(f"root sequence has levels 1..{self.top_level}, got {n}")
         return self.values[n - 1]
+
+    def power(self, n: int, e: int, level: int) -> CVec:
+        """x_n**e in tower.field(level), for any integer e and level >= n,
+        memoized.  The power is taken in x_n's own field and embedded up
+        (embedding is a ring map, and a ``CVec`` is canonical, so the bytes
+        are those of the power taken up there); a negative e costs one
+        ``inv`` of x_n**(-e)."""
+        key = (n, e, level)
+        got = self._powers.get(key)
+        if got is None:
+            if level != n:
+                got = self.tower.embed_up(n, level, self.power(n, e, n))
+            elif e < 0:
+                got = self.tower.field(n).inv(self.power(n, -e, n))
+            else:
+                got = self.tower.field(n).pow_(self.value(n), e)
+            self._powers[key] = got
+        return got
 
     def verify(self) -> Dict[str, bool]:
         p = self.tower.p
@@ -301,10 +327,10 @@ def _check_tower(p: int, top_level: int, rng, samples: int) -> PerfectReport:
             a_up = tower.embed_up(k, k + 1, lo.from_coeffs(coeffs))
             c = hi.mod_p_root(a_up)  # raises NoRoot on failure
             roots_ok += 1
-            # x1 and c lie in Z[zeta], so b**p mod p**2 reads b's digits
+            # x1, c and a_up lie in Z[zeta], so b**p = p*a mod p**2 compares
+            # the digits of both sides mod p**2
             bp = hi.pow_digits_mod(hi.integral_coeffs(hi.mul(x1_up, c)), p, p * p)
-            diff = hi.sub(hi.from_coeffs(bp), hi.mul(hi.from_int(p), a_up))
-            if hi.valuation_at_least(diff, 2):
+            if bp == tuple(p * d % (p * p) for d in a_up.nums):
                 b_ok += 1
         ok = purity and roots_ok == len(pool) and b_ok == len(pool)
         all_ok = all_ok and ok
@@ -462,17 +488,20 @@ def solve_frobenius_normed(
 ) -> Tuple[WittVec, dict]:
     """Solve F(y) = x over a tower field with the bound |y|**p <= |x|.
 
-    The vector is rescaled by Teichmueller units so its norm sits in the
-    window (p**(-1/p**(s+1)), 1), s the top component index: first by a power
-    of [1/p**p] to land just above 1, then by [x_n**(p*m)] with the exponent
-    m/p**(n-1) chosen inside a rational interval.  In the window the head
+    The vector is rescaled by one Teichmueller unit [s] so its norm sits in
+    the window (p**(-1/p**(i+1)), 1), i the top component index: with
+    s = p**(-p*k) * x_n**(p*m), the power of p lands the norm just above 1
+    and the exponent m/p**(n-1) of the root x_n is chosen inside a rational
+    interval.  The preimage is scaled back out by the one unit [u],
+    u = p**k * x_n**(-m).  Both root powers come from ``seq.power``, so a
+    sequence builds them once per window.  In the window the head
     component has a mod-p root one tower level up and the remaining digits
     follow by exact divisions.  A length-2 digit equation can land on the
     wrong branch of the head root (mod-p roots are unique only up to the
     Frobenius kernel); the defect is repaired by shifting the head root by
     x_1 * w, where w is a p**2-th root of the negated defect taken two more
     levels up: x_1**p = p * (1 + p*h) makes every cross term vanish mod p,
-    so the shifted branch divides exactly.  Undoing the scalings preserves
+    so the shifted branch divides exactly.  Undoing the scaling preserves
     exactness; both F(y) = x and the norm contract are checked exactly
     before returning.
     """
@@ -493,17 +522,17 @@ def solve_frobenius_normed(
     n, m = _window_parameters(g, p, x.top_index, seq.top_level)
 
     def window_vector(lvl: int):
+        """x over tower.field(lvl) and its scaling [s] * x into the window,
+        s = p**(-p*k) * x_n**(p*m)."""
         Wl = tower.field(lvl)
         Xl = WittVec(
             Wl, tuple(tower.embed_up(x_level, lvl, cmp) for cmp in x.components)
         )
-        xn_l = tower.embed_up(n, lvl, seq.value(n))
-        pre = Wl.from_coeffs([Fraction(1, p ** (p * k))])
-        xp = teich_mul(Wl.pow_(xn_l, p * m), teich_mul(pre, Xl))
-        return Wl, Xl, xn_l, xp
+        s = Wl.scalar_mul(Fraction(1, p ** (p * k)), seq.power(n, p * m, lvl))
+        return Wl, Xl, teich_mul(s, Xl)
 
     Lw = max(x_level, n) + 1
-    W, X, xn, x_prime = window_vector(Lw)
+    W, X, x_prime = window_vector(Lw)
 
     cp = witt_norm(x_prime)
     window_lo = NormValue.p_power(Fraction(-1, p ** (x.top_index + 1)))
@@ -534,7 +563,7 @@ def solve_frobenius_normed(
     refined = False
     if not (vgap is None or vgap >= nu):
         Lw, head = shift_head(head, gap, 1)
-        W, X, xn, x_prime = window_vector(Lw)
+        W, X, x_prime = window_vector(Lw)
         refined = True
 
     ys, failure = _digit_solve(W, x_prime.components, p, head)
@@ -547,7 +576,7 @@ def solve_frobenius_normed(
                 "length-2 branch repair is implemented"
             )
         Lw, seed = shift_head(head, W.neg(rhs), 2)
-        W, X, xn, x_prime = window_vector(Lw)
+        W, X, x_prime = window_vector(Lw)
         ys, failure = _digit_solve(W, x_prime.components, p, seed)
         if failure is not None:
             raise NoRoot(
@@ -555,15 +584,15 @@ def solve_frobenius_normed(
             )
         fixed = True
 
-    y_prime = WittVec(W, tuple(ys))
-    unscale = W.inv(W.pow_(xn, m))
-    y = teich_mul(unscale, y_prime)
-    y = teich_mul(W.from_int(p ** k), y)
+    # the scaling back out: [u] with u = p**k * x_n**(-m), so u**p = 1/s
+    u = W.scalar_mul(p ** k, seq.power(n, -m, Lw))
+    y = teich_mul(u, WittVec(W, tuple(ys)))
 
     if not witt_eq(frobenius(y), X):
         raise IntegralityViolation("normed preimage failed the exact F(y) = x check")
 
-    contract = witt_norm(y).pow(p) <= witt_norm(X)
+    # embedding keeps the normalized valuation, so |X| = |x| = c
+    contract = witt_norm(y).pow(p) <= c
     report.update(
         {
             "k": k,

@@ -25,9 +25,11 @@ Each check states its primes once, as a `_Check(name, primes, run)` in
 runs.  It calls ``run(rng, primes)`` with the primes the check runs at: all of
 its own, or ``--p`` alone.  A grid check keeps its instances at those primes,
 in grid order.  A check whose primes exclude ``--p`` is reported as one
-inconclusive ``skipped`` case that names the primes it covers, and a check
-that returns no case as one failing case.  One suite and ``all`` follow the
-same rule, and either is refused only when none of its checks covers ``--p``.
+inconclusive ``skipped`` case that names the primes it covers, a check
+that returns no case as one failing case, and a check that raises a
+``WittError`` as one failing case with detail ``raised <Class>: <message>``;
+the other checks still run.  One suite and ``all`` follow the same rule, and
+either is refused only when none of its checks covers ``--p``.
 """
 
 from __future__ import annotations
@@ -1562,7 +1564,11 @@ def run_suite(name: str, seed: int = 0, p: Optional[int] = None) -> SuiteReport:
     for sub, check in selection:
         if check.covers(p):
             primes = check.primes if p is None else (p,)
-            cases = check.run(random.Random(f"{seed}|{sub}|{check.name}"), primes)
+            try:
+                cases = check.run(random.Random(f"{seed}|{sub}|{check.name}"), primes)
+            except WittError as exc:
+                detail = f"raised {type(exc).__name__}: {exc}"
+                cases = [_case(check.name, False, detail)]
             cases = cases or [_case(check.name, False, "the check ran no case")]
         else:
             detail = f"skipped: --p {p}: this check covers p in {_covered(check.primes)} only"

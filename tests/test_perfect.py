@@ -1,5 +1,7 @@
 """Witt-perfectness verdicts, root sequences, and both Frobenius solvers."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -22,7 +24,7 @@ from wittlab.perfect import (
     witt_perfect_test,
 )
 from wittlab.rings import Integers, ZModPM
-from wittlab.witt import WittVec, frobenius, witt_eq, witt_norm
+from wittlab.witt import WittVec, frobenius, witt_eq, witt_norm, witt_to_json
 
 import oracles
 
@@ -288,6 +290,72 @@ def test_normed_solver_never_returns_a_contract_violation():
     x = WittVec(f1, (f1.zero(), f1.uniformizer()))
     with pytest.raises(IntegralityViolation):
         solve_frobenius_normed(seq, 1, x)
+
+
+@pytest.mark.parametrize("p, levels", [(2, 3), (3, 2)])
+def test_root_powers_match_direct_powering(p, levels):
+    seq = build_root_sequence(p, levels)
+    tower = seq.tower
+    for n in range(1, levels + 1):
+        for level in range(n, levels + 2):
+            F = tower.field(level)
+            xn = tower.embed_up(n, level, seq.value(n))
+            for e in (0, 1, 2, p, 5, p * p + 1):
+                direct = F.pow_(xn, e)
+                assert seq.power(n, e, level) == direct, (n, level, e)
+                assert seq.power(n, -e, level) == F.inv(direct), (n, level, -e)
+                assert F.mul(seq.power(n, e, level), seq.power(n, -e, level)) == F.one()
+    # a second call hands back the memoized object
+    assert seq.power(1, -5, 2) is seq.power(1, -5, 2)
+    assert seq.power(levels, 3, levels + 1) is seq.power(levels, 3, levels + 1)
+
+
+def test_a_second_solve_in_the_same_window_inverts_nothing(monkeypatch):
+    seq = build_root_sequence(2, 6)
+    f1 = seq.tower.field(1)
+    x = WittVec(f1, (f1.from_int(6),))
+    y, rep = solve_frobenius_normed(seq, 1, x)
+    calls = []
+    real = CyclotomicField.inv
+    monkeypatch.setattr(CyclotomicField, "inv", lambda self, a: calls.append(a) or real(self, a))
+    y2, rep2 = solve_frobenius_normed(seq, 1, x)
+    assert calls == []
+    assert (y2, rep2) == (y, rep)
+    # a new sequence builds its own powers: the first solve does invert
+    solve_frobenius_normed(build_root_sequence(2, 6), 1, x)
+    assert calls
+
+
+# sha256 of the JSON of the pinned normed solves' preimages and reports
+_NORMED_SOLVES = "ae8b0edcf602fc1fde478ffdfab409458dde52b1a2cc56e72ec1c69db5f9d51d"
+
+
+def test_normed_solves_are_pinned_byte_for_byte():
+    """Integers, units times uniformizer powers, halves of uniformizer
+    powers, and the branch-repair input (t^2, t^2)."""
+    seq = build_root_sequence(2, 6)
+    f1, f2 = seq.tower.field(1), seq.tower.field(2)
+    t1, t2 = f1.uniformizer(), f2.uniformizer()
+    u1 = f1.from_coeffs([1, 2, 0, 2])
+    u2 = f2.from_coeffs([1, 0, 2, 2, 0, 0, 2, 0])
+    cases = [(1, (f1.from_int(c),)) for c in (2, 3, 6, 10)]
+    cases += [(1, (f1.mul(u1, f1.pow_(t1, j)),)) for j in (1, 5)]
+    cases += [(2, (f2.mul(u2, f2.pow_(t2, j)),)) for j in (3, 11)]
+    cases += [(2, (f2.scalar_mul(Fraction(1, 2), f2.pow_(t2, j)),)) for j in (1, 6)]
+    sq = f1.pow_(t1, 2)
+    cases += [(1, (f1.pow_(t1, 3),)), (1, (sq, sq))]
+    out = []
+    for level, comps in cases:
+        x = WittVec(seq.tower.field(level), comps)
+        y, rep = solve_frobenius_normed(seq, level, x)
+        out.append({"y": witt_to_json(y), "report": rep})
+        # the contract compares against |x|: embedding keeps the norm
+        W = seq.tower.field(rep["working_level"])
+        X = WittVec(W, tuple(seq.tower.embed_up(level, rep["working_level"], c) for c in x.components))
+        assert witt_norm(X) == witt_norm(x)
+    assert [o["report"]["digit_fix"] for o in out].count(True) == 1
+    text = json.dumps(out, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == _NORMED_SOLVES
 
 
 def test_unknown_instance_is_rejected():

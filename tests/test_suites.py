@@ -8,7 +8,8 @@ import random
 import pytest
 
 from wittlab import suites
-from wittlab.errors import MalformedConfig
+from wittlab.cli import main
+from wittlab.errors import MalformedConfig, NotDivisible
 from wittlab.suites import SUITE_NAMES, CaseResult, _Law, run_suite
 
 # sha256 of json.dumps(report.to_dict(), sort_keys=True, indent=2), which is
@@ -156,6 +157,31 @@ def test_a_check_that_returns_no_case_is_reported_as_failing(monkeypatch):
     assert all(c.status == "fail" for c in report.cases) and not report.passed
     report = run_suite("kernel", p=3)
     assert [(c.name, c.passed) for c in report.cases] == [("kernel_norm", False)]
+
+
+def test_a_check_that_raises_fails_alone(monkeypatch, capsys):
+    """A ``WittError`` inside one check is that check's failing case; the
+    other checks still run and ``verify all`` exits 1, not 2."""
+
+    def cases(name):
+        if name == "frobenius_solving":
+            raise NotDivisible("235 is not divisible by 2")
+        return [CaseResult(name, True, "ran")]
+
+    registry, _ = _stub_registry(monkeypatch, cases)
+    code = main(["verify", "all", "--json"])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    labels = [f"{sub}.{check.name}" for sub, checks in registry.items() for check in checks]
+    assert sorted(c["name"] for c in report["cases"]) == sorted(labels)
+    statuses = {c["name"]: (c["status"], c["detail"]) for c in report["cases"]}
+    assert statuses.pop("perfect.frobenius_solving") == (
+        "fail",
+        "raised NotDivisible: 235 is not divisible by 2",
+    )
+    assert set(statuses.values()) == {("pass", "ran")}
+    assert report["failures"] == 1 and not report["passed"]
 
 
 def test_truncated_naturality_fails_when_the_transport_claims_a_digit_too_many(monkeypatch):

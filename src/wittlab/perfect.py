@@ -111,6 +111,10 @@ class RootSequence:
     _powers: Dict[Tuple[int, int, int], CVec] = dataclasses.field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    # the certificates, filled by the first ``verify``
+    _checks: Dict[str, bool] = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def top_level(self) -> int:
@@ -140,6 +144,14 @@ class RootSequence:
         return got
 
     def verify(self) -> Dict[str, bool]:
+        """The certificates of the sequence, by name, as a fresh dict; they
+        are computed once per sequence (``build_root_sequence`` reads them
+        first) and memoized like ``power``."""
+        if not self._checks:
+            self._checks.update(self._certify())
+        return dict(self._checks)
+
+    def _certify(self) -> Dict[str, bool]:
         p = self.tower.p
         checks: Dict[str, bool] = {}
         f1 = self.tower.field(1)

@@ -386,13 +386,15 @@ class TruncatedRing(Ring):
         past e folded in or refused (``ValueError``)."""
 
     @abstractmethod
-    def _mul(self, a: Tuple[int, ...], b: Tuple[int, ...]) -> Sequence[int]:
-        """The digits of the product in O, not yet reduced."""
+    def _mul(self, a: Tuple[int, ...], b: Tuple[int, ...], q: int) -> Tuple[int, ...]:
+        """The digits of a * b mod q, each in [0, q), for digits a and b in
+        [0, p**M): already reduced, so ``mul`` keeps them as the product's
+        digits without a ``_reduce``."""
 
     @abstractmethod
     def _pow(self, a: Tuple[int, ...], n: int, q: int) -> Tuple[int, ...]:
         """The digits of a ** n mod q, each in [0, q), for n >= 1 and digits
-        a already in [0, q)."""
+        a already in [0, q); reduced like ``_mul``."""
 
     @abstractmethod
     def _valuation(self, a: Tuple[int, ...]) -> Any:
@@ -440,7 +442,8 @@ class TruncatedRing(Ring):
         return self._reduce(map(operator.sub, a.coeffs, b.coeffs), min(a.prec, b.prec))
 
     def mul(self, a: TruncVec, b: TruncVec) -> TruncVec:
-        return self._reduce(self._mul(a.coeffs, b.coeffs), min(a.prec, b.prec))
+        prec = min(a.prec, b.prec)
+        return TruncVec(self._mul(a.coeffs, b.coeffs, self.p**prec), prec)
 
     def pow_(self, a: TruncVec, n: int) -> TruncVec:
         if n < 0:
@@ -553,8 +556,8 @@ class ZModPM(TruncatedRing):
         (value,) = seq  # one digit; a longer or empty list is refused
         return TruncVec((value % self.p**prec,), prec)
 
-    def _mul(self, a: Tuple[int], b: Tuple[int]) -> Tuple[int]:
-        return (a[0] * b[0],)
+    def _mul(self, a: Tuple[int], b: Tuple[int], q: int) -> Tuple[int]:
+        return (a[0] * b[0] % q,)
 
     def _pow(self, a: Tuple[int], n: int, q: int) -> Tuple[int]:
         return (pow(a[0], n, q),)
@@ -573,4 +576,6 @@ class ZModPM(TruncatedRing):
         return balanced(a.coeffs[0], self.p**a.prec)
 
     def reduce_from_cover(self, a: int, prec: Optional[int] = None) -> TruncVec:
-        return self._reduce((a,), self.M if prec is None else prec)
+        if prec is None:
+            prec = self.M
+        return TruncVec((a % self.p**prec,), prec)

@@ -681,6 +681,13 @@ CLI_TABLE = [
     ("compute --ring Q 'unghost (1,2)'", 0, "19d4a7df99b03fe0", "af0a3dbcdd46104e"),
     ("compute 'wnorm (4,2)'", 0, "d5cf46f2a5f4ba24", "cb18185f8dfd0b88"),
     ("compute --ring ZzetaMod:2 --precision 3 'neg ([1,2]~2)'", 0, "5e87059b9173a03a", "461cd3409b040904"),
+    # ghost runs the ring's own pow_ and mul; at 2^40 the digit bound 16 * (2^40 - 1)^2
+    # is past an 8-byte slot, so the product is the schoolbook _conv
+    (
+        "compute --ring ZzetaMod:5 --precision 40 "
+        "'ghost ([1099511627775, 3, 0, 5, 1099511627774], [7, 0, 1099511627775], [2, 4])'",
+        0, "2fa20cd1d94f645f", "eef5926a0f223ada",
+    ),
     (
         "compute --ring PerfPoly --p 2 --depth 2 'add (x^(1/4), 1, x, x^(3/4)) (x, x^(1/2), 1, x)'",
         0, "594adf4bab82bbff", "dd3c4c32c2741471",

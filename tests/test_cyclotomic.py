@@ -193,7 +193,9 @@ def test_gaussian_power_multiplicativity(a, b, p):
     assert g.seminorm(g.mul(x, x)) == g.seminorm(x).pow(2)
 
 
-@pytest.mark.parametrize("p, k, M", [(2, 2, 4), (2, 3, 3), (3, 1, 3), (3, 2, 2)])
+@pytest.mark.parametrize(
+    "p, k, M", [(2, 2, 4), (2, 3, 3), (3, 1, 3), (3, 2, 2), (5, 1, 3), (5, 2, 2), (7, 1, 2)]
+)
 def test_truncated_cyclotomic_powers_match_repeated_products(p, k, M):
     """pow_ and pow_p_tower on integer digits against n plain oracle products,
     from elements below full precision."""
@@ -214,6 +216,52 @@ def test_truncated_cyclotomic_powers_match_repeated_products(p, k, M):
                 k_out = min(prec + l, M)
                 assert got.prec == k_out
                 assert list(got.coeffs) == oracles.cyclo_pow_int(x.coeffs, p**l, p, k, p**k_out)
+
+
+def _width_edges(p, k):
+    """(p, k, M) for the precisions M whose digit bound e * (p**M - 1)**2,
+    the largest value a slot of a digit product takes, sits just below and just above
+    2**16, 2**32 and 2**64."""
+    e = (p - 1) * p ** (k - 1)
+    edges = []
+    for bits in (16, 32, 64):
+        M = 1
+        while e * (p ** (M + 1) - 1) ** 2 < 1 << bits:
+            M += 1
+        edges += [(p, k, M), (p, k, M + 1)]
+    return edges
+
+
+# e = 1, 16, 2, 18, 20, 6 and 42
+PACKED_WIDTH_EDGES = [
+    shape for pk in [(2, 1), (2, 5), (3, 1), (3, 3), (5, 2), (7, 1), (7, 2)] for shape in _width_edges(*pk)
+]
+
+
+@pytest.mark.parametrize("p, k, M", PACKED_WIDTH_EDGES)
+def test_truncated_cyclotomic_products_at_the_slot_width_edges(p, k, M):
+    """mul (squares included), pow_ and pow_p_tower against the schoolbook
+    oracles where the packed product changes its slot width, on random
+    digits and on all-(q - 1) digits, whose product fills slot e - 1 with
+    the whole bound e * (q - 1)**2; a slot one bit too narrow fails here."""
+    ring = CycloModPM(p, k, M)
+    e, q = ring.e, p**M
+    rng = random.Random(p * 10000 + k * 100 + M)
+    draws = [[q - 1] * e, [q - 1] * (e - 1) + [rng.randrange(q)]]
+    draws += [[rng.randrange(q) for _ in range(e)] for _ in range(3)]
+    for prec in (M, max(M - 1, 1)):
+        qp = p**prec
+        xs = [ring.from_digits(d, prec) for d in draws]
+        for x, y in zip(xs, xs[1:] + xs[:1]):
+            for a, b in ((x, y), (x, x)):
+                got = ring.mul(a, b)
+                assert got.prec == prec
+                assert list(got.coeffs) == reference.conv_reduce(a.coeffs, b.coeffs, p, k, qp), (prec, a, b)
+            for n in (2, 3, 5):
+                assert list(ring.pow_(x, n).coeffs) == oracles.cyclo_pow_int(x.coeffs, n, p, k, qp), (prec, n)
+            got = ring.pow_p_tower(x, 1)
+            assert got.prec == min(prec + 1, M)
+            assert list(got.coeffs) == oracles.cyclo_pow_int(x.coeffs, p, p, k, p**got.prec), prec
 
 
 @pytest.mark.parametrize(

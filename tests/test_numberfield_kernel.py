@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from wittlab import reference
 from wittlab.cyclotomic import (
     CVec,
+    CycloModPM,
     CyclotomicField,
     GaussianField,
     _add,
@@ -169,6 +170,25 @@ def test_squaring_kernel_matches_the_convolution(p, k):
         cube = _conv(want, a, e, p, step)
         assert _pow_int(a, 3, e, p, step) == cube
         assert _pow_int(a, 3, e, p, step, q) == [c % q for c in cube]
+
+
+@pytest.mark.parametrize("p, k", SQUARING_SHAPES)
+def test_packed_truncated_products_match_the_field_kernel(p, k):
+    """CycloModPM's digit product, one big-integer product at 2-, 4- or
+    8-byte slots or ``_conv`` past them, against the field kernel reduced
+    mod q: products on ``_conv``, squares on ``_sqr``, cubes on
+    ``_pow_int``, at precisions from one digit to past every slot width."""
+    field = cyclotomic_field(p, k)
+    e, step = field.e, field.step
+    rng = random.Random(p * 100 + k)
+    for M in (1, 2, 3, 5, 8, 13, 21, 34):
+        ring, q = CycloModPM(p, k, M), p**M
+        draws = [[q - 1] * e] + [[c % q for c in _draw_digits(rng, e)] for _ in range(4)]
+        for a, b in zip(draws, draws[1:] + draws[:1]):
+            x, y = ring.from_digits(a), ring.from_digits(b)
+            assert list(ring.mul(x, y).coeffs) == [c % q for c in _conv(a, b, e, p, step)], M
+            assert list(ring.mul(x, x).coeffs) == [c % q for c in _sqr(a, e, p, step)], M
+            assert list(ring.pow_(x, 3).coeffs) == _pow_int(a, 3, e, p, step, q), M
 
 
 FAST_PATH_FIELDS = [cyclotomic_field(2, 3), cyclotomic_field(3, 2), GaussianField(2), GaussianField(5)]

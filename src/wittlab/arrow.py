@@ -41,7 +41,7 @@ from .errors import (
     IntegralityViolation,
     LengthMismatch,
 )
-from .norms import NormValue, norm_max
+from .norms import NormValue, as_fraction, norm_max
 from .rings import Ring
 from .witt import (
     WittVec,
@@ -263,7 +263,7 @@ def _norm_terms(a: ArrowElt, b: Fraction, zero_floor: bool = False) -> List[Norm
             v = ring.seminorm(c)
             if zero_floor and v.is_zero and ring.truncated:
                 v = NormValue.from_exponent(ring.precision_of(c))
-            norms.append(v.pow(Fraction(1, p**i)))
+            norms.append(v.root(p**i))
         terms.append(norm_max(norms).pow(p**n).scale_exponent(b * n))
     return terms
 
@@ -282,7 +282,7 @@ def _tail_status(a: ArrowElt, b: Fraction, value: NormValue) -> Tuple[str, Optio
 def arrow_norm(a: ArrowElt, b) -> ArrowNorm:
     """sup_n p**(-b*n) |z_n| ** (p**n) over the stored levels, with an
     exactness certificate when the tail bound dominates."""
-    b = Fraction(b)
+    b = as_fraction(b)
     if b <= 0:
         raise BOutOfRange(f"the weight b must be positive, got {b}")
     terms = _norm_terms(a, b)
@@ -314,11 +314,11 @@ def inverse_frobenius_sandwich(a: ArrowElt, b) -> dict:
     components named.  ``passed`` is true for ``pass`` only.  The
     ``arrow_norm`` statuses of a and Fi(a) are read off the same terms.
     """
-    b = Fraction(b)
+    b = as_fraction(b)
     if b < 1:
         raise BOutOfRange(f"the sandwich needs b >= 1, got {b}")
     ring, p = a.ring, a.ring.p
-    fi, b_fi = inverse_frobenius(a), Fraction(b, p)
+    fi, b_fi = inverse_frobenius(a), b / p
     lows, highs = _norm_terms(a, b), _norm_terms(a, b, zero_floor=True)
     head_lo, head_hi, value_lo, value_hi = lows[0], highs[0], norm_max(lows), norm_max(highs)
     shifted_lo = norm_max(_norm_terms(fi, b_fi))

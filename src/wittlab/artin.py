@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from .cyclotomic import GaussianField
-from .errors import CapabilityMissing
+from .errors import CapabilityMissing, MalformedConfig
 from .norms import NormValue
 from .rings import Ring
 from .witt import GhostVec, unghost, witt_norm_profile
@@ -37,6 +37,8 @@ __all__ = [
 def ghost_constant_profile(ring: Ring, f: Any, N: int) -> dict:
     """Witt components of the constant-ghost vector (f, ..., f) to depth N,
     with their weighted norms; bounded iff every norm is at most 1."""
+    if N < 0:
+        raise MalformedConfig(f"the ghost-constant profile depth must be >= 0, got {N}")
     if not ring.q_algebra:
         raise CapabilityMissing(
             "constant-ghost inversion needs exact division by p; use a Q-algebra"

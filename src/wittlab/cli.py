@@ -196,7 +196,7 @@ def _cmd_arrow(args) -> Reply:
         a = arrow_from_integer(ring, args.c, args.depth)
         result = arrow_norm(a, _fraction(args.b))
         where = "" if result.attained_at is None else f", attained at level {result.attained_at}"
-        line = f"|{args.c}|_(W,{args.b}) = {result.value.text()} ({result.status}{where})"
+        line = f"|{args.c}|_(W,{result.b}) = {result.value.text()} ({result.status}{where})"
         return 0, {"c": args.c, "norm": result.to_dict()}, [line]
     if args.action == "lift":
         if not ring.truncated:

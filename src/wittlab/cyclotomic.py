@@ -413,7 +413,9 @@ class CyclotomicField(PowerBasisField):
         """v(a) in (1/e)Z, normalized with v(p) = 1; None for a = 0."""
         if self.is_zero(a):
             return None
-        return self.integer_valuation(a.nums) - vp_int(a.den, self.p)
+        v = self.integer_valuation(a.nums)
+        shift = vp_int(a.den, self.p)
+        return v - shift if shift else v
 
     def valuation_at_least(self, a: CVec, k: int) -> bool:
         """v(a) >= k for an integer k, True for a = 0, without a valuation:
@@ -432,7 +434,7 @@ class CyclotomicField(PowerBasisField):
         while all(c % self.p == 0 for c in y):
             y = [c // self.p for c in y]
             whole += 1
-        return Fraction(whole) + Fraction(self.t_order(y), self.e)
+        return Fraction(whole * self.e + self.t_order(y), self.e)
 
     def seminorm(self, a: CVec) -> NormValue:
         v = self.valuation(a)

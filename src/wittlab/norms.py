@@ -8,21 +8,31 @@ comparisons, products, and powers happen on the exponent v, which is a
 
 Larger norm means smaller v, so the comparison operators below are reversed
 relative to the exponent order.
+
+Every Witt, arrow and tilt norm builds one value per component, so the
+value is a one-field NamedTuple (immutable and hashable, like ``CVec`` and
+``TruncVec``), and no operation re-wraps an exponent that is already a
+`Fraction`: ``Fraction(Fraction)`` costs more than building the whole value.
+Factors and shifts (``pow``, ``scale_exponent``) are ints or `Fraction`s and
+enter `Fraction` arithmetic as they are.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import WittError
 
 RatLike = Union[int, Fraction]
 
 
-@dataclass(frozen=True, order=False)
-class NormValue:
+def as_fraction(r) -> Fraction:
+    """r as a `Fraction`: r itself when it is one, else ``Fraction(r)``."""
+    return r if type(r) is Fraction else Fraction(r)
+
+
+class NormValue(NamedTuple):
     """An element of p**Q united with 0, ordered as a norm."""
 
     v: Optional[Fraction]  # None encodes +infinity, i.e. the norm value 0
@@ -31,20 +41,20 @@ class NormValue:
 
     @staticmethod
     def from_exponent(v: RatLike) -> "NormValue":
-        return NormValue(Fraction(v))
+        return NormValue(as_fraction(v))
 
     @staticmethod
     def zero() -> "NormValue":
-        return NormValue(None)
+        return _ZERO
 
     @staticmethod
     def one() -> "NormValue":
-        return NormValue(Fraction(0))
+        return _ONE
 
     @staticmethod
     def p_power(e: RatLike) -> "NormValue":
         """The norm value p**e (so the stored exponent is -e)."""
-        return NormValue(-Fraction(e))
+        return NormValue(-as_fraction(e))
 
     # -- predicates --------------------------------------------------------
 
@@ -56,22 +66,28 @@ class NormValue:
 
     def mul(self, other: "NormValue") -> "NormValue":
         if self.v is None or other.v is None:
-            return NormValue(None)
+            return _ZERO
         return NormValue(self.v + other.v)
 
     def pow(self, r: RatLike) -> "NormValue":
-        r = Fraction(r)
         if self.v is None:
             if r <= 0:
                 raise WittError("0 cannot be raised to a non-positive power")
-            return NormValue(None)
+            return self
         return NormValue(self.v * r)
+
+    def root(self, n: int) -> "NormValue":
+        """The value ** (1/n) for a positive integer n: the exponent over n,
+        one `Fraction` division in place of ``pow(Fraction(1, n))``."""
+        if self.v is None or n == 1:
+            return self
+        return NormValue(self.v / n)
 
     def scale_exponent(self, c: RatLike) -> "NormValue":
         """Multiply the value by p**(-c)."""
         if self.v is None:
             return self
-        return NormValue(self.v + Fraction(c))
+        return NormValue(self.v + c)
 
     # -- text and JSON forms ------------------------------------------------
 
@@ -102,6 +118,10 @@ class NormValue:
         return other <= self
 
 
+_ZERO = NormValue(None)
+_ONE = NormValue(Fraction(0))
+
+
 def exponent_text(e: Optional[str]) -> str:
     """The text of the norm value whose ``exponent_json()`` is e: '0' for
     None (the value 0), else 'p^e'; every text form of a norm goes through it."""
@@ -110,9 +130,8 @@ def exponent_text(e: Optional[str]) -> str:
 
 def norm_max(values: Iterable[NormValue]) -> NormValue:
     """Supremum of finitely many norm values (0 if the iterable is empty)."""
-    best = NormValue.zero()
+    best = _ZERO
     for val in values:
         if best < val:
             best = val
     return best
-

@@ -415,6 +415,9 @@ def witt_perfect_test(config: dict, rng=None) -> PerfectReport:
 # ---------------------------------------------------------------------------
 
 
+_DIVISIBLE = NormValue.from_exponent(1)  # |z| <= p**-1: z is divisible by p
+
+
 def _digit_solve(W, comps, p, head):
     """Greedy digit recursion for F(y) = comps over the ring W (Z/p**M or a
     tower field), starting from the head root ``head`` of comps[0] mod p.
@@ -425,7 +428,6 @@ def _digit_solve(W, comps, p, head):
     (ys, None) on success or (partial, (index, rhs)) when a digit equation
     is not divisible by p.
     """
-    divisible = NormValue.from_exponent(1)
     ys = [head]
     for i in range(len(comps)):
         if i:
@@ -433,7 +435,7 @@ def _digit_solve(W, comps, p, head):
         else:
             image = W.pow_(head, p)
         rhs = W.sub(comps[i], image)
-        if not W.seminorm(rhs) <= divisible:
+        if not W.seminorm(rhs) <= _DIVISIBLE:
             return ys, (i, rhs)
         ys.append(W.exact_divide_by_p(rhs))
     return ys, None

@@ -549,7 +549,7 @@ def check_norm_laws(rng: random.Random, primes: Sequence[int]) -> List[CaseResul
                 (ultra, "|x+y|", witt_norm(witt_add(x, y)), "<=", norm_max([nx, ny])),
                 (submult, "|xy|", witt_norm(witt_mul(x, y)), "<=", nx.mul(ny)),
                 (frob, "|F(x)|", witt_norm(frobenius(x)), "<=", nx.pow(q)),
-                (versch, "|V(x)|", witt_norm(verschiebung(x)), "==", nx.pow(Fraction(1, q))),
+                (versch, "|V(x)|", witt_norm(verschiebung(x)), "==", nx.root(q)),
                 (power, "|x^2|", witt_norm(witt_mul(padded, padded)), ">=", nx.pow(2)),
             ]
             for law, label, got, rel, bound in bounds:

@@ -69,7 +69,6 @@ checker refuses larger b.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, Callable, List, Sequence, Tuple
 
 from .arrow import ArrowElt, arrow_norm, arrow_teichmuller, make_arrow
@@ -82,7 +81,7 @@ from .errors import (
     MalformedConfig,
     RingMismatch,
 )
-from .norms import NormValue, norm_max
+from .norms import NormValue, as_fraction, norm_max
 from .perfpoly import PerfPolyRing
 from .rings import Ring
 from .witt import WittVec, witt_add, witt_combination, witt_mul, witt_neg, witt_norm_profile
@@ -358,7 +357,7 @@ def charp_overconv_profile(x: WittVec, b) -> List[NormValue]:
     """Per-index values p**(-b*j) * |x_{p^j}| ** (1/p**j): the
     ``witt_norm_profile`` of x weighted by p**(-b*j)."""
     _require_char_p(x.ring)
-    b = Fraction(b)
+    b = as_fraction(b)
     if b <= 0:
         raise BOutOfRange(f"the weight b must be positive, got {b}")
     return [v.scale_exponent(b * j) for j, v in enumerate(witt_norm_profile(x))]
@@ -443,7 +442,7 @@ def growth_profile_report(x: WittVec, b, C: int, D: int) -> dict:
     ring = x.ring
     if not isinstance(ring, PerfPolyRing):
         raise CapabilityMissing("growth families live over perfected polynomial rings")
-    b = Fraction(b)
+    b = as_fraction(b)
     degree_ok = True
     for j, c in enumerate(x.components):
         deg = ring.degree(c)
@@ -521,7 +520,7 @@ def untilt_isometry(x: WittVec, N: int, b) -> dict:
     The comparison is an isometry only for 0 < b <= 1; larger weights are
     refused rather than extrapolated (the two sides genuinely differ there).
     """
-    b = Fraction(b)
+    b = as_fraction(b)
     if b <= 0 or b > 1:
         raise BOutOfRange(
             f"the untilt comparison is isometric only for 0 < b <= 1, got {b}"

@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
@@ -388,9 +387,7 @@ def witt_from_integer(ring: Ring, c: int, length: int) -> WittVec:
 def witt_norm_profile(x: WittVec) -> List[NormValue]:
     """The per-component values |x_{p**i}| ** (1/p**i)."""
     ring = x.ring
-    return [
-        ring.seminorm(c).pow(Fraction(1, ring.p ** i)) for i, c in enumerate(x.components)
-    ]
+    return [ring.seminorm(c).root(ring.p**i) for i, c in enumerate(x.components)]
 
 
 def witt_norm(x: WittVec) -> NormValue:

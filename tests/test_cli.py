@@ -706,6 +706,8 @@ CLI_TABLE = [
     ("universal dump --p 2", 0, "aed20f4582d8ff4d", "acd97a75b2699d1b"),
     ("arrow norm 4", 0, "faea398031bc0636", "9065359348ef84ea"),
     ("arrow norm 3 --b 1/2 --ring Qi --p 5", 0, "8fb61cc330a19e68", "5e162e5a0f786b5e"),
+    # the text names the parsed weight, 1/2, as the JSON does
+    ("arrow norm 3 --b 0.5", 0, "8fb61cc330a19e68", "5e162e5a0f786b5e"),
     ("arrow lift 3 --depth 1", 0, "4bc882fd838efc9d", "81bab9a2836dbaa7"),
     ("arrow lift 3 --ring ZzetaMod:2", 0, "f7e79f4e803d44bb", "6ab6a7f1e1faa5f3"),
     ("arrow theta 3", 0, "2022fd23f5eb4714", "1a97a06f88121edb"),
@@ -739,6 +741,7 @@ CLI_TABLE = [
     ("artin classify --f i --p 3", 0, "025cdb50aa513fe8", "e1eb80465b31f13e"),
     ("artin classify --f 1/5 --p 5 --depth 2", 0, "4512456bd5c5b21b", "327010a9b57e5877"),
     ("artin classify --field Qzeta --f i", 2, _NO_OUTPUT, _NO_OUTPUT),
+    ("artin classify --f i --depth -1", 2, _NO_OUTPUT, _NO_OUTPUT),
 ]
 
 # the first stderr line of each refused command; every other command writes none
@@ -751,6 +754,7 @@ CLI_REFUSALS = {
     "artin classify --field Qzeta --f i": (
         "error: classification is implemented over the Gaussian field only, got 'Qzeta'"
     ),
+    "artin classify --f i --depth -1": "error: the ghost-constant profile depth must be >= 0, got -1",
 }
 
 

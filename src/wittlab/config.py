@@ -1,4 +1,8 @@
-"""Ring construction from configuration dicts and CLI shorthand strings."""
+"""Ring construction from configuration dicts and CLI shorthand strings.
+
+A config holds a ``kind`` and the ring class's ``config_keys``, so one table
+from kind to class reads every kind but ``tilt``, whose base is a config.
+"""
 
 from __future__ import annotations
 
@@ -6,13 +10,17 @@ import json
 import os
 from typing import Optional
 
-from .cyclotomic import CycloModPM, GaussianField, cyclotomic_field
+from .cyclotomic import CycloModPM, CyclotomicField, GaussianField, cyclotomic_field
 from .errors import MalformedConfig
 from .perfpoly import PerfPolyRing
 from .rings import Integers, Rationals, Ring, ZModPM
 from .tilt import TiltRing
 
 __all__ = ["ring_from_config", "ring_from_spec"]
+
+_RINGS = (Integers, Rationals, ZModPM, CyclotomicField, CycloModPM, GaussianField, PerfPolyRing)
+_KINDS = {cls.kind: cls for cls in _RINGS}
+_CACHED = {CyclotomicField: cyclotomic_field}  # Qzeta shares the cached field
 
 
 def _need(config: dict, key: str, kind: str) -> int:
@@ -29,32 +37,15 @@ def ring_from_config(config: dict) -> Ring:
     if not isinstance(config, dict) or "kind" not in config:
         raise MalformedConfig(f"a ring config is a dict with a 'kind', got {config!r}")
     kind = config["kind"]
-    if kind == "Z":
-        return Integers(_need(config, "p", kind))
-    if kind == "Q":
-        return Rationals(_need(config, "p", kind))
-    if kind == "Zmod":
-        return ZModPM(_need(config, "p", kind), _need(config, "M", kind))
-    if kind == "Qzeta":
-        return cyclotomic_field(_need(config, "p", kind), _need(config, "k", kind))
-    if kind == "ZzetaMod":
-        return CycloModPM(
-            _need(config, "p", kind), _need(config, "k", kind), _need(config, "M", kind)
-        )
-    if kind == "Qi":
-        return GaussianField(_need(config, "p", kind))
-    if kind == "PerfPoly":
-        return PerfPolyRing(
-            _need(config, "p", kind),
-            _need(config, "nvars", kind),
-            _need(config, "depth", kind),
-        )
     if kind == "tilt":
         base = config.get("base")
         if not isinstance(base, dict):
             raise MalformedConfig("tilt ring config needs a 'base' ring config")
         return TiltRing(ring_from_config(base), _need(config, "depth", kind))
-    raise MalformedConfig(f"unknown ring kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise MalformedConfig(f"unknown ring kind {kind!r}")
+    cls = _KINDS[kind]
+    return _CACHED.get(cls, cls)(*[_need(config, key, kind) for key in cls.config_keys])
 
 
 def ring_from_spec(

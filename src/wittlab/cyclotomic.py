@@ -55,8 +55,8 @@ ops/s, op_p99_ms 0.522 -> 0.532), so they stay as they are.  CycloModPM's
 own products ran x4-9 (Z[zeta_32]/2**4, e = 16) and x1.1-1.5
 (Z[zeta_9]/3**3) as fast as on ``_conv`` (timeit, three runs on a shared
 2-CPU host).  The valuation is ``integer_valuation`` of the digits and
-``_reduce_tail`` folds digits past e; the cover is the field, reached by
-the balanced digits, each in (-p**prec/2, p**prec/2], over denominator 1.
+``_reduce_tail`` folds digits past e; its ``cover``, set once, is the field,
+reached by the balanced digits, each in (-p**prec/2, p**prec/2], over 1.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ from .errors import (
     MalformedConfig,
     NoRoot,
 )
-from .norms import NormValue
 from .rings import Ring, TruncatedRing, TruncVec, check_prime, power_ladder, vp_int
 
 
@@ -338,6 +337,7 @@ class CyclotomicField(PowerBasisField):
     """Q(zeta_{p**k}) with the valuation at the unique prime above p."""
 
     kind = "Qzeta"
+    config_keys = ("p", "k")
 
     def __init__(self, p: int, k: int):
         self.p = check_prime(p)
@@ -345,9 +345,6 @@ class CyclotomicField(PowerBasisField):
             raise MalformedConfig(f"conductor exponent k must be a positive integer, got {k!r}")
         self.k = k
         super().__init__(p, k)
-
-    def to_config(self) -> dict:
-        return {"kind": self.kind, "p": self.p, "k": self.k}
 
     # -- construction -------------------------------------------------------
 
@@ -435,10 +432,6 @@ class CyclotomicField(PowerBasisField):
             y = [c // self.p for c in y]
             whole += 1
         return Fraction(whole * self.e + self.t_order(y), self.e)
-
-    def seminorm(self, a: CVec) -> NormValue:
-        v = self.valuation(a)
-        return NormValue.zero() if v is None else NormValue.from_exponent(v)
 
     # -- roots mod p --------------------------------------------------------------
 
@@ -540,13 +533,14 @@ class CycloModPM(TruncatedRing):
     """
 
     kind = "ZzetaMod"
+    config_keys = ("p", "k", "M")
     scalar = False
     json_key = "coeffs"
 
     def __init__(self, p: int, k: int, M: int):
         super().__init__(p, M)
         self.k = k
-        self.field = cyclotomic_field(p, k)
+        self.field = self.cover = cyclotomic_field(p, k)
         self.e = e = self.field.e
         bound = e * (self.p**M - 1) ** 2
         size = next((s for s in (2, 4, 8) if s in _SLOT_CODES and bound < 1 << 8 * s), None)
@@ -555,9 +549,6 @@ class CycloModPM(TruncatedRing):
             struct.Struct(f"{e}{_SLOT_CODES[size]}"),
             struct.Struct(f"{2 * e - 1}{_SLOT_CODES[size]}"),
         )
-
-    def to_config(self) -> dict:
-        return {"kind": self.kind, "p": self.p, "k": self.k, "M": self.M}
 
     def with_precision(self, M: int) -> "CycloModPM":
         return CycloModPM(self.p, self.k, M)
@@ -590,19 +581,16 @@ class CycloModPM(TruncatedRing):
     def _pow(self, a: Tuple[int, ...], n: int, q: int) -> Tuple[int, ...]:
         return power_ladder(a, n, lambda x, y: self._mul(x, y, q))
 
-    def _valuation(self, a: Tuple[int, ...]) -> Optional[Fraction]:
-        return self.field.integer_valuation(a) if any(a) else None
-
-    def cover_ring(self) -> Ring:
-        return self.field
+    def valuation(self, a: TruncVec) -> Optional[Fraction]:
+        return self.field.integer_valuation(a.coeffs) if any(a.coeffs) else None
 
     def lift_to_cover(self, a: TruncVec) -> CVec:
         q = self.p**a.prec
         half = q >> 1  # 2d <= q exactly when d <= q // 2: ``rings.balanced``, inline
         return CVec(tuple([d if d <= half else d - q for d in a.coeffs]), 1)
 
-    def reduce_from_cover(self, a: CVec, prec: Optional[int] = None) -> TruncVec:
-        return self._reduce(self.field.integral_coeffs(a), self.M if prec is None else prec)
+    def reduce_from_cover(self, a: CVec, prec: int) -> TruncVec:
+        return self._reduce(self.field.integral_coeffs(a), prec)
 
 
 _SQUARE_SUM = {}
@@ -685,10 +673,6 @@ class GaussianField(PowerBasisField):
         if any(v is None for v in vals):
             return None
         return min(vals)
-
-    def seminorm(self, a: CVec) -> NormValue:
-        v = self.valuation(a)
-        return NormValue.zero() if v is None else NormValue.from_exponent(v)
 
     def format_elt(self, a: CVec) -> str:
         re_, im = self.coeffs(a)

@@ -52,7 +52,6 @@ from .errors import (
     MalformedConfig,
     NoRoot,
 )
-from .norms import NormValue
 from .rings import Ring, check_prime, power_ladder
 from .univ import structure_cap, structure_poly_mod_p
 
@@ -118,8 +117,25 @@ def _plan(p: int, length: int, kind: str, arity: int) -> Tuple[tuple, int]:
     return tuple(comps), degree
 
 
+def _signed_terms(text: str) -> List[str]:
+    """The terms of a sum, split before each sign outside parentheses (so
+    ``x^(-1/2)`` stays one term); a ``-`` stays with its term."""
+    terms, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch in "+-" and not depth:
+            terms.append(text[start:i])
+            start = i + (ch == "+")
+    terms.append(text[start:])
+    return terms
+
+
 class PerfPolyRing(Ring):
     kind = "PerfPoly"
+    config_keys = ("p", "nvars", "depth")
     char_p = True
     q_algebra = False
     p_torsion_free = False
@@ -134,9 +150,6 @@ class PerfPolyRing(Ring):
         self.nvars = nvars
         self.depth = depth
         self.unit = p ** depth  # stored exponents are multiples of 1/unit
-
-    def to_config(self) -> dict:
-        return {"kind": self.kind, "p": self.p, "nvars": self.nvars, "depth": self.depth}
 
     # -- construction ---------------------------------------------------------
 
@@ -160,8 +173,10 @@ class PerfPolyRing(Ring):
         mono = []
         for q in exponents:
             q = Fraction(q)
+            if q < 0:
+                raise MalformedConfig(f"exponent {q} is negative")
             scaled = q * self.unit
-            if scaled.denominator != 1 or scaled < 0:
+            if scaled.denominator != 1:
                 raise DepthExceeded(
                     f"exponent {q} is not a multiple of 1/{self.p}^{self.depth}"
                 )
@@ -269,9 +284,10 @@ class PerfPolyRing(Ring):
             return None
         return max(Fraction(sum(mono), self.unit) for mono, _ in a)
 
-    def seminorm(self, a: PPoly) -> NormValue:
+    def valuation(self, a: PPoly) -> Optional[Fraction]:
+        """-deg a, so the seminorm is p**(deg a)."""
         d = self.degree(a)
-        return NormValue.zero() if d is None else NormValue.p_power(d)
+        return None if d is None else -d
 
     def exact_divide_by_p(self, a: PPoly, k: int = 1) -> PPoly:
         raise CapabilityMissing("PerfPoly has characteristic p; division by p is undefined")
@@ -298,7 +314,7 @@ class PerfPolyRing(Ring):
 
     def parse_elt(self, text: str) -> PPoly:
         total = self.from_int(0)
-        for raw in text.replace("-", "+-").split("+"):
+        for raw in _signed_terms(text):
             term = raw.strip()
             if not term:
                 continue

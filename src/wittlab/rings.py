@@ -11,14 +11,13 @@ Capability flags drive dispatch:
   * `char_p`            -- p = 0 in the ring (componentwise Frobenius etc.)
   * `q_algebra`         -- division by p is exact and total
   * `p_torsion_free`    -- multiplication by p is injective, so the ghost map
-                           is too: the ring is its own cover and Witt
-                           operations transport through ghost coordinates in
-                           place (Z on ints, Q and the number fields on their
-                           own elements)
+                           is too: Witt operations unghost in place (Z on
+                           ints, Q and the number fields on their own
+                           elements)
   * `truncated`         -- elements carry a finite digit budget; true exactly
-                           for the subclasses of `TruncatedRing`, which lift
-                           to an integral cover (Z/p**M to Z, Z[zeta]/p**M to
-                           integral elements of Q(zeta)) and reduce back
+                           for the subclasses of `TruncatedRing`, the only
+                           rings with a `cover` (Z/p**M lifts to Z and
+                           Z[zeta]/p**M to Z[zeta] for a Witt operation)
 
 No transport runs over Q unless its ring is Q.
 
@@ -32,7 +31,7 @@ Z[zeta]/p**M (in `cyclotomic`) share one element, `TruncVec(coeffs, prec)`,
 and `TruncatedRing` implements this rule once for both, with the budget, the
 text and JSON forms and the digit view that generic code reads.  A subclass
 gives only its digit product, digit power, valuation and digit fold, besides
-its constructor and its cover.
+its constructor and its cover hooks.
 """
 
 from __future__ import annotations
@@ -107,10 +106,13 @@ def power_ladder(a: Any, n: int, mul: Callable, sqr: Optional[Callable] = None) 
 
 
 class Ring(ABC):
-    """Abstract coefficient ring at a fixed prime p."""
+    """Abstract coefficient ring at a fixed prime p.  A ring gives its
+    `valuation` and names its constructor arguments in `config_keys`, and
+    `seminorm`, `to_config` (read by `config.ring_from_config`) follow."""
 
     p: int
     kind: str = "abstract"
+    config_keys: Tuple[str, ...] = ("p",)  # the constructor's arguments, in order
     char_p: bool = False
     q_algebra: bool = False
     p_torsion_free: bool = True
@@ -168,7 +170,13 @@ class Ring(ABC):
     # -- p-structure ---------------------------------------------------------
 
     @abstractmethod
-    def seminorm(self, a: Any) -> NormValue: ...
+    def valuation(self, a: Any) -> Any:
+        """The exponent v with |a| = p**(-v); None for a = 0."""
+
+    def seminorm(self, a: Any) -> NormValue:
+        """|a| = p**(-v(a)), and 0 for a = 0."""
+        v = self.valuation(a)
+        return NormValue.zero() if v is None else NormValue.from_exponent(v)
 
     def exact_divide_by_p(self, a: Any, k: int = 1) -> Any:
         """a / p**k, refused (``NotDivisible``) unless it lies in the ring."""
@@ -177,33 +185,7 @@ class Ring(ABC):
     def pth_root_mod_p(self, a: Any) -> Any:
         raise CapabilityMissing(f"{self.kind}: p-th roots mod p not supported")
 
-    # -- torsion-free cover (for ghost transport) ----------------------------
-    # A p-torsion-free ring is its own cover; a ring with p-torsion overrides
-    # all three, or has no cover.  A truncated ring lifts each digit of an
-    # element known mod p**k to its balanced representative, in
-    # (-p**k/2, p**k/2], and reduces a cover element at a given precision;
-    # ``lift_to_cover(reduce_from_cover(z, a))`` is then a least lift of
-    # z's class mod p**a, to which the transport settles its components.
-
-    def cover_ring(self) -> "Ring":
-        if self.p_torsion_free:
-            return self
-        raise CapabilityMissing(f"{self.kind}: no p-torsion-free cover available")
-
-    def lift_to_cover(self, a: Any) -> Any:
-        if self.p_torsion_free:
-            return a
-        raise CapabilityMissing(f"{self.kind}: no p-torsion-free cover available")
-
-    def reduce_from_cover(self, a: Any, prec: Optional[int] = None) -> Any:
-        if self.p_torsion_free:
-            return a
-        raise CapabilityMissing(f"{self.kind}: no p-torsion-free cover available")
-
     # -- precision bookkeeping (trivial unless truncated) ---------------------
-
-    def precision_of(self, a: Any) -> Optional[int]:
-        return None
 
     def truncate(self, a: Any, k: int) -> Any:
         return a
@@ -220,7 +202,12 @@ class Ring(ABC):
         return self.format_elt(a)
 
     def to_config(self) -> dict:
-        return {"kind": self.kind, "p": self.p}
+        # a plain loop: a dict comprehension costs three times as much, and
+        # every Witt, tilt and arrow JSON form builds one config
+        config = {"kind": self.kind}
+        for key in self.config_keys:
+            config[key] = getattr(self, key)
+        return config
 
     def same_ring(self, other: "Ring") -> bool:
         return self is other or self.to_config() == other.to_config()
@@ -265,9 +252,8 @@ class Integers(Ring):
     def eq(self, a: int, b: int) -> bool:
         return a == b
 
-    def seminorm(self, a: int) -> NormValue:
-        v = vp_int(a, self.p)
-        return NormValue.zero() if v is None else NormValue.from_exponent(v)
+    def valuation(self, a: int) -> Optional[int]:
+        return vp_int(a, self.p)
 
     def exact_divide_by_p(self, a: int, k: int = 1) -> int:
         q, r = divmod(a, self.p**k)
@@ -320,9 +306,8 @@ class Rationals(Ring):
     def eq(self, a: Fraction, b: Fraction) -> bool:
         return a == b
 
-    def seminorm(self, a: Fraction) -> NormValue:
-        v = vp_fraction(a, self.p)
-        return NormValue.zero() if v is None else NormValue.from_exponent(v)
+    def valuation(self, a: Fraction) -> Optional[int]:
+        return vp_fraction(a, self.p)
 
     def exact_divide_by_p(self, a: Fraction, k: int = 1) -> Fraction:
         return a / self.p**k
@@ -352,21 +337,26 @@ class TruncatedRing(Ring):
     An element is one ``TruncVec``: e integer digits known modulo p**prec,
     1 <= prec <= M.  This base owns the element and the precision rule, so
     Z/p**M and Z[zeta]/p**M run the same code for `from_digits`, `from_int`,
-    `add`, `neg`, `mul`, `pow_`, `pow_p_tower`, `eq`, `is_zero`, `seminorm`
-    and `exact_divide_by_p`.  It also owns the digit layout: the `~prec` text
+    `add`, `neg`, `mul`, `pow_`, `pow_p_tower`, `eq`, `is_zero` and
+    `exact_divide_by_p`.  It also owns the digit layout: the `~prec` text
     suffix, the JSON form `{<json_key>: ..., "prec": k}` (the bare payload at
     full precision), and the digit view `digits`, `from_digits` and
     `elements` that generic code uses in place of element payloads.  A scalar
     ring (Z/p**M) prints its one digit bare, any other ring
     `[d_0, ..., d_(e-1)]`, even when e = 1.
 
-    A subclass supplies what differs: the digit product `_mul`, the digit
-    power `_pow`, the valuation `_valuation`, the fold `_reduce` of digits
-    into an element, `make`, and the cover hooks.
+    A subclass supplies the digit product `_mul`, the digit power `_pow`,
+    the fold `_reduce` of digits into an element, `make`, the `valuation`
+    of the canonical representative, and the cover hooks: the integral ring
+    `cover`, built once; `lift_to_cover`, the balanced digits, each in
+    (-p**prec/2, p**prec/2]; and `reduce_from_cover(z, a)`, z's class mod
+    p**a, whose lift is a least lift of that class.
     """
 
     p_torsion_free = False
     truncated = True
+    config_keys = ("p", "M")
+    cover: Ring
     e = 1  # the rank of O over Z
     scalar: bool = True
     json_key: str = "value"
@@ -397,9 +387,10 @@ class TruncatedRing(Ring):
         a already in [0, q); reduced like ``_mul``."""
 
     @abstractmethod
-    def _valuation(self, a: Tuple[int, ...]) -> Any:
-        """The valuation of the digits, normalized by v(p) = 1; None for
-        zero digits."""
+    def lift_to_cover(self, a: TruncVec) -> Any: ...
+
+    @abstractmethod
+    def reduce_from_cover(self, a: Any, prec: int) -> TruncVec: ...
 
     # -- the digit view ----------------------------------------------------
 
@@ -471,12 +462,6 @@ class TruncatedRing(Ring):
     def is_zero(self, a: TruncVec) -> bool:
         return not any(a.coeffs)
 
-    def seminorm(self, a: TruncVec) -> NormValue:
-        """p**(-v) of the canonical representative; the class of 0 has
-        seminorm 0."""
-        v = self._valuation(a.coeffs)
-        return NormValue.zero() if v is None else NormValue.from_exponent(v)
-
     def exact_divide_by_p(self, a: TruncVec, k: int = 1) -> TruncVec:
         """a / p**k, one digit less per division by p; the first division
         that fails names its quotient and precision, as k single ones would."""
@@ -536,15 +521,16 @@ class ZModPM(TruncatedRing):
     seminorm p**(-v) of the canonical lift; the class of 0 has seminorm 0.
     This ring has p-torsion, so Witt operations over it lift each residue
     known mod p**k to its balanced representative in Z, in (-p**k/2,
-    p**k/2] (``cover_ring`` is ``Integers(p)``), transport there on ints,
+    p**k/2] (``cover`` is ``Integers(p)``), transport there on ints,
     settling each unghosted component to the balanced lift at the output
     precision, and reduce back at the minimum input precision.
     """
 
     kind = "Zmod"
 
-    def to_config(self) -> dict:
-        return {"kind": self.kind, "p": self.p, "M": self.M}
+    def __init__(self, p: int, M: int):
+        super().__init__(p, M)
+        self.cover = Integers(p)
 
     def with_precision(self, M: int) -> "ZModPM":
         return ZModPM(self.p, M)
@@ -562,20 +548,15 @@ class ZModPM(TruncatedRing):
     def _pow(self, a: Tuple[int], n: int, q: int) -> Tuple[int]:
         return (pow(a[0], n, q),)
 
-    def _valuation(self, a: Tuple[int]) -> Optional[int]:
-        return vp_int(a[0], self.p)
+    def valuation(self, a: TruncVec) -> Optional[int]:
+        return vp_int(a.coeffs[0], self.p)
 
     def pth_root_mod_p(self, a: TruncVec) -> TruncVec:
         # The canonical residue of a mod p is itself a p-th root of a mod p.
         return TruncVec((a.coeffs[0] % self.p,), self.M)
 
-    def cover_ring(self) -> Ring:
-        return Integers(self.p)
-
     def lift_to_cover(self, a: TruncVec) -> int:
         return balanced(a.coeffs[0], self.p**a.prec)
 
-    def reduce_from_cover(self, a: int, prec: Optional[int] = None) -> TruncVec:
-        if prec is None:
-            prec = self.M
+    def reduce_from_cover(self, a: int, prec: int) -> TruncVec:
         return TruncVec((a % self.p**prec,), prec)

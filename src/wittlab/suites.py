@@ -239,6 +239,7 @@ _DENOMS = (1, 1, 2, 3, 4)
 # the sizes of the randomized checks, which each case's detail states
 _LAW_DRAWS = 500  # per ghost ring law
 _NATURALITY_M = {2: 6, 3: 4, 5: 3}  # M of Z/p^M; 2 at any other prime
+_NATURALITY_ZETA = {2: (3, 4), 3: (2, 2)}  # (k, M) of Z[zeta_(p^k)]/p^M; no other prime
 _NATURALITY_DRAWS = 40  # pairs of vectors per ring and length
 _NORM_SAMPLES = 500  # per norm-law instance
 _THETA_SAMPLES, _THETA_PAIRS = 100, 100  # per prime
@@ -447,7 +448,7 @@ def check_witt_ring_laws(rng: random.Random, primes: Optional[Sequence[int]]) ->
     return cases
 
 
-# (name, arity, op) of the ops whose naturality Z -> Z/p^M is checked
+# (name, arity, op) of the ops whose naturality into a truncated ring is checked
 _NATURAL_OPS = (
     ("witt_add", 2, witt_add),
     ("witt_mul", 2, witt_mul),
@@ -456,32 +457,60 @@ _NATURAL_OPS = (
 )
 
 
+def _naturality_rings(
+    primes: Sequence[int],
+) -> List[Tuple[TruncatedRing, Ring, Callable, Callable]]:
+    """(truncated ring, the exact ring it reduces, digits -> exact element,
+    exact element -> digits): Z/p^M at every prime, then Z[zeta]/p^M at the
+    primes of ``_NATURALITY_ZETA``.  Q(zeta_49) at length 5 would take tens
+    of seconds, so no other prime gets a Z[zeta] ring."""
+    rings = [
+        (ZModPM(p, _NATURALITY_M.get(p, 2)), Integers(p), operator.itemgetter(0), lambda b: (b,))
+        for p in primes
+    ]
+    for p in primes:
+        if p in _NATURALITY_ZETA:
+            k, M = _NATURALITY_ZETA[p]
+            field = cyclotomic_field(p, k)
+            rings.append((CycloModPM(p, k, M), field, field.from_coeffs, field.integral_coeffs))
+    return rings
+
+
 def check_truncated_naturality(
     rng: random.Random, primes: Optional[Sequence[int]]
 ) -> List[CaseResult]:
-    """W_L is a functor, so reduction Z -> Z/p^M commutes with every Witt
-    op, whatever lift of the residues the exact side starts from.  Over
-    Z/p^M at lengths 1-5, with each input component at a random precision
-    1..M, the op's result must equal the op over Z on a random other lift
-    (each component plus p**prec * k), reduced at the precision the
-    truncated result claims, component by component.  It fails when the
-    transport keeps too few digits or claims too many.  The law holds at
-    every prime: ``primes`` is None (Z/2^6, Z/3^4 and Z/5^3) or the one
+    """W_L is a functor, so reduction Z -> Z/p^M and Z[zeta] -> Z[zeta]/p^M
+    commutes with every Witt op, whatever integral lift of the residues the
+    exact side starts from.  Over each truncated ring at lengths 1-5, with
+    each input component at a random precision 1..M, the op's result must
+    equal the op over Z or Q(zeta) on a random other lift (each digit plus
+    p**prec * j), reduced at the precision the truncated result claims,
+    component by component.  It fails when the transport keeps too few
+    digits or claims too many.  The law holds at every prime: ``primes`` is
+    None (Z/2^6, Z/3^4, Z/5^3, Z[zeta_8]/2^4 and Z[zeta_9]/3^2) or the one
     prime asked."""
     law = _Law("truncated_naturality")
-    labels, components = [], 0
-    for p in primes or sorted(_NATURALITY_M):
-        M = _NATURALITY_M.get(p, 2)
-        ring, exact = ZModPM(p, M), Integers(p)
-        labels.append(ring.label)
+    rings = _naturality_rings(primes or sorted(_NATURALITY_M))
+    components = 0
+    for ring, exact, from_digits, to_digits in rings:
+        p, M = ring.p, ring.M
         for L in range(1, 6):
             for i in range(_NATURALITY_DRAWS):
                 vecs = [
-                    [ring.make(rng.randrange(p**M), rng.randint(1, M)) for _ in range(L)]
+                    [
+                        ring.from_digits(
+                            [rng.randrange(p**M) for _ in range(ring.e)], rng.randint(1, M)
+                        )
+                        for _ in range(L)
+                    ]
                     for _ in range(2)
                 ]
                 lifts = [
-                    [c.coeffs[0] + p**c.prec * rng.randint(-(p**M), p**M) for c in v] for v in vecs
+                    [
+                        from_digits([d + p**c.prec * rng.randint(-(p**M), p**M) for d in c.coeffs])
+                        for c in v
+                    ]
+                    for v in vecs
                 ]
                 truncated = [WittVec(ring, tuple(v)) for v in vecs]
                 lifted = [WittVec(exact, tuple(v)) for v in lifts]
@@ -492,7 +521,8 @@ def check_truncated_naturality(
                     components += len(want)
                     sample = (
                         f"sample {i} over {ring!r}, {name} of "
-                        f"{_show(**dict(zip('xy', truncated[:arity])))} lifted to {lifts[:arity]}"
+                        f"{_show(**dict(zip('xy', truncated[:arity])))} lifted to "
+                        f"{_show(**dict(zip('xy', lifted[:arity])))}"
                     )
                     try:
                         got = op(*truncated[:arity]).components
@@ -501,15 +531,19 @@ def check_truncated_naturality(
                         continue
                     for j, (a, b) in enumerate(zip(got, want)):
                         law.check(
-                            a == ring.make(b, a.prec),
+                            a == ring.from_digits(to_digits(b), a.prec),
                             lambda: f"{sample}: component {j} is {ring.format_elt(a)}, "
-                            f"the exact result {b}",
+                            f"the exact result {exact.format_elt(b)}",
                         )
+    labels = ", ".join(ring.label for ring, *_ in rings)
+    exacts = ", ".join(
+        ["Z"] + [f"Q(zeta_{ring.p ** ring.k})" for ring, *_ in rings if not ring.scalar]
+    )
     return [
         law.case(
             f"sampled: {components} components of witt_add, witt_mul, witt_neg and "
-            f"frobenius over {', '.join(labels)} at lengths 1-5, each input component "
-            f"at a random precision, against Z on a random other lift; {law.bad} failures"
+            f"frobenius over {labels} at lengths 1-5, each input component at a random "
+            f"precision, against {exacts} on a random other lift; {law.bad} failures"
         )
     ]
 

@@ -232,6 +232,7 @@ class TiltRing(Ring):
     """
 
     kind = "tilt"
+    config_keys = ("base", "depth")  # the base is a nested config: see to_config
     char_p = True
     q_algebra = False
     p_torsion_free = False
@@ -323,9 +324,9 @@ class TiltRing(Ring):
             entries = (self.base.pow_p_tower(entries[0], 1),) + entries[:-1]
         return TiltElt(self.base, entries)
 
-    def seminorm(self, a: TiltElt) -> NormValue:
+    def valuation(self, a: TiltElt) -> Any:
         """The norm of a chain is the norm of its head entry."""
-        return self.base.seminorm(self._own(a).entries[0])
+        return self.base.valuation(self._own(a).entries[0])
 
     def format_elt(self, a: TiltElt) -> str:
         return "[" + "; ".join(self.base.format_elt(e) for e in self._own(a).entries) + "]"

@@ -24,14 +24,14 @@ and dispatch on the ring's capabilities:
                             cached range rather than approximate them.  The
                             Frobenius is componentwise;
   * every other ring     -- one ghost transport, `_transport`, any length:
-                            lift to the cover (Z/p**M to Z, Z[zeta]/p**M to
-                            integral elements of Q(zeta), on balanced digits;
-                            Z, Q and the number fields are their own), ghost,
-                            combine (the Frobenius drops the first ghost
-                            entry), unghost, and reduce back at the minimum
-                            input precision a.  Over a truncated ring the
-                            unghost settles each component to the balanced
-                            lift of its class mod p**a before raising it.
+                            ghost, combine (the Frobenius drops the first
+                            ghost entry), unghost: in place over Z, Q and the
+                            number fields.  A truncated ring lifts to its
+                            `cover` (Z/p**M to Z, Z[zeta]/p**M to Z[zeta]),
+                            on balanced digits, and reduces back at the
+                            minimum input precision a; its unghost settles
+                            each component to the balanced lift of its class
+                            mod p**a before raising it.
                             `witt_combination` runs an integer combination
                             sum_j c_j * v_j as one such transport.
 
@@ -211,26 +211,24 @@ def _min_precision(ring: Ring, vecs: Sequence[WittVec]) -> Optional[int]:
 
 
 def _transport(combine: Callable[..., GhostVec], *vecs: WittVec) -> WittVec:
-    """Lift each vector to the cover, ghost it, ``combine`` the ghost
-    vectors, unghost, and reduce back at the minimum input precision a.
+    """Ghost each vector, ``combine`` the ghost vectors and unghost.
 
-    A truncated ring lifts each digit to its balanced representative, and
-    the unghost settles each component to the balanced lift of its class mod
-    p**a before the ladder raises it: the ladder then raises digits of at
-    most p**a/2 in size, where the exact components grow with p**m.  The
-    residues mod p**a that the settling finds are the output, the same as
-    an exact inversion's reduced, because any lift of a class gives the
-    same residues (W_L is a functor).  A ring that is its own cover
-    unghosts exactly."""
+    A ring that is not truncated unghosts in place, exactly.  A truncated
+    ring lifts each digit to its balanced representative in its ``cover``,
+    and the unghost settles each component to the balanced lift of its class
+    mod p**a, the minimum input precision, before the ladder raises it: the
+    ladder then raises digits of at most p**a/2 in size, where the exact
+    components grow with p**m.  The residues mod p**a that the settling
+    finds are the output, the same as an exact inversion's reduced, because
+    any lift of a class gives the same residues (W_L is a functor)."""
     ring = vecs[0].ring
-    cover = ring.cover_ring()
+    if not ring.truncated:
+        return unghost(combine(*(ghost(v) for v in vecs)))
     ghosts = [
-        ghost(WittVec(cover, tuple(ring.lift_to_cover(c) for c in v.components)))
+        ghost(WittVec(ring.cover, tuple(ring.lift_to_cover(c) for c in v.components)))
         for v in vecs
     ]
     prec = _min_precision(ring, vecs)
-    if prec is None:
-        return unghost(combine(*ghosts))
     residues: List[Any] = []
 
     def settle(z):

@@ -152,6 +152,24 @@ def test_bad_primes_and_ring_arguments_are_usage_errors(capsys):
 # Each invocation exits 2 with an `error: ` message and no traceback.  A row
 # whose second field is set runs as a subprocess with stdout on /dev/full, at
 # that PYTHONUNBUFFERED value, so the write fails from print or from the flush.
+# (id, argv, message): usage errors whose message is pinned too
+NAMED_USAGE_ERRORS = [
+    (
+        "compute-perfpoly-negative-exponent",
+        ("compute", "--ring", "PerfPoly", "--depth", "2", "add (x^(-1/2)) (x)"),
+        "error: exponent -1/2 is negative",
+    ),
+    (
+        "compute-ring-kind-unhashable",
+        ("compute", "--ring", '{"kind":["Z"],"p":2}', "neg (1)"),
+        "error: unknown ring kind ['Z']",
+    ),
+    (
+        "compute-ring-Qzeta-no-k",
+        ("compute", "--ring", '{"kind":"Qzeta","p":2}', "neg ([1])"),
+        "error: ring kind 'Qzeta' needs 'k'",
+    ),
+]
 _FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 USAGE_ERRORS = [
     pytest.param(("perfect", "test", '{"instance":"Zmod","p":2}'), None, id="perfect-no-M"),
@@ -175,6 +193,7 @@ USAGE_ERRORS = [
         id="compute-ring-M-true",
     ),
     pytest.param(("perfect", "test", "Z", "--p", "4"), None, id="perfect-p-not-prime"),
+    *(pytest.param(argv, None, id=name) for name, argv, _ in NAMED_USAGE_ERRORS),
     pytest.param(("perfect", "test", '{"instance":"Zmod","p":2,"M":0}'), None, id="perfect-M-zero"),
     pytest.param(("perfect", "test", "tower", "--depth", "0"), None, id="perfect-tower-depth-zero"),
     pytest.param(
@@ -199,6 +218,14 @@ USAGE_ERRORS = [
     pytest.param(("perfect", "test", "--json"), "", id="full-device", marks=_FULL),
     pytest.param(("perfect", "test", "--json"), "1", id="full-device-unbuffered", marks=_FULL),
 ]
+
+
+@pytest.mark.parametrize(
+    "argv, message", [pytest.param(argv, msg, id=name) for name, argv, msg in NAMED_USAGE_ERRORS]
+)
+def test_named_usage_errors_print_their_message(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err.strip()) == (2, "", message)
 
 
 @pytest.mark.parametrize("argv, unbuffered", USAGE_ERRORS)

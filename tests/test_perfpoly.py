@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wittlab.errors import CapabilityMissing, NoRoot
+from wittlab.errors import CapabilityMissing, MalformedConfig, NoRoot
 from wittlab.norms import NormValue
 from wittlab.perfpoly import PerfPolyRing
 from wittlab.rings import Ring, ZModPM
@@ -86,6 +86,19 @@ def test_parse_format_roundtrip():
     a = ring.add(ring.monomial([Fraction(5, 8)]), ring.one())
     text = ring.format_elt(a)
     assert ring.eq(ring.parse_elt(text), a)
+
+
+def test_a_negative_exponent_is_refused_by_name():
+    """A sign inside ``^( )`` belongs to the exponent, not to a new term, and
+    a negative exponent is refused as negative, not as a depth overrun."""
+    ring = PerfPolyRing(2, 1, 2)
+    for call in (lambda: ring.monomial([-1]), lambda: ring.parse_elt("x^(-1/2) + x")):
+        with pytest.raises(MalformedConfig, match="is negative"):
+            call()
+    assert ring.parse_elt("x^(1/2) - x + 1") == ring.parse_elt("1 + x^(1/2) + x")
+    assert ring.parse_elt("-x^(1/4)+2*x - 3") == ring.parse_elt("x^(1/4) + 1")
+    with pytest.raises(MalformedConfig, match="bad term"):
+        ring.parse_elt("x^(1+1)")
 
 
 @pytest.mark.parametrize("p, depth", [(2, 8), (3, 4)])

@@ -372,7 +372,7 @@ def test_the_truncated_flag_marks_exactly_the_truncated_rings():
 
 SHARED_ARITHMETIC = {
     "from_digits", "digits", "from_int", "add", "neg", "mul", "pow_", "pow_p_tower",
-    "eq", "is_zero", "seminorm", "exact_divide_by_p",
+    "eq", "is_zero", "exact_divide_by_p",
 }
 
 

@@ -16,7 +16,7 @@ from wittlab.suites import SUITE_NAMES, CaseResult, _Law, run_suite
 # exactly what `wittlab verify <suite> --seed S --json` prints
 DIGESTS = {
     "universal": "6fecc43d3474c73580bce775d41f79e5372d79c4d9c2012168a0cb29733c41be",
-    "ghost": "12813e0077fc1f501dba9a1dfd27e276ad8f1a3cc1c7157e6e34407ee3c13ea6",
+    "ghost": "232f2ff314549d1db19b0b86c6942f30aebd0fbb8063f6d740549bec02d29839",
     "norms": "0fee92cc05f8b357df934c4cc2cea40788dce9ae3f0fd0de8320ccecdd5e6d3f",
     "arrow": "ef78d4013a2584eff0792df74558969d14b36c1be0e034524db288f56c5a2056",
     "perfect": "5e834589cc6d483e9a97d655efa4514f82173e9c107b549b89b2b96d876389c1",
@@ -26,7 +26,7 @@ DIGESTS = {
 }
 DIGESTS_SEED_1 = {
     "universal": "ee1851d2ba34eccf1b2c47703648e64dada42a1812c0a21fd42ddfd40cbcb4a2",
-    "ghost": "61424d846cc890769031c8a270f0910140c6d82320f61b0131f3ed1f9fb8975f",
+    "ghost": "5de9b52fa8a3bcb09c6a7ce67c6171a1f7d57e7f593a3fa356a4d66dcc6d3ec6",
     "norms": "08662b5cb2860456c41674af50b12b345bd08ab1fd13295738b9f7d23cf5b770",
     "arrow": "48f08ecec37f1b8188b39bf2562387b4b4de286cc997188c028ff7092a1aaa33",
     "perfect": "9f344a05af69285e64666391863b7511cbc825b118ef1aa739ce97341b64e342",
@@ -196,8 +196,28 @@ def test_truncated_naturality_fails_when_the_transport_claims_a_digit_too_many(m
         return None if prec is None else min(prec + 1, ring.M)
 
     (case,) = suites.check_truncated_naturality(random.Random(0), None)
-    assert case.passed and case.detail.startswith("sampled: 6600 components ")
+    assert case.passed and case.detail.startswith("sampled: 11000 components ")
     monkeypatch.setattr(witt, "_min_precision", one_digit_more)
     for p in (2, 3, 5, 7):
         (case,) = suites.check_truncated_naturality(random.Random(0), (p,))
         assert case.status == "fail" and "; first: sample " in case.detail, case.detail
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_truncated_naturality_over_zeta_rings_fails_under_the_same_defect(monkeypatch, p):
+    """The planted defect of the test above, on Z[zeta]/p^M alone: the
+    Z[zeta] half of the check finds it by itself, and its first witness
+    names the ring."""
+    from wittlab import witt
+    from wittlab.cyclotomic import CycloModPM
+
+    real = witt._min_precision
+
+    def one_digit_more_over_zeta(ring, vecs):
+        prec = real(ring, vecs)
+        return min(prec + 1, ring.M) if isinstance(ring, CycloModPM) else prec
+
+    monkeypatch.setattr(witt, "_min_precision", one_digit_more_over_zeta)
+    (case,) = suites.check_truncated_naturality(random.Random(0), (p,))
+    assert case.status == "fail", case.detail
+    assert "; first: sample " in case.detail and " over ZzetaMod(p=" in case.detail

@@ -1,7 +1,8 @@
 """Ring construction from configuration dicts and CLI shorthand strings.
 
-A config holds a ``kind`` and the ring class's ``config_keys``, so one table
-from kind to class reads every kind but ``tilt``, whose base is a config.
+A config holds a ``kind`` and the ring class's ``config_keys`` and no other
+key, so one table from kind to class reads every kind; the ``tilt`` kind's
+base is itself a config.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .tilt import TiltRing
 __all__ = ["ring_from_config", "ring_from_spec"]
 
 _RINGS = (Integers, Rationals, ZModPM, CyclotomicField, CycloModPM, GaussianField, PerfPolyRing)
-_KINDS = {cls.kind: cls for cls in _RINGS}
+_KINDS = {cls.kind: cls for cls in (*_RINGS, TiltRing)}
 _CACHED = {CyclotomicField: cyclotomic_field}  # Qzeta shares the cached field
 
 
@@ -37,14 +38,16 @@ def ring_from_config(config: dict) -> Ring:
     if not isinstance(config, dict) or "kind" not in config:
         raise MalformedConfig(f"a ring config is a dict with a 'kind', got {config!r}")
     kind = config["kind"]
-    if kind == "tilt":
-        base = config.get("base")
-        if not isinstance(base, dict):
-            raise MalformedConfig("tilt ring config needs a 'base' ring config")
-        return TiltRing(ring_from_config(base), _need(config, "depth", kind))
     if not isinstance(kind, str) or kind not in _KINDS:
         raise MalformedConfig(f"unknown ring kind {kind!r}")
     cls = _KINDS[kind]
+    if cls is TiltRing and not isinstance(config.get("base"), dict):
+        raise MalformedConfig("tilt ring config needs a 'base' ring config")
+    extra = [key for key in config if key not in ("kind", *cls.config_keys)]
+    if extra:
+        raise MalformedConfig(f"ring kind {kind!r} takes no {', '.join(map(repr, extra))}")
+    if cls is TiltRing:
+        return TiltRing(ring_from_config(config["base"]), _need(config, "depth", kind))
     return _CACHED.get(cls, cls)(*[_need(config, key, kind) for key in cls.config_keys])
 
 

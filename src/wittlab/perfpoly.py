@@ -119,16 +119,21 @@ def _plan(p: int, length: int, kind: str, arity: int) -> Tuple[tuple, int]:
 
 def _signed_terms(text: str) -> List[str]:
     """The terms of a sum, split before each sign outside parentheses (so
-    ``x^(-1/2)`` stays one term); a ``-`` stays with its term."""
+    ``x^(-1/2)`` stays one term); a ``-`` stays with its term.  Parentheses
+    that close before they open, or stay open, are refused."""
     terms, depth, start = [], 0, 0
     for i, ch in enumerate(text):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
+            if depth < 0:
+                break
         elif ch in "+-" and not depth:
             terms.append(text[start:i])
             start = i + (ch == "+")
+    if depth:
+        raise MalformedConfig(f"unbalanced parentheses in {text!r}")
     terms.append(text[start:])
     return terms
 
@@ -333,7 +338,9 @@ class PerfPolyRing(Ring):
                         idx = int(name[1:]) if len(name) > 1 else 0
                         if not 0 <= idx < self.nvars:
                             raise MalformedConfig(f"unknown variable {name!r}")
-                        exps[idx] += Fraction(power.strip("()")) if power else 1
+                        # an exponent is q or (q), with one pair of parentheses
+                        inner = power[1:-1] if power[:1] + power[-1:] == "()" else power
+                        exps[idx] += Fraction(inner) if power else 1
                     else:
                         coeff *= int(factor)
             except ValueError as exc:

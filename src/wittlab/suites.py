@@ -15,8 +15,16 @@ to its detail as ``; first: <witness>``.  A witness names the sample index
 ``Zmod(p=3, M=4)``, and the inputs, so that ``wittlab verify <suite> --seed
 <seed>`` reproduces it.  Single verdicts are plain `_case` calls.
 
-Random ring elements come from one draw per ring kind, `_draw_elt` (one
-``randrange(p**M)`` per digit over a truncated ring), and a random unit
+The commutative-ring axioms are stated once, in `_AXIOMS`: each row is an
+arity and a predicate over an `_Arith` record of one ring's add, mul, neg,
+eq, zero and one.  The ghost suite runs the ghost-homomorphism rows
+`_GHOST_LAWS` and then every axiom over W_L(R) on random vectors, law by
+law; the tilt suite runs the sum's and the product's axioms over every tuple
+of chains.
+
+Random ring elements come from one table keyed by ring kind, `_DRAWS`,
+behind the one entry point `_draw_elt`, which refuses a kind with no row
+(one ``randrange(p**M)`` per digit over a truncated ring), and a random unit
 1 + p*(...) of a cyclotomic field times a uniformizer power from
 `kernelnorm.unit_times_power`, the sampler ``kernel verify`` draws from too.
 
@@ -250,35 +258,45 @@ _CHARP_SAMPLES = 100
 _SANDWICH_SAMPLES = 100
 
 
+def _draw_digits(rng: random.Random, ring: TruncatedRing) -> Any:
+    return ring.from_digits([rng.randrange(ring.p ** ring.M) for _ in range(ring.e)])
+
+
+def _draw_perfpoly(rng: random.Random, ring: PerfPolyRing) -> Any:
+    """Zero, a monomial of degree < 7, or a two-term sum."""
+    roll = rng.random()
+    if roll < 0.15:
+        return ring.zero()
+    low = ring.monomial([rng.randint(0, 6) for _ in range(ring.nvars)])
+    if roll < 0.75:
+        return low
+    return ring.add(low, ring.monomial([rng.randint(7, 9) for _ in range(ring.nvars)]))
+
+
+# ring kind -> (rng, ring) -> a random element
+_DRAWS: Dict[str, Callable[[random.Random, Any], Any]] = {
+    "Z": lambda rng, ring: ring.from_int(rng.randint(-9, 9)),
+    "Q": lambda rng, ring: Fraction(
+        rng.randint(-24, 24), rng.choice(_DENOMS + (ring.p, ring.p * ring.p))
+    ),
+    "Qi": lambda rng, ring: ring.from_pair(
+        Fraction(rng.randint(-9, 9), rng.choice(_DENOMS)),
+        Fraction(rng.randint(-9, 9), rng.choice(_DENOMS)),
+    ),
+    "Qzeta": lambda rng, ring: ring.from_coeffs(
+        [Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, ring.p))) for _ in range(ring.e)]
+    ),
+    "Zmod": _draw_digits,
+    "ZzetaMod": _draw_digits,
+    "PerfPoly": _draw_perfpoly,
+}
+
+
 def _draw_elt(rng: random.Random, ring: Ring) -> Any:
-    if ring.truncated:
-        return ring.from_digits([rng.randrange(ring.p ** ring.M) for _ in range(ring.e)])
-    if isinstance(ring, Integers):
-        return ring.from_int(rng.randint(-9, 9))
-    if isinstance(ring, Rationals):
-        return Fraction(rng.randint(-24, 24), rng.choice(_DENOMS + (ring.p, ring.p * ring.p)))
-    if isinstance(ring, GaussianField):
-        return ring.from_pair(
-            Fraction(rng.randint(-9, 9), rng.choice(_DENOMS)),
-            Fraction(rng.randint(-9, 9), rng.choice(_DENOMS)),
-        )
-    if isinstance(ring, CyclotomicField):
-        return ring.from_coeffs(
-            [
-                Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, ring.p)))
-                for _ in range(ring.e)
-            ]
-        )
-    if isinstance(ring, PerfPolyRing):
-        # zero, a monomial of degree < 7, or a two-term sum
-        roll = rng.random()
-        if roll < 0.15:
-            return ring.zero()
-        low = ring.monomial([rng.randint(0, 6) for _ in range(ring.nvars)])
-        if roll < 0.75:
-            return low
-        return ring.add(low, ring.monomial([rng.randint(7, 9) for _ in range(ring.nvars)]))
-    raise MalformedConfig(f"no draw strategy for ring kind {ring.kind!r}")
+    draw = _DRAWS.get(ring.kind)
+    if draw is None:
+        raise MalformedConfig(f"no draw strategy for ring kind {ring.kind!r}")
+    return draw(rng, ring)
 
 
 def _draw_vec(rng: random.Random, ring: Ring, length: int) -> WittVec:
@@ -387,42 +405,38 @@ def _ghost_matches(z: WittVec, expected) -> bool:
     return all(z.ring.eq(a, b) for a, b in zip(ghost(z).entries, expected.entries))
 
 
-# name -> (number of vectors drawn, the identity they must satisfy)
-_RING_LAWS: Dict[str, Tuple[int, Callable[..., bool]]] = {
-    "ghost_additive": (
-        2,
-        lambda x, y: _ghost_matches(witt_add(x, y), ghost(x).add(ghost(y))),
-    ),
-    "ghost_multiplicative": (
-        2,
-        lambda x, y: _ghost_matches(witt_mul(x, y), ghost(x).mul(ghost(y))),
-    ),
-    "ghost_negation": (1, lambda x: _ghost_matches(witt_neg(x), ghost(x).neg())),
-    "add_commutative": (2, lambda x, y: witt_eq(witt_add(x, y), witt_add(y, x))),
-    "add_associative": (
-        3,
-        lambda x, y, z: witt_eq(witt_add(witt_add(x, y), z), witt_add(x, witt_add(y, z))),
-    ),
-    "mul_commutative": (2, lambda x, y: witt_eq(witt_mul(x, y), witt_mul(y, x))),
-    "mul_associative": (
-        3,
-        lambda x, y, z: witt_eq(witt_mul(witt_mul(x, y), z), witt_mul(x, witt_mul(y, z))),
-    ),
+# the operations of one ring, as the law rows read them
+class _Arith(NamedTuple):
+    add: Callable
+    mul: Callable
+    neg: Callable
+    eq: Callable
+    zero: Any
+    one: Any
+
+
+# name -> (number of elements drawn, the identity they satisfy in the ring R)
+_Laws = Dict[str, Tuple[int, Callable[..., bool]]]
+_AXIOMS: _Laws = {
+    "add_commutative": (2, lambda R, x, y: R.eq(R.add(x, y), R.add(y, x))),
+    "add_associative": (3, lambda R, x, y, z: R.eq(R.add(R.add(x, y), z), R.add(x, R.add(y, z)))),
+    "mul_commutative": (2, lambda R, x, y: R.eq(R.mul(x, y), R.mul(y, x))),
+    "mul_associative": (3, lambda R, x, y, z: R.eq(R.mul(R.mul(x, y), z), R.mul(x, R.mul(y, z)))),
     "distributive": (
         3,
-        lambda x, y, z: witt_eq(
-            witt_mul(x, witt_add(y, z)), witt_add(witt_mul(x, y), witt_mul(x, z))
-        ),
+        lambda R, x, y, z: R.eq(R.mul(x, R.add(y, z)), R.add(R.mul(x, y), R.mul(x, z))),
     ),
-    "additive_inverse": (
-        1,
-        lambda x: witt_eq(witt_add(x, witt_neg(x)), witt_zero(x.ring, x.length)),
+    "additive_inverse": (1, lambda R, x: R.eq(R.add(x, R.neg(x)), R.zero)),
+    "identities": (1, lambda R, x: R.eq(R.add(x, R.zero), x) and R.eq(R.mul(x, R.one), x)),
+}
+# the ghost map is a ring homomorphism W_L(R) -> R^L
+_GHOST_LAWS: _Laws = {
+    "ghost_additive": (2, lambda R, x, y: _ghost_matches(R.add(x, y), ghost(x).add(ghost(y)))),
+    "ghost_multiplicative": (
+        2,
+        lambda R, x, y: _ghost_matches(R.mul(x, y), ghost(x).mul(ghost(y))),
     ),
-    "identities": (
-        1,
-        lambda x: witt_eq(witt_add(x, witt_zero(x.ring, x.length)), x)
-        and witt_eq(witt_mul(x, witt_one(x.ring, x.length)), x),
-    ),
+    "ghost_negation": (1, lambda R, x: _ghost_matches(R.neg(x), ghost(x).neg())),
 }
 
 
@@ -435,14 +449,15 @@ def check_witt_ring_laws(rng: random.Random, primes: Optional[Sequence[int]]) ->
     rings = _law_rings(primes[0] if primes else None)
     names = ", ".join(r.label if r.truncated else r.kind for r in rings)
     cases = []
-    for name, (arity, identity) in _RING_LAWS.items():
+    for name, (arity, identity) in {**_GHOST_LAWS, **_AXIOMS}.items():
         law = _Law(f"law_{name}")
         for i in range(_LAW_DRAWS):
             ring = rings[i % len(rings)]
             L = rng.randint(1, 5 if ring.truncated else 3)
             vecs = dict(zip("xyz", (_draw_vec(rng, ring, L) for _ in range(arity))))
+            W = _Arith(witt_add, witt_mul, witt_neg, witt_eq, witt_zero(ring, L), witt_one(ring, L))
             law.check(
-                identity(*vecs.values()), lambda: f"sample {i} over {ring!r}: {_show(**vecs)}"
+                identity(W, *vecs.values()), lambda: f"sample {i} over {ring!r}: {_show(**vecs)}"
             )
         cases.append(law.case(f"{_LAW_DRAWS} randomized cases over {names}; {law.bad} failures"))
     return cases
@@ -1199,9 +1214,9 @@ def check_frobenius_solving(rng: random.Random, primes: Sequence[int]) -> List[C
 
 
 def check_tilt_ring_laws(rng: random.Random, primes: Sequence[int]) -> List[CaseResult]:
-    """Exhaustive ring laws for chain arithmetic over Z/2^3 and Z/3^2,
-    the characteristic-p identity, and Frobenius bijectivity at the
-    precision the chains actually certify."""
+    """The sum's and the product's rows of `_AXIOMS` over every tuple of
+    depth-3 chains over Z/2^3 and Z/3^2, the characteristic-p identity, and
+    Frobenius bijectivity at the precision the chains actually certify."""
     del rng
     cases = []
     for q, M in [(q, M) for q, M in ((2, 3), (3, 2)) if q in primes]:
@@ -1210,6 +1225,7 @@ def check_tilt_ring_laws(rng: random.Random, primes: Sequence[int]) -> List[Case
         # a p-th root costs a level: roots and truncations live one level down
         ring, lower = TiltRing(base, D), TiltRing(base, D - 1)
         chains = ring.elements()
+        R = _Arith(ring.add, ring.mul, ring.neg, ring.eq, ring.zero(), ring.one())
 
         def at(law: str, *xs: TiltElt) -> Callable[[], str]:
             return lambda: f"{law} over {base!r} at " + ", ".join(
@@ -1220,24 +1236,16 @@ def check_tilt_ring_laws(rng: random.Random, primes: Sequence[int]) -> List[Case
             _Law(f"tilt_{name}_p{q}")
             for name in ("add_laws", "mul_laws", "char_p", "frobenius_bijective")
         )
-        for x, y in itertools.product(chains, repeat=2):
-            add.check(ring.eq(ring.add(x, y), ring.add(y, x)), at("x+y = y+x", x, y))
-            mul.check(ring.eq(ring.mul(x, y), ring.mul(y, x)), at("xy = yx", x, y))
-        for x, y, z in itertools.product(chains, repeat=3):
-            add.check(
-                ring.eq(ring.add(ring.add(x, y), z), ring.add(x, ring.add(y, z))),
-                at("(x+y)+z = x+(y+z)", x, y, z),
-            )
-            mul.check(
-                ring.eq(ring.mul(ring.mul(x, y), z), ring.mul(x, ring.mul(y, z))),
-                at("(xy)z = x(yz)", x, y, z),
-            )
-            mul.check(
-                ring.eq(ring.mul(x, ring.add(y, z)), ring.add(ring.mul(x, y), ring.mul(x, z))),
-                at("x(y+z) = xy+xz", x, y, z),
-            )
+        for law, rows in (
+            (add, ("add_commutative", "add_associative", "additive_inverse")),
+            (mul, ("mul_commutative", "mul_associative", "distributive")),
+        ):
+            # the rows of one arity share a pass over the tuples, so the
+            # first witness is the first tuple that fails any of them
+            for arity, group in itertools.groupby(rows, key=lambda row: _AXIOMS[row][0]):
+                for xs, row in itertools.product(itertools.product(chains, repeat=arity), group):
+                    law.check(_AXIOMS[row][1](R, *xs), at(row, *xs))
         for x in chains:
-            add.check(ring.is_zero(ring.add(x, ring.neg(x))), at("x+(-x) = 0", x))
             acc = x
             for _ in range(q - 1):
                 acc = ring.add(acc, x)

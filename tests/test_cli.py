@@ -169,6 +169,26 @@ NAMED_USAGE_ERRORS = [
         ("compute", "--ring", '{"kind":"Qzeta","p":2}', "neg ([1])"),
         "error: ring kind 'Qzeta' needs 'k'",
     ),
+    (
+        "compute-ring-keys-of-another-kind",
+        ("compute", "--ring", '{"kind":"Z","p":2,"M":3,"depth":9}', "neg (1)"),
+        "error: ring kind 'Z' takes no 'M', 'depth'",
+    ),
+    (
+        "compute-ring-tilt-extra-key",
+        (
+            "compute",
+            "--ring",
+            '{"kind":"tilt","base":{"kind":"Zmod","p":2,"M":3},"depth":2,"p":2}',
+            "neg (1)",
+        ),
+        "error: ring kind 'tilt' takes no 'p'",
+    ),
+    (
+        "compute-perfpoly-doubled-parentheses",
+        ("compute", "--ring", "PerfPoly", "--depth", "2", "neg (x^((1/2)))"),
+        "error: bad term 'x^((1/2))' in 'x^((1/2))'",
+    ),
 ]
 _FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 USAGE_ERRORS = [

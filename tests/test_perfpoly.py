@@ -101,6 +101,26 @@ def test_a_negative_exponent_is_refused_by_name():
         ring.parse_elt("x^(1+1)")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x^(1/2", "unbalanced parentheses"),
+        ("x^1/2)", "unbalanced parentheses"),
+        ("x^(1/2))", "unbalanced parentheses"),
+        (")x^(1/2)(", "unbalanced parentheses"),
+        ("x^((1/2))", "bad term"),
+        ("x^()", "bad term"),
+    ],
+)
+def test_an_exponent_takes_at_most_one_pair_of_parentheses(text, message):
+    """An exponent is q or (q): unbalanced or doubled parentheses are refused,
+    not stripped."""
+    ring = PerfPolyRing(2, 1, 2)
+    assert ring.parse_elt("x^(1/2)") == ring.parse_elt("x^1/2") == ring.monomial([Fraction(1, 2)])
+    with pytest.raises(MalformedConfig, match=message):
+        ring.parse_elt(text)
+
+
 @pytest.mark.parametrize("p, depth", [(2, 8), (3, 4)])
 def test_pow_by_frobenius_shift_matches_the_generic_ladder(p, depth):
     """``pow_`` on the packed kernel, n = p**s * r as r-th power then a key

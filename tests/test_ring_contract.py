@@ -8,17 +8,21 @@
   `src/wittlab`, so a new kind that skips the config table, or reorders its
   constructor, fails here.
 * Only truncated rings carry a transport cover.
+* An element's text reads back as the element: ``parse_elt(format_elt(a))
+  == a`` for every kind, and for the suites' random draws of every kind.
 """
 
 import importlib
 import inspect
 import pkgutil
+import random
 from fractions import Fraction
 
 import pytest
 
 import oracles
 import wittlab
+from wittlab import suites
 from wittlab.config import ring_from_config
 from wittlab.cyclotomic import CycloModPM, GaussianField, cyclotomic_field
 from wittlab.norms import NormValue
@@ -95,6 +99,23 @@ def test_every_kind_round_trips_its_config(ring, elements):
     back = ring_from_config(config)
     assert back.to_config() == config and repr(back) == repr(ring)
     assert back.same_ring(ring) and ring.same_ring(back)
+
+
+@pytest.mark.parametrize("ring, elements", KINDS, ids=IDS)
+def test_every_element_round_trips_its_text(ring, elements):
+    for a in elements:
+        assert ring.parse_elt(ring.format_elt(a)) == a, ring.format_elt(a)
+
+
+@pytest.mark.parametrize("kind", sorted(suites._DRAWS))
+def test_drawn_elements_round_trip_their_text(kind):
+    """300 draws from each row of the suites' draw table, over the ring of
+    that kind above."""
+    ring = next(ring for ring, _ in KINDS if ring.kind == kind)
+    rng = random.Random(kind)
+    for _ in range(300):
+        a = suites._draw_elt(rng, ring)
+        assert ring.parse_elt(ring.format_elt(a)) == a, ring.format_elt(a)
 
 
 def test_configs_keep_their_key_order():

@@ -4,6 +4,7 @@ tally, and the rule by which the runner runs, skips or refuses each check."""
 import hashlib
 import json
 import random
+import re
 
 import pytest
 
@@ -221,3 +222,44 @@ def test_truncated_naturality_over_zeta_rings_fails_under_the_same_defect(monkey
     (case,) = suites.check_truncated_naturality(random.Random(0), (p,))
     assert case.status == "fail", case.detail
     assert "; first: sample " in case.detail and " over ZzetaMod(p=" in case.detail
+
+
+def test_ring_laws_fail_under_a_coefficient_product_defect(monkeypatch):
+    """The planted defect: Q's product is off by one when a > b.  Over Q the
+    transport divides by p freely, so the laws fail rather than raise (the
+    same defect in Z's product ends in NotDivisible), and each first witness
+    names its sample and Q."""
+    from wittlab.rings import Rationals
+
+    monkeypatch.setattr(suites, "_LAW_DRAWS", 28)  # four draws per law over each ring
+    assert all(c.passed for c in suites.check_witt_ring_laws(random.Random(0), None))
+    real = Rationals.mul
+    monkeypatch.setattr(Rationals, "mul", lambda self, a, b: real(self, a, b) + (a > b))
+    cases = {c.name: c for c in suites.check_witt_ring_laws(random.Random(0), None)}
+    for name in ("law_mul_commutative", "law_mul_associative", "law_distributive"):
+        assert cases[name].status == "fail", cases[name].detail
+    for case in cases.values():
+        if not case.passed:
+            assert re.search(r"; first: sample \d+ over Q\(p=3\): x=\(", case.detail), case.detail
+
+
+def test_tilt_mul_laws_fail_under_a_chain_product_defect(monkeypatch):
+    """The planted defect: the chain product adds the square of each entry.
+    It is commutative, so associativity or distributivity must catch it; the
+    sum is untouched, and its laws still pass."""
+    from wittlab import tilt
+
+    real = tilt.tilt_mul
+
+    def squared_too(x, y):
+        z, base = real(x, y), x.base
+        return tilt.TiltElt(base, tuple(base.add(e, base.mul(e, e)) for e in z.entries))
+
+    monkeypatch.setattr(tilt, "tilt_mul", squared_too)
+    cases = {c.name: c for c in suites.check_tilt_ring_laws(random.Random(0), (2, 3))}
+    for q, M in ((2, 3), (3, 2)):
+        assert cases[f"tilt_add_laws_p{q}"].status == "pass"
+        detail = cases[f"tilt_mul_laws_p{q}"].detail
+        assert cases[f"tilt_mul_laws_p{q}"].status == "fail", detail
+        witness = rf"; first: (mul_associative|distributive) over Zmod\(p={q}, M={M}\) at x="
+        assert re.search(witness, detail), detail

@@ -10,7 +10,9 @@ The subcommands that draw samples (``verify``, ``perfect`` and ``kernel``)
 take their randomness from ``--seed``, and ``--json`` output is byte-stable
 for a fixed seed and configuration; ``kernel verify`` draws t with the kernel
 suite's sampler, ``kernelnorm.unit_times_power``, and refuses to run with no
-sample.
+sample.  The CLI has no parser of its own: element text reads through the
+rings' ``parse_elt`` and ``witt.parse_witt``, ``--b`` through
+``Rationals.parse_elt``, and every integer flag through ``rings.integer``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import os
 import random
 import re
 import sys
-from fractions import Fraction
 from typing import Any, List, Optional, Sequence, Tuple
 
 from .arrow import (
@@ -39,16 +40,9 @@ from .errors import CapabilityMissing, MalformedConfig, NoRoot, WittError
 from .kernelnorm import uniformizer_steps, unit_times_power, verify_kernel_norm
 from .norms import exponent_text
 from .perfect import INSTANCES, solve_frobenius, witt_perfect_test
-from .rings import Ring
+from .rings import Rationals, Ring, integer
 from .suites import SUITE_NAMES, run_suite
-from .tilt import (
-    TiltRing,
-    tilt_add,
-    tilt_from_top,
-    tilt_mul,
-    tilt_to_json,
-    untilt,
-)
+from .tilt import TiltRing, tilt_from_top, tilt_to_json, untilt
 from .univ import canonical_dump
 from .witt import (
     GhostVec,
@@ -71,13 +65,6 @@ __all__ = ["main", "build_parser"]
 
 # what a subcommand hands the emitter: exit code, JSON payload, text lines
 Reply = Tuple[int, Any, List[str]]
-
-
-def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise MalformedConfig(f"not a rational number: {text!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +181,7 @@ def _cmd_arrow(args) -> Reply:
     ring = ring_from_spec(spec, p=args.p, precision=args.precision)
     if args.action == "norm":
         a = arrow_from_integer(ring, args.c, args.depth)
-        result = arrow_norm(a, _fraction(args.b))
+        result = arrow_norm(a, Rationals(ring.p).parse_elt(args.b))
         where = "" if result.attained_at is None else f", attained at level {result.attained_at}"
         line = f"|{args.c}|_(W,{result.b}) = {result.value.text()} ({result.status}{where})"
         return 0, {"c": args.c, "norm": result.to_dict()}, [line]
@@ -278,17 +265,16 @@ def _cmd_perfect(args) -> Reply:
 
 def _cmd_tilt(args) -> Reply:
     base = ring_from_spec(args.ring, p=args.p, precision=args.precision, depth=args.depth)
-    depth = args.depth
-    chains = [tilt_from_top(base, base.parse_elt(tok), depth) for tok in args.tops]
+    chains = [tilt_from_top(base, base.parse_elt(tok), args.depth) for tok in args.tops]
+    ring = TiltRing(base, args.depth)
     if args.action in ("add", "mul"):
         if len(chains) != 2:
             raise MalformedConfig(f"tilt {args.action} takes two top elements")
-        out = (tilt_add if args.action == "add" else tilt_mul)(chains[0], chains[1])
+        out = (ring.add if args.action == "add" else ring.mul)(*chains)
         lines = [f"  slot {m}: {base.format_elt(entry)}" for m, entry in enumerate(out.entries)]
         return 0, {"op": args.action, "result": tilt_to_json(out)}, lines
     if len(chains) != 1:
         raise MalformedConfig(f"tilt {args.action} takes one top element")
-    ring = TiltRing(base, depth)
     if args.action == "norm":
         text = ring.seminorm(chains[0]).text()
         return 0, {"op": "norm", "result": text}, [text]
@@ -305,7 +291,7 @@ def _cmd_tilt(args) -> Reply:
 def _cmd_kernel(args) -> Reply:
     ring = ring_from_spec(args.ring, p=args.p, precision=args.precision, depth=args.depth)
     try:
-        count = int(args.samples)
+        count = integer(args.samples)
     except ValueError:
         count = None
         try:
@@ -371,7 +357,7 @@ def _cmd_artin(args) -> Reply:
 
 
 def _add_common(sp, *, ring_default: Optional[str] = None, precision: int = 6, depth: int = 3):
-    sp.add_argument("--p", type=int, default=2, help="the prime (default 2)")
+    sp.add_argument("--p", type=integer, default=2, help="the prime (default 2)")
     if ring_default is not None:
         sp.add_argument(
             "--ring",
@@ -379,8 +365,8 @@ def _add_common(sp, *, ring_default: Optional[str] = None, precision: int = 6, d
             help="ring config: shorthand (Z, Q, Qi, Zmod, Qzeta:k, ZzetaMod:k, "
             f"PerfPoly:n), inline JSON, or a config file (default {ring_default})",
         )
-    sp.add_argument("--precision", type=int, default=precision, help="truncation exponent M")
-    sp.add_argument("--depth", type=int, default=depth, help="family depth / level count")
+    sp.add_argument("--precision", type=integer, default=precision, help="truncation exponent M")
+    sp.add_argument("--depth", type=integer, default=depth, help="family depth / level count")
     sp.add_argument("--json", action="store_true", help="emit a machine-readable report")
 
 
@@ -394,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run a named verification suite")
     sp.add_argument("suite", choices=SUITE_NAMES)
     restrict = "restrict to one prime; checks without a case there are reported as skipped"
-    sp.add_argument("--p", type=int, default=None, help=restrict)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--p", type=integer, default=None, help=restrict)
+    sp.add_argument("--seed", type=integer, default=0)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=_cmd_verify)
 
@@ -411,13 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("universal", help="structure polynomial utilities")
     sp.add_argument("action", choices=["dump"])
-    sp.add_argument("--p", type=int, default=2)
+    sp.add_argument("--p", type=integer, default=2)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=_cmd_universal)
 
     sp = sub.add_parser("arrow", help="coherent-family (inverse limit) operations")
     sp.add_argument("action", choices=["norm", "lift", "theta"])
-    sp.add_argument("c", type=int, help="the integer whose coherent family to build")
+    sp.add_argument("c", type=integer, help="the integer whose coherent family to build")
     sp.add_argument("--b", default="1", help="overconvergence weight (rational)")
     sp.add_argument(
         "--ring",
@@ -436,26 +422,26 @@ def build_parser() -> argparse.ArgumentParser:
         help="for solve-frob: the target vector, e.g. \"(4, 0)\"",
     )
     sp.add_argument("--ring", help="ring config (default Z for test, Zmod for solve-frob)")
-    sp.add_argument("--seed", type=int, default=0, help="seed for the tower's samples")
+    sp.add_argument("--seed", type=integer, default=0, help="seed for the tower's samples")
     _add_common(sp, precision=6, depth=2)
     sp.set_defaults(fn=_cmd_perfect)
 
     sp = sub.add_parser("tilt", help="chain (tilt) arithmetic over a truncated base")
     sp.add_argument("action", choices=["add", "mul", "norm", "untilt"])
     sp.add_argument("tops", nargs="+", help="top elements; each seeds a coherent chain")
-    sp.add_argument("--n", type=int, default=1, help="untilt output depth")
+    sp.add_argument("--n", type=integer, default=1, help="untilt output depth")
     _add_common(sp, ring_default="Zmod", precision=3, depth=3)
     sp.set_defaults(fn=_cmd_tilt)
 
     sp = sub.add_parser("kernel", help="Frobenius-kernel norm identity")
     sp.add_argument("action", choices=["verify"])
-    sp.add_argument("--j", type=int, default=1, help="kernel index (vector length)")
+    sp.add_argument("--j", type=integer, default=1, help="kernel index (vector length)")
     sp.add_argument(
         "--samples",
         default="10",
         help="sample count, or a file with one element per line",
     )
-    sp.add_argument("--seed", type=int, default=0, help="seed for a sample count's draws")
+    sp.add_argument("--seed", type=integer, default=0, help="seed for a sample count's draws")
     _add_common(sp, ring_default="Q")
     sp.set_defaults(fn=_cmd_kernel)
 
@@ -463,8 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("action", choices=["classify"])
     sp.add_argument("--field", default="Qi", help="base field (Qi)")
     sp.add_argument("--f", required=True, help="the constant, e.g. 'i', '1/5', '1/2+3i'")
-    sp.add_argument("--p", type=int, default=5)
-    sp.add_argument("--depth", type=int, default=3)
+    sp.add_argument("--p", type=integer, default=5)
+    sp.add_argument("--depth", type=integer, default=3)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=_cmd_artin)
 

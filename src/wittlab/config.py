@@ -14,7 +14,7 @@ from typing import Optional
 from .cyclotomic import CycloModPM, CyclotomicField, GaussianField, cyclotomic_field
 from .errors import MalformedConfig
 from .perfpoly import PerfPolyRing
-from .rings import Integers, Rationals, Ring, ZModPM
+from .rings import Integers, Rationals, Ring, ZModPM, integer
 from .tilt import TiltRing
 
 __all__ = ["ring_from_config", "ring_from_spec"]
@@ -76,7 +76,7 @@ def ring_from_spec(
     n = None
     if arg:
         try:
-            n = int(arg)
+            n = integer(arg)
         except ValueError as exc:
             raise MalformedConfig(f"{head}:{arg}: the ':' argument must be an integer") from exc
     config: dict = {"kind": head, "p": p}

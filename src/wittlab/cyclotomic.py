@@ -57,6 +57,9 @@ own products ran x4-9 (Z[zeta_32]/2**4, e = 16) and x1.1-1.5
 2-CPU host).  The valuation is ``integer_valuation`` of the digits and
 ``_reduce_tail`` folds digits past e; its ``cover``, set once, is the field,
 reached by the balanced digits, each in (-p**prec/2, p**prec/2], over 1.
+
+Every Q(zeta_{p**k}), and so every Z[zeta]/p**M, has degree e at most
+``_MAX_DEGREE``; a larger k is refused before any list or power is built.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ from .errors import (
     MalformedConfig,
     NoRoot,
 )
-from .rings import Ring, TruncatedRing, TruncVec, check_prime, power_ladder, vp_int
+from .rings import Ring, TruncatedRing, TruncVec, check_prime, power_ladder, rational, vp_int
 
 
 class CVec(NamedTuple):
@@ -220,6 +223,11 @@ def _norm_cofactor(v: List[int], p: int, k: int) -> Tuple[List[int], int]:
     return _conv(cof, up, e, p, step), total
 
 
+# twice the largest degree that any test, suite or benchmark builds: 2**17,
+# at Q(zeta_(2**18))
+_MAX_DEGREE = 1 << 18
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_field(p: int, k: int) -> "CyclotomicField":
     return CyclotomicField(p, k)
@@ -343,6 +351,12 @@ class CyclotomicField(PowerBasisField):
         self.p = check_prime(p)
         if not isinstance(k, int) or k < 1:
             raise MalformedConfig(f"conductor exponent k must be a positive integer, got {k!r}")
+        # k past the bound's bit length gives e >= 2**(k - 1) > _MAX_DEGREE
+        if k > _MAX_DEGREE.bit_length() or (p - 1) * p ** (k - 1) > _MAX_DEGREE:
+            raise MalformedConfig(
+                f"conductor exponent k={k} gives field degree e = {p - 1}*{p}^{k - 1}, "
+                f"above the bound {_MAX_DEGREE}"
+            )
         self.k = k
         super().__init__(p, k)
 
@@ -501,7 +515,7 @@ class CyclotomicField(PowerBasisField):
         if text.startswith("[") and text.endswith("]"):
             text = text[1:-1]
         try:
-            parts = [Fraction(s.strip()) for s in text.split(",")] if text else []
+            parts = [rational(s) for s in text.split(",")] if text else []
         except (ValueError, ZeroDivisionError) as exc:
             raise MalformedConfig(f"not a coefficient vector: {text!r}") from exc
         if len(parts) > self.e:
@@ -690,12 +704,13 @@ class GaussianField(PowerBasisField):
 
     def parse_elt(self, text: str) -> CVec:
         """Forms like '2', '1/2', 'i', '-i', '3i' (= 3*i), '2/3i', '1/2+3i'."""
-        s = re.sub(r"(?<=\d)\*i$", "i", text.strip().replace(" ", ""))
+        # spaces may surround an operator, but not split a numeral
+        s = re.sub(r"(?<=[0-9])\*i$", "i", re.sub(r"\s*([-+*/])\s*", r"\1", text.strip()))
         if not s:
             raise MalformedConfig("empty Gaussian number")
         try:
             if "i" not in s:
-                return self.from_pair(Fraction(s), 0)
+                return self.from_pair(rational(s), 0)
             s = s[:-1] if s.endswith("i") else s
             if "i" in s:
                 raise MalformedConfig(f"not a Gaussian number: {text!r}")
@@ -706,11 +721,11 @@ class GaussianField(PowerBasisField):
                     break
             if split_at is None:
                 imag = s if s not in ("", "+", "-") else s + "1"
-                return self.from_pair(0, Fraction(imag))
+                return self.from_pair(0, rational(imag))
             re_txt, im_txt = s[:split_at], s[split_at:]
             if im_txt in ("+", "-"):
                 im_txt += "1"
-            return self.from_pair(Fraction(re_txt), Fraction(im_txt))
+            return self.from_pair(rational(re_txt), rational(im_txt))
         except (ValueError, ZeroDivisionError) as exc:
             raise MalformedConfig(f"not a Gaussian number: {text!r}") from exc
 

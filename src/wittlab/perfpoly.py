@@ -52,7 +52,7 @@ from .errors import (
     MalformedConfig,
     NoRoot,
 )
-from .rings import Ring, check_prime, power_ladder
+from .rings import Ring, check_prime, integer, power_ladder, rational
 from .univ import structure_cap, structure_poly_mod_p
 
 Monomial = Tuple[int, ...]
@@ -334,15 +334,15 @@ class PerfPolyRing(Ring):
                     if not factor:
                         raise MalformedConfig(f"empty factor in {raw!r}")
                     if factor[0] == "x":
-                        name, _, power = factor.partition("^")
-                        idx = int(name[1:]) if len(name) > 1 else 0
+                        name, caret, power = factor.partition("^")
+                        idx = integer(name[1:]) if len(name) > 1 else 0
                         if not 0 <= idx < self.nvars:
                             raise MalformedConfig(f"unknown variable {name!r}")
                         # an exponent is q or (q), with one pair of parentheses
                         inner = power[1:-1] if power[:1] + power[-1:] == "()" else power
-                        exps[idx] += Fraction(inner) if power else 1
+                        exps[idx] += rational(inner) if caret else 1
                     else:
-                        coeff *= int(factor)
+                        coeff *= integer(factor)
             except ValueError as exc:
                 raise MalformedConfig(f"bad term {raw!r} in {text!r}") from exc
             if negate:

@@ -32,12 +32,21 @@ and `TruncatedRing` implements this rule once for both, with the budget, the
 text and JSON forms and the digit view that generic code reads.  A subclass
 gives only its digit product, digit power, valuation and digit fold, besides
 its constructor and its cover hooks.
+
+Every numeral in element text and on the command line reads through one
+ASCII grammar, stated here once.  An integer is an optional sign followed
+by digits 0-9; a rational is an integer, optionally followed by ``/`` and
+digits or by ``.`` and digits (``0.5`` stays, as a CLI weight).  `integer`
+and `rational` read it: they act like ``int`` and ``Fraction``, surrounding
+whitespace included, and raise ``ValueError`` for any other text, such as
+``1e3``, ``1_000``, ``1.`` or non-ASCII digits.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import re
 from abc import ABC, abstractmethod
 from fractions import Fraction
 from itertools import product, repeat
@@ -52,6 +61,24 @@ from .errors import (
     RingMismatch,
 )
 from .norms import NormValue
+
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(_INTEGER.pattern + r"(?:[/.][0-9]+)?")
+
+
+def integer(text: str) -> int:
+    """``int(text)`` for an integer numeral; ``ValueError`` otherwise."""
+    if not _INTEGER.fullmatch(text.strip()):
+        raise ValueError(f"not an integer numeral: {text!r}")
+    return int(text)
+
+
+def rational(text: str) -> Fraction:
+    """``Fraction(text)`` for a rational numeral; ``ValueError`` otherwise."""
+    if not _RATIONAL.fullmatch(text.strip()):
+        raise ValueError(f"not a rational numeral: {text!r}")
+    return Fraction(text)
 
 
 def check_prime(p: int) -> int:
@@ -269,7 +296,7 @@ class Integers(Ring):
 
     def parse_elt(self, text: str) -> int:
         try:
-            return int(text.strip())
+            return integer(text)
         except ValueError as exc:
             raise MalformedConfig(f"not an integer: {text!r}") from exc
 
@@ -317,7 +344,7 @@ class Rationals(Ring):
 
     def parse_elt(self, text: str) -> Fraction:
         try:
-            return Fraction(text.strip())
+            return rational(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise MalformedConfig(f"not a rational number: {text!r}") from exc
 
@@ -503,8 +530,8 @@ class TruncatedRing(Ring):
         if not self.scalar and body.startswith("[") and body.endswith("]"):
             body = body[1:-1]
         try:
-            seq = [int(s) for s in body.split(",")] if body.strip() else []
-            return self.from_digits(seq, int(prec) if tilde else None)
+            seq = [integer(s) for s in body.split(",")] if body.strip() else []
+            return self.from_digits(seq, integer(prec) if tilde else None)
         except (ValueError, PrecisionExhausted) as exc:
             raise MalformedConfig(f"not an element of {self!r}: {text!r}") from exc
 

@@ -59,7 +59,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from .errors import CapabilityMissing, LengthMismatch, MalformedConfig
 from .norms import NormValue, norm_max
-from .rings import Integers, Ring
+from .rings import Integers, Ring, integer
 
 __all__ = [
     "WittVec",
@@ -427,7 +427,7 @@ def split_top_level(text: str) -> List[str]:
     return parts
 
 
-_TAGGED = re.compile(r"^W\(\s*p\s*=\s*(\d+)\s*;(.*)\)$", re.DOTALL)
+_TAGGED = re.compile(r"^W\(\s*p\s*=\s*(\w+)\s*;(.*)\)$", re.DOTALL)
 
 
 def parse_witt(ring: Ring, text: str) -> WittVec:
@@ -435,8 +435,12 @@ def parse_witt(ring: Ring, text: str) -> WittVec:
     ``W(p=2; 3, -2)``; the tag's prime must match the ring."""
     body = text.strip()
     tagged = _TAGGED.match(body)
-    if tagged:
-        if int(tagged.group(1)) != ring.p:
+    try:
+        tag = integer(tagged.group(1)) if tagged else None
+    except ValueError:  # a tag that is no numeral leaves the text untagged
+        tag = None
+    if tag is not None:
+        if tag != ring.p:
             raise MalformedConfig(
                 f"vector tagged p={tagged.group(1)} but the ring has p={ring.p}"
             )

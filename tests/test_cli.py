@@ -189,6 +189,55 @@ NAMED_USAGE_ERRORS = [
         ("compute", "--ring", "PerfPoly", "--depth", "2", "neg (x^((1/2)))"),
         "error: bad term 'x^((1/2))' in 'x^((1/2))'",
     ),
+    (
+        "compute-perfpoly-empty-exponent",
+        ("compute", "--ring", "PerfPoly", "--depth", "2", "neg (x^)"),
+        "error: bad term 'x^' in 'x^'",
+    ),
+    # numbers outside the one ASCII grammar of rings.integer and rings.rational
+    ("compute-digit-separator", ("compute", "add (1_000) (1)"), "error: not an integer: '1_000'"),
+    (
+        "compute-rational-exponent",
+        ("compute", "--ring", "Q", "neg (1e3)"),
+        "error: not a rational number: '1e3'",
+    ),
+    (
+        "arrow-weight-exponent",
+        ("arrow", "norm", "3", "--b", "1e-1"),
+        "error: not a rational number: '1e-1'",
+    ),
+    (
+        "kernel-samples-digit-separator",
+        ("kernel", "verify", "--samples", "1_0"),
+        "error: --samples must be a count or a readable file: "
+        "[Errno 2] No such file or directory: '1_0'",
+    ),
+    (
+        "artin-gaussian-exponent",
+        ("artin", "classify", "--f", "1e1+2i"),
+        "error: not a Gaussian number: '1e1+2i'",
+    ),
+    (
+        "compute-perfpoly-non-ascii-index",
+        ("compute", "--ring", "PerfPoly", "--depth", "2", "neg (x\u0660)"),
+        "error: bad term 'x\u0660' in 'x\u0660'",
+    ),
+    # a cyclotomic degree past the bound is refused before anything is built
+    (
+        "compute-ring-ZzetaMod-oversized",
+        ("compute", "--ring", "ZzetaMod:72", "neg (1)"),
+        "error: conductor exponent k=72 gives field degree e = 1*2^71, above the bound 262144",
+    ),
+    (
+        "compute-ring-Qzeta-oversized",
+        ("compute", "--ring", '{"kind":"Qzeta","p":2,"k":40}', "neg ([1])"),
+        "error: conductor exponent k=40 gives field degree e = 1*2^39, above the bound 262144",
+    ),
+    (
+        "perfect-zeta-ring-oversized",
+        ("perfect", "test", "zeta-ring", "--p", "2", "--depth", "40"),
+        "error: conductor exponent k=40 gives field degree e = 1*2^39, above the bound 262144",
+    ),
 ]
 _FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 USAGE_ERRORS = [
@@ -263,6 +312,14 @@ def test_usage_errors_exit_two_with_a_message(capsys, argv, unbuffered):
         code, err = proc.returncode, proc.stderr
     assert code == 2, (argv, err)
     assert err.startswith("error: ") and "Traceback" not in err, (argv, err)
+
+
+@pytest.mark.parametrize("flag", ["--p", "--precision", "--depth"])
+def test_an_integer_flag_outside_the_grammar_is_an_argparse_error(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", flag, "\u0663", "neg (1)"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid integer value: '\u0663'" in capsys.readouterr().err
 
 
 def test_arrow_lift_and_theta_read_the_ring_option(capsys):

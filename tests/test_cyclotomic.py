@@ -11,11 +11,12 @@ from wittlab import reference
 from wittlab.cyclotomic import (
     CVec,
     CycloModPM,
+    CyclotomicField,
     CyclotomicTower,
     GaussianField,
     cyclotomic_field,
 )
-from wittlab.errors import CapabilityMissing, IntegralityViolation, NoRoot
+from wittlab.errors import CapabilityMissing, IntegralityViolation, MalformedConfig, NoRoot
 from wittlab.norms import NormValue
 
 import oracles
@@ -85,6 +86,18 @@ def test_field_power_matches_repeated_convolution(data, n):
     for _ in range(n):
         want = reference.conv_reduce(want, a, field.p, field.k)
     assert field.coeffs(field.pow_(field.from_coeffs(a), n)) == tuple(want)
+
+
+def test_a_field_degree_past_the_bound_is_refused_before_it_is_built():
+    assert CyclotomicField(2, 19).e == 1 << 18  # the bound itself
+    assert CyclotomicField(3, 11).e == 2 * 3**10
+    for p, k, e in ((2, 20, "1*2^19"), (3, 12, "2*3^11"), (5, 10**12, f"4*5^{10**12 - 1}")):
+        with pytest.raises(MalformedConfig) as exc:
+            CyclotomicField(p, k)
+        want = f"conductor exponent k={k} gives field degree e = {e}, above the bound 262144"
+        assert str(exc.value) == want
+    with pytest.raises(MalformedConfig, match="k=72"):
+        CycloModPM(2, 72, 3)
 
 
 def test_inverse_in_q_zeta_128():

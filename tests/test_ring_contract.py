@@ -10,6 +10,9 @@
 * Only truncated rings carry a transport cover.
 * An element's text reads back as the element: ``parse_elt(format_elt(a))
   == a`` for every kind, and for the suites' random draws of every kind.
+* Every numeral reads through one ASCII grammar, `rings.integer` and
+  `rings.rational`: each parser, the tag of `parse_witt`, a ring spec's
+  ``:`` argument and the CLI's ``--b`` refuse any other number text.
 """
 
 import importlib
@@ -19,16 +22,29 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 import oracles
 import wittlab
 from wittlab import suites
-from wittlab.config import ring_from_config
+from wittlab.cli import main
+from wittlab.config import ring_from_config, ring_from_spec
+from wittlab.errors import MalformedConfig
 from wittlab.cyclotomic import CycloModPM, GaussianField, cyclotomic_field
 from wittlab.norms import NormValue
 from wittlab.perfpoly import PerfPolyRing
-from wittlab.rings import Integers, Rationals, Ring, TruncatedRing, ZModPM, vp_int
+from wittlab.rings import (
+    Integers,
+    Rationals,
+    Ring,
+    TruncatedRing,
+    ZModPM,
+    integer,
+    rational,
+    vp_int,
+)
 from wittlab.tilt import TiltRing, tilt_from_top
+from wittlab.witt import parse_witt
 
 
 def _independent_valuation(ring, a):
@@ -122,6 +138,88 @@ def test_configs_keep_their_key_order():
     assert repr(CycloModPM(2, 3, 4)) == "ZzetaMod(p=2, k=3, M=4)"
     assert list(PerfPolyRing(2, 1, 3).to_config()) == ["kind", "p", "nvars", "depth"]
     assert ring_from_config({"kind": "Qzeta", "p": 2, "k": 3}) is cyclotomic_field(2, 3)
+
+
+# -- one numeral grammar ----------------------------------------------------------
+
+# number texts outside the grammar, each of which some parser once read as a
+# number: an exponent, a digit separator, non-ASCII digits, a bare trailing
+# point, a space inside a numeral, and the same inside larger texts
+NOT_NUMERALS = ["1e3", "1_000", "\u0663", "1.", "1 2", "x\u0660", "1e1+2i", "W(p=\u0662; 4, 0)"]
+
+
+@pytest.mark.parametrize("text", NOT_NUMERALS)
+@pytest.mark.parametrize("ring, elements", KINDS, ids=IDS)
+def test_every_parser_refuses_number_text_outside_the_grammar(ring, elements, text):
+    """Bare, as a bracketed digit or chain entry, and as a vector component."""
+    for form in (text, f"[{text}]"):
+        with pytest.raises(MalformedConfig):
+            ring.parse_elt(form)
+    for form in (f"({text})", f"W(p={ring.p}; {text})", "W(p=\u0662; 0)"):
+        with pytest.raises(MalformedConfig):
+            parse_witt(ring, form)
+
+
+@pytest.mark.parametrize("text", NOT_NUMERALS)
+def test_ring_specs_and_weights_refuse_number_text_outside_the_grammar(capsys, text):
+    with pytest.raises(MalformedConfig):
+        ring_from_spec(f"Zmod:{text}", p=2)
+    assert main(["arrow", "norm", "3", "--b", text]) == 2
+    assert capsys.readouterr().err == f"error: not a rational number: {text!r}\n"
+
+
+def test_the_readers_keep_signs_fractions_decimals_and_surrounding_space():
+    assert [integer(t) for t in ("7", "-7", "+7", " 07 ")] == [7, -7, 7, 7]
+    assert [rational(t) for t in ("-1/2", "+3", "0.5", " 2/4 ")] == [
+        Fraction(-1, 2), 3, Fraction(1, 2), Fraction(1, 2),
+    ]
+    for text in [*NOT_NUMERALS, "", ".5", "1/-2", "1/2/3", "0x10", "- 1"]:
+        with pytest.raises(ValueError):
+            rational(text)
+    for text in ("1/2", "0.5"):
+        with pytest.raises(ValueError):
+            integer(text)
+
+
+# refusals that reach a parser's own check before or after a numeral: each
+# keeps its message under the grammar
+KEPT_REFUSALS = [
+    (ZModPM(2, 3), "3~5", "precision 5 exceeds ring modulus exponent 3"),
+    (ZModPM(2, 3), "3~0", "not an element of Zmod(p=2, M=3): '3~0'"),
+    (ZModPM(2, 3), "[1,2]", "not an element of Zmod(p=2, M=3): '[1,2]'"),
+    (CycloModPM(2, 2, 2), "[1,2,3,4,5]~9", "precision 9 exceeds ring modulus exponent 2"),
+    (PerfPolyRing(2, 2, 2), "x2", "unknown variable 'x2'"),
+    (PerfPolyRing(2, 1, 2), "x**2", "empty factor in 'x**2'"),
+    (PerfPolyRing(2, 1, 2), "y", "bad term 'y' in 'y'"),
+    (PerfPolyRing(2, 1, 2), "x^(1+1)", "bad term 'x^(1+1)' in 'x^(1+1)'"),
+    (GaussianField(5), "ii", "not a Gaussian number: 'ii'"),
+    (GaussianField(5), "", "empty Gaussian number"),
+    (cyclotomic_field(2, 2), "[1,2,3]", "coefficient vector longer than field degree 2: '1,2,3'"),
+    (Rationals(2), "1/0", "not a rational number: '1/0'"),
+    (Integers(2), "x", "not an integer: 'x'"),
+    (Integers(2), "W(p=3; 1)", "vector tagged p=3 but the ring has p=2"),
+]
+
+
+@pytest.mark.parametrize("ring, text, message", KEPT_REFUSALS)
+def test_each_parser_keeps_its_own_refusal_messages(ring, text, message):
+    with pytest.raises(MalformedConfig) as exc:
+        parse_witt(ring, text) if text.startswith("W(") else ring.parse_elt(text)
+    assert str(exc.value) == message
+
+
+@seed(1403)
+@settings(max_examples=200)
+@given(st.integers())
+def test_the_integer_reader_reads_back_every_int(n):
+    assert integer(str(n)) == n
+
+
+@seed(1403)
+@settings(max_examples=200)
+@given(st.fractions())
+def test_the_rational_reader_reads_back_every_fraction(q):
+    assert rational(str(q)) == q
 
 
 # -- the guard: every concrete ring class in src/wittlab ------------------------

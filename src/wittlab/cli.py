@@ -4,15 +4,18 @@ Computes Witt-vector operations, runs the named verification suites, and
 emits machine-readable reports.  Every subcommand is a ``_cmd_*`` function
 that returns ``(exit_code, payload, lines)`` and prints nothing; ``main``
 is the one emitter, printing the payload as sorted, indented JSON under
-``--json`` and the lines otherwise.  Exit codes: 0 for success, 1 when a
-verification suite records failures, 2 for usage or configuration errors.
-The subcommands that draw samples (``verify``, ``perfect`` and ``kernel``)
-take their randomness from ``--seed``, and ``--json`` output is byte-stable
-for a fixed seed and configuration; ``kernel verify`` draws t with the kernel
-suite's sampler, ``kernelnorm.unit_times_power``, and refuses to run with no
-sample.  The CLI has no parser of its own: element text reads through the
-rings' ``parse_elt`` and ``witt.parse_witt``, ``--b`` through
-``Rationals.parse_elt``, and every integer flag through ``rings.integer``.
+``--json`` and the lines otherwise.  ``main`` lifts the interpreter's
+int/str digit limit for its call, so numbers of any length are read and
+printed exactly.  Exit codes: 0 for success, 1 when a verification suite
+records failures, 2 for usage or configuration errors.  The subcommands
+that draw samples (``verify``, ``perfect`` and ``kernel``) take their
+randomness from ``--seed``, and ``--json`` output is byte-stable for a
+fixed seed and configuration; ``kernel verify`` draws t with the kernel
+suite's sampler, ``kernelnorm.unit_times_power``, and refuses to run with
+no sample or with a count above ``_MAX_SAMPLES``.  The CLI has no parser
+of its own: element text reads through the rings' ``parse_elt`` and
+``witt.parse_witt``, ``--b`` through ``Rationals.parse_elt``, and every
+integer flag through ``rings.integer``.
 """
 
 from __future__ import annotations
@@ -287,6 +290,9 @@ def _cmd_tilt(args) -> Reply:
 # kernel verify
 # ---------------------------------------------------------------------------
 
+# the most samples a count may ask for; 10^4 ran in 1.0-2.4 s on a shared 2-CPU host
+_MAX_SAMPLES = 10_000
+
 
 def _cmd_kernel(args) -> Reply:
     ring = ring_from_spec(args.ring, p=args.p, precision=args.precision, depth=args.depth)
@@ -300,6 +306,8 @@ def _cmd_kernel(args) -> Reply:
         except OSError as exc:
             raise MalformedConfig(f"--samples must be a count or a readable file: {exc}") from exc
     else:
+        if count > _MAX_SAMPLES:
+            raise MalformedConfig(f"--samples {count} is above the bound {_MAX_SAMPLES}")
         # the sampled t may carry negative powers of p; a file may hold t over any ring
         if not ring.q_algebra:
             raise MalformedConfig(
@@ -439,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--samples",
         default="10",
-        help="sample count, or a file with one element per line",
+        help=f"sample count (at most {_MAX_SAMPLES}), or a file with one element per line",
     )
     sp.add_argument("--seed", type=integer, default=0, help="seed for a sample count's draws")
     _add_common(sp, ring_default="Q")
@@ -458,9 +466,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # exact numbers may run past the interpreter's int/str digit limit, in
+    # the input and in the output; it is lifted for this call only
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
         code, payload, lines = args.fn(args)
         print(json.dumps(payload, sort_keys=True, indent=2) if args.json else "\n".join(lines))
         # a reader that closed the pipe shows here, not in the exit flush
@@ -478,6 +489,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
     return code
 
 

@@ -318,6 +318,9 @@ class PerfPolyRing(Ring):
         return " + ".join(parts)
 
     def parse_elt(self, text: str) -> PPoly:
+        """The sum of the signed terms of ``text``; a variable is read only
+        under the name ``format_elt`` writes for it."""
+        names = {self._var_name(i): i for i in range(self.nvars)}
         total = self.from_int(0)
         for raw in _signed_terms(text):
             term = raw.strip()
@@ -335,12 +338,12 @@ class PerfPolyRing(Ring):
                         raise MalformedConfig(f"empty factor in {raw!r}")
                     if factor[0] == "x":
                         name, caret, power = factor.partition("^")
-                        idx = integer(name[1:]) if len(name) > 1 else 0
-                        if not 0 <= idx < self.nvars:
+                        if name not in names:
+                            integer(name[1:] or "0")  # an index outside the grammar: bad term
                             raise MalformedConfig(f"unknown variable {name!r}")
                         # an exponent is q or (q), with one pair of parentheses
                         inner = power[1:-1] if power[:1] + power[-1:] == "()" else power
-                        exps[idx] += rational(inner) if caret else 1
+                        exps[names[name]] += rational(inner) if caret else 1
                     else:
                         coeff *= integer(factor)
             except ValueError as exc:

@@ -13,7 +13,8 @@ failures and keeps the witness of the first one, which a failing case appends
 to its detail as ``; first: <witness>``.  A witness names the sample index
 (or the iterated parameters), the ring as its config form, e.g.
 ``Zmod(p=3, M=4)``, and the inputs, so that ``wittlab verify <suite> --seed
-<seed>`` reproduces it.  Single verdicts are plain `_case` calls.
+<seed>`` reproduces it.  A single verdict is one ``CaseResult(name, passed,
+detail)``.
 
 The commutative-ring axioms are stated once, in `_AXIOMS`: each row is an
 arity and a predicate over an `_Arith` record of one ring's add, mul, neg,
@@ -28,16 +29,18 @@ behind the one entry point `_draw_elt`, which refuses a kind with no row
 1 + p*(...) of a cyclotomic field times a uniformizer power from
 `kernelnorm.unit_times_power`, the sampler ``kernel verify`` draws from too.
 
-Each check states its primes once, as a `_Check(name, primes, run)` in
+Each check is a generator that yields its cases one by one and builds no
+list.  It states its primes once, as a `_Check(name, primes, run)` in
 `_SUITES` (``primes=None``: every prime), and `run_suite` alone decides what
-runs.  It calls ``run(rng, primes)`` with the primes the check runs at: all of
-its own, or ``--p`` alone.  A grid check keeps its instances at those primes,
-in grid order.  A check whose primes exclude ``--p`` is reported as one
-inconclusive ``skipped`` case that names the primes it covers, a check
-that returns no case as one failing case, and a check that raises a
-``WittError`` as one failing case with detail ``raised <Class>: <message>``;
-the other checks still run.  One suite and ``all`` follow the same rule, and
-either is refused only when none of its checks covers ``--p``.
+runs and collects what it yields.  It calls ``run(rng, primes)`` with the
+primes the check runs at: all of its own, or ``--p`` alone.  A grid check
+keeps its instances at those primes, in grid order.  A check whose primes
+exclude ``--p`` is reported as one inconclusive ``skipped`` case that names
+the primes it covers, a check that yields no case as one failing case, and a
+check that raises a ``WittError`` as one failing case with detail ``raised
+<Class>: <message>``, even after it has yielded cases; the other checks still
+run.  One suite and ``all`` follow the same rule, and either is refused only
+when none of its checks covers ``--p``.
 """
 
 from __future__ import annotations
@@ -130,22 +133,6 @@ __all__ = [
     "SuiteReport",
     "SUITE_NAMES",
     "run_suite",
-    "check_structure_polynomials",
-    "check_witt_ring_laws",
-    "check_truncated_naturality",
-    "check_norm_laws",
-    "check_mul_by_p_norm",
-    "check_depth_lifting",
-    "check_theta_map",
-    "check_integer_rigidity",
-    "check_kernel_norm",
-    "check_perfect_verdicts",
-    "check_frobenius_solving",
-    "check_tilt_ring_laws",
-    "check_charp_overconvergence",
-    "check_untilt_isometry",
-    "check_inverse_frobenius_sandwich",
-    "check_invariant_profiles",
 ]
 
 
@@ -210,10 +197,6 @@ class SuiteReport:
         }
 
 
-def _case(name: str, passed: bool, detail: str = "", inconclusive: bool = False) -> CaseResult:
-    return CaseResult(name=name, passed=bool(passed), detail=detail, inconclusive=inconclusive)
-
-
 class _Law:
     """The tally of one sampled or iterated case: the number of failures and
     the witness of the first one."""
@@ -231,7 +214,7 @@ class _Law:
     def case(self, detail: str, inconclusive: bool = False) -> CaseResult:
         if self.bad:
             detail += f"; first: {self.first}"
-        return _case(self.name, not self.bad, detail, inconclusive)
+        return CaseResult(self.name, not self.bad, detail, inconclusive)
 
 
 def _show(**vecs: WittVec) -> str:
@@ -318,11 +301,10 @@ def _ghost_compose(polys: Sequence[UPoly], p: int) -> UPoly:
     return acc
 
 
-def check_structure_polynomials(rng: random.Random, primes: Sequence[int]) -> List[CaseResult]:
+def _check_structure_polynomials(rng: random.Random, primes: Sequence[int]) -> Iterable[CaseResult]:
     """Exact polynomial identities and weighted homogeneity of the cached
     sum/prod/frob component polynomials."""
     del rng  # fully deterministic
-    cases: List[CaseResult] = []
     for q in primes:
         cap = structure_cap(q)
         ghosts = _Law(f"ghost_identities_p{q}")
@@ -359,18 +341,15 @@ def check_structure_polynomials(rng: random.Random, primes: Sequence[int]) -> Li
                 and set(carry_f.weighted_degrees(single_w[: m + 1])) <= {q ** (m + 1)},
                 lambda: f"index {m}",
             )
-        cases += [
-            ghosts.case(
-                f"indices 0..{cap}: w(sum)=w(x)+w(y), w(prod)=w(x)w(y), "
-                f"w(frob)=shifted ghost, all as exact polynomial identities"
-            ),
-            carry.case(f"frob_i = x_i^{q} + {q}*x_(i+1) + {q}*f_i for i <= {cap}"),
-            homog.case(
-                f"deg s_i = {q}^i, deg m_i = 2*{q}^i, deg frob_i = deg f_i = {q}^(i+1) "
-                f"under weights {q}^j, i <= {cap}"
-            ),
-        ]
-    return cases
+        yield ghosts.case(
+            f"indices 0..{cap}: w(sum)=w(x)+w(y), w(prod)=w(x)w(y), "
+            f"w(frob)=shifted ghost, all as exact polynomial identities"
+        )
+        yield carry.case(f"frob_i = x_i^{q} + {q}*x_(i+1) + {q}*f_i for i <= {cap}")
+        yield homog.case(
+            f"deg s_i = {q}^i, deg m_i = 2*{q}^i, deg frob_i = deg f_i = {q}^(i+1) "
+            f"under weights {q}^j, i <= {cap}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +419,9 @@ _GHOST_LAWS: _Laws = {
 }
 
 
-def check_witt_ring_laws(rng: random.Random, primes: Optional[Sequence[int]]) -> List[CaseResult]:
+def _check_witt_ring_laws(
+    rng: random.Random, primes: Optional[Sequence[int]]
+) -> Iterable[CaseResult]:
     """Commutative-ring axioms and ghost-homomorphism identities, randomized
     over exact base rings at lengths 1-3, where ghost injectivity makes
     componentwise equality the right notion of truth, and over truncated
@@ -448,7 +429,6 @@ def check_witt_ring_laws(rng: random.Random, primes: Optional[Sequence[int]]) ->
     The laws hold at every prime: ``primes`` is None or the one prime asked."""
     rings = _law_rings(primes[0] if primes else None)
     names = ", ".join(r.label if r.truncated else r.kind for r in rings)
-    cases = []
     for name, (arity, identity) in {**_GHOST_LAWS, **_AXIOMS}.items():
         law = _Law(f"law_{name}")
         for i in range(_LAW_DRAWS):
@@ -459,8 +439,7 @@ def check_witt_ring_laws(rng: random.Random, primes: Optional[Sequence[int]]) ->
             law.check(
                 identity(W, *vecs.values()), lambda: f"sample {i} over {ring!r}: {_show(**vecs)}"
             )
-        cases.append(law.case(f"{_LAW_DRAWS} randomized cases over {names}; {law.bad} failures"))
-    return cases
+        yield law.case(f"{_LAW_DRAWS} randomized cases over {names}; {law.bad} failures")
 
 
 # (name, arity, op) of the ops whose naturality into a truncated ring is checked
@@ -491,9 +470,9 @@ def _naturality_rings(
     return rings
 
 
-def check_truncated_naturality(
+def _check_truncated_naturality(
     rng: random.Random, primes: Optional[Sequence[int]]
-) -> List[CaseResult]:
+) -> Iterable[CaseResult]:
     """W_L is a functor, so reduction Z -> Z/p^M and Z[zeta] -> Z[zeta]/p^M
     commutes with every Witt op, whatever integral lift of the residues the
     exact side starts from.  Over each truncated ring at lengths 1-5, with
@@ -554,13 +533,11 @@ def check_truncated_naturality(
     exacts = ", ".join(
         ["Z"] + [f"Q(zeta_{ring.p ** ring.k})" for ring, *_ in rings if not ring.scalar]
     )
-    return [
-        law.case(
-            f"sampled: {components} components of witt_add, witt_mul, witt_neg and "
-            f"frobenius over {labels} at lengths 1-5, each input component at a random "
-            f"precision, against {exacts} on a random other lift; {law.bad} failures"
-        )
-    ]
+    yield law.case(
+        f"sampled: {components} components of witt_add, witt_mul, witt_neg and "
+        f"frobenius over {labels} at lengths 1-5, each input component at a random "
+        f"precision, against {exacts} on a random other lift; {law.bad} failures"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +548,7 @@ def check_truncated_naturality(
 _RELATIONS = {"<=": operator.le, "==": operator.eq, ">=": operator.ge}
 
 
-def check_norm_laws(rng: random.Random, primes: Sequence[int]) -> List[CaseResult]:
+def _check_norm_laws(rng: random.Random, primes: Sequence[int]) -> Iterable[CaseResult]:
     """Ultrametric/submultiplicative bounds, the exact Verschiebung identity,
     and the power-multiplicative lower bound for the componentwise norm."""
     instances = [
@@ -608,10 +585,8 @@ def check_norm_laws(rng: random.Random, primes: Sequence[int]) -> List[CaseResul
                     f"{label}={got.text()} is not {rel} {bound.text()}",
                 )
     names = ", ".join(f"{r.kind}(p={r.p})" for r in instances)
-    return [
-        law.case(f"{_NORM_SAMPLES} samples per instance over {names}; {law.bad} failures")
-        for law in laws
-    ]
+    for law in laws:
+        yield law.case(f"{_NORM_SAMPLES} samples per instance over {names}; {law.bad} failures")
 
 
 # ---------------------------------------------------------------------------
@@ -619,11 +594,10 @@ def check_norm_laws(rng: random.Random, primes: Sequence[int]) -> List[CaseResul
 # ---------------------------------------------------------------------------
 
 
-def check_mul_by_p_norm(rng: random.Random, primes: Sequence[int]) -> List[CaseResult]:
+def _check_mul_by_p_norm(rng: random.Random, primes: Sequence[int]) -> Iterable[CaseResult]:
     """|p^m|_{W,b} = p^(-min(b,1)m) exactly, sup attained within depth m+1."""
     del rng
     bs = (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2))
-    cases = []
     for q in primes:
         ring = Integers(q)
         law = _Law(f"mul_by_p_norm_p{q}")
@@ -642,13 +616,10 @@ def check_mul_by_p_norm(rng: random.Random, primes: Sequence[int]) -> List[CaseR
                 )
         # the loop's m=1, b=1/2 case checks this value; the detail prints it
         golden = arrow_norm(arrow_from_integer(ring, q, 2), Fraction(1, 2))
-        cases.append(
-            law.case(
-                f"m<=3, b in (1/4,1/2,1,2), all exact; "
-                f"|{q}|_(W,1/2) = {golden.value.text()} (expect p^-1/2)"
-            )
+        yield law.case(
+            f"m<=3, b in (1/4,1/2,1,2), all exact; "
+            f"|{q}|_(W,1/2) = {golden.value.text()} (expect p^-1/2)"
         )
-    return cases
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +642,7 @@ def _induced(a: ArrowElt) -> Tuple[int, int, int]:
     return tuple(a.ring.digits(c)[0] for c in (z00, z10, z11))
 
 
-def check_depth_lifting(rng: random.Random, primes: Sequence[int]) -> List[CaseResult]:
+def _check_depth_lifting(rng: random.Random, primes: Sequence[int]) -> Iterable[CaseResult]:
     """Exhaustive reduction/lift analysis between depth-4 families mod 4 and
     depth-1 families mod 2: the induced depth-1 data mod 4 depends only on
     the mod-2 reduction (uniqueness), every mod-2 family is hit (existence),
@@ -722,28 +693,26 @@ def check_depth_lifting(rng: random.Random, primes: Sequence[int]) -> List[CaseR
             lambda: f"k={k}: precision lift",
         )
 
-    return [
-        unique.case(
-            "1024 depth-4 families mod 4 in 32 mod-2 classes; every class induces "
-            "exactly one depth-1 family mod 4"
-        ),
-        _case(
-            "lift_existence",
-            targets == hit,
-            f"all {len(targets)} coherent depth-1 families mod 2 are hit by reduction",
-        ),
-        lift.case(
-            "lift_arrow_precision on all 32 mod-2 classes reproduces the washed depth-1 values"
-        ),
-        cross.case(
-            "the reference Frobenius over Z (unghost of the shifted ghost) and the "
-            "generic Witt Frobenius agree on all class reps"
-        ),
-        consistent.case(
-            "from_integer(k) for k in [-8,8]: reduction mod 2 and the precision lift "
-            "agree with the directly built families"
-        ),
-    ]
+    yield unique.case(
+        "1024 depth-4 families mod 4 in 32 mod-2 classes; every class induces "
+        "exactly one depth-1 family mod 4"
+    )
+    yield CaseResult(
+        "lift_existence",
+        targets == hit,
+        f"all {len(targets)} coherent depth-1 families mod 2 are hit by reduction",
+    )
+    yield lift.case(
+        "lift_arrow_precision on all 32 mod-2 classes reproduces the washed depth-1 values"
+    )
+    yield cross.case(
+        "the reference Frobenius over Z (unghost of the shifted ghost) and the "
+        "generic Witt Frobenius agree on all class reps"
+    )
+    yield consistent.case(
+        "from_integer(k) for k in [-8,8]: reduction mod 2 and the precision lift "
+        "agree with the directly built families"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -751,10 +720,9 @@ def check_depth_lifting(rng: random.Random, primes: Sequence[int]) -> List[CaseR
 # ---------------------------------------------------------------------------
 
 
-def check_theta_map(rng: random.Random, primes: Sequence[int]) -> List[CaseResult]:
+def _check_theta_map(rng: random.Random, primes: Sequence[int]) -> Iterable[CaseResult]:
     """The projection theta against the classical partial series, lift
     stability at the p^(M-N) scale, and the ring-homomorphism property."""
-    cases = []
     M = 6
     for q in primes:
         ring = ZModPM(q, M)
@@ -806,22 +774,19 @@ def check_theta_map(rng: random.Random, primes: Sequence[int]) -> List[CaseResul
             ring.eq(theta(arrow_teichmuller(ring, [ring.one()] * 3)), ring.one()),
             lambda: f"over {ring!r}: theta([1]) != 1",
         )
-        cases += [
-            agree.case(
-                f"{_THETA_SAMPLES} coherent samples over {ring.label}, N<=3; projection == "
-                f"telescoped partial series exactly; {agree.bad} failures"
-            ),
-            stability.case(
-                f"perturbing level-N lifts by multiples of {q}^(M-N) moves the series "
-                f"by at most {q}^-(M-N); {stability.bad} failures"
-            ),
-            hom.case(
-                f"{_THETA_PAIRS} sampled pairs: theta(a+b)=theta(a)+theta(b), "
-                f"theta(ab)=theta(a)theta(b), exactly; {hom.bad} failures"
-            ),
-            golden.case("theta(from_integer(k)) = k for |k|<=3 and theta([1]) = 1"),
-        ]
-    return cases
+        yield agree.case(
+            f"{_THETA_SAMPLES} coherent samples over {ring.label}, N<=3; projection == "
+            f"telescoped partial series exactly; {agree.bad} failures"
+        )
+        yield stability.case(
+            f"perturbing level-N lifts by multiples of {q}^(M-N) moves the series "
+            f"by at most {q}^-(M-N); {stability.bad} failures"
+        )
+        yield hom.case(
+            f"{_THETA_PAIRS} sampled pairs: theta(a+b)=theta(a)+theta(b), "
+            f"theta(ab)=theta(a)theta(b), exactly; {hom.bad} failures"
+        )
+        yield golden.case("theta(from_integer(k)) = k for |k|<=3 and theta([1]) = 1")
 
 
 # ---------------------------------------------------------------------------
@@ -829,7 +794,7 @@ def check_theta_map(rng: random.Random, primes: Sequence[int]) -> List[CaseResul
 # ---------------------------------------------------------------------------
 
 
-def check_integer_rigidity(rng: random.Random, primes: Sequence[int]) -> List[CaseResult]:
+def _check_integer_rigidity(rng: random.Random, primes: Sequence[int]) -> Iterable[CaseResult]:
     """Exhaustive ghost-congruence check for integer families at p=2, depth 3.
 
     For the family generated by a top vector z, the chain value at index
@@ -878,20 +843,18 @@ def check_integer_rigidity(rng: random.Random, primes: Sequence[int]) -> List[Ca
             False, lambda: f"sample {s} over {ring!r}: top {top}, z_{lvl}[{pos}] += {delta}"
         )
 
-    return [
-        exhaustive.case(
-            f"all {total} integer tops with components in [-{bound},{bound}]: "
-            f"w_m = w_(m-1) mod 2^m for m=1..3; {exhaustive.bad} failures"
-        ),
-        machinery.case(
-            f"{_RIGIDITY_CROSS} random tops: arrow rigidity profile true and chain heads equal "
-            f"the ghost coordinates; {machinery.bad} failures"
-        ),
-        slipped.case(
-            f"{_RIGIDITY_PERTURBATIONS} random single-component perturbations of non-top levels "
-            f"all violate coherence; {slipped.bad} slipped through"
-        ),
-    ]
+    yield exhaustive.case(
+        f"all {total} integer tops with components in [-{bound},{bound}]: "
+        f"w_m = w_(m-1) mod 2^m for m=1..3; {exhaustive.bad} failures"
+    )
+    yield machinery.case(
+        f"{_RIGIDITY_CROSS} random tops: arrow rigidity profile true and chain heads equal "
+        f"the ghost coordinates; {machinery.bad} failures"
+    )
+    yield slipped.case(
+        f"{_RIGIDITY_PERTURBATIONS} random single-component perturbations of non-top levels "
+        f"all violate coherence; {slipped.bad} slipped through"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -899,28 +862,24 @@ def check_integer_rigidity(rng: random.Random, primes: Sequence[int]) -> List[Ca
 # ---------------------------------------------------------------------------
 
 
-def check_kernel_norm(rng: random.Random, primes: Sequence[int]) -> List[CaseResult]:
+def _check_kernel_norm(rng: random.Random, primes: Sequence[int]) -> Iterable[CaseResult]:
     """|w_1(x)| = p^(-1/p-...-1/p^j) |x|_W for the Frobenius-kernel family."""
     closed = _Law("kernel_closed_form")
     closed_primes = [q for q in (2, 3) if q in primes]
     for q in closed_primes:
         for j in (1, 2):
             closed.check(symbolic_kernel_identity(q, j)["passed"], lambda: f"p={q}, j={j}")
-    cases = [
-        closed.case(
-            "generic-valuation identity holds with unique leading terms, "
-            f"p in {{{','.join(map(str, closed_primes))}}}, j <= 2"
-        )
-    ]
+    yield closed.case(
+        "generic-valuation identity holds with unique leading terms, "
+        f"p in {{{','.join(map(str, closed_primes))}}}, j <= 2"
+    )
     if 2 in primes:
         golden = kernel_element_from_w1(Rationals(2), Fraction(4), 2)
-        cases.append(
-            _case(
-                "kernel_golden_components",
-                tuple(golden.components) == (Fraction(4), Fraction(-8), Fraction(-96)),
-                f"unghost of (4,0,0) at p=2: {tuple(str(c) for c in golden.components)} "
-                "(expect (4, -8, -96))",
-            )
+        yield CaseResult(
+            "kernel_golden_components",
+            tuple(golden.components) == (Fraction(4), Fraction(-8), Fraction(-96)),
+            f"unghost of (4,0,0) at p=2: {tuple(str(c) for c in golden.components)} "
+            "(expect (4, -8, -96))",
         )
     grid: List[Tuple[int, Ring, str]] = [
         (2, Rationals(2), "Q"),
@@ -942,13 +901,10 @@ def check_kernel_norm(rng: random.Random, primes: Sequence[int]) -> List[CaseRes
                     f"|w1|={exponent_text(rep['w1_exponent'])}, "
                     f"c|x|={exponent_text(rep['scaled_sup_exponent'])}",
                 )
-        cases.append(
-            law.case(
-                f"{_KERNEL_SAMPLES} samples per j in {{1,2}} spanning valuations [-2,2] "
-                f"over {label}; F(x)=0 and exact equality; {law.bad} failures"
-            )
+        yield law.case(
+            f"{_KERNEL_SAMPLES} samples per j in {{1,2}} spanning valuations [-2,2] "
+            f"over {label}; F(x)=0 and exact equality; {law.bad} failures"
         )
-    return cases
 
 
 # ---------------------------------------------------------------------------
@@ -979,13 +935,11 @@ def _times_n_has_no_root(digits: Sequence[int], n: int, p: int, k: int) -> Tuple
     return tuple(n * c % (n * n) for c in digits) not in powers, enumerated
 
 
-def check_perfect_verdicts(rng: random.Random, primes: Sequence[int]) -> List[CaseResult]:
+def _check_perfect_verdicts(rng: random.Random, primes: Sequence[int]) -> Iterable[CaseResult]:
     """Witt-perfectness yes/no verdicts with independently re-verified
     witnesses: plain residue rings fail, the small cyclotomic rings behave as
     recorded, and the towers pass up to level 2.  Each case runs at its own
     prime, and only the cases at ``primes`` run."""
-    cases = []
-
     integers = _Law("integers_not_perfect")
     z_detail = []
     for q in primes:
@@ -996,11 +950,9 @@ def check_perfect_verdicts(rng: random.Random, primes: Sequence[int]) -> List[Ca
             indep, searched = _times_n_has_no_root((Integers(q).parse_elt(a),), q, 2, 1)
         integers.check(rep.verdict == "no" and indep, lambda: f"p={q}: verdict {rep.verdict}, a={a}")
         z_detail.append(f"p={q}: a={a} ({searched} residues)")
-    cases.append(
-        integers.case(
-            "no b has b^p = p*a mod p^2; witnesses re-verified over all residues mod p^2 "
-            "by standalone convolution arithmetic: " + ", ".join(z_detail)
-        )
+    yield integers.case(
+        "no b has b^p = p*a mod p^2; witnesses re-verified over all residues mod p^2 "
+        "by standalone convolution arithmetic: " + ", ".join(z_detail)
     )
 
     if 5 in primes:
@@ -1010,13 +962,11 @@ def check_perfect_verdicts(rng: random.Random, primes: Sequence[int]) -> List[Ca
         indep, searched = False, 0
         if x is not None and x.den == 1:
             indep, searched = _times_n_has_no_root(x.nums, 5, 2, 2)
-        cases.append(
-            _case(
-                "gaussian_not_perfect",
-                rep.verdict == "no" and indep,
-                f"Z[i] at p=5: verdict {rep.verdict}; witness a={wa} re-verified over all "
-                f"{searched} candidates mod 25",
-            )
+        yield CaseResult(
+            "gaussian_not_perfect",
+            rep.verdict == "no" and indep,
+            f"Z[i] at p=5: verdict {rep.verdict}; witness a={wa} re-verified over all "
+            f"{searched} candidates mod 25",
         )
 
     if 2 in primes:
@@ -1026,13 +976,11 @@ def check_perfect_verdicts(rng: random.Random, primes: Sequence[int]) -> List[Ca
         if root is not None:
             sq = reference.conv_reduce(root, root, 2, 3, 4)
             root_ok = sq[0] % 4 == 2 and all(c % 4 == 0 for c in sq[1:])
-        cases.append(
-            _case(
-                "zeta8_square_root_of_two",
-                root is not None and root_ok,
-                f"Z[zeta_8] contains b={root} with b^2 = 2 mod 4, re-verified by "
-                "standalone convolution arithmetic",
-            )
+        yield CaseResult(
+            "zeta8_square_root_of_two",
+            root is not None and root_ok,
+            f"Z[zeta_8] contains b={root} with b^2 = 2 mod 4, re-verified by "
+            "standalone convolution arithmetic",
         )
 
     if 3 in primes:
@@ -1046,13 +994,11 @@ def check_perfect_verdicts(rng: random.Random, primes: Sequence[int]) -> List[Ca
         else:
             # condition (a) failure alone already decides the verdict
             indep3 = rep3.condition_a["witness"] is not None
-        cases.append(
-            _case(
-                "zeta3_ring_not_perfect",
-                rep3.verdict == "no" and indep3,
-                f"Z[zeta_3] at p=3: verdict {rep3.verdict}; witness a={wa3} "
-                f"has no cube root among all {searched3} residues mod 9 (independent enumeration)",
-            )
+        yield CaseResult(
+            "zeta3_ring_not_perfect",
+            rep3.verdict == "no" and indep3,
+            f"Z[zeta_3] at p=3: verdict {rep3.verdict}; witness a={wa3} "
+            f"has no cube root among all {searched3} residues mod 9 (independent enumeration)",
         )
 
     for q, samples in ((2, None), (3, 20)):
@@ -1064,14 +1010,12 @@ def check_perfect_verdicts(rng: random.Random, primes: Sequence[int]) -> List[Ca
         rept = witt_perfect_test(config, rng)
         seq_ok = all(rept.condition_b["x1_checks"].values())
         sampled = any("sampled" in lvl["mode"] for lvl in rept.condition_a["levels"].values())
-        cases.append(
-            _case(
-                f"tower_p{q}_level2",
-                rept.verdict == "yes-up-to-level-2" and seq_ok,
-                f"purity certificates and x_1^{q} = {q} mod {q}^2 hold; "
-                f"levels checked {'with sampling' if sampled else 'exhaustively'}",
-                inconclusive=sampled,
-            )
+        yield CaseResult(
+            f"tower_p{q}_level2",
+            rept.verdict == "yes-up-to-level-2" and seq_ok,
+            f"purity certificates and x_1^{q} = {q} mod {q}^2 hold; "
+            f"levels checked {'with sampling' if sampled else 'exhaustively'}",
+            inconclusive=sampled,
         )
 
     if 3 in primes:
@@ -1079,15 +1023,12 @@ def check_perfect_verdicts(rng: random.Random, primes: Sequence[int]) -> List[Ca
         f1 = seq.tower.field(1)
         c = f1.integral_coeffs(seq.value(1))
         cube = reference.conv_reduce(c, reference.conv_reduce(c, c, 3, 3, 27), 3, 3, 27)
-        cases.append(
-            _case(
-                "tower_p3_seed_independent",
-                cube[0] % 9 == 3 and all(c % 9 == 0 for c in cube[1:]),
-                "the constructed x_1 in Z[zeta_27] satisfies x_1^3 = 3 mod 9 under "
-                "standalone convolution arithmetic",
-            )
+        yield CaseResult(
+            "tower_p3_seed_independent",
+            cube[0] % 9 == 3 and all(c % 9 == 0 for c in cube[1:]),
+            "the constructed x_1 in Z[zeta_27] satisfies x_1^3 = 3 mod 9 under "
+            "standalone convolution arithmetic",
         )
-    return cases
 
 
 # ---------------------------------------------------------------------------
@@ -1110,10 +1051,9 @@ def _normed_contract(seq, lvl: int, head: Any) -> bool:
         return False
 
 
-def check_frobenius_solving(rng: random.Random, primes: Sequence[int]) -> List[CaseResult]:
+def _check_frobenius_solving(rng: random.Random, primes: Sequence[int]) -> Iterable[CaseResult]:
     """Greedy digit solving round-trips over Z/p^M and the normed tower
     solver's exact contract |y|^p <= |x|."""
-    cases = []
     for q, M in [(q, M) for q, M in ((2, 6), (3, 5)) if q in primes]:
         ring = ZModPM(q, M)
         roundtrip = _Law(f"solve_roundtrip_p{q}")
@@ -1126,11 +1066,9 @@ def check_frobenius_solving(rng: random.Random, primes: Sequence[int]) -> List[C
                 witt_eq(frobenius(y2), x),
                 lambda: f"sample {s} over {ring!r}: {_show(y=y, solved=y2)}",
             )
-        cases.append(
-            roundtrip.case(
-                f"{_SOLVE_FUZZ} fuzzed images x = F(y) over {ring.label}: solver output satisfies "
-                f"F(y') = x at the tracked precision; {roundtrip.bad} failures"
-            )
+        yield roundtrip.case(
+            f"{_SOLVE_FUZZ} fuzzed images x = F(y) over {ring.label}: solver output satisfies "
+            f"F(y') = x at the tracked precision; {roundtrip.bad} failures"
         )
 
     if 2 in primes:
@@ -1149,11 +1087,9 @@ def check_frobenius_solving(rng: random.Random, primes: Sequence[int]) -> List[C
                 witt_eq(frobenius(y2), x),
                 lambda: f"sample {s} over {ring!r}: {_show(x=x, solved=y2)}",
             )
-        cases.append(
-            wrong.case(
-                f"40 direct draws over Z/2^6: {solved} solved and verified, {refused} "
-                f"certified no-preimage, {wrong.bad} wrong answers"
-            )
+        yield wrong.case(
+            f"40 direct draws over Z/2^6: {solved} solved and verified, {refused} "
+            f"certified no-preimage, {wrong.bad} wrong answers"
         )
 
         seq2 = build_root_sequence(2, 6)
@@ -1177,13 +1113,11 @@ def check_frobenius_solving(rng: random.Random, primes: Sequence[int]) -> List[C
             )
         # x=(2) is the first input; its solve window is reported as the golden
         _y, repg = solve_frobenius_normed(seq2, 1, WittVec(f1, (f1.from_int(2),)))
-        cases.append(
-            contract.case(
-                f"{len(shapes)} single-component tower inputs at levels 1-2 "
-                f"(integers, uniformizer powers, halves): F(y)=x and |y|^2<=|x| exact; "
-                f"{contract.bad} failures; x=(2): window n={repg['n']}, m={repg['m']}, "
-                f"working level {repg['working_level']}, |y|^2<=|x| exact"
-            )
+        yield contract.case(
+            f"{len(shapes)} single-component tower inputs at levels 1-2 "
+            f"(integers, uniformizer powers, halves): F(y)=x and |y|^2<=|x| exact; "
+            f"{contract.bad} failures; x=(2): window n={repg['n']}, m={repg['m']}, "
+            f"working level {repg['working_level']}, |y|^2<=|x| exact"
         )
 
     if 3 in primes:
@@ -1199,13 +1133,10 @@ def check_frobenius_solving(rng: random.Random, primes: Sequence[int]) -> List[C
                 _normed_contract(seq3, 1, head),
                 lambda: f"input {s} over {f1!r}: x=({f1.format_elt(head)})",
             )
-        cases.append(
-            contract.case(
-                "10 single-component inputs over the level-1 field of the p=3 tower "
-                f"(unit times uniformizer power): exact contract; {contract.bad} failures"
-            )
+        yield contract.case(
+            "10 single-component inputs over the level-1 field of the p=3 tower "
+            f"(unit times uniformizer power): exact contract; {contract.bad} failures"
         )
-    return cases
 
 
 # ---------------------------------------------------------------------------
@@ -1213,12 +1144,11 @@ def check_frobenius_solving(rng: random.Random, primes: Sequence[int]) -> List[C
 # ---------------------------------------------------------------------------
 
 
-def check_tilt_ring_laws(rng: random.Random, primes: Sequence[int]) -> List[CaseResult]:
+def _check_tilt_ring_laws(rng: random.Random, primes: Sequence[int]) -> Iterable[CaseResult]:
     """The sum's and the product's rows of `_AXIOMS` over every tuple of
     depth-3 chains over Z/2^3 and Z/3^2, the characteristic-p identity, and
     Frobenius bijectivity at the precision the chains actually certify."""
     del rng
-    cases = []
     for q, M in [(q, M) for q, M in ((2, 3), (3, 2)) if q in primes]:
         base = ZModPM(q, M)
         D = 3
@@ -1279,20 +1209,17 @@ def check_tilt_ring_laws(rng: random.Random, primes: Sequence[int]) -> List[Case
         )
 
         label = base.label
-        cases += [
-            add.case(
-                f"all {len(chains)} coherent depth-{D} chains over {label}: commutativity, "
-                "associativity, additive inverse at certified precision"
-            ),
-            mul.case(f"multiplicative commutativity/associativity/distributivity over {label}"),
-            char.case(f"{q}*x = 0 for every chain (characteristic {q})"),
-            frob.case(
-                "p-th root undoes Frobenius exactly and the shifted chain is the exact "
-                "Frobenius preimage one level down; injective at matched precision, "
-                "with distinct images in bijection with distinct truncations"
-            ),
-        ]
-    return cases
+        yield add.case(
+            f"all {len(chains)} coherent depth-{D} chains over {label}: commutativity, "
+            "associativity, additive inverse at certified precision"
+        )
+        yield mul.case(f"multiplicative commutativity/associativity/distributivity over {label}")
+        yield char.case(f"{q}*x = 0 for every chain (characteristic {q})")
+        yield frob.case(
+            "p-th root undoes Frobenius exactly and the shifted chain is the exact "
+            "Frobenius preimage one level down; injective at matched precision, "
+            "with distinct images in bijection with distinct truncations"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -1300,7 +1227,7 @@ def check_tilt_ring_laws(rng: random.Random, primes: Sequence[int]) -> List[Case
 # ---------------------------------------------------------------------------
 
 
-def check_charp_overconvergence(rng: random.Random, primes: Sequence[int]) -> List[CaseResult]:
+def _check_charp_overconvergence(rng: random.Random, primes: Sequence[int]) -> Iterable[CaseResult]:
     """Inverse-limit norm equals the closed sup formula over a perfected
     polynomial ring, and the degree-growth dichotomy is two-sided."""
     del primes  # the perfected polynomial ring is F_2[x^(1/2^oo)]
@@ -1312,12 +1239,10 @@ def check_charp_overconvergence(rng: random.Random, primes: Sequence[int]) -> Li
         b = bs[s % 3]
         rep = charp_limit_norm(x, b)
         limit.check(rep["passed"], lambda: f"sample {s} over {ring!r}, b={b}: {_show(x=x)}")
-    cases = [
-        limit.case(
-            f"{_CHARP_SAMPLES} vectors over F_2[x^(1/2^oo)] at depth 4, b in (1/2,1,2): "
-            f"coherent-family norm == sup formula exactly; {limit.bad} failures"
-        )
-    ]
+    yield limit.case(
+        f"{_CHARP_SAMPLES} vectors over F_2[x^(1/2^oo)] at depth 4, b in (1/2,1,2): "
+        f"coherent-family norm == sup formula exactly; {limit.bad} failures"
+    )
 
     growth = _Law("charp_growth_dichotomy")
     for C in (0, 1, 2):
@@ -1326,14 +1251,11 @@ def check_charp_overconvergence(rng: random.Random, primes: Sequence[int]) -> Li
             for b in (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)):
                 rep = growth_profile_report(x, b, C, D)
                 growth.check(rep["passed"], lambda: f"(C,D,b)=({C},{D},{b})")
-    cases.append(
-        growth.case(
-            "families with degree profile (C*j+D)*2^j for (C,D) in {0,1,2}^2: "
-            "b >= C gives a nonincreasing profile with sup 2^D at the head, "
-            "b < C a strictly increasing profile"
-        )
+    yield growth.case(
+        "families with degree profile (C*j+D)*2^j for (C,D) in {0,1,2}^2: "
+        "b >= C gives a nonincreasing profile with sup 2^D at the head, "
+        "b < C a strictly increasing profile"
     )
-    return cases
 
 
 # ---------------------------------------------------------------------------
@@ -1341,7 +1263,7 @@ def check_charp_overconvergence(rng: random.Random, primes: Sequence[int]) -> Li
 # ---------------------------------------------------------------------------
 
 
-def check_untilt_isometry(rng: random.Random, primes: Sequence[int]) -> List[CaseResult]:
+def _check_untilt_isometry(rng: random.Random, primes: Sequence[int]) -> Iterable[CaseResult]:
     """arrow_norm(untilt(x), b) == charp norm of x for b <= 1 on certified
     chain vectors over the conductor-32 truncated cyclotomic base."""
     del rng, primes  # the conductor-32 base is a p=2 instance
@@ -1383,12 +1305,10 @@ def check_untilt_isometry(rng: random.Random, primes: Sequence[int]) -> List[Cas
                 f"{exponent_text(rep['family_exponent'])} vs charp "
                 f"{exponent_text(rep['charp_exponent'])}",
             )
-    return [
-        law.case(
-            f"{len(inputs)} certified chain vectors (uniformizer powers, sums, "
-            "shifted components) x b in (1/4,1/2,1): exact norm agreement"
-        )
-    ]
+    yield law.case(
+        f"{len(inputs)} certified chain vectors (uniformizer powers, sums, "
+        "shifted components) x b in (1/4,1/2,1): exact norm agreement"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1396,7 +1316,9 @@ def check_untilt_isometry(rng: random.Random, primes: Sequence[int]) -> List[Cas
 # ---------------------------------------------------------------------------
 
 
-def check_inverse_frobenius_sandwich(rng: random.Random, primes: Sequence[int]) -> List[CaseResult]:
+def _check_inverse_frobenius_sandwich(
+    rng: random.Random, primes: Sequence[int]
+) -> Iterable[CaseResult]:
     """Both displayed inequalities tying |x|_{W,b} to the shifted family."""
     rings: List[TruncatedRing] = [
         r for r in (ZModPM(2, 6), ZModPM(3, 4), CycloModPM(2, 3, 4)) if r.p in primes
@@ -1430,7 +1352,7 @@ def check_inverse_frobenius_sandwich(rng: random.Random, primes: Sequence[int]) 
     )
     if unsettled.bad:
         detail += f"; first inconclusive: {unsettled.first}"
-    return [law.case(detail, inconclusive=bool(unsettled.bad))]
+    yield law.case(detail, inconclusive=bool(unsettled.bad))
 
 
 # ---------------------------------------------------------------------------
@@ -1438,14 +1360,13 @@ def check_inverse_frobenius_sandwich(rng: random.Random, primes: Sequence[int]) 
 # ---------------------------------------------------------------------------
 
 
-def check_invariant_profiles(rng: random.Random, primes: Sequence[int]) -> List[CaseResult]:
+def _check_invariant_profiles(rng: random.Random, primes: Sequence[int]) -> Iterable[CaseResult]:
     """Bounded/unbounded constant-ghost profiles over Q(i) against the
     localized-subring prediction, plus the Teichmueller fixed-point test.
     Each sample runs at its own prime; only those at ``primes`` run, and a
     case left with no sample is dropped."""
     del rng
     f5, f3 = GaussianField(5), GaussianField(3)
-    cases = []
 
     if 5 in primes:
         grid = _Law("invariant_grid_split_p5")
@@ -1456,13 +1377,11 @@ def check_invariant_profiles(rng: random.Random, primes: Sequence[int]) -> List[
             f = f5.from_pair(Fraction(a_num, da), Fraction(b_num, db))
             n_grid += 1
             grid.check(invariant_classify(f5, f, 2)["passed"], lambda: f"f={f5.format_elt(f)}")
-        cases.append(
-            grid.case(
-                f"{n_grid} samples a+bi with |a|,|b|<=3 and denominators in {{1,2,3}} "
-                f"over Q(i) at p=5: observed boundedness matches the two-place "
-                f"valuation prediction; {grid.bad} mismatches",
-                inconclusive=True,
-            )
+        yield grid.case(
+            f"{n_grid} samples a+bi with |a|,|b|<=3 and denominators in {{1,2,3}} "
+            f"over Q(i) at p=5: observed boundedness matches the two-place "
+            f"valuation prediction; {grid.bad} mismatches",
+            inconclusive=True,
         )
 
     def at_primes(samples):
@@ -1485,7 +1404,7 @@ def check_invariant_profiles(rng: random.Random, primes: Sequence[int]) -> List[
             rep = invariant_classify(fld, f, 3)
             named.check(rep["bounded"] == want_bounded and rep["passed"], lambda: label)
             details.append(f"{label}: {'bounded' if rep['bounded'] else 'unbounded'}")
-        cases.append(named.case("; ".join(details)))
+        yield named.case("; ".join(details))
 
     stable_samples = at_primes([(f3, i3), (f5, f5.from_pair(Fraction(1, 5), Fraction(0)))])
     if stable_samples:
@@ -1499,11 +1418,9 @@ def check_invariant_profiles(rng: random.Random, primes: Sequence[int]) -> List[
                 and r2["first_unbounded_index"] == r3["first_unbounded_index"],
                 lambda: f"f={fld.format_elt(f)} over {fld!r}",
             )
-        cases.append(
-            stable.case(
-                "once a profile goes unbounded it stays unbounded as the depth grows "
-                "(first unbounded index stable from N=2 to N=3)"
-            )
+        yield stable.case(
+            "once a profile goes unbounded it stays unbounded as the depth grows "
+            "(first unbounded index stable from N=2 to N=3)"
         )
 
     teich = _Law("teichmuller_fixed_points")
@@ -1526,8 +1443,7 @@ def check_invariant_profiles(rng: random.Random, primes: Sequence[int]) -> List[
         )
     else:
         teich_detail = "; ".join(label for *_, label in teich_samples)
-    cases.append(teich.case(teich_detail))
-    return cases
+    yield teich.case(teich_detail)
 
 
 # ---------------------------------------------------------------------------
@@ -1540,37 +1456,37 @@ class _Check(NamedTuple):
 
     name: str
     primes: Optional[Tuple[int, ...]]
-    run: Callable[..., List[CaseResult]]
+    run: Callable[..., Iterable[CaseResult]]
 
     def covers(self, p: Optional[int]) -> bool:
         return p is None or self.primes is None or p in self.primes
 
 
 _SUITES: Dict[str, List[_Check]] = {
-    "universal": [_Check("structure_polynomials", (2, 3, 5), check_structure_polynomials)],
+    "universal": [_Check("structure_polynomials", (2, 3, 5), _check_structure_polynomials)],
     "ghost": [
-        _Check("witt_ring_laws", None, check_witt_ring_laws),
-        _Check("truncated_naturality", None, check_truncated_naturality),
+        _Check("witt_ring_laws", None, _check_witt_ring_laws),
+        _Check("truncated_naturality", None, _check_truncated_naturality),
     ],
-    "norms": [_Check("norm_laws", (2, 3, 5), check_norm_laws)],
+    "norms": [_Check("norm_laws", (2, 3, 5), _check_norm_laws)],
     "arrow": [
-        _Check("mul_by_p_norm", (2, 3), check_mul_by_p_norm),
-        _Check("depth_lifting", (2,), check_depth_lifting),
-        _Check("theta_map", (2, 3), check_theta_map),
-        _Check("integer_rigidity", (2,), check_integer_rigidity),
-        _Check("inverse_frobenius_sandwich", (2, 3), check_inverse_frobenius_sandwich),
+        _Check("mul_by_p_norm", (2, 3), _check_mul_by_p_norm),
+        _Check("depth_lifting", (2,), _check_depth_lifting),
+        _Check("theta_map", (2, 3), _check_theta_map),
+        _Check("integer_rigidity", (2,), _check_integer_rigidity),
+        _Check("inverse_frobenius_sandwich", (2, 3), _check_inverse_frobenius_sandwich),
     ],
     "perfect": [
-        _Check("perfect_verdicts", (2, 3, 5), check_perfect_verdicts),
-        _Check("frobenius_solving", (2, 3), check_frobenius_solving),
+        _Check("perfect_verdicts", (2, 3, 5), _check_perfect_verdicts),
+        _Check("frobenius_solving", (2, 3), _check_frobenius_solving),
     ],
     "tilt": [
-        _Check("tilt_ring_laws", (2, 3), check_tilt_ring_laws),
-        _Check("charp_overconvergence", (2,), check_charp_overconvergence),
-        _Check("untilt_isometry", (2,), check_untilt_isometry),
+        _Check("tilt_ring_laws", (2, 3), _check_tilt_ring_laws),
+        _Check("charp_overconvergence", (2,), _check_charp_overconvergence),
+        _Check("untilt_isometry", (2,), _check_untilt_isometry),
     ],
-    "kernel": [_Check("kernel_norm", (2, 3), check_kernel_norm)],
-    "artin": [_Check("invariant_profiles", (3, 5, 7), check_invariant_profiles)],
+    "kernel": [_Check("kernel_norm", (2, 3), _check_kernel_norm)],
+    "artin": [_Check("invariant_profiles", (3, 5, 7), _check_invariant_profiles)],
 }
 
 SUITE_NAMES = tuple(_SUITES) + ("all",)
@@ -1607,14 +1523,14 @@ def run_suite(name: str, seed: int = 0, p: Optional[int] = None) -> SuiteReport:
         if check.covers(p):
             primes = check.primes if p is None else (p,)
             try:
-                cases = check.run(random.Random(f"{seed}|{sub}|{check.name}"), primes)
+                cases = list(check.run(random.Random(f"{seed}|{sub}|{check.name}"), primes))
             except WittError as exc:
                 detail = f"raised {type(exc).__name__}: {exc}"
-                cases = [_case(check.name, False, detail)]
-            cases = cases or [_case(check.name, False, "the check ran no case")]
+                cases = [CaseResult(check.name, False, detail)]
+            cases = cases or [CaseResult(check.name, False, "the check ran no case")]
         else:
             detail = f"skipped: --p {p}: this check covers p in {_covered(check.primes)} only"
-            cases = [_case(check.name, True, detail, inconclusive=True)]
+            cases = [CaseResult(check.name, True, detail, inconclusive=True)]
         prefix = f"{sub}." if name == "all" else ""
         report.cases.extend(dataclasses.replace(c, name=prefix + c.name) for c in cases)
     report.elapsed_s = time.monotonic() - started

@@ -86,6 +86,33 @@ def test_compute_over_truncated_rings_keeps_the_digit_budget(capsys):
     assert code == 0 and out.strip() == "(4, 3)"
 
 
+def test_integers_past_the_interpreter_digit_limit_read_and_print_exactly(capsys):
+    """The int/str digit limit (4300 by default) is lifted while ``main``
+    runs, and ``main`` leaves it as it found it, even on an argparse exit."""
+    old = sys.get_int_max_str_digits()
+    n = "9" * 3000
+    square = "9" * 2999 + "8" + "0" * 2999 + "1"  # (10^3000 - 1)^2
+    numeral = "7" * 5000
+    try:
+        sys.set_int_max_str_digits(0)
+        want = str(2**15000 - 1)
+        sys.set_int_max_str_digits(4400)  # below each length here: 4516, 5000 and 6000 digits
+        code, out, _ = run(capsys, "compute", f"mul ({n}) ({n})")
+        assert (code, out) == (0, f"({square})\n")
+        code, out, _ = run(capsys, "compute", "--json", f"mul ({n}) ({n})")
+        assert code == 0 and json.loads(out)["result"]["components"] == [square]
+        code, out, _ = run(capsys, "compute", "--ring", "Zmod", "--precision", "15000", "neg (1)")
+        assert (code, out) == (0, f"({want})\n")
+        code, out, _ = run(capsys, "compute", f"add ({numeral}) (0)")
+        assert (code, out) == (0, f"({numeral})\n")
+        assert sys.get_int_max_str_digits() == 4400
+        with pytest.raises(SystemExit):
+            main(["compute", "--p", "x", "neg (1)"])
+        assert sys.get_int_max_str_digits() == 4400
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def test_compute_rejects_malformed_operands(capsys):
     for expr in ("neg 1, 2", "neg (1, 2", "neg ()", "add (1) x (2)", "neg ([1,0]~x)"):
         code, out, err = run(capsys, "compute", "--ring", "ZzetaMod:2", expr)
@@ -237,6 +264,22 @@ NAMED_USAGE_ERRORS = [
         "perfect-zeta-ring-oversized",
         ("perfect", "test", "zeta-ring", "--p", "2", "--depth", "40"),
         "error: conductor exponent k=40 gives field degree e = 1*2^39, above the bound 262144",
+    ),
+    # a variable is read only under the name format_elt writes for it
+    *(
+        (
+            f"compute-perfpoly-name-{name.replace(' ', '-')}-over-{spec}",
+            ("compute", "--ring", spec, "--depth", "2", f"neg ({name})"),
+            f"error: unknown variable {name!r}",
+        )
+        for spec, names in (("PerfPoly:2", ("x 1", "x01", "x")), ("PerfPoly", ("x0", "x00")))
+        for name in names
+    ),
+    # a sample count past the bound is refused before any draw
+    (
+        "kernel-samples-oversized",
+        ("kernel", "verify", "--samples", "100000000"),
+        "error: --samples 100000000 is above the bound 10000",
     ),
 ]
 _FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

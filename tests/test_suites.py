@@ -2,6 +2,7 @@
 tally, and the rule by which the runner runs, skips or refuses each check."""
 
 import hashlib
+import inspect
 import json
 import random
 import re
@@ -185,6 +186,30 @@ def test_a_check_that_raises_fails_alone(monkeypatch, capsys):
     assert report["failures"] == 1 and not report["passed"]
 
 
+def test_every_registered_check_is_a_generator():
+    """A check yields its cases; only `run_suite` collects them."""
+    checks = [check for checks in suites._SUITES.values() for check in checks]
+    assert checks
+    for check in checks:
+        assert inspect.isgeneratorfunction(check.run), check.name
+
+
+def test_a_check_that_raises_after_a_case_reports_only_the_failure(monkeypatch):
+    """The cases a check yielded before it raised are dropped: the check is
+    one failing case, as if it had raised at once."""
+
+    def run(rng, primes):
+        yield CaseResult("kernel_closed_form", True, "ran")
+        raise NotDivisible("235 is not divisible by 2")
+
+    monkeypatch.setattr(suites, "_SUITES", {"kernel": [suites._Check("kernel_norm", (2, 3), run)]})
+    report = run_suite("kernel")
+    assert [(c.name, c.status, c.detail) for c in report.cases] == [
+        ("kernel_norm", "fail", "raised NotDivisible: 235 is not divisible by 2")
+    ]
+    assert report.failures == 1 and not report.passed
+
+
 def test_truncated_naturality_fails_when_the_transport_claims_a_digit_too_many(monkeypatch):
     """The planted defect: the truncated transport claims one digit more
     than its inputs carry (capped at M)."""
@@ -196,11 +221,11 @@ def test_truncated_naturality_fails_when_the_transport_claims_a_digit_too_many(m
         prec = real(ring, vecs)
         return None if prec is None else min(prec + 1, ring.M)
 
-    (case,) = suites.check_truncated_naturality(random.Random(0), None)
+    (case,) = suites._check_truncated_naturality(random.Random(0), None)
     assert case.passed and case.detail.startswith("sampled: 11000 components ")
     monkeypatch.setattr(witt, "_min_precision", one_digit_more)
     for p in (2, 3, 5, 7):
-        (case,) = suites.check_truncated_naturality(random.Random(0), (p,))
+        (case,) = suites._check_truncated_naturality(random.Random(0), (p,))
         assert case.status == "fail" and "; first: sample " in case.detail, case.detail
 
 
@@ -219,7 +244,7 @@ def test_truncated_naturality_over_zeta_rings_fails_under_the_same_defect(monkey
         return min(prec + 1, ring.M) if isinstance(ring, CycloModPM) else prec
 
     monkeypatch.setattr(witt, "_min_precision", one_digit_more_over_zeta)
-    (case,) = suites.check_truncated_naturality(random.Random(0), (p,))
+    (case,) = suites._check_truncated_naturality(random.Random(0), (p,))
     assert case.status == "fail", case.detail
     assert "; first: sample " in case.detail and " over ZzetaMod(p=" in case.detail
 
@@ -232,10 +257,10 @@ def test_ring_laws_fail_under_a_coefficient_product_defect(monkeypatch):
     from wittlab.rings import Rationals
 
     monkeypatch.setattr(suites, "_LAW_DRAWS", 28)  # four draws per law over each ring
-    assert all(c.passed for c in suites.check_witt_ring_laws(random.Random(0), None))
+    assert all(c.passed for c in suites._check_witt_ring_laws(random.Random(0), None))
     real = Rationals.mul
     monkeypatch.setattr(Rationals, "mul", lambda self, a, b: real(self, a, b) + (a > b))
-    cases = {c.name: c for c in suites.check_witt_ring_laws(random.Random(0), None)}
+    cases = {c.name: c for c in suites._check_witt_ring_laws(random.Random(0), None)}
     for name in ("law_mul_commutative", "law_mul_associative", "law_distributive"):
         assert cases[name].status == "fail", cases[name].detail
     for case in cases.values():
@@ -256,7 +281,7 @@ def test_tilt_mul_laws_fail_under_a_chain_product_defect(monkeypatch):
         return tilt.TiltElt(base, tuple(base.add(e, base.mul(e, e)) for e in z.entries))
 
     monkeypatch.setattr(tilt, "tilt_mul", squared_too)
-    cases = {c.name: c for c in suites.check_tilt_ring_laws(random.Random(0), (2, 3))}
+    cases = {c.name: c for c in suites._check_tilt_ring_laws(random.Random(0), (2, 3))}
     for q, M in ((2, 3), (3, 2)):
         assert cases[f"tilt_add_laws_p{q}"].status == "pass"
         detail = cases[f"tilt_mul_laws_p{q}"].detail

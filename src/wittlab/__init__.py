@@ -5,6 +5,14 @@ coherent Frobenius towers and their overconvergence norms, finite-precision
 tilts, p-power root sequences in cyclotomic towers, and Frobenius-equation
 solvers, all in exact rational arithmetic.  Norms are carried as rational
 exponents of p, never floats.
+
+``import wittlab`` loads the arithmetic only: the errors, norms, rings,
+cyclotomic fields, perfected polynomials, structure polynomials, Witt
+vectors, Frobenius towers, tilts and perfectness tests re-exported below
+(and ``config``, which ``perfect`` reads).  The suite, ring-config,
+kernel-norm and Artin APIs are imported from their own modules:
+``wittlab.suites``, ``wittlab.config``, ``wittlab.kernelnorm`` and
+``wittlab.artin``.
 """
 
 from .errors import (
@@ -110,19 +118,5 @@ from .tilt import (
     untilt,
     untilt_isometry,
 )
-from .kernelnorm import (
-    kernel_element_from_w1,
-    kernel_exponent,
-    symbolic_kernel_identity,
-    verify_kernel_norm,
-)
-from .artin import (
-    ghost_constant_profile,
-    invariant_classify,
-    predicted_invariant_member,
-    teichmuller_phi_invariance,
-)
-from .config import ring_from_config, ring_from_spec
-from .suites import SUITE_NAMES, CaseResult, SuiteReport, run_suite
 
 __version__ = "0.1.0"

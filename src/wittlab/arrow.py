@@ -29,9 +29,8 @@ precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     BOutOfRange,
@@ -79,8 +78,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ArrowElt:
+class ArrowElt(NamedTuple):
     ring: Ring
     levels: Tuple[WittVec, ...]
     tail_bound: Optional[NormValue] = None
@@ -231,8 +229,7 @@ def theta_series(a: ArrowElt, lift_perturbation: Optional[Callable[[int], Any]] 
     return acc, terms
 
 
-@dataclass(frozen=True)
-class ArrowNorm:
+class ArrowNorm(NamedTuple):
     value: NormValue
     status: str  # "exact" or "lower-bound"
     attained_at: Optional[int]

@@ -12,15 +12,17 @@ that draw samples (``verify``, ``perfect`` and ``kernel``) take their
 randomness from ``--seed``, and ``--json`` output is byte-stable for a
 fixed seed and configuration; ``kernel verify`` draws t with the kernel
 suite's sampler, ``kernelnorm.unit_times_power``, and refuses to run with
-no sample or with a count above ``_MAX_SAMPLES``.  The CLI has no parser
-of its own: element text reads through the rings' ``parse_elt`` and
-``witt.parse_witt``, ``--b`` through ``Rationals.parse_elt``, and every
-integer flag through ``rings.integer``.
+no sample or with more than ``_MAX_SAMPLES``, drawn or read from a file.
+The CLI has no parser of its own: element text reads through the rings'
+``parse_elt`` and ``witt.parse_witt``, ``--b`` through
+``Rationals.parse_elt``, and every integer flag through ``rings.integer``;
+a refusal quotes the text it refuses through ``errors._quoted``.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import random
@@ -39,7 +41,7 @@ from .arrow import (
 from .artin import invariant_classify, teichmuller_phi_invariance
 from .config import ring_from_spec
 from .cyclotomic import GaussianField
-from .errors import CapabilityMissing, MalformedConfig, NoRoot, WittError
+from .errors import CapabilityMissing, MalformedConfig, NoRoot, WittError, _quoted
 from .kernelnorm import uniformizer_steps, unit_times_power, verify_kernel_norm
 from .norms import exponent_text
 from .perfect import INSTANCES, solve_frobenius, witt_perfect_test
@@ -86,7 +88,7 @@ def _operands(ring: Ring, expr: str, pos: int) -> List[WittVec]:
         if depth == 0 and ch != "(":
             if ch.isspace():
                 continue
-            raise MalformedConfig(f"expected '(' at position {i} in {expr!r}")
+            raise MalformedConfig(f"expected '(' at position {i} in {_quoted(expr)}")
         if ch == "(":
             if depth == 0:
                 start = i
@@ -96,7 +98,7 @@ def _operands(ring: Ring, expr: str, pos: int) -> List[WittVec]:
             if depth == 0:
                 groups.append(expr[start : i + 1])
     if depth:
-        raise MalformedConfig(f"unclosed '(' at position {start} in {expr!r}")
+        raise MalformedConfig(f"unclosed '(' at position {start} in {_quoted(expr)}")
     return [parse_witt(ring, g) for g in groups]
 
 
@@ -105,18 +107,18 @@ def _cmd_compute(args) -> Reply:
     expr = args.expr.strip()
     m = re.match(r"[a-z_]+", expr)
     if not m:
-        raise MalformedConfig(f"expected an operation name at position 0 in {expr!r}")
+        raise MalformedConfig(f"expected an operation name at position 0 in {_quoted(expr)}")
     op = m.group(0)
     if op not in _UNARY | _BINARY:
         raise MalformedConfig(
-            f"unknown operation {op!r} at position 0; supported: "
+            f"unknown operation {_quoted(op)} at position 0; supported: "
             + ", ".join(sorted(_UNARY | _BINARY))
         )
     vectors = _operands(ring, expr, m.end())
     want = 1 if op in _UNARY else 2
     if len(vectors) != want:
         raise MalformedConfig(
-            f"{op} takes {want} vector(s), got {len(vectors)} in {expr!r}"
+            f"{op} takes {want} vector(s), got {len(vectors)} in {_quoted(expr)}"
         )
     if op == "ghost":
         entries = ghost(vectors[0]).entries
@@ -302,9 +304,15 @@ def _cmd_kernel(args) -> Reply:
         count = None
         try:
             with open(args.samples, "r", encoding="utf-8") as fh:
-                elements = [ring.parse_elt(ln.strip()) for ln in fh if ln.strip()]
+                # reading stops one element past the bound
+                texts = list(itertools.islice(filter(None, map(str.strip, fh)), _MAX_SAMPLES + 1))
         except OSError as exc:
             raise MalformedConfig(f"--samples must be a count or a readable file: {exc}") from exc
+        if len(texts) > _MAX_SAMPLES:
+            raise MalformedConfig(
+                f"--samples {args.samples} holds more elements than the bound {_MAX_SAMPLES}"
+            )
+        elements = [ring.parse_elt(t) for t in texts]
     else:
         if count > _MAX_SAMPLES:
             raise MalformedConfig(f"--samples {count} is above the bound {_MAX_SAMPLES}")
@@ -447,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--samples",
         default="10",
-        help=f"sample count (at most {_MAX_SAMPLES}), or a file with one element per line",
+        help=f"sample count, or a file of one element per line; at most {_MAX_SAMPLES} either way",
     )
     sp.add_argument("--seed", type=integer, default=0, help="seed for a sample count's draws")
     _add_common(sp, ring_default="Q")

@@ -77,6 +77,7 @@ from .errors import (
     IntegralityViolation,
     MalformedConfig,
     NoRoot,
+    _quoted,
 )
 from .rings import Ring, TruncatedRing, TruncVec, check_prime, power_ladder, rational, vp_int
 
@@ -517,10 +518,10 @@ class CyclotomicField(PowerBasisField):
         try:
             parts = [rational(s) for s in text.split(",")] if text else []
         except (ValueError, ZeroDivisionError) as exc:
-            raise MalformedConfig(f"not a coefficient vector: {text!r}") from exc
+            raise MalformedConfig(f"not a coefficient vector: {_quoted(text)}") from exc
         if len(parts) > self.e:
             raise MalformedConfig(
-                f"coefficient vector longer than field degree {self.e}: {text!r}"
+                f"coefficient vector longer than field degree {self.e}: {_quoted(text)}"
             )
         return self.from_coeffs(parts)
 
@@ -713,7 +714,7 @@ class GaussianField(PowerBasisField):
                 return self.from_pair(rational(s), 0)
             s = s[:-1] if s.endswith("i") else s
             if "i" in s:
-                raise MalformedConfig(f"not a Gaussian number: {text!r}")
+                raise MalformedConfig(f"not a Gaussian number: {_quoted(text)}")
             split_at = None
             for idx in range(len(s) - 1, 0, -1):
                 if s[idx] in "+-" and s[idx - 1] not in "/+-":
@@ -727,7 +728,7 @@ class GaussianField(PowerBasisField):
                 im_txt += "1"
             return self.from_pair(rational(re_txt), rational(im_txt))
         except (ValueError, ZeroDivisionError) as exc:
-            raise MalformedConfig(f"not a Gaussian number: {text!r}") from exc
+            raise MalformedConfig(f"not a Gaussian number: {_quoted(text)}") from exc
 
 
 class CyclotomicTower:

@@ -2,8 +2,20 @@
 
 Every failure mode a caller is expected to branch on gets its own class.
 Messages should quote the offending values, since suite reports repeat them
-verbatim.
+verbatim; a parser quotes the text it refuses through ``_quoted``, so that
+its message stays one short line however long the text is.
 """
+
+# the most characters of a refused text that a message quotes
+_QUOTE_LIMIT = 40
+
+
+def _quoted(text: str) -> str:
+    """``repr(text)``, or for a longer text the repr of its first
+    ``_QUOTE_LIMIT`` characters followed by the text's length."""
+    if len(text) <= _QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:_QUOTE_LIMIT]!r}... ({len(text)} characters)"
 
 
 class WittError(Exception):

@@ -55,12 +55,10 @@ length-L target.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Tuple
 
 from .config import _need
 from .cyclotomic import CVec, CyclotomicField, CyclotomicTower, GaussianField
@@ -100,21 +98,17 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class RootSequence:
     """Elements x_n in the level-n tower field with v(x_n) = p**(-n),
     x_1**p = p mod p**2, and x_{n+1}**p = x_n mod p."""
 
-    tower: CyclotomicTower
-    values: Tuple[CVec, ...]  # values[n-1] lives in tower.field(n)
-    # x_n**e in tower.field(level), keyed (n, e, level); filled by ``power``
-    _powers: Dict[Tuple[int, int, int], CVec] = dataclasses.field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    # the certificates, filled by the first ``verify``
-    _checks: Dict[str, bool] = dataclasses.field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    def __init__(self, tower: CyclotomicTower, values: Tuple[CVec, ...]):
+        self.tower = tower
+        self.values = values  # values[n-1] lives in tower.field(n)
+        # x_n**e in tower.field(level), keyed (n, e, level); filled by ``power``
+        self._powers: Dict[Tuple[int, int, int], CVec] = {}
+        # the certificates, filled by the first ``verify``
+        self._checks: Dict[str, bool] = {}
 
     @property
     def top_level(self) -> int:
@@ -232,8 +226,7 @@ def build_root_sequence(p: int, levels: int) -> RootSequence:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PerfectReport:
+class PerfectReport(NamedTuple):
     instance: str
     verdict: str  # "yes", "no", or "yes-up-to-level-K"
     condition_a: Dict[str, Any]

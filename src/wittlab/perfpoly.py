@@ -51,6 +51,7 @@ from .errors import (
     DepthExceeded,
     MalformedConfig,
     NoRoot,
+    _quoted,
 )
 from .rings import Ring, check_prime, integer, power_ladder, rational
 from .univ import structure_cap, structure_poly_mod_p
@@ -133,7 +134,7 @@ def _signed_terms(text: str) -> List[str]:
             terms.append(text[start:i])
             start = i + (ch == "+")
     if depth:
-        raise MalformedConfig(f"unbalanced parentheses in {text!r}")
+        raise MalformedConfig(f"unbalanced parentheses in {_quoted(text)}")
     terms.append(text[start:])
     return terms
 
@@ -335,19 +336,19 @@ class PerfPolyRing(Ring):
                 for factor in term.split("*"):
                     factor = factor.strip()
                     if not factor:
-                        raise MalformedConfig(f"empty factor in {raw!r}")
+                        raise MalformedConfig(f"empty factor in {_quoted(raw)}")
                     if factor[0] == "x":
                         name, caret, power = factor.partition("^")
                         if name not in names:
                             integer(name[1:] or "0")  # an index outside the grammar: bad term
-                            raise MalformedConfig(f"unknown variable {name!r}")
+                            raise MalformedConfig(f"unknown variable {_quoted(name)}")
                         # an exponent is q or (q), with one pair of parentheses
                         inner = power[1:-1] if power[:1] + power[-1:] == "()" else power
                         exps[names[name]] += rational(inner) if caret else 1
                     else:
                         coeff *= integer(factor)
             except ValueError as exc:
-                raise MalformedConfig(f"bad term {raw!r} in {text!r}") from exc
+                raise MalformedConfig(f"bad term {_quoted(raw)} in {_quoted(text)}") from exc
             if negate:
                 coeff = -coeff
             total = self.add(total, self.monomial(exps, coeff))

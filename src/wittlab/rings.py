@@ -59,6 +59,7 @@ from .errors import (
     NotEnumerable,
     PrecisionExhausted,
     RingMismatch,
+    _quoted,
 )
 from .norms import NormValue
 
@@ -298,7 +299,7 @@ class Integers(Ring):
         try:
             return integer(text)
         except ValueError as exc:
-            raise MalformedConfig(f"not an integer: {text!r}") from exc
+            raise MalformedConfig(f"not an integer: {_quoted(text)}") from exc
 
 
 class Rationals(Ring):
@@ -346,7 +347,7 @@ class Rationals(Ring):
         try:
             return rational(text)
         except (ValueError, ZeroDivisionError) as exc:
-            raise MalformedConfig(f"not a rational number: {text!r}") from exc
+            raise MalformedConfig(f"not a rational number: {_quoted(text)}") from exc
 
 
 class TruncVec(NamedTuple):
@@ -533,7 +534,7 @@ class TruncatedRing(Ring):
             seq = [integer(s) for s in body.split(",")] if body.strip() else []
             return self.from_digits(seq, integer(prec) if tilde else None)
         except (ValueError, PrecisionExhausted) as exc:
-            raise MalformedConfig(f"not an element of {self!r}: {text!r}") from exc
+            raise MalformedConfig(f"not an element of {self!r}: {_quoted(text)}") from exc
 
     def elt_to_json(self, a: TruncVec) -> Any:
         ds = a.coeffs

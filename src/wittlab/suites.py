@@ -45,13 +45,11 @@ when none of its checks covers ``--p``.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import operator
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
@@ -141,8 +139,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CaseResult:
+class CaseResult(NamedTuple):
     """One named check: pass/fail plus the evidence string.
 
     ``inconclusive`` marks evidence-only cases (finite sampling of an
@@ -168,12 +165,12 @@ class CaseResult:
         }
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    seed: int
-    cases: List[CaseResult] = field(default_factory=list)
-    elapsed_s: Optional[float] = None
+    def __init__(self, suite: str, seed: int):
+        self.suite = suite
+        self.seed = seed
+        self.cases: List[CaseResult] = []
+        self.elapsed_s: Optional[float] = None
 
     @property
     def failures(self) -> int:
@@ -1532,6 +1529,6 @@ def run_suite(name: str, seed: int = 0, p: Optional[int] = None) -> SuiteReport:
             detail = f"skipped: --p {p}: this check covers p in {_covered(check.primes)} only"
             cases = [CaseResult(check.name, True, detail, inconclusive=True)]
         prefix = f"{sub}." if name == "all" else ""
-        report.cases.extend(dataclasses.replace(c, name=prefix + c.name) for c in cases)
+        report.cases.extend(c._replace(name=prefix + c.name) for c in cases)
     report.elapsed_s = time.monotonic() - started
     return report

@@ -68,8 +68,7 @@ checker refuses larger b.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, List, Sequence, Tuple
+from typing import Any, Callable, List, NamedTuple, Sequence, Tuple
 
 from .arrow import ArrowElt, arrow_norm, arrow_teichmuller, make_arrow
 from .errors import (
@@ -80,6 +79,7 @@ from .errors import (
     LengthMismatch,
     MalformedConfig,
     RingMismatch,
+    _quoted,
 )
 from .norms import NormValue, as_fraction, norm_max
 from .perfpoly import PerfPolyRing
@@ -114,8 +114,7 @@ def _truncated_modulus(ring: Ring) -> int:
     )
 
 
-@dataclass(frozen=True)
-class TiltElt:
+class TiltElt(NamedTuple):
     """A coherent chain (x_0, ..., x_D) over a truncated base, x_{m+1}**p = x_m."""
 
     base: Ring
@@ -334,7 +333,7 @@ class TiltRing(Ring):
     def parse_elt(self, text: str) -> TiltElt:
         body = text.strip()
         if not (body.startswith("[") and body.endswith("]")):
-            raise MalformedConfig(f"a tilt element looks like '[x0; x1; ...]', got {text!r}")
+            raise MalformedConfig(f"a tilt element looks like '[x0; x1; ...]', got {_quoted(text)}")
         parts = [p.strip() for p in body[1:-1].split(";") if p.strip()]
         if not parts:
             raise MalformedConfig("a tilt element needs at least one chain entry")

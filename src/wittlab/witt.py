@@ -53,11 +53,10 @@ see.  A settled unghost is exact only mod p**a, which is all its caller reads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import CapabilityMissing, LengthMismatch, MalformedConfig
+from .errors import CapabilityMissing, LengthMismatch, MalformedConfig, _quoted
 from .norms import NormValue, norm_max
 from .rings import Integers, Ring, integer
 
@@ -91,14 +90,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WittVec:
+class _WittFields(NamedTuple):
     ring: Ring
     components: Tuple[Any, ...]
 
-    def __post_init__(self):
-        if len(self.components) == 0:
+
+class WittVec(_WittFields):
+    """A NamedTuple, like ``CVec``, because every Witt operation builds one;
+    ``__new__`` refuses the empty vector."""
+
+    __slots__ = ()
+
+    def __new__(cls, ring: Ring, components: Tuple[Any, ...]) -> "WittVec":
+        if len(components) == 0:
             raise LengthMismatch("vectors must have at least one component")
+        return tuple.__new__(cls, (ring, components))
 
     @property
     def length(self) -> int:
@@ -113,8 +119,7 @@ class WittVec:
         return f"WittVec({self.ring!r}, {format_witt(self)})"
 
 
-@dataclass(frozen=True)
-class GhostVec:
+class GhostVec(NamedTuple):
     ring: Ring
     entries: Tuple[Any, ...]
 
@@ -415,14 +420,14 @@ def split_top_level(text: str) -> List[str]:
         elif ch in ")]}":
             depth -= 1
             if depth < 0:
-                raise MalformedConfig(f"unbalanced brackets in {text!r}")
+                raise MalformedConfig(f"unbalanced brackets in {_quoted(text)}")
         if ch == "," and depth == 0:
             parts.append("".join(current))
             current = []
         else:
             current.append(ch)
     if depth:
-        raise MalformedConfig(f"unbalanced brackets in {text!r}")
+        raise MalformedConfig(f"unbalanced brackets in {_quoted(text)}")
     parts.append("".join(current))
     return parts
 
@@ -449,5 +454,5 @@ def parse_witt(ring: Ring, text: str) -> WittVec:
         body = body[1:-1]
     parts = [s.strip() for s in split_top_level(body)]
     if parts == [""]:
-        raise MalformedConfig(f"empty vector: {text!r}")
+        raise MalformedConfig(f"empty vector: {_quoted(text)}")
     return WittVec(ring, tuple(ring.parse_elt(s) for s in parts))

@@ -10,10 +10,23 @@ library or CLI caller.  The benchmark dispatches on op names with
 A module with an ``__all__`` must list in it every public top-level def and
 class, so that no public name escapes the rule; a name that only its own
 module reads takes a leading underscore instead.
+
+``import wittlab`` loads the arithmetic only, and its records are
+NamedTuples that keep the contract they had as frozen dataclasses.
 """
 
 import ast
 import os
+import subprocess
+import sys
+
+import pytest
+
+from wittlab.arrow import arrow_from_integer, arrow_norm
+from wittlab.errors import LengthMismatch
+from wittlab.rings import ZModPM
+from wittlab.tilt import tilt_from_top
+from wittlab.witt import WittVec, ghost
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "wittlab")
@@ -100,3 +113,45 @@ def test_every_public_name_has_a_caller_outside_the_tests():
 
 def test_every_public_def_of_a_module_with_all_is_listed():
     assert unlisted_public_defs() == []
+
+
+def test_importing_the_package_loads_the_arithmetic_only():
+    code = (
+        "import sys; before = set(sys.modules); import wittlab; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    path = os.pathsep.join([os.path.dirname(SRC), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    loaded = set(proc.stdout.split())
+    assert "wittlab.witt" in loaded
+    unused = {"dataclasses", "inspect"} | {
+        f"wittlab.{name}" for name in ("suites", "kernelnorm", "artin", "reference")
+    }
+    assert not loaded & unused, sorted(loaded & unused)
+
+
+def test_records_keep_their_contract():
+    ring = ZModPM(2, 3)
+    with pytest.raises(LengthMismatch):
+        WittVec(ring, ())
+    x = WittVec(ring, (ring.from_int(1), ring.from_int(2)))
+    a = arrow_from_integer(ring, 3, 2)
+    t = tilt_from_top(ring, ring.from_int(1), 2)
+    for record, field in (
+        (x, "components"),
+        (ghost(x), "entries"),
+        (t, "entries"),
+        (a, "levels"),
+        (arrow_norm(a, 1), "status"),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+    assert repr(x) == "WittVec(Zmod(p=2, M=3), (1, 2))"
+    assert repr(t) == "TiltElt(depth=2, base=Zmod(p=2, M=3))"
+    assert repr(a) == "ArrowElt(depth=2, ring=Zmod(p=2, M=3))"

@@ -15,6 +15,8 @@ from wittlab.cli import main
 from wittlab.cyclotomic import CyclotomicField
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+# 10001 lines of `1`, one element past the --samples bound
+_OVERSIZED_SAMPLES = os.path.join(GOLDEN, "samples_over_bound.txt")
 
 
 def run(capsys, *argv):
@@ -280,6 +282,18 @@ NAMED_USAGE_ERRORS = [
         "kernel-samples-oversized",
         ("kernel", "verify", "--samples", "100000000"),
         "error: --samples 100000000 is above the bound 10000",
+    ),
+    # and a samples file, once its 10001st element is read, before any is checked
+    (
+        "kernel-samples-file-oversized",
+        ("kernel", "verify", "--samples", _OVERSIZED_SAMPLES),
+        f"error: --samples {_OVERSIZED_SAMPLES} holds more elements than the bound 10000",
+    ),
+    # a refusal quotes at most 40 characters of a long text, and its length
+    (
+        "compute-integer-long-text",
+        ("compute", f"neg ({'7' * 5000}x)"),
+        f"error: not an integer: {'7' * 40!r}... (5001 characters)",
     ),
 ]
 _FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -208,6 +208,35 @@ def test_each_parser_keeps_its_own_refusal_messages(ring, text, message):
     assert str(exc.value) == message
 
 
+# texts of 5000 characters that each element parser refuses: the message quotes
+# only a prefix and the length, so it stays one short line
+_LONG = "7" * 4999 + "x"
+LONG_REFUSALS = [
+    pytest.param(Integers(2).parse_elt, _LONG, id="Z"),
+    pytest.param(Rationals(2).parse_elt, _LONG, id="Q"),
+    pytest.param(ZModPM(2, 3).parse_elt, _LONG, id="Zmod"),
+    pytest.param(CycloModPM(2, 2, 2).parse_elt, _LONG, id="ZzetaMod"),
+    pytest.param(cyclotomic_field(2, 2).parse_elt, _LONG, id="Qzeta"),
+    pytest.param(cyclotomic_field(2, 2).parse_elt, "1," * 2499 + "1", id="Qzeta-past-degree"),
+    pytest.param(GaussianField(5).parse_elt, _LONG, id="Qi"),
+    pytest.param(GaussianField(5).parse_elt, "i" * 5000, id="Qi-two-units"),
+    pytest.param(PerfPolyRing(2, 1, 2).parse_elt, _LONG, id="PerfPoly-bad-term"),
+    pytest.param(PerfPolyRing(2, 1, 2).parse_elt, "x" + "0" * 4999, id="PerfPoly-variable"),
+    pytest.param(PerfPolyRing(2, 1, 2).parse_elt, "(" * 5000, id="PerfPoly-parentheses"),
+    pytest.param(TiltRing(ZModPM(2, 2), 2).parse_elt, _LONG, id="tilt"),
+    pytest.param(lambda t: parse_witt(Integers(2), t), "(" * 5000, id="witt-brackets"),
+    pytest.param(lambda t: parse_witt(Integers(2), t), f"({' ' * 4998})", id="witt-empty"),
+]
+
+
+@pytest.mark.parametrize("parse, text", LONG_REFUSALS)
+def test_a_refusal_quotes_a_bounded_prefix_of_a_long_text(parse, text):
+    with pytest.raises(MalformedConfig) as exc:
+        parse(text)
+    message = str(exc.value)
+    assert len(message.encode()) < 200 and message.endswith(" characters)"), message
+
+
 @seed(1403)
 @settings(max_examples=200)
 @given(st.integers())

@@ -55,28 +55,6 @@ from .witt import (
     witt_to_json,
 )
 
-__all__ = [
-    "ArrowElt",
-    "make_arrow",
-    "check_coherence",
-    "arrow_add",
-    "arrow_mul",
-    "arrow_eq",
-    "arrow_from_integer",
-    "arrow_teichmuller",
-    "inverse_frobenius",
-    "inverse_frobenius_sandwich",
-    "theta",
-    "theta_series",
-    "ArrowNorm",
-    "arrow_norm",
-    "lift_arrow_precision",
-    "arrow_from_top",
-    "sample_coherent",
-    "rigidity_profile",
-    "arrow_to_json",
-]
-
 
 class ArrowElt(NamedTuple):
     ring: Ring

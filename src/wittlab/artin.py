@@ -26,13 +26,6 @@ from .norms import NormValue
 from .rings import Ring
 from .witt import GhostVec, unghost, witt_norm_profile
 
-__all__ = [
-    "ghost_constant_profile",
-    "predicted_invariant_member",
-    "invariant_classify",
-    "teichmuller_phi_invariance",
-]
-
 
 def ghost_constant_profile(ring: Ring, f: Any, N: int) -> dict:
     """Witt components of the constant-ghost vector (f, ..., f) to depth N,

@@ -45,7 +45,7 @@ from .errors import CapabilityMissing, MalformedConfig, NoRoot, WittError, _quot
 from .kernelnorm import uniformizer_steps, unit_times_power, verify_kernel_norm
 from .norms import exponent_text
 from .perfect import INSTANCES, solve_frobenius, witt_perfect_test
-from .rings import Rationals, Ring, integer
+from .rings import MAX_PRECISION, MAX_PRIME, Rationals, Ring, integer
 from .suites import SUITE_NAMES, run_suite
 from .tilt import TiltRing, tilt_from_top, tilt_to_json, untilt
 from .univ import canonical_dump
@@ -65,8 +65,6 @@ from .witt import (
     witt_sub,
     witt_to_json,
 )
-
-__all__ = ["main", "build_parser"]
 
 # what a subcommand hands the emitter: exit code, JSON payload, text lines
 Reply = Tuple[int, Any, List[str]]
@@ -240,7 +238,7 @@ def _cmd_perfect(args) -> Reply:
                 config["levels"] = args.depth
         else:
             raise MalformedConfig(
-                f"unknown perfectness instance {spec!r}; use one of "
+                f"unknown perfectness instance {_quoted(spec)}; use one of "
                 + ", ".join(INSTANCES)
                 + " or an inline JSON config"
             )
@@ -307,7 +305,14 @@ def _cmd_kernel(args) -> Reply:
                 # reading stops one element past the bound
                 texts = list(itertools.islice(filter(None, map(str.strip, fh)), _MAX_SAMPLES + 1))
         except OSError as exc:
-            raise MalformedConfig(f"--samples must be a count or a readable file: {exc}") from exc
+            raise MalformedConfig(
+                "--samples must be a count or a readable file: "
+                f"[Errno {exc.errno}] {exc.strerror}: {_quoted(args.samples)}"
+            ) from exc
+        except UnicodeDecodeError as exc:
+            raise MalformedConfig(
+                f"--samples {_quoted(args.samples)} is not UTF-8 text: {exc}"
+            ) from exc
         if len(texts) > _MAX_SAMPLES:
             raise MalformedConfig(
                 f"--samples {args.samples} holds more elements than the bound {_MAX_SAMPLES}"
@@ -351,7 +356,7 @@ def _cmd_kernel(args) -> Reply:
 def _cmd_artin(args) -> Reply:
     if args.field != "Qi":
         raise MalformedConfig(
-            f"classification is implemented over the Gaussian field only, got {args.field!r}"
+            f"classification is implemented over the Gaussian field only, got {_quoted(args.field)}"
         )
     field = GaussianField(args.p)
     f = field.parse_elt(args.f)
@@ -372,8 +377,22 @@ def _cmd_artin(args) -> Reply:
 # ---------------------------------------------------------------------------
 
 
+def _integer(text: str) -> int:
+    """An integer flag's value, read by ``rings.integer``; argparse prints the
+    refusal with its usage line."""
+    try:
+        return integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer value: {_quoted(text)}") from None
+
+
+def _add_prime(sp, default: int) -> None:
+    text = f"the prime, at most {MAX_PRIME} (default {default})"
+    sp.add_argument("--p", type=_integer, default=default, help=text)
+
+
 def _add_common(sp, *, ring_default: Optional[str] = None, precision: int = 6, depth: int = 3):
-    sp.add_argument("--p", type=integer, default=2, help="the prime (default 2)")
+    _add_prime(sp, 2)
     if ring_default is not None:
         sp.add_argument(
             "--ring",
@@ -381,8 +400,13 @@ def _add_common(sp, *, ring_default: Optional[str] = None, precision: int = 6, d
             help="ring config: shorthand (Z, Q, Qi, Zmod, Qzeta:k, ZzetaMod:k, "
             f"PerfPoly:n), inline JSON, or a config file (default {ring_default})",
         )
-    sp.add_argument("--precision", type=integer, default=precision, help="truncation exponent M")
-    sp.add_argument("--depth", type=integer, default=depth, help="family depth / level count")
+    sp.add_argument(
+        "--precision",
+        type=_integer,
+        default=precision,
+        help=f"truncation exponent M, at most {MAX_PRECISION}",
+    )
+    sp.add_argument("--depth", type=_integer, default=depth, help="family depth / level count")
     sp.add_argument("--json", action="store_true", help="emit a machine-readable report")
 
 
@@ -396,8 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run a named verification suite")
     sp.add_argument("suite", choices=SUITE_NAMES)
     restrict = "restrict to one prime; checks without a case there are reported as skipped"
-    sp.add_argument("--p", type=integer, default=None, help=restrict)
-    sp.add_argument("--seed", type=integer, default=0)
+    sp.add_argument("--p", type=_integer, default=None, help=restrict)
+    sp.add_argument("--seed", type=_integer, default=0)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=_cmd_verify)
 
@@ -413,13 +437,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("universal", help="structure polynomial utilities")
     sp.add_argument("action", choices=["dump"])
-    sp.add_argument("--p", type=integer, default=2)
+    _add_prime(sp, 2)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=_cmd_universal)
 
     sp = sub.add_parser("arrow", help="coherent-family (inverse limit) operations")
     sp.add_argument("action", choices=["norm", "lift", "theta"])
-    sp.add_argument("c", type=integer, help="the integer whose coherent family to build")
+    sp.add_argument("c", type=_integer, help="the integer whose coherent family to build")
     sp.add_argument("--b", default="1", help="overconvergence weight (rational)")
     sp.add_argument(
         "--ring",
@@ -438,26 +462,26 @@ def build_parser() -> argparse.ArgumentParser:
         help="for solve-frob: the target vector, e.g. \"(4, 0)\"",
     )
     sp.add_argument("--ring", help="ring config (default Z for test, Zmod for solve-frob)")
-    sp.add_argument("--seed", type=integer, default=0, help="seed for the tower's samples")
+    sp.add_argument("--seed", type=_integer, default=0, help="seed for the tower's samples")
     _add_common(sp, precision=6, depth=2)
     sp.set_defaults(fn=_cmd_perfect)
 
     sp = sub.add_parser("tilt", help="chain (tilt) arithmetic over a truncated base")
     sp.add_argument("action", choices=["add", "mul", "norm", "untilt"])
     sp.add_argument("tops", nargs="+", help="top elements; each seeds a coherent chain")
-    sp.add_argument("--n", type=integer, default=1, help="untilt output depth")
+    sp.add_argument("--n", type=_integer, default=1, help="untilt output depth")
     _add_common(sp, ring_default="Zmod", precision=3, depth=3)
     sp.set_defaults(fn=_cmd_tilt)
 
     sp = sub.add_parser("kernel", help="Frobenius-kernel norm identity")
     sp.add_argument("action", choices=["verify"])
-    sp.add_argument("--j", type=integer, default=1, help="kernel index (vector length)")
+    sp.add_argument("--j", type=_integer, default=1, help="kernel index (vector length)")
     sp.add_argument(
         "--samples",
         default="10",
         help=f"sample count, or a file of one element per line; at most {_MAX_SAMPLES} either way",
     )
-    sp.add_argument("--seed", type=integer, default=0, help="seed for a sample count's draws")
+    sp.add_argument("--seed", type=_integer, default=0, help="seed for a sample count's draws")
     _add_common(sp, ring_default="Q")
     sp.set_defaults(fn=_cmd_kernel)
 
@@ -465,8 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("action", choices=["classify"])
     sp.add_argument("--field", default="Qi", help="base field (Qi)")
     sp.add_argument("--f", required=True, help="the constant, e.g. 'i', '1/5', '1/2+3i'")
-    sp.add_argument("--p", type=integer, default=5)
-    sp.add_argument("--depth", type=integer, default=3)
+    _add_prime(sp, 5)
+    sp.add_argument("--depth", type=_integer, default=3)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=_cmd_artin)
 

@@ -12,43 +12,32 @@ import os
 from typing import Optional
 
 from .cyclotomic import CycloModPM, CyclotomicField, GaussianField, cyclotomic_field
-from .errors import MalformedConfig
+from .errors import MalformedConfig, _quoted
 from .perfpoly import PerfPolyRing
-from .rings import Integers, Rationals, Ring, ZModPM, integer
+from .rings import Integers, Rationals, Ring, ZModPM, integer, integer_key
 from .tilt import TiltRing
-
-__all__ = ["ring_from_config", "ring_from_spec"]
 
 _RINGS = (Integers, Rationals, ZModPM, CyclotomicField, CycloModPM, GaussianField, PerfPolyRing)
 _KINDS = {cls.kind: cls for cls in (*_RINGS, TiltRing)}
 _CACHED = {CyclotomicField: cyclotomic_field}  # Qzeta shares the cached field
 
 
-def _need(config: dict, key: str, kind: str) -> int:
-    if key not in config or config[key] is None:
-        raise MalformedConfig(f"ring kind {kind!r} needs {key!r}")
-    value = config[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise MalformedConfig(f"{key!r} must be an integer, got {value!r}")
-    return value
-
-
 def ring_from_config(config: dict) -> Ring:
     """Build a ring from its configuration dict (the inverse of to_config)."""
     if not isinstance(config, dict) or "kind" not in config:
-        raise MalformedConfig(f"a ring config is a dict with a 'kind', got {config!r}")
+        raise MalformedConfig(f"a ring config is a dict with a 'kind', got {_quoted(config)}")
     kind = config["kind"]
     if not isinstance(kind, str) or kind not in _KINDS:
-        raise MalformedConfig(f"unknown ring kind {kind!r}")
+        raise MalformedConfig(f"unknown ring kind {_quoted(kind)}")
     cls = _KINDS[kind]
     if cls is TiltRing and not isinstance(config.get("base"), dict):
         raise MalformedConfig("tilt ring config needs a 'base' ring config")
     extra = [key for key in config if key not in ("kind", *cls.config_keys)]
     if extra:
-        raise MalformedConfig(f"ring kind {kind!r} takes no {', '.join(map(repr, extra))}")
+        raise MalformedConfig(f"ring kind {kind!r} takes no {', '.join(map(_quoted, extra))}")
     if cls is TiltRing:
-        return TiltRing(ring_from_config(config["base"]), _need(config, "depth", kind))
-    return _CACHED.get(cls, cls)(*[_need(config, key, kind) for key in cls.config_keys])
+        return TiltRing(ring_from_config(config["base"]), integer_key(config, "depth", kind))
+    return _CACHED.get(cls, cls)(*[integer_key(config, key, kind) for key in cls.config_keys])
 
 
 def ring_from_spec(
@@ -57,28 +46,29 @@ def ring_from_spec(
     precision: Optional[int] = None,
     depth: Optional[int] = None,
 ) -> Ring:
-    """Build a ring from a CLI spec: inline JSON, a JSON file path, or a
-    shorthand like 'Z', 'Q', 'Qi', 'Zmod', 'Qzeta:3', 'ZzetaMod:3',
-    'PerfPoly:2' (missing numbers come from --p, --precision, --depth)."""
+    """Build a ring from a CLI spec: inline JSON, a shorthand like 'Z', 'Q',
+    'Qi', 'Zmod', 'Qzeta:3', 'ZzetaMod:3', 'PerfPoly:2' (missing numbers come
+    from --p, --precision, --depth), or else a JSON file path."""
     text = spec.strip()
     if text.startswith("{"):
         try:
             return ring_from_config(json.loads(text))
         except json.JSONDecodeError as exc:
             raise MalformedConfig(f"bad inline ring JSON: {exc}") from exc
-    if os.path.exists(text):
+    head, _, arg = text.partition(":")
+    # a known kind is shorthand even when a file of that name exists
+    if head not in _KINDS and os.path.exists(text):
         with open(text, "r", encoding="utf-8") as handle:
             try:
                 return ring_from_config(json.load(handle))
-            except json.JSONDecodeError as exc:
-                raise MalformedConfig(f"bad ring JSON in {text}: {exc}") from exc
-    head, _, arg = text.partition(":")
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise MalformedConfig(f"bad ring JSON in {_quoted(text)}: {exc}") from exc
     n = None
     if arg:
         try:
             n = integer(arg)
         except ValueError as exc:
-            raise MalformedConfig(f"{head}:{arg}: the ':' argument must be an integer") from exc
+            raise MalformedConfig(f"{_quoted(text)}: the ':' argument must be an integer") from exc
     config: dict = {"kind": head, "p": p}
     if head in ("Qzeta", "ZzetaMod"):
         if n is not None:
@@ -91,5 +81,5 @@ def ring_from_spec(
         config["nvars"] = 1 if n is None else n
         config["depth"] = depth
     elif arg:
-        raise MalformedConfig(f"ring kind {head!r} takes no ':' argument")
+        raise MalformedConfig(f"ring kind {_quoted(head)} takes no ':' argument")
     return ring_from_config(config)

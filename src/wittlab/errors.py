@@ -2,20 +2,28 @@
 
 Every failure mode a caller is expected to branch on gets its own class.
 Messages should quote the offending values, since suite reports repeat them
-verbatim; a parser quotes the text it refuses through ``_quoted``, so that
-its message stays one short line however long the text is.
+verbatim; a refusal quotes the text or value it refuses through
+``_quoted``, so that its message stays one short line however long the
+text is.
 """
 
 # the most characters of a refused text that a message quotes
 _QUOTE_LIMIT = 40
 
 
-def _quoted(text: str) -> str:
-    """``repr(text)``, or for a longer text the repr of its first
-    ``_QUOTE_LIMIT`` characters followed by the text's length."""
-    if len(text) <= _QUOTE_LIMIT:
-        return repr(text)
-    return f"{text[:_QUOTE_LIMIT]!r}... ({len(text)} characters)"
+def _quoted(value) -> str:
+    """``repr(value)``, or for a longer text the repr of its first
+    ``_QUOTE_LIMIT`` characters followed by the text's length.  Any other
+    value, such as a number or a JSON list, is cut the same way in its
+    repr."""
+    if not isinstance(value, str):
+        text = repr(value)
+        if len(text) <= _QUOTE_LIMIT:
+            return text
+        return f"{text[:_QUOTE_LIMIT]}... ({len(text)} characters)"
+    if len(value) <= _QUOTE_LIMIT:
+        return repr(value)
+    return f"{value[:_QUOTE_LIMIT]!r}... ({len(value)} characters)"
 
 
 class WittError(Exception):

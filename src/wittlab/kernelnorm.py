@@ -40,15 +40,6 @@ from .witt import (
     witt_zero,
 )
 
-__all__ = [
-    "kernel_exponent",
-    "kernel_element_from_w1",
-    "verify_kernel_norm",
-    "symbolic_kernel_identity",
-    "uniformizer_steps",
-    "unit_times_power",
-]
-
 
 def kernel_exponent(p: int, j: int) -> Fraction:
     """The exponent of the comparison constant: 1/p + 1/p**2 + ... + 1/p**j."""

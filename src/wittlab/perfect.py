@@ -60,7 +60,6 @@ import math
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, NamedTuple, Tuple
 
-from .config import _need
 from .cyclotomic import CVec, CyclotomicField, CyclotomicTower, GaussianField
 from .errors import (
     CapabilityMissing,
@@ -70,9 +69,10 @@ from .errors import (
     NotEnumerable,
     PrecisionExhausted,
     RescaleInfeasible,
+    _quoted,
 )
 from .norms import NormValue
-from .rings import Integers, ZModPM, check_prime
+from .rings import Integers, ZModPM, check_prime, integer_key
 from .witt import (
     WittVec,
     frobenius,
@@ -81,16 +81,6 @@ from .witt import (
     witt_norm,
     witt_zero,
 )
-
-__all__ = [
-    "RootSequence",
-    "build_root_sequence",
-    "PerfectReport",
-    "INSTANCES",
-    "witt_perfect_test",
-    "solve_frobenius",
-    "solve_frobenius_normed",
-]
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +356,11 @@ def witt_perfect_test(config: dict, rng=None) -> PerfectReport:
         raise MalformedConfig("perfectness config needs an 'instance' key")
     inst = config["instance"]
     if inst not in INSTANCES:
-        raise MalformedConfig(f"unknown perfectness instance {inst!r}")
+        raise MalformedConfig(f"unknown perfectness instance {_quoted(inst)}")
     p = check_prime(config.get("p"))
     if inst in ("Z", "Zmod"):
         # the ring's constructor refuses M < 1
-        ring = Integers(p) if inst == "Z" else ZModPM(p, _need(config, "M", inst))
+        ring = Integers(p) if inst == "Z" else ZModPM(p, integer_key(config, "M", inst))
         name, q_exp = ("Z", 2) if inst == "Z" else (ring.label, min(ring.M, 2))
         return _check_residues(
             name, p, 1, lambda b, q: (pow(b[0], p, q),),
@@ -380,7 +370,7 @@ def witt_perfect_test(config: dict, rng=None) -> PerfectReport:
         if inst == "Qi":
             field, name = GaussianField(p), f"Z[i] at p={p}"
         else:
-            k = _need(config, "k", inst)
+            k = integer_key(config, "k", inst)
             field, name = CyclotomicField(p, k), f"Z[zeta_{p}^{k}]"
             if p ** field.e > _ZETA_ENUM_LIMIT:
                 raise NotEnumerable(
@@ -395,7 +385,7 @@ def witt_perfect_test(config: dict, rng=None) -> PerfectReport:
 
         rng = random.Random(0)
     tower = {"levels": 1, "samples": 48, **config}
-    levels, samples = _need(tower, "levels", inst), _need(tower, "samples", inst)
+    levels, samples = integer_key(tower, "levels", inst), integer_key(tower, "samples", inst)
     # a tower test with no level or no draw checks nothing and must not say yes
     for key, value in (("levels", levels), ("samples", samples)):
         if value < 1:

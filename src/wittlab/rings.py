@@ -82,9 +82,29 @@ def rational(text: str) -> Fraction:
     return Fraction(text)
 
 
+def integer_key(config: dict, key: str, kind: str) -> int:
+    """``config[key]``, which a ring or instance config of this kind must
+    give as an integer."""
+    if key not in config or config[key] is None:
+        raise MalformedConfig(f"ring kind {_quoted(kind)} needs {key!r}")
+    value = config[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise MalformedConfig(f"{key!r} must be an integer, got {_quoted(value)}")
+    return value
+
+
+# the largest prime and the largest modulus exponent M a ring takes; the
+# largest reached by the tests, the suites and the benchmark are 17 and 15000
+MAX_PRIME = 2**16
+MAX_PRECISION = 2**16
+
+
 def check_prime(p: int) -> int:
     if not isinstance(p, int) or p < 2:
-        raise MalformedConfig(f"p must be an integer >= 2, got {p!r}")
+        raise MalformedConfig(f"p must be an integer >= 2, got {_quoted(p)}")
+    # trial division below runs up to sqrt(p)
+    if p > MAX_PRIME:
+        raise MalformedConfig(f"p = {_quoted(p)} is above the bound {MAX_PRIME}")
     d = 2
     while d * d <= p:
         if p % d == 0:
@@ -392,7 +412,14 @@ class TruncatedRing(Ring):
     def __init__(self, p: int, M: int):
         self.p = check_prime(p)
         if not isinstance(M, int) or M < 1:
-            raise MalformedConfig(f"modulus exponent M must be a positive integer, got {M!r}")
+            raise MalformedConfig(
+                f"modulus exponent M must be a positive integer, got {_quoted(M)}"
+            )
+        # p**M is built from here on, by every constructor and operation
+        if M > MAX_PRECISION:
+            raise MalformedConfig(
+                f"modulus exponent M = {_quoted(M)} is above the bound {MAX_PRECISION}"
+            )
         self.M = M
 
     # -- subclass hooks ------------------------------------------------------

@@ -126,13 +126,6 @@ from .witt import (
     witt_zero,
 )
 
-__all__ = [
-    "CaseResult",
-    "SuiteReport",
-    "SUITE_NAMES",
-    "run_suite",
-]
-
 
 # ---------------------------------------------------------------------------
 # report containers

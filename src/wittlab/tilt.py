@@ -86,25 +86,6 @@ from .perfpoly import PerfPolyRing
 from .rings import Ring
 from .witt import WittVec, witt_add, witt_combination, witt_mul, witt_neg, witt_norm_profile
 
-__all__ = [
-    "TiltElt",
-    "make_tilt",
-    "tilt_from_top",
-    "tilt_add",
-    "tilt_mul",
-    "tilt_pth_root",
-    "tilt_to_json",
-    "TiltRing",
-    "charp_overconv_profile",
-    "charp_overconv_norm",
-    "charp_arrow_realization",
-    "charp_limit_norm",
-    "growth_family",
-    "growth_profile_report",
-    "untilt",
-    "untilt_isometry",
-]
-
 
 def _truncated_modulus(ring: Ring) -> int:
     if ring.truncated:

@@ -60,35 +60,6 @@ from .errors import CapabilityMissing, LengthMismatch, MalformedConfig, _quoted
 from .norms import NormValue, norm_max
 from .rings import Integers, Ring, integer
 
-__all__ = [
-    "WittVec",
-    "GhostVec",
-    "witt_zero",
-    "witt_one",
-    "ghost",
-    "unghost",
-    "witt_add",
-    "witt_sub",
-    "witt_neg",
-    "witt_mul",
-    "witt_combination",
-    "witt_eq",
-    "frobenius",
-    "frobenius_iter",
-    "verschiebung",
-    "teichmuller",
-    "teich_mul",
-    "restrict",
-    "integer_witt_components",
-    "witt_from_integer",
-    "witt_norm",
-    "witt_norm_profile",
-    "witt_to_json",
-    "format_witt",
-    "parse_witt",
-    "split_top_level",
-]
-
 
 class _WittFields(NamedTuple):
     ring: Ring
@@ -447,7 +418,7 @@ def parse_witt(ring: Ring, text: str) -> WittVec:
     if tag is not None:
         if tag != ring.p:
             raise MalformedConfig(
-                f"vector tagged p={tagged.group(1)} but the ring has p={ring.p}"
+                f"vector tagged p={_quoted(tag)} but the ring has p={ring.p}"
             )
         body = tagged.group(2).strip()
     elif body.startswith("(") and body.endswith(")"):

@@ -1,15 +1,13 @@
 """No public name without a caller.
 
-Every name in a module's ``__all__``, and every name the package
-``__init__`` imports, must be read somewhere in the library itself (outside
-``__init__.py`` and the ``__all__`` lists) or in the benchmark.  A name that
+A module states what it offers by its names alone: its public names are its
+top-level defs, classes and assigned names without a leading underscore.
+Each must be read somewhere in the library itself (outside ``__init__.py``)
+or in the benchmark, and each name the package ``__init__`` offers must be
+read in the benchmark, which alone reads through the package.  A name that
 only tests read is API nobody calls: delete it with its tests, or give it a
 library or CLI caller.  The benchmark dispatches on op names with
 ``getattr(module, kind)``, so its string constants count as reads too.
-
-A module with an ``__all__`` must list in it every public top-level def and
-class, so that no public name escapes the rule; a name that only its own
-module reads takes a leading underscore instead.
 
 ``import wittlab`` loads the arithmetic only, and its records are
 NamedTuples that keep the contract they had as frozen dataclasses.
@@ -17,6 +15,7 @@ NamedTuples that keep the contract they had as frozen dataclasses.
 
 import ast
 import os
+import shutil
 import subprocess
 import sys
 
@@ -42,20 +41,9 @@ def _trees(directory, keep):
     return trees
 
 
-def _all_names(tree):
-    """The strings of a module's ``__all__`` list; None if it has none."""
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            return {elt.value for elt in node.value.elts}
-    return None
-
-
 def _reads(tree, strings=False):
     """Names a tree loads, bare or as an attribute, and with ``strings`` its
-    string constants.  An ``__all__`` list holds only strings, so without
-    them it reads nothing."""
+    string constants."""
     out = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -67,43 +55,48 @@ def _reads(tree, strings=False):
     return out
 
 
-def uncalled_public_names():
-    src = _trees(SRC, lambda name: True)
-    bench = _trees(BENCH, lambda name: not name.startswith("test_"))
-    public = set()
-    for name, tree in src.items():
-        public |= _all_names(tree) or set()
+def _public_names(tree):
+    """The top-level defs, classes and assigned names of a module that take
+    no leading underscore."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {
+                n.id
+                for target in targets
+                for n in ast.walk(target)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+            }
+    return {name for name in names if not name.startswith("_")}
+
+
+def uncalled_public_names(src=SRC):
+    """``module.name`` for each public name of a module under ``src`` that
+    nothing in ``src`` or the benchmark reads, and ``wittlab.name`` for each
+    name of the package ``__init__`` that the benchmark does not read."""
+    trees = _trees(src, lambda name: True)
+    bench = set()
+    for tree in _trees(BENCH, lambda name: not name.startswith("test_")).values():
+        bench |= _reads(tree, strings=True)
+    read = set(bench)
+    for name, tree in trees.items():
+        if name != "__init__.py":
+            read |= _reads(tree)
+    out = []
+    for name, tree in trees.items():
         if name == "__init__.py":
-            public |= {
+            offered = _public_names(tree) | {
                 alias.asname or alias.name
                 for node in tree.body
                 if isinstance(node, ast.ImportFrom)
                 for alias in node.names
             }
-    read = set()
-    for name, tree in src.items():
-        if name != "__init__.py":
-            read |= _reads(tree)
-    for tree in bench.values():
-        read |= _reads(tree, strings=True)
-    return sorted(public - read)
-
-
-def unlisted_public_defs():
-    """``module.name`` for each public top-level def or class that a module
-    with an ``__all__`` leaves out of it."""
-    out = []
-    for name, tree in _trees(SRC, lambda name: True).items():
-        listed = _all_names(tree)
-        if listed is None:
-            continue
-        out += [
-            f"{name[:-3]}.{node.name}"
-            for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")
-            and node.name not in listed
-        ]
+            out += [f"wittlab.{n}" for n in sorted(offered - bench)]
+        else:
+            out += [f"{name[:-3]}.{n}" for n in sorted(_public_names(tree) - read)]
     return out
 
 
@@ -111,8 +104,14 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert uncalled_public_names() == []
 
 
-def test_every_public_def_of_a_module_with_all_is_listed():
-    assert unlisted_public_defs() == []
+def test_the_caller_rule_names_a_planted_def_and_a_planted_re_export(tmp_path):
+    copy = tmp_path / "wittlab"
+    shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(copy / "rings.py", "a", encoding="utf-8") as handle:
+        handle.write("\n\ndef unused_helper():\n    return None\n")
+    with open(copy / "__init__.py", "a", encoding="utf-8") as handle:
+        handle.write("from .errors import WittError\n")
+    assert uncalled_public_names(str(copy)) == ["wittlab.WittError", "rings.unused_helper"]
 
 
 def test_importing_the_package_loads_the_arithmetic_only():
@@ -129,7 +128,7 @@ def test_importing_the_package_loads_the_arithmetic_only():
     loaded = set(proc.stdout.split())
     assert "wittlab.witt" in loaded
     unused = {"dataclasses", "inspect"} | {
-        f"wittlab.{name}" for name in ("suites", "kernelnorm", "artin", "reference")
+        f"wittlab.{name}" for name in ("suites", "kernelnorm", "artin", "reference", "config")
     }
     assert not loaded & unused, sorted(loaded & unused)
 

@@ -295,6 +295,63 @@ NAMED_USAGE_ERRORS = [
         ("compute", f"neg ({'7' * 5000}x)"),
         f"error: not an integer: {'7' * 40!r}... (5001 characters)",
     ),
+    # and so does every refusal outside the element parsers
+    (
+        "compute-ring-json-long-value",
+        ("compute", "--ring", f'{{"kind":"Z","p":"{"7" * 5000}"}}', "neg (1)"),
+        f"error: 'p' must be an integer, got {'7' * 40!r}... (5000 characters)",
+    ),
+    (
+        "compute-ring-json-long-number",
+        ("compute", "--ring", f'{{"kind":"Z","p":{"7" * 5000}}}', "neg (1)"),
+        f"error: p = {'7' * 40}... (5000 characters) is above the bound 65536",
+    ),
+    (
+        "compute-ring-long-kind",
+        ("compute", "--ring", "Q" + "z" * 5000, "neg (1)"),
+        f"error: unknown ring kind {'Q' + 'z' * 39!r}... (5001 characters)",
+    ),
+    (
+        "compute-ring-long-colon-argument",
+        ("compute", "--ring", "Zmod:" + "x" * 5000, "neg (1)"),
+        f"error: {'Zmod:' + 'x' * 35!r}... (5005 characters): the ':' argument must be an integer",
+    ),
+    (
+        "kernel-samples-long-path",
+        ("kernel", "verify", "--samples", "/nonexistent/" + "x" * 200),
+        "error: --samples must be a count or a readable file: [Errno 2] No such file or "
+        f"directory: {'/nonexistent/' + 'x' * 27!r}... (213 characters)",
+    ),
+    (
+        "perfect-long-instance",
+        ("perfect", "test", "x" * 5000),
+        f"error: unknown perfectness instance {'x' * 40!r}... (5000 characters); "
+        "use one of Z, Zmod, Qi, zeta-ring, tower or an inline JSON config",
+    ),
+    (
+        "artin-long-field",
+        ("artin", "classify", "--field", "x" * 5000, "--f", "1"),
+        "error: classification is implemented over the Gaussian field only, "
+        f"got {'x' * 40!r}... (5000 characters)",
+    ),
+    # the prime and the modulus exponent are bounded before any work on them;
+    # these values are cheap even past a failed bound, and large ones run in
+    # a child process below
+    (
+        "compute-p-over-bound",
+        ("compute", "--p", "65537", "neg (1)"),
+        "error: p = 65537 is above the bound 65536",
+    ),
+    (
+        "compute-precision-over-bound",
+        ("compute", "--ring", "Zmod", "--precision", "65537", "neg (1)"),
+        "error: modulus exponent M = 65537 is above the bound 65536",
+    ),
+    (
+        "compute-ring-json-M-over-bound",
+        ("compute", "--ring", '{"kind":"ZzetaMod","p":3,"k":2,"M":65537}', "neg ([1])"),
+        "error: modulus exponent M = 65537 is above the bound 65536",
+    ),
 ]
 _FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 USAGE_ERRORS = [
@@ -352,6 +409,76 @@ USAGE_ERRORS = [
 def test_named_usage_errors_print_their_message(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err.strip()) == (2, "", message)
+    assert len(err.encode()) < 200
+
+
+# a child under a 1 GB address-space limit: a bound that failed to hold ends
+# in a MemoryError or a timeout, not in a host out of memory
+_BOUND_PROBE = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from wittlab.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(code, time.perf_counter() - start)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "--p", "1000000000000000003", "neg (1)"),
+        ("compute", "--ring", "Zmod", "--precision", "10000000", "neg (1)"),
+    ],
+    ids=["prime", "precision"],
+)
+def test_a_size_past_its_bound_is_refused_in_under_a_second(argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", _BOUND_PROBE, *argv],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=60,
+    )
+    code, seconds = proc.stdout.split()
+    assert code == "2" and float(seconds) < 1.0, proc.stderr
+    assert "is above the bound 65536" in proc.stderr
+
+
+def test_integer_flags_and_the_prime_state_their_bounds(capsys):
+    with pytest.raises(SystemExit):
+        main(["compute", "--help"])
+    usage = " ".join(capsys.readouterr().out.split())
+    assert "the prime, at most 65536 (default 2)" in usage
+    assert "truncation exponent M, at most 65536" in usage
+
+
+def test_an_integer_flag_quotes_a_bounded_prefix_of_a_long_text(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--p", "x" * 5000, "neg (1)"])
+    assert exc.value.code == 2
+    line = capsys.readouterr().err.splitlines()[-1]
+    assert line == (
+        "wittlab compute: error: argument --p: invalid integer value: "
+        f"{'x' * 40!r}... (5000 characters)"
+    )
+
+
+def test_a_file_named_like_a_ring_shorthand_does_not_shadow_it(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "Z").write_text("not json")
+    (tmp_path / "Zmod").write_text('{"kind":"Q","p":3}')
+    (tmp_path / "ring.json").write_text('{"kind":"Zmod","p":3,"M":2}')
+    assert run(capsys, "compute", "neg (1)") == (0, "(-1)\n", "")
+    assert run(capsys, "compute", "--ring", "Zmod", "neg (1)") == (0, "(63)\n", "")
+    assert run(capsys, "compute", "--ring", "ring.json", "neg (1)") == (0, "(8)\n", "")
+
+
+def test_a_file_that_is_not_utf8_text_is_a_usage_error(capsys, tmp_path):
+    path = str(tmp_path / "bytes.bin")
+    with open(path, "wb") as handle:
+        handle.write(b"\xc0\xff\n")
+    for argv in (("compute", "--ring", path, "neg (1)"), ("kernel", "verify", "--samples", path)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and "can't decode byte 0xc0" in err, err
 
 
 @pytest.mark.parametrize("argv, unbuffered", USAGE_ERRORS)

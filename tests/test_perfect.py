@@ -24,7 +24,7 @@ from wittlab.perfect import (
     witt_perfect_test,
 )
 from wittlab.rings import Integers, ZModPM
-from wittlab.witt import WittVec, frobenius, witt_eq, witt_norm, witt_to_json
+from wittlab.witt import WittVec, frobenius, witt_eq, witt_norm, witt_to_json, witt_zero
 
 import oracles
 
@@ -282,6 +282,14 @@ def test_normed_solver_repairs_the_two_digit_branch():
     W = seq.tower.field(rep["working_level"])
     X = WittVec(W, tuple(seq.tower.embed_up(1, rep["working_level"], c) for c in x.components))
     assert witt_eq(frobenius(y), X)
+
+
+def test_normed_solver_solves_zero_trivially():
+    seq = build_root_sequence(2, 3)
+    x = witt_zero(seq.tower.field(1), 2)
+    y, rep = solve_frobenius_normed(seq, 1, x)
+    assert y.length == 3 and witt_eq(frobenius(y), x)
+    assert rep == {"trivial": True, "exact": True, "norm_contract": True}
 
 
 def test_normed_solver_never_returns_a_contract_violation():

@@ -237,6 +237,13 @@ def test_a_refusal_quotes_a_bounded_prefix_of_a_long_text(parse, text):
     assert len(message.encode()) < 200 and message.endswith(" characters)"), message
 
 
+def test_a_tag_that_names_another_prime_is_quoted_by_a_bounded_prefix():
+    # 4000 digits: the interpreter's int/str digit limit holds outside the CLI
+    with pytest.raises(MalformedConfig) as exc:
+        parse_witt(Integers(2), f"W(p={'7' * 4000}; 1)")
+    assert str(exc.value) == f"vector tagged p={'7' * 40}... (4000 characters) but the ring has p=2"
+
+
 @seed(1403)
 @settings(max_examples=200)
 @given(st.integers())

@@ -19,6 +19,8 @@ from wittlab.errors import (
 )
 from wittlab.norms import NormValue
 from wittlab.rings import (
+    MAX_PRECISION,
+    MAX_PRIME,
     Integers,
     Rationals,
     Ring,
@@ -41,6 +43,22 @@ def test_check_prime_accepts_primes_and_rejects_composites():
     for bad in (0, 1, 4, 9, -3, 15):
         with pytest.raises(MalformedConfig):
             check_prime(bad)
+
+
+def test_the_prime_and_the_modulus_exponent_have_one_bound_each():
+    # values just past each bound, cheap even if the bound failed; the CLI
+    # tests probe large ones in a child process.  65521 is the largest prime
+    # below 2**16 = 65536, and 65537 is prime; 2**20 is refused by the bound,
+    # not as a composite
+    assert check_prime(65521) == 65521
+    assert ZModPM(2, MAX_PRECISION).M == MAX_PRECISION
+    for p in (MAX_PRIME + 1, 2**20):
+        with pytest.raises(MalformedConfig, match=f"^p = {p} is above the bound 65536$"):
+            check_prime(p)
+    for ring in (lambda M: ZModPM(2, M), lambda M: CycloModPM(2, 2, M)):
+        with pytest.raises(MalformedConfig) as exc:
+            ring(MAX_PRECISION + 1)
+        assert str(exc.value) == "modulus exponent M = 65537 is above the bound 65536"
 
 
 @given(small_ints, st.sampled_from([2, 3, 5, 7]))

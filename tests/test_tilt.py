@@ -472,4 +472,3 @@ def test_chains_have_one_api():
     for name in _DELETED_CHAIN_FUNCTIONS:
         assert not hasattr(tilt, name), name
         assert not hasattr(wittlab, name), name
-        assert name not in tilt.__all__, name

@@ -39,13 +39,16 @@ from .errors import (
     InsufficientDepth,
     IntegralityViolation,
     LengthMismatch,
+    MalformedConfig,
 )
 from .norms import NormValue, as_fraction, norm_max
 from .rings import Ring
 from .witt import (
+    MAX_GHOST_EXPONENT,
     WittVec,
     frobenius,
     frobenius_iter,
+    max_length,
     restrict,
     teichmuller,
     witt_add,
@@ -132,11 +135,24 @@ def arrow_eq(a: ArrowElt, b: ArrowElt) -> bool:
     return all(witt_eq(x, y) for x, y in zip(a.levels, b.levels))
 
 
+def check_family_depth(p: int, depth: int) -> None:
+    """Refuse a family whose top level, of length depth + 1, is longer than
+    ``witt.max_length`` at p, before any level is built."""
+    bound = max_length(p) - 1
+    if depth > bound:
+        raise MalformedConfig(
+            f"family depth {depth} is above the bound {bound} at p={p} "
+            f"(p^depth at most {MAX_GHOST_EXPONENT})"
+        )
+
+
 def arrow_from_integer(ring: Ring, c: int, depth: int) -> ArrowElt:
     """The constant-ghost integer c at every level.  It is coherent by
     construction: over Z the ghost of F is the shift, which fixes a constant
     ghost, and F commutes with the map Z -> R.  So nothing re-checks it, and
-    only an empty family (depth < 0) is refused."""
+    only an empty family (depth < 0) and one past ``check_family_depth`` are
+    refused."""
+    check_family_depth(ring.p, depth)
     levels = tuple(witt_from_integer(ring, c, n + 1) for n in range(depth + 1))
     bound = norm_max([ring.seminorm(ring.from_int(c)), NormValue.one()])
     if NormValue.one() < bound:
@@ -190,8 +206,10 @@ def theta_series(a: ArrowElt, lift_perturbation: Optional[Callable[[int], Any]] 
 
     For a coherent element this telescopes to theta(a) exactly: the sum is the
     top ghost coordinate of level N, and ghost coordinates are constant along
-    the tower.  Returns (value, terms).
+    the tower.  An exact base is refused as ``theta`` refuses it: the terms
+    read the truncated ring's ``pow_p_tower``.  Returns (value, terms).
     """
+    theta(a)
     ring = a.ring
     N = a.depth
     top = a.levels[N]

@@ -41,15 +41,16 @@ from .arrow import (
 from .artin import invariant_classify, teichmuller_phi_invariance
 from .config import ring_from_spec
 from .cyclotomic import GaussianField
-from .errors import CapabilityMissing, MalformedConfig, NoRoot, WittError, _quoted
+from .errors import CapabilityMissing, MalformedConfig, NoRoot, WittError, _cut, _quoted
 from .kernelnorm import uniformizer_steps, unit_times_power, verify_kernel_norm
 from .norms import exponent_text
 from .perfect import INSTANCES, solve_frobenius, witt_perfect_test
 from .rings import MAX_PRECISION, MAX_PRIME, Rationals, Ring, integer
 from .suites import SUITE_NAMES, run_suite
 from .tilt import TiltRing, tilt_from_top, tilt_to_json, untilt
-from .univ import canonical_dump
+from .univ import MAX_STRUCTURE_DEGREE, canonical_dump
 from .witt import (
+    MAX_GHOST_EXPONENT,
     GhostVec,
     WittVec,
     format_witt,
@@ -229,13 +230,9 @@ def _cmd_perfect(args) -> Reply:
             except json.JSONDecodeError as exc:
                 raise MalformedConfig(f"bad instance config: {exc}") from exc
         elif spec in INSTANCES:
-            config = {"instance": spec, "p": args.p}
-            if spec == "Zmod":
-                config["M"] = args.precision
-            if spec == "zeta-ring":
-                config["k"] = args.depth
-            if spec == "tower":
-                config["levels"] = args.depth
+            # each instance reads only its own keys
+            config = {"instance": spec, "p": args.p, "M": args.precision}
+            config.update(k=args.depth, levels=args.depth)
         else:
             raise MalformedConfig(
                 f"unknown perfectness instance {_quoted(spec)}; use one of "
@@ -320,7 +317,7 @@ def _cmd_kernel(args) -> Reply:
         elements = [ring.parse_elt(t) for t in texts]
     else:
         if count > _MAX_SAMPLES:
-            raise MalformedConfig(f"--samples {count} is above the bound {_MAX_SAMPLES}")
+            raise MalformedConfig(f"--samples {_quoted(count)} is above the bound {_MAX_SAMPLES}")
         # the sampled t may carry negative powers of p; a file may hold t over any ring
         if not ring.q_algebra:
             raise MalformedConfig(
@@ -334,7 +331,8 @@ def _cmd_kernel(args) -> Reply:
         ]
     if not elements:  # a run that checks nothing must not report 0 failures
         raise MalformedConfig(
-            f"kernel verify needs at least 1 sample, got {count or 0} (--samples {args.samples})"
+            f"kernel verify needs at least 1 sample, got {_quoted(count or 0)} "
+            f"(--samples {_cut(args.samples)})"
         )
     results = [verify_kernel_norm(ring, t, args.j) for t in elements]
     failures = sum(1 for r in results if not r["passed"])
@@ -377,6 +375,20 @@ def _cmd_artin(args) -> Reply:
 # ---------------------------------------------------------------------------
 
 
+# a token in argparse's refusal line: a refused choice, which argparse quotes
+# by its repr, or a bare word, such as an unrecognized argument
+_TOKEN = re.compile(r"'([^'\\]*)'|\S+")
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose refusal line cuts each long token as
+    ``errors._quoted`` cuts it; the subparsers inherit it."""
+
+    def error(self, message: str):
+        cut = _TOKEN.sub(lambda m: _cut(m[0]) if m[1] is None else _quoted(m[1]), message)
+        super().error(cut)
+
+
 def _integer(text: str) -> int:
     """An integer flag's value, read by ``rings.integer``; argparse prints the
     refusal with its usage line."""
@@ -411,7 +423,7 @@ def _add_common(sp, *, ring_default: Optional[str] = None, precision: int = 6, d
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wittlab",
         description="Exact Witt-vector arithmetic, tilting, and verification suites.",
     )
@@ -430,19 +442,27 @@ def build_parser() -> argparse.ArgumentParser:
         "expr",
         help="expression: an operation (ghost, unghost, add, sub, mul, neg, "
         "frob, versch, wnorm) followed by parenthesized vectors, "
-        "e.g. \"add (1,0) (1,0)\"",
+        f"e.g. \"add (1,0) (1,0)\"; a vector's p^(length-1) at most {MAX_GHOST_EXPONENT}",
     )
     _add_common(sp, ring_default="Z")
     sp.set_defaults(fn=_cmd_compute)
 
     sp = sub.add_parser("universal", help="structure polynomial utilities")
-    sp.add_argument("action", choices=["dump"])
+    sp.add_argument(
+        "action",
+        choices=["dump"],
+        help=f"every cached polynomial at p; p^index at most {MAX_STRUCTURE_DEGREE}",
+    )
     _add_prime(sp, 2)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=_cmd_universal)
 
     sp = sub.add_parser("arrow", help="coherent-family (inverse limit) operations")
-    sp.add_argument("action", choices=["norm", "lift", "theta"])
+    sp.add_argument(
+        "action",
+        choices=["norm", "lift", "theta"],
+        help=f"the family's p^depth at most {MAX_GHOST_EXPONENT} (lift builds depth + M + 2)",
+    )
     sp.add_argument("c", type=_integer, help="the integer whose coherent family to build")
     sp.add_argument("--b", default="1", help="overconvergence weight (rational)")
     sp.add_argument(
@@ -469,7 +489,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("tilt", help="chain (tilt) arithmetic over a truncated base")
     sp.add_argument("action", choices=["add", "mul", "norm", "untilt"])
     sp.add_argument("tops", nargs="+", help="top elements; each seeds a coherent chain")
-    sp.add_argument("--n", type=_integer, default=1, help="untilt output depth")
+    sp.add_argument(
+        "--n",
+        type=_integer,
+        default=1,
+        help=f"untilt output depth; the family's p^n at most {MAX_GHOST_EXPONENT}",
+    )
     _add_common(sp, ring_default="Zmod", precision=3, depth=3)
     sp.set_defaults(fn=_cmd_tilt)
 

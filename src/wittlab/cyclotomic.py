@@ -243,7 +243,6 @@ class PowerBasisField(Ring):
     """
 
     q_algebra = True
-    p_torsion_free = True
 
     def __init__(self, root_p: int, root_k: int):
         self.root_p, self.root_k = root_p, root_k
@@ -301,10 +300,8 @@ class PowerBasisField(Ring):
         return _canon(_conv(a.nums, b.nums, self.e, self.root_p, self.step), a.den * b.den)
 
     def pow_(self, a: CVec, n: int) -> CVec:
-        if n < 0:
-            raise CapabilityMissing(f"{self.kind}: negative powers not supported")
-        if n == 0:
-            return self.one()
+        if n <= 0:
+            return super().pow_(a, n)
         return _canon(_pow_int(a.nums, n, self.e, self.root_p, self.step), a.den**n)
 
     def pow_digits_mod(self, digits: Sequence[int], n: int, q: int) -> Tuple[int, ...]:
@@ -565,12 +562,6 @@ class CycloModPM(TruncatedRing):
             struct.Struct(f"{2 * e - 1}{_SLOT_CODES[size]}"),
         )
 
-    def with_precision(self, M: int) -> "CycloModPM":
-        return CycloModPM(self.p, self.k, M)
-
-    def make(self, coeffs: Sequence[int], prec: Optional[int] = None) -> TruncVec:
-        return self.from_digits(coeffs, prec)
-
     def _reduce(self, seq: Iterable[int], prec: int) -> TruncVec:
         q = self.p**prec
         lst = [int(c) % q for c in seq]
@@ -608,22 +599,14 @@ class CycloModPM(TruncatedRing):
         return self._reduce(self.field.integral_coeffs(a), prec)
 
 
-_SQUARE_SUM = {}
-
-
 def _two_square_decomposition(p: int) -> Tuple[int, int]:
-    if p not in _SQUARE_SUM:
-        u = 1
-        while u * u <= p:
-            w2 = p - u * u
-            w = math.isqrt(w2)
-            if w * w == w2:
-                _SQUARE_SUM[p] = (u, w)
-                break
-            u += 1
-        else:
-            raise CapabilityMissing(f"{p} is not a sum of two squares")
-    return _SQUARE_SUM[p]
+    u = 1
+    while u * u <= p:
+        w = math.isqrt(p - u * u)
+        if u * u + w * w == p:
+            return u, w
+        u += 1
+    raise CapabilityMissing(f"{p} is not a sum of two squares")
 
 
 class GaussianField(PowerBasisField):

@@ -26,6 +26,12 @@ def _quoted(value) -> str:
     return f"{value[:_QUOTE_LIMIT]!r}... ({len(value)} characters)"
 
 
+def _cut(text: str) -> str:
+    """``text`` itself up to ``_QUOTE_LIMIT`` characters, else
+    ``_quoted(text)``: for a token that a message prints bare."""
+    return text if len(text) <= _QUOTE_LIMIT else _quoted(text)
+
+
 class WittError(Exception):
     """Base class for all errors raised by this package."""
 

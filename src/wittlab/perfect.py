@@ -224,13 +224,7 @@ class PerfectReport(NamedTuple):
     notes: Tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "instance": self.instance,
-            "verdict": self.verdict,
-            "condition_a": self.condition_a,
-            "condition_b": self.condition_b,
-            "notes": list(self.notes),
-        }
+        return {**self._asdict(), "notes": list(self.notes)}
 
 
 _ZETA_ENUM_LIMIT = 2 ** 16  # the largest Z[zeta] residue space p**e enumerated

@@ -28,15 +28,15 @@ call packs its operands once, and unpacks and sorts its result once.
 
 Char-p Witt ops reach this ring through its override of
 ``Ring.char_p_witt_op``.  It refuses vectors longer than the cached range
-(``univ.structure_cap``), and evaluates the cached mod-p structure
-polynomial of each component.  It packs each input component once and keeps
-one cache of powers, keyed by (operand, component, exponent), across all
-output components.  Every partial term product is reduced mod p, its zero
-terms dropped, and each term's last factor is multiplied straight into the
-component's accumulator, which is reduced, unpacked and sorted once.
-Reduction mod p is a ring map and elements are canonical, so this is the
-element that evaluating the polynomial term by term in ring arithmetic would
-give.
+(``univ.structure_cap``), and evaluates the mod-p structure polynomial of
+each component from one plan per length, kind and arity (``_plan``).  It
+packs each input component once and keeps one cache of powers, keyed by
+(operand, component, exponent), across all output components.  Every
+partial term product is reduced mod p, its zero terms dropped, and each
+term's last factor is multiplied straight into the component's accumulator,
+which is reduced, unpacked and sorted once.  Reduction mod p is a ring map
+and elements are canonical, so this is the element that evaluating the
+polynomial term by term in ring arithmetic would give.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .errors import (
     NoRoot,
     _quoted,
 )
-from .rings import Ring, check_prime, integer, power_ladder, rational
+from .rings import Ring, integer, power_ladder, rational
 from .univ import structure_cap, structure_poly_mod_p
 
 Monomial = Tuple[int, ...]
@@ -105,15 +105,18 @@ def _power(a: Packed, n: int, p: int) -> Packed:
 @lru_cache(maxsize=None)
 def _plan(p: int, length: int, kind: str, arity: int) -> Tuple[tuple, int]:
     """The mod-p structure polynomials of ``kind`` at components
-    0..length-1 over ``arity`` vectors, read through ``UPoly.terms_for``
-    (which checks the arity): per component, its terms as (coefficient or
-    None, ((operand, component, exponent), ...)); and the largest total
-    degree of a term."""
+    0..length-1 over ``arity`` vectors: per component, its terms in sorted
+    exponent order as (coefficient, ((operand, component, exponent), ...)),
+    the coefficient None where it is a 1 that multiplies something; and the
+    largest total degree of a term."""
     comps = []
     for i in range(length):
         slots = [(a, j) for a in range(arity) for j in range(i + 1)]
-        terms = structure_poly_mod_p(p, i, kind).terms_for(slots)
-        comps.append(tuple((c, tuple((*slots[idx], e) for idx, e in fs)) for c, fs in terms))
+        terms = []
+        for exps, c in sorted(structure_poly_mod_p(p, i, kind).terms.items()):
+            keys = tuple((*slots[idx], e) for idx, e in enumerate(exps) if e)
+            terms.append((None if c == 1 and keys else c, keys))
+        comps.append(tuple(terms))
     degree = max(sum(e for _, _, e in keys) for terms in comps for _, keys in terms)
     return tuple(comps), degree
 
@@ -143,12 +146,10 @@ class PerfPolyRing(Ring):
     kind = "PerfPoly"
     config_keys = ("p", "nvars", "depth")
     char_p = True
-    q_algebra = False
     p_torsion_free = False
-    truncated = False
 
     def __init__(self, p: int, nvars: int, depth: int):
-        self.p = check_prime(p)
+        super().__init__(p)
         if nvars < 1:
             raise MalformedConfig(f"need at least one variable, got {nvars}")
         if depth < 0:
@@ -294,9 +295,6 @@ class PerfPolyRing(Ring):
         """-deg a, so the seminorm is p**(deg a)."""
         d = self.degree(a)
         return None if d is None else -d
-
-    def exact_divide_by_p(self, a: PPoly, k: int = 1) -> PPoly:
-        raise CapabilityMissing("PerfPoly has characteristic p; division by p is undefined")
 
     # -- formatting --------------------------------------------------------------------
 

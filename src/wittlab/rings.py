@@ -156,7 +156,9 @@ def power_ladder(a: Any, n: int, mul: Callable, sqr: Optional[Callable] = None) 
 class Ring(ABC):
     """Abstract coefficient ring at a fixed prime p.  A ring gives its
     `valuation` and names its constructor arguments in `config_keys`, and
-    `seminorm`, `to_config` (read by `config.ring_from_config`) follow."""
+    `seminorm`, `to_config` (read by `config.ring_from_config`) follow.
+    `__init__` checks the prime, and `pow_` alone refuses a negative power:
+    a ring's own `pow_` hands it every exponent it does not compute."""
 
     p: int
     kind: str = "abstract"
@@ -165,6 +167,9 @@ class Ring(ABC):
     q_algebra: bool = False
     p_torsion_free: bool = True
     truncated: bool = False
+
+    def __init__(self, p: int):
+        self.p = check_prime(p)
 
     # -- element constructors ---------------------------------------------
 
@@ -195,10 +200,6 @@ class Ring(ABC):
         if n < 0:
             raise CapabilityMissing(f"{self.kind}: negative powers not supported")
         return power_ladder(a, n, self.mul) if n else self.one()
-
-    def pow_p_tower(self, a: Any, l: int) -> Any:
-        """a ** (p ** l); truncated rings override this to gain l digits."""
-        return self.pow_(a, self.p ** l)
 
     def char_p_witt_op(self, kind: str, vecs: Sequence[Any]) -> Tuple[Any, ...]:
         """The components of the characteristic-p Witt op ``kind`` (``sum``,
@@ -275,10 +276,6 @@ class Integers(Ring):
     """The ring of integers, with the p-adic seminorm for the chosen p."""
 
     kind = "Z"
-    p_torsion_free = True
-
-    def __init__(self, p: int):
-        self.p = check_prime(p)
 
     def from_int(self, n: int) -> int:
         return int(n)
@@ -293,9 +290,7 @@ class Integers(Ring):
         return a * b
 
     def pow_(self, a: int, n: int) -> int:
-        if n < 0:
-            raise CapabilityMissing(f"{self.kind}: negative powers not supported")
-        return a**n
+        return a**n if n >= 0 else super().pow_(a, n)
 
     def eq(self, a: int, b: int) -> bool:
         return a == b
@@ -327,10 +322,6 @@ class Rationals(Ring):
 
     kind = "Q"
     q_algebra = True
-    p_torsion_free = True
-
-    def __init__(self, p: int):
-        self.p = check_prime(p)
 
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)
@@ -347,9 +338,7 @@ class Rationals(Ring):
     def pow_(self, a: Fraction, n: int) -> Fraction:
         # Fraction ** n powers numerator and denominator, which stay coprime;
         # a negative n would invert silently, so it is refused as elsewhere
-        if n < 0:
-            raise CapabilityMissing(f"{self.kind}: negative powers not supported")
-        return a**n
+        return a**n if n >= 0 else super().pow_(a, n)
 
     def eq(self, a: Fraction, b: Fraction) -> bool:
         return a == b
@@ -384,17 +373,18 @@ class TruncatedRing(Ring):
 
     An element is one ``TruncVec``: e integer digits known modulo p**prec,
     1 <= prec <= M.  This base owns the element and the precision rule, so
-    Z/p**M and Z[zeta]/p**M run the same code for `from_digits`, `from_int`,
-    `add`, `neg`, `mul`, `pow_`, `pow_p_tower`, `eq`, `is_zero` and
-    `exact_divide_by_p`.  It also owns the digit layout: the `~prec` text
-    suffix, the JSON form `{<json_key>: ..., "prec": k}` (the bare payload at
-    full precision), and the digit view `digits`, `from_digits` and
-    `elements` that generic code uses in place of element payloads.  A scalar
+    Z/p**M and Z[zeta]/p**M run the same code for `with_precision`,
+    `from_digits`, `make`, `from_int`, `add`, `neg`, `mul`, `pow_`,
+    `pow_p_tower`, `eq`, `is_zero` and `exact_divide_by_p`.  It also owns the
+    digit layout: the `~prec` text suffix, the JSON form
+    `{<json_key>: ..., "prec": k}` (the bare payload at full precision), and
+    the digit view `digits`, `from_digits` and `elements` that generic code
+    uses in place of element payloads.  A scalar
     ring (Z/p**M) prints its one digit bare, any other ring
     `[d_0, ..., d_(e-1)]`, even when e = 1.
 
     A subclass supplies the digit product `_mul`, the digit power `_pow`,
-    the fold `_reduce` of digits into an element, `make`, the `valuation`
+    the fold `_reduce` of digits into an element, the `valuation`
     of the canonical representative, and the cover hooks: the integral ring
     `cover`, built once; `lift_to_cover`, the balanced digits, each in
     (-p**prec/2, p**prec/2]; and `reduce_from_cover(z, a)`, z's class mod
@@ -410,7 +400,7 @@ class TruncatedRing(Ring):
     json_key: str = "value"
 
     def __init__(self, p: int, M: int):
-        self.p = check_prime(p)
+        super().__init__(p)
         if not isinstance(M, int) or M < 1:
             raise MalformedConfig(
                 f"modulus exponent M must be a positive integer, got {_quoted(M)}"
@@ -421,6 +411,10 @@ class TruncatedRing(Ring):
                 f"modulus exponent M = {_quoted(M)} is above the bound {MAX_PRECISION}"
             )
         self.M = M
+
+    def with_precision(self, M: int) -> "TruncatedRing":
+        """The same ring modulo p**M, rebuilt from its ``config_keys``."""
+        return type(self)(*[M if key == "M" else getattr(self, key) for key in self.config_keys])
 
     # -- subclass hooks ------------------------------------------------------
 
@@ -463,6 +457,11 @@ class TruncatedRing(Ring):
             raise MalformedConfig(f"precision {prec} exceeds ring modulus exponent {self.M}")
         return self._reduce(seq, prec)
 
+    def make(self, payload: Any, prec: Optional[int] = None) -> TruncVec:
+        """``from_digits`` of the payload: one digit when scalar, else the
+        digit list."""
+        return self.from_digits((payload,) if self.scalar else payload, prec)
+
     def elements(self, limit: int) -> List[TruncVec]:
         """Every element at full precision, in lexicographic digit order."""
         count = self.p ** (self.M * self.e)
@@ -492,10 +491,8 @@ class TruncatedRing(Ring):
         return TruncVec(self._mul(a.coeffs, b.coeffs, self.p**prec), prec)
 
     def pow_(self, a: TruncVec, n: int) -> TruncVec:
-        if n < 0:
-            raise CapabilityMissing(f"{self.kind}: negative powers not supported")
-        if n == 0:
-            return self.one()
+        if n <= 0:
+            return super().pow_(a, n)
         return TruncVec(self._pow(a.coeffs, n, self.p**a.prec), a.prec)
 
     def pow_p_tower(self, a: TruncVec, l: int) -> TruncVec:
@@ -586,12 +583,6 @@ class ZModPM(TruncatedRing):
     def __init__(self, p: int, M: int):
         super().__init__(p, M)
         self.cover = Integers(p)
-
-    def with_precision(self, M: int) -> "ZModPM":
-        return ZModPM(self.p, M)
-
-    def make(self, value: int, prec: Optional[int] = None) -> TruncVec:
-        return self.from_digits((value,), prec)
 
     def _reduce(self, seq: Iterable[int], prec: int) -> TruncVec:
         (value,) = seq  # one digit; a longer or empty list is refused

@@ -70,7 +70,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, NamedTuple, Sequence, Tuple
 
-from .arrow import ArrowElt, arrow_norm, arrow_teichmuller, make_arrow
+from .arrow import ArrowElt, arrow_norm, arrow_teichmuller, check_family_depth, make_arrow
 from .errors import (
     BOutOfRange,
     CapabilityMissing,
@@ -214,9 +214,7 @@ class TiltRing(Ring):
     kind = "tilt"
     config_keys = ("base", "depth")  # the base is a nested config: see to_config
     char_p = True
-    q_algebra = False
     p_torsion_free = False
-    truncated = False
 
     def __init__(self, base: Ring, depth: int):
         self.M = _truncated_modulus(base)
@@ -474,6 +472,7 @@ def untilt(x: WittVec, N: int) -> ArrowElt:
         raise CapabilityMissing("untilt expects a vector over a tilt ring")
     if N < 0:
         raise MalformedConfig(f"the untilt family depth must be >= 0, got {N}")
+    check_family_depth(ring.p, N)
     base = ring.base
     need = N + x.top_index
     if ring.depth < need:

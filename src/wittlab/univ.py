@@ -14,27 +14,28 @@ results have integer coefficients; `_PolyRing.exact_divide_by_p` refuses a
 coefficient that p**m does not divide, so a wrong transport cannot slip
 through as a silently wrong denominator.
 
-Polynomials are built once per (p, index, kind) and cached, and so, lazily,
-are their reductions mod p (``structure_poly_mod_p``), which the perfected
-polynomial ring evaluates; ``canonical_dump`` and every other caller read the
-integer ones, and every power of a polynomial comes from ``UPoly.pow`` on
-the one square-and-multiply ladder, ``rings.power_ladder``.  The cached range
-is deliberately small (index <= 3 for p = 2, index <= 2 otherwise).  Only
-``PerfPolyRing.char_p_witt_op`` reads it for Witt ops, and it refuses longer
-vectors; every other ring's Witt ops read no structure polynomial and take
-any length (ghost transport, or a tilt's base-ring ops).
+Polynomials are built once per (p, index, kind) and cached; their
+reductions mod p (``structure_poly_mod_p``, not cached) are read once per
+plan by the perfected polynomial ring.  ``canonical_dump`` and every other
+caller read the integer ones, and every power of a polynomial comes from
+``UPoly.pow`` on the one square-and-multiply ladder, ``rings.power_ladder``.
+The cached range is deliberately small (index <= 3 for p = 2, index <= 2
+otherwise), and the work grows with p**index, so a p**index above
+``MAX_STRUCTURE_DEGREE`` is refused.  Only ``PerfPolyRing.char_p_witt_op``
+reads the polynomials for Witt ops, and it refuses longer vectors; every
+other ring's Witt ops read no structure polynomial and take any length
+(ghost transport, or a tilt's base-ring ops).
 
 There is no generic evaluator: each ring of characteristic p answers the
 char-p Witt ops through ``Ring.char_p_witt_op``.  A tilt evaluates nothing:
 it runs the base ring's Witt ops on one-digit slot vectors
-(``tilt.TiltRing.char_p_witt_op``).  A perfected polynomial ring reads the
-terms of the mod-p polynomials from ``UPoly.terms_for``, which checks the
-arity and the coefficients and sorts the terms once per polynomial, into
-one cached plan per length, kind and arity, and multiplies on its
-packed-monomial kernel: each monomial is one int key in a radix one more
-than the largest exponent the call can produce (the largest input exponent
-times the largest total degree of a term), so a monomial product is one
-addition, and each component is unpacked and sorted once
+(``tilt.TiltRing.char_p_witt_op``).  A perfected polynomial ring sorts the
+terms of the mod-p polynomials into one cached plan per length, kind and
+arity (``perfpoly._plan``, the one cache of that form), and multiplies on
+its packed-monomial kernel: each monomial is one int key in a radix one
+more than the largest exponent the call can produce (the largest input
+exponent times the largest total degree of a term), so a monomial product
+is one addition, and each component is unpacked and sorted once
 (``perfpoly.PerfPolyRing.char_p_witt_op``).
 
 Kinds:
@@ -63,6 +64,13 @@ Exps = Tuple[int, ...]
 KINDS = ("sum", "prod", "neg", "frob", "frob_f")
 
 
+# the largest p**index, the weighted degree of component ``index``, that is
+# built: the work grows with it, and all five kinds at index 2 took 0.66 s
+# at p = 13 and 4.2 s at p = 17 on a shared 2-CPU host.  The tests, the
+# suites and the benchmark reach 5**2 = 25.
+MAX_STRUCTURE_DEGREE = 13**2
+
+
 def structure_cap(p: int) -> int:
     """Largest cached component index for structure polynomials at p."""
     return 3 if p == 2 else 2
@@ -72,15 +80,15 @@ class UPoly:
     """A sparse multivariate polynomial with exact coefficients.
 
     Treated as immutable after construction; the terms dict maps exponent
-    tuples to nonzero coefficients (int or Fraction).
+    tuples to nonzero coefficients (int or Fraction), so two polynomials
+    are equal exactly when their term dicts are.
     """
 
-    __slots__ = ("nvars", "terms", "_sorted")
+    __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Dict[Exps, object] | None = None):
         self.nvars = nvars
         self.terms: Dict[Exps, object] = {}
-        self._sorted = None
         if terms:
             for exps, c in terms.items():
                 if c:
@@ -115,8 +123,6 @@ class UPoly:
         return self.add(other.scale(-1))
 
     def scale(self, c) -> "UPoly":
-        if not c:
-            return UPoly(self.nvars)
         return UPoly(self.nvars, {e: q * c for e, q in self.terms.items()})
 
     def mul(self, other: "UPoly") -> "UPoly":
@@ -139,8 +145,7 @@ class UPoly:
         return (
             isinstance(other, UPoly)
             and self.nvars == other.nvars
-            and {e: Fraction(c) for e, c in self.terms.items()}
-            == {e: Fraction(c) for e, c in other.terms.items()}
+            and self.terms == other.terms
         )
 
     def uses_variable(self, idx: int) -> bool:
@@ -148,26 +153,6 @@ class UPoly:
 
     def weighted_degrees(self, weights: Sequence[int]) -> List[int]:
         return sorted({sum(w * e for w, e in zip(weights, exps)) for exps in self.terms})
-
-    # -- evaluation ---------------------------------------------------------------
-
-    def terms_for(self, values: Sequence) -> tuple:
-        """Check that there is one value per variable, then return the terms
-        in sorted exponent order as (coefficient, ((i, e), ...)), the
-        coefficient None where it is a 1 that multiplies something."""
-        if len(values) != self.nvars:
-            raise MalformedConfig(f"expected {self.nvars} values, got {len(values)}")
-        if self._sorted is None:
-            terms = []
-            for exps, c in sorted(self.terms.items()):
-                if int(c) != c:
-                    raise IntegralityViolation(
-                        f"cannot evaluate non-integer coefficient {c} in a ring"
-                    )
-                factors = tuple((i, e) for i, e in enumerate(exps) if e)
-                terms.append((None if c == 1 and factors else int(c), factors))
-            self._sorted = tuple(terms)
-        return self._sorted
 
     # -- formatting -----------------------------------------------------------------
 
@@ -232,7 +217,8 @@ def structure_polys(p: int, index: int, kind: str) -> Tuple[UPoly, ...]:
     """Components 0..index of the operation ``kind`` at the prime p, all over
     the variables of component ``index``: one `witt.ghost`/`witt.unghost`
     pass over `_PolyRing`, whose exact divisions certify integrality.  A p
-    that is not prime is refused before any transport."""
+    that is not prime, and a p**index past ``MAX_STRUCTURE_DEGREE``, are
+    refused before any transport."""
     check_prime(p)
     if kind not in KINDS:
         raise MalformedConfig(f"unknown structure polynomial kind {kind!r}")
@@ -241,6 +227,11 @@ def structure_polys(p: int, index: int, kind: str) -> Tuple[UPoly, ...]:
         raise CapabilityMissing(
             f"structure polynomials at p={p} are cached for indices 0..{cap}, "
             f"got {index}; use ghost transport for longer vectors"
+        )
+    if p**index > MAX_STRUCTURE_DEGREE:
+        raise MalformedConfig(
+            f"structure polynomials at p={p}, index {index}: p^{index} = {p**index} "
+            f"is above the bound {MAX_STRUCTURE_DEGREE}"
         )
     if kind == "frob_f":
         # strip the exact part off each Frobenius component:
@@ -276,7 +267,6 @@ def structure_poly(p: int, index: int, kind: str) -> UPoly:
     return structure_polys(p, index, kind)[-1]
 
 
-@lru_cache(maxsize=None)
 def structure_poly_mod_p(p: int, index: int, kind: str) -> UPoly:
     """``structure_poly`` with its coefficients reduced to 0..p-1, the form a
     characteristic-p ring evaluates: terms divisible by p drop out and a

@@ -405,10 +405,27 @@ def split_top_level(text: str) -> List[str]:
 
 _TAGGED = re.compile(r"^W\(\s*p\s*=\s*(\w+)\s*;(.*)\)$", re.DOTALL)
 
+# the largest exponent p**(L-1) to which the ghost map of a length-L vector
+# raises its first component, and so the largest a vector read from text or
+# a coherent family at depth L - 1 may reach: the work grows with it.  It
+# allows length 17 at p = 2, 11 at p = 3 and 7 at p = 5; the tests, the
+# suites and the benchmark reach 5**4 = 625.
+MAX_GHOST_EXPONENT = 2**16
+
+
+def max_length(p: int) -> int:
+    """The longest vector at p whose ghost exponent p**(L-1) is at most
+    ``MAX_GHOST_EXPONENT``."""
+    length = 1
+    while p**length <= MAX_GHOST_EXPONENT:
+        length += 1
+    return length
+
 
 def parse_witt(ring: Ring, text: str) -> WittVec:
     """Parse either the bare tuple form ``(3, -2)`` or the tagged form
-    ``W(p=2; 3, -2)``; the tag's prime must match the ring."""
+    ``W(p=2; 3, -2)``; the tag's prime must match the ring, and a length
+    past ``max_length`` is refused before any component is read."""
     body = text.strip()
     tagged = _TAGGED.match(body)
     try:
@@ -426,4 +443,10 @@ def parse_witt(ring: Ring, text: str) -> WittVec:
     parts = [s.strip() for s in split_top_level(body)]
     if parts == [""]:
         raise MalformedConfig(f"empty vector: {_quoted(text)}")
+    bound = max_length(ring.p)
+    if len(parts) > bound:
+        raise MalformedConfig(
+            f"vector length {len(parts)} is above the bound {bound} at p={ring.p} "
+            f"(p^(length-1) at most {MAX_GHOST_EXPONENT})"
+        )
     return WittVec(ring, tuple(ring.parse_elt(s) for s in parts))

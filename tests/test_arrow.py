@@ -26,7 +26,7 @@ from wittlab.arrow import (
     theta_series,
 )
 from wittlab.cyclotomic import CycloModPM
-from wittlab.errors import IntegralityViolation, LengthMismatch
+from wittlab.errors import CapabilityMissing, IntegralityViolation, LengthMismatch
 from wittlab.norms import NormValue
 from wittlab import witt
 from wittlab.rings import Integers, ZModPM
@@ -159,6 +159,13 @@ def test_theta_series_agrees_and_perturbations_stay_small():
         pert = [ring.from_int(2 ** (6 - 2) * rng.randrange(4)) for _ in range(3)]
         sv2, _ = theta_series(a, lift_perturbation=lambda i: pert[i])
         assert ring.seminorm(ring.sub(sv2, tv)) <= NormValue.from_exponent(6 - 2)
+
+
+def test_theta_and_its_series_refuse_an_exact_base():
+    a = arrow_from_integer(Integers(2), 3, 2)
+    for evaluate in (theta, theta_series):
+        with pytest.raises(CapabilityMissing):
+            evaluate(a)
 
 
 def test_theta_is_a_ring_map_on_samples():

@@ -1,5 +1,6 @@
 """The command-line front end, driven through ``main``: exit codes and JSON keys."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ import sys
 
 import pytest
 
-from wittlab import suites
+from wittlab import cli, suites
 from wittlab.cli import main
 from wittlab.cyclotomic import CyclotomicField
 
@@ -352,6 +353,41 @@ NAMED_USAGE_ERRORS = [
         ("compute", "--ring", '{"kind":"ZzetaMod","p":3,"k":2,"M":65537}', "neg ([1])"),
         "error: modulus exponent M = 65537 is above the bound 65536",
     ),
+    # a sample count of any length is quoted by a bounded prefix
+    (
+        "kernel-samples-long-negative",
+        ("kernel", "verify", f"--samples=-{'7' * 5000}"),
+        f"error: kernel verify needs at least 1 sample, got -{'7' * 39}... (5001 characters) "
+        f"(--samples {'-' + '7' * 39!r}... (5001 characters))",
+    ),
+    (
+        "kernel-samples-long-count",
+        ("kernel", "verify", f"--samples={'7' * 5000}"),
+        f"error: --samples {'7' * 40}... (5000 characters) is above the bound 10000",
+    ),
+    # the structure polynomials, the family depth and the vector length are
+    # bounded before any work; past a failed bound these values cost a few
+    # seconds at most, and large ones run in a child process below
+    (
+        "universal-dump-p-over-budget",
+        ("universal", "dump", "--p", "17"),
+        "error: structure polynomials at p=17, index 2: p^2 = 289 is above the bound 169",
+    ),
+    (
+        "arrow-norm-depth-over-bound",
+        ("arrow", "norm", "4", "--depth", "17"),
+        "error: family depth 17 is above the bound 16 at p=2 (p^depth at most 65536)",
+    ),
+    (
+        "tilt-untilt-depth-over-bound",
+        ("tilt", "untilt", "5", "--p", "3", "--depth", "11", "--n", "11"),
+        "error: family depth 11 is above the bound 10 at p=3 (p^depth at most 65536)",
+    ),
+    (
+        "compute-vector-over-bound",
+        ("compute", f"neg ({','.join(['1'] * 18)})"),
+        "error: vector length 18 is above the bound 17 at p=2 (p^(length-1) at most 65536)",
+    ),
 ]
 _FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 USAGE_ERRORS = [
@@ -424,30 +460,103 @@ print(code, time.perf_counter() - start)
 """
 
 
+def _vector(length: int) -> str:
+    return "(" + ",".join(["3"] * length) + ")"
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, refusal",
     [
-        ("compute", "--p", "1000000000000000003", "neg (1)"),
-        ("compute", "--ring", "Zmod", "--precision", "10000000", "neg (1)"),
+        (("compute", "--p", "1000000000000000003", "neg (1)"), "is above the bound 65536"),
+        (
+            ("compute", "--ring", "Zmod", "--precision", "10000000", "neg (1)"),
+            "is above the bound 65536",
+        ),
+        (("universal", "dump", "--p", "65521"), "p^1 = 65521 is above the bound 169"),
+        (("arrow", "norm", "4", "--depth", "25"), "family depth 25 is above the bound 16"),
+        (
+            ("tilt", "untilt", "5", "--p", "3", "--depth", "3000", "--n", "2000"),
+            "family depth 2000 is above the bound 10",
+        ),
+        (("compute", f"mul {_vector(24)} {_vector(24)}"), "vector length 24 is above the bound 17"),
+        (
+            ("compute", "--ring", "Zmod", f"mul {_vector(40)} {_vector(40)}"),
+            "vector length 40 is above the bound 17",
+        ),
     ],
-    ids=["prime", "precision"],
+    ids=[
+        "prime", "precision", "structure-prime", "family-depth", "untilt-depth", "length",
+        "length-Zmod",
+    ],
 )
-def test_a_size_past_its_bound_is_refused_in_under_a_second(argv):
+def test_a_size_past_its_bound_is_refused_in_under_a_second(argv, refusal):
     proc = subprocess.run(
         [sys.executable, "-c", _BOUND_PROBE, *argv],
         env=_subprocess_env(), capture_output=True, text=True, timeout=60,
     )
     code, seconds = proc.stdout.split()
     assert code == "2" and float(seconds) < 1.0, proc.stderr
-    assert "is above the bound 65536" in proc.stderr
+    assert refusal in proc.stderr
 
 
 def test_integer_flags_and_the_prime_state_their_bounds(capsys):
-    with pytest.raises(SystemExit):
-        main(["compute", "--help"])
-    usage = " ".join(capsys.readouterr().out.split())
-    assert "the prime, at most 65536 (default 2)" in usage
-    assert "truncation exponent M, at most 65536" in usage
+    for command, bounds in (
+        (
+            "compute",
+            (
+                "the prime, at most 65536 (default 2)",
+                "truncation exponent M, at most 65536",
+                "a vector's p^(length-1) at most 65536",
+            ),
+        ),
+        ("arrow", ("the family's p^depth at most 65536",)),
+        ("tilt", ("the family's p^n at most 65536",)),
+        ("universal", ("p^index at most 169",)),
+    ):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        usage = " ".join(capsys.readouterr().out.split())
+        for bound in bounds:
+            assert bound in usage, (command, bound)
+
+
+# argparse's own refusals: each long token is cut as errors._quoted cuts it
+ARGPARSE_REFUSALS = [
+    pytest.param(
+        ("verify", "x" * 5000),
+        f"argument suite: invalid choice: {'x' * 40!r}... (5000 characters) (choose from ",
+        id="invalid-choice",
+    ),
+    pytest.param(
+        ("compute", "neg (1)", "x" * 5000),
+        f"unrecognized arguments: {'x' * 40!r}... (5000 characters)",
+        id="unrecognized-argument",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, start", ARGPARSE_REFUSALS)
+def test_an_argparse_refusal_quotes_a_bounded_prefix_of_a_long_token(capsys, argv, start):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    # the refusal after argparse's "<prog>: error: " prefix
+    message = capsys.readouterr().err.splitlines()[-1].split(": error: ", 1)[1]
+    assert message.startswith(start) and len(message.encode()) < 200, message
+
+
+@pytest.mark.parametrize(
+    "argv", [("verify", "xx"), ("compute", "neg (1)", "xx"), ("xx",), ("verify", "x" * 40)]
+)
+def test_an_argparse_refusal_of_short_tokens_is_argparse_own(capsys, monkeypatch, argv):
+    def refusal():
+        with pytest.raises(SystemExit):
+            main(list(argv))
+        return capsys.readouterr().err
+
+    ours = refusal()
+    monkeypatch.setattr(cli._Parser, "error", argparse.ArgumentParser.error)
+    assert refusal() == ours
 
 
 def test_an_integer_flag_quotes_a_bounded_prefix_of_a_long_text(capsys):

@@ -301,6 +301,19 @@ def test_ring_from_config_builds_every_kind(cls):
     assert type(ring) is cls and ring.to_config() == config
 
 
+def test_no_class_restates_a_capability_it_inherits():
+    """A capability flag is set only where it changes: on `Ring`, or on a
+    subclass whose value differs from the one it inherits."""
+    restated = [
+        (cls.__name__, flag)
+        for cls in RING_CLASSES
+        if cls is not Ring
+        for flag in ("char_p", "q_algebra", "p_torsion_free", "truncated")
+        if flag in vars(cls) and vars(cls)[flag] == getattr(super(cls, cls), flag)
+    ]
+    assert restated == []
+
+
 def test_the_contract_is_stated_once():
     """`seminorm` lives on `Ring` alone, `to_config` on `Ring` and on the
     tilt (whose base is a nested config), and the transport cover on the

@@ -389,8 +389,8 @@ def test_the_truncated_flag_marks_exactly_the_truncated_rings():
 # -- one precision rule on both truncated rings --------------------------------
 
 SHARED_ARITHMETIC = {
-    "from_digits", "digits", "from_int", "add", "neg", "mul", "pow_", "pow_p_tower",
-    "eq", "is_zero", "exact_divide_by_p",
+    "from_digits", "digits", "make", "from_int", "add", "neg", "mul", "pow_", "pow_p_tower",
+    "eq", "is_zero", "exact_divide_by_p", "with_precision",
 }
 
 

@@ -103,6 +103,16 @@ def test_structure_caps():
     assert structure_cap(5) == 2
 
 
+def test_a_degree_past_the_budget_is_refused_before_any_transport():
+    # p^index = 17 is built; 17^2 = 289 is refused, as is 65521 at index 1
+    assert structure_poly(17, 1, "sum").nvars == 4
+    with pytest.raises(MalformedConfig) as err:
+        structure_poly(17, 2, "prod")
+    assert str(err.value) == "structure polynomials at p=17, index 2: p^2 = 289 is above the bound 169"
+    with pytest.raises(MalformedConfig):
+        structure_poly_mod_p(65521, 1, "neg")
+
+
 def test_unghost_over_polynomials_refuses_a_non_ghost_vector():
     # (x_0, x_0 + x_1) is no ghost vector: (x_0 + x_1 - x_0^2) / 2 is not integral
     ring = _PolyRing(2, 2)
@@ -117,14 +127,6 @@ def test_evaluate_over_the_rationals_is_pinned():
     poly = structure_poly(2, 1, "sum")
     values = [Fraction(1, 2), 3, Fraction(-2, 3), 1]
     assert oracles.eval_poly(Rationals(2), poly.terms, values) == Fraction(13, 3)
-
-
-def test_evaluate_rejects_bad_coefficients_and_arities():
-    half = UPoly(1, {(1,): Fraction(1, 2)})
-    with pytest.raises(IntegralityViolation):
-        half.terms_for([Fraction(4)])
-    with pytest.raises(MalformedConfig):
-        structure_poly(2, 1, "sum").terms_for([1, 2, 3])
 
 
 def test_upoly_algebra():

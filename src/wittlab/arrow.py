@@ -40,6 +40,7 @@ from .errors import (
     IntegralityViolation,
     LengthMismatch,
     MalformedConfig,
+    _quoted,
 )
 from .norms import NormValue, as_fraction, norm_max
 from .rings import Ring
@@ -141,7 +142,7 @@ def check_family_depth(p: int, depth: int) -> None:
     bound = max_length(p) - 1
     if depth > bound:
         raise MalformedConfig(
-            f"family depth {depth} is above the bound {bound} at p={p} "
+            f"family depth {_quoted(depth)} is above the bound {bound} at p={p} "
             f"(p^depth at most {MAX_GHOST_EXPONENT})"
         )
 

@@ -44,7 +44,7 @@ from .cyclotomic import GaussianField
 from .errors import CapabilityMissing, MalformedConfig, NoRoot, WittError, _cut, _quoted
 from .kernelnorm import uniformizer_steps, unit_times_power, verify_kernel_norm
 from .norms import exponent_text
-from .perfect import INSTANCES, solve_frobenius, witt_perfect_test
+from .perfect import INSTANCES, MAX_TOWER_DEGREE, solve_frobenius, witt_perfect_test
 from .rings import MAX_PRECISION, MAX_PRIME, Rationals, Ring, integer
 from .suites import SUITE_NAMES, run_suite
 from .tilt import TiltRing, tilt_from_top, tilt_to_json, untilt
@@ -382,7 +382,15 @@ _TOKEN = re.compile(r"'([^'\\]*)'|\S+")
 
 class _Parser(argparse.ArgumentParser):
     """argparse's parser, whose refusal line cuts each long token as
-    ``errors._quoted`` cuts it; the subparsers inherit it."""
+    ``errors._quoted`` cuts it and lists the first three unrecognized
+    arguments and the count of the rest; the subparsers inherit it."""
+
+    def parse_args(self, args=None, namespace=None):
+        args, extra = self.parse_known_args(args, namespace)
+        if extra:
+            more = [f"... ({len(extra) - 3} more)"] if len(extra) > 3 else []
+            self.error("unrecognized arguments: " + " ".join(extra[:3] + more))
+        return args
 
     def error(self, message: str):
         cut = _TOKEN.sub(lambda m: _cut(m[0]) if m[1] is None else _quoted(m[1]), message)
@@ -474,7 +482,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_arrow)
 
     sp = sub.add_parser("perfect", help="Witt-perfectness tests and Frobenius solving")
-    sp.add_argument("action", choices=["test", "solve-frob"])
+    sp.add_argument(
+        "action",
+        choices=["test", "solve-frob"],
+        help="a tower test reaches level depth + 1, of field degree (p-1)*p^(depth+2) "
+        f"at most {MAX_TOWER_DEGREE}",
+    )
     sp.add_argument(
         "x",
         nargs="?",

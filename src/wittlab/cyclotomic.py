@@ -79,7 +79,7 @@ from .errors import (
     NoRoot,
     _quoted,
 )
-from .rings import Ring, TruncatedRing, TruncVec, check_prime, power_ladder, rational, vp_int
+from .rings import Ring, TruncatedRing, TruncVec, power_ladder, rational, vp_int
 
 
 class CVec(NamedTuple):
@@ -244,9 +244,20 @@ class PowerBasisField(Ring):
 
     q_algebra = True
 
-    def __init__(self, root_p: int, root_k: int):
-        self.root_p, self.root_k = root_p, root_k
-        self.step = root_p ** (root_k - 1)
+    def __init__(self, p: int, root_p: int, k: int):
+        super().__init__(p)
+        if not isinstance(k, int) or k < 1:
+            raise MalformedConfig(
+                f"conductor exponent k must be a positive integer, got {_quoted(k)}"
+            )
+        # k past the bound's bit length gives e >= 2**(k - 1) > _MAX_DEGREE
+        if k > _MAX_DEGREE.bit_length() or (root_p - 1) * root_p ** (k - 1) > _MAX_DEGREE:
+            raise MalformedConfig(
+                f"conductor exponent k={_quoted(k)} gives field degree e = "
+                f"{root_p - 1}*{root_p}^{_quoted(k - 1)}, above the bound {_MAX_DEGREE}"
+            )
+        self.root_p, self.root_k = root_p, k
+        self.step = root_p ** (k - 1)
         self.e = self.step * (root_p - 1)  # the field degree
 
     # -- construction -------------------------------------------------------
@@ -346,17 +357,8 @@ class CyclotomicField(PowerBasisField):
     config_keys = ("p", "k")
 
     def __init__(self, p: int, k: int):
-        self.p = check_prime(p)
-        if not isinstance(k, int) or k < 1:
-            raise MalformedConfig(f"conductor exponent k must be a positive integer, got {k!r}")
-        # k past the bound's bit length gives e >= 2**(k - 1) > _MAX_DEGREE
-        if k > _MAX_DEGREE.bit_length() or (p - 1) * p ** (k - 1) > _MAX_DEGREE:
-            raise MalformedConfig(
-                f"conductor exponent k={k} gives field degree e = {p - 1}*{p}^{k - 1}, "
-                f"above the bound {_MAX_DEGREE}"
-            )
+        super().__init__(p, p, k)
         self.k = k
-        super().__init__(p, k)
 
     # -- construction -------------------------------------------------------
 
@@ -623,8 +625,7 @@ class GaussianField(PowerBasisField):
     kind = "Qi"
 
     def __init__(self, p: int):
-        self.p = check_prime(p)
-        super().__init__(2, 2)
+        super().__init__(p, 2, 2)
         self.split = p % 4 == 1
         if self.split:
             u, w = _two_square_decomposition(p)
@@ -729,7 +730,7 @@ class CyclotomicTower:
     """
 
     def __init__(self, p: int):
-        self.p = check_prime(p)
+        self.p = cyclotomic_field(p, 1).p  # as the ground field Q(zeta_p) checked it
         self.offset = 2
 
     def conductor_exponent(self, level: int) -> int:

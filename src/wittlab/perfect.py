@@ -185,8 +185,19 @@ def _construct_pth_root_of_p(field: CyclotomicField) -> CVec:
     return b
 
 
+# the largest field degree (p-1)*p**(levels+1) of a root sequence's top level:
+# tests, suites and benchmark reach 512 (8 levels at p = 2, 4 at p = 3)
+MAX_TOWER_DEGREE = 2**9
+
+
 def build_root_sequence(p: int, levels: int) -> RootSequence:
     tower = CyclotomicTower(p)
+    # before any level is built; a count past the bound's bit length is past it at every p
+    if levels > MAX_TOWER_DEGREE.bit_length() or (p - 1) * p ** (levels + 1) > MAX_TOWER_DEGREE:
+        raise MalformedConfig(
+            f"tower level {_quoted(levels)} at p={p} is above the bound: its field degree "
+            f"(p-1)*p^(level+1) must be at most {MAX_TOWER_DEGREE}"
+        )
     if p == 2:
         values: List[CVec] = []
         for n in range(1, levels + 1):

@@ -15,11 +15,10 @@ form a ring of characteristic p:
   min(D - m + 1, M) is stable under repeated addition (the p**l-th power
   regains every digit the inputs lost).
 
-  The same dependence on a mod p alone makes the sum cheap: every slot
-  m >= D - M reads the one top sum x_D + y_D, so ``tilt_add`` takes it mod p
-  and walks one ladder of p-th powers down from slot D, each step gaining
-  the one digit its slot certifies.  Only when D > M do the slots
-  m < D - M raise their own sum at slot m + M to the p**M-th power.
+  The same dependence on a mod p alone makes the sum cheap: on coherent
+  chains every slot sum mod p is a p-power of the top sum x_D + y_D, so
+  ``tilt_add`` is ``tilt_from_top`` of the top sum cut to one digit, one
+  ladder of p-th powers down from slot D, each step gaining one digit.
 
 The same mod-p dependence shows the whole ring structure is the perfection of
 A/p presented at finite depth; over Z/p**M every chain collapses to the
@@ -36,15 +35,13 @@ leaves the ring.
 
 Char-p Witt ops over the tilt are computed by the base's ghost transport.
 Each component is a structure polynomial image, which the generic evaluator
-would finish with a chain sum; that sum reads only its slot sums mod p, at
-slot D and, when D > M, at slots M..D-1.  The slot map x -> x_s mod p is a
-ring map to A/p, and so is W(A) -> W(A/p).  So ``TiltRing.char_p_witt_op``
-cuts the operands' slot-s entries to one digit and runs the base ring's
-``witt_add``, ``witt_mul`` or (p = 2) ``witt_neg`` on the whole vectors, once
-per slot the ladder reads; component i of that one transport is component
-i's slot-s sum.  Each component then walks the one ladder ``tilt_add``
-walks: no structure polynomial is evaluated and no chain product or chain
-sum is formed.
+would finish with a chain sum; that sum reads only its top slot mod p.  The
+slot map x -> x_D mod p is a ring map to A/p, and so is W(A) -> W(A/p).  So
+``TiltRing.char_p_witt_op`` cuts the operands' slot-D entries to one digit
+and runs the base ring's ``witt_add``, ``witt_mul`` or (p = 2) ``witt_neg``
+once on the whole vectors; component i of that one transport is component
+i's top sum, and ``tilt_from_top`` walks its ladder: no structure polynomial
+is evaluated and no chain product or chain sum is formed.
 
 ``charp_overconv_norm`` and ``charp_limit_norm`` compute the b-weighted norm
 of a finite vector over a char-p perfect ring two ways: by the closed formula
@@ -68,7 +65,7 @@ checker refuses larger b.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, NamedTuple, Sequence, Tuple
+from typing import Any, List, NamedTuple, Sequence, Tuple
 
 from .arrow import ArrowElt, arrow_norm, arrow_teichmuller, check_family_depth, make_arrow
 from .errors import (
@@ -150,32 +147,14 @@ def tilt_add(x: TiltElt, y: TiltElt) -> TiltElt:
     """Chain sum, each component as a fixed p**l-th power of a deeper sum.
 
     Component m is (x_{m+l} + y_{m+l}) ** (p**l) with l = min(M, D - m),
-    certified to min(D - m + 1, M) digits.  For m >= D - M that is the top
-    sum: it is taken mod p (the power reads nothing more) and one ladder of
-    p-th powers, one digit per step, yields slots D, D - 1, ..., max(D - M,
-    0).  When D > M, each slot m < D - M raises its own sum at slot m + M to
-    the p**M-th power.
+    certified to min(D - m + 1, M) digits.  On coherent chains that is the
+    top sum mod p raised to the p**(D - m)-th power, so the sum is the chain
+    ``tilt_from_top`` builds on it: one ladder of p-th powers, one digit per
+    step, from slot D down.
     """
     base = _check_pair(x, y)
-    _truncated_modulus(base)
-    return _ladder_chain(base, x.depth, lambda s: base.add(x.entries[s], y.entries[s]))
-
-
-def _ladder_chain(base: Ring, D: int, slot_sum: Callable[[int], Any]) -> TiltElt:
-    """The chain ``tilt_add`` returns, given the sum at slot s as slot_sum(s).
-
-    Only the sums mod p are read, and only at slot D and, when D > M, at the
-    slots M, ..., D - 1 (slot m + M feeds component m < D - M).
-    """
-    M = base.M
-    low = max(D - M, 0)
-    entries = [base.pow_p_tower(slot_sum(m + M), M) for m in range(low)]
-    # ladder[j] is slot D - j, known to min(j + 1, M) digits
-    ladder = [base.truncate(slot_sum(D), 1)]
-    for _ in range(D - low):
-        ladder.append(base.pow_p_tower(ladder[-1], 1))
-    entries.extend(reversed(ladder))
-    return TiltElt(base, tuple(entries))
+    top = base.truncate(base.add(x.entries[-1], y.entries[-1]), 1)
+    return tilt_from_top(base, top, x.depth)
 
 
 def tilt_mul(x: TiltElt, y: TiltElt) -> TiltElt:
@@ -220,7 +199,7 @@ class TiltRing(Ring):
         self.M = _truncated_modulus(base)
         self.base = base
         self.depth = _check_depth(depth)
-        self.p = base.p
+        super().__init__(base.p)
 
     def to_config(self) -> dict:
         return {"kind": self.kind, "base": self.base.to_config(), "depth": self.depth}
@@ -273,26 +252,16 @@ class TiltRing(Ring):
         return all(self.base.is_zero(e) for e in self._own(a).entries)
 
     def char_p_witt_op(self, kind: str, vecs: Sequence[WittVec]) -> Tuple[TiltElt, ...]:
-        """The components of the char-p Witt op ``kind``, from one base-ring
-        Witt op per chain slot the ladder reads.
-
-        The generic evaluator ends each component in ``tilt_add``, which reads
-        its slot sums only mod p.  x -> x_s mod p is a ring map, and so is
-        W(A) -> W(A/p), so the slot-s sums of every component are the base
-        ring's op on the operands' slot-s vectors cut to one digit.
-        """
-        chains = [[self._own(c) for c in v.components] for v in vecs]
+        """The components of the char-p Witt op ``kind``: each is the chain
+        ``tilt_from_top`` builds on its top sum mod p, and since x -> x_D mod p
+        and W(A) -> W(A/p) are ring maps, the top sums are one base-ring Witt
+        op on the operands' slot-D vectors cut to one digit."""
         base, D = self.base, self.depth
-
-        def slot_vec(cs: List[TiltElt], s: int) -> WittVec:
-            return WittVec(base, tuple(base.truncate(c.entries[s], 1) for c in cs))
-
-        op = _BASE_OPS[kind]
-        slots = [D, *range(self.M, D)]
-        sums = {s: op(*(slot_vec(cs, s) for cs in chains)).components for s in slots}
-        return tuple(
-            _ladder_chain(base, D, lambda s: sums[s][i]) for i in range(len(chains[0]))
+        tops = (
+            WittVec(base, tuple(base.truncate(self._own(c).entries[-1], 1) for c in v.components))
+            for v in vecs
         )
+        return tuple(tilt_from_top(base, s, D) for s in _BASE_OPS[kind](*tops).components)
 
     def pow_p_tower(self, a: TiltElt, l: int) -> TiltElt:
         """a ** (p**l): each Frobenius moves the chain one slot down, with the

@@ -11,8 +11,8 @@ and dispatch on the ring's capabilities:
                             would leave it;
   * characteristic p     -- the ring answers for the whole vector
                             (`ring.char_p_witt_op`).  A tilt answers at any
-                            length with one Witt op over its base per chain
-                            slot its ladder reads (x -> x_s mod p is a ring
+                            length with one Witt op over its base, on the
+                            chains' top slots (x -> x_D mod p is a ring
                             map); the perfected polynomial ring evaluates
                             the cached sum/prod/neg structure polynomials,
                             their coefficients reduced mod p since p = 0 in

@@ -379,6 +379,26 @@ NAMED_USAGE_ERRORS = [
         "error: family depth 17 is above the bound 16 at p=2 (p^depth at most 65536)",
     ),
     (
+        "arrow-norm-long-depth",
+        ("arrow", "norm", "4", "--depth", "7" * 5000),
+        f"error: family depth {'7' * 40}... (5000 characters) is above the bound 16 at p=2 "
+        "(p^depth at most 65536)",
+    ),
+    # the tower reaches level depth + 1, its field degree bounded before any
+    # level is built; depth 16 runs in a child process below
+    (
+        "perfect-tower-depth-over-bound",
+        ("perfect", "test", "tower", "--depth", "8"),
+        "error: tower level 9 at p=2 is above the bound: its field degree "
+        "(p-1)*p^(level+1) must be at most 512",
+    ),
+    (
+        "perfect-tower-p3-depth-over-bound",
+        ("perfect", "test", '{"instance":"tower","p":3,"levels":4}'),
+        "error: tower level 5 at p=3 is above the bound: its field degree "
+        "(p-1)*p^(level+1) must be at most 512",
+    ),
+    (
         "tilt-untilt-depth-over-bound",
         ("tilt", "untilt", "5", "--p", "3", "--depth", "11", "--n", "11"),
         "error: family depth 11 is above the bound 10 at p=3 (p^depth at most 65536)",
@@ -483,10 +503,11 @@ def _vector(length: int) -> str:
             ("compute", "--ring", "Zmod", f"mul {_vector(40)} {_vector(40)}"),
             "vector length 40 is above the bound 17",
         ),
+        (("perfect", "test", "tower", "--depth", "16"), "tower level 17 at p=2 is above the bound"),
     ],
     ids=[
         "prime", "precision", "structure-prime", "family-depth", "untilt-depth", "length",
-        "length-Zmod",
+        "length-Zmod", "tower-depth",
     ],
 )
 def test_a_size_past_its_bound_is_refused_in_under_a_second(argv, refusal):
@@ -512,6 +533,7 @@ def test_integer_flags_and_the_prime_state_their_bounds(capsys):
         ("arrow", ("the family's p^depth at most 65536",)),
         ("tilt", ("the family's p^n at most 65536",)),
         ("universal", ("p^index at most 169",)),
+        ("perfect", ("field degree (p-1)*p^(depth+2) at most 512",)),
     ):
         with pytest.raises(SystemExit):
             main([command, "--help"])
@@ -532,6 +554,12 @@ ARGPARSE_REFUSALS = [
         f"unrecognized arguments: {'x' * 40!r}... (5000 characters)",
         id="unrecognized-argument",
     ),
+    # many short unrecognized arguments: the first three and the count of the rest
+    pytest.param(
+        ("compute", "neg (1)", *["a", "b"] * 30),
+        "unrecognized arguments: a b a ... (57 more)",
+        id="unrecognized-arguments-many",
+    ),
 ]
 
 
@@ -546,7 +574,14 @@ def test_an_argparse_refusal_quotes_a_bounded_prefix_of_a_long_token(capsys, arg
 
 
 @pytest.mark.parametrize(
-    "argv", [("verify", "xx"), ("compute", "neg (1)", "xx"), ("xx",), ("verify", "x" * 40)]
+    "argv",
+    [
+        ("verify", "xx"),
+        ("compute", "neg (1)", "xx"),
+        ("compute", "neg (1)", "a", "b", "c"),
+        ("xx",),
+        ("verify", "x" * 40),
+    ],
 )
 def test_an_argparse_refusal_of_short_tokens_is_argparse_own(capsys, monkeypatch, argv):
     def refusal():
@@ -556,6 +591,7 @@ def test_an_argparse_refusal_of_short_tokens_is_argparse_own(capsys, monkeypatch
 
     ours = refusal()
     monkeypatch.setattr(cli._Parser, "error", argparse.ArgumentParser.error)
+    monkeypatch.setattr(cli._Parser, "parse_args", argparse.ArgumentParser.parse_args)
     assert refusal() == ours
 
 

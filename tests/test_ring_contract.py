@@ -301,6 +301,26 @@ def test_ring_from_config_builds_every_kind(cls):
     assert type(ring) is cls and ring.to_config() == config
 
 
+@pytest.mark.parametrize("cls", CONCRETE, ids=[cls.__name__ for cls in CONCRETE])
+def test_every_constructor_checks_the_prime_once_through_ring_init(cls, monkeypatch):
+    """Each kind reaches `Ring.__init__`, the one prime check, exactly once
+    per construction (a truncated ring's cover is a ring of its own); a
+    constructor that sets `p` itself fails here.  The class is called
+    directly, since `ring_from_config` may hand back a cached field."""
+    config = {"kind": cls.kind, **{key: _SAMPLE[key] for key in cls.config_keys}}
+    args = [ring_from_config(config[key]) if key == "base" else config[key] for key in cls.config_keys]
+    checked, real_init = [], Ring.__init__
+
+    def spy(self, p):
+        checked.append((type(self), p))
+        real_init(self, p)
+
+    monkeypatch.setattr(Ring, "__init__", spy)
+    ring = cls(*args)
+    assert [c for c in checked if c[0] is cls] == [(cls, ring.p)]
+    assert ring.to_config() == config
+
+
 def test_no_class_restates_a_capability_it_inherits():
     """A capability flag is set only where it changes: on `Ring`, or on a
     subclass whose value differs from the one it inherits."""

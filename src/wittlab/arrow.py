@@ -39,14 +39,12 @@ from .errors import (
     InsufficientDepth,
     IntegralityViolation,
     LengthMismatch,
-    MalformedConfig,
-    _quoted,
 )
 from .norms import NormValue, as_fraction, norm_max
-from .rings import Ring
+from .rings import Ring, size
 from .witt import (
-    MAX_GHOST_EXPONENT,
     WittVec,
+    check_entry_bits,
     frobenius,
     frobenius_iter,
     max_length,
@@ -137,23 +135,19 @@ def arrow_eq(a: ArrowElt, b: ArrowElt) -> bool:
 
 
 def check_family_depth(p: int, depth: int) -> None:
-    """Refuse a family whose top level, of length depth + 1, is longer than
-    ``witt.max_length`` at p, before any level is built."""
-    bound = max_length(p) - 1
-    if depth > bound:
-        raise MalformedConfig(
-            f"family depth {_quoted(depth)} is above the bound {bound} at p={p} "
-            f"(p^depth at most {MAX_GHOST_EXPONENT})"
-        )
+    """Refuse an empty family (depth < 0) and one whose top level, of length
+    depth + 1, is longer than ``witt.max_length`` at p."""
+    size("family depth", depth, 0, max_length(p) - 1)
 
 
 def arrow_from_integer(ring: Ring, c: int, depth: int) -> ArrowElt:
     """The constant-ghost integer c at every level.  It is coherent by
     construction: over Z the ghost of F is the shift, which fixes a constant
     ghost, and F commutes with the map Z -> R.  So nothing re-checks it, and
-    only an empty family (depth < 0) and one past ``check_family_depth`` are
-    refused."""
+    only a depth past ``check_family_depth`` and a c past ``check_entry_bits``
+    at p**depth (its top level is built over Z) are refused."""
     check_family_depth(ring.p, depth)
+    check_entry_bits(ring.p, abs(c).bit_length(), depth)
     levels = tuple(witt_from_integer(ring, c, n + 1) for n in range(depth + 1))
     bound = norm_max([ring.seminorm(ring.from_int(c)), NormValue.one()])
     if NormValue.one() < bound:

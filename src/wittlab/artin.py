@@ -21,17 +21,16 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from .cyclotomic import GaussianField
-from .errors import CapabilityMissing, MalformedConfig
+from .errors import CapabilityMissing
 from .norms import NormValue
-from .rings import Ring
-from .witt import GhostVec, unghost, witt_norm_profile
+from .rings import Ring, size
+from .witt import GhostVec, max_length, unghost, witt_norm_profile
 
 
 def ghost_constant_profile(ring: Ring, f: Any, N: int) -> dict:
     """Witt components of the constant-ghost vector (f, ..., f) to depth N,
     with their weighted norms; bounded iff every norm is at most 1."""
-    if N < 0:
-        raise MalformedConfig(f"the ghost-constant profile depth must be >= 0, got {N}")
+    size("ghost-constant profile depth", N, 0, max_length(ring.p) - 1)  # as a family depth is
     if not ring.q_algebra:
         raise CapabilityMissing(
             "constant-ghost inversion needs exact division by p; use a Q-algebra"

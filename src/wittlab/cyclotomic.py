@@ -79,7 +79,7 @@ from .errors import (
     NoRoot,
     _quoted,
 )
-from .rings import Ring, TruncatedRing, TruncVec, power_ladder, rational, vp_int
+from .rings import Ring, TruncatedRing, TruncVec, power_ladder, rational, size, vp_int
 
 
 class CVec(NamedTuple):
@@ -229,7 +229,8 @@ def _norm_cofactor(v: List[int], p: int, k: int) -> Tuple[List[int], int]:
 _MAX_DEGREE = 1 << 18
 
 
-@lru_cache(maxsize=None)
+# typed, so that a bool or float equal to a cached int is refused, not served
+@lru_cache(maxsize=None, typed=True)
 def cyclotomic_field(p: int, k: int) -> "CyclotomicField":
     return CyclotomicField(p, k)
 
@@ -246,15 +247,12 @@ class PowerBasisField(Ring):
 
     def __init__(self, p: int, root_p: int, k: int):
         super().__init__(p)
-        if not isinstance(k, int) or k < 1:
-            raise MalformedConfig(
-                f"conductor exponent k must be a positive integer, got {_quoted(k)}"
-            )
+        size("conductor exponent k", k, 1)
         # k past the bound's bit length gives e >= 2**(k - 1) > _MAX_DEGREE
         if k > _MAX_DEGREE.bit_length() or (root_p - 1) * root_p ** (k - 1) > _MAX_DEGREE:
             raise MalformedConfig(
                 f"conductor exponent k={_quoted(k)} gives field degree e = "
-                f"{root_p - 1}*{root_p}^{_quoted(k - 1)}, above the bound {_MAX_DEGREE}"
+                f"{root_p - 1}*{root_p}^(k-1), above the bound {_MAX_DEGREE}"
             )
         self.root_p, self.root_k = root_p, k
         self.step = root_p ** (k - 1)

@@ -28,12 +28,13 @@ from fractions import Fraction
 from typing import Any, List
 
 from .cyclotomic import CyclotomicField
-from .errors import CapabilityMissing, MalformedConfig
-from .rings import Rationals, Ring
+from .errors import CapabilityMissing
+from .rings import Rationals, Ring, size
 from .witt import (
     GhostVec,
     WittVec,
     frobenius,
+    max_length,
     unghost,
     witt_eq,
     witt_norm,
@@ -48,8 +49,7 @@ def kernel_exponent(p: int, j: int) -> Fraction:
 
 def kernel_element_from_w1(ring: Ring, t: Any, j: int) -> WittVec:
     """The unique length-(j+1) vector with ghost coordinates (t, 0, ..., 0)."""
-    if j < 1:
-        raise MalformedConfig(f"the kernel family starts at j = 1, got {j}")
+    size("kernel index j", j, 1, max_length(ring.p) - 1)  # bounded as a family depth is
     if not ring.p_torsion_free:
         raise CapabilityMissing(
             "recovering x from w_1 needs division by p; use a p-torsion-free ring"
@@ -99,8 +99,7 @@ def symbolic_kernel_identity(p: int, j: int) -> dict:
     The verdict is ``passed``: the identity holds and every leading term is
     attained uniquely.
     """
-    if j < 1:
-        raise MalformedConfig(f"the kernel family starts at j = 1, got {j}")
+    size("kernel index j", j, 1, max_length(p) - 1)
     offsets: List[Fraction] = [Fraction(0)]
     unique = True
     for k in range(1, j + 1):

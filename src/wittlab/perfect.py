@@ -72,7 +72,7 @@ from .errors import (
     _quoted,
 )
 from .norms import NormValue
-from .rings import Integers, ZModPM, check_prime, integer_key
+from .rings import Integers, ZModPM, check_prime, integer_key, size
 from .witt import (
     WittVec,
     frobenius,
@@ -105,9 +105,7 @@ class RootSequence:
         return len(self.values)
 
     def value(self, n: int) -> CVec:
-        if not 1 <= n <= self.top_level:
-            raise MalformedConfig(f"root sequence has levels 1..{self.top_level}, got {n}")
-        return self.values[n - 1]
+        return self.values[size("root sequence level", n, 1, self.top_level) - 1]
 
     def power(self, n: int, e: int, level: int) -> CVec:
         """x_n**e in tower.field(level), for any integer e and level >= n,
@@ -289,6 +287,9 @@ def _check_residues(
 
 
 _TOWER_EXHAUSTIVE_LIMIT = 1100  # larger tower levels are sampled
+# draws per sampled level: the tests, suites and benchmark draw 48, and 256
+# draws at p = 3 over 3 levels took 5.9 s
+MAX_TOWER_SAMPLES = 2**8
 
 
 def _check_tower(p: int, top_level: int, rng, samples: int) -> PerfectReport:
@@ -322,16 +323,22 @@ def _check_tower(p: int, top_level: int, rng, samples: int) -> PerfectReport:
             )
         roots_ok = 0
         b_ok = 0
+        no_root: List[str] = []  # the first residue without a root one level up
         x1_up = tower.embed_up(1, k + 1, x1)
         for coeffs in pool:
             a_up = tower.embed_up(k, k + 1, lo.from_coeffs(coeffs))
-            c = hi.mod_p_root(a_up)  # raises NoRoot on failure
+            try:
+                c = hi.mod_p_root(a_up)
+            except NoRoot as exc:
+                no_root = no_root or [f"level {k}: residue {list(coeffs)} has no root: {exc}"]
+                continue
             roots_ok += 1
             # x1, c and a_up lie in Z[zeta], so b**p = p*a mod p**2 compares
             # the digits of both sides mod p**2
             bp = hi.pow_digits_mod(hi.integral_coeffs(hi.mul(x1_up, c)), p, p * p)
             if bp == tuple(p * d % (p * p) for d in a_up.nums):
                 b_ok += 1
+        notes += no_root
         ok = purity and roots_ok == len(pool) and b_ok == len(pool)
         all_ok = all_ok and ok
         levels[f"level_{k}"] = {
@@ -364,7 +371,6 @@ def witt_perfect_test(config: dict, rng=None) -> PerfectReport:
         raise MalformedConfig(f"unknown perfectness instance {_quoted(inst)}")
     p = check_prime(config.get("p"))
     if inst in ("Z", "Zmod"):
-        # the ring's constructor refuses M < 1
         ring = Integers(p) if inst == "Z" else ZModPM(p, integer_key(config, "M", inst))
         name, q_exp = ("Z", 2) if inst == "Z" else (ring.label, min(ring.M, 2))
         return _check_residues(
@@ -389,12 +395,9 @@ def witt_perfect_test(config: dict, rng=None) -> PerfectReport:
         import random
 
         rng = random.Random(0)
-    tower = {"levels": 1, "samples": 48, **config}
-    levels, samples = integer_key(tower, "levels", inst), integer_key(tower, "samples", inst)
-    # a tower test with no level or no draw checks nothing and must not say yes
-    for key, value in (("levels", levels), ("samples", samples)):
-        if value < 1:
-            raise MalformedConfig(f"{key!r} must be at least 1, got {value}")
+    # no level or no draw would check nothing and say yes; the tower degree bounds levels
+    levels = size("tower levels", config.get("levels", 1), 1)
+    samples = size("tower samples", config.get("samples", 48), 1, MAX_TOWER_SAMPLES)
     return _check_tower(p, levels, rng, samples)
 
 

@@ -53,7 +53,7 @@ from .errors import (
     NoRoot,
     _quoted,
 )
-from .rings import Ring, integer, power_ladder, rational
+from .rings import Ring, integer, power_ladder, rational, size
 from .univ import structure_cap, structure_poly_mod_p
 
 Monomial = Tuple[int, ...]
@@ -61,6 +61,11 @@ PPoly = Tuple[Tuple[Monomial, int], ...]
 Packed = List[Tuple[int, int]]  # (sum_j m_j * radix**j, coefficient) pairs
 
 _ONE = ((0, 1),)  # the packed constant 1
+
+# a packed monomial has nvars digits of depth * log2(p) bits; the tests, suites
+# and benchmark reach 3 and 8; a 16-term length-3 mul at the bounds took 0.15 s
+MAX_NVARS = 2**6
+MAX_DEPTH = 2**8
 
 
 def _top(a: PPoly) -> int:
@@ -150,12 +155,8 @@ class PerfPolyRing(Ring):
 
     def __init__(self, p: int, nvars: int, depth: int):
         super().__init__(p)
-        if nvars < 1:
-            raise MalformedConfig(f"need at least one variable, got {nvars}")
-        if depth < 0:
-            raise MalformedConfig(f"depth must be >= 0, got {depth}")
-        self.nvars = nvars
-        self.depth = depth
+        self.nvars = size("PerfPoly nvars", nvars, 1, MAX_NVARS)
+        self.depth = size("PerfPoly depth", depth, 0, MAX_DEPTH)
         self.unit = p ** depth  # stored exponents are multiples of 1/unit
 
     # -- construction ---------------------------------------------------------

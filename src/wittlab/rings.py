@@ -84,12 +84,20 @@ def rational(text: str) -> Fraction:
 
 def integer_key(config: dict, key: str, kind: str) -> int:
     """``config[key]``, which a ring or instance config of this kind must
-    give as an integer."""
+    give; the constructor it is handed to checks it with `size`."""
     if key not in config or config[key] is None:
         raise MalformedConfig(f"ring kind {_quoted(kind)} needs {key!r}")
-    value = config[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise MalformedConfig(f"{key!r} must be an integer, got {_quoted(value)}")
+    return config[key]
+
+
+def size(name: str, value: int, least: int, most: Optional[int] = None) -> int:
+    """``value``, the count, depth or rank called ``name``, refused unless it
+    is an int, not a bool, in [least, most] (no upper end for most None).
+    Rings and tilt chains read through it, so it builds a message only to refuse."""
+    if type(value) is not int or value < least:
+        raise MalformedConfig(f"{name} must be an integer >= {least}, got {_quoted(value)}")
+    if most is not None and value > most:
+        raise MalformedConfig(f"{name} = {_quoted(value)} is above the bound {most}")
     return value
 
 
@@ -100,11 +108,7 @@ MAX_PRECISION = 2**16
 
 
 def check_prime(p: int) -> int:
-    if not isinstance(p, int) or p < 2:
-        raise MalformedConfig(f"p must be an integer >= 2, got {_quoted(p)}")
-    # trial division below runs up to sqrt(p)
-    if p > MAX_PRIME:
-        raise MalformedConfig(f"p = {_quoted(p)} is above the bound {MAX_PRIME}")
+    size("p", p, 2, MAX_PRIME)  # trial division below runs up to sqrt(p)
     d = 2
     while d * d <= p:
         if p % d == 0:
@@ -401,16 +405,8 @@ class TruncatedRing(Ring):
 
     def __init__(self, p: int, M: int):
         super().__init__(p)
-        if not isinstance(M, int) or M < 1:
-            raise MalformedConfig(
-                f"modulus exponent M must be a positive integer, got {_quoted(M)}"
-            )
         # p**M is built from here on, by every constructor and operation
-        if M > MAX_PRECISION:
-            raise MalformedConfig(
-                f"modulus exponent M = {_quoted(M)} is above the bound {MAX_PRECISION}"
-            )
-        self.M = M
+        self.M = size("modulus exponent M", M, 1, MAX_PRECISION)
 
     def with_precision(self, M: int) -> "TruncatedRing":
         """The same ring modulo p**M, rebuilt from its ``config_keys``."""

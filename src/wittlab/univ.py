@@ -56,7 +56,7 @@ from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import CapabilityMissing, IntegralityViolation, MalformedConfig
-from .rings import check_prime, power_ladder
+from .rings import check_prime, power_ladder, size
 from .witt import GhostVec, WittVec, ghost, unghost
 
 Exps = Tuple[int, ...]
@@ -223,7 +223,7 @@ def structure_polys(p: int, index: int, kind: str) -> Tuple[UPoly, ...]:
     if kind not in KINDS:
         raise MalformedConfig(f"unknown structure polynomial kind {kind!r}")
     cap = structure_cap(p)
-    if index < 0 or index > cap:
+    if size("structure polynomial index", index, 0) > cap:
         raise CapabilityMissing(
             f"structure polynomials at p={p} are cached for indices 0..{cap}, "
             f"got {index}; use ghost transport for longer vectors"

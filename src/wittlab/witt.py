@@ -411,6 +411,10 @@ _TAGGED = re.compile(r"^W\(\s*p\s*=\s*(\w+)\s*;(.*)\)$", re.DOTALL)
 # allows length 17 at p = 2, 11 at p = 3 and 7 at p = 5; the tests, the
 # suites and the benchmark reach 5**4 = 625.
 MAX_GHOST_EXPONENT = 2**16
+# the largest b * p**e for an entry of b bits that the ghost map raises to
+# p**e (e = L - 1 at length L); over Z at p = 2 a 997-bit `mul` took 0.59 s
+# at e = 8 and 2.47 s at e = 9.  The tests, suites and benchmark reach 16610
+MAX_GHOST_BITS = 2**18
 
 
 def max_length(p: int) -> int:
@@ -422,10 +426,20 @@ def max_length(p: int) -> int:
     return length
 
 
+def check_entry_bits(p: int, bits: int, e: int) -> None:
+    """Refuse an entry of ``bits`` bits raised to p**e past ``MAX_GHOST_BITS``."""
+    if bits * p**e > MAX_GHOST_BITS:
+        raise MalformedConfig(
+            f"an entry of {bits} bits raised to {p}^{e}: {bits}*{p}^{e} = {bits * p**e} "
+            f"is above the bound {MAX_GHOST_BITS}"
+        )
+
+
 def parse_witt(ring: Ring, text: str) -> WittVec:
     """Parse either the bare tuple form ``(3, -2)`` or the tagged form
     ``W(p=2; 3, -2)``; the tag's prime must match the ring, and a length
-    past ``max_length`` is refused before any component is read."""
+    past ``max_length`` is refused before any component is read, and over a
+    p-torsion-free ring a largest numeral past ``check_entry_bits``."""
     body = text.strip()
     tagged = _TAGGED.match(body)
     try:
@@ -449,4 +463,8 @@ def parse_witt(ring: Ring, text: str) -> WittVec:
             f"vector length {len(parts)} is above the bound {bound} at p={ring.p} "
             f"(p^(length-1) at most {MAX_GHOST_EXPONENT})"
         )
-    return WittVec(ring, tuple(ring.parse_elt(s) for s in parts))
+    x = WittVec(ring, tuple(ring.parse_elt(s) for s in parts))
+    if ring.p_torsion_free:
+        bits = max((int(n).bit_length() for n in re.findall(r"[0-9]+", body)), default=0)
+        check_entry_bits(ring.p, bits, len(parts) - 1)
+    return x

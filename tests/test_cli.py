@@ -256,17 +256,17 @@ NAMED_USAGE_ERRORS = [
     (
         "compute-ring-ZzetaMod-oversized",
         ("compute", "--ring", "ZzetaMod:72", "neg (1)"),
-        "error: conductor exponent k=72 gives field degree e = 1*2^71, above the bound 262144",
+        "error: conductor exponent k=72 gives field degree e = 1*2^(k-1), above the bound 262144",
     ),
     (
         "compute-ring-Qzeta-oversized",
         ("compute", "--ring", '{"kind":"Qzeta","p":2,"k":40}', "neg ([1])"),
-        "error: conductor exponent k=40 gives field degree e = 1*2^39, above the bound 262144",
+        "error: conductor exponent k=40 gives field degree e = 1*2^(k-1), above the bound 262144",
     ),
     (
         "perfect-zeta-ring-oversized",
         ("perfect", "test", "zeta-ring", "--p", "2", "--depth", "40"),
-        "error: conductor exponent k=40 gives field degree e = 1*2^39, above the bound 262144",
+        "error: conductor exponent k=40 gives field degree e = 1*2^(k-1), above the bound 262144",
     ),
     # a variable is read only under the name format_elt writes for it
     *(
@@ -282,13 +282,13 @@ NAMED_USAGE_ERRORS = [
     (
         "kernel-samples-oversized",
         ("kernel", "verify", "--samples", "100000000"),
-        "error: --samples 100000000 is above the bound 10000",
+        "error: --samples = 100000000 is above the bound 10000",
     ),
     # and a samples file, once its 10001st element is read, before any is checked
     (
         "kernel-samples-file-oversized",
         ("kernel", "verify", "--samples", _OVERSIZED_SAMPLES),
-        f"error: --samples {_OVERSIZED_SAMPLES} holds more elements than the bound 10000",
+        "error: --samples elements read = 10001 is above the bound 10000",
     ),
     # a refusal quotes at most 40 characters of a long text, and its length
     (
@@ -300,7 +300,7 @@ NAMED_USAGE_ERRORS = [
     (
         "compute-ring-json-long-value",
         ("compute", "--ring", f'{{"kind":"Z","p":"{"7" * 5000}"}}', "neg (1)"),
-        f"error: 'p' must be an integer, got {'7' * 40!r}... (5000 characters)",
+        f"error: p must be an integer >= 2, got {'7' * 40!r}... (5000 characters)",
     ),
     (
         "compute-ring-json-long-number",
@@ -357,13 +357,12 @@ NAMED_USAGE_ERRORS = [
     (
         "kernel-samples-long-negative",
         ("kernel", "verify", f"--samples=-{'7' * 5000}"),
-        f"error: kernel verify needs at least 1 sample, got -{'7' * 39}... (5001 characters) "
-        f"(--samples {'-' + '7' * 39!r}... (5001 characters))",
+        f"error: --samples must be an integer >= 1, got -{'7' * 39}... (5001 characters)",
     ),
     (
         "kernel-samples-long-count",
         ("kernel", "verify", f"--samples={'7' * 5000}"),
-        f"error: --samples {'7' * 40}... (5000 characters) is above the bound 10000",
+        f"error: --samples = {'7' * 40}... (5000 characters) is above the bound 10000",
     ),
     # the structure polynomials, the family depth and the vector length are
     # bounded before any work; past a failed bound these values cost a few
@@ -376,13 +375,12 @@ NAMED_USAGE_ERRORS = [
     (
         "arrow-norm-depth-over-bound",
         ("arrow", "norm", "4", "--depth", "17"),
-        "error: family depth 17 is above the bound 16 at p=2 (p^depth at most 65536)",
+        "error: family depth = 17 is above the bound 16",
     ),
     (
         "arrow-norm-long-depth",
         ("arrow", "norm", "4", "--depth", "7" * 5000),
-        f"error: family depth {'7' * 40}... (5000 characters) is above the bound 16 at p=2 "
-        "(p^depth at most 65536)",
+        f"error: family depth = {'7' * 40}... (5000 characters) is above the bound 16",
     ),
     # the tower reaches level depth + 1, its field degree bounded before any
     # level is built; depth 16 runs in a child process below
@@ -401,12 +399,68 @@ NAMED_USAGE_ERRORS = [
     (
         "tilt-untilt-depth-over-bound",
         ("tilt", "untilt", "5", "--p", "3", "--depth", "11", "--n", "11"),
-        "error: family depth 11 is above the bound 10 at p=3 (p^depth at most 65536)",
+        "error: family depth = 11 is above the bound 10",
     ),
     (
         "compute-vector-over-bound",
         ("compute", f"neg ({','.join(['1'] * 18)})"),
         "error: vector length 18 is above the bound 17 at p=2 (p^(length-1) at most 65536)",
+    ),
+    # the tilt depth, the PerfPoly variable count and depth and the tower's
+    # draws have plain bounds; these values are cheap past a failed bound
+    (
+        "tilt-depth-over-bound",
+        ("tilt", "add", "1", "2", "--depth", "1025"),
+        "error: tilt depth = 1025 is above the bound 1024",
+    ),
+    (
+        "compute-perfpoly-depth-over-bound",
+        ("compute", "--ring", "PerfPoly", "--depth", "257", "neg (x)"),
+        "error: PerfPoly depth = 257 is above the bound 256",
+    ),
+    (
+        "compute-perfpoly-nvars-over-bound",
+        ("compute", "--ring", "PerfPoly:65", "neg (x0)"),
+        "error: PerfPoly nvars = 65 is above the bound 64",
+    ),
+    (
+        "perfect-tower-samples-over-bound",
+        ("perfect", "test", '{"instance":"tower","p":2,"levels":1,"samples":257}'),
+        "error: tower samples = 257 is above the bound 256",
+    ),
+    # an entry's bits times the power the ghost map raises it to, over an
+    # exact ring and for arrow's integer; a few seconds past a failed bound
+    (
+        "compute-entry-over-budget",
+        ("compute", f"neg ({','.join(['9' * 300] * 10)})"),
+        "error: an entry of 997 bits raised to 2^9: 997*2^9 = 510464 is above the bound 262144",
+    ),
+    (
+        "arrow-norm-entry-over-budget",
+        ("arrow", "norm", "9" * 300, "--depth", "9"),
+        "error: an entry of 997 bits raised to 2^9: 997*2^9 = 510464 is above the bound 262144",
+    ),
+    # refusals that no other test runs
+    (
+        "compute-too-few-vectors",
+        ("compute", "add (1)"),
+        "error: add takes 2 vector(s), got 1 in 'add (1)'",
+    ),
+    (
+        "arrow-lift-exact-ring",
+        ("arrow", "lift", "3", "--ring", "Z"),
+        "error: arrow lift needs a truncated base ring, got Z",
+    ),
+    (
+        "perfect-bad-instance-json",
+        ("perfect", "test", "{bad"),
+        "error: bad instance config: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1)",
+    ),
+    (
+        "compute-ring-tilt-no-base",
+        ("compute", "--ring", '{"kind":"tilt","depth":2}', "neg (1)"),
+        "error: tilt ring config needs a 'base' ring config",
     ),
 ]
 _FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -480,8 +534,8 @@ print(code, time.perf_counter() - start)
 """
 
 
-def _vector(length: int) -> str:
-    return "(" + ",".join(["3"] * length) + ")"
+def _vector(length: int, entry: str = "3") -> str:
+    return "(" + ",".join([entry] * length) + ")"
 
 
 @pytest.mark.parametrize(
@@ -493,10 +547,10 @@ def _vector(length: int) -> str:
             "is above the bound 65536",
         ),
         (("universal", "dump", "--p", "65521"), "p^1 = 65521 is above the bound 169"),
-        (("arrow", "norm", "4", "--depth", "25"), "family depth 25 is above the bound 16"),
+        (("arrow", "norm", "4", "--depth", "25"), "family depth = 25 is above the bound 16"),
         (
-            ("tilt", "untilt", "5", "--p", "3", "--depth", "3000", "--n", "2000"),
-            "family depth 2000 is above the bound 10",
+            ("tilt", "untilt", "5", "--p", "3", "--depth", "1024", "--n", "2000"),
+            "family depth = 2000 is above the bound 10",
         ),
         (("compute", f"mul {_vector(24)} {_vector(24)}"), "vector length 24 is above the bound 17"),
         (
@@ -504,10 +558,40 @@ def _vector(length: int) -> str:
             "vector length 40 is above the bound 17",
         ),
         (("perfect", "test", "tower", "--depth", "16"), "tower level 17 at p=2 is above the bound"),
+        (("tilt", "add", "1", "2", "--depth", "100000000"), "tilt depth = 100000000 is above"),
+        (
+            ("compute", "--ring", "PerfPoly", "--depth", "100000000000", "neg (x)"),
+            "PerfPoly depth = 100000000000 is above",
+        ),
+        (("compute", "--ring", "PerfPoly:1000000", "neg (x0)"), "PerfPoly nvars = 1000000 is above"),
+        (
+            ("compute", "--ring", "PerfPoly:100000000", "neg (x0)"),
+            "PerfPoly nvars = 100000000 is above",
+        ),
+        (
+            ("kernel", "verify", "--ring", "Qi", "--p", "5", "--j", "8"),
+            "kernel index j = 8 is above the bound 6",
+        ),
+        (("kernel", "verify", "--p", "2", "--j", "17"), "kernel index j = 17 is above the bound 16"),
+        (
+            ("artin", "classify", "--f", "1/5", "--depth", "9"),
+            "ghost-constant profile depth = 9 is above the bound 6",
+        ),
+        (
+            ("perfect", "test", '{"instance":"tower","p":2,"levels":3,"samples":10000000}'),
+            "tower samples = 10000000 is above",
+        ),
+        (
+            ("compute", f"mul {_vector(11, '9' * 300)} {_vector(11, '9' * 300)}"),
+            "an entry of 997 bits raised to 2^10",
+        ),
+        (("arrow", "norm", "9" * 300, "--depth", "12"), "an entry of 997 bits raised to 2^12"),
     ],
     ids=[
         "prime", "precision", "structure-prime", "family-depth", "untilt-depth", "length",
-        "length-Zmod", "tower-depth",
+        "length-Zmod", "tower-depth", "tilt-depth", "perfpoly-depth", "perfpoly-nvars",
+        "perfpoly-nvars-huge", "kernel-j", "kernel-j-p2", "artin-depth", "tower-samples",
+        "entry-bits", "arrow-entry-bits",
     ],
 )
 def test_a_size_past_its_bound_is_refused_in_under_a_second(argv, refusal):
@@ -531,7 +615,9 @@ def test_integer_flags_and_the_prime_state_their_bounds(capsys):
             ),
         ),
         ("arrow", ("the family's p^depth at most 65536",)),
-        ("tilt", ("the family's p^n at most 65536",)),
+        ("tilt", ("the family's p^n at most 65536", "chain depth at most 1024")),
+        ("kernel", ("p^j at most 65536",)),
+        ("artin", ("p^depth at most 65536",)),
         ("universal", ("p^index at most 169",)),
         ("perfect", ("field degree (p-1)*p^(depth+2) at most 512",)),
     ):
@@ -791,12 +877,14 @@ def test_kernel_verify_reads_samples_over_the_integers_from_a_file(capsys, tmp_p
 
 
 def test_kernel_verify_refuses_a_run_with_no_sample(capsys):
-    for samples, count in (("0", 0), ("-3", -3), (os.devnull, 0)):
+    for samples, message in (
+        ("0", "--samples must be an integer >= 1, got 0"),
+        ("-3", "--samples must be an integer >= 1, got -3"),
+        (os.devnull, "--samples elements read must be an integer >= 1, got 0"),
+    ):
         code, out, err = run(capsys, "kernel", "verify", "--samples", samples)
         assert (code, out) == (2, "")
-        assert err.strip() == (
-            f"error: kernel verify needs at least 1 sample, got {count} (--samples {samples})"
-        )
+        assert err.strip() == f"error: {message}"
 
 
 def test_kernel_verify_prints_a_zero_norm_as_zero(capsys, tmp_path):
@@ -1187,7 +1275,9 @@ CLI_REFUSALS = {
     "artin classify --field Qzeta --f i": (
         "error: classification is implemented over the Gaussian field only, got 'Qzeta'"
     ),
-    "artin classify --f i --depth -1": "error: the ghost-constant profile depth must be >= 0, got -1",
+    "artin classify --f i --depth -1": (
+        "error: ghost-constant profile depth must be an integer >= 0, got -1"
+    ),
 }
 
 

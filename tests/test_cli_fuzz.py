@@ -1,23 +1,48 @@
 """A seeded mutation fuzz of the CLI: 1-3 character edits of the arguments of
-the non-``verify`` rows of ``CLI_TABLE``.
+the non-``verify`` rows of ``CLI_TABLE``; and a size sweep of the same rows,
+which writes a 3000-digit negative, 0, 10^8 and a 3000-digit number into
+each integer-valued token, one at a time: an integer flag's value and a
+ring spec's ``:n``.  An edit of 1-3 characters reaches neither.
 
-Every edited argv must exit 0 or 2, and an exit 2 prints exactly one
-``error:`` line: a refusal, never a traceback, a raw exception, a memory
-kill or a hang.  The cases run in process, through ``cli.main``, inside one
-child that sets its own address-space limit and a per-case alarm, so a
-budget that fails to hold ends in a finding rather than on the host.
-Hypothesis draws the edits from a fixed seed and example count, so the
-argvs are the same on every run; a finding names its argv.
+Every edited or swept argv must exit 0 or 2, and an exit 2 prints exactly
+one ``error:`` line, under 200 bytes: a refusal, never a traceback, a raw
+exception, a memory kill, a hang or a number echoed whole.  The cases run in
+process, through ``cli.main``, inside one child that sets its own
+address-space limit and a per-case alarm, so a budget that fails to hold
+ends in a finding rather than on the host.  Hypothesis draws the edits from
+a fixed seed and example count, and the sweep is a fixed list, so the argvs
+are the same on every run; a finding names its argv.
 """
 
 import json
+import re
 import shlex
 import subprocess
 import sys
 
+import pytest
+
 from test_cli import CLI_TABLE, _subprocess_env
 
 ROWS = [shlex.split(cmd) for cmd, *_ in CLI_TABLE if not cmd.startswith("verify")]
+
+SIZES = ["-" + "7" * 3000, "0", str(10**8), "7" * 3000]
+_RING_ARGUMENT = re.compile(r"([A-Za-z]+:)[0-9]+")
+
+
+def _swept(row):
+    """Each argv with one integer-valued token of the row replaced by one of
+    ``SIZES``."""
+    for i in range(1, len(row)):
+        flag, token = row[i - 1], row[i]
+        head = _RING_ARGUMENT.fullmatch(token) if flag == "--ring" else None
+        if head is None and not (flag.startswith("--") and re.fullmatch(r"-?[0-9]+", token)):
+            continue
+        for value in SIZES:
+            yield row[:i] + [head[1] + value if head else value] + row[i + 1 :]
+
+
+SWEEP = [argv for row in ROWS for argv in _swept(row)]
 
 _CHILD = r"""
 import contextlib, io, json, resource, signal, sys, time
@@ -28,7 +53,7 @@ from hypothesis import HealthCheck, Phase, given, seed, settings, strategies as 
 
 from wittlab.cli import main
 
-ROWS = json.loads(sys.stdin.read())
+ROWS, SWEEP = json.loads(sys.stdin.read())
 SEED, EXAMPLES, CASE_SECONDS = 20261021, 300, 2.0
 # the characters an edit inserts or writes: the grammar's own, a letter, a
 # space and a non-ASCII digit
@@ -79,6 +104,8 @@ def outcome(argv):
         return f"exit {code}"
     if code == 2 and len(errors) != 1:
         return f"exit 2 with {len(errors)} error lines"
+    if code == 2 and len(errors[0].encode()) >= 200:
+        return f"a {len(errors[0].encode())}-byte error line: {errors[0][:80]}"
     return None
 
 
@@ -119,23 +146,36 @@ def fuzz(case):
 
 start = time.perf_counter()
 fuzz()
+swept = [{"argv": [a[:40] for a in argv], "finding": f} for argv in SWEEP if (f := outcome(argv))]
 print(json.dumps({
     "cases": len(cases),
     "distinct": len({tuple(a) for a in cases}),
     "findings": findings,
+    "swept": swept,
     "seconds": round(time.perf_counter() - start, 2),
 }), file=sys.__stdout__)
 """
 
 
-def test_edited_cli_table_rows_exit_zero_or_two_with_one_error_line():
+@pytest.fixture(scope="module")
+def report():
+    """The child's report of both runs, the fuzz and the sweep."""
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD],
-        input=json.dumps(ROWS), env=_subprocess_env(), capture_output=True, text=True,
+        input=json.dumps([ROWS, SWEEP]), env=_subprocess_env(), capture_output=True, text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    report = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_edited_cli_table_rows_exit_zero_or_two_with_one_error_line(report):
     assert report["findings"] == [], report["findings"]
     # the fixed seed draws every case at least once, and mostly distinct ones
     assert report["cases"] == 300 and report["distinct"] >= 250, report
+
+
+def test_swept_cli_table_rows_exit_zero_or_two_with_one_short_error_line(report):
+    assert report["swept"] == [], report["swept"]
+    # four values for each of the rows' 48 integer flag values and ring arguments
+    assert len(SWEEP) == 4 * 48

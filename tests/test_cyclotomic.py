@@ -91,13 +91,20 @@ def test_field_power_matches_repeated_convolution(data, n):
 def test_a_field_degree_past_the_bound_is_refused_before_it_is_built():
     assert CyclotomicField(2, 19).e == 1 << 18  # the bound itself
     assert CyclotomicField(3, 11).e == 2 * 3**10
-    for p, k, e in ((2, 20, "1*2^19"), (3, 12, "2*3^11"), (5, 10**12, f"4*5^{10**12 - 1}")):
+    for p, k, e in ((2, 20, "1*2^(k-1)"), (3, 12, "2*3^(k-1)"), (5, 10**12, "4*5^(k-1)")):
         with pytest.raises(MalformedConfig) as exc:
             CyclotomicField(p, k)
         want = f"conductor exponent k={k} gives field degree e = {e}, above the bound 262144"
         assert str(exc.value) == want
     with pytest.raises(MalformedConfig, match="k=72"):
         CycloModPM(2, 72, 3)
+
+
+def test_the_field_cache_serves_no_bool_or_float_equal_to_a_cached_int():
+    cyclotomic_field(2, 1)
+    for p, k in ((2, True), (2, 1.0), (2.0, 1)):
+        with pytest.raises(MalformedConfig, match=r"^(p|conductor exponent k) must be an integer"):
+            cyclotomic_field(p, k)
 
 
 def test_inverse_in_q_zeta_128():

@@ -380,5 +380,26 @@ def test_unknown_instance_is_rejected():
     ],
 )
 def test_a_tower_test_that_checks_nothing_is_refused(config, key):
-    with pytest.raises(MalformedConfig, match=f"'{key}' must be at least 1"):
+    with pytest.raises(MalformedConfig, match=f"^tower {key} must be an integer >= 1, got "):
         witt_perfect_test({"instance": "tower", "p": 3, **config})
+
+
+def test_a_residue_without_a_root_fails_its_tower_level(monkeypatch):
+    """A root that cannot be built is counted out of ``roots_constructed``,
+    the level fails and a note names the residue: the verdict is ``no``, and
+    no ``NoRoot`` escapes the test."""
+    build = CyclotomicField.mod_p_root
+    calls = []
+
+    def one_fails(field, a):
+        calls.append(a)
+        if len(calls) == 2:
+            raise NoRoot("refused by the test")
+        return build(field, a)
+
+    monkeypatch.setattr(CyclotomicField, "mod_p_root", one_fails)
+    report = witt_perfect_test({"instance": "tower", "p": 2, "levels": 1})
+    level = report.condition_a["levels"]["level_1"]
+    assert report.verdict == "no"
+    assert level["roots_constructed"] == level["residues_checked"] - 1 == len(calls) - 1
+    assert report.notes == ("level 1: residue [0, 0, 0, 1] has no root: refused by the test",)

@@ -255,7 +255,7 @@ def test_a_chain_needs_a_base_with_a_digit_budget():
 
 def test_negative_depths_are_refused():
     base = ZModPM(3, 2)
-    depth = "^tilt depth must be a non-negative integer, got -1$"
+    depth = "^tilt depth must be an integer >= 0, got -1$"
     with pytest.raises(MalformedConfig, match=depth):
         tilt_from_top(base, base.one(), -1)
     with pytest.raises(MalformedConfig, match=depth):
@@ -263,7 +263,7 @@ def test_negative_depths_are_refused():
     with pytest.raises(MalformedConfig, match=depth):
         TiltRing(base, -1)
     x = WittVec(TiltRing(base, 2), (tilt_from_top(base, base.one(), 2),))
-    with pytest.raises(MalformedConfig, match="^the untilt family depth must be >= 0, got -1$"):
+    with pytest.raises(MalformedConfig, match="^family depth must be an integer >= 0, got -1$"):
         untilt(x, -1)
 
 

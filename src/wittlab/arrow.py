@@ -39,6 +39,7 @@ from .errors import (
     InsufficientDepth,
     IntegralityViolation,
     LengthMismatch,
+    _cut,
 )
 from .norms import NormValue, as_fraction, norm_max
 from .rings import Ring, size
@@ -272,7 +273,7 @@ def arrow_norm(a: ArrowElt, b) -> ArrowNorm:
     exactness certificate when the tail bound dominates."""
     b = as_fraction(b)
     if b <= 0:
-        raise BOutOfRange(f"the weight b must be positive, got {b}")
+        raise BOutOfRange(f"the weight b must be positive, got {_cut(str(b))}")
     terms = _norm_terms(a, b)
     value = norm_max(terms)
     attained = next((n for n, t in enumerate(terms) if not t.is_zero and t == value), None)
@@ -304,7 +305,7 @@ def inverse_frobenius_sandwich(a: ArrowElt, b) -> dict:
     """
     b = as_fraction(b)
     if b < 1:
-        raise BOutOfRange(f"the sandwich needs b >= 1, got {b}")
+        raise BOutOfRange(f"the sandwich needs b >= 1, got {_cut(str(b))}")
     ring, p = a.ring, a.ring.p
     fi, b_fi = inverse_frobenius(a), b / p
     lows, highs = _norm_terms(a, b), _norm_terms(a, b, zero_floor=True)

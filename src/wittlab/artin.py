@@ -24,13 +24,17 @@ from .cyclotomic import GaussianField
 from .errors import CapabilityMissing
 from .norms import NormValue
 from .rings import Ring, size
-from .witt import GhostVec, max_length, unghost, witt_norm_profile
+from .witt import GhostVec, check_entry_bits, max_length, numeral_bits, unghost, witt_norm_profile
 
 
 def ghost_constant_profile(ring: Ring, f: Any, N: int) -> dict:
     """Witt components of the constant-ghost vector (f, ..., f) to depth N,
-    with their weighted norms; bounded iff every norm is at most 1."""
+    with their weighted norms; bounded iff every norm is at most 1.  The
+    unghost recursion raises f to p**N, so f's largest numeral is refused
+    past ``check_entry_bits`` at N."""
     size("ghost-constant profile depth", N, 0, max_length(ring.p) - 1)  # as a family depth is
+    text = ring.format_elt(f)
+    check_entry_bits(ring.p, numeral_bits(text), N)
     if not ring.q_algebra:
         raise CapabilityMissing(
             "constant-ghost inversion needs exact division by p; use a Q-algebra"
@@ -47,7 +51,7 @@ def ghost_constant_profile(ring: Ring, f: Any, N: int) -> dict:
     return {
         "p": ring.p,
         "N": N,
-        "f": ring.format_elt(f),
+        "f": text,
         "components": [ring.format_elt(c) for c in x.components],
         "profile_exponents": [v.exponent_json() for v in profile],
         "bounded": first_unbounded is None,

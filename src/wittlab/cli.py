@@ -42,7 +42,13 @@ from .artin import invariant_classify, teichmuller_phi_invariance
 from .config import ring_from_spec
 from .cyclotomic import GaussianField
 from .errors import CapabilityMissing, MalformedConfig, NoRoot, WittError, _cut, _quoted
-from .kernelnorm import uniformizer_steps, unit_times_power, verify_kernel_norm
+from .kernelnorm import (
+    MAX_KERNEL_WORK,
+    check_kernel_work,
+    uniformizer_steps,
+    unit_times_power,
+    verify_kernel_norm,
+)
 from .norms import exponent_text
 from .perfect import INSTANCES, MAX_TOWER_DEGREE, solve_frobenius, witt_perfect_test
 from .rings import MAX_PRECISION, MAX_PRIME, Rationals, Ring, integer, size
@@ -311,6 +317,7 @@ def _cmd_kernel(args) -> Reply:
             ) from exc
         # a run that checks nothing must not report 0 failures
         size("--samples elements read", len(texts), 1, _MAX_SAMPLES)
+        check_kernel_work(ring, args.j, len(texts))
         elements = [ring.parse_elt(t) for t in texts]
     else:
         size("--samples", count, 1, _MAX_SAMPLES)
@@ -320,6 +327,7 @@ def _cmd_kernel(args) -> Reply:
                 f"kernel verify with a sample count needs a Q-algebra (it divides by p), "
                 f"got {ring.kind}; use --ring Q, Qi or Qzeta:k, or give --samples a file"
             )
+        check_kernel_work(ring, args.j, count)
         rng = random.Random(args.seed)
         steps = uniformizer_steps(ring)  # valuations in [-2, 2], as in the kernel suite
         elements = [
@@ -505,7 +513,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("kernel", help="Frobenius-kernel norm identity")
     sp.add_argument("action", choices=["verify"])
-    j = f"kernel index (vector length - 1); p^j at most {MAX_GHOST_EXPONENT}"
+    j = (
+        f"kernel index (vector length - 1); p^j at most {MAX_GHOST_EXPONENT}, and the run's "
+        f"samples*e*p^j at most {MAX_KERNEL_WORK}, e the ring's degree"
+    )
     sp.add_argument("--j", type=_integer, default=1, help=j)
     sp.add_argument(
         "--samples",

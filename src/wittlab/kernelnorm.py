@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Any, List
 
 from .cyclotomic import CyclotomicField
-from .errors import CapabilityMissing
+from .errors import CapabilityMissing, MalformedConfig
 from .rings import Rationals, Ring, size
 from .witt import (
     GhostVec,
@@ -45,6 +45,26 @@ from .witt import (
 def kernel_exponent(p: int, j: int) -> Fraction:
     """The exponent of the comparison constant: 1/p + 1/p**2 + ... + 1/p**j."""
     return sum((Fraction(1, p ** k) for k in range(1, j + 1)), Fraction(0))
+
+
+# the most work samples * e * p**j one run of kernel elements may ask for, e
+# the ring's rank: on a shared 2-CPU host one sample took 0.93 s over Q at
+# p = 2, j = 15 (32768) and 2.84 s over Q(i) at p = 5, j = 6 (31250).  The
+# tests and the CLI table reach 120 (30 samples over Q(zeta_4) at j = 1)
+MAX_KERNEL_WORK = 2**15
+
+
+def check_kernel_work(ring: Ring, j: int, samples: int) -> None:
+    """Refuse ``samples`` kernel elements of index j over ``ring`` when
+    samples * e * p**j is past ``MAX_KERNEL_WORK``; j is read first, as
+    ``kernel_element_from_w1`` reads it, so that p**j stays small."""
+    size("kernel index j", j, 1, max_length(ring.p) - 1)
+    work = samples * ring.e * ring.p**j
+    if work > MAX_KERNEL_WORK:
+        raise MalformedConfig(
+            f"kernel work samples*e*p^j = {samples}*{ring.e}*{ring.p}^{j} = {work} "
+            f"is above the bound {MAX_KERNEL_WORK}"
+        )
 
 
 def kernel_element_from_w1(ring: Ring, t: Any, j: int) -> WittVec:

@@ -44,13 +44,13 @@ nonzero residues mod 3 cubes to 3 mod 9.
 (the mod-p root is unique there, so failures are certified refutations);
 ``solve_frobenius_normed`` does the same over a tower field after rescaling
 into a norm window, and returns a preimage with |y| ** p <= |x|.  It scales
-by one Teichmueller unit into the window and one back out, both built from
-the powers of the roots x_n that ``RootSequence.power`` memoizes, so the
-solves of one sequence share them.  Both solvers run the one digit
-recursion ``_digit_solve`` and differ only in how they pick the head root.
-The recursion reads each digit equation off ``witt.frobenius`` itself, so
-neither solver has a length cap: Z/p**M needs only M >= L + 1 for a
-length-L target.
+once into the window and once back out, by Teichmueller units built from the
+powers of the roots x_n that ``RootSequence.power`` memoizes; a head root
+repaired up the tower (``_climb``) takes the scaled vector up by embedding.
+Both solvers run the one digit recursion ``_digit_solve`` and differ only in
+how they pick the head root.  The recursion reads each digit equation off
+``witt.frobenius`` itself, so neither solver has a length cap: Z/p**M needs
+only M >= L + 1 for a length-L target.
 """
 
 from __future__ import annotations
@@ -488,57 +488,56 @@ def _window_parameters(
     )
 
 
+def _climb(seq: RootSequence, level: int, head: CVec, defect: CVec, c: int, vectors):
+    """c levels up: the head root shifted to head + x_1 * w, w a p**c-th root
+    of ``defect`` taken one mod-p root per level, and ``vectors`` embedded.
+    x_1**p = p*(1 + p*h) hands every cross term of the shift's p-th power an
+    extra factor of p."""
+    tower = seq.tower
+    top = level + c
+    w = defect
+    for lvl in range(level + 1, top + 1):
+        w = tower.field(lvl).mod_p_root(tower.embed_up(lvl - 1, lvl, w))
+    F = tower.field(top)
+    shifted = F.add(tower.embed_up(level, top, head), F.mul(seq.power(1, 1, top), w))
+    up = [WittVec(F, tuple(tower.embed_up(level, top, a) for a in v.components)) for v in vectors]
+    return top, shifted, up
+
+
 def solve_frobenius_normed(
     seq: RootSequence, x_level: int, x: WittVec
 ) -> Tuple[WittVec, dict]:
     """Solve F(y) = x over a tower field with the bound |y|**p <= |x|.
 
-    The vector is rescaled by one Teichmueller unit [s] so its norm sits in
-    the window (p**(-1/p**(i+1)), 1), i the top component index: with
-    s = p**(-p*k) * x_n**(p*m), the power of p lands the norm just above 1
-    and the exponent m/p**(n-1) of the root x_n is chosen inside a rational
-    interval.  The preimage is scaled back out by the one unit [u],
-    u = p**k * x_n**(-m).  Both root powers come from ``seq.power``, so a
-    sequence builds them once per window.  In the window the head
-    component has a mod-p root one tower level up and the remaining digits
-    follow by exact divisions.  A length-2 digit equation can land on the
-    wrong branch of the head root (mod-p roots are unique only up to the
-    Frobenius kernel); the defect is repaired by shifting the head root by
-    x_1 * w, where w is a p**2-th root of the negated defect taken two more
-    levels up: x_1**p = p * (1 + p*h) makes every cross term vanish mod p,
-    so the shifted branch divides exactly.  Undoing the scaling preserves
-    exactness; both F(y) = x and the norm contract are checked exactly
-    before returning.
+    One Teichmueller unit [s], s = p**(-p*k) * x_n**(p*m), scales x into the
+    window (p**(-1/p**(i+1)), 1), i the top component index: the power of p
+    lands the norm just above 1, and m/p**(n-1) is chosen inside a rational
+    interval.  One unit [u], u = p**k * x_n**(-m), scales the preimage back
+    out; both root powers come from ``seq.power``.  In the window the head
+    has a mod-p root one level up and the other digits follow by exact
+    divisions.  ``_climb`` repairs the head at most twice, and the scaled
+    vector climbs with it by embedding, a ring map: by the forced digit
+    (x'_0 - r**p)/p with c = 1 when it is too large for the contract, and by
+    the negated remainder with c = 2 when a length-2 digit equation lands on
+    the wrong branch of the head root (mod-p roots are unique only up to the
+    Frobenius kernel).  F(y) = x and the norm contract are checked exactly.
     """
     tower = seq.tower
     p = tower.p
-    F0 = tower.field(x_level)
-    x.ring.require_same(F0)
-    L = x.length
+    x.ring.require_same(tower.field(x_level))
     c = witt_norm(x)
-    report: dict = {"trivial": False}
     if c.is_zero:
-        return witt_zero(F0, L + 1), {"trivial": True, "exact": True, "norm_contract": True}
-    h = c.v
-    k = max(0, math.floor(h / p) + 1) if h >= 0 else 0
-    g = p * k - h  # = -log_p of the prescaled norm, strictly positive
-    if g <= 0:
-        raise RescaleInfeasible(f"prescaling failed: residual exponent {g}")
-    n, m = _window_parameters(g, p, x.top_index, seq.top_level)
+        trivial = {"trivial": True, "exact": True, "norm_contract": True}
+        return witt_zero(x.ring, x.length + 1), trivial
+    # p*k > v(x), so the prescaled norm's -log_p, p*k - v(x), is positive
+    k = max(0, math.floor(c.v / p) + 1)
+    n, m = _window_parameters(p * k - c.v, p, x.top_index, seq.top_level)
 
-    def window_vector(lvl: int):
-        """x over tower.field(lvl) and its scaling [s] * x into the window,
-        s = p**(-p*k) * x_n**(p*m)."""
-        Wl = tower.field(lvl)
-        Xl = WittVec(
-            Wl, tuple(tower.embed_up(x_level, lvl, cmp) for cmp in x.components)
-        )
-        s = Wl.scalar_mul(Fraction(1, p ** (p * k)), seq.power(n, p * m, lvl))
-        return Wl, Xl, teich_mul(s, Xl)
-
+    # x over the working field and its scaling [s] * x into the window
     Lw = max(x_level, n) + 1
-    W, X, x_prime = window_vector(Lw)
-
+    W = tower.field(Lw)
+    X = WittVec(W, tuple(tower.embed_up(x_level, Lw, a) for a in x.components))
+    x_prime = teich_mul(W.scalar_mul(Fraction(1, p ** (p * k)), seq.power(n, p * m, Lw)), X)
     cp = witt_norm(x_prime)
     window_lo = NormValue.p_power(Fraction(-1, p ** (x.top_index + 1)))
     if not (window_lo < cp and cp < NormValue.one()):
@@ -547,70 +546,40 @@ def solve_frobenius_normed(
         )
     nu = cp.v  # window norm is p**(-nu) with 0 < nu < 1/p**(s+1)
 
-    def shift_head(head_low, defect, k: int):
-        """The level k above Lw and the head root there shifted by x_1 * w,
-        w a p**k-th root of the defect taken one mod-p root per level climbed.
-        x_1**p = p*(1 + p*h) hands every cross term an extra factor of p."""
-        lvl, w = Lw, defect
-        for _ in range(k):
-            lvl += 1
-            w = tower.field(lvl).mod_p_root(tower.embed_up(lvl - 1, lvl, w))
-        F = tower.field(lvl)
-        x1 = tower.embed_up(1, lvl, seq.value(1))
-        return lvl, F.add(tower.embed_up(Lw, lvl, head_low), F.mul(x1, w))
-
-    # Head root, refined once when the forced digit (x'_0 - r**p)/p would be
-    # too large for the contract: the shift by a root of that digit one level
-    # up pushes the head-root precision past 1 + 1/p.
+    # the forced digit's climb pushes the head-root precision past 1 + 1/p
     head = W.mod_p_root(x_prime.components[0])
     gap = W.exact_divide_by_p(W.sub(x_prime.components[0], W.pow_(head, p)))
     vgap = W.valuation(gap)
-    refined = False
-    if not (vgap is None or vgap >= nu):
-        Lw, head = shift_head(head, gap, 1)
-        W, X, x_prime = window_vector(Lw)
-        refined = True
+    refined = not (vgap is None or vgap >= nu)
+    if refined:
+        Lw, head, (X, x_prime) = _climb(seq, Lw, head, gap, 1, (X, x_prime))
+        W = X.ring
 
     ys, failure = _digit_solve(W, x_prime.components, p, head)
-    fixed = False
-    if failure is not None:
-        i, rhs = failure
-        if i != 1:
+    fixed = failure is not None
+    if fixed:
+        if failure[0] != 1:
             raise NoRoot(
-                f"digit equation {i} is not divisible by {p} and only the "
+                f"digit equation {failure[0]} is not divisible by {p} and only the "
                 "length-2 branch repair is implemented"
             )
-        Lw, seed = shift_head(head, W.neg(rhs), 2)
-        W, X, x_prime = window_vector(Lw)
-        ys, failure = _digit_solve(W, x_prime.components, p, seed)
+        Lw, head, (X, x_prime) = _climb(seq, Lw, head, W.neg(failure[1]), 2, (X, x_prime))
+        W = X.ring
+        ys, failure = _digit_solve(W, x_prime.components, p, head)
         if failure is not None:
             raise NoRoot(
                 f"digit equation {failure[0]} still fails after the branch repair"
             )
-        fixed = True
 
     # the scaling back out: [u] with u = p**k * x_n**(-m), so u**p = 1/s
-    u = W.scalar_mul(p ** k, seq.power(n, -m, Lw))
-    y = teich_mul(u, WittVec(W, tuple(ys)))
-
+    y = teich_mul(W.scalar_mul(p ** k, seq.power(n, -m, Lw)), WittVec(W, tuple(ys)))
     if not witt_eq(frobenius(y), X):
         raise IntegralityViolation("normed preimage failed the exact F(y) = x check")
-
     # embedding keeps the normalized valuation, so |X| = |x| = c
-    contract = witt_norm(y).pow(p) <= c
-    report.update(
-        {
-            "k": k,
-            "n": n,
-            "m": m,
-            "window_exponent": str(nu),
-            "working_level": Lw,
-            "exact": True,
-            "norm_contract": bool(contract),
-            "head_refined": refined,
-            "digit_fix": fixed,
-        }
-    )
-    if not contract:
+    if not witt_norm(y).pow(p) <= c:
         raise IntegralityViolation("norm contract |y|^p <= |x| failed")
-    return y, report
+    return y, {
+        "trivial": False, "k": k, "n": n, "m": m, "window_exponent": str(nu),
+        "working_level": Lw, "exact": True, "norm_contract": True,
+        "head_refined": refined, "digit_fix": fixed,
+    }

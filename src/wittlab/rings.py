@@ -59,6 +59,7 @@ from .errors import (
     NotEnumerable,
     PrecisionExhausted,
     RingMismatch,
+    _cut,
     _quoted,
 )
 from .norms import NormValue
@@ -171,6 +172,7 @@ class Ring(ABC):
     q_algebra: bool = False
     p_torsion_free: bool = True
     truncated: bool = False
+    e: int = 1  # the rank over Z or Q: a number field's degree, a truncated order's rank
 
     def __init__(self, p: int):
         self.p = check_prime(p)
@@ -308,7 +310,7 @@ class Integers(Ring):
             # name the quotient at the first division by p that fails
             while a % self.p == 0:
                 a //= self.p
-            raise NotDivisible(f"{a} is not divisible by {self.p}")
+            raise NotDivisible(f"{_cut(str(a))} is not divisible by {self.p}")
         return q
 
     def format_elt(self, a: int) -> str:
@@ -399,7 +401,6 @@ class TruncatedRing(Ring):
     truncated = True
     config_keys = ("p", "M")
     cover: Ring
-    e = 1  # the rank of O over Z
     scalar: bool = True
     json_key: str = "value"
 
@@ -516,7 +517,9 @@ class TruncatedRing(Ring):
         p, coeffs, prec = self.p, a.coeffs, a.prec
         for _ in range(k):
             if math.gcd(*coeffs) % p:  # p divides every digit iff it divides their gcd
-                raise NotDivisible(f"{self._body(coeffs)} is not divisible by {p} (mod {p}^{prec})")
+                raise NotDivisible(
+                    f"{_cut(self._body(coeffs))} is not divisible by {p} (mod {p}^{prec})"
+                )
             if prec <= 1:
                 raise PrecisionExhausted("dividing by p would leave no significant digits")
             coeffs, prec = tuple(map(operator.floordiv, coeffs, repeat(p))), prec - 1

@@ -76,6 +76,7 @@ from .errors import (
     LengthMismatch,
     MalformedConfig,
     RingMismatch,
+    _cut,
     _quoted,
 )
 from .norms import NormValue, as_fraction, norm_max
@@ -305,7 +306,7 @@ def charp_overconv_profile(x: WittVec, b) -> List[NormValue]:
     _require_char_p(x.ring)
     b = as_fraction(b)
     if b <= 0:
-        raise BOutOfRange(f"the weight b must be positive, got {b}")
+        raise BOutOfRange(f"the weight b must be positive, got {_cut(str(b))}")
     return [v.scale_exponent(b * j) for j, v in enumerate(witt_norm_profile(x))]
 
 
@@ -468,7 +469,7 @@ def untilt_isometry(x: WittVec, N: int, b) -> dict:
     b = as_fraction(b)
     if b <= 0 or b > 1:
         raise BOutOfRange(
-            f"the untilt comparison is isometric only for 0 < b <= 1, got {b}"
+            f"the untilt comparison is isometric only for 0 < b <= 1, got {_cut(str(b))}"
         )
     family = untilt(x, N)
     lhs = arrow_norm(family, b)

@@ -426,6 +426,11 @@ def max_length(p: int) -> int:
     return length
 
 
+def numeral_bits(text: str) -> int:
+    """The bit length of the largest numeral in ``text``, 0 when it has none."""
+    return max((int(n).bit_length() for n in re.findall(r"[0-9]+", text)), default=0)
+
+
 def check_entry_bits(p: int, bits: int, e: int) -> None:
     """Refuse an entry of ``bits`` bits raised to p**e past ``MAX_GHOST_BITS``."""
     if bits * p**e > MAX_GHOST_BITS:
@@ -438,8 +443,10 @@ def check_entry_bits(p: int, bits: int, e: int) -> None:
 def parse_witt(ring: Ring, text: str) -> WittVec:
     """Parse either the bare tuple form ``(3, -2)`` or the tagged form
     ``W(p=2; 3, -2)``; the tag's prime must match the ring, and a length
-    past ``max_length`` is refused before any component is read, and over a
-    p-torsion-free ring a largest numeral past ``check_entry_bits``."""
+    past ``max_length`` is refused before any component is read, and an entry
+    past ``check_entry_bits``: over a p-torsion-free ring the text's largest
+    numeral, over a truncated ring the largest least absolute residue of a
+    digit."""
     body = text.strip()
     tagged = _TAGGED.match(body)
     try:
@@ -465,6 +472,11 @@ def parse_witt(ring: Ring, text: str) -> WittVec:
         )
     x = WittVec(ring, tuple(ring.parse_elt(s) for s in parts))
     if ring.p_torsion_free:
-        bits = max((int(n).bit_length() for n in re.findall(r"[0-9]+", body)), default=0)
+        check_entry_bits(ring.p, numeral_bits(body), len(parts) - 1)
+    elif ring.truncated:  # a digit counts by its least absolute residue, as the transport lifts it
+        bits = 0
+        for c in x.components:
+            q = ring.p ** ring.precision_of(c)
+            bits = max([bits] + [min(d, q - d).bit_length() for d in ring.digits(c)])
         check_entry_bits(ring.p, bits, len(parts) - 1)
     return x

@@ -440,6 +440,43 @@ NAMED_USAGE_ERRORS = [
         ("arrow", "norm", "9" * 300, "--depth", "9"),
         "error: an entry of 997 bits raised to 2^9: 997*2^9 = 510464 is above the bound 262144",
     ),
+    # over a truncated ring the entry is its largest reduced digit, and the
+    # Artin constant is raised to p^depth
+    (
+        "compute-zmod-entry-over-budget",
+        (
+            "compute", "--ring", "Zmod", "--precision", "997",
+            f"neg ({','.join([str(2**996)] * 10)})",
+        ),
+        "error: an entry of 997 bits raised to 2^9: 997*2^9 = 510464 is above the bound 262144",
+    ),
+    (
+        "artin-f-over-budget",
+        ("artin", "classify", "--f", "1/" + "9" * 633),
+        "error: an entry of 2103 bits raised to 5^3: 2103*5^3 = 262875 is above the bound 262144",
+    ),
+    # a kernel run's samples * e * p^j, e the ring's degree; cheap past a failed bound
+    (
+        "kernel-work-over-bound",
+        ("kernel", "verify", "--p", "2", "--j", "12"),
+        "error: kernel work samples*e*p^j = 10*1*2^12 = 40960 is above the bound 32768",
+    ),
+    (
+        "kernel-work-over-bound-Qi",
+        ("kernel", "verify", "--ring", "Qi", "--p", "2", "--j", "11"),
+        "error: kernel work samples*e*p^j = 10*2*2^11 = 40960 is above the bound 32768",
+    ),
+    # a computed value is quoted by a bounded prefix, as a text is
+    (
+        "arrow-norm-long-negative-b",
+        ("arrow", "norm", "3", "--b", "-" + "7" * 3000),
+        f"error: the weight b must be positive, got {'-' + '7' * 39!r}... (3001 characters)",
+    ),
+    (
+        "compute-unghost-long-quotient",
+        ("compute", "--p", "2", f"unghost (1, {'7' * 3000}6)"),
+        f"error: {'7' * 40!r}... (3001 characters) is not divisible by 2",
+    ),
     # refusals that no other test runs
     (
         "compute-too-few-vectors",
@@ -586,12 +623,32 @@ def _vector(length: int, entry: str = "3") -> str:
             "an entry of 997 bits raised to 2^10",
         ),
         (("arrow", "norm", "9" * 300, "--depth", "12"), "an entry of 997 bits raised to 2^12"),
+        (
+            (
+                "compute", "--ring", "Zmod", "--precision", "4096",
+                f"mul {_vector(12, str(2**4095 - 1))} {_vector(12, str(2**4095 - 1))}",
+            ),
+            "an entry of 4095 bits raised to 2^11",
+        ),
+        (
+            ("artin", "classify", "--f", "1/" + "7" * 3000, "--p", "5"),
+            "an entry of 9966 bits raised to 5^3",
+        ),
+        (
+            ("kernel", "verify", "--ring", "Q", "--p", "2", "--j", "16"),
+            "= 10*1*2^16 = 655360 is above",
+        ),
+        (
+            ("kernel", "verify", "--ring", "Qi", "--p", "5", "--j", "6"),
+            "= 10*2*5^6 = 312500 is above",
+        ),
     ],
     ids=[
         "prime", "precision", "structure-prime", "family-depth", "untilt-depth", "length",
         "length-Zmod", "tower-depth", "tilt-depth", "perfpoly-depth", "perfpoly-nvars",
         "perfpoly-nvars-huge", "kernel-j", "kernel-j-p2", "artin-depth", "tower-samples",
-        "entry-bits", "arrow-entry-bits",
+        "entry-bits", "arrow-entry-bits", "zmod-entry-bits", "artin-f-bits", "kernel-work",
+        "kernel-work-Qi",
     ],
 )
 def test_a_size_past_its_bound_is_refused_in_under_a_second(argv, refusal):
@@ -602,6 +659,15 @@ def test_a_size_past_its_bound_is_refused_in_under_a_second(argv, refusal):
     code, seconds = proc.stdout.split()
     assert code == "2" and float(seconds) < 1.0, proc.stderr
     assert refusal in proc.stderr
+
+
+def test_a_truncated_entry_counts_by_its_least_absolute_residue(capsys):
+    """2^4096 - 1 is -1 mod 2^4096, which the ghost map raises cheaply: the
+    entry budget reads it as one bit, and 2^4095 - 1 (above) as 4095."""
+    vector = _vector(12, str(2**4096 - 1))
+    argv = ("compute", "--ring", "Zmod", "--precision", "4096", f"mul {vector} {vector}")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
 
 
 def test_integer_flags_and_the_prime_state_their_bounds(capsys):
@@ -616,7 +682,7 @@ def test_integer_flags_and_the_prime_state_their_bounds(capsys):
         ),
         ("arrow", ("the family's p^depth at most 65536",)),
         ("tilt", ("the family's p^n at most 65536", "chain depth at most 1024")),
-        ("kernel", ("p^j at most 65536",)),
+        ("kernel", ("p^j at most 65536", "samples*e*p^j at most 32768")),
         ("artin", ("p^depth at most 65536",)),
         ("universal", ("p^index at most 169",)),
         ("perfect", ("field degree (p-1)*p^(depth+2) at most 512",)),
@@ -885,6 +951,17 @@ def test_kernel_verify_refuses_a_run_with_no_sample(capsys):
         code, out, err = run(capsys, "kernel", "verify", "--samples", samples)
         assert (code, out) == (2, "")
         assert err.strip() == f"error: {message}"
+
+
+def test_kernel_verify_bounds_a_samples_file_by_its_work_before_parsing_it(capsys, tmp_path):
+    # no element of the file parses: the work bound reads only their count
+    samples = tmp_path / "t.txt"
+    samples.write_text("x\n" * 3)
+    code, out, err = run(capsys, "kernel", "verify", "--samples", str(samples), "--j", "14")
+    assert (code, out) == (2, "")
+    assert err.strip() == (
+        "error: kernel work samples*e*p^j = 3*1*2^14 = 49152 is above the bound 32768"
+    )
 
 
 def test_kernel_verify_prints_a_zero_norm_as_zero(capsys, tmp_path):

@@ -1,8 +1,10 @@
 """A seeded mutation fuzz of the CLI: 1-3 character edits of the arguments of
 the non-``verify`` rows of ``CLI_TABLE``; and a size sweep of the same rows,
 which writes a 3000-digit negative, 0, 10^8 and a 3000-digit number into
-each integer-valued token, one at a time: an integer flag's value and a
-ring spec's ``:n``.  An edit of 1-3 characters reaches neither.
+each number-valued token, one at a time: an integer, whether a flag's value
+or a positional, a ring spec's ``:n`` and a rational flag value, which also
+takes 1 over a 3000-digit number.  An edit of 1-3 characters reaches
+neither.
 
 Every edited or swept argv must exit 0 or 2, and an exit 2 prints exactly
 one ``error:`` line, under 200 bytes: a refusal, never a traceback, a raw
@@ -27,19 +29,28 @@ from test_cli import CLI_TABLE, _subprocess_env
 ROWS = [shlex.split(cmd) for cmd, *_ in CLI_TABLE if not cmd.startswith("verify")]
 
 SIZES = ["-" + "7" * 3000, "0", str(10**8), "7" * 3000]
+# a rational token also takes a 3000-digit denominator
+RATIONAL_SIZES = SIZES + ["1/" + "7" * 3000]
 _RING_ARGUMENT = re.compile(r"([A-Za-z]+:)[0-9]+")
 
 
 def _swept(row):
-    """Each argv with one integer-valued token of the row replaced by one of
-    ``SIZES``."""
+    """Each argv with one number-valued token of the row replaced: an
+    integer, a flag's value or a positional, or a ring spec's ``:n`` by one
+    of ``SIZES``, and a rational flag value by one of ``RATIONAL_SIZES``."""
     for i in range(1, len(row)):
         flag, token = row[i - 1], row[i]
         head = _RING_ARGUMENT.fullmatch(token) if flag == "--ring" else None
-        if head is None and not (flag.startswith("--") and re.fullmatch(r"-?[0-9]+", token)):
+        if head is not None:
+            values = [head[1] + value for value in SIZES]
+        elif re.fullmatch(r"-?[0-9]+", token):
+            values = SIZES
+        elif flag.startswith("--") and re.fullmatch(r"-?[0-9]+[/.][0-9]+", token):
+            values = RATIONAL_SIZES
+        else:
             continue
-        for value in SIZES:
-            yield row[:i] + [head[1] + value if head else value] + row[i + 1 :]
+        for value in values:
+            yield row[:i] + [value] + row[i + 1 :]
 
 
 SWEEP = [argv for row in ROWS for argv in _swept(row)]
@@ -177,5 +188,6 @@ def test_edited_cli_table_rows_exit_zero_or_two_with_one_error_line(report):
 
 def test_swept_cli_table_rows_exit_zero_or_two_with_one_short_error_line(report):
     assert report["swept"] == [], report["swept"]
-    # four values for each of the rows' 48 integer flag values and ring arguments
-    assert len(SWEEP) == 4 * 48
+    # four values for each of the rows' 57 integers, flag values and
+    # positionals, and 6 ring arguments; five for each of 3 rational flag values
+    assert len(SWEEP) == 4 * (57 + 6) + 5 * 3

@@ -338,10 +338,10 @@ def test_a_second_solve_in_the_same_window_inverts_nothing(monkeypatch):
 _NORMED_SOLVES = "ae8b0edcf602fc1fde478ffdfab409458dde52b1a2cc56e72ec1c69db5f9d51d"
 
 
-def test_normed_solves_are_pinned_byte_for_byte():
-    """Integers, units times uniformizer powers, halves of uniformizer
-    powers, and the branch-repair input (t^2, t^2)."""
-    seq = build_root_sequence(2, 6)
+def _pinned_normed_solves(seq):
+    """(level, components) of the pinned solves: integers, units times
+    uniformizer powers, halves of uniformizer powers, and the branch-repair
+    input (t^2, t^2)."""
     f1, f2 = seq.tower.field(1), seq.tower.field(2)
     t1, t2 = f1.uniformizer(), f2.uniformizer()
     u1 = f1.from_coeffs([1, 2, 0, 2])
@@ -351,9 +351,13 @@ def test_normed_solves_are_pinned_byte_for_byte():
     cases += [(2, (f2.mul(u2, f2.pow_(t2, j)),)) for j in (3, 11)]
     cases += [(2, (f2.scalar_mul(Fraction(1, 2), f2.pow_(t2, j)),)) for j in (1, 6)]
     sq = f1.pow_(t1, 2)
-    cases += [(1, (f1.pow_(t1, 3),)), (1, (sq, sq))]
+    return cases + [(1, (f1.pow_(t1, 3),)), (1, (sq, sq))]
+
+
+def test_normed_solves_are_pinned_byte_for_byte():
+    seq = build_root_sequence(2, 6)
     out = []
-    for level, comps in cases:
+    for level, comps in _pinned_normed_solves(seq):
         x = WittVec(seq.tower.field(level), comps)
         y, rep = solve_frobenius_normed(seq, level, x)
         out.append({"y": witt_to_json(y), "report": rep})
@@ -364,6 +368,24 @@ def test_normed_solves_are_pinned_byte_for_byte():
     assert [o["report"]["digit_fix"] for o in out].count(True) == 1
     text = json.dumps(out, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == _NORMED_SOLVES
+
+
+def test_each_normed_solve_scales_into_the_window_once_and_back_out_once(monkeypatch):
+    """Two Teichmueller products per solve, [s] * x in and [u] * y out: a
+    head root that climbs the tower, refined or branch-repaired, takes the
+    scaled vector up by embedding, not by scaling x again."""
+    calls = []
+    real = perfect.teich_mul
+    monkeypatch.setattr(perfect, "teich_mul", lambda r, x: calls.append(r) or real(r, x))
+    seq = build_root_sequence(2, 6)
+    climbed = 0
+    for level, comps in _pinned_normed_solves(seq):
+        calls.clear()
+        _, rep = solve_frobenius_normed(seq, level, WittVec(seq.tower.field(level), comps))
+        assert len(calls) == 2, (level, rep)
+        climbed += rep["head_refined"] or rep["digit_fix"]
+    # the pin covers both climbs: 10 refined heads and 1 branch repair
+    assert climbed == 11
 
 
 def test_unknown_instance_is_rejected():

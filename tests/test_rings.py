@@ -197,6 +197,13 @@ def test_division_by_p_to_the_k_is_k_single_divisions():
     ring = CycloModPM(3, 2, 4)
     with pytest.raises(NotDivisible, match=r"^\[1, 2, 0, 3, 0, 0\] is not divisible by 3 \(mod 3\^2\)$"):
         ring.exact_divide_by_p(ring.make([9, 18, 0, 27, 0, 0]), 3)
+    # a long quotient is quoted by a bounded prefix and its length
+    big, quoted = int("7" * 3000), rf"'{'7' * 40}'\.\.\. \(3000 characters\)"
+    with pytest.raises(NotDivisible, match=rf"^{quoted} is not divisible by 2$"):
+        Integers(2).exact_divide_by_p(big)
+    zmod = ZModPM(2, 10000)
+    with pytest.raises(NotDivisible, match=rf"^{quoted} is not divisible by 2 \(mod 2\^10000\)$"):
+        zmod.exact_divide_by_p(zmod.make(big))
 
 
 def test_truncated_parse_format_roundtrip():
